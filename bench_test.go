@@ -1,7 +1,8 @@
 // Package newtos_bench holds the top-level benchmark harness: one
 // testing.B benchmark per paper artifact (every Table II row, the
 // fault-injection tables, both crash-trace figures, the §IV micro-costs)
-// plus the ablation benches DESIGN.md calls out. The cmd/ binaries print
+// plus the ablation benches (what each substitution costs — see
+// docs/ARCHITECTURE.md "Substitutions and non-goals"). The cmd/ binaries print
 // the paper-shaped reports; these benches make the same drivers available
 // to `go test -bench`.
 package newtos_bench
@@ -438,7 +439,7 @@ func BenchmarkSec4_KernelTrapCold(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) ------------------------------------------------
+// --- Ablations (docs/ARCHITECTURE.md "Substitutions and non-goals") -------
 
 // BenchmarkAblation_PFJunction measures the cost of the packet filter in
 // the T junction: the same transfer with and without PF.

@@ -2,7 +2,7 @@
 // struct fields: a field that is accessed through sync/atomic anywhere
 // (atomic.AddUint64(&s.n, 1), atomic.LoadInt64(&s.t), ...) must be accessed
 // through sync/atomic everywhere. A single plain read racing an atomic
-// writer is still a data race — the outbox Dropped / trace counter pattern
+// writer is still a data race — the Edge.Dropped / trace counter pattern
 // this stack uses for cross-goroutine observability makes the mix easy to
 // introduce and -race unlikely to catch (observers run rarely).
 //

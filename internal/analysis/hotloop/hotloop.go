@@ -13,6 +13,9 @@
 //   - take sync locks (Mutex/RWMutex Lock, WaitGroup/Cond Wait) — engine
 //     state is isolated by design and owned by one loop.
 //
+// Reachability follows static calls, and calls through an interface method
+// to that method on every program type implementing the interface.
+//
 // Infrastructure packages that emulate shared hardware or kernel machinery
 // (shm pools, the storage server, NIC devices, channel/spsc queues, kipc)
 // are allowlisted: their short internal locks model cross-process mappings
@@ -116,7 +119,7 @@ func run(pass *analysis.Pass) error {
 		cur := work[0]
 		work = work[1:]
 		checkBody(pass, cur.fi, cur.root, reported)
-		for _, callee := range callees(cur.fi) {
+		for _, callee := range implementations(pass, callees(cur.fi)) {
 			fi, ok := decls[callee]
 			if !ok || seen[callee] || allowed[fi.pkg.Path] {
 				continue
@@ -141,6 +144,41 @@ func callees(cur *funcInfo) []*types.Func {
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+// implementations replaces every interface method among fns by the
+// methods it can dispatch to: that method on each of the program's named
+// types implementing the interface. A shell that drives its engine through
+// an interface keeps the engine on the hot path.
+func implementations(pass *analysis.Pass, fns []*types.Func) []*types.Func {
+	var out []*types.Func
+	for _, fn := range fns {
+		var iface *types.Interface
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			iface, _ = recv.Type().Underlying().(*types.Interface)
+		}
+		if iface == nil {
+			out = append(out, fn)
+			continue
+		}
+		for _, pkg := range pass.Program {
+			scope := pkg.Types.Scope()
+			for _, name := range scope.Names() {
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+					continue
+				}
+				ptr := types.NewPointer(tn.Type())
+				if named := tn.Type().(*types.Named); named.TypeParams().Len() > 0 || !types.Implements(ptr, iface) {
+					continue
+				}
+				if m, _, _ := types.LookupFieldOrMethod(ptr, true, fn.Pkg(), fn.Name()); m != nil {
+					out = append(out, m.(*types.Func))
+				}
+			}
+		}
+	}
 	return out
 }
 

@@ -82,3 +82,41 @@ func (s *Suppressed) Poll(now time.Time) bool {
 func (s *Suppressed) Deadline(now time.Time) time.Time { return time.Time{} }
 
 func (s *Suppressed) Stop() {}
+
+// Shell drives its engine through an interface, as the transport shell
+// does: the implementations stay on the hot path, including methods an
+// adapter only promotes from the type it embeds.
+type Shell struct{ eng engine }
+
+type engine interface {
+	Step()
+	Flush()
+}
+
+func (s *Shell) Init(rt *proc.Runtime, restart bool) error { return nil }
+
+func (s *Shell) Poll(now time.Time) bool {
+	s.eng.Step()
+	s.eng.Flush()
+	return false
+}
+
+func (s *Shell) Deadline(now time.Time) time.Time { return time.Time{} }
+
+func (s *Shell) Stop() {}
+
+type core struct{}
+
+func (*core) Flush() {
+	_ = time.Now() // want `clock read time.Now in \(\*core\)\.Flush, reachable from \(\*Shell\)\.Poll`
+}
+
+// Step is not reachable: core alone does not implement engine (its Step
+// takes an argument); only the adapter's Step is dispatched to.
+func (*core) Step(n int) { _ = time.Now() }
+
+type adapter struct{ *core }
+
+func (a adapter) Step() {
+	_ = time.Since(time.Time{}) // want `clock read time.Since in \(\*adapter\)\.Step, reachable from \(\*Shell\)\.Poll`
+}

@@ -1,15 +1,15 @@
 // Package outboxflush enforces the one-doorbell-per-iteration contract on
-// server loops (paper §IV-A): a server stages its engine's output into
-// wiring.Outbox buffers during an iteration and flushes each box once at
-// the iteration boundary. A loop type that pushes into an outbox field but
-// never reaches Flush/FlushPaced (or Drop) from its Poll method leaves
-// requests parked forever — the peer's doorbell never rings.
+// server loops (paper §IV-A): a server stages its engine's output onto its
+// wiring.Edge values during an iteration and flushes each edge once at the
+// iteration boundary. A loop type that pushes onto an edge field but never
+// reaches Flush (or Drop) from its Poll method leaves requests parked
+// forever — the peer's doorbell never rings.
 //
 // Enforcement is per receiver type: for every named type with a
-// Poll(time.Time) bool method, every *wiring.Outbox field (including slice
-// and map fields of outboxes) that any method of the package pushes into
-// must be flushed by some function reachable from Poll. Pushes and flushes
-// through local aliases, range variables, and *wiring.Outbox parameters of
+// Poll(time.Time) bool method, every *wiring.Edge field (including slice
+// and map fields of edges) that any method of the package pushes onto must
+// be flushed by some function reachable from Poll. Pushes and flushes
+// through local aliases, range variables, and *wiring.Edge parameters of
 // same-package helpers are followed.
 package outboxflush
 
@@ -24,16 +24,16 @@ import (
 
 const wiringPath = "newtos/internal/wiring"
 
-// Analyzer reports outbox fields that are staged into but not flushed from
+// Analyzer reports edge fields that are staged onto but not flushed from
 // the owning type's Poll method.
 var Analyzer = &analysis.Analyzer{
 	Name: "outboxflush",
-	Doc: "a server loop that stages into a wiring.Outbox must call " +
-		"Flush/FlushPaced on it on the Poll path",
+	Doc: "a server loop that stages onto a wiring.Edge must call " +
+		"Flush on it on the Poll path",
 	Run: run,
 }
 
-// summary is what one function does to outboxes, directly or via callees.
+// summary is what one function does to edges, directly or via callees.
 type summary struct {
 	decl        *ast.FuncDecl
 	pushFields  map[*types.Var]token.Pos
@@ -76,7 +76,7 @@ func run(pass *analysis.Pass) error {
 	propagate(info, order, sums)
 
 	// For every named type with a Poll loop: compare what the package
-	// stages into its outbox fields against what Poll's call tree flushes.
+	// stages onto its edge fields against what Poll's call tree flushes.
 	for _, fn := range order {
 		if fn.Name() != "Poll" || !isPollSig(fn) {
 			continue
@@ -114,9 +114,9 @@ func run(pass *analysis.Pass) error {
 		for _, f := range missing {
 			pass.Report(analysis.Diagnostic{
 				Pos: pushed[f],
-				Message: "outbox " + f.Name() + " is staged into (Push) but never " +
+				Message: "edge " + f.Name() + " is staged onto (Push) but never " +
 					"flushed on any path from (*" + recv.Obj().Name() + ").Poll — " +
-					"stage and Flush/FlushPaced in the same iteration",
+					"Push and Flush in the same iteration",
 			})
 		}
 	}
@@ -137,10 +137,9 @@ func fillDirect(info *types.Info, fn *types.Func, s *summary) {
 		if callee == nil {
 			return true
 		}
-		isPush := analysis.IsMethod(callee, wiringPath, "Outbox", "Push")
-		isFlush := analysis.IsMethod(callee, wiringPath, "Outbox", "Flush") ||
-			analysis.IsMethod(callee, wiringPath, "Outbox", "FlushPaced") ||
-			analysis.IsMethod(callee, wiringPath, "Outbox", "Drop")
+		isPush := analysis.IsMethod(callee, wiringPath, "Edge", "Push")
+		isFlush := analysis.IsMethod(callee, wiringPath, "Edge", "Flush") ||
+			analysis.IsMethod(callee, wiringPath, "Edge", "Drop")
 		if !isPush && !isFlush {
 			return true
 		}
@@ -166,7 +165,7 @@ func fillDirect(info *types.Info, fn *types.Func, s *summary) {
 }
 
 // propagate folds callee effects into callers until a fixpoint: passing an
-// outbox field (or own parameter) to a helper that pushes/flushes its
+// edge field (or own parameter) to a helper that pushes/flushes its
 // parameter is a push/flush by the caller.
 func propagate(info *types.Info, order []*types.Func, sums map[*types.Func]*summary) {
 	for changed := true; changed; {
@@ -231,7 +230,7 @@ func reachable(info *types.Info, fn *types.Func, sums map[*types.Func]*summary) 
 	return seen
 }
 
-// attribute resolves an expression to the outbox field it denotes, or the
+// attribute resolves an expression to the edge field it denotes, or the
 // function parameter index it denotes, or (nil, -1). It sees through
 // indexing (s.boxes[k]) and the local aliases collected by buildAliases.
 func attribute(info *types.Info, e ast.Expr, params map[*types.Var]int, aliases map[*types.Var]*types.Var) (*types.Var, int) {
@@ -249,7 +248,7 @@ func attribute(info *types.Info, e ast.Expr, params map[*types.Var]int, aliases 
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if f, ok := sel.Obj().(*types.Var); ok && isOutboxish(f.Type()) {
+			if f, ok := sel.Obj().(*types.Var); ok && isEdgeish(f.Type()) {
 				return f, -1
 			}
 		}
@@ -259,7 +258,7 @@ func attribute(info *types.Info, e ast.Expr, params map[*types.Var]int, aliases 
 	return nil, -1
 }
 
-// buildAliases maps local variables to the outbox fields they alias via
+// buildAliases maps local variables to the edge fields they alias via
 // simple assignment (box := s.f, box := s.f[k]) or range (for _, box :=
 // range s.boxes).
 func buildAliases(info *types.Info, decl *ast.FuncDecl) map[*types.Var]*types.Var {
@@ -280,7 +279,7 @@ func buildAliases(info *types.Info, decl *ast.FuncDecl) map[*types.Var]*types.Va
 				if v == nil {
 					v, _ = info.Uses[id].(*types.Var)
 				}
-				if v == nil || !isOutboxish(v.Type()) {
+				if v == nil || !isEdgeish(v.Type()) {
 					continue
 				}
 				if f, _ := attribute(info, n.Rhs[i], none, aliases); f != nil {
@@ -296,7 +295,7 @@ func buildAliases(info *types.Info, decl *ast.FuncDecl) map[*types.Var]*types.Va
 				return true
 			}
 			v, _ := info.Defs[id].(*types.Var)
-			if v == nil || !isOutboxish(v.Type()) {
+			if v == nil || !isEdgeish(v.Type()) {
 				return true
 			}
 			if f, _ := attribute(info, n.X, none, aliases); f != nil {
@@ -308,32 +307,32 @@ func buildAliases(info *types.Info, decl *ast.FuncDecl) map[*types.Var]*types.Va
 	return aliases
 }
 
-// paramVars maps fn's *wiring.Outbox-ish parameters to their indexes.
+// paramVars maps fn's *wiring.Edge-ish parameters to their indexes.
 func paramVars(fn *types.Func) map[*types.Var]int {
 	out := map[*types.Var]int{}
 	sig := fn.Type().(*types.Signature)
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
-		if isOutboxish(p.Type()) {
+		if isEdgeish(p.Type()) {
 			out[p] = i
 		}
 	}
 	return out
 }
 
-// isOutboxish reports whether t is *wiring.Outbox or a container of them.
-func isOutboxish(t types.Type) bool {
+// isEdgeish reports whether t is *wiring.Edge or a container of them.
+func isEdgeish(t types.Type) bool {
 	switch t := t.(type) {
 	case *types.Pointer:
-		return analysis.IsNamedType(t, wiringPath, "Outbox")
+		return analysis.IsNamedType(t, wiringPath, "Edge")
 	case *types.Slice:
-		return isOutboxish(t.Elem())
+		return isEdgeish(t.Elem())
 	case *types.Array:
-		return isOutboxish(t.Elem())
+		return isEdgeish(t.Elem())
 	case *types.Map:
-		return isOutboxish(t.Elem())
+		return isEdgeish(t.Elem())
 	case *types.Named:
-		return analysis.IsNamedType(t, wiringPath, "Outbox")
+		return analysis.IsNamedType(t, wiringPath, "Edge")
 	}
 	return false
 }

@@ -11,7 +11,7 @@ import (
 // Bad stages in a dispatch helper but its Poll never flushes: the peer's
 // doorbell never rings.
 type Bad struct {
-	out *wiring.Outbox
+	out *wiring.Edge
 }
 
 func (s *Bad) Poll(now time.Time) bool {
@@ -20,23 +20,23 @@ func (s *Bad) Poll(now time.Time) bool {
 }
 
 func (s *Bad) stage() {
-	s.out.Push(msg.Req{}) // want `outbox out is staged into \(Push\) but never flushed on any path from \(\*Bad\)\.Poll`
+	s.out.Push(msg.Req{}) // want `edge out is staged onto \(Push\) but never flushed on any path from \(\*Bad\)\.Poll`
 }
 
 // Good pushes and flushes in the same iteration.
 type Good struct {
-	out *wiring.Outbox
+	out *wiring.Edge
 }
 
 func (s *Good) Poll(now time.Time) bool {
 	s.out.Push(msg.Req{})
-	return s.out.FlushPaced(now, true)
+	return s.out.Flush(now, true)
 }
 
 // Sliced stages through a range alias and a helper parameter, and flushes
 // through another helper — all attributed back to the field.
 type Sliced struct {
-	boxes []*wiring.Outbox
+	boxes []*wiring.Edge
 }
 
 func (s *Sliced) Poll(now time.Time) bool {
@@ -46,14 +46,14 @@ func (s *Sliced) Poll(now time.Time) bool {
 	return s.flushAll(now)
 }
 
-func stageInto(box *wiring.Outbox) {
+func stageInto(box *wiring.Edge) {
 	box.Push(msg.Req{})
 }
 
 func (s *Sliced) flushAll(now time.Time) bool {
 	worked := false
 	for _, box := range s.boxes {
-		if box.Flush() {
+		if box.Flush(now, !worked) {
 			worked = true
 		}
 	}
@@ -62,7 +62,7 @@ func (s *Sliced) flushAll(now time.Time) bool {
 
 // Dropper tears down instead of delivering; Drop is a valid consumption.
 type Dropper struct {
-	out *wiring.Outbox
+	out *wiring.Edge
 }
 
 func (s *Dropper) Poll(now time.Time) bool {
@@ -71,9 +71,42 @@ func (s *Dropper) Poll(now time.Time) bool {
 	return false
 }
 
+// Answerer is the shape of the real loops: replies are pushed from inside
+// the Intake handler and leave through Flush in the same iteration.
+type Answerer struct {
+	edge    *wiring.Edge
+	scratch []msg.Req
+}
+
+func (s *Answerer) Poll(now time.Time) bool {
+	worked := s.edge.Intake(s.scratch, nil, func(b []msg.Req) {
+		for _, r := range b {
+			s.edge.Push(r)
+		}
+	})
+	return s.edge.Flush(now, !worked) || worked
+}
+
+// Mute takes requests in and stages its answers, but its Poll path never
+// reaches Flush: Intake alone rings nobody's doorbell.
+type Mute struct {
+	edge    *wiring.Edge
+	scratch []msg.Req
+}
+
+func (s *Mute) Poll(now time.Time) bool {
+	return s.edge.Intake(s.scratch, s.recover, func(b []msg.Req) {
+		for _, r := range b {
+			s.edge.Push(r) // want `edge edge is staged onto \(Push\) but never flushed on any path from \(\*Mute\)\.Poll`
+		}
+	})
+}
+
+func (s *Mute) recover() {}
+
 // Suppressed hands the box to an external flusher, annotated as such.
 type Suppressed struct {
-	out *wiring.Outbox
+	out *wiring.Edge
 }
 
 func (s *Suppressed) Poll(now time.Time) bool {

@@ -75,12 +75,6 @@ type Config struct {
 	// <= 1 keeps the single quarantined TCP server. Sharding requires the
 	// SYSCALL server (it is the shard router for socket calls).
 	TCPShards int
-	// ElasticPools lets the stack's shared-memory pools grow under
-	// pressure and shrink after quiescence (docs/ARCHITECTURE.md "Elastic
-	// pools"): IP's RX/header pools, the transports' header pools, and the
-	// per-socket TX buffers. Off keeps every pool statically sized at its
-	// historical worst case.
-	ElasticPools bool
 	// DedicatedCores pins each server loop to an OS thread.
 	DedicatedCores bool
 	// PinCores additionally assigns the data-plane loops to core-affine
@@ -112,8 +106,7 @@ func (c Config) tcpShardCount() int {
 func SplitTSO() Config {
 	return Config{
 		SyscallServer: true, PF: true, Offload: true, TSO: true,
-		ElasticPools: true,
-		Kernel:       kipc.DefaultConfig(),
+		Kernel: kipc.DefaultConfig(),
 	}
 }
 
@@ -188,7 +181,6 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 	ipCfg := ipsrv.Config{
 		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload,
 		Drivers: drvNames, TCPShards: cfg.tcpShardCount(),
-		Elastic: cfg.ElasticPools,
 	}
 	n.addProc(CompIP, pin(ipGroup), func() proc.Service {
 		return ipsrv.New(ipCfg, ipPorts)
@@ -222,7 +214,7 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		tcpPorts := wiring.NewPorts(hub, name)
 		tcpCfg := tcpsrv.Config{
 			LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload, TSO: cfg.TSO,
-			Shard: k, Shards: shards, Elastic: cfg.ElasticPools,
+			Shard: k, Shards: shards,
 		}
 		var tcpShim *wiring.Ports
 		var tcpSubs map[uint32]kipc.EndpointID
@@ -241,7 +233,7 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 	udpPorts := wiring.NewPorts(hub, CompUDP)
 	udpShim := wiring.NewPorts(hub, "shim-sc-udp")
 	udpSubs := make(map[uint32]kipc.EndpointID)
-	udpCfg := udpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload, Elastic: cfg.ElasticPools}
+	udpCfg := udpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload}
 	n.addProc(CompUDP, pin(udpGroup), func() proc.Service {
 		s := udpsrv.New(udpCfg, udpPorts)
 		if !cfg.SyscallServer {
@@ -331,8 +323,8 @@ func (n *Node) Upgrade(name string) (trace.HandoffPhases, error) {
 
 // OutboxDropped totals, across every running server loop on this node, the
 // staged requests shed because their target incarnation died before they
-// flushed — the observable cost of outbox generation-stamping during
-// recovery (wiring.Outbox).
+// flushed — the observable cost of the restart rule during recovery
+// (wiring.Edge).
 func (n *Node) OutboxDropped() uint64 {
 	var total uint64
 	for _, c := range n.OutboxDroppedPer() {

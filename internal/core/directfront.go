@@ -23,8 +23,7 @@ type directFront struct {
 	fdName    string
 
 	ep      *kipc.Endpoint
-	port    *wiring.Port
-	box     *wiring.Outbox
+	box     *wiring.Edge
 	scratch []msg.Req
 	nextID  uint64
 	pending map[uint64]appCall
@@ -65,27 +64,21 @@ func (d *directFront) Init(rt *proc.Runtime, restart bool) error {
 	d.shimPorts.Begin(rt.Bell)
 	// The edge's peer name is the transport component, which is the
 	// substring after "sc-".
-	d.port = d.shimPorts.Export(d.edge, d.edge[3:])
-	d.box = wiring.NewOutbox(d.port)
-	d.box.EnablePacing(wiring.DefaultPacing())
+	d.box = wiring.NewEdge(d.shimPorts.Export(d.edge, d.edge[3:]))
 	d.scratch = make([]msg.Req, wiring.ScratchLen)
 	ep, err := d.shimPorts.Hub().Kern.Register(d.fdName, rt.Bell)
 	if err != nil {
 		return fmt.Errorf("directfront: %w", err)
 	}
 	d.ep = ep
-	if restart {
-		// Consume our own port-generation bump first: a batch staged with
-		// a stale generation stamp would be dropped by the first Poll's
-		// Take/Drop, silently losing the re-pushed mode bits.
-		_, _ = d.port.Take()
-		d.reannounce()
-	}
 	return nil
 }
 
-// reannounce runs after a restart of the transport+shim process: re-push
-// the nonblocking mode for every subscribed socket (the restored engine
+// reannounce is the shim edge's restart hook. Both ends of the edge live in
+// this process, so it rebinds exactly once per incarnation, at the first
+// Intake; subs is empty on a fresh boot and holds the dead incarnation's
+// subscribers after a restart of the transport+shim process. Re-push the
+// nonblocking mode for every subscribed socket (the restored engine
 // sockets came back in blocking mode) and poke a conservative readiness
 // edge so no poller stays parked on an edge the dead incarnation
 // swallowed. Spurious edges are part of the event contract; TCP pokes
@@ -110,9 +103,9 @@ func (d *directFront) reannounce() {
 func (d *directFront) Poll(now time.Time) bool {
 	worked := d.inner.Poll(now)
 
-	dup, changed := d.port.Take()
-	if changed {
-		d.box.Drop()
+	// Replies back to the applications, drained in batches.
+	if d.box.Intake(d.scratch, d.reannounce, d.relayReplies) {
+		worked = true
 	}
 	// Application calls over kernel IPC.
 	for i := 0; i < 64; i++ {
@@ -151,33 +144,31 @@ func (d *directFront) Poll(now time.Time) bool {
 		d.box.Push(fwd)
 		worked = true
 	}
-	if dup.Valid() {
-		// Replies back to the applications, drained in batches.
-		if wiring.Drain(dup.In, d.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			for _, r := range b {
-				if r.Op == msg.OpSockEvent {
-					if app, ok := d.subs[r.Flow]; ok {
-						_ = d.ep.Send(app, kipc.Msg{Type: uint32(r.Op), Data: r.MarshalBinary()})
-					}
-					continue
-				}
-				call, ok := d.pending[r.ID]
-				if !ok {
-					continue
-				}
-				delete(d.pending, r.ID)
-				rep := r
-				rep.ID = call.appID
-				_ = d.ep.Send(call.app, kipc.Msg{Type: uint32(rep.Op), Data: rep.MarshalBinary()})
-			}
-		}) {
-			worked = true
-		}
-		if d.box.FlushPaced(now, !worked) {
-			worked = true
-		}
+	if d.box.Flush(now, !worked) {
+		worked = true
 	}
 	return worked
+}
+
+// relayReplies hands one batch of transport replies and readiness events
+// to the applications waiting on them.
+func (d *directFront) relayReplies(b []msg.Req) {
+	for _, r := range b {
+		if r.Op == msg.OpSockEvent {
+			if app, ok := d.subs[r.Flow]; ok {
+				_ = d.ep.Send(app, kipc.Msg{Type: uint32(r.Op), Data: r.MarshalBinary()})
+			}
+			continue
+		}
+		call, ok := d.pending[r.ID]
+		if !ok {
+			continue
+		}
+		delete(d.pending, r.ID)
+		rep := r
+		rep.ID = call.appID
+		_ = d.ep.Send(call.app, kipc.Msg{Type: uint32(rep.Op), Data: rep.MarshalBinary()})
+	}
 }
 
 func (d *directFront) Deadline(now time.Time) time.Time { return d.inner.Deadline(now) }

@@ -11,6 +11,7 @@ import (
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
 	"newtos/internal/sock"
+	"newtos/internal/udpsrv"
 )
 
 // udpEchoOn starts a blocking UDP echo service on node B.
@@ -271,6 +272,95 @@ func TestUDPLeftoverKeepsSource(t *testing.T) {
 				got, ip, port, wantIP)
 		}
 		got += n
+	}
+}
+
+// TestDirectFrontReannouncesAfterRestart covers the row without a SYSCALL
+// server: when the UDP server (and the shim in its process) crashes, the
+// shim's first rebind re-pushes the nonblocking mode to the restored
+// sockets and pokes their subscribers, so a parked poller wakes and the
+// socket still answers "would block" instead of parking the call.
+func TestDirectFrontReannouncesAfterRestart(t *testing.T) {
+	lan := testLAN(t, func(c *Config) { c.SyscallServer = false })
+	cli, err := sock.NewClient(lan.A.Hub, "directpoll")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.CallTimeout = 2 * time.Second
+	s, err := cli.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind(5600); err != nil {
+		t.Fatal(err)
+	}
+	s.SetNonblock(true)
+	p := cli.NewPoller()
+	if err := p.Add(s, msg.EvReadable|msg.EvWritable); err != nil {
+		t.Fatal(err)
+	}
+	for { // drain the edges arming raised
+		evs, err := p.Wait(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) == 0 {
+			break
+		}
+	}
+
+	before := len(lan.A.Monitor.Events())
+	lan.A.Proc(CompUDP).Fault().Arm(faults.Crash)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(lan.A.Monitor.Events()) <= before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if len(lan.A.Monitor.Events()) <= before {
+		t.Fatal("UDP never recovered")
+	}
+
+	evs, err := p.Wait(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	woke := false
+	for _, e := range evs {
+		woke = woke || e.Sock == s
+	}
+	if !woke {
+		t.Fatalf("poller not woken by the re-announced edge (events %v)", evs)
+	}
+	if _, _, _, err := s.RecvFrom(make([]byte, 64)); !errors.Is(err, sock.ErrWouldBlock) {
+		t.Fatalf("recv on the recovered socket: %v, want ErrWouldBlock (mode bits re-pushed)", err)
+	}
+}
+
+// TestClosedUDPSocketsAreUnpublished: closing a UDP socket withdraws its TX
+// buffer from the registry. The export used to outlive the socket, so the
+// registry pinned the buffer and its pool of every socket ever closed.
+func TestClosedUDPSocketsAreUnpublished(t *testing.T) {
+	lan := testLAN(t, nil)
+	cli, err := sock.NewClient(lan.A.Hub, "churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		s, err := cli.Socket(sock.UDP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SendTo([]byte("x"), lan.IPOf("b", 0), 6000); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(lan.A.Hub.Reg.Keys(udpsrv.BufKeyPfx)); got != 1 {
+			t.Fatalf("socket %d open: %d buffers published, want 1", i, got)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys := lan.A.Hub.Reg.Keys(udpsrv.BufKeyPfx); len(keys) != 0 {
+		t.Fatalf("%d closed sockets still published: %v", len(keys), keys)
 	}
 }
 

@@ -30,10 +30,12 @@ type Server struct {
 
 	rt      *proc.Runtime
 	ep      *kipc.Endpoint
-	ipPort  *wiring.Port
-	outIP   *wiring.Outbox
+	outIP   *wiring.Edge
 	scratch []msg.Req
-	wired   bool
+	// wired is set by the first rebind of the IP edge: until then there is
+	// no channel (and no pool) to move descriptors for, and that first
+	// rebind is wiring, not a reason to reset the device.
+	wired bool
 	// lastLink/linkKnown track the device link state already reported to
 	// IP, so Poll forwards each transition as exactly one edge event.
 	lastLink  bool
@@ -54,9 +56,7 @@ func New(name string, ports *wiring.Ports, dev *nic.Device) *Server {
 func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.rt = rt
 	s.ports.Begin(rt.Bell)
-	s.ipPort = s.ports.Attach("ip-" + s.name)
-	s.outIP = wiring.NewOutbox(s.ipPort)
-	s.outIP.EnablePacing(wiring.DefaultPacing())
+	s.outIP = wiring.NewEdge(s.ports.Attach("ip-" + s.name))
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	ep, err := s.ports.Hub().Kern.Register(s.name, rt.Bell)
 	if err != nil {
@@ -72,32 +72,36 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	return nil
 }
 
+// onRewire is the IP edge's restart hook. Either we restarted or IP did. In
+// both cases the shared pools we were DMAing into are gone: reset the
+// device (the paper: "a crash of IP means de facto restart of the network
+// drivers too") and tell IP who we are.
+func (s *Server) onRewire() {
+	if s.wired {
+		s.dev.Reset()
+	}
+	s.wired = true
+	info := msg.Req{Op: msg.OpDrvInfo}
+	mac := s.dev.MAC()
+	var m uint64
+	for i := 0; i < 6; i++ {
+		m = m<<8 | uint64(mac[i])
+	}
+	info.Arg[0] = m
+	s.outIP.Push(info)
+	s.linkKnown = false // (re)announce link state to the new edge
+}
+
 // Poll moves descriptors between the IP channel and the device.
 func (s *Server) Poll(now time.Time) bool {
-	worked := false
-	dup, changed := s.ipPort.Take()
-	if changed {
-		// Either we restarted or IP did. In both cases the shared pools
-		// we were DMAing into are gone: reset the device (the paper:
-		// "a crash of IP means de facto restart of the network drivers
-		// too") and tell IP who we are.
-		if s.wired {
-			s.dev.Reset()
+	// Requests from IP, drained in batches: descriptors for a whole batch
+	// are posted back-to-back before the device is kicked again.
+	worked := s.outIP.Intake(s.scratch, s.onRewire, func(b []msg.Req) {
+		for _, r := range b {
+			s.handleIPReq(r)
 		}
-		s.wired = true
-		s.outIP.Drop()
-		info := msg.Req{Op: msg.OpDrvInfo}
-		mac := s.dev.MAC()
-		var m uint64
-		for i := 0; i < 6; i++ {
-			m = m<<8 | uint64(mac[i])
-		}
-		info.Arg[0] = m
-		s.outIP.Push(info)
-		s.linkKnown = false // (re)announce link state to the new edge
-		worked = true
-	}
-	if !dup.Valid() {
+	})
+	if !s.wired {
 		return worked
 	}
 
@@ -120,16 +124,6 @@ func (s *Server) Poll(now time.Time) bool {
 		if _, err := s.ep.TryReceive(kipc.Any); err != nil {
 			break
 		}
-		worked = true
-	}
-
-	// Requests from IP, drained in batches: descriptors for a whole batch
-	// are posted back-to-back before the device is kicked again.
-	if wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-		for _, r := range b {
-			s.handleIPReq(r)
-		}
-	}) {
 		worked = true
 	}
 
@@ -156,7 +150,7 @@ func (s *Server) Poll(now time.Time) bool {
 		worked = true
 	}
 
-	if s.outIP.FlushPaced(now, !worked) {
+	if s.outIP.Flush(now, !worked) {
 		worked = true
 	}
 	return worked

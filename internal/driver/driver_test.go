@@ -17,13 +17,40 @@ import (
 // rig boots one driver server against a loopback-less device and gives the
 // test the IP side of its channel.
 type rig struct {
-	t     *testing.T
-	hub   *wiring.Hub
-	dev   *nic.Device
-	wire  *nic.Wire
-	peer  *nic.Device
-	p     *proc.Proc
-	ipDup channel.Duplex
+	t    *testing.T
+	hub  *wiring.Hub
+	dev  *nic.Device
+	wire *nic.Wire
+	peer *nic.Device
+	p    *proc.Proc
+	// ip is the IP side of the edge; inbox holds what it has drained and
+	// the test has not consumed yet.
+	ip    *wiring.Edge
+	inbox []msg.Req
+}
+
+// poll runs the IP side's intake: adopt a rebind, collect driver->IP
+// messages. Reports whether either happened.
+func (r *rig) poll() bool {
+	return r.ip.Intake(make([]msg.Req, wiring.ScratchLen), nil, func(b []msg.Req) {
+		r.inbox = append(r.inbox, b...)
+	})
+}
+
+// recv pops the next driver->IP message, if any.
+func (r *rig) recv() (msg.Req, bool) {
+	if len(r.inbox) == 0 && !r.poll() {
+		return msg.Req{}, false
+	}
+	m := r.inbox[0]
+	r.inbox = r.inbox[1:]
+	return m, true
+}
+
+// send delivers one IP->driver request.
+func (r *rig) send(req msg.Req) bool {
+	r.ip.Push(req)
+	return r.ip.Flush(time.Now(), true)
 }
 
 func newRig(t *testing.T) *rig {
@@ -45,20 +72,15 @@ func newRig(t *testing.T) *rig {
 	// Play the IP server: create the edge as its creator.
 	ipPorts := wiring.NewPorts(hub, "ip")
 	ipPorts.Begin(channel.NewDoorbell())
-	port := ipPorts.Export("ip-eth0", "eth0")
-	var dup channel.Duplex
+	r := &rig{t: t, hub: hub, dev: dev, wire: w, peer: peer, p: p,
+		ip: wiring.NewEdge(ipPorts.Export("ip-eth0", "eth0"))}
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if d, changed := port.Take(); changed && d.Valid() {
-			dup = d
-			break
+	for !r.poll() {
+		if time.Now().After(deadline) {
+			t.Fatal("edge never wired")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !dup.Valid() {
-		t.Fatal("edge never wired")
-	}
-	r := &rig{t: t, hub: hub, dev: dev, wire: w, peer: peer, p: p, ipDup: dup}
 	t.Cleanup(func() {
 		p.Shutdown()
 		w.Close()
@@ -73,7 +95,7 @@ func (r *rig) waitMsg(pred func(msg.Req) bool) msg.Req {
 	r.t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if m, ok := r.ipDup.In.Recv(); ok {
+		if m, ok := r.recv(); ok {
 			if pred(m) {
 				return m
 			}
@@ -103,7 +125,7 @@ func TestDriverTransmitsAndCompletes(t *testing.T) {
 	n := copy(buf, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 0x08, 0x06})
 	req := msg.Req{ID: 1234, Op: msg.OpTxSubmit}
 	req.SetChain([]shm.RichPtr{ptr.Slice(0, uint32(n))})
-	if !r.ipDup.Out.Send(req) {
+	if !r.send(req) {
 		t.Fatal("send failed")
 	}
 	done := r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpTxDone })
@@ -124,7 +146,7 @@ func TestDriverDeliversReceivedFrames(t *testing.T) {
 	ptr, _, _ := pool.Alloc()
 	sup := msg.Req{ID: 1, Op: msg.OpRxSupply}
 	sup.SetChain([]shm.RichPtr{ptr})
-	r.ipDup.Out.Send(sup)
+	r.send(sup)
 
 	// Peer transmits frames until one lands (the first may race the
 	// driver posting the supplied buffer and be dropped for lack of a
@@ -142,7 +164,7 @@ func TestDriverDeliversReceivedFrames(t *testing.T) {
 		r.peer.CollectTx()
 		inner := time.Now().Add(100 * time.Millisecond)
 		for time.Now().Before(inner) {
-			if m, ok := r.ipDup.In.Recv(); ok && m.Op == msg.OpRxPacket {
+			if m, ok := r.recv(); ok && m.Op == msg.OpRxPacket {
 				rx, got = m, true
 				break
 			}

@@ -167,7 +167,7 @@ type RecoveryReport struct {
 	RecoveryDur time.Duration
 	// PeerDrops is how many staged requests the node's OTHER loops shed
 	// during this recovery because they were produced for the dead
-	// incarnation (wiring.Outbox generation stamping) — the counter every
+	// incarnation (wiring.Edge's restart rule) — the counter every
 	// server now exports through wiring.DropReporter.
 	PeerDrops uint64
 	Notes     string

@@ -6,7 +6,7 @@
 // classes are crashes, hangs, and silent misbehaviour. This package plants
 // an armable Point in every server's event loop that can produce exactly
 // those outcomes on demand, which is the substitution documented in
-// DESIGN.md.
+// docs/ARCHITECTURE.md "Substitutions and non-goals".
 package faults
 
 import (

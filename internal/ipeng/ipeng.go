@@ -56,8 +56,8 @@ const (
 	elasticHdrChunks = 1024
 )
 
-// DefaultElastic is the pool growth policy core enables with
-// Config.ElasticPools: up to 8 segments (8× the base complement), shrink a
+// DefaultElastic is the pool growth policy every node's IP server runs
+// with: up to 8 segments (8× the base complement), shrink a
 // quiescent trailing segment after ~1k idle loop iterations.
 func DefaultElastic() shm.Elastic {
 	return shm.Elastic{MaxSegments: 8, HighWater: 0.5, Quiescence: shm.DefaultQuiescence}

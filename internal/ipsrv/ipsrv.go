@@ -33,9 +33,6 @@ type Config struct {
 	// contract (see ipeng.Config.TCPShards). <= 1 keeps the single
 	// "ip-tcp"/"tcp" edge.
 	TCPShards int
-	// Elastic lets the RX and header pools grow under pressure and shrink
-	// after quiescence (ipeng.DefaultElastic); false keeps them static.
-	Elastic bool
 }
 
 // Server is one IP server incarnation.
@@ -43,20 +40,24 @@ type Server struct {
 	cfg   Config
 	ports *wiring.Ports
 
-	eng     *ipeng.Engine
-	drvPort map[string]*wiring.Port
-	drvBox  map[string]*wiring.Outbox
-	pfPort  *wiring.Port
-	// tcpPorts/tcpBoxes hold one edge per TCP shard (len 1 unsharded).
-	tcpPorts []*wiring.Port
-	tcpBoxes []*wiring.Outbox
-	udpPort  *wiring.Port
-	pfBox    *wiring.Outbox
-	udpBox   *wiring.Outbox
+	eng *ipeng.Engine
+	// edges holds one edge per peer — every driver, PF, every TCP shard,
+	// UDP — and peers[i] the engine's entry points for edges[i]'s peer. A
+	// single peer's reincarnation aborts only that peer's in-flight work.
+	edges []*wiring.Edge
+	peers []peer
 	// scratch is the reusable drain buffer all edges share (the loop is
 	// single-threaded and each batch is fully processed before the next
-	// drain).
+	// drain); now is the current iteration's timestamp, for the peer hooks.
 	scratch []msg.Req
+	now     time.Time
+}
+
+// peer is how the engine talks to one kind of neighbour.
+type peer struct {
+	restart func()
+	handle  func([]msg.Req)
+	drain   func() []msg.Req
 }
 
 var _ proc.Service = (*Server)(nil)
@@ -69,22 +70,19 @@ func New(cfg Config, ports *wiring.Ports) *Server {
 // Engine exposes the engine for white-box assertions in tests.
 func (s *Server) Engine() *ipeng.Engine { return s.eng }
 
-// Init builds the engine (fresh pools), restores configuration from the
-// storage server when restarting, and exports all of IP's channels.
+// Init builds the engine (fresh, elastic pools), restores configuration
+// from the storage server when restarting, and exports all of IP's channels.
 func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	hub := s.ports.Hub()
-	ecfg := ipeng.Config{
+	eng, err := ipeng.New(ipeng.Config{
 		Space:     hub.Space,
 		Ifaces:    s.cfg.Ifaces,
 		PFEnabled: s.cfg.PFEnabled,
 		Offload:   s.cfg.Offload,
 		TCPShards: s.cfg.TCPShards,
+		Elastic:   ipeng.DefaultElastic(),
 		SaveState: func(blob []byte) { hub.Store.Put(StorageKey, blob) },
-	}
-	if s.cfg.Elastic {
-		ecfg.Elastic = ipeng.DefaultElastic()
-	}
-	eng, err := ipeng.New(ecfg)
+	})
 	if err != nil {
 		return fmt.Errorf("ipsrv: %w", err)
 	}
@@ -99,33 +97,38 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.eng.Persist()
 
 	s.ports.Begin(rt.Bell)
-	s.drvPort = make(map[string]*wiring.Port, len(s.cfg.Drivers))
-	s.drvBox = make(map[string]*wiring.Outbox, len(s.cfg.Drivers))
+	export := func(edge, peerName string, p peer) {
+		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export(edge, peerName)))
+		s.peers = append(s.peers, p)
+	}
 	for _, d := range s.cfg.Drivers {
-		s.drvPort[d] = s.ports.Export("ip-"+d, d)
-		s.drvBox[d] = wiring.NewOutbox(s.drvPort[d])
-		s.drvBox[d].EnablePacing(wiring.DefaultPacing())
+		export("ip-"+d, d, peer{
+			restart: func() { eng.OnDriverRestart(d, s.now) },
+			handle:  func(b []msg.Req) { eng.FromDriverBatch(d, b, s.now) },
+			drain:   func() []msg.Req { return eng.DrainToDriver(d) },
+		})
 	}
 	if s.cfg.PFEnabled {
-		s.pfPort = s.ports.Export("ip-pf", "pf")
-		s.pfBox = wiring.NewOutbox(s.pfPort)
-		s.pfBox.EnablePacing(wiring.DefaultPacing())
+		export("ip-pf", "pf", peer{
+			restart: func() { eng.OnPFRestart(s.now) },
+			handle:  func(b []msg.Req) { eng.FromPFBatch(b, s.now) },
+			drain:   eng.DrainToPF,
+		})
 	}
-	shards := s.cfg.TCPShards
-	if shards < 1 {
-		shards = 1
-	}
-	s.tcpPorts = make([]*wiring.Port, shards)
-	s.tcpBoxes = make([]*wiring.Outbox, shards)
+	shards := max(s.cfg.TCPShards, 1)
 	for k := 0; k < shards; k++ {
-		edge, peer := tcpsrv.IPEdge(k, shards)
-		s.tcpPorts[k] = s.ports.Export(edge, peer)
-		s.tcpBoxes[k] = wiring.NewOutbox(s.tcpPorts[k])
-		s.tcpBoxes[k].EnablePacing(wiring.DefaultPacing())
+		edge, peerName := tcpsrv.IPEdge(k, shards)
+		export(edge, peerName, peer{
+			restart: func() { eng.OnTCPShardRestart(k, s.now) },
+			handle:  func(b []msg.Req) { eng.FromTCPShardBatch(k, b, s.now) },
+			drain:   func() []msg.Req { return eng.DrainToTCPShard(k) },
+		})
 	}
-	s.udpPort = s.ports.Export("ip-udp", "udp")
-	s.udpBox = wiring.NewOutbox(s.udpPort)
-	s.udpBox.EnablePacing(wiring.DefaultPacing())
+	export("ip-udp", "udp", peer{
+		restart: func() { eng.OnTransportRestart(netpkt.ProtoUDP, s.now) },
+		handle:  func(b []msg.Req) { eng.FromTransportBatch(netpkt.ProtoUDP, b, s.now) },
+		drain:   eng.DrainToUDP,
+	})
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 
 	// Inject faults that corrupt routing state (fault-injection hook).
@@ -139,64 +142,12 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 // engine, and flushes each destination's accumulated output once — one
 // doorbell ring per edge per iteration, not per request.
 func (s *Server) Poll(now time.Time) bool {
+	s.now = now
 	worked := false
-
-	// Driver edges.
-	for name, port := range s.drvPort {
-		dup, changed := port.Take()
-		if changed && dup.Valid() {
-			s.drvBox[name].Drop()
-			s.eng.OnDriverRestart(name, now)
+	for i, e := range s.edges {
+		if e.Intake(s.scratch, s.peers[i].restart, s.peers[i].handle) {
 			worked = true
 		}
-		if !dup.Valid() {
-			continue
-		}
-		if wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			s.eng.FromDriverBatch(name, b, now)
-		}) {
-			worked = true
-		}
-	}
-
-	// PF edge.
-	if s.pfPort != nil {
-		dup, changed := s.pfPort.Take()
-		if changed && dup.Valid() {
-			s.pfBox.Drop()
-			s.eng.OnPFRestart(now)
-			worked = true
-		}
-		if dup.Valid() {
-			if wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-				s.eng.FromPFBatch(b, now)
-			}) {
-				worked = true
-			}
-		}
-	}
-
-	// Transport edges: one per TCP shard, plus UDP. A single shard's
-	// reincarnation aborts only that shard's in-flight work.
-	for k, port := range s.tcpPorts {
-		k, port := k, port
-		dup, changed := port.Take()
-		if changed && dup.Valid() {
-			s.tcpBoxes[k].Drop()
-			s.eng.OnTCPShardRestart(k, now)
-			worked = true
-		}
-		if !dup.Valid() {
-			continue
-		}
-		if wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			s.eng.FromTCPShardBatch(k, b, now)
-		}) {
-			worked = true
-		}
-	}
-	if s.pollTransport(s.udpPort, s.udpBox, netpkt.ProtoUDP, now) {
-		worked = true
 	}
 
 	// Per-iteration housekeeping: top drivers back up to their receive
@@ -204,63 +155,19 @@ func (s *Server) Poll(now time.Time) bool {
 	// grow/shrink policy.
 	s.eng.Tick(now)
 
-	// Flush engine output: one paced batch (and one wakeup) per
-	// destination.
 	idle := !worked
-	for name := range s.drvPort {
-		s.drvBox[name].Push(s.eng.DrainToDriver(name)...)
-		if s.drvBox[name].FlushPaced(now, idle) {
+	for i, e := range s.edges {
+		e.Push(s.peers[i].drain()...)
+		if e.Flush(now, idle) {
 			worked = true
 		}
-	}
-	if s.pfPort != nil {
-		s.pfBox.Push(s.eng.DrainToPF()...)
-		if s.pfBox.FlushPaced(now, idle) {
-			worked = true
-		}
-	}
-	for k := range s.tcpBoxes {
-		s.tcpBoxes[k].Push(s.eng.DrainToTCPShard(k)...)
-		if s.tcpBoxes[k].FlushPaced(now, idle) {
-			worked = true
-		}
-	}
-	s.udpBox.Push(s.eng.DrainToUDP()...)
-	if s.udpBox.FlushPaced(now, idle) {
-		worked = true
-	}
-	return worked
-}
-
-func (s *Server) pollTransport(port *wiring.Port, box *wiring.Outbox, proto uint8, now time.Time) bool {
-	worked := false
-	dup, changed := port.Take()
-	if changed && dup.Valid() {
-		box.Drop()
-		s.eng.OnTransportRestart(proto, now)
-		worked = true
-	}
-	if !dup.Valid() {
-		return worked
-	}
-	if wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-		s.eng.FromTransportBatch(proto, b, now)
-	}) {
-		worked = true
 	}
 	return worked
 }
 
 // OutboxDropped sums the requests every IP edge shed across peer
 // reincarnations (wiring.DropReporter).
-func (s *Server) OutboxDropped() uint64 {
-	n := wiring.SumDropped(s.pfBox, s.udpBox)
-	for _, b := range s.drvBox {
-		n += wiring.SumDropped(b)
-	}
-	n += wiring.SumDropped(s.tcpBoxes...)
-	return n
-}
+func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.edges...) }
 
 // Deadline: IP's only timers are ARP retries, absorbed by MaxSleep.
 func (s *Server) Deadline(now time.Time) time.Time { return time.Time{} }

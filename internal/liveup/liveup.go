@@ -7,17 +7,19 @@
 // The protocol has four phases, measured end to end (trace.HandoffPhases):
 //
 //  1. Drain — the old engine quiesces at a batch boundary: bounded Poll
-//     rounds consume inbox batches and flush outboxes. Inboxes need NOT
+//     rounds consume inbox batches and flush the edges. Inboxes need NOT
 //     run dry: the successor inherits the very same SPSC queues, so
 //     anything peers push during the swap is simply consumed after it.
-//  2. Transfer — the old incarnation serializes its complete live state
-//     (pcbs, flows, listener tables, in-flight request database, parked
-//     timer deadlines, staged outbox leftovers) as a typed record stream
-//     (Stream*) onto the proc handoff channel — an explicit state-transfer
-//     message stream, not a storage round-trip. Shared-memory objects that
-//     survive the swap by construction (header pools, per-socket
-//     sockbufs) cross as live Handles; every rich pointer in the stream
-//     stays valid because the pools never reset.
+//  2. Transfer — the old incarnation captures its complete live state as a
+//     Payload on the proc handoff channel — an explicit state-transfer
+//     message, not a storage round-trip. The engine (pcbs, flows, listener
+//     tables, in-flight request database, parked timer deadlines)
+//     crosses serialized, as one blob only the engine's own codec reads;
+//     staged output the channels refused and the shared-memory objects
+//     that survive the swap by construction (header pools, per-socket
+//     sockbufs) cross as the Go values they are — the channel is
+//     in-process, and every rich pointer in the blob stays valid because
+//     the pools never reset.
 //  3. Rewire — the successor's Init re-points the wiring: it inherits the
 //     predecessor's doorbell (proc.Runtime.Bell), so every duplex peers
 //     hold keeps ringing the right bell, and wiring.Ports.Resume keeps
@@ -35,20 +37,19 @@
 package liveup
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
+	"newtos/internal/msg"
 	"newtos/internal/shm"
 	"newtos/internal/sockbuf"
 )
 
-// Payload is what crosses the proc handoff channel for a transport
-// server: the serialized record stream plus live handles to shared-memory
-// objects that survive the swap by construction.
+// Payload is what crosses the proc handoff channel for a transport server.
 type Payload struct {
-	// Stream is the state-transfer message stream (StreamWriter framing).
-	Stream []byte
+	// Engine is the engine's serialized live state (its HandoffState blob).
+	Engine []byte
+	// ToIP and ToSC are requests the predecessor staged but the queues did
+	// not accept; the successor stages them first, so they leave in order
+	// ahead of anything it produces itself.
+	ToIP, ToSC []msg.Req
 	// Handles are the live shared-memory objects the successor adopts.
 	Handles Handles
 }
@@ -56,7 +57,7 @@ type Payload struct {
 // Handles are pointers that cannot (and need not) be serialized: the
 // backing objects live in the node's shm.Space, which outlives
 // incarnations, so the successor adopts them in place. Every rich pointer
-// in the stream resolves against these pools unchanged.
+// in the engine blob resolves against these pools unchanged.
 type Handles struct {
 	// HdrPool is the engine's packet-header pool; in-flight segment
 	// headers and un-flushed sends point into it.
@@ -64,78 +65,4 @@ type Handles struct {
 	// SockBufs maps socket id to its TX buffer; stream chunks and
 	// un-recycled send payloads point into these.
 	SockBufs map[uint32]*sockbuf.Buf
-}
-
-// Record is one framed message of the state-transfer stream.
-type Record struct {
-	Kind string
-	Body []byte
-}
-
-// StreamWriter frames typed records into a state-transfer stream. Errors
-// stick: callers Add every section and check once at Bytes.
-type StreamWriter struct {
-	recs []Record
-	err  error
-}
-
-// Add appends one record: v is gob-encoded under the given kind.
-func (w *StreamWriter) Add(kind string, v any) {
-	if w.err != nil {
-		return
-	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		w.err = fmt.Errorf("liveup: encode %q: %w", kind, err)
-		return
-	}
-	w.recs = append(w.recs, Record{Kind: kind, Body: b.Bytes()})
-}
-
-// Bytes seals the stream.
-func (w *StreamWriter) Bytes() ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(w.recs); err != nil {
-		return nil, fmt.Errorf("liveup: seal stream: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
-// StreamReader iterates a state-transfer stream record by record.
-type StreamReader struct {
-	recs []Record
-	pos  int
-}
-
-// OpenStream parses a sealed stream.
-func OpenStream(b []byte) (*StreamReader, error) {
-	r := &StreamReader{}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r.recs); err != nil {
-		return nil, fmt.Errorf("liveup: open stream: %w", err)
-	}
-	return r, nil
-}
-
-// Next advances to the next record, reporting whether one exists.
-func (r *StreamReader) Next() bool {
-	if r.pos >= len(r.recs) {
-		return false
-	}
-	r.pos++
-	return true
-}
-
-// Kind returns the current record's kind.
-func (r *StreamReader) Kind() string { return r.recs[r.pos-1].Kind }
-
-// Decode unmarshals the current record's body into v.
-func (r *StreamReader) Decode(v any) error {
-	rec := r.recs[r.pos-1]
-	if err := gob.NewDecoder(bytes.NewReader(rec.Body)).Decode(v); err != nil {
-		return fmt.Errorf("liveup: decode %q: %w", rec.Kind, err)
-	}
-	return nil
 }

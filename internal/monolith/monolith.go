@@ -12,7 +12,8 @@
 //     copies and context switches on a time-shared core, and offloads are
 //     unavailable — the original MINIX 3 configuration.
 //
-// DESIGN.md documents this as an approximation: the paper's single-server
+// docs/ARCHITECTURE.md "Substitutions and non-goals" lists this as an
+// approximation: the paper's single-server
 // stack still used channels to reach the drivers; here driver hand-off is
 // a direct call plus an explicit cost model. The *ordering* of rows is
 // preserved because the modelled costs are the measured ones from §IV.

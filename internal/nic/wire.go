@@ -4,7 +4,8 @@
 // full-duplex wire between two devices (bandwidth, latency, loss, MTU).
 //
 // The paper evaluates on Intel PRO/1000 gigabit adapters; this package is
-// the substitution documented in DESIGN.md. It deliberately reproduces the
+// the substitution documented in docs/ARCHITECTURE.md "Substitutions and
+// non-goals". It deliberately reproduces the
 // awkward corner the paper hit: the device has no knob to invalidate its
 // shadow descriptor state, so recovering a crashed IP server (which owns
 // the RX pool) requires a full device Reset, with the link staying down

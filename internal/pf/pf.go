@@ -35,10 +35,8 @@ type Server struct {
 	ports *wiring.Ports
 	eng   *pfeng.Engine
 
-	ipPort  *wiring.Port
-	scPort  *wiring.Port
-	ipBox   *wiring.Outbox
-	scBox   *wiring.Outbox
+	ipBox   *wiring.Edge
+	scBox   *wiring.Edge
 	scratch []msg.Req
 }
 
@@ -81,12 +79,8 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 		}
 	}
 	s.ports.Begin(rt.Bell)
-	s.ipPort = s.ports.Attach("ip-pf")
-	s.scPort = s.ports.Attach("sc-pf")
-	s.ipBox = wiring.NewOutbox(s.ipPort)
-	s.scBox = wiring.NewOutbox(s.scPort)
-	s.ipBox.EnablePacing(wiring.DefaultPacing())
-	s.scBox.EnablePacing(wiring.DefaultPacing())
+	s.ipBox = wiring.NewEdge(s.ports.Attach("ip-pf"))
+	s.scBox = wiring.NewEdge(s.ports.Attach("sc-pf"))
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	return nil
 }
@@ -96,44 +90,29 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 // with a single doorbell ring — the T junction pays one wakeup per batch
 // per hop.
 func (s *Server) Poll(now time.Time) bool {
-	worked := false
-	dup, changed := s.ipPort.Take()
-	if changed {
-		s.ipBox.Drop()
-	}
-	if dup.Valid() {
-		if wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			for _, r := range b {
-				if r.Op != msg.OpPFQuery {
-					continue
-				}
-				verdict := s.verdict(r, now)
-				s.ipBox.Push(msg.Req{ID: r.ID, Op: msg.OpPFVerdict, Status: verdict})
+	worked := s.ipBox.Intake(s.scratch, nil, func(b []msg.Req) {
+		for _, r := range b {
+			if r.Op != msg.OpPFQuery {
+				continue
 			}
-		}) {
-			worked = true
+			verdict := s.verdict(r, now)
+			s.ipBox.Push(msg.Req{ID: r.ID, Op: msg.OpPFVerdict, Status: verdict})
 		}
-		if s.ipBox.FlushPaced(now, !worked) {
-			worked = true
-		}
+	})
+	if s.ipBox.Flush(now, !worked) {
+		worked = true
 	}
 
 	// Configuration channel (from the SYSCALL server / control plane).
-	cdup, cchanged := s.scPort.Take()
-	if cchanged {
-		s.scBox.Drop()
+	if s.scBox.Intake(s.scratch, nil, func(b []msg.Req) {
+		for _, r := range b {
+			s.config(r)
+		}
+	}) {
+		worked = true
 	}
-	if cdup.Valid() {
-		if wiring.Drain(cdup.In, s.scratch, 64, func(b []msg.Req) {
-			for _, r := range b {
-				s.config(r)
-			}
-		}) {
-			worked = true
-		}
-		if s.scBox.FlushPaced(now, !worked) {
-			worked = true
-		}
+	if s.scBox.Flush(now, !worked) {
+		worked = true
 	}
 	return worked
 }

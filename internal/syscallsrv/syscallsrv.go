@@ -141,12 +141,9 @@ type Server struct {
 	nShards int
 
 	eps      []*kipc.Endpoint
-	tcpPorts []*wiring.Port
-	tcpBoxes []*wiring.Outbox
-	udpPort  *wiring.Port
-	pfPort   *wiring.Port
-	udpBox   *wiring.Outbox
-	pfBox    *wiring.Outbox
+	tcpBoxes []*wiring.Edge
+	udpBox   *wiring.Edge
+	pfBox    *wiring.Edge
 	scratch  []msg.Req
 
 	nextID  uint64
@@ -191,20 +188,12 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 		s.loadShardMeta()
 	}
 	s.ports.Begin(rt.Bell)
-	s.tcpPorts = make([]*wiring.Port, s.nShards)
-	s.tcpBoxes = make([]*wiring.Outbox, s.nShards)
+	s.tcpBoxes = make([]*wiring.Edge, s.nShards)
 	for k := 0; k < s.nShards; k++ {
-		edge, peer := tcpsrv.SCEdge(k, s.nShards)
-		s.tcpPorts[k] = s.ports.Export(edge, peer)
-		s.tcpBoxes[k] = wiring.NewOutbox(s.tcpPorts[k])
-		s.tcpBoxes[k].EnablePacing(wiring.DefaultPacing())
+		s.tcpBoxes[k] = wiring.NewEdge(s.ports.Export(tcpsrv.SCEdge(k, s.nShards)))
 	}
-	s.udpPort = s.ports.Export("sc-udp", "udp")
-	s.pfPort = s.ports.Export("sc-pf", "pf")
-	s.udpBox = wiring.NewOutbox(s.udpPort)
-	s.pfBox = wiring.NewOutbox(s.pfPort)
-	s.udpBox.EnablePacing(wiring.DefaultPacing())
-	s.pfBox.EnablePacing(wiring.DefaultPacing())
+	s.udpBox = wiring.NewEdge(s.ports.Export("sc-udp", "udp"))
+	s.pfBox = wiring.NewEdge(s.ports.Export("sc-pf", "pf"))
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	kern := s.ports.Hub().Kern
 	s.eps = nil
@@ -222,26 +211,26 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 func (s *Server) Poll(now time.Time) bool {
 	worked := false
 
-	// Transport restarts: reissue or abort what was in flight. Each TCP
-	// shard recovers independently.
-	for k, port := range s.tcpPorts {
-		if _, changed := port.Take(); changed {
-			s.tcpBoxes[k].Drop()
+	// Transport edges. A restarted transport gets what was in flight to it
+	// reissued or aborted (each TCP shard recovers independently); then its
+	// replies are relayed to the blocked applications.
+	tcpReplies := func(b []msg.Req) { s.relayReplies(b, s.subsTCP) }
+	for k, box := range s.tcpBoxes {
+		recoverShard := func() {
 			if s.nShards > 1 {
 				s.recoverTCPShard(k)
 			} else {
 				s.recoverTransport(true)
 			}
+		}
+		if box.Intake(s.scratch, recoverShard, tcpReplies) {
 			worked = true
 		}
 	}
-	if _, changed := s.udpPort.Take(); changed {
-		s.udpBox.Drop()
-		s.recoverTransport(false)
+	if s.udpBox.Intake(s.scratch, func() { s.recoverTransport(false) }, func(b []msg.Req) { s.relayReplies(b, s.subsUDP) }) {
 		worked = true
 	}
-	if _, changed := s.pfPort.Take(); changed {
-		s.pfBox.Drop()
+	if s.pfBox.Intake(s.scratch, nil, func(b []msg.Req) { s.relayReplies(b, nil) }) {
 		worked = true
 	}
 
@@ -264,30 +253,17 @@ func (s *Server) Poll(now time.Time) bool {
 		}
 	}
 
-	// Replies from the transports.
-	for _, port := range s.tcpPorts {
-		if s.drainReplies(port, s.subsTCP) {
-			worked = true
-		}
-	}
-	if s.drainReplies(s.udpPort, s.subsUDP) {
-		worked = true
-	}
-	if s.drainReplies(s.pfPort, nil) {
-		worked = true
-	}
-
 	// Flush queued forwards: one paced batch per transport per iteration.
 	idle := !worked
 	for _, box := range s.tcpBoxes {
-		if box.FlushPaced(now, idle) {
+		if box.Flush(now, idle) {
 			worked = true
 		}
 	}
-	if s.udpBox.FlushPaced(now, idle) {
+	if s.udpBox.Flush(now, idle) {
 		worked = true
 	}
-	if s.pfBox.FlushPaced(now, idle) {
+	if s.pfBox.Flush(now, idle) {
 		worked = true
 	}
 
@@ -491,7 +467,7 @@ func (s *Server) setFlagsTCPSharded(from kipc.EndpointID, req msg.Req) {
 }
 
 // pushSetFlags forwards a socket's current mode to one shard's engine
-// (fire-and-forget; the reply's unknown ID is skipped by drainReplies).
+// (fire-and-forget; the reply's unknown ID is skipped by relayReplies).
 func (s *Server) pushSetFlags(shard int, flow uint32) {
 	v := s.vsocks[flow]
 	if v == nil {
@@ -664,59 +640,53 @@ func (s *Server) newVsock() *vsock {
 	return v
 }
 
-// drainReplies relays transport replies back to blocked applications,
-// draining the reply queue in batches. Readiness events (OpSockEvent) are
-// not replies: they carry no pending ID and route through the subscription
-// table for the port's transport instead.
-func (s *Server) drainReplies(port *wiring.Port, subs map[uint32]sub) bool {
-	dup := port.Cur()
-	if !dup.Valid() {
-		return false
-	}
-	return wiring.Drain(dup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-		for _, r := range b {
-			if r.Op == msg.OpSockEvent {
-				if subs != nil {
-					s.deliverEvent(subs, r)
-				}
-				continue
+// relayReplies relays one batch of transport replies back to blocked
+// applications. Readiness events (OpSockEvent) are not replies: they carry
+// no pending ID and route through the transport's subscription table
+// (nil for PF, which raises none) instead.
+func (s *Server) relayReplies(b []msg.Req, subs map[uint32]sub) {
+	for _, r := range b {
+		if r.Op == msg.OpSockEvent {
+			if subs != nil {
+				s.deliverEvent(subs, r)
 			}
-			call, known := s.pending[r.ID]
-			if !known {
-				continue // reply from a previous transport incarnation
-			}
-			delete(s.pending, r.ID)
-			switch {
-			case call.gather != nil:
-				g := call.gather
-				if r.Status != msg.StatusOK && g.status == msg.StatusOK {
-					g.status = r.Status
-				}
-				g.remaining--
-				if g.remaining == 0 {
-					s.finishGather(g)
-				}
-			case call.standing:
-				s.standingAcceptReply(call, r)
-			default:
-				// Release the routed owner ONLY on port exhaustion: there
-				// the clone holds no handshake state and a retry must be
-				// free to pick a shard with ephemeral ports to spare.
-				// EAGAIN means in progress, and hard failures pin a sticky
-				// status on the owner — both need later connect polls to
-				// keep landing on the SAME shard, or the router would
-				// start a duplicate handshake on a fresh clone.
-				if call.op == msg.OpSockConnect && r.Status == msg.StatusErrNoBufs {
-					s.noteConnectFailed(call.sock, call.shard)
-				}
-				rep := r
-				rep.ID = call.appID
-				// The app is blocked in Receive on its SendRec; this rendezvous
-				// completes immediately.
-				_ = s.sendToApp(call.epIdx, call.app, rep)
-			}
+			continue
 		}
-	})
+		call, known := s.pending[r.ID]
+		if !known {
+			continue // reply from a previous transport incarnation
+		}
+		delete(s.pending, r.ID)
+		switch {
+		case call.gather != nil:
+			g := call.gather
+			if r.Status != msg.StatusOK && g.status == msg.StatusOK {
+				g.status = r.Status
+			}
+			g.remaining--
+			if g.remaining == 0 {
+				s.finishGather(g)
+			}
+		case call.standing:
+			s.standingAcceptReply(call, r)
+		default:
+			// Release the routed owner ONLY on port exhaustion: there
+			// the clone holds no handshake state and a retry must be
+			// free to pick a shard with ephemeral ports to spare.
+			// EAGAIN means in progress, and hard failures pin a sticky
+			// status on the owner — both need later connect polls to
+			// keep landing on the SAME shard, or the router would
+			// start a duplicate handshake on a fresh clone.
+			if call.op == msg.OpSockConnect && r.Status == msg.StatusErrNoBufs {
+				s.noteConnectFailed(call.sock, call.shard)
+			}
+			rep := r
+			rep.ID = call.appID
+			// The app is blocked in Receive on its SendRec; this rendezvous
+			// completes immediately.
+			_ = s.sendToApp(call.epIdx, call.app, rep)
+		}
+	}
 }
 
 // finishGather sends the single reply of a completed broadcast.
@@ -937,7 +907,7 @@ func (s *Server) recoverTransport(isTCP bool) {
 
 // resendSetFlags pushes a nonblocking-mode SetFlags for flow onto box
 // (fire-and-forget, unsharded transports).
-func (s *Server) resendSetFlags(box *wiring.Outbox, flow uint32) {
+func (s *Server) resendSetFlags(box *wiring.Edge, flow uint32) {
 	s.nextID++
 	sf := msg.Req{ID: s.nextID, Op: msg.OpSockSetFlags, Flow: flow}
 	sf.Arg[0] = msg.SockNonblock
@@ -1036,9 +1006,7 @@ func (s *Server) loadShardMeta() {
 // OutboxDropped sums the requests the SYSCALL server's edges shed across
 // peer reincarnations (wiring.DropReporter).
 func (s *Server) OutboxDropped() uint64 {
-	n := wiring.SumDropped(s.udpBox, s.pfBox)
-	n += wiring.SumDropped(s.tcpBoxes...)
-	return n
+	return wiring.SumDropped(s.udpBox, s.pfBox) + wiring.SumDropped(s.tcpBoxes...)
 }
 
 // Deadline: the only timer is the coalesced shard-meta flush.

@@ -309,7 +309,8 @@ func (e *Engine) rttSample(p *pcb, rtt time.Duration) {
 
 // processData queues in-order payload; out-of-order segments are dropped
 // with an immediate duplicate ACK (the retransmission recovers them — a
-// deliberate lwIP-class simplification documented in DESIGN.md).
+// deliberate lwIP-class simplification, see docs/ARCHITECTURE.md
+// "Substitutions and non-goals").
 // The payload may span several views (a GRO-merged run: the lead segment's
 // payload plus one payload-only view per coalesced trailing segment, all
 // contiguous in sequence space); one rxItem is queued per view part that

@@ -149,11 +149,6 @@ type Config struct {
 	PublishBuf func(sock uint32, buf *sockbuf.Buf)
 	// UnpublishBuf retracts a destroyed socket's TX buffer export.
 	UnpublishBuf func(sock uint32)
-	// ElasticBufs provisions per-socket TX buffers elastically: each
-	// socket starts at sockbuf.ElasticBaseChunks and grows on demand to
-	// sockbuf.DefaultChunks, shrinking back when the app goes idle — so
-	// socket memory scales with active connections, not the worst case.
-	ElasticBufs bool
 	// SaveState persists the recoverable state (called on transitions).
 	SaveState func(blob []byte)
 }
@@ -754,18 +749,12 @@ func (e *Engine) ensureBuf(p *pcb) bool {
 	if p.buf != nil {
 		return true
 	}
-	name := "tcp.sock." + strconv.FormatUint(uint64(p.id), 10)
-	var (
-		buf *sockbuf.Buf
-		err error
-	)
-	if e.cfg.ElasticBufs {
-		buf, err = sockbuf.NewElastic(e.cfg.Space, name,
-			sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
-	} else {
-		buf, err = sockbuf.New(e.cfg.Space, name,
-			sockbuf.DefaultChunkSize, sockbuf.DefaultChunks)
-	}
+	// Elastic: the socket starts at sockbuf.ElasticBaseChunks and grows on
+	// demand to sockbuf.DefaultChunks, shrinking back when the app goes
+	// idle — socket memory scales with active connections, not the worst
+	// case.
+	buf, err := sockbuf.NewElastic(e.cfg.Space, "tcp.sock."+strconv.FormatUint(uint64(p.id), 10),
+		sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
 	if err != nil {
 		return false
 	}

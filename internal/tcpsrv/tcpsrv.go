@@ -1,4 +1,4 @@
-// Package tcpsrv is the TCP server: the channel shell around tcpeng.
+// Package tcpsrv is the TCP server: the transport shell around tcpeng.
 // TCP is deliberately quarantined as the one component whose state is too
 // large and too fast-changing to recover (paper Table I); isolating it
 // keeps its crashes from taking IP, UDP, PF or the drivers down with it.
@@ -13,19 +13,12 @@
 package tcpsrv
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"time"
 
-	"newtos/internal/liveup"
-	"newtos/internal/msg"
 	"newtos/internal/netpkt"
-	"newtos/internal/pfeng"
-	"newtos/internal/proc"
 	"newtos/internal/shm"
-	"newtos/internal/sockbuf"
 	"newtos/internal/tcpeng"
+	"newtos/internal/transport"
 	"newtos/internal/wiring"
 )
 
@@ -62,20 +55,10 @@ func ShardName(k, n int) string {
 
 // IPEdge names shard k's edge to the IP server and the peer component the
 // creator (IP) exports it towards.
-func IPEdge(k, n int) (edge, peer string) {
-	if n <= 1 {
-		return "ip-tcp", "tcp"
-	}
-	return fmt.Sprintf("ip-tcp%d", k), ShardName(k, n)
-}
+func IPEdge(k, n int) (edge, peer string) { return "ip-" + ShardName(k, n), ShardName(k, n) }
 
 // SCEdge names shard k's edge to the SYSCALL server and the peer component.
-func SCEdge(k, n int) (edge, peer string) {
-	if n <= 1 {
-		return "sc-tcp", "tcp"
-	}
-	return fmt.Sprintf("sc-tcp%d", k), ShardName(k, n)
-}
+func SCEdge(k, n int) (edge, peer string) { return "sc-" + ShardName(k, n), ShardName(k, n) }
 
 // Config assembles a TCP server.
 type Config struct {
@@ -91,310 +74,39 @@ type Config struct {
 	// "ip-tcp"/"sc-tcp", shard-0 storage keys).
 	Shard  int
 	Shards int
-	// Elastic provisions this shard's header pool and the per-socket TX
-	// buffers elastically (grow under pressure, shrink after quiescence)
-	// instead of statically at the worst case.
-	Elastic bool
-}
-
-// edges returns the shard's IP- and SYSCALL-facing edge names.
-func (c Config) edges() (ip, sc string) {
-	ip, _ = IPEdge(c.Shard, c.Shards)
-	sc, _ = SCEdge(c.Shard, c.Shards)
-	return ip, sc
 }
 
 // Server is one TCP server incarnation.
-type Server struct {
-	cfg   Config
-	ports *wiring.Ports
+type Server = transport.Server[*tcpeng.Engine]
 
-	eng     *tcpeng.Engine
-	hdrPool *shm.Pool
-	ipPort  *wiring.Port
-	scPort  *wiring.Port
-	ipBox   *wiring.Outbox
-	scBox   *wiring.Outbox
-	scratch []msg.Req
+// engine completes tcpeng's IP-restart recovery for the shell: beyond
+// aborting what was in flight to the dead IP incarnation, unacknowledged
+// data is retransmitted at once instead of waiting out an RTO.
+type engine struct{ *tcpeng.Engine }
+
+func (e engine) OnIPRestart() {
+	e.Engine.OnIPRestart()
+	e.ResubmitInflight()
 }
-
-var (
-	_ proc.Service   = (*Server)(nil)
-	_ proc.Handoffer = (*Server)(nil)
-)
 
 // New creates a TCP server incarnation.
 func New(cfg Config, ports *wiring.Ports) *Server {
-	return &Server{cfg: cfg, ports: ports}
-}
-
-// Engine exposes the engine for tests.
-func (s *Server) Engine() *tcpeng.Engine { return s.eng }
-
-// Init constructs the engine and, on restart, recovers listening sockets
-// from the storage server (established connections are lost by design).
-// When rt.Handoff carries a live-update payload, the incarnation instead
-// adopts its predecessor's full state: header pool and TX buffers by
-// handle, everything else from the state-transfer stream, and the existing
-// wiring resumed in place so peers never observe the swap.
-func (s *Server) Init(rt *proc.Runtime, restart bool) error {
-	hub := s.ports.Hub()
-	var payload *liveup.Payload
-	if rt.Handoff != nil {
-		p, ok := rt.Handoff.(*liveup.Payload)
-		if !ok {
-			return fmt.Errorf("tcpsrv: unexpected handoff payload %T", rt.Handoff)
-		}
-		payload = p
-		// Adopt the predecessor's header pool: in-flight segment headers
-		// (and their eventual Free on sendDone) point into it.
-		s.hdrPool = p.Handles.HdrPool
-	} else {
-		// Elastic shards start the header pool at 1/8 of the historical
-		// worst-case complement and grow it segment by segment back to the
-		// same cap under load.
-		hdrChunks, hdrSegs := 8192, 1
-		if s.cfg.Elastic {
-			hdrChunks, hdrSegs = 1024, 8
-		}
-		hdrPool, err := hub.Space.NewPool(fmt.Sprintf("tcp.%d.hdr.%d", s.cfg.Shard, rt.Incarnation), 128, hdrChunks)
-		if err != nil {
-			return fmt.Errorf("tcpsrv: %w", err)
-		}
-		if s.cfg.Elastic {
-			hdrPool.SetElastic(shm.Elastic{MaxSegments: hdrSegs})
-		}
-		s.hdrPool = hdrPool
-	}
-	storageKey := StorageKeyFor(s.cfg.Shard)
-	s.eng = tcpeng.New(tcpeng.Config{
-		Space:       hub.Space,
-		LocalIP:     s.cfg.LocalIP,
-		SrcFor:      s.cfg.SrcFor,
-		Offload:     s.cfg.Offload,
-		TSO:         s.cfg.TSO,
-		ShardID:     s.cfg.Shard,
-		ShardCount:  s.cfg.Shards,
-		ElasticBufs: s.cfg.Elastic,
-		PublishBuf: func(sock uint32, buf *sockbuf.Buf) {
-			hub.Reg.Publish(BufKeyPfx+fmt.Sprint(sock), buf)
+	ipEdge, _ := IPEdge(cfg.Shard, cfg.Shards)
+	scEdge, _ := SCEdge(cfg.Shard, cfg.Shards)
+	return transport.New(transport.Spec[*tcpeng.Engine]{
+		Name:    "tcpsrv",
+		HdrPool: fmt.Sprintf("tcp.%d.hdr", cfg.Shard), HdrChunks: 1024,
+		IPEdge: ipEdge, SCEdge: scEdge,
+		StorageKey: StorageKeyFor(cfg.Shard), FlowsKey: FlowsKeyFor(cfg.Shard), BufKeyPfx: BufKeyPfx,
+		LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor,
+		New: func(env transport.Env, hdrPool *shm.Pool) (*tcpeng.Engine, transport.Engine) {
+			e := tcpeng.New(tcpeng.Config{
+				Space: env.Space, LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor,
+				Offload: cfg.Offload, TSO: cfg.TSO,
+				ShardID: cfg.Shard, ShardCount: cfg.Shards,
+				PublishBuf: env.PublishBuf, UnpublishBuf: env.UnpublishBuf, SaveState: env.SaveState,
+			}, hdrPool)
+			return e, engine{e}
 		},
-		UnpublishBuf: func(sock uint32) {
-			hub.Reg.Withdraw(BufKeyPfx + fmt.Sprint(sock))
-		},
-		SaveState: func(blob []byte) {
-			hub.Store.Put(storageKey, blob)
-			s.persistFlows()
-		},
-	}, s.hdrPool)
-	if restart && payload == nil {
-		if blob, ok := hub.Store.Get(storageKey); ok {
-			if err := s.eng.RestoreState(blob); err != nil {
-				return fmt.Errorf("tcpsrv: restore: %w", err)
-			}
-		}
-	}
-	ipEdge, scEdge := s.cfg.edges()
-	if payload != nil {
-		// Rewire phase: inherit the wiring as-is. Resume swaps only the
-		// doorbell target (the pointer is in fact the predecessor's own
-		// bell, handed down through rt.Bell); no re-publish, no Attach, so
-		// port generations stay frozen and no peer runs its crash path.
-		s.ports.Resume(rt.Bell)
-		s.ipPort = s.ports.Port(ipEdge)
-		s.scPort = s.ports.Port(scEdge)
-	} else {
-		s.ports.Begin(rt.Bell)
-		s.ipPort = s.ports.Attach(ipEdge)
-		s.scPort = s.ports.Attach(scEdge)
-	}
-	s.ipBox = wiring.NewOutbox(s.ipPort)
-	s.scBox = wiring.NewOutbox(s.scPort)
-	s.ipBox.EnablePacing(wiring.DefaultPacing())
-	s.scBox.EnablePacing(wiring.DefaultPacing())
-	s.scratch = make([]msg.Req, wiring.ScratchLen)
-	if payload != nil {
-		if err := s.restoreHandoff(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, ports)
 }
-
-// restoreHandoff replays the predecessor's state-transfer stream into the
-// freshly built engine and outboxes.
-func (s *Server) restoreHandoff(payload *liveup.Payload) error {
-	sr, err := liveup.OpenStream(payload.Stream)
-	if err != nil {
-		return fmt.Errorf("tcpsrv: %w", err)
-	}
-	for sr.Next() {
-		switch sr.Kind() {
-		case "tcp/engine":
-			var blob []byte
-			if err := sr.Decode(&blob); err != nil {
-				return fmt.Errorf("tcpsrv: %w", err)
-			}
-			if err := s.eng.RestoreHandoff(blob, payload.Handles.SockBufs, time.Now()); err != nil {
-				return fmt.Errorf("tcpsrv: %w", err)
-			}
-		case "outbox/ip":
-			var reqs []msg.Req
-			if err := sr.Decode(&reqs); err != nil {
-				return fmt.Errorf("tcpsrv: %w", err)
-			}
-			s.ipBox.Push(reqs...)
-		case "outbox/sc":
-			var reqs []msg.Req
-			if err := sr.Decode(&reqs); err != nil {
-				return fmt.Errorf("tcpsrv: %w", err)
-			}
-			s.scBox.Push(reqs...)
-		default:
-			return fmt.Errorf("tcpsrv: unknown handoff record %q", sr.Kind())
-		}
-	}
-	return nil
-}
-
-// HandoffState implements proc.Handoffer: it runs on the loop goroutine as
-// the old incarnation's final act. The drain rounds before it already
-// consumed inbox batches; here the engine's remaining output is staged,
-// flushed as far as the channels allow, and whatever could not be sent
-// rides the stream so the successor's first Poll re-pushes it — zero lost
-// events, in order.
-func (s *Server) HandoffState() (any, error) {
-	s.ipBox.Push(s.eng.DrainToIP()...)
-	s.scBox.Push(s.eng.DrainToFront()...)
-	s.ipBox.Flush()
-	s.scBox.Flush()
-	ipLeft := s.ipBox.TakeStaged()
-	scLeft := s.scBox.TakeStaged()
-
-	blob, bufs, err := s.eng.HandoffState()
-	if err != nil {
-		return nil, fmt.Errorf("tcpsrv: %w", err)
-	}
-	var w liveup.StreamWriter
-	w.Add("tcp/engine", blob)
-	if len(ipLeft) > 0 {
-		w.Add("outbox/ip", ipLeft)
-	}
-	if len(scLeft) > 0 {
-		w.Add("outbox/sc", scLeft)
-	}
-	stream, err := w.Bytes()
-	if err != nil {
-		return nil, fmt.Errorf("tcpsrv: %w", err)
-	}
-	return &liveup.Payload{
-		Stream:  stream,
-		Handles: liveup.Handles{HdrPool: s.hdrPool, SockBufs: bufs},
-	}, nil
-}
-
-// persistFlows saves this shard's active connection 4-tuples so PF can
-// rebuild its connection tracking after a crash. Each shard writes its own
-// key: a shard restart replaces only its own flows, and PF's rebuild is the
-// union over shards.
-func (s *Server) persistFlows() {
-	flows := flowsFromReqs(s.eng.Flows(), s.srcFor)
-	var buf bytes.Buffer
-	if gob.NewEncoder(&buf).Encode(flows) == nil {
-		s.ports.Hub().Store.Put(FlowsKeyFor(s.cfg.Shard), buf.Bytes())
-	}
-}
-
-// srcFor resolves the local source address for a destination, matching the
-// engine's own selection on multi-homed hosts.
-func (s *Server) srcFor(dst netpkt.IPAddr) netpkt.IPAddr {
-	if s.cfg.SrcFor != nil {
-		return s.cfg.SrcFor(dst)
-	}
-	return s.cfg.LocalIP
-}
-
-// flowsFromReqs converts an engine flow dump into PF conntrack entries.
-// The dump's Arg[0] carries the connection's actual local address above the
-// protocol byte (see tcpeng.Flows); srcFor covers dumps predating it. The
-// conntrack entry must name the address the packets really use — stamping
-// the node's first address breaks rebuilds on multi-homed hosts.
-func flowsFromReqs(reqs []msg.Req, srcFor func(netpkt.IPAddr) netpkt.IPAddr) []pfeng.Flow {
-	out := make([]pfeng.Flow, 0, len(reqs))
-	for _, r := range reqs {
-		dst := netpkt.IPFromU32(uint32(r.Arg[2]))
-		src := netpkt.IPFromU32(uint32(r.Arg[0] >> 8))
-		if src == (netpkt.IPAddr{}) {
-			src = srcFor(dst)
-		}
-		out = append(out, pfeng.Flow{
-			Proto:   uint8(r.Arg[0]),
-			Src:     src,
-			SrcPort: uint16(r.Arg[1]),
-			Dst:     dst,
-			DstPort: uint16(r.Arg[3]),
-		})
-	}
-	return out
-}
-
-// Poll drains both edges in batches, runs the engine (including timers),
-// and flushes each outbox once per iteration — one doorbell ring per edge.
-func (s *Server) Poll(now time.Time) bool {
-	worked := false
-
-	ipDup, changed := s.ipPort.Take()
-	if changed && ipDup.Valid() {
-		s.ipBox.Drop()
-		s.eng.OnIPRestart()
-		s.eng.ResubmitInflight()
-		worked = true
-	}
-	if ipDup.Valid() {
-		if wiring.Drain(ipDup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			for _, r := range b {
-				s.eng.FromIP(r, now)
-			}
-		}) {
-			worked = true
-		}
-	}
-
-	scDup, scChanged := s.scPort.Take()
-	if scChanged {
-		s.scBox.Drop()
-		s.eng.OnFrontRestart()
-	}
-	if scDup.Valid() {
-		if wiring.Drain(scDup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			for _, r := range b {
-				s.eng.FromFront(r, now)
-			}
-		}) {
-			worked = true
-		}
-	}
-
-	s.eng.Tick(now)
-
-	s.ipBox.Push(s.eng.DrainToIP()...)
-	s.scBox.Push(s.eng.DrainToFront()...)
-	idle := !worked
-	if s.ipBox.FlushPaced(now, idle) {
-		worked = true
-	}
-	if s.scBox.FlushPaced(now, idle) {
-		worked = true
-	}
-	return worked
-}
-
-// OutboxDropped sums the requests this shard's edges shed across peer
-// reincarnations (wiring.DropReporter).
-func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.ipBox, s.scBox) }
-
-// Deadline surfaces the engine's earliest timer.
-func (s *Server) Deadline(now time.Time) time.Time { return s.eng.Deadline(now) }
-
-// Stop is a no-op.
-func (s *Server) Stop() {}

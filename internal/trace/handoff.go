@@ -9,7 +9,7 @@ import (
 // HandoffPhases records one planned live update's phase durations — the
 // measurable pause of the drain-and-handoff protocol (docs/ARCHITECTURE.md
 // "Zero-downtime live update"): drain (old engine quiesces at a batch
-// boundary and flushes its outboxes), transfer (live state serialized onto
+// boundary and flushes its edges), transfer (live state serialized onto
 // the handoff channel), rewire (successor re-points ports and restores
 // state, re-arming timers), resume (until the new loop's first heartbeat).
 // Live is false when the component fell back to a planned graceful restart

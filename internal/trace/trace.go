@@ -135,7 +135,7 @@ func (c *PoolCounters) String() string {
 		c.Segments(), c.InUse(), c.Grows(), c.Shrinks(), c.Pressure())
 }
 
-// PacerCounters surfaces one outbox pacer's flush-policy decisions: how
+// PacerCounters surfaces one edge pacer's flush-policy decisions: how
 // many flushes fired eagerly (latency mode), on reaching the batch-size
 // threshold, on batch age expiry, or because the owning loop went idle —
 // plus how many flush opportunities were deliberately held back and how

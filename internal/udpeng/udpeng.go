@@ -39,10 +39,9 @@ type Config struct {
 	// PublishBuf exports a socket's TX buffer to the application (via the
 	// registry in the real assembly). May be nil in tests.
 	PublishBuf func(sock uint32, buf *sockbuf.Buf)
-	// ElasticBufs provisions per-socket TX buffers elastically (small base
-	// complement, demand growth up to sockbuf.DefaultChunks, shrink after
-	// quiescence) so socket memory scales with active sockets.
-	ElasticBufs bool
+	// UnpublishBuf retracts a closed socket's TX buffer export. May be nil
+	// in tests.
+	UnpublishBuf func(sock uint32)
 	// SaveState persists the socket table for crash recovery. May be nil.
 	SaveState func(blob []byte)
 	// RecvQueueCap bounds per-socket queued datagrams (default 64);
@@ -221,14 +220,12 @@ func (e *Engine) untrackBuf(s *socket) {
 	s.bufIdx = -1
 }
 
-// newBuf provisions one socket's shared TX buffer, elastic or static per
-// the engine configuration.
+// newBuf provisions one socket's shared TX buffer: a small base complement,
+// demand growth up to sockbuf.DefaultChunks, shrink after quiescence, so
+// socket memory scales with active sockets.
 func (e *Engine) newBuf(owner string) (*sockbuf.Buf, error) {
-	if e.cfg.ElasticBufs {
-		return sockbuf.NewElastic(e.cfg.Space, owner,
-			sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
-	}
-	return sockbuf.New(e.cfg.Space, owner, sockbuf.DefaultChunkSize, sockbuf.DefaultChunks)
+	return sockbuf.NewElastic(e.cfg.Space, owner,
+		sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
 }
 
 func (e *Engine) create(r msg.Req) {
@@ -590,6 +587,9 @@ func (e *Engine) close(r msg.Req) {
 		delete(e.byPort, s.port)
 	}
 	e.untrackBuf(s)
+	if e.cfg.UnpublishBuf != nil {
+		e.cfg.UnpublishBuf(s.id)
+	}
 	delete(e.sockets, s.id)
 	e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusOK))
 	e.persist()

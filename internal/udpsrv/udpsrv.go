@@ -1,23 +1,20 @@
-// Package udpsrv is the UDP server: the channel shell around udpeng.
+// Package udpsrv is the UDP server: the transport shell around udpeng.
 // UDP's per-socket state is tiny and slow-changing, making it fully
 // recoverable (paper Table I) — the component the paper highlights when
 // discussing the MS11-083 Windows UDP vulnerability: in NewtOS the buggy
-// UDP server is simply replaced while TCP traffic keeps flowing.
+// UDP server is simply replaced while TCP traffic keeps flowing, either
+// after a crash (the socket table is recovered from the storage server and
+// the sockets recreated) or as a planned live update (the successor adopts
+// queued datagrams, parked recvs, in-flight sends and buffer handles).
 package udpsrv
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"time"
 
-	"newtos/internal/liveup"
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
-	"newtos/internal/pfeng"
-	"newtos/internal/proc"
 	"newtos/internal/shm"
-	"newtos/internal/sockbuf"
+	"newtos/internal/transport"
 	"newtos/internal/udpeng"
 	"newtos/internal/wiring"
 )
@@ -35,266 +32,35 @@ type Config struct {
 	// SrcFor selects the source address per destination (multi-homed).
 	SrcFor  func(netpkt.IPAddr) netpkt.IPAddr
 	Offload bool
-	// Elastic provisions the header pool and per-socket TX buffers
-	// elastically (grow under pressure, shrink after quiescence).
-	Elastic bool
 }
 
 // Server is one UDP server incarnation.
-type Server struct {
-	cfg   Config
-	ports *wiring.Ports
+type Server = transport.Server[*udpeng.Engine]
 
-	eng     *udpeng.Engine
-	hdrPool *shm.Pool
-	ipPort  *wiring.Port
-	scPort  *wiring.Port
-	ipBox   *wiring.Outbox
-	scBox   *wiring.Outbox
-	scratch []msg.Req
-}
+// engine gives udpeng the method set the shell drives: UDP keeps no clock
+// and no timers, and parks nothing a frontdoor restart would orphan.
+type engine struct{ *udpeng.Engine }
 
-var (
-	_ proc.Service   = (*Server)(nil)
-	_ proc.Handoffer = (*Server)(nil)
-)
+func (e engine) FromIP(r msg.Req, _ time.Time)    { e.Engine.FromIP(r) }
+func (e engine) FromFront(r msg.Req, _ time.Time) { e.Engine.FromFront(r) }
+func (e engine) Tick(time.Time)                   { e.Engine.Tick() }
+func (e engine) OnFrontRestart()                  {}
+func (e engine) Deadline(time.Time) time.Time     { return time.Time{} }
 
 // New creates a UDP server incarnation.
 func New(cfg Config, ports *wiring.Ports) *Server {
-	return &Server{cfg: cfg, ports: ports}
-}
-
-// Engine exposes the engine for tests.
-func (s *Server) Engine() *udpeng.Engine { return s.eng }
-
-// Init constructs the engine; on restart the socket table is recovered
-// from the storage server and the sockets recreated. When rt.Handoff
-// carries a live-update payload, the incarnation instead adopts its
-// predecessor's complete state — queued datagrams, parked recvs, in-flight
-// sends, buffer handles — and resumes the existing wiring in place, so
-// peers never observe the swap (the paper's MS11-083 scenario: replace the
-// buggy UDP server under live traffic).
-func (s *Server) Init(rt *proc.Runtime, restart bool) error {
-	hub := s.ports.Hub()
-	var payload *liveup.Payload
-	if rt.Handoff != nil {
-		p, ok := rt.Handoff.(*liveup.Payload)
-		if !ok {
-			return fmt.Errorf("udpsrv: unexpected handoff payload %T", rt.Handoff)
-		}
-		payload = p
-		// Adopt the predecessor's header pool: in-flight datagram headers
-		// (and their eventual Free on sendDone) point into it.
-		s.hdrPool = p.Handles.HdrPool
-	} else {
-		// Elastic servers start the header pool at 1/8 of the historical
-		// worst-case complement and grow on demand back to the same cap.
-		hdrChunks, hdrSegs := 4096, 1
-		if s.cfg.Elastic {
-			hdrChunks, hdrSegs = 512, 8
-		}
-		hdrPool, err := hub.Space.NewPool(fmt.Sprintf("udp.hdr.%d", rt.Incarnation), 128, hdrChunks)
-		if err != nil {
-			return fmt.Errorf("udpsrv: %w", err)
-		}
-		if s.cfg.Elastic {
-			hdrPool.SetElastic(shm.Elastic{MaxSegments: hdrSegs})
-		}
-		s.hdrPool = hdrPool
-	}
-	s.eng = udpeng.New(udpeng.Config{
-		Space:       hub.Space,
-		LocalIP:     s.cfg.LocalIP,
-		SrcFor:      s.cfg.SrcFor,
-		Offload:     s.cfg.Offload,
-		ElasticBufs: s.cfg.Elastic,
-		PublishBuf: func(sock uint32, buf *sockbuf.Buf) {
-			hub.Reg.Publish(BufKeyPfx+fmt.Sprint(sock), buf)
+	return transport.New(transport.Spec[*udpeng.Engine]{
+		Name:    "udpsrv",
+		HdrPool: "udp.hdr", HdrChunks: 512,
+		IPEdge: "ip-udp", SCEdge: "sc-udp",
+		StorageKey: StorageKey, FlowsKey: FlowsKey, BufKeyPfx: BufKeyPfx,
+		LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor,
+		New: func(env transport.Env, hdrPool *shm.Pool) (*udpeng.Engine, transport.Engine) {
+			e := udpeng.New(udpeng.Config{
+				Space: env.Space, LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor, Offload: cfg.Offload,
+				PublishBuf: env.PublishBuf, UnpublishBuf: env.UnpublishBuf, SaveState: env.SaveState,
+			}, hdrPool)
+			return e, engine{e}
 		},
-		SaveState: func(blob []byte) {
-			hub.Store.Put(StorageKey, blob)
-			s.persistFlows()
-		},
-	}, s.hdrPool)
-	if restart && payload == nil {
-		if blob, ok := hub.Store.Get(StorageKey); ok {
-			if err := s.eng.RestoreState(blob); err != nil {
-				return fmt.Errorf("udpsrv: restore: %w", err)
-			}
-		}
-	}
-	if payload != nil {
-		// Rewire phase: inherit the wiring as-is — no re-publish, no
-		// Attach, so port generations stay frozen and no peer runs its
-		// crash path.
-		s.ports.Resume(rt.Bell)
-		s.ipPort = s.ports.Port("ip-udp")
-		s.scPort = s.ports.Port("sc-udp")
-	} else {
-		s.ports.Begin(rt.Bell)
-		s.ipPort = s.ports.Attach("ip-udp")
-		s.scPort = s.ports.Attach("sc-udp")
-	}
-	s.ipBox = wiring.NewOutbox(s.ipPort)
-	s.scBox = wiring.NewOutbox(s.scPort)
-	s.ipBox.EnablePacing(wiring.DefaultPacing())
-	s.scBox.EnablePacing(wiring.DefaultPacing())
-	s.scratch = make([]msg.Req, wiring.ScratchLen)
-	if payload != nil {
-		if err := s.restoreHandoff(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, ports)
 }
-
-// restoreHandoff replays the predecessor's state-transfer stream into the
-// freshly built engine and outboxes.
-func (s *Server) restoreHandoff(payload *liveup.Payload) error {
-	sr, err := liveup.OpenStream(payload.Stream)
-	if err != nil {
-		return fmt.Errorf("udpsrv: %w", err)
-	}
-	for sr.Next() {
-		switch sr.Kind() {
-		case "udp/engine":
-			var blob []byte
-			if err := sr.Decode(&blob); err != nil {
-				return fmt.Errorf("udpsrv: %w", err)
-			}
-			if err := s.eng.RestoreHandoff(blob, payload.Handles.SockBufs, time.Now()); err != nil {
-				return fmt.Errorf("udpsrv: %w", err)
-			}
-		case "outbox/ip":
-			var reqs []msg.Req
-			if err := sr.Decode(&reqs); err != nil {
-				return fmt.Errorf("udpsrv: %w", err)
-			}
-			s.ipBox.Push(reqs...)
-		case "outbox/sc":
-			var reqs []msg.Req
-			if err := sr.Decode(&reqs); err != nil {
-				return fmt.Errorf("udpsrv: %w", err)
-			}
-			s.scBox.Push(reqs...)
-		default:
-			return fmt.Errorf("udpsrv: unknown handoff record %q", sr.Kind())
-		}
-	}
-	return nil
-}
-
-// HandoffState implements proc.Handoffer: runs on the loop goroutine as
-// the old incarnation's final act, after the drain rounds. Remaining engine
-// output is staged, flushed as far as the channels allow, and the
-// un-sendable remainder rides the stream for the successor's first Poll.
-func (s *Server) HandoffState() (any, error) {
-	s.ipBox.Push(s.eng.DrainToIP()...)
-	s.scBox.Push(s.eng.DrainToFront()...)
-	s.ipBox.Flush()
-	s.scBox.Flush()
-	ipLeft := s.ipBox.TakeStaged()
-	scLeft := s.scBox.TakeStaged()
-
-	blob, bufs, err := s.eng.HandoffState()
-	if err != nil {
-		return nil, fmt.Errorf("udpsrv: %w", err)
-	}
-	var w liveup.StreamWriter
-	w.Add("udp/engine", blob)
-	if len(ipLeft) > 0 {
-		w.Add("outbox/ip", ipLeft)
-	}
-	if len(scLeft) > 0 {
-		w.Add("outbox/sc", scLeft)
-	}
-	stream, err := w.Bytes()
-	if err != nil {
-		return nil, fmt.Errorf("udpsrv: %w", err)
-	}
-	return &liveup.Payload{
-		Stream:  stream,
-		Handles: liveup.Handles{HdrPool: s.hdrPool, SockBufs: bufs},
-	}, nil
-}
-
-func (s *Server) persistFlows() {
-	reqs := s.eng.Flows()
-	flows := make([]pfeng.Flow, 0, len(reqs))
-	for _, r := range reqs {
-		flows = append(flows, pfeng.Flow{
-			Proto:   netpkt.ProtoUDP,
-			Src:     s.cfg.LocalIP,
-			SrcPort: uint16(r.Arg[1]),
-			Dst:     netpkt.IPFromU32(uint32(r.Arg[2])),
-			DstPort: uint16(r.Arg[3]),
-		})
-	}
-	var buf bytes.Buffer
-	if gob.NewEncoder(&buf).Encode(flows) == nil {
-		s.ports.Hub().Store.Put(FlowsKey, buf.Bytes())
-	}
-}
-
-// Poll drains both edges in batches, runs the whole intake through the
-// engine, and flushes each outbox once per iteration.
-func (s *Server) Poll(now time.Time) bool {
-	worked := false
-
-	ipDup, changed := s.ipPort.Take()
-	if changed && ipDup.Valid() {
-		s.ipBox.Drop()
-		s.eng.OnIPRestart()
-		worked = true
-	}
-	if ipDup.Valid() {
-		if wiring.Drain(ipDup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			for _, r := range b {
-				s.eng.FromIP(r)
-			}
-		}) {
-			worked = true
-		}
-	}
-
-	scDup, scChanged := s.scPort.Take()
-	if scChanged {
-		s.scBox.Drop()
-	}
-	if scDup.Valid() {
-		if wiring.Drain(scDup.In, s.scratch, wiring.RecvBudget, func(b []msg.Req) {
-			for _, r := range b {
-				s.eng.FromFront(r)
-			}
-		}) {
-			worked = true
-		}
-	}
-
-	// Elastic pools: one policy step per loop iteration (header pool and
-	// idle socket buffers).
-	s.eng.Tick()
-
-	s.ipBox.Push(s.eng.DrainToIP()...)
-	s.scBox.Push(s.eng.DrainToFront()...)
-	idle := !worked
-	if s.ipBox.FlushPaced(now, idle) {
-		worked = true
-	}
-	if s.scBox.FlushPaced(now, idle) {
-		worked = true
-	}
-	return worked
-}
-
-// OutboxDropped sums the requests UDP's edges shed across peer
-// reincarnations (wiring.DropReporter).
-func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.ipBox, s.scBox) }
-
-// Deadline: UDP has no timers.
-func (s *Server) Deadline(now time.Time) time.Time { return time.Time{} }
-
-// Stop is a no-op.
-func (s *Server) Stop() {}
-
-var _ = msg.Req{}

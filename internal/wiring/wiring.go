@@ -18,15 +18,11 @@
 // event loop notice "the peer (or the channel) changed" exactly once and
 // run its crash-recovery actions (abort requests, resubmit, resupply).
 //
-// Two shared data-path primitives live here as well (docs/ARCHITECTURE.md):
-// Drain, the server loops' batched intake (one RecvBatch per scratch-full,
-// whole batches into the engine, budgeted so one busy edge cannot starve
-// the rest), and Outbox, the per-edge staging buffer every loop flushes
-// once per iteration so a whole iteration's output moves with one doorbell
-// ring — and is dropped, not misdelivered, when the peer reincarnates
-// under it. Sharded components (e.g. the TCP shards' "ip-tcp<k>" and
-// "sc-tcp<k>" edges) are ordinary edges: one Port and one Outbox per
-// shard, nothing here knows about sharding.
+// The loops' shared data-path primitive lives here as well
+// (docs/ARCHITECTURE.md "The doorbell contract"): Edge owns one edge's Port,
+// staging queue and flush pacer, and spells the iteration every server loop
+// runs — Intake, engine, Push, Flush — including the one rule for what
+// happens to staged output when the peer reincarnates under it.
 package wiring
 
 import (
@@ -67,7 +63,7 @@ type Port struct {
 	dup  channel.Duplex
 	gen  int
 	seen int
-	cur  channel.Duplex // owner's cached copy
+	cur  channel.Duplex // the duplex at generation seen: what the owner holds
 }
 
 // set installs a new incarnation of the channel.
@@ -78,47 +74,36 @@ func (p *Port) set(d channel.Duplex) {
 	p.mu.Unlock()
 }
 
-// Take returns the owner's current duplex and whether it changed since the
-// last Take. A change means the peer (or this end) reincarnated: the owner
-// must run its abort/resubmit recovery actions.
-func (p *Port) Take() (channel.Duplex, bool) {
+// take adopts the latest duplex on behalf of the owning loop and returns it
+// with its generation, and whether it changed since the last take. A change
+// means the peer (or this end) reincarnated: the owner must run its
+// abort/resubmit recovery actions (Edge.Intake does).
+func (p *Port) take() (dup channel.Duplex, gen int, changed bool) {
 	//lint:ignore hotloop the rebind registry emulates the kernel remapping channels during restart; uncontended except while the supervisor reincarnates a peer.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.gen == p.seen {
-		return p.cur, false
-	}
-	p.seen = p.gen
-	p.cur = p.dup
-	return p.cur, true
+	changed = p.gen != p.seen
+	p.seen, p.cur = p.gen, p.dup
+	return p.cur, p.seen, changed
 }
 
-// Cur returns the owner's cached duplex without checking for changes.
-func (p *Port) Cur() channel.Duplex {
-	//lint:ignore hotloop rebind registry read; see Take.
+// held returns the duplex and generation the owner last took, without
+// adopting a pending rebind.
+func (p *Port) held() (channel.Duplex, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.cur
+	return p.cur, p.seen
 }
 
-// Gen returns the latest incarnation generation of the edge's channel. It
-// advances every time a rebind installs a fresh duplex (either side
-// reincarnated).
-func (p *Port) Gen() int {
-	//lint:ignore hotloop rebind registry read; see Take.
+// latest returns the newest generation of the edge's channel. It advances
+// every time a rebind installs a fresh duplex (either side reincarnated);
+// while it is ahead of what the owner took, a rebind is pending and nothing
+// staged for the held duplex may survive into the next incarnation.
+func (p *Port) latest() int {
+	//lint:ignore hotloop rebind registry read; see take.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.gen
-}
-
-// SeenGen returns the generation of the duplex Cur returns — the one the
-// owner last Took. SeenGen != Gen means a rebind is pending: anything
-// staged for the Cur duplex must not survive into the next incarnation.
-func (p *Port) SeenGen() int {
-	//lint:ignore hotloop rebind registry read; see Take.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.seen
 }
 
 // Ports manages one component's edges across incarnations. It is held by
