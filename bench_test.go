@@ -486,9 +486,11 @@ func BenchmarkAblation_TSO(b *testing.B) {
 
 // runSplitOnce runs a quick single-wire split-stack transfer.
 func runSplitOnce(pf, tso bool) (float64, error) {
-	return experiments.RunSplitRowConfig(experiments.Table2Opts{
+	cfg := core.SplitTSO()
+	cfg.PF, cfg.TSO = pf, tso
+	return experiments.RunLANTransfer(cfg, nic.Gigabit(), experiments.Table2Opts{
 		Duration: 600 * time.Millisecond, Wires: 1, ConnsPerWire: 2,
-	}, pf, tso, true)
+	})
 }
 
 // BenchmarkAblation_DoorbellSpin compares the doorbell's spin-then-block

@@ -1,6 +1,7 @@
 // Command tcpperf regenerates Table II: peak performance of outgoing TCP
 // in every stack configuration, from the original synchronous MINIX 3 mode
-// to the split asynchronous stack with TSO and the monolithic baseline.
+// to the split asynchronous stack with TSO and the fused, filterless
+// 10G bound. Every row is the same stack under a different core.Config.
 //
 // Usage:
 //
@@ -49,6 +50,6 @@ func run(wires int, duration time.Duration, conns int, only string) error {
 	fmt.Println("\nShape, not absolute numbers, is the claim: the synchronous")
 	fmt.Println("single-CPU mode sits an order of magnitude below the async")
 	fmt.Println("configurations, the SYSCALL server helps the split stack, TSO")
-	fmt.Println("helps every async row, and the monolith bounds from above.")
+	fmt.Println("helps every async row, and the fused 10G row bounds from above.")
 	return nil
 }

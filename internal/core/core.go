@@ -7,7 +7,8 @@
 // One Node is one machine: a microkernel, a shared-memory space, a channel
 // registry, a storage server, a reincarnation server, and the stack
 // servers — driver(s), IP, PF, TCP, UDP, SYSCALL — each on its own
-// event-loop "core".
+// event-loop "core", or, in the single-server placement, IP, PF, TCP and
+// UDP sharing one.
 package core
 
 import (
@@ -43,6 +44,9 @@ const (
 	CompPF      = "pf"
 	CompSC      = "sc"
 	CompStorage = "storage"
+	// CompStack is the one process that hosts IP, PF, TCP and UDP on a
+	// Config.SingleServer node, in place of those four components.
+	CompStack = "stack"
 )
 
 // MaxTCPShards bounds Config.TCPShards (the shard index must fit the edge
@@ -75,6 +79,12 @@ type Config struct {
 	// <= 1 keeps the single quarantined TCP server. Sharding requires the
 	// SYSCALL server (it is the shard router for socket calls).
 	TCPShards int
+	// SingleServer hosts the IP, PF, TCP and UDP servers in one process,
+	// CompStack, on one event loop and doorbell (Table II's single-server
+	// rows). The servers and every edge between them, to the drivers and to
+	// the SYSCALL server are the same code as in the split placement; what
+	// changes is that one crash takes all four down. Excludes TCPShards > 1.
+	SingleServer bool
 	// DedicatedCores pins each server loop to an OS thread.
 	DedicatedCores bool
 	// PinCores additionally assigns the data-plane loops to core-affine
@@ -118,6 +128,7 @@ type Node struct {
 	Monitor *reinc.Monitor
 
 	procs   map[string]*proc.Proc
+	order   []string // boot order: the order NewNode added the processes in
 	devices map[string]*nic.Device
 
 	upMu sync.Mutex
@@ -176,39 +187,49 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 	pfGroup := scGroup + 1
 	udpGroup := pfGroup + 1
 
-	// IP.
-	ipPorts := wiring.NewPorts(hub, CompIP)
-	ipCfg := ipsrv.Config{
-		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload,
-		Drivers: drvNames, TCPShards: cfg.tcpShardCount(),
-	}
-	n.addProc(CompIP, pin(ipGroup), func() proc.Service {
-		return ipsrv.New(ipCfg, ipPorts)
-	})
-
-	// PF.
-	if cfg.PF {
-		pfPorts := wiring.NewPorts(hub, CompPF)
-		n.addProc(CompPF, pin(pfGroup), func() proc.Service {
-			return pf.New(pfPorts)
-		})
-	}
-
-	// Transports. TCP runs as TCPShards independent flow-hash shards, each
-	// its own process with its own doorbell; the SYSCALL server routes
-	// socket calls between them, so sharding requires it.
 	localIP := netpkt.IPAddr{}
 	if len(cfg.Ifaces) > 0 {
 		localIP = cfg.Ifaces[0].IP
 	}
 	srcFor := SrcSelector(cfg.Ifaces)
 	shards := cfg.tcpShardCount()
-	if shards > MaxTCPShards {
+	switch {
+	case shards > MaxTCPShards:
 		return nil, fmt.Errorf("node %s: TCPShards %d exceeds MaxTCPShards %d", cfg.Name, shards, MaxTCPShards)
-	}
-	if shards > 1 && !cfg.SyscallServer {
+	case shards > 1 && !cfg.SyscallServer:
 		return nil, fmt.Errorf("node %s: TCPShards %d requires the SYSCALL server (it routes socket calls to shards)", cfg.Name, shards)
+	case shards > 1 && cfg.SingleServer:
+		return nil, fmt.Errorf("node %s: TCPShards %d with SingleServer (shards are separate processes by definition)", cfg.Name, shards)
 	}
+
+	// The stack servers in boot order, inside-out: IP, PF, the transports.
+	// Each becomes its own process, or all of them one (cfg.SingleServer).
+	type server struct {
+		name  string
+		group int
+		new   func() proc.Service
+	}
+	var stack []server
+
+	ipPorts := wiring.NewPorts(hub, CompIP)
+	ipCfg := ipsrv.Config{
+		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload,
+		Drivers: drvNames, TCPShards: shards,
+	}
+	stack = append(stack, server{CompIP, ipGroup, func() proc.Service {
+		return ipsrv.New(ipCfg, ipPorts)
+	}})
+
+	if cfg.PF {
+		pfPorts := wiring.NewPorts(hub, CompPF)
+		stack = append(stack, server{CompPF, pfGroup, func() proc.Service {
+			return pf.New(pfPorts)
+		}})
+	}
+
+	// Transports. TCP runs as TCPShards independent flow-hash shards, each
+	// its own process with its own doorbell; the SYSCALL server routes
+	// socket calls between them, so sharding requires it.
 	for k := 0; k < shards; k++ {
 		name := TCPShardName(k, shards)
 		tcpPorts := wiring.NewPorts(hub, name)
@@ -222,25 +243,39 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 			tcpShim = wiring.NewPorts(hub, "shim-sc-tcp")
 			tcpSubs = make(map[uint32]kipc.EndpointID)
 		}
-		n.addProc(name, pin(tcpGroup0+k), func() proc.Service {
+		stack = append(stack, server{name, tcpGroup0 + k, func() proc.Service {
 			s := tcpsrv.New(tcpCfg, tcpPorts)
 			if !cfg.SyscallServer {
 				return newDirectFrontWithPorts(s, tcpShim, "sc-tcp", syscallsrv.TCPFrontdoor, tcpSubs)
 			}
 			return s
-		})
+		}})
 	}
 	udpPorts := wiring.NewPorts(hub, CompUDP)
 	udpShim := wiring.NewPorts(hub, "shim-sc-udp")
 	udpSubs := make(map[uint32]kipc.EndpointID)
 	udpCfg := udpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload}
-	n.addProc(CompUDP, pin(udpGroup), func() proc.Service {
+	stack = append(stack, server{CompUDP, udpGroup, func() proc.Service {
 		s := udpsrv.New(udpCfg, udpPorts)
 		if !cfg.SyscallServer {
 			return newDirectFrontWithPorts(s, udpShim, "sc-udp", syscallsrv.UDPFrontdoor, udpSubs)
 		}
 		return s
-	})
+	}})
+
+	if cfg.SingleServer {
+		n.addProc(CompStack, pin(ipGroup), func() proc.Service {
+			parts := make(hosted, len(stack))
+			for i, s := range stack {
+				parts[i] = s.new()
+			}
+			return parts
+		})
+	} else {
+		for _, s := range stack {
+			n.addProc(s.name, pin(s.group), s.new)
+		}
+	}
 
 	// SYSCALL server.
 	if cfg.SyscallServer {
@@ -255,31 +290,17 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 func (n *Node) addProc(name string, opts proc.Options, factory func() proc.Service) {
 	p := proc.New(name, factory, opts, n.Monitor.OnCrash())
 	n.procs[name] = p
+	n.order = append(n.order, name)
 	n.Monitor.Adopt(p)
 }
 
 // Start launches every server and the reincarnation monitor.
 func (n *Node) Start() error {
-	// Order: storage first (everyone restores through it), then drivers,
-	// then the stack inside-out. The wiring layer tolerates any order,
-	// but a deterministic boot keeps logs readable.
-	order := []string{CompStorage}
-	for name := range n.devices {
-		order = append(order, name)
-	}
-	order = append(order, CompIP)
-	if n.Cfg.PF {
-		order = append(order, CompPF)
-	}
-	shards := n.Cfg.tcpShardCount()
-	for k := 0; k < shards; k++ {
-		order = append(order, TCPShardName(k, shards))
-	}
-	order = append(order, CompUDP)
-	if n.Cfg.SyscallServer {
-		order = append(order, CompSC)
-	}
-	for _, name := range order {
+	// Boot in the order NewNode assembled the node: storage first (everyone
+	// restores through it), then drivers, then the stack inside-out, the
+	// SYSCALL server last. The wiring layer tolerates any order, but a
+	// deterministic boot keeps logs readable.
+	for _, name := range n.order {
 		if err := n.procs[name].Start(); err != nil {
 			return fmt.Errorf("node %s: start %s: %w", n.Cfg.Name, name, err)
 		}
@@ -347,20 +368,15 @@ func (n *Node) OutboxDroppedPer() map[string]uint64 {
 }
 
 // Components lists the crashable stack components on this node (the
-// fault-injection population of Table III); every TCP shard is its own
-// crashable component.
+// fault-injection population of Table III): every process but storage and
+// the SYSCALL server. Every TCP shard is its own crashable component; a
+// SingleServer node has CompStack in place of the transports, IP and PF.
 func (n *Node) Components() []string {
-	shards := n.Cfg.tcpShardCount()
-	out := []string{}
-	for k := 0; k < shards; k++ {
-		out = append(out, TCPShardName(k, shards))
-	}
-	out = append(out, CompUDP, CompIP)
-	if n.Cfg.PF {
-		out = append(out, CompPF)
-	}
-	for name := range n.devices {
-		out = append(out, name)
+	var out []string
+	for _, name := range n.order {
+		if name != CompStorage && name != CompSC {
+			out = append(out, name)
+		}
 	}
 	return out
 }

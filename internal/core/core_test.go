@@ -35,6 +35,20 @@ func testLAN(t *testing.T, mod func(*Config)) *LAN {
 	return lan
 }
 
+// eachPlacement runs a case on a split node and on a single-server one: the
+// hosted shells are the same code, so they owe the same behaviour.
+func eachPlacement(t *testing.T, run func(t *testing.T, lan *LAN)) {
+	for _, single := range []bool{false, true} {
+		name := "split"
+		if single {
+			name = "single-server"
+		}
+		t.Run(name, func(t *testing.T) {
+			run(t, testLAN(t, func(c *Config) { c.SingleServer = single }))
+		})
+	}
+}
+
 func pattern(n int) []byte {
 	out := make([]byte, n)
 	for i := range out {
@@ -87,8 +101,9 @@ func echoServer(t *testing.T, lan *LAN, port uint16, ready chan<- struct{}, done
 	}
 }
 
-func TestTCPEchoOverFullStack(t *testing.T) {
-	lan := testLAN(t, nil)
+func TestTCPEchoOverFullStack(t *testing.T) { eachPlacement(t, tcpEcho) }
+
+func tcpEcho(t *testing.T, lan *LAN) {
 	ready := make(chan struct{})
 	done := make(chan error, 1)
 	go echoServer(t, lan, 7000, ready, done)
@@ -136,9 +151,9 @@ func TestTCPEchoOverFullStack(t *testing.T) {
 	}
 }
 
-func TestUDPQueryOverFullStack(t *testing.T) {
-	lan := testLAN(t, nil)
+func TestUDPQueryOverFullStack(t *testing.T) { eachPlacement(t, udpQuery) }
 
+func udpQuery(t *testing.T, lan *LAN) {
 	// "DNS server" on B.
 	srvCli, err := sock.NewClient(lan.B.Hub, "dns")
 	if err != nil {
@@ -193,8 +208,10 @@ func TestPFBlocksAndStatefulPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-stack PF pump (~7s); skipped in -short")
 	}
-	lan := testLAN(t, nil)
+	eachPlacement(t, pfBlocksAndStatefulPasses)
+}
 
+func pfBlocksAndStatefulPasses(t *testing.T, lan *LAN) {
 	// Block all inbound TCP to port 7100 on B.
 	if err := lan.B.AddPFRule(pfeng.Rule{
 		Action: pfeng.Block, Dir: pfeng.In, Proto: 6, DstPort: 7100, Quick: true,

@@ -1,0 +1,229 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"newtos/internal/faults"
+	"newtos/internal/nic"
+	"newtos/internal/proc"
+	"newtos/internal/sock"
+)
+
+// part is a scripted shell for the composite's own contract.
+type part struct {
+	initErr  error
+	deadline time.Time
+	inits    int
+}
+
+func (p *part) Init(*proc.Runtime, bool) error { p.inits++; return p.initErr }
+func (p *part) Poll(time.Time) bool            { return false }
+func (p *part) Deadline(time.Time) time.Time   { return p.deadline }
+func (p *part) Stop()                          {}
+
+func TestHostedDeadlineIsEarliestNonZero(t *testing.T) {
+	now := time.Now()
+	if d := (hosted{&part{}, &part{}}).Deadline(now); !d.IsZero() {
+		t.Fatalf("no part has a timer, deadline = %v", d)
+	}
+	early, late := now.Add(time.Millisecond), now.Add(time.Second)
+	h := hosted{&part{}, &part{deadline: late}, &part{deadline: early}, &part{}}
+	if d := h.Deadline(now); !d.Equal(early) {
+		t.Fatalf("deadline = %v, want the earliest non-zero %v", d, early)
+	}
+}
+
+func TestHostedInitFailureFailsTheLaunch(t *testing.T) {
+	boom := errors.New("boom")
+	first, bad, last := &part{}, &part{initErr: boom}, &part{}
+	p := proc.New("stack", func() proc.Service { return hosted{first, bad, last} }, proc.Options{}, nil)
+	if err := p.Start(); !errors.Is(err, boom) {
+		t.Fatalf("Start = %v, want the part's error", err)
+	}
+	if first.inits != 1 || last.inits != 0 {
+		t.Fatalf("inits = %d, %d: want boot order, stopping at the failure", first.inits, last.inits)
+	}
+	if p.Service() != nil {
+		t.Fatal("a failed launch left a live service")
+	}
+}
+
+func TestSingleServerRejectsShards(t *testing.T) {
+	cfg := SplitTSO()
+	cfg.SingleServer, cfg.TCPShards = true, 2
+	if _, err := NewLAN(cfg, 1, nic.WireConfig{}); err == nil || !strings.Contains(err.Error(), "SingleServer") {
+		t.Fatalf("NewLAN = %v, want a SingleServer+TCPShards rejection", err)
+	}
+}
+
+// TestSingleServerNamesTheStack: the node's process list, crashable
+// components and drop counters name "stack", not the shells it hosts.
+func TestSingleServerNamesTheStack(t *testing.T) {
+	lan := testLAN(t, func(c *Config) { c.SingleServer = true })
+	n := lan.B
+	if want := []string{CompStorage, "eth0", CompStack, CompSC}; !slices.Equal(n.order, want) {
+		t.Fatalf("boot order = %v, want %v", n.order, want)
+	}
+	if want := []string{"eth0", CompStack}; !slices.Equal(n.Components(), want) {
+		t.Fatalf("components = %v, want %v", n.Components(), want)
+	}
+	drops := n.OutboxDroppedPer()
+	if _, ok := drops[CompStack]; !ok {
+		t.Fatalf("drop counters %v do not name %q", drops, CompStack)
+	}
+	for _, hostedName := range []string{CompIP, CompPF, CompTCP, CompUDP} {
+		if _, ok := drops[hostedName]; ok || n.Proc(hostedName) != nil {
+			t.Fatalf("%q is still a process of its own", hostedName)
+		}
+	}
+}
+
+// TestStackCrashRestoresSockets: one crash takes IP, PF, TCP and UDP down
+// together, and all four recover together — the TCP listener accepts again
+// and the bound UDP socket answers again, neither reopened — through the
+// SYSCALL server and through the direct fronts.
+func TestStackCrashRestoresSockets(t *testing.T) {
+	for _, sc := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sc=%v", sc), func(t *testing.T) {
+			lan := testLAN(t, func(c *Config) { c.SingleServer, c.SyscallServer = true, sc })
+
+			srv, err := sock.NewClient(lan.B.Hub, "srv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Without the SYSCALL server a call in flight at the crash dies
+			// with the front that held it; CallTimeout ends the app's wait.
+			srv.CallTimeout = 200 * time.Millisecond
+			l, err := srv.Socket(sock.TCP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Bind(7400); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Listen(8); err != nil {
+				t.Fatal(err)
+			}
+			u, err := srv.Socket(sock.UDP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.Bind(5400); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close) // ends both loops below
+			go func() {
+				for {
+					conn, err := l.Accept()
+					if errors.Is(err, sock.ErrClosed) {
+						return
+					}
+					if err != nil {
+						time.Sleep(time.Millisecond) // stack restarting, or a call lost with it
+						continue
+					}
+					go func() {
+						buf := make([]byte, 2048)
+						for {
+							n, err := conn.Recv(buf)
+							if err != nil || n == 0 {
+								return
+							}
+							if _, err := conn.Send(buf[:n]); err != nil {
+								return
+							}
+						}
+					}()
+				}
+			}()
+			go func() {
+				buf := make([]byte, 2048)
+				for {
+					n, src, sport, err := u.RecvFrom(buf)
+					if errors.Is(err, sock.ErrClosed) {
+						return
+					}
+					if err != nil {
+						time.Sleep(time.Millisecond)
+						continue
+					}
+					_, _ = u.SendTo(buf[:n], src, sport)
+				}
+			}()
+
+			cli, err := sock.NewClient(lan.A.Hub, "cli")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli.CallTimeout = 2 * time.Second
+			q, err := cli.Socket(sock.UDP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcpEcho := func(tag string) error {
+				s, err := cli.Socket(sock.TCP)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				if err := s.Connect(lan.IPOf("b", 0), 7400); err != nil {
+					return err
+				}
+				if _, err := s.Send([]byte(tag)); err != nil {
+					return err
+				}
+				buf := make([]byte, 64)
+				n, err := s.Recv(buf)
+				if err != nil || string(buf[:n]) != tag {
+					return fmt.Errorf("tcp echo %q: %q %v", tag, buf[:n], err)
+				}
+				return nil
+			}
+			udpEcho := func(tag string) error {
+				if _, err := q.SendTo([]byte(tag), lan.IPOf("b", 0), 5400); err != nil {
+					return err
+				}
+				q.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+				buf := make([]byte, 64)
+				n, _, _, err := q.RecvFrom(buf)
+				if err != nil || string(buf[:n]) != tag {
+					return fmt.Errorf("udp echo %q: %q %v", tag, buf[:n], err)
+				}
+				return nil
+			}
+			if err := tcpEcho("before"); err != nil {
+				t.Fatal(err)
+			}
+			if err := udpEcho("before"); err != nil {
+				t.Fatal(err)
+			}
+
+			lan.B.Proc(CompStack).Fault().Arm(faults.Crash)
+			deadline := time.Now().Add(5 * time.Second)
+			for len(lan.B.Monitor.Events()) == 0 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if len(lan.B.Monitor.Events()) == 0 {
+				t.Fatal("stack never recovered")
+			}
+
+			// Packets around the crash may be lost; retry briefly.
+			for name, echo := range map[string]func(string) error{"tcp": tcpEcho, "udp": udpEcho} {
+				var err error
+				for i := 0; i < 10; i++ {
+					if err = echo(fmt.Sprintf("after-%d", i)); err == nil {
+						break
+					}
+				}
+				if err != nil {
+					t.Fatalf("%s socket dead after the stack crash: %v", name, err)
+				}
+			}
+		})
+	}
+}

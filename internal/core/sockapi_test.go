@@ -10,7 +10,9 @@ import (
 	"newtos/internal/faults"
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
+	"newtos/internal/shm"
 	"newtos/internal/sock"
+	"newtos/internal/sockbuf"
 	"newtos/internal/udpsrv"
 )
 
@@ -335,32 +337,63 @@ func TestDirectFrontReannouncesAfterRestart(t *testing.T) {
 	}
 }
 
-// TestClosedUDPSocketsAreUnpublished: closing a UDP socket withdraws its TX
-// buffer from the registry. The export used to outlive the socket, so the
-// registry pinned the buffer and its pool of every socket ever closed.
-func TestClosedUDPSocketsAreUnpublished(t *testing.T) {
+// TestClosedUDPSocketsReleaseTheirBuffers: closing a UDP socket withdraws
+// its TX buffer from the registry and drops the buffer's pool from the
+// shared space, and the datagram sent just before still reaches the peer.
+// The export, and then the pool, used to outlive every socket ever closed.
+func TestClosedUDPSocketsReleaseTheirBuffers(t *testing.T) {
+	const n = 64 // udpeng's default receive queue holds them all
 	lan := testLAN(t, nil)
+	sinkCli, err := sock.NewClient(lan.B.Hub, "sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := sinkCli.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Bind(6000); err != nil {
+		t.Fatal(err)
+	}
 	cli, err := sock.NewClient(lan.A.Hub, "churn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64; i++ {
+	var pools []shm.PoolID
+	for i := 0; i < n; i++ {
 		s, err := cli.Socket(sock.UDP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SendTo([]byte("x"), lan.IPOf("b", 0), 6000); err != nil {
+		if _, err := s.SendTo([]byte{byte(i)}, lan.IPOf("b", 0), 6000); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(lan.A.Hub.Reg.Keys(udpsrv.BufKeyPfx)); got != 1 {
-			t.Fatalf("socket %d open: %d buffers published, want 1", i, got)
+		keys := lan.A.Hub.Reg.Keys(udpsrv.BufKeyPfx)
+		if len(keys) != 1 {
+			t.Fatalf("socket %d open: %d buffers published, want 1", i, len(keys))
 		}
+		a, _ := lan.A.Hub.Reg.Get(keys[0])
+		pools = append(pools, a.Value.(*sockbuf.Buf).Pool().ID())
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if keys := lan.A.Hub.Reg.Keys(udpsrv.BufKeyPfx); len(keys) != 0 {
 		t.Fatalf("%d closed sockets still published: %v", len(keys), keys)
+	}
+	for i, id := range pools {
+		if _, err := lan.A.Hub.Space.Pool(id); err == nil {
+			t.Fatalf("closed socket %d: TX buffer pool %v still mapped", i, id)
+		}
+	}
+	seen := map[byte]bool{}
+	buf := make([]byte, 16)
+	for len(seen) < n {
+		sink.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, _, _, err := sink.RecvFrom(buf); err != nil {
+			t.Fatalf("%d of %d datagrams arrived: %v", len(seen), n, err)
+		}
+		seen[buf[0]] = true
 	}
 }
 

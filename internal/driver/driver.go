@@ -29,6 +29,7 @@ type Server struct {
 	dev   *nic.Device
 
 	rt      *proc.Runtime
+	kern    *kipc.Kernel
 	ep      *kipc.Endpoint
 	outIP   *wiring.Edge
 	scratch []msg.Req
@@ -58,12 +59,12 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.ports.Begin(rt.Bell)
 	s.outIP = wiring.NewEdge(s.ports.Attach("ip-" + s.name))
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
-	ep, err := s.ports.Hub().Kern.Register(s.name, rt.Bell)
+	kern := s.ports.Hub().Kern
+	ep, err := kern.Register(s.name, rt.Bell)
 	if err != nil {
 		return fmt.Errorf("driver %s: %w", s.name, err)
 	}
-	s.ep = ep
-	kern := s.ports.Hub().Kern
+	s.kern, s.ep = kern, ep
 	id := ep.ID()
 	s.dev.SetIRQ(func() { _ = kern.Interrupt(id) })
 	if restart {
@@ -142,6 +143,7 @@ func (s *Server) Poll(now time.Time) bool {
 			// buffer goes back to IP as consumed.
 			continue
 		}
+		s.kern.PacketRendezvous(c.Len) // Table II row 1 only
 		r := msg.Req{Op: msg.OpRxPacket}
 		r.SetChain([]shm.RichPtr{c.Ptr})
 		r.Arg[0] = uint64(c.Len)
@@ -160,6 +162,7 @@ func (s *Server) Poll(now time.Time) bool {
 func (s *Server) handleIPReq(r msg.Req) {
 	switch r.Op {
 	case msg.OpTxSubmit:
+		s.kern.PacketRendezvous(r.ChainLen()) // Table II row 1 only
 		desc := nic.TxDesc{
 			Ptrs:    append([]shm.RichPtr(nil), r.Chain()...),
 			Cookie:  r.ID,

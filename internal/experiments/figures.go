@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"newtos/internal/core"
@@ -9,6 +10,7 @@ import (
 	"newtos/internal/netpkt"
 	"newtos/internal/nic"
 	"newtos/internal/pfeng"
+	"newtos/internal/proc"
 	"newtos/internal/sock"
 	"newtos/internal/tcpsrv"
 	"newtos/internal/trace"
@@ -60,6 +62,10 @@ func RunCrashTrace(opts TraceOpts) ([]trace.Sample, error) {
 		return nil, err
 	}
 	defer lan.Stop()
+	victim, err := crashTarget(lan.B, opts.Target)
+	if err != nil {
+		return nil, err
+	}
 	if err := lan.Start(); err != nil {
 		return nil, err
 	}
@@ -146,16 +152,25 @@ func RunCrashTrace(opts TraceOpts) ([]trace.Sample, error) {
 	next := 0
 	for time.Since(start) < opts.Total {
 		if next < len(opts.CrashAt) && time.Since(start) >= opts.CrashAt[next] {
-			if p := lan.B.Proc(opts.Target); p != nil {
-				if f := p.Fault(); f != nil {
-					f.Arm(faults.Crash)
-				}
+			// No fault point means the victim is down already (mid-restart).
+			if f := victim.Fault(); f != nil {
+				f.Arm(faults.Crash)
 			}
 			next++
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	return sampler.Stop(), nil
+}
+
+// crashTarget resolves the component a crash experiment injects into. A
+// name that is not a crashable component of n is an error, not a crash-free
+// run under a "crash" title.
+func crashTarget(n *core.Node, name string) (*proc.Proc, error) {
+	if !slices.Contains(n.Components(), name) {
+		return nil, fmt.Errorf("experiments: no component %q to crash on %s (have %v)", name, n.Cfg.Name, n.Components())
+	}
+	return n.Proc(name), nil
 }
 
 // RecoveryReport is one Table I row measured on the live system: how much

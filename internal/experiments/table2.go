@@ -10,12 +10,7 @@ import (
 	"time"
 
 	"newtos/internal/core"
-	"newtos/internal/ipeng"
-	"newtos/internal/kipc"
-	"newtos/internal/monolith"
-	"newtos/internal/netpkt"
 	"newtos/internal/nic"
-	"newtos/internal/shm"
 	"newtos/internal/sock"
 	"newtos/internal/trace"
 )
@@ -77,38 +72,49 @@ func (o *Table2Opts) fill() {
 }
 
 // RunTable2Row measures peak outgoing TCP for one configuration and
-// returns aggregate Mbps.
+// returns aggregate Mbps. Every row is the same stack, the same driver
+// (RunLANTransfer) and the same two mirrored nodes; a row only chooses
+// core.Config fields and the wire.
 func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
-	opts.fill()
+	cfg := core.SplitTSO() // row 6: every feature on, every server its own process
+	wcfg := nic.Gigabit()
 	switch row {
-	case RowSplit, RowSplitSC, RowSplitSCTSO:
-		return runSplitRow(row, opts)
-	case RowMinix3, RowSingleSC, RowSingleTSO, RowLinux:
-		return runMonoRow(row, opts)
+	case RowMinix3:
+		// The original MINIX 3: one stack server without the SYSCALL server
+		// or offloads, on a single time-shared CPU where every packet
+		// crosses to and from the driver by synchronous kernel IPC
+		// (kipc.Kernel.PacketRendezvous). The context switch is calibrated,
+		// not measured: ~80 µs per packet (two hand-offs of two traps, a
+		// copy and two switches each) lands near the paper's 120 Mbps.
+		cfg.SingleServer, cfg.SyscallServer, cfg.Offload, cfg.TSO = true, false, false, false
+		cfg.Kernel.SingleCore = true
+		cfg.Kernel.ContextSwitchCost = 18 * time.Microsecond
+	case RowSplit:
+		cfg.SyscallServer, cfg.TSO = false, false
+	case RowSplitSC:
+		cfg.TSO = false
+	case RowSingleSC:
+		cfg.SingleServer, cfg.TSO = true, false
+	case RowSingleTSO:
+		cfg.SingleServer = true
+	case RowSplitSCTSO:
+	case RowLinux:
+		// The monolithic bound is this stack fused, without the SYSCALL
+		// server or the packet filter, on one 10G link.
+		cfg.SingleServer, cfg.SyscallServer, cfg.PF = true, false, false
+		wcfg = nic.TenGigabit()
+		wcfg.Latency = 5 * time.Microsecond // keep BDP within the 64 KB window
+		opts.Wires = 1
 	default:
 		return 0, fmt.Errorf("experiments: unknown row %q", row)
 	}
-}
-
-func runSplitRow(row Table2Row, opts Table2Opts) (float64, error) {
-	return RunSplitRowConfig(opts, true, row == RowSplitSCTSO, row != RowSplit)
-}
-
-// RunSplitRowConfig runs a split-stack bulk transfer with explicit packet
-// filter / TSO / SYSCALL-server knobs (used by the ablation benchmarks).
-func RunSplitRowConfig(opts Table2Opts, pf, tso, sc bool) (float64, error) {
-	cfg := core.SplitTSO()
-	cfg.SyscallServer = sc
-	cfg.TSO = tso
-	cfg.Offload = true
-	cfg.PF = pf
-	return RunLANTransfer(cfg, nic.Gigabit(), opts)
+	return RunLANTransfer(cfg, wcfg, opts)
 }
 
 // RunLANTransfer measures aggregate A→B TCP throughput over a two-node LAN
 // in the given stack configuration: Wires links, ConnsPerWire parallel
 // bulk connections per link, measured after warmup. It is the shared
-// driver behind the split Table II rows and the shard-scaling benchmarks.
+// driver behind every Table II row and the shard-scaling benchmarks.
 func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (float64, error) {
 	opts.fill()
 	lan, err := core.NewLAN(cfg, opts.Wires, wcfg)
@@ -120,13 +126,15 @@ func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (floa
 		return 0, err
 	}
 
-	// One bulk connection per wire; aggregate received bytes on B.
+	// ConnsPerWire bulk connections per wire; aggregate received bytes on
+	// B. errs has room for every goroutine's one error, so none blocks.
 	var meter trace.Meter
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	errs := make(chan error, opts.Wires*2)
+	conns := opts.Wires * opts.ConnsPerWire
+	errs := make(chan error, 2*conns)
 
-	for ci := 0; ci < opts.Wires*opts.ConnsPerWire; ci++ {
+	for ci := 0; ci < conns; ci++ {
 		i := ci % opts.Wires
 		port := uint16(9000 + ci)
 		ready := make(chan struct{})
@@ -229,152 +237,4 @@ func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (floa
 	default:
 	}
 	return float64(gotBytes) * 8 / elapsed.Seconds() / 1e6, nil
-}
-
-// runMonoRow measures the monolithic/single-server rows.
-func runMonoRow(row Table2Row, opts Table2Opts) (float64, error) {
-	wcfg := nic.Gigabit()
-	wires := opts.Wires
-	cost := monolith.CostModelNone
-	offload, tso := true, true
-	switch row {
-	case RowMinix3:
-		cost = monolith.CostModelSyncIPC
-		offload, tso = false, false
-	case RowSingleSC:
-		cost = monolith.CostModelSyscall
-		tso = false
-	case RowSingleTSO:
-		cost = monolith.CostModelSyscall
-	case RowLinux:
-		wcfg = nic.TenGigabit()
-		wcfg.Latency = 5 * time.Microsecond // keep BDP within the 64 KB window
-		wires = 1
-	}
-
-	spaceA, spaceB := shm.NewSpace(), shm.NewSpace()
-	devsA := make(map[string]*nic.Device, wires)
-	devsB := make(map[string]*nic.Device, wires)
-	var ifacesA, ifacesB []ipeng.IfaceConfig
-	var wireObjs []*nic.Wire
-	for i := 0; i < wires; i++ {
-		name := fmt.Sprintf("eth%d", i)
-		a := nic.NewDevice(nic.DeviceConfig{Name: name, MAC: netpkt.MAC{0xa, 0, 0, 0, 0, byte(i)}, CsumOffload: offload, TSOOffload: tso}, spaceA)
-		b := nic.NewDevice(nic.DeviceConfig{Name: name, MAC: netpkt.MAC{0xb, 0, 0, 0, 0, byte(i)}, CsumOffload: true, TSOOffload: true}, spaceB)
-		w := nic.NewWire(wcfg)
-		w.AttachA(a)
-		w.AttachB(b)
-		wireObjs = append(wireObjs, w)
-		devsA[name], devsB[name] = a, b
-		ifacesA = append(ifacesA, ipeng.IfaceConfig{Name: name, IP: netpkt.IPAddr{10, 0, byte(i), 1}, MaskBits: 24})
-		ifacesB = append(ifacesB, ipeng.IfaceConfig{Name: name, IP: netpkt.IPAddr{10, 0, byte(i), 2}, MaskBits: 24})
-	}
-	defer func() {
-		for _, w := range wireObjs {
-			w.Close()
-		}
-		for _, d := range devsA {
-			d.Close()
-		}
-		for _, d := range devsB {
-			d.Close()
-		}
-	}()
-
-	kcfg := kipc.DefaultConfig()
-	if row == RowMinix3 {
-		// The original MINIX 3 on a single time-shared CPU: expensive
-		// context switches dominate (§II: kernel IPC "always hurts").
-		// Calibrated so the per-packet cost (~80µs: two rendezvous hops
-		// of two traps + copy + two context switches each) reproduces
-		// the measured 120 Mbps of the original single-CPU MINIX 3.
-		kcfg.ContextSwitchCost = 18 * time.Microsecond
-		kcfg.SingleCore = true
-	}
-	sndCfg := monolith.Config{Ifaces: ifacesA, Offload: offload, TSO: tso, PF: row != RowLinux, Cost: cost, Kernel: kcfg}
-	rcvCfg := monolith.Config{Ifaces: ifacesB, Offload: true, TSO: true, PF: false, Cost: monolith.CostModelNone, Kernel: kipc.DefaultConfig()}
-	snd, err := monolith.New(sndCfg, spaceA, devsA)
-	if err != nil {
-		return 0, err
-	}
-	defer snd.Close()
-	rcv, err := monolith.New(rcvCfg, spaceB, devsB)
-	if err != nil {
-		return 0, err
-	}
-	defer rcv.Close()
-
-	var meter trace.Meter
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for ci := 0; ci < wires*opts.ConnsPerWire; ci++ {
-		i := ci % wires
-		port := uint16(9100 + ci)
-		ready := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l, err := rcv.Socket(netpkt.ProtoTCP)
-			if err != nil {
-				close(ready)
-				return
-			}
-			if l.Bind(port) != nil || l.Listen(4) != nil {
-				close(ready)
-				return
-			}
-			close(ready)
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			buf := make([]byte, 256*1024)
-			for {
-				n, err := conn.Recv(buf)
-				if err != nil || n == 0 {
-					return
-				}
-				meter.Add(n)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-ready
-			c, err := snd.Socket(netpkt.ProtoTCP)
-			if err != nil {
-				return
-			}
-			if c.Connect(netpkt.IPAddr{10, 0, byte(i), 2}, port) != nil {
-				return
-			}
-			data := make([]byte, opts.ChunkBytes)
-			for {
-				select {
-				case <-stop:
-					_ = c.Close()
-					return
-				default:
-				}
-				if _, err := c.Send(data); err != nil {
-					return
-				}
-			}
-		}()
-	}
-
-	time.Sleep(300 * time.Millisecond)
-	startBytes := meter.Total()
-	start := time.Now()
-	time.Sleep(opts.Duration)
-	elapsed := time.Since(start)
-	got := meter.Total() - startBytes
-	close(stop)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-	}
-	return float64(got) * 8 / elapsed.Seconds() / 1e6, nil
 }

@@ -388,7 +388,7 @@ func (e *Engine) DrainToPF() []msg.Req {
 }
 
 // DrainToTCP returns pending deliveries/completions for TCP shard 0 — the
-// whole TCP server in unsharded deployments (monolith, single-server rows).
+// whole TCP server in unsharded deployments.
 func (e *Engine) DrainToTCP() []msg.Req { return e.DrainToTCPShard(0) }
 
 // DrainToTCPShard returns pending deliveries/completions for one TCP

@@ -168,6 +168,19 @@ func (k *Kernel) TrapHot() { spin(k.cfg.TrapCost) }
 // TrapCold charges one cold-cache kernel entry (benchmarks/calibration).
 func (k *Kernel) TrapCold() { spin(k.cfg.ColdTrapCost) }
 
+// PacketRendezvous charges one synchronous stack<->driver hand-off of an
+// n-byte packet under the original MINIX 3 regime (Table II row 1): a
+// rendezvous is two traps (send + receive), a cross-space copy of the
+// packet, and two context switches on the one time-shared CPU (into the
+// receiver and back when it replies). NewtOS moves packets over channels,
+// so this is a no-op — before any clock read — unless SingleCore is set.
+func (k *Kernel) PacketRendezvous(n int) {
+	if !k.cfg.SingleCore {
+		return
+	}
+	spin(2*k.cfg.TrapCost + time.Duration(n)*k.cfg.CopyCostPerKB/1024 + 2*k.cfg.ContextSwitchCost)
+}
+
 func (k *Kernel) endpoint(id EndpointID) (*Endpoint, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()

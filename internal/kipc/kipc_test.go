@@ -282,6 +282,23 @@ func TestTrapCostCharged(t *testing.T) {
 	}
 }
 
+// TestPacketRendezvousOnlyOnSingleCore: the per-packet synchronous hand-off
+// is Table II row 1's cost; every other configuration calls it for free.
+func TestPacketRendezvousOnlyOnSingleCore(t *testing.T) {
+	cfg := Config{TrapCost: 50 * time.Millisecond, ContextSwitchCost: 50 * time.Millisecond, CopyCostPerKB: 50 * time.Millisecond}
+	start := time.Now()
+	New(cfg).PacketRendezvous(1024)
+	if took := time.Since(start); took > 10*time.Millisecond {
+		t.Fatalf("multi-core kernel charged %v for a channel hand-off", took)
+	}
+	cfg = Config{TrapCost: time.Millisecond, ContextSwitchCost: 2 * time.Millisecond, CopyCostPerKB: time.Millisecond, SingleCore: true}
+	start = time.Now()
+	New(cfg).PacketRendezvous(2048)
+	if took, want := time.Since(start), 8*time.Millisecond; took < want {
+		t.Fatalf("single-core rendezvous charged %v, want two traps + 2 KB copy + two switches = %v", took, want)
+	}
+}
+
 func BenchmarkKernelTrapHot(b *testing.B) {
 	k := New(DefaultConfig())
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,6 @@
 // Package pfeng is the packet-filter engine: NetBSD-PF-style rule
 // evaluation with stateful connection tracking. The PF server (package pf)
-// wraps it in a channel shell; the single-server and monolithic stack
-// variants call it directly.
+// wraps it in a channel shell, in every placement of the stack.
 //
 // Rule semantics follow PF: rules are evaluated in order and the LAST
 // matching rule wins, unless a matching rule is marked Quick, which ends

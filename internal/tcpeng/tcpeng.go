@@ -533,7 +533,7 @@ func (e *Engine) setFlags(r msg.Req) {
 // socket id (must be below SockIDBase): the SYSCALL server names the socket
 // before broadcasting the create to every shard, so all shards know the
 // same socket under the same id. Zero means engine-assigned (unsharded
-// fronts and the monolith).
+// fronts).
 func (e *Engine) create(r msg.Req) {
 	id := uint32(r.Arg[0])
 	if id == 0 {

@@ -11,6 +11,7 @@ package udpeng
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"time"
@@ -66,6 +67,9 @@ type handoffState struct {
 	ToIP      []msg.Req
 	ToFront   []msg.Req
 	Stats     Stats
+	// Closing lists closed sockets whose last sends are still with IP;
+	// their TX buffers cross by handle like an open socket's.
+	Closing []uint32
 }
 
 // HandoffState serializes the engine for a live update and returns the
@@ -96,6 +100,10 @@ func (e *Engine) HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error) {
 		if s.buf != nil {
 			bufs[s.id] = s.buf
 		}
+	}
+	for id, s := range e.closing {
+		st.Closing = append(st.Closing, id)
+		bufs[id] = s.buf
 	}
 	e.db.Each(func(id uint64, dest string, data any) {
 		if dest != "ip" {
@@ -163,6 +171,12 @@ func (e *Engine) RestoreHandoff(blob []byte, bufs map[uint32]*sockbuf.Buf, _ tim
 		}
 		e.event(s, bits)
 	}
+	for _, id := range st.Closing {
+		if bufs[id] == nil {
+			return fmt.Errorf("udpeng: handoff closed socket %d: missing TX buffer handle", id)
+		}
+		e.closing[id] = &socket{id: id, buf: bufs[id], bufIdx: -1}
+	}
 	// In-flight sends keep their ids (replies already on the wire carry
 	// them) and re-arm the same abort action the send path installs.
 	for _, hsend := range st.Sends {
@@ -173,6 +187,9 @@ func (e *Engine) RestoreHandoff(blob []byte, bufs map[uint32]*sockbuf.Buf, _ tim
 		e.db.Track(hsend.ID, "ip", ps, func(_ uint64, data any) {
 			e.resubmitSend(data.(pendingSend))
 		})
+		if s := cmp.Or(e.sockets[ps.sock], e.closing[ps.sock]); s != nil {
+			s.inflight++
+		}
 	}
 	e.persist()
 	return nil

@@ -112,7 +112,8 @@ func TestUDPSetFlagsAnnouncesReadiness(t *testing.T) {
 // TestUDPBlockingRecvStillParks: without the nonblock flag the engine
 // parks exactly one recv, as before the redesign — the wrapper contract
 // ("blocking calls are nonblocking op + event wait") lives in the sock
-// library, while in-engine parking stays available for the monolith path.
+// library, while in-engine parking stays available to callers that drive the
+// engine directly.
 func TestUDPBlockingRecvStillParks(t *testing.T) {
 	h := newEvHarness(t)
 	s := h.socket()

@@ -6,7 +6,7 @@
 //
 // The engine speaks the stack's channel vocabulary (msg.Req) directly; the
 // UDP server (package udpsrv) moves requests between channels and the
-// engine, and the single-server/monolithic variants call it in-process.
+// engine.
 package udpeng
 
 import (
@@ -58,6 +58,10 @@ type Engine struct {
 	sockets map[uint32]*socket
 	byPort  map[uint16]uint32
 	next    uint32
+	// closing holds closed sockets that still have sends in flight to IP:
+	// the datagrams must leave the node, so the TX buffer they point into
+	// is destroyed when the last of them completes.
+	closing map[uint32]*socket
 
 	// bufs is the dense slice of sockets with a live TX buffer, so Tick's
 	// per-iteration elastic-pool scan walks a flat array instead of the
@@ -93,6 +97,7 @@ type socket struct {
 
 	buf         *sockbuf.Buf
 	bufIdx      int // position in Engine.bufs (swap-removed on close)
+	inflight    int // sends handed to IP and not yet completed
 	recvQ       []rxItem
 	pendingRecv uint64 // parked front request ID, 0 = none
 }
@@ -125,6 +130,7 @@ func New(cfg Config, hdrPool *shm.Pool) *Engine {
 		db:      channel.NewReqDB(),
 		sockets: make(map[uint32]*socket),
 		byPort:  make(map[uint16]uint32),
+		closing: make(map[uint32]*socket),
 		next:    1000,
 	}
 }
@@ -396,6 +402,7 @@ func (e *Engine) send(r msg.Req) {
 		// (possibly duplicate) data, so resubmit with a fresh ID.
 		e.resubmitSend(data.(pendingSend))
 	})
+	s.inflight++
 
 	req := msg.Req{ID: id, Op: msg.OpIPSend, Flow: s.id}
 	chain := append([]shm.RichPtr{ps.hdr}, payload...)
@@ -455,7 +462,8 @@ func (e *Engine) sendDone(r msg.Req) {
 		return
 	}
 	_ = e.hdrPool.Free(ps.hdr)
-	if s, ok := e.sockets[ps.sock]; ok && s.buf != nil {
+	if s, ok := e.sockets[ps.sock]; ok {
+		s.inflight--
 		// Recycling into an exhausted supply ring is the edge a nonblocking
 		// sender waits on.
 		ringWasEmpty := s.buf.Free() == 0
@@ -464,6 +472,11 @@ func (e *Engine) sendDone(r msg.Req) {
 		}
 		if ringWasEmpty && len(ps.payload) > 0 {
 			e.event(s, msg.EvWritable)
+		}
+	} else if s, ok := e.closing[ps.sock]; ok {
+		if s.inflight--; s.inflight == 0 {
+			s.buf.Destroy(e.cfg.Space)
+			delete(e.closing, s.id)
 		}
 	}
 	rep := msg.Req{ID: ps.frontID, Op: msg.OpSockReply, Flow: ps.sock, Status: r.Status}
@@ -591,6 +604,11 @@ func (e *Engine) close(r msg.Req) {
 		e.cfg.UnpublishBuf(s.id)
 	}
 	delete(e.sockets, s.id)
+	if s.inflight == 0 {
+		s.buf.Destroy(e.cfg.Space)
+	} else {
+		e.closing[s.id] = s
+	}
 	e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusOK))
 	e.persist()
 }

@@ -3,6 +3,7 @@ package udpeng
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
@@ -327,6 +328,7 @@ func TestOnIPRestartResubmitsSends(t *testing.T) {
 func TestCloseReleasesResources(t *testing.T) {
 	h := newHarness(t)
 	sock := h.socket()
+	pool := h.bufs[sock].Pool().ID()
 	h.bind(sock, 10000)
 	h.deliver(netpkt.MustIP("1.1.1.1"), 1, 10000, []byte("pending"))
 	if rep := h.call(msg.Req{Op: msg.OpSockClose, Flow: sock}); rep.Status != msg.StatusOK {
@@ -345,9 +347,57 @@ func TestCloseReleasesResources(t *testing.T) {
 	if h.e.NumSockets() != 0 {
 		t.Fatal("socket not removed")
 	}
+	if _, err := h.space.Pool(pool); err == nil {
+		t.Fatal("TX buffer pool outlived the socket")
+	}
 	// Port is reusable.
 	s2 := h.socket()
 	if st := h.bind(s2, 10000); st != msg.StatusOK {
 		t.Fatalf("rebind after close: %d", st)
+	}
+}
+
+// TestCloseWaitsForSendsInFlight: a datagram sent just before Close must
+// still leave the node, so the TX buffer it points into stays mapped until
+// IP completes it — across a live handoff too — and is dropped then.
+func TestCloseWaitsForSendsInFlight(t *testing.T) {
+	h := newHarness(t)
+	sock := h.socket()
+	buf := h.bufs[sock]
+	pool := buf.Pool().ID()
+	chunk, _ := buf.Get()
+	ptr, _ := buf.Write(chunk, []byte("last words"))
+	r := msg.Req{Op: msg.OpSockSend, Flow: sock}
+	r.SetChain([]shm.RichPtr{ptr})
+	r.Arg[0] = uint64(netpkt.MustIP("10.0.0.2").U32())
+	r.Arg[1] = 53
+	h.next++
+	r.ID = h.next
+	h.e.FromFront(r)
+	toIP := h.e.DrainToIP()
+	if len(toIP) != 1 || toIP[0].Op != msg.OpIPSend {
+		t.Fatalf("toIP = %+v", toIP)
+	}
+	if rep := h.call(msg.Req{Op: msg.OpSockClose, Flow: sock}); rep.Status != msg.StatusOK {
+		t.Fatalf("close: %d", rep.Status)
+	}
+	if v, err := h.space.View(ptr); err != nil || string(v) != "last words" {
+		t.Fatalf("payload of the in-flight datagram after close = %q, %v", v, err)
+	}
+
+	blob, bufs, err := h.e.HandoffState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := New(h.e.cfg, h.e.hdrPool)
+	if err := nw.RestoreHandoff(blob, bufs, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.space.Pool(pool); err != nil {
+		t.Fatalf("TX buffer dropped with a send still in flight: %v", err)
+	}
+	nw.FromIP(msg.Req{ID: toIP[0].ID, Op: msg.OpIPSendDone, Status: msg.StatusOK})
+	if _, err := h.space.Pool(pool); err == nil {
+		t.Fatal("TX buffer pool outlived the closed socket's last send")
 	}
 }
