@@ -9,9 +9,14 @@ import (
 	"time"
 
 	"newtos/internal/faults"
+	"newtos/internal/ipsrv"
 	"newtos/internal/nic"
+	"newtos/internal/pf"
+	"newtos/internal/pfeng"
 	"newtos/internal/proc"
 	"newtos/internal/sock"
+	"newtos/internal/tcpsrv"
+	"newtos/internal/udpsrv"
 )
 
 // part is a scripted shell for the composite's own contract.
@@ -83,6 +88,153 @@ func TestSingleServerNamesTheStack(t *testing.T) {
 	}
 }
 
+// echoPair opens a TCP listener and a bound UDP socket on node B, each
+// echoing what it receives, and returns client-side probes from node A: a
+// fresh TCP connection per call, one long-lived UDP socket. The servers'
+// loops ride out restarts of the stack beneath them without reopening
+// anything, which is what the recovery tests observe.
+func echoPair(t *testing.T, lan *LAN, tcpPort, udpPort uint16) (tcpEcho, udpEcho func(tag string) error) {
+	t.Helper()
+	srv, err := sock.NewClient(lan.B.Hub, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without the SYSCALL server a call in flight at a crash dies with the
+	// front that held it; CallTimeout ends the app's wait.
+	srv.CallTimeout = 200 * time.Millisecond
+	l, err := srv.Socket(sock.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Bind(tcpPort); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Listen(8); err != nil {
+		t.Fatal(err)
+	}
+	u, err := srv.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Bind(udpPort); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close) // ends both loops below
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if errors.Is(err, sock.ErrClosed) {
+				return
+			}
+			if err != nil {
+				time.Sleep(time.Millisecond) // stack restarting, or a call lost with it
+				continue
+			}
+			go func() {
+				buf := make([]byte, 2048)
+				for {
+					n, err := conn.Recv(buf)
+					if err != nil || n == 0 {
+						return
+					}
+					if _, err := conn.Send(buf[:n]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, src, sport, err := u.RecvFrom(buf)
+			if errors.Is(err, sock.ErrClosed) {
+				return
+			}
+			if err != nil {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			_, _ = u.SendTo(buf[:n], src, sport)
+		}
+	}()
+
+	cli, err := sock.NewClient(lan.A.Hub, "cli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.CallTimeout = 2 * time.Second
+	q, err := cli.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcpEcho = func(tag string) error {
+		s, err := cli.Socket(sock.TCP)
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		if err := s.Connect(lan.IPOf("b", 0), tcpPort); err != nil {
+			return err
+		}
+		if _, err := s.Send([]byte(tag)); err != nil {
+			return err
+		}
+		buf := make([]byte, 64)
+		n, err := s.Recv(buf)
+		if err != nil || string(buf[:n]) != tag {
+			return fmt.Errorf("tcp echo %q: %q %v", tag, buf[:n], err)
+		}
+		return nil
+	}
+	udpEcho = func(tag string) error {
+		if _, err := q.SendTo([]byte(tag), lan.IPOf("b", 0), udpPort); err != nil {
+			return err
+		}
+		q.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		buf := make([]byte, 64)
+		n, _, _, err := q.RecvFrom(buf)
+		if err != nil || string(buf[:n]) != tag {
+			return fmt.Errorf("udp echo %q: %q %v", tag, buf[:n], err)
+		}
+		return nil
+	}
+	for name, echo := range map[string]func(string) error{"tcp": tcpEcho, "udp": udpEcho} {
+		if err := echo("before"); err != nil {
+			t.Fatalf("%s before any crash: %v", name, err)
+		}
+	}
+	return tcpEcho, udpEcho
+}
+
+// crashAndRecover crashes one component of n and waits for the
+// reincarnation server to have restarted it.
+func crashAndRecover(t *testing.T, n *Node, comp string) {
+	t.Helper()
+	before := len(n.Monitor.Events())
+	n.Proc(comp).Fault().Arm(faults.Crash)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(n.Monitor.Events()) == before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if len(n.Monitor.Events()) == before {
+		t.Fatalf("%s never recovered", comp)
+	}
+}
+
+// retryEcho runs a probe until it succeeds: packets around a crash may be
+// lost.
+func retryEcho(t *testing.T, what string, echo func(string) error) {
+	t.Helper()
+	var err error
+	for i := 0; i < 10; i++ {
+		if err = echo(fmt.Sprintf("after-%d", i)); err == nil {
+			return
+		}
+	}
+	t.Fatalf("%s: %v", what, err)
+}
+
 // TestStackCrashRestoresSockets: one crash takes IP, PF, TCP and UDP down
 // together, and all four recover together — the TCP listener accepts again
 // and the bound UDP socket answers again, neither reopened — through the
@@ -91,139 +243,34 @@ func TestStackCrashRestoresSockets(t *testing.T) {
 	for _, sc := range []bool{true, false} {
 		t.Run(fmt.Sprintf("sc=%v", sc), func(t *testing.T) {
 			lan := testLAN(t, func(c *Config) { c.SingleServer, c.SyscallServer = true, sc })
-
-			srv, err := sock.NewClient(lan.B.Hub, "srv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Without the SYSCALL server a call in flight at the crash dies
-			// with the front that held it; CallTimeout ends the app's wait.
-			srv.CallTimeout = 200 * time.Millisecond
-			l, err := srv.Socket(sock.TCP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Bind(7400); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Listen(8); err != nil {
-				t.Fatal(err)
-			}
-			u, err := srv.Socket(sock.UDP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := u.Bind(5400); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(srv.Close) // ends both loops below
-			go func() {
-				for {
-					conn, err := l.Accept()
-					if errors.Is(err, sock.ErrClosed) {
-						return
-					}
-					if err != nil {
-						time.Sleep(time.Millisecond) // stack restarting, or a call lost with it
-						continue
-					}
-					go func() {
-						buf := make([]byte, 2048)
-						for {
-							n, err := conn.Recv(buf)
-							if err != nil || n == 0 {
-								return
-							}
-							if _, err := conn.Send(buf[:n]); err != nil {
-								return
-							}
-						}
-					}()
-				}
-			}()
-			go func() {
-				buf := make([]byte, 2048)
-				for {
-					n, src, sport, err := u.RecvFrom(buf)
-					if errors.Is(err, sock.ErrClosed) {
-						return
-					}
-					if err != nil {
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					_, _ = u.SendTo(buf[:n], src, sport)
-				}
-			}()
-
-			cli, err := sock.NewClient(lan.A.Hub, "cli")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cli.CallTimeout = 2 * time.Second
-			q, err := cli.Socket(sock.UDP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tcpEcho := func(tag string) error {
-				s, err := cli.Socket(sock.TCP)
-				if err != nil {
-					return err
-				}
-				defer s.Close()
-				if err := s.Connect(lan.IPOf("b", 0), 7400); err != nil {
-					return err
-				}
-				if _, err := s.Send([]byte(tag)); err != nil {
-					return err
-				}
-				buf := make([]byte, 64)
-				n, err := s.Recv(buf)
-				if err != nil || string(buf[:n]) != tag {
-					return fmt.Errorf("tcp echo %q: %q %v", tag, buf[:n], err)
-				}
-				return nil
-			}
-			udpEcho := func(tag string) error {
-				if _, err := q.SendTo([]byte(tag), lan.IPOf("b", 0), 5400); err != nil {
-					return err
-				}
-				q.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-				buf := make([]byte, 64)
-				n, _, _, err := q.RecvFrom(buf)
-				if err != nil || string(buf[:n]) != tag {
-					return fmt.Errorf("udp echo %q: %q %v", tag, buf[:n], err)
-				}
-				return nil
-			}
-			if err := tcpEcho("before"); err != nil {
-				t.Fatal(err)
-			}
-			if err := udpEcho("before"); err != nil {
-				t.Fatal(err)
-			}
-
-			lan.B.Proc(CompStack).Fault().Arm(faults.Crash)
-			deadline := time.Now().Add(5 * time.Second)
-			for len(lan.B.Monitor.Events()) == 0 && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			if len(lan.B.Monitor.Events()) == 0 {
-				t.Fatal("stack never recovered")
-			}
-
-			// Packets around the crash may be lost; retry briefly.
-			for name, echo := range map[string]func(string) error{"tcp": tcpEcho, "udp": udpEcho} {
-				var err error
-				for i := 0; i < 10; i++ {
-					if err = echo(fmt.Sprintf("after-%d", i)); err == nil {
-						break
-					}
-				}
-				if err != nil {
-					t.Fatalf("%s socket dead after the stack crash: %v", name, err)
-				}
-			}
+			tcpEcho, udpEcho := echoPair(t, lan, 7400, 5400)
+			crashAndRecover(t, lan.B, CompStack)
+			retryEcho(t, "tcp socket dead after the stack crash", tcpEcho)
+			retryEcho(t, "udp socket dead after the stack crash", udpEcho)
 		})
 	}
+}
+
+// TestStorageCrashIsRestored: the storage server loses everything when it
+// crashes (paper §V-D: "every other server has to store its state again"),
+// so every server must notice and park its state again — or an idle
+// listener and an idle UDP socket, which cause no further saves on their
+// own, are gone for good when TCP or UDP crashes later.
+func TestStorageCrashIsRestored(t *testing.T) {
+	lan := testLAN(t, nil)
+	tcpEcho, udpEcho := echoPair(t, lan, 7500, 5500)
+	if err := lan.B.AddPFRule(pfeng.Rule{Action: pfeng.Block, Dir: pfeng.In, DstPort: 9999}); err != nil {
+		t.Fatal(err)
+	}
+	crashAndRecover(t, lan.B, CompStorage)
+	time.Sleep(20 * time.Millisecond) // idle loops wake within MaxSleep and re-store
+	for _, key := range []string{tcpsrv.StorageKeyFor(0), udpsrv.StorageKey, ipsrv.StorageKey, pf.RulesKey} {
+		if _, ok := lan.B.Hub.Store.Get(key); !ok {
+			t.Errorf("%s not stored again after the storage crash", key)
+		}
+	}
+	crashAndRecover(t, lan.B, CompTCP)
+	retryEcho(t, "listener lost: TCP crashed after a storage crash", tcpEcho)
+	crashAndRecover(t, lan.B, CompUDP)
+	retryEcho(t, "UDP socket lost: UDP crashed after a storage crash", udpEcho)
 }

@@ -257,10 +257,10 @@ func oneRun(comp string, kind faults.Kind, run int) (RunOutcome, error) {
 			}
 		}
 	}()
-	p := lan.B.Proc(comp)
-	if p == nil || p.Fault() == nil {
+	p, err := crashTarget(lan.B, comp)
+	if err != nil {
 		close(stop)
-		return out, fmt.Errorf("no fault point for %s", comp)
+		return out, err
 	}
 	p.Fault().Arm(kind)
 

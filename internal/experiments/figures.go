@@ -7,13 +7,16 @@ import (
 
 	"newtos/internal/core"
 	"newtos/internal/faults"
+	"newtos/internal/ipsrv"
 	"newtos/internal/netpkt"
 	"newtos/internal/nic"
+	"newtos/internal/pf"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
 	"newtos/internal/sock"
 	"newtos/internal/tcpsrv"
 	"newtos/internal/trace"
+	"newtos/internal/udpsrv"
 )
 
 // TraceOpts tunes the Figure 4 / Figure 5 crash-trace experiments.
@@ -191,12 +194,17 @@ type RecoveryReport struct {
 // RunTable1 crashes each component once on an idle-ish system and measures
 // the recovery footprint.
 func RunTable1() ([]RecoveryReport, error) {
-	notes := map[string]string{
-		"eth0":       "no state, device reset + IP resupply",
-		core.CompIP:  "static interface/route config from storage; NIC reset required",
-		core.CompUDP: "socket 4-tuples from storage; sockets recreated",
-		core.CompPF:  "rules from storage; conntrack rebuilt from transport flow tables",
-		core.CompTCP: "listeners recovered; established connections reset by design",
+	// One row per component, in crash order: what it parks in the storage
+	// server (by the owning package's key) and what recovery does with it.
+	rows := []struct {
+		comp, notes string
+		keys        []string
+	}{
+		{"eth0", "no state, device reset + IP resupply", nil},
+		{core.CompIP, "static interface/route config from storage; NIC reset required", []string{ipsrv.StorageKey}},
+		{core.CompUDP, "socket 4-tuples from storage; sockets recreated", []string{udpsrv.StorageKey, udpsrv.FlowsKey}},
+		{core.CompPF, "rules from storage; conntrack rebuilt from transport flow tables", []string{pf.RulesKey}},
+		{core.CompTCP, "listeners recovered; established connections reset by design", []string{tcpsrv.StorageKeyFor(0), tcpsrv.FlowsKeyFor(0)}},
 	}
 	cfg := core.SplitTSO()
 	cfg.HeartbeatMiss = 120 * time.Millisecond
@@ -245,27 +253,19 @@ func RunTable1() ([]RecoveryReport, error) {
 		return nil, err
 	}
 
-	stateKeys := map[string][]string{
-		"eth0":       {},
-		core.CompIP:  {"ip/config"},
-		core.CompUDP: {"udp/sockets", "udp/flows"},
-		core.CompPF:  {"pf/rules"},
-		core.CompTCP: {tcpsrv.StorageKeyFor(0), tcpsrv.FlowsKeyFor(0)},
-	}
-	order := []string{"eth0", core.CompIP, core.CompUDP, core.CompPF, core.CompTCP}
 	var out []RecoveryReport
-	for _, comp := range order {
+	for _, row := range rows {
 		bytes := 0
-		for _, key := range stateKeys[comp] {
+		for _, key := range row.keys {
 			if blob, ok := lan.B.Hub.Store.Get(key); ok {
 				bytes += len(blob)
 			}
 		}
 		before := len(lan.B.Monitor.Events())
 		dropsBefore := lan.B.OutboxDroppedPer()
-		p := lan.B.Proc(comp)
-		if p == nil || p.Fault() == nil {
-			continue
+		p, err := crashTarget(lan.B, row.comp)
+		if err != nil {
+			return nil, err
 		}
 		p.Fault().Arm(faults.Crash)
 		deadline := time.Now().Add(4 * time.Second)
@@ -273,7 +273,7 @@ func RunTable1() ([]RecoveryReport, error) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		evs := lan.B.Monitor.Events()
-		rep := RecoveryReport{Component: comp, StateBytes: bytes, Notes: notes[comp]}
+		rep := RecoveryReport{Component: row.comp, StateBytes: bytes, Notes: row.notes}
 		if len(evs) > before {
 			ev := evs[len(evs)-1]
 			rep.RecoveryDur = ev.RecoveredAt.Sub(ev.DetectedAt)

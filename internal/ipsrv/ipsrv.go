@@ -143,6 +143,9 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 // doorbell ring per edge per iteration, not per request.
 func (s *Server) Poll(now time.Time) bool {
 	s.now = now
+	if s.ports.StoreWiped() {
+		s.eng.Persist()
+	}
 	worked := false
 	for i, e := range s.edges {
 		if e.Intake(s.scratch, s.peers[i].restart, s.peers[i].handle) {

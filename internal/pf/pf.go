@@ -9,8 +9,6 @@
 package pf
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"time"
@@ -19,16 +17,13 @@ import (
 	"newtos/internal/netpkt"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
-	"newtos/internal/tcpsrv"
 	"newtos/internal/wiring"
 )
 
-// Storage keys. TCP flow dumps are per-shard (tcpsrv.FlowsKeyFor); PF
-// enumerates them by prefix so it needs no knowledge of the shard count.
-const (
-	RulesKey    = "pf/rules"
-	UDPFlowsKey = "udp/flows"
-)
+// RulesKey is where PF parks its rule set. The flow dumps it rebuilds
+// conntrack from are the transports' keys, found by pfeng.FlowsKeySuffix so
+// PF needs no knowledge of which transports, or how many TCP shards, exist.
+const RulesKey = "pf/rules"
 
 // Server is one PF incarnation.
 type Server struct {
@@ -60,19 +55,15 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 		}
 		// Rebuild dynamic state from the transports' persisted flows:
 		// established outgoing connections must keep working after a PF
-		// restart. TCP persists one flow dump per shard; the rebuild is
-		// the union over every shard's key plus UDP's.
+		// restart. Every transport server persists its own dump; the
+		// rebuild is their union.
 		now := time.Now()
-		keys := []string{UDPFlowsKey}
-		for _, k := range hub.Store.Keys(tcpsrv.FlowsKeyPrefix) {
-			if strings.HasSuffix(k, tcpsrv.FlowsKeySuffix) {
-				keys = append(keys, k)
+		for _, key := range hub.Store.Keys("") {
+			if !strings.HasSuffix(key, pfeng.FlowsKeySuffix) {
+				continue
 			}
-		}
-		for _, key := range keys {
 			if blob, ok := hub.Store.Get(key); ok {
-				var flows []pfeng.Flow
-				if gob.NewDecoder(bytes.NewReader(blob)).Decode(&flows) == nil {
+				if flows, err := pfeng.DecodeFlows(blob); err == nil {
 					s.eng.RestoreStates(flows, now)
 				}
 			}
@@ -90,6 +81,9 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 // with a single doorbell ring — the T junction pays one wakeup per batch
 // per hop.
 func (s *Server) Poll(now time.Time) bool {
+	if s.ports.StoreWiped() {
+		s.persistRules()
+	}
 	worked := s.ipBox.Intake(s.scratch, nil, func(b []msg.Req) {
 		for _, r := range b {
 			if r.Op != msg.OpPFQuery {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"newtos/internal/netpkt"
+	"newtos/internal/staterec"
 )
 
 // Action is a rule's (or verdict's) effect.
@@ -132,15 +133,6 @@ func (e *Engine) NumRules() int { return len(e.rules) }
 
 // Stats returns decision counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// States returns the current conntrack table keys (for state save).
-func (e *Engine) States() []Flow {
-	out := make([]Flow, 0, len(e.state))
-	for f := range e.state {
-		out = append(out, f)
-	}
-	return out
-}
 
 // StateIface returns the interface a tracked flow (either direction) last
 // crossed; ok is false for unknown flows.
@@ -306,21 +298,33 @@ func (e *Engine) LoadRules(b []byte) error {
 	return nil
 }
 
-// SaveStates serializes the conntrack table.
-func (e *Engine) SaveStates() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e.States()); err != nil {
-		return nil, fmt.Errorf("pfeng: encode states: %w", err)
-	}
-	return buf.Bytes(), nil
+// FlowsKeySuffix ends every storage key that holds a flow dump: each
+// transport server (each TCP shard) parks its own under such a key, and the
+// PF server's rebuild is the union of all of them.
+const FlowsKeySuffix = "/flows"
+
+// flowDump describes a flow dump: the record a transport server parks in
+// the storage server on every connection change, and the PF server reads
+// back after its own crash to rebuild conntrack (RestoreStates).
+func flowDump(c *staterec.Codec, flows *[]Flow) {
+	staterec.List(c, flows, 1+4+4+2+2, func(f *Flow) {
+		staterec.Num(c, &f.Proto)
+		c.Bytes(f.Src[:])
+		c.Bytes(f.Dst[:])
+		staterec.Num(c, &f.SrcPort)
+		staterec.Num(c, &f.DstPort)
+	})
 }
 
-// LoadStates merges serialized conntrack entries.
-func (e *Engine) LoadStates(b []byte, now time.Time) error {
-	var flows []Flow
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&flows); err != nil {
-		return fmt.Errorf("pfeng: decode states: %w", err)
+// EncodeFlows writes a flow dump.
+func EncodeFlows(flows []Flow) []byte {
+	return staterec.Encode(func(c *staterec.Codec) { flowDump(c, &flows) })
+}
+
+// DecodeFlows reads a flow dump written by EncodeFlows.
+func DecodeFlows(b []byte) (flows []Flow, err error) {
+	if err = staterec.Decode(b, func(c *staterec.Codec) { flowDump(c, &flows) }); err != nil {
+		return nil, fmt.Errorf("pfeng: decode flows: %w", err)
 	}
-	e.RestoreStates(flows, now)
-	return nil
+	return flows, nil
 }

@@ -1,6 +1,8 @@
 package pfeng
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -168,8 +170,8 @@ func TestConntrackRecordsInterface(t *testing.T) {
 	if ifc, _ := e.StateIface(out); ifc != "eth1" {
 		t.Fatalf("state iface after failover = %q, want eth1", ifc)
 	}
-	if len(e.States()) != 1 {
-		t.Fatalf("states = %d, want 1", len(e.States()))
+	if len(e.state) != 1 {
+		t.Fatalf("states = %d, want 1", len(e.state))
 	}
 }
 
@@ -195,26 +197,45 @@ func TestRulesSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStatesSaveLoadRoundTrip(t *testing.T) {
+// TestFlowDumpRebuildsConntrack: the flows a transport parks in storage,
+// read back by a new PF incarnation, keep established return traffic
+// flowing (paper §V "does not become disconnected when the packet filter
+// crashes").
+func TestFlowDumpRebuildsConntrack(t *testing.T) {
+	flows := []Flow{tcpFlow(hostA, hostB, 5000, 80), {Proto: netpkt.ProtoUDP, Src: hostA, Dst: evil, SrcPort: 53, DstPort: 5353}}
+	got, err := DecodeFlows(EncodeFlows(flows))
+	if err != nil || !reflect.DeepEqual(got, flows) {
+		t.Fatalf("round trip = %+v, %v; want %+v", got, err, flows)
+	}
+	now := time.Now()
 	e := New(0)
 	e.AddRule(Rule{Action: Block, Dir: In})
-	now := time.Now()
-	e.Verdict(Out, "", tcpFlow(hostA, hostB, 5000, 80), netpkt.TCPSyn, now)
-	blob, err := e.SaveStates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// New incarnation restores connection tracking: established return
-	// traffic keeps flowing after a PF crash (paper §V "does not become
-	// disconnected when the packet filter crashes").
-	e2 := New(0)
-	e2.AddRule(Rule{Action: Block, Dir: In})
-	if err := e2.LoadStates(blob, now); err != nil {
-		t.Fatal(err)
-	}
-	if v := e2.Verdict(In, "", tcpFlow(hostB, hostA, 80, 5000), netpkt.TCPAck, now); v != Pass {
+	e.RestoreStates(got, now)
+	if v := e.Verdict(In, "", tcpFlow(hostB, hostA, 80, 5000), netpkt.TCPAck, now); v != Pass {
 		t.Fatal("restored state not effective")
 	}
+	if empty, err := DecodeFlows(EncodeFlows(nil)); err != nil || len(empty) != 0 {
+		t.Fatalf("empty dump = %+v, %v", empty, err)
+	}
+	// A dump cut anywhere is refused, not half-read.
+	dump := EncodeFlows(flows)
+	for n := 0; n < len(dump); n++ {
+		if got, err := DecodeFlows(dump[:n]); err == nil {
+			t.Fatalf("prefix %d/%d decoded to %+v", n, len(dump), got)
+		}
+	}
+}
+
+// FuzzDecodeFlows: any outcome but a panic or a hang is fine, and what does
+// decode encodes back to the same bytes.
+func FuzzDecodeFlows(f *testing.F) {
+	f.Add(EncodeFlows(nil))
+	f.Add(EncodeFlows([]Flow{tcpFlow(hostA, hostB, 5000, 80), tcpFlow(evil, hostA, 1, 2)}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if flows, err := DecodeFlows(blob); err == nil && !bytes.Equal(EncodeFlows(flows), blob) {
+			t.Fatalf("%x decoded to %+v, which encodes differently", blob, flows)
+		}
+	})
 }
 
 // Property: verdict is deterministic — same rules, same flow, same result;

@@ -8,8 +8,8 @@
 // The storage server itself can crash. Its state is NOT persistent across
 // its own restarts — per the paper, "if the storage process itself crashes
 // and comes up, every other server has to store its state again" — so the
-// facade exposes a generation counter that clients watch to know when to
-// re-store.
+// facade exposes a generation counter that clients watch
+// (wiring.Ports.StoreWiped) to know when to re-store.
 package storage
 
 import (

@@ -31,15 +31,16 @@
 package syscallsrv
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"newtos/internal/kipc"
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
 	"newtos/internal/proc"
+	"newtos/internal/staterec"
 	"newtos/internal/tcpeng"
 	"newtos/internal/tcpsrv"
 	"newtos/internal/wiring"
@@ -57,18 +58,6 @@ const (
 // owners, listener flags, id counter) is persisted so a SYSCALL-server
 // restart keeps routing established sockets to their shards.
 const ShardMetaKey = "sc/tcp/shards"
-
-// Shard-meta persistence pacing: with few sockets every control-plane call
-// flushes eagerly (a crash loses nothing); past metaEagerSocks the O(n)
-// encode would dominate connection setup, so writes coalesce into one
-// flush per gap driven from Poll. Like the TCP engine's state saves, the
-// gap adapts to metaCostFactor× the measured cost of the previous encode —
-// a fixed interval is still quadratic during a connect storm.
-const (
-	metaEagerSocks   = 1024
-	metaSaveInterval = 50 * time.Millisecond
-	metaCostFactor   = 20
-)
 
 // gather tracks one broadcast operation (create/bind/listen/close) until
 // every shard has answered; the app gets one reply with the first non-OK
@@ -159,10 +148,10 @@ type Server struct {
 	nextV  uint32
 	rr     int
 
-	// Coalesced shard-meta persistence (see metaEagerSocks).
-	metaDirty    bool
-	lastMetaSave time.Time
-	metaGap      time.Duration // adaptive coalescing gap, ≥ metaSaveInterval
+	// meta paces shard-table flushes (staterec.Gap of the table size); now
+	// is the current iteration's timestamp, for flushes made mid-dispatch.
+	meta staterec.Pacer
+	now  time.Time
 }
 
 var _ proc.Service = (*Server)(nil)
@@ -185,7 +174,9 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.subsTCP = make(map[uint32]sub)
 	s.subsUDP = make(map[uint32]sub)
 	if restart && s.nShards > 1 {
-		s.loadShardMeta()
+		if blob, ok := s.ports.Hub().Store.Get(ShardMetaKey); ok {
+			_ = s.loadShardMeta(blob) // an unreadable table is an empty one
+		}
 	}
 	s.ports.Begin(rt.Bell)
 	s.tcpBoxes = make([]*wiring.Edge, s.nShards)
@@ -209,6 +200,10 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 
 // Poll dispatches app calls inward and transport replies outward.
 func (s *Server) Poll(now time.Time) bool {
+	s.now = now
+	if s.ports.StoreWiped() && s.nShards > 1 {
+		s.flushShardMeta()
+	}
 	worked := false
 
 	// Transport edges. A restarted transport gets what was in flight to it
@@ -267,12 +262,7 @@ func (s *Server) Poll(now time.Time) bool {
 		worked = true
 	}
 
-	// Coalesced shard-meta flush (dirtied past the eager threshold).
-	if s.metaDirty && now.Sub(s.lastMetaSave) >= s.metaFlushGap() {
-		s.lastMetaSave = now
-		s.flushShardMeta()
-		worked = true
-	}
+	s.flushShardMetaIfDue() // a shard-table change the pacing rule held back
 	return worked
 }
 
@@ -925,82 +915,66 @@ func (s *Server) callBelongsTo(isTCP bool, call pendingCall) bool {
 	return call.epIdx == 1
 }
 
-// savedShardMeta is the persisted shard-routing table.
-type savedShardMeta struct {
-	NextV uint32
-	RR    int
-	Socks map[uint32]savedVsock
-}
-
-type savedVsock struct {
-	Owner     int
-	Port      uint16
-	Listening bool
-	Nonblock  bool
-}
-
-// persistShardMeta records that the routing table changed. Below
-// metaEagerSocks it flushes immediately; beyond, it marks the table dirty
-// and Poll writes one coalesced snapshot per metaSaveInterval, keeping
-// connection setup O(1) in the socket count. It only runs on control-plane
-// calls (create/bind/listen/connect/close), never on the data path.
+// persistShardMeta records that the routing table changed and flushes it at
+// once when the pacing rule allows (always, while the table is small);
+// otherwise Poll flushes it when the gap has passed, keeping connection
+// setup O(1) in the socket count. It only runs on control-plane calls
+// (create/bind/listen/connect/close), never on the data path.
 func (s *Server) persistShardMeta() {
-	if len(s.vsocks) > metaEagerSocks {
-		s.metaDirty = true
-		return
-	}
-	s.flushShardMeta()
+	s.meta.Mark()
+	s.flushShardMetaIfDue()
 }
 
-// flushShardMeta writes the routing-table snapshot to the storage server
-// and re-derives the coalescing gap from the encode cost.
-func (s *Server) flushShardMeta() {
-	s.metaDirty = false
-	//lint:ignore hotloop flushShardMeta measures the real encode cost to derive the cost-proportional coalescing gap.
-	start := time.Now()
-	meta := savedShardMeta{NextV: s.nextV, RR: s.rr, Socks: make(map[uint32]savedVsock, len(s.vsocks))}
-	for id, v := range s.vsocks {
-		meta.Socks[id] = savedVsock{Owner: v.owner, Port: v.port, Listening: v.listening, Nonblock: v.nonblock}
-	}
-	var buf bytes.Buffer
-	if gob.NewEncoder(&buf).Encode(meta) == nil {
-		s.ports.Hub().Store.Put(ShardMetaKey, buf.Bytes())
-	}
-	//lint:ignore hotloop closes the encode-cost measurement above.
-	s.metaGap = time.Since(start) * metaCostFactor
-	if s.metaGap < metaSaveInterval {
-		s.metaGap = metaSaveInterval
+func (s *Server) flushShardMetaIfDue() {
+	if s.meta.Take(s.now, len(s.vsocks)) {
+		s.flushShardMeta()
 	}
 }
 
-// metaFlushGap is the current coalescing gap: the metaSaveInterval floor
-// until a large flush has been timed, then metaCostFactor× its cost.
-func (s *Server) metaFlushGap() time.Duration {
-	if s.metaGap < metaSaveInterval {
-		return metaSaveInterval
-	}
-	return s.metaGap
-}
-
-// loadShardMeta restores the routing table after a SYSCALL-server restart.
-// Standing accepts and queued children are not recovered — the next
-// application accept re-arms the shards.
-func (s *Server) loadShardMeta() {
-	blob, ok := s.ports.Hub().Store.Get(ShardMetaKey)
-	if !ok {
-		return
-	}
-	var meta savedShardMeta
-	if gob.NewDecoder(bytes.NewReader(blob)).Decode(&meta) != nil {
-		return
-	}
-	s.nextV, s.rr = meta.NextV, meta.RR
-	for id, sv := range meta.Socks {
-		s.vsocks[id] = &vsock{
-			id: id, owner: sv.Owner, port: sv.Port, listening: sv.Listening,
-			nonblock: sv.Nonblock, armed: make([]bool, s.nShards),
+// shardMeta describes the routing table as it is parked in the storage
+// server: the id counter, the round-robin cursor, and per socket its id,
+// owner, bound port and mode. Standing accepts and queued children are not
+// kept — the next application accept re-arms the shards.
+func shardMeta(c *staterec.Codec, nextV *uint32, rr *int, socks *[]*vsock) {
+	staterec.Num(c, nextV)
+	staterec.Num(c, rr)
+	staterec.List(c, socks, 4+8+2+1+1, func(vp **vsock) {
+		if c.Reading() {
+			*vp = &vsock{}
 		}
+		v := *vp
+		staterec.Num(c, &v.id)
+		staterec.Num(c, &v.owner)
+		staterec.Num(c, &v.port)
+		c.Bool(&v.listening)
+		c.Bool(&v.nonblock)
+	})
+}
+
+// flushShardMeta writes the routing table to the storage server.
+func (s *Server) flushShardMeta() {
+	socks := slices.Collect(maps.Values(s.vsocks))
+	s.ports.Hub().Store.Put(ShardMetaKey, staterec.Encode(func(c *staterec.Codec) {
+		shardMeta(c, &s.nextV, &s.rr, &socks)
+	}))
+}
+
+// loadShardMeta restores the routing table flushShardMeta wrote, after a
+// SYSCALL-server restart; on error the server's table is left as it was.
+func (s *Server) loadShardMeta(blob []byte) error {
+	var nextV uint32
+	var rr int
+	var socks []*vsock
+	err := staterec.Decode(blob, func(c *staterec.Codec) { shardMeta(c, &nextV, &rr, &socks) })
+	if err != nil {
+		return fmt.Errorf("syscallsrv: shard table: %w", err)
 	}
+	s.nextV, s.rr = nextV, rr
+	for _, v := range socks {
+		v.armed = make([]bool, s.nShards)
+		s.vsocks[v.id] = v
+	}
+	return nil
 }
 
 // OutboxDropped sums the requests the SYSCALL server's edges shed across
@@ -1009,12 +983,9 @@ func (s *Server) OutboxDropped() uint64 {
 	return wiring.SumDropped(s.udpBox, s.pfBox) + wiring.SumDropped(s.tcpBoxes...)
 }
 
-// Deadline: the only timer is the coalesced shard-meta flush.
+// Deadline: the only timer is a held-back shard-table flush.
 func (s *Server) Deadline(now time.Time) time.Time {
-	if s.metaDirty {
-		return s.lastMetaSave.Add(s.metaFlushGap())
-	}
-	return time.Time{}
+	return s.meta.Deadline(len(s.vsocks))
 }
 
 // Stop closes the frontdoor endpoints.

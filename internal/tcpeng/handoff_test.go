@@ -19,7 +19,7 @@ func (pi *pipe) swap(ep **Engine) {
 		pi.t.Fatal(err)
 	}
 	nw := New(old.cfg, old.hdrPool)
-	if err := nw.RestoreHandoff(blob, bufs, pi.now); err != nil {
+	if err := nw.Restore(blob, bufs, pi.now); err != nil {
 		pi.t.Fatal(err)
 	}
 	*ep = nw

@@ -177,14 +177,7 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 		e.retxFrames[id] = p.id
 		p.retxPending++
 	}
-	e.db.Track(id, "ip", hdr, func(aborted uint64, data any) {
-		// Abort action on IP crash: release the header chunk; the data
-		// itself is resubmitted by OnIPRestart through go-back-N.
-		if ptr, ok := data.(shm.RichPtr); ok {
-			_ = e.hdrPool.Free(ptr)
-		}
-		e.retxDone(aborted)
-	})
+	e.trackFrame(id, hdr)
 	req := msg.Req{ID: id, Op: msg.OpIPSend, Flow: p.id}
 	req.SetChain(append([]shm.RichPtr{hdr}, payload...))
 	req.Arg[0] = uint64(netpkt.ProtoTCP) | uint64(segSize)<<16
@@ -309,12 +302,22 @@ func (e *Engine) Tick(now time.Time) {
 		e.dead = e.dead[:0]
 		e.persist()
 	}
-	if e.saveDirty && now.Sub(e.lastSave) >= e.flushGap() {
-		e.flushSave()
-	}
+	e.flushIfDue()
 	e.tickCount.Add(1)
 	//lint:ignore hotloop closes the t0 self-timing above.
 	e.tickNanos.Add(uint64(time.Since(t0)))
+}
+
+// trackFrame enters a frame handed to IP in the request database. Abort
+// action on IP crash: release the header chunk; the data itself is
+// resubmitted by OnIPRestart through go-back-N.
+func (e *Engine) trackFrame(id uint64, hdr shm.RichPtr) {
+	e.db.Track(id, "ip", hdr, func(aborted uint64, data any) {
+		if ptr, ok := data.(shm.RichPtr); ok {
+			_ = e.hdrPool.Free(ptr)
+		}
+		e.retxDone(aborted)
+	})
 }
 
 // fireTimer dispatches one due wheel timer. TIME-WAIT expiries are only
@@ -429,20 +432,8 @@ func (e *Engine) ResubmitInflight() {
 // outstanding, its flush time. O(wheel slots), independent of connections.
 func (e *Engine) Deadline(now time.Time) time.Time {
 	min := e.wheel.nextDeadline()
-	if e.saveDirty {
-		if t := e.lastSave.Add(e.flushGap()); min.IsZero() || t.Before(min) {
-			min = t
-		}
+	if t := e.save.Deadline(e.byID.len()); !t.IsZero() && (min.IsZero() || t.Before(min)) {
+		min = t
 	}
 	return min
-}
-
-// flushGap is the current coalescing gap for state saves: the floor
-// persistInterval until the first large flush has been timed, then
-// persistCostFactor× the measured encode cost (see the const block).
-func (e *Engine) flushGap() time.Duration {
-	if e.saveGap < persistInterval {
-		return persistInterval
-	}
-	return e.saveGap
 }

@@ -132,7 +132,7 @@ func TestRestoredEngineHasNoGhostTimers(t *testing.T) {
 
 	hdr, _ := pi.space.NewPool("ghost.hdr", 128, 4096)
 	b2 := New(Config{Space: pi.space, LocalIP: pi.bIP}, hdr)
-	if err := b2.RestoreState(blob); err != nil {
+	if err := b2.Restore(blob, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if b2.NumSockets() != 1 {

@@ -24,14 +24,12 @@
 // Connection scale (docs/ARCHITECTURE.md "Connection scale"): pcbs live in
 // a slab indexed by compact open-addressing tables (slab.go), all timers
 // ride a hierarchical timing wheel (wheel.go), TX buffers are provisioned
-// lazily on first use, and state persistence is coalesced past a size
-// threshold — so both Tick and memory cost scale with active connections,
+// lazily on first use, and state persistence is paced by table size
+// (state.go) — so both Tick and memory cost scale with active connections,
 // not total connections.
 package tcpeng
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -42,6 +40,7 @@ import (
 	"newtos/internal/netpkt"
 	"newtos/internal/shm"
 	"newtos/internal/sockbuf"
+	"newtos/internal/staterec"
 )
 
 // Protocol constants.
@@ -63,25 +62,6 @@ const (
 	delAckDelay = 500 * time.Microsecond
 	timeWait    = 200 * time.Millisecond
 	synRTO      = 100 * time.Millisecond
-)
-
-// Persistence coalescing: with at most persistEagerConns sockets every
-// state transition flushes immediately (crash tests and small deployments
-// see unchanged timing); beyond that, transitions mark the state dirty and
-// Tick flushes at most once per coalescing gap — otherwise a 100k-conn
-// ramp re-encodes the full table on every handshake (O(n²)). The gap
-// itself adapts to the measured cost of the previous flush: a fixed
-// interval is still quadratic during a connect storm (each 50ms window
-// re-encodes an ever-larger table), so the gap stretches to
-// persistCostFactor× the last encode time, bounding persistence at
-// ~1/persistCostFactor of engine time. The price is staleness: after a
-// crash, PF conntrack and the listener table may lag by one gap (seconds
-// at 100k conns) — acceptable because established connections are not
-// recoverable anyway, and listeners change rarely.
-const (
-	persistEagerConns = 256
-	persistInterval   = 50 * time.Millisecond
-	persistCostFactor = 20
 )
 
 // SockIDBase splits the socket-id space between the two allocators: ids
@@ -296,9 +276,8 @@ type Engine struct {
 	stats Stats
 	now   time.Time // updated at every entry point
 
-	saveDirty bool
-	lastSave  time.Time
-	saveGap   time.Duration // adaptive coalescing gap, ≥ persistInterval
+	// save paces SaveState flushes (staterec.Gap of the socket count).
+	save staterec.Pacer
 
 	// tickCount/tickNanos are cumulative Tick invocations and time spent in
 	// them, atomics so experiments can sample per-Tick cost from outside
@@ -509,24 +488,7 @@ func (e *Engine) setFlags(r msg.Req) {
 	if !p.nonblock {
 		return
 	}
-	var bits uint64
-	if p.rcvQueued > 0 {
-		bits |= msg.EvReadable
-	}
-	if p.finRcvd {
-		bits |= msg.EvEOF | msg.EvReadable
-	}
-	if len(p.acceptQ) > 0 {
-		bits |= msg.EvAcceptReady
-	}
-	if p.reset || p.connStatus != 0 {
-		bits |= msg.EvError
-	}
-	switch p.state {
-	case StateEstablished, StateCloseWait:
-		bits |= msg.EvWritable
-	}
-	e.event(p, bits)
+	e.event(p, p.readiness())
 }
 
 // create opens a socket. Arg[0], when non-zero, is a frontdoor-assigned
@@ -1048,126 +1010,6 @@ func (e *Engine) releaseDeliver(id uint64) {
 	}
 	delete(e.deliverRefs, id)
 	e.toIP = append(e.toIP, msg.Req{ID: id, Op: msg.OpIPDeliverDone})
-}
-
-// persist saves the recoverable state snapshot — immediately while the
-// socket table is small, coalesced through Tick beyond persistEagerConns.
-func (e *Engine) persist() {
-	if e.cfg.SaveState == nil {
-		return
-	}
-	if e.byID.len() <= persistEagerConns {
-		e.flushSave()
-		return
-	}
-	e.saveDirty = true
-}
-
-func (e *Engine) flushSave() {
-	e.saveDirty = false
-	e.lastSave = e.now
-	//lint:ignore hotloop flushSave measures the real encode cost to derive the cost-proportional save gap; e.now is stale for that.
-	start := time.Now()
-	if blob, err := e.SaveState(); err == nil {
-		e.cfg.SaveState(blob)
-	}
-	//lint:ignore hotloop closes the encode-cost measurement above.
-	e.saveGap = time.Since(start) * persistCostFactor
-	if e.saveGap < persistInterval {
-		e.saveGap = persistInterval
-	}
-}
-
-// savedState is what survives a TCP server crash: listeners (fully
-// recoverable) and connection 4-tuples with their state class (for PF
-// conntrack rebuild; the connections themselves are NOT recoverable).
-type savedState struct {
-	Listeners []savedListener
-	Conns     []savedConn
-	NextSock  uint32
-}
-
-type savedListener struct {
-	ID      uint32
-	Port    uint16
-	Backlog int
-}
-
-type savedConn struct {
-	LocalPort  uint16
-	RemoteIP   [4]byte
-	RemotePort uint16
-	State      int
-}
-
-// SaveState serializes the recoverable state.
-func (e *Engine) SaveState() ([]byte, error) {
-	var st savedState
-	st.NextSock = e.next
-	for port, id := range e.listeners {
-		p := e.pcbOf(id)
-		st.Listeners = append(st.Listeners, savedListener{ID: id, Port: port, Backlog: p.backlog})
-	}
-	e.byTuple.each(func(_ uint64, slot uint32) {
-		p := e.slab.at(slot)
-		st.Conns = append(st.Conns, savedConn{
-			LocalPort: p.localPort, RemoteIP: p.remoteIP,
-			RemotePort: p.remotePort, State: int(p.state),
-		})
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("tcpeng: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreState recovers listening sockets from a SaveState blob. Previously
-// established connections are not restored — peers learn via RST when their
-// next segment arrives (paper: "TCP can only restore listening sockets").
-func (e *Engine) RestoreState(blob []byte) error {
-	var st savedState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
-		return fmt.Errorf("tcpeng: decode: %w", err)
-	}
-	if st.NextSock > e.next {
-		e.next = st.NextSock
-	}
-	for _, l := range st.Listeners {
-		p, slot := e.slab.alloc()
-		p.id, p.state, p.backlog, p.bound, p.mss = l.ID, StateListen, l.Backlog, true, MSS
-		p.localPort = l.Port
-		e.byID.put(uint64(p.id), slot)
-		e.listeners[l.Port] = p.id
-		e.ports.reserve(l.Port)
-	}
-	return nil
-}
-
-// Flows returns active connection 4-tuples (for PF conntrack rebuild).
-// Arg[0] packs the protocol in the low byte and the connection's actual
-// local address above it: on multi-homed hosts different connections leave
-// through different interfaces, and PF's rebuilt conntrack entries must
-// carry the address the packets really use, not the node's first address.
-func (e *Engine) Flows() []msg.Req {
-	out := make([]msg.Req, 0, e.byTuple.len())
-	e.byTuple.each(func(_ uint64, slot uint32) {
-		p := e.slab.at(slot)
-		if p.state != StateEstablished {
-			return
-		}
-		local := p.localIP
-		if local == (netpkt.IPAddr{}) {
-			local = e.srcFor(p.remoteIP)
-		}
-		r := msg.Req{Op: msg.OpPFStats, Flow: p.id}
-		r.Arg[0] = uint64(netpkt.ProtoTCP) | uint64(local.U32())<<8
-		r.Arg[1] = uint64(p.localPort)
-		r.Arg[2] = uint64(p.remoteIP.U32())
-		r.Arg[3] = uint64(p.remotePort)
-		out = append(out, r)
-	})
-	return out
 }
 
 // OnFrontRestart drops operations parked for a dead frontdoor incarnation

@@ -17,7 +17,7 @@ import (
 // simulated receive pool (as a NIC's DMA would), splitting TSO bursts, and
 // optionally dropping segments to exercise retransmission.
 type pipe struct {
-	t     *testing.T
+	t     testing.TB
 	space *shm.Space
 	a, b  *Engine
 	aIP   netpkt.IPAddr
@@ -34,7 +34,7 @@ type pipe struct {
 	now            time.Time
 }
 
-func newPipe(t *testing.T, tso bool) *pipe {
+func newPipe(t testing.TB, tso bool) *pipe {
 	t.Helper()
 	space := shm.NewSpace()
 	rxPool, err := space.NewPool("pipe.rx", 2048, 4096)
@@ -522,7 +522,7 @@ func TestSaveRestoreListenersSurviveConnectionsDie(t *testing.T) {
 	// "Crash" b: a fresh engine restores from the blob.
 	hdr, _ := pi.space.NewPool("b2.hdr", 128, 4096)
 	b2 := New(Config{Space: pi.space, LocalIP: pi.bIP}, hdr)
-	if err := b2.RestoreState(lastBlob); err != nil {
+	if err := b2.Restore(lastBlob, nil, pi.now); err != nil {
 		t.Fatal(err)
 	}
 	// Listener is back...
@@ -568,14 +568,10 @@ func TestFlowsForConntrackRebuild(t *testing.T) {
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d", len(flows))
 	}
-	f := flows[0]
-	if uint8(f.Arg[0]) != netpkt.ProtoTCP || uint16(f.Arg[3]) != 9008 {
-		t.Fatalf("flow = %+v", f)
-	}
 	// The dump carries the connection's actual local address (multi-homed
 	// hosts must rebuild conntrack with the address the packets use).
-	if got := netpkt.IPFromU32(uint32(f.Arg[0] >> 8)); got != pi.aIP {
-		t.Fatalf("flow local IP = %v, want %v", got, pi.aIP)
+	if f := flows[0]; f.Proto != netpkt.ProtoTCP || f.DstPort != 9008 || f.Dst != pi.bIP || f.Src != pi.aIP {
+		t.Fatalf("flow = %+v, want TCP %v -> %v:9008", f, pi.aIP, pi.bIP)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"newtos/internal/netpkt"
+	"newtos/internal/pfeng"
 	"newtos/internal/shm"
 	"newtos/internal/tcpeng"
 	"newtos/internal/transport"
@@ -26,21 +27,14 @@ import (
 const BufKeyPfx = "sockbuf/tcp/"
 
 // StorageKeyFor is the storage-server key one shard's recoverable socket
-// state (listeners, connection tuples) lives under. Keys are per-shard so
+// state (its listeners) lives under. Keys are per-shard so
 // a restarting shard recovers exactly its own listeners and nothing else.
 func StorageKeyFor(shard int) string { return fmt.Sprintf("tcp/%d/sockets", shard) }
 
 // FlowsKeyFor is the storage-server key one shard's active-flow dump (for
-// PF conntrack rebuild) lives under. PF reads every key matching
-// FlowsKeyPrefix+"<shard>/flows".
-func FlowsKeyFor(shard int) string { return fmt.Sprintf("tcp/%d/flows", shard) }
-
-// FlowsKeyPrefix and FlowsKeySuffix let PF enumerate all shards' flow dumps
-// without knowing the shard count.
-const (
-	FlowsKeyPrefix = "tcp/"
-	FlowsKeySuffix = "/flows"
-)
+// PF conntrack rebuild) lives under. PF finds it, whatever the shard count,
+// by pfeng.FlowsKeySuffix.
+func FlowsKeyFor(shard int) string { return fmt.Sprintf("tcp/%d%s", shard, pfeng.FlowsKeySuffix) }
 
 // ShardName returns the component (process) name of TCP shard k in an
 // n-shard node: the historical "tcp" when n <= 1, "tcp<k>" otherwise. It is
@@ -98,7 +92,6 @@ func New(cfg Config, ports *wiring.Ports) *Server {
 		HdrPool: fmt.Sprintf("tcp.%d.hdr", cfg.Shard), HdrChunks: 1024,
 		IPEdge: ipEdge, SCEdge: scEdge,
 		StorageKey: StorageKeyFor(cfg.Shard), FlowsKey: FlowsKeyFor(cfg.Shard), BufKeyPfx: BufKeyPfx,
-		LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor,
 		New: func(env transport.Env, hdrPool *shm.Pool) (*tcpeng.Engine, transport.Engine) {
 			e := tcpeng.New(tcpeng.Config{
 				Space: env.Space, LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor,

@@ -15,14 +15,11 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
 	"newtos/internal/liveup"
 	"newtos/internal/msg"
-	"newtos/internal/netpkt"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
 	"newtos/internal/shm"
@@ -49,11 +46,14 @@ type Engine interface {
 	OnIPRestart()
 	OnFrontRestart()
 	Deadline(now time.Time) time.Time
-	// Flows dumps the active 4-tuples for PF's conntrack rebuild.
-	Flows() []msg.Req
-	RestoreState(blob []byte) error
+	// Flows dumps the active flows for PF's conntrack rebuild.
+	Flows() []pfeng.Flow
+	// SaveState is the crash image the engine parks in the storage server,
+	// HandoffState the live-update image with the TX buffers that cross by
+	// handle; Restore reads either (a crash image comes with no handles).
+	SaveState() ([]byte, error)
 	HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error)
-	RestoreHandoff(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Time) error
+	Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Time) error
 }
 
 // Env is what the shell wires into every engine the same way: the shared
@@ -82,10 +82,6 @@ type Spec[E any] struct {
 	// dump PF rebuilds conntrack from; BufKeyPfx prefixes the registry
 	// names of per-socket TX buffers.
 	StorageKey, FlowsKey, BufKeyPfx string
-	// LocalIP and SrcFor (nil on single-homed hosts) are the engine's
-	// source-address selection, which persisted flows must agree with.
-	LocalIP netpkt.IPAddr
-	SrcFor  func(dst netpkt.IPAddr) netpkt.IPAddr
 	// New builds the engine over its header pool and returns it twice: as
 	// itself, and behind the method set the shell drives.
 	New func(env Env, hdrPool *shm.Pool) (E, Engine)
@@ -145,10 +141,7 @@ func (s *Server[E]) Init(rt *proc.Runtime, restart bool) error {
 		UnpublishBuf: func(sock uint32) {
 			hub.Reg.Withdraw(s.spec.BufKeyPfx + fmt.Sprint(sock))
 		},
-		SaveState: func(blob []byte) {
-			hub.Store.Put(s.spec.StorageKey, blob)
-			s.persistFlows()
-		},
+		SaveState: s.save,
 	}, s.hdrPool)
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	if payload != nil {
@@ -156,7 +149,7 @@ func (s *Server[E]) Init(rt *proc.Runtime, restart bool) error {
 	}
 	if restart {
 		if blob, ok := hub.Store.Get(s.spec.StorageKey); ok {
-			if err := s.drv.RestoreState(blob); err != nil {
+			if err := s.drv.Restore(blob, nil, time.Now()); err != nil {
 				return fmt.Errorf("%s: restore: %w", s.spec.Name, err)
 			}
 		}
@@ -177,7 +170,7 @@ func (s *Server[E]) restoreHandoff(rt *proc.Runtime, p *liveup.Payload) error {
 	s.ports.Resume(rt.Bell)
 	s.ip = wiring.NewEdge(s.ports.Port(s.spec.IPEdge))
 	s.sc = wiring.NewEdge(s.ports.Port(s.spec.SCEdge))
-	if err := s.drv.RestoreHandoff(p.Engine, p.Handles.SockBufs, time.Now()); err != nil {
+	if err := s.drv.Restore(p.Engine, p.Handles.SockBufs, time.Now()); err != nil {
 		return fmt.Errorf("%s: %w", s.spec.Name, err)
 	}
 	s.ip.Push(p.ToIP...)
@@ -208,43 +201,24 @@ func (s *Server[E]) HandoffState() (any, error) {
 	}, nil
 }
 
-// persistFlows saves the active 4-tuples so PF can rebuild its connection
-// tracking after a crash. Every server writes its own key (one per TCP
-// shard): a restart replaces only its own flows, and PF's rebuild is the
-// union. A dump's Arg[0] carries the protocol in the low byte and, from
-// engines that bind connections to an address, that address above it; the
-// rest fall back to source selection on the destination. Either way the
-// entry names the address the packets really use — stamping the node's
-// first address breaks rebuilds on multi-homed hosts.
-func (s *Server[E]) persistFlows() {
-	reqs := s.drv.Flows()
-	flows := make([]pfeng.Flow, 0, len(reqs))
-	for _, r := range reqs {
-		dst := netpkt.IPFromU32(uint32(r.Arg[2]))
-		src := netpkt.IPFromU32(uint32(r.Arg[0] >> 8))
-		if src == (netpkt.IPAddr{}) {
-			src = s.spec.LocalIP
-			if s.spec.SrcFor != nil {
-				src = s.spec.SrcFor(dst)
-			}
-		}
-		flows = append(flows, pfeng.Flow{
-			Proto:   uint8(r.Arg[0]),
-			Src:     src,
-			SrcPort: uint16(r.Arg[1]),
-			Dst:     dst,
-			DstPort: uint16(r.Arg[3]),
-		})
-	}
-	var buf bytes.Buffer
-	if gob.NewEncoder(&buf).Encode(flows) == nil {
-		s.ports.Hub().Store.Put(s.spec.FlowsKey, buf.Bytes())
-	}
+// save parks the engine's crash image in the storage server and, beside
+// it, the active flows so PF can rebuild its connection tracking after a
+// crash. Every server writes its own keys (one pair per TCP shard): a
+// restart replaces only its own flows, and PF's rebuild is the union.
+func (s *Server[E]) save(blob []byte) {
+	store := s.ports.Hub().Store
+	store.Put(s.spec.StorageKey, blob)
+	store.Put(s.spec.FlowsKey, pfeng.EncodeFlows(s.drv.Flows()))
 }
 
 // Poll is one iteration: both edges' intake in batches, the engine's
 // timers, and each edge flushed once — one doorbell ring per edge.
 func (s *Server[E]) Poll(now time.Time) bool {
+	if s.ports.StoreWiped() {
+		if blob, err := s.drv.SaveState(); err == nil {
+			s.save(blob)
+		}
+	}
 	worked := s.ip.Intake(s.scratch, s.drv.OnIPRestart, func(b []msg.Req) {
 		for _, r := range b {
 			s.drv.FromIP(r, now)

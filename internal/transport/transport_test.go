@@ -11,6 +11,7 @@ import (
 	"newtos/internal/kipc"
 	"newtos/internal/liveup"
 	"newtos/internal/msg"
+	"newtos/internal/pfeng"
 	"newtos/internal/proc"
 	"newtos/internal/shm"
 	"newtos/internal/sockbuf"
@@ -34,8 +35,8 @@ func (f *fakeEngine) Tick(time.Time)                   {}
 func (f *fakeEngine) OnIPRestart()                     { f.ipRestarts++ }
 func (f *fakeEngine) OnFrontRestart()                  { f.frontRestarts++ }
 func (f *fakeEngine) Deadline(time.Time) time.Time     { return time.Time{} }
-func (f *fakeEngine) Flows() []msg.Req                 { return nil }
-func (f *fakeEngine) RestoreState([]byte) error        { return nil }
+func (f *fakeEngine) Flows() []pfeng.Flow              { return nil }
+func (f *fakeEngine) SaveState() ([]byte, error)       { return nil, nil }
 
 func (f *fakeEngine) DrainToIP() []msg.Req {
 	out := f.toIP
@@ -53,7 +54,7 @@ func (f *fakeEngine) HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error) {
 	return []byte("engine-state"), nil, nil
 }
 
-func (f *fakeEngine) RestoreHandoff(blob []byte, _ map[uint32]*sockbuf.Buf, _ time.Time) error {
+func (f *fakeEngine) Restore(blob []byte, _ map[uint32]*sockbuf.Buf, _ time.Time) error {
 	f.handoffIn = blob
 	return f.restoreErr
 }

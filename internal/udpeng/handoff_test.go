@@ -94,7 +94,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := New(h.e.cfg, h.e.hdrPool)
-	if err := nw.RestoreHandoff(blob, bufs, time.Time{}); err != nil {
+	if err := nw.Restore(blob, bufs, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	h.e = nw

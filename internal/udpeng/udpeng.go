@@ -10,10 +10,7 @@
 package udpeng
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"strconv"
 
 	"newtos/internal/channel"
@@ -326,11 +323,7 @@ func (e *Engine) setFlags(r msg.Req) {
 	if !s.nonblock {
 		return
 	}
-	bits := uint64(msg.EvWritable) // a UDP socket with free chunks can always send
-	if len(s.recvQ) > 0 {
-		bits |= msg.EvReadable
-	}
-	e.event(s, bits)
+	e.event(s, s.readiness())
 }
 
 // recycleChain hands a rejected send's staged chunks back to the socket's
@@ -623,92 +616,4 @@ func (e *Engine) OnIPRestart() {
 	}
 	aborted := e.db.AbortDest("ip")
 	e.stats.SendsAborted += uint64(aborted)
-}
-
-// savedSocket is the persisted per-socket state: the 4-tuple, exactly as
-// the paper describes ("which sockets are currently open, to what local
-// address and port they are bound, and to which remote pair they are
-// connected").
-type savedSocket struct {
-	ID        uint32
-	Port      uint16
-	Bound     bool
-	RemoteIP  [4]byte
-	RemotePt  uint16
-	Connected bool
-}
-
-func (e *Engine) persist() {
-	if e.cfg.SaveState == nil {
-		return
-	}
-	blob, err := e.SaveState()
-	if err == nil {
-		e.cfg.SaveState(blob)
-	}
-}
-
-// SaveState serializes the socket table.
-func (e *Engine) SaveState() ([]byte, error) {
-	out := make([]savedSocket, 0, len(e.sockets))
-	for _, s := range e.sockets {
-		out = append(out, savedSocket{
-			ID: s.id, Port: s.port, Bound: s.bound,
-			RemoteIP: s.remoteIP, RemotePt: s.remotePt, Connected: s.connected,
-		})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-		return nil, fmt.Errorf("udpeng: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreState recreates sockets from a SaveState blob: "It is easy to
-// recreate the sockets after the crash." Buffers are re-exported.
-func (e *Engine) RestoreState(blob []byte) error {
-	var saved []savedSocket
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&saved); err != nil {
-		return fmt.Errorf("udpeng: decode: %w", err)
-	}
-	for _, sv := range saved {
-		s := &socket{
-			id: sv.ID, port: sv.Port, bound: sv.Bound,
-			remoteIP: sv.RemoteIP, remotePt: sv.RemotePt, connected: sv.Connected,
-		}
-		buf, err := e.newBuf(fmt.Sprintf("udp.sock.%d.r", s.id))
-		if err != nil {
-			return fmt.Errorf("udpeng: restore buf: %w", err)
-		}
-		s.buf = buf
-		e.trackBuf(s)
-		e.sockets[s.id] = s
-		if s.bound {
-			e.byPort[s.port] = s.id
-		}
-		if s.id > e.next {
-			e.next = s.id
-		}
-		if e.cfg.PublishBuf != nil {
-			e.cfg.PublishBuf(s.id, buf)
-		}
-	}
-	return nil
-}
-
-// Flows returns the active socket 4-tuples (for PF conntrack rebuild).
-func (e *Engine) Flows() []msg.Req {
-	out := make([]msg.Req, 0, len(e.sockets))
-	for _, s := range e.sockets {
-		if !s.connected {
-			continue
-		}
-		r := msg.Req{Op: msg.OpPFStats, Flow: s.id}
-		r.Arg[0] = uint64(netpkt.ProtoUDP)
-		r.Arg[1] = uint64(s.port)
-		r.Arg[2] = uint64(s.remoteIP.U32())
-		r.Arg[3] = uint64(s.remotePt)
-		out = append(out, r)
-	}
-	return out
 }

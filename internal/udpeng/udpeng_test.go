@@ -12,7 +12,7 @@ import (
 )
 
 type harness struct {
-	t     *testing.T
+	t     testing.TB
 	space *shm.Space
 	e     *Engine
 	bufs  map[uint32]*sockbuf.Buf
@@ -21,7 +21,7 @@ type harness struct {
 	next  uint64
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	space := shm.NewSpace()
 	hdr, err := space.NewPool("udp.hdr", 128, 256)
@@ -269,7 +269,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 
 	// New incarnation restores: socket exists, bound, connected.
 	h2 := newHarness(t)
-	if err := h2.e.RestoreState(blob); err != nil {
+	if err := h2.e.Restore(blob, nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if h2.e.NumSockets() != 1 {
@@ -282,7 +282,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 	// Flows for PF conntrack rebuild include the connected 4-tuple.
 	flows := h2.e.Flows()
-	if len(flows) != 1 || uint16(flows[0].Arg[1]) != 8000 || uint16(flows[0].Arg[3]) != 53 {
+	if len(flows) != 1 || flows[0].SrcPort != 8000 || flows[0].DstPort != 53 || flows[0].Proto != netpkt.ProtoUDP {
 		t.Fatalf("flows = %+v", flows)
 	}
 }
@@ -390,7 +390,7 @@ func TestCloseWaitsForSendsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := New(h.e.cfg, h.e.hdrPool)
-	if err := nw.RestoreHandoff(blob, bufs, time.Time{}); err != nil {
+	if err := nw.Restore(blob, bufs, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.space.Pool(pool); err != nil {

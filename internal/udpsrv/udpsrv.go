@@ -13,6 +13,7 @@ import (
 
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
+	"newtos/internal/pfeng"
 	"newtos/internal/shm"
 	"newtos/internal/transport"
 	"newtos/internal/udpeng"
@@ -22,7 +23,7 @@ import (
 // Storage keys.
 const (
 	StorageKey = "udp/sockets"
-	FlowsKey   = "udp/flows"
+	FlowsKey   = "udp" + pfeng.FlowsKeySuffix
 	BufKeyPfx  = "sockbuf/udp/"
 )
 
@@ -54,7 +55,6 @@ func New(cfg Config, ports *wiring.Ports) *Server {
 		HdrPool: "udp.hdr", HdrChunks: 512,
 		IPEdge: "ip-udp", SCEdge: "sc-udp",
 		StorageKey: StorageKey, FlowsKey: FlowsKey, BufKeyPfx: BufKeyPfx,
-		LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor,
 		New: func(env transport.Env, hdrPool *shm.Pool) (*udpeng.Engine, transport.Engine) {
 			e := udpeng.New(udpeng.Config{
 				Space: env.Space, LocalIP: cfg.LocalIP, SrcFor: cfg.SrcFor, Offload: cfg.Offload,

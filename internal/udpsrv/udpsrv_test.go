@@ -1,8 +1,6 @@
 package udpsrv
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
@@ -108,8 +106,8 @@ func TestPersistedFlowNamesTheInterfaceUsed(t *testing.T) {
 	if !ok {
 		t.Fatal("no flows persisted")
 	}
-	var flows []pfeng.Flow
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&flows); err != nil {
+	flows, err := pfeng.DecodeFlows(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flows) != 1 || flows[0].Src != secondIP || flows[0].Proto != netpkt.ProtoUDP || flows[0].DstPort != 53 {

@@ -118,6 +118,11 @@ type Ports struct {
 	cancels []func()
 	ports   map[string]*Port
 	depth   int
+
+	// storeGen is the storage generation the owning loop last saw
+	// (StoreWiped); it outlives the component's own incarnations, so a
+	// storage crash during its downtime is noticed too.
+	storeGen uint32
 }
 
 // NewPorts creates the edge manager for the named component.
@@ -138,6 +143,17 @@ func (ps *Ports) Name() string { return ps.name }
 
 // Hub returns the node infrastructure.
 func (ps *Ports) Hub() *Hub { return ps.hub }
+
+// StoreWiped reports, once, that the storage server reincarnated since the
+// last call: it lost what this server parked there, and the server must
+// park it again (paper §V-D: "every other server has to store its state
+// again"). A storage peer has no channel whose Port generation would say
+// so; owning loops ask once per iteration instead.
+func (ps *Ports) StoreWiped() bool {
+	seen := ps.storeGen
+	ps.storeGen = ps.hub.Store.Gen()
+	return ps.storeGen != seen
+}
 
 // Begin starts a new incarnation: previous subscriptions are cancelled
 // (the old incarnation's exports die with it) and the component's presence
