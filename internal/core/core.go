@@ -13,12 +13,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"newtos/internal/ipeng"
 	"newtos/internal/kipc"
-	"newtos/internal/liveup"
 	"newtos/internal/netpkt"
 	"newtos/internal/nic"
 	"newtos/internal/pf"
@@ -130,9 +128,6 @@ type Node struct {
 	procs   map[string]*proc.Proc
 	order   []string // boot order: the order NewNode added the processes in
 	devices map[string]*nic.Device
-
-	upMu sync.Mutex
-	up   *liveup.Coordinator
 }
 
 // NewNode builds a node over the given devices (keyed by interface name).
@@ -309,37 +304,37 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// Stop shuts the node down.
+// Stop shuts the node down, application processes included: halting the
+// kernel closes their endpoints, so a sock.Client nobody closed fails its
+// calls and ends its pump instead of polling a dead frontdoor forever.
 func (n *Node) Stop() {
 	n.Monitor.Stop()
 	for _, p := range n.procs {
 		p.Shutdown()
 	}
+	n.Kern.Halt()
 }
 
 // Proc returns a component's process handle (fault injection, restarts).
 func (n *Node) Proc(name string) *proc.Proc { return n.procs[name] }
 
-// Upgrader returns the node's live-update coordinator: all planned engine
-// swaps funnel through it (and through the reincarnation server's Upgrade
-// verb), so phase timings accumulate in one recorder.
-func (n *Node) Upgrader() *liveup.Coordinator {
-	n.upMu.Lock()
-	defer n.upMu.Unlock()
-	if n.up == nil {
-		n.up = liveup.NewCoordinator(n.Monitor)
-	}
-	return n.up
-}
-
 // Upgrade live-swaps the named component for a new incarnation — the
 // zero-downtime update path (docs/ARCHITECTURE.md "Zero-downtime live
 // update"). TCP shards and UDP hand their full state to the successor
 // (zero event loss, no peer-visible change); components without handoff
-// support fall back to a planned graceful restart. Either way the swap is
-// recorded as a Planned event, outside the MaxRestarts crash budget.
+// support fall back to a planned graceful restart (Live=false in the
+// result). Either way the swap goes through the reincarnation server's
+// Upgrade verb, which records it as a Planned event outside the
+// MaxRestarts crash budget.
 func (n *Node) Upgrade(name string) (trace.HandoffPhases, error) {
-	return n.Upgrader().Upgrade(name)
+	rep, err := n.Monitor.Upgrade(name)
+	if err != nil {
+		return trace.HandoffPhases{}, err
+	}
+	return trace.HandoffPhases{
+		Component: name, Live: rep.Live,
+		Drain: rep.Drain, Transfer: rep.Transfer, Rewire: rep.Rewire, Resume: rep.Resume,
+	}, nil
 }
 
 // OutboxDropped totals, across every running server loop on this node, the

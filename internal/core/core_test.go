@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -528,5 +529,63 @@ func TestNoSyscallServerConfig(t *testing.T) {
 	n, err := s.Recv(buf)
 	if err != nil || string(buf[:n]) != "direct mode" {
 		t.Fatalf("echo: %q %v", buf[:n], err)
+	}
+}
+
+// TestStoppedNodeTakesItsClientsDown: a machine that goes down takes its
+// processes with it. Node.Stop halts the kernel, so for an application
+// client nobody closed, calls parked on it fail, new ones fail at once, and
+// its goroutines are gone — without Client.Close, where the pump would
+// otherwise poll the dead frontdoor every 100 ms forever.
+func TestStoppedNodeTakesItsClientsDown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	lan, err := NewLAN(SplitTSO(), 1, nic.WireConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lan.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := sock.NewClient(lan.A.Hub, "outlives-its-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := cli.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Bind(5300); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, _, _, err := u.RecvFrom(make([]byte, 64))
+		parked <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let RecvFrom park on the readable edge
+
+	lan.Stop()
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Fatal("RecvFrom on a stopped node returned data")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RecvFrom stayed parked on a stopped node")
+	}
+	start := time.Now()
+	if _, err := cli.Socket(sock.TCP); err == nil {
+		t.Fatal("a socket call succeeded on a stopped node")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("a socket call on a stopped node took %v to fail", took)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the LAN, %d after Stop:\n%s", base, n, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"newtos/internal/core"
-	"newtos/internal/msg"
 	"newtos/internal/nic"
 	"newtos/internal/sock"
 	"newtos/internal/tcpsrv"
@@ -148,47 +146,32 @@ func RunC100K(opts C100KOpts) (C100KReport, error) {
 	// on loaded CI machines the default 250ms hang heartbeat would
 	// false-positive and restart servers mid-experiment.
 	cfg.HeartbeatMiss = 10 * time.Second
-	lan, err := core.NewLAN(cfg, 1, nic.Gigabit())
+	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 120*time.Second)
 	if err != nil {
 		return rep, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
-		return rep, err
-	}
+	defer b.close()
 
 	const basePort = 7100
-	srvCli, err := sock.NewClient(lan.B.Hub, "c100ksrv")
+	srv, err := b.client(b.lan.B, "c100ksrv")
 	if err != nil {
 		return rep, err
 	}
-	srvCli.CallTimeout = 120 * time.Second
 	listeners := make([]*sock.Socket, opts.Ports)
 	for i := range listeners {
-		l, err := srvCli.Socket(sock.TCP)
-		if err != nil {
+		if listeners[i], err = listen(srv, uint16(basePort+i), opts.Backlog); err != nil {
 			return rep, err
 		}
-		if err := l.Bind(uint16(basePort + i)); err != nil {
-			return rep, err
-		}
-		if err := l.Listen(opts.Backlog); err != nil {
-			return rep, err
-		}
-		listeners[i] = l
 	}
-	var peak, accepted atomic.Int64
-	srvDone := make(chan struct{})
-	go c100kEchoServer(srvCli, listeners, &peak, &accepted, srvDone)
+	var st echoStats
+	b.pollEchoServer(srv, listeners, &st)
 
-	cli, err := sock.NewClient(lan.A.Hub, "c100kcli")
+	cli, err := b.client(b.lan.A, "c100kcli")
 	if err != nil {
 		return rep, err
 	}
-	cli.CallTimeout = 120 * time.Second
-	dst := lan.IPOf("b", 0)
-
-	eng := lan.B.Proc(core.CompTCP).Service().(*tcpsrv.Server).Engine()
+	dst := b.lan.IPOf("b", 0)
+	eng := b.lan.B.Proc(core.CompTCP).Service().(*tcpsrv.Server).Engine()
 
 	heap0 := heapAlloc()
 
@@ -204,44 +187,26 @@ func RunC100K(opts C100KOpts) (C100KReport, error) {
 		maxOutstanding = 8192
 	}
 	connect := func(lo, hi int) error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, opts.Workers)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := lo + w; i < hi; i += opts.Workers {
-					stall := time.Now()
-					for issued.Add(1); issued.Load()-accepted.Load() > maxOutstanding; {
-						issued.Add(-1)
-						if time.Since(stall) > 60*time.Second {
-							errCh <- errors.New("c100k: accept side stalled")
-							return
-						}
-						time.Sleep(time.Millisecond)
-						issued.Add(1)
+		return b.fanOut(opts.Workers, func(w int) error {
+			for i := lo + w; i < hi; i += opts.Workers {
+				stall := time.Now()
+				for issued.Add(1); issued.Load()-st.accepted.Load() > maxOutstanding; {
+					issued.Add(-1)
+					if time.Since(stall) > 60*time.Second {
+						return errors.New("c100k: accept side stalled")
 					}
-					s, err := cli.Socket(sock.TCP)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if err := s.Connect(dst, uint16(basePort+i%opts.Ports)); err != nil {
-						errCh <- fmt.Errorf("conn %d: %w", i, err)
-						return
-					}
-					conns[i] = s
-					established.Add(1)
+					time.Sleep(time.Millisecond)
+					issued.Add(1)
 				}
-			}(w)
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
-			return err
-		default:
+				s, err := dial(cli, sock.TCP, dst, uint16(basePort+i%opts.Ports))
+				if err != nil {
+					return fmt.Errorf("conn %d: %w", i, err)
+				}
+				conns[i] = s
+				established.Add(1)
+			}
 			return nil
-		}
+		})
 	}
 
 	// Phase 1: baseline population, then the reference Tick sample.
@@ -282,31 +247,22 @@ func RunC100K(opts C100KOpts) (C100KReport, error) {
 	rep.EchoConns, rep.EchoRounds = opts.ActiveSubset, opts.Rounds
 	active := conns[:opts.ActiveSubset]
 	rtts := make([]time.Duration, opts.ActiveSubset*opts.Rounds)
-	var wg sync.WaitGroup
-	echoErr := make(chan error, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			data := make([]byte, opts.Payload)
-			buf := make([]byte, opts.Payload)
-			for i := w; i < len(active); i += opts.Workers {
-				for r := 0; r < opts.Rounds; r++ {
-					t0 := time.Now()
-					if err := echoRound(active[i], data, buf); err != nil {
-						echoErr <- fmt.Errorf("echo conn %d round %d: %w", i, r, err)
-						return
-					}
-					rtts[i*opts.Rounds+r] = time.Since(t0)
+	err = b.fanOut(opts.Workers, func(w int) error {
+		data := make([]byte, opts.Payload)
+		buf := make([]byte, opts.Payload)
+		for i := w; i < len(active); i += opts.Workers {
+			for r := 0; r < opts.Rounds; r++ {
+				t0 := time.Now()
+				if err := echoRound(active[i], data, buf); err != nil {
+					return fmt.Errorf("echo conn %d round %d: %w", i, r, err)
 				}
+				rtts[i*opts.Rounds+r] = time.Since(t0)
 			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-echoErr:
+		}
+		return nil
+	})
+	if err != nil {
 		return rep, err
-	default:
 	}
 	var sum time.Duration
 	for _, d := range rtts {
@@ -318,34 +274,8 @@ func RunC100K(opts C100KOpts) (C100KReport, error) {
 	if len(rtts) > 0 {
 		rep.EchoAvgRTT = sum / time.Duration(len(rtts))
 	}
-	rep.PeakActive = int(peak.Load())
-
-	for _, l := range listeners {
-		_ = l.Close()
-	}
-	select {
-	case <-srvDone:
-	case <-time.After(5 * time.Second):
-	}
+	rep.PeakActive = int(st.peak.Load())
 	return rep, nil
-}
-
-// echoRound does one blocking send + full-payload receive.
-func echoRound(s *sock.Socket, data, buf []byte) error {
-	if _, err := s.Send(data); err != nil {
-		return err
-	}
-	for got := 0; got < len(buf); {
-		n, err := s.Recv(buf[got:])
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return errors.New("unexpected EOF")
-		}
-		got += n
-	}
-	return nil
 }
 
 // sampleTick measures average nanoseconds per TCP-engine Tick while the
@@ -368,107 +298,4 @@ func sampleTick(eng interface{ TickStats() (uint64, uint64) }, probe []*sock.Soc
 		return 0, errors.New("c100k: no engine ticks observed in sampling window")
 	}
 	return float64(n1-n0) / float64(c1-c0), nil
-}
-
-// c100kEchoServer is pollerEchoServer generalized to a set of listeners:
-// ONE goroutine owns every listener and every accepted connection,
-// demultiplexing readiness edges through a single Poller. Returns when all
-// listeners have closed.
-func c100kEchoServer(cli *sock.Client, listeners []*sock.Socket, peak, accepted *atomic.Int64, done chan<- struct{}) {
-	defer close(done)
-	p := cli.NewPoller()
-	defer p.Close()
-	isListener := make(map[*sock.Socket]bool, len(listeners))
-	for _, l := range listeners {
-		l.SetNonblock(true)
-		if err := p.Add(l, msg.EvAcceptReady|msg.EvError); err != nil {
-			return
-		}
-		isListener[l] = true
-	}
-	active := 0
-	var echoed atomic.Int64
-	buf := make([]byte, 64*1024)
-	pending := map[*sock.Socket][]byte{}
-	closeConn := func(s *sock.Socket) {
-		p.Del(s)
-		delete(pending, s)
-		_ = s.Close()
-		active--
-	}
-	write := func(s *sock.Socket, data []byte) bool {
-		for len(data) > 0 {
-			n, err := s.Send(data)
-			echoed.Add(int64(n))
-			data = data[n:]
-			if errors.Is(err, sock.ErrWouldBlock) || (err == nil && len(data) > 0 && n == 0) {
-				pending[s] = append(pending[s], data...)
-				return true
-			}
-			if err != nil {
-				closeConn(s)
-				return false
-			}
-		}
-		return true
-	}
-	for len(isListener) > 0 {
-		events, err := p.Wait(-1)
-		if err != nil {
-			return
-		}
-		for _, e := range events {
-			if isListener[e.Sock] {
-				for {
-					child, err := e.Sock.Accept()
-					if errors.Is(err, sock.ErrWouldBlock) {
-						break
-					}
-					if err != nil {
-						// Listener closed: stop serving it.
-						p.Del(e.Sock)
-						delete(isListener, e.Sock)
-						break
-					}
-					child.SetNonblock(true)
-					if err := p.Add(child, msg.EvReadable|msg.EvWritable|msg.EvEOF|msg.EvError); err != nil {
-						_ = child.Close()
-						continue
-					}
-					active++
-					accepted.Add(1)
-					if int64(active) > peak.Load() {
-						peak.Store(int64(active))
-					}
-				}
-				continue
-			}
-			s := e.Sock
-			if q := pending[s]; len(q) > 0 {
-				delete(pending, s)
-				if !write(s, q) {
-					continue
-				}
-				if len(pending[s]) > 0 {
-					continue
-				}
-			}
-			for {
-				n, err := s.Recv(buf)
-				if errors.Is(err, sock.ErrWouldBlock) {
-					break
-				}
-				if err != nil || n == 0 {
-					closeConn(s)
-					break
-				}
-				if !write(s, buf[:n]) {
-					break
-				}
-				if len(pending[s]) > 0 {
-					break
-				}
-			}
-		}
-	}
 }

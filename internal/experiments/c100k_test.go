@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,41 +96,28 @@ func TestSlabChurnRace(t *testing.T) {
 	cfg := core.SplitTSO()
 	cfg.TCPShards = 2
 	cfg.HeartbeatMiss = 10 * time.Second
-	lan, err := core.NewLAN(cfg, 1, nic.Gigabit())
+	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
-		t.Fatal(err)
-	}
+	defer b.close()
 
 	const port = 7300
-	srvCli, err := sock.NewClient(lan.B.Hub, "churnsrv")
+	srvCli, err := b.client(b.lan.B, "churnsrv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvCli.CallTimeout = 60 * time.Second
-	l, err := srvCli.Socket(sock.TCP)
+	l, err := listen(srvCli, port, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Bind(port); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Listen(256); err != nil {
-		t.Fatal(err)
-	}
-	var peak atomic.Int64
-	srvDone := make(chan struct{})
-	go pollerEchoServer(srvCli, l, new(atomic.Int64), &peak, srvDone)
+	b.pollEchoServer(srvCli, []*sock.Socket{l}, new(echoStats))
 
-	cli, err := sock.NewClient(lan.A.Hub, "churncli")
+	cli, err := b.client(b.lan.A, "churncli")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.CallTimeout = 60 * time.Second
-	dst := lan.IPOf("b", 0)
+	dst := b.lan.IPOf("b", 0)
 
 	var echoWG, churnWG sync.WaitGroup
 	errCh := make(chan error, 16)
@@ -160,9 +146,7 @@ func TestSlabChurnRace(t *testing.T) {
 				return
 			}
 			data := make([]byte, 256)
-			for i := range data {
-				data[i] = byte(w ^ i)
-			}
+			fillPattern(data, w)
 			buf := make([]byte, len(data))
 			for n := 0; ; n++ {
 				select {
@@ -170,15 +154,9 @@ func TestSlabChurnRace(t *testing.T) {
 					return
 				default:
 				}
-				if err := echoRound(s, data, buf); err != nil {
+				if err := echoRound(s, data, buf); err != nil { // verifies the echo
 					fail(fmt.Errorf("echo %d round %d: %w", w, n, err))
 					return
-				}
-				for i := range buf {
-					if buf[i] != data[i] {
-						fail(fmt.Errorf("echo %d round %d: byte %d corrupted", w, n, i))
-						return
-					}
 				}
 			}
 		}(w)
@@ -240,10 +218,5 @@ func TestSlabChurnRace(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
-	}
-	_ = l.Close()
-	select {
-	case <-srvDone:
-	case <-time.After(5 * time.Second):
 	}
 }

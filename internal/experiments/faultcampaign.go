@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"newtos/internal/core"
 	"newtos/internal/faults"
+	"newtos/internal/netpkt"
 	"newtos/internal/nic"
 	"newtos/internal/sock"
 )
@@ -94,32 +96,62 @@ func (r *CampaignResult) Counts() (transparent, reachable, tcpBroke, udpOK, rebo
 // weighted-random component of the serving node, and classifies the
 // outcome.
 func RunCampaign(opts CampaignOpts) (*CampaignResult, error) {
-	opts.fill()
-	rng := rand.New(rand.NewSource(opts.Seed))
 	res := &CampaignResult{Distribution: make(map[string]int)}
+	for run, inj := range campaignPlan(opts) {
+		outcome, err := oneRun(inj.comp, inj.kind, run)
+		if err != nil {
+			return nil, fmt.Errorf("campaign run %d (%s): %w", run, inj.comp, err)
+		}
+		res.Outcomes = append(res.Outcomes, outcome)
+		res.Distribution[inj.comp]++
+	}
+	return res, nil
+}
 
-	// Build the weighted component lottery.
+// injection is one planned fault: where and what.
+type injection struct {
+	comp string
+	kind faults.Kind
+}
+
+// campaignPlan draws the campaign's injections. It is a pure function of
+// opts: the weighted lottery is laid out over the SORTED component names, so
+// a seed names the same campaign in every process.
+func campaignPlan(opts CampaignOpts) []injection {
+	opts.fill()
+	comps := make([]string, 0, len(opts.Weights))
+	for comp := range opts.Weights {
+		comps = append(comps, comp)
+	}
+	sort.Strings(comps)
 	var lottery []string
-	for comp, w := range opts.Weights {
-		for i := 0; i < w; i++ {
+	for _, comp := range comps {
+		for i := 0; i < opts.Weights[comp]; i++ {
 			lottery = append(lottery, comp)
 		}
 	}
-
-	for run := 0; run < opts.Runs; run++ {
-		comp := lottery[rng.Intn(len(lottery))]
-		kind := faults.Crash
+	rng := rand.New(rand.NewSource(opts.Seed))
+	plan := make([]injection, opts.Runs)
+	for run := range plan {
+		plan[run] = injection{comp: lottery[rng.Intn(len(lottery))], kind: faults.Crash}
 		if rng.Float64() < opts.HangFraction {
-			kind = faults.Hang
+			plan[run].kind = faults.Hang
 		}
-		outcome, err := oneRun(comp, kind, run)
-		if err != nil {
-			return nil, fmt.Errorf("campaign run %d (%s): %w", run, comp, err)
-		}
-		res.Outcomes = append(res.Outcomes, outcome)
-		res.Distribution[comp]++
 	}
-	return res, nil
+	return plan
+}
+
+// udpQuery is the resolver's DNS-like lookup: up to 8 tries, each bounded by
+// a read deadline, so a shed datagram costs a retry and a dead server costs
+// a bounded wait and a false.
+func udpQuery(resolver *sock.Socket, dst netpkt.IPAddr, port uint16, tag string) bool {
+	buf := make([]byte, 256)
+	for try := 0; try < 8; try++ {
+		if udpRound(resolver, dst, port, []byte(tag), buf, 250*time.Millisecond) {
+			return true
+		}
+	}
+	return false
 }
 
 // oneRun executes a single injection experiment.
@@ -127,142 +159,76 @@ func oneRun(comp string, kind faults.Kind, run int) (RunOutcome, error) {
 	out := RunOutcome{Component: comp, Kind: kind}
 	cfg := core.SplitTSO()
 	cfg.HeartbeatMiss = 120 * time.Millisecond
-	lan, err := core.NewLAN(cfg, 1, nic.WireConfig{})
+	b, err := newBed(cfg, 1, nic.WireConfig{}, core.LANOpts{}, 5*time.Second)
 	if err != nil {
 		return out, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
+	defer b.close()
+	lan, server := b.lan, b.lan.IPOf("b", 0)
+	victim, err := crashTarget(lan.B, comp)
+	if err != nil {
 		return out, err
 	}
 
-	// SSH-like TCP echo service on B.
-	srvErr := make(chan error, 2)
-	ready := make(chan struct{})
-	go func() {
-		cli, err := sock.NewClient(lan.B.Hub, "sshd")
-		if err != nil {
-			srvErr <- err
-			close(ready)
-			return
-		}
-		l, err := cli.Socket(sock.TCP)
-		if err != nil {
-			srvErr <- err
-			close(ready)
-			return
-		}
-		if l.Bind(22) != nil || l.Listen(8) != nil {
-			srvErr <- fmt.Errorf("sshd setup")
-			close(ready)
-			return
-		}
-		close(ready)
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				buf := make([]byte, 8192)
-				for {
-					n, err := conn.Recv(buf)
-					if err != nil || n == 0 {
-						return
-					}
-					if _, err := conn.Send(buf[:n]); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	// DNS-like UDP responder on B.
-	go func() {
-		cli, err := sock.NewClient(lan.B.Hub, "named")
-		if err != nil {
-			return
-		}
-		u, err := cli.Socket(sock.UDP)
-		if err != nil || u.Bind(53) != nil {
-			return
-		}
-		buf := make([]byte, 2048)
-		for {
-			n, src, sport, err := u.RecvFrom(buf)
-			if err != nil {
-				continue
-			}
-			_, _ = u.SendTo(buf[:n], src, sport)
-		}
-	}()
-	<-ready
+	// SSH-like TCP echo service and DNS-like UDP responder on B.
+	sshd, err := b.client(lan.B, "sshd")
+	if err != nil {
+		return out, err
+	}
+	l, err := listen(sshd, 22, 8)
+	if err != nil {
+		return out, err
+	}
+	b.echoServer(l, new(echoStats))
+	named, err := b.client(lan.B, "named")
+	if err != nil {
+		return out, err
+	}
+	u, err := bindUDP(named, 53)
+	if err != nil {
+		return out, err
+	}
+	b.udpEchoServer(u)
 
-	cli, err := sock.NewClient(lan.A.Hub, "client")
+	cli, err := b.client(lan.A, "client")
 	if err != nil {
 		return out, err
 	}
-	cli.CallTimeout = 5 * time.Second
-	ssh, err := cli.Socket(sock.TCP)
+	ssh, err := dial(cli, sock.TCP, server, 22)
 	if err != nil {
-		return out, err
+		return out, fmt.Errorf("initial: %w", err)
 	}
-	if err := ssh.Connect(lan.IPOf("b", 0), 22); err != nil {
-		return out, fmt.Errorf("initial connect: %w", err)
-	}
+	// The deadline turns a connection the fault wedged silently into a
+	// broken one instead of a run that never ends.
 	echo := func(s *sock.Socket, tag string) bool {
-		if _, err := s.Send([]byte(tag)); err != nil {
-			return false
-		}
-		buf := make([]byte, 256)
-		n, err := s.Recv(buf)
-		return err == nil && string(buf[:n]) == tag
+		_ = s.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return echoRound(s, []byte(tag), make([]byte, len(tag))) == nil
 	}
 	if !echo(ssh, "warmup") {
 		return out, fmt.Errorf("warmup echo failed")
 	}
-	resolver, err := cli.Socket(sock.UDP)
+	resolver, err := bindUDP(cli, 5353)
 	if err != nil {
 		return out, err
 	}
-	_ = resolver.Bind(5353)
-	udpQuery := func(tag string) bool {
-		for try := 0; try < 8; try++ {
-			if _, err := resolver.SendTo([]byte(tag), lan.IPOf("b", 0), 53); err != nil {
-				continue
-			}
-			buf := make([]byte, 256)
-			n, _, _, err := resolver.RecvFrom(buf)
-			if err == nil && string(buf[:n]) == tag {
-				return true
-			}
-		}
-		return false
-	}
-	if !udpQuery("warmup-dns") {
+	if !udpQuery(resolver, server, 53, "warmup-dns") {
 		return out, fmt.Errorf("warmup dns failed")
 	}
 
-	// Inject the fault while traffic flows.
-	stop := make(chan struct{})
-	go func() { // background stress on the TCP connection
-		for {
+	// Inject the fault while traffic flows: background stress on the TCP
+	// connection, which must be off it again before it is classified.
+	stop, stressed := make(chan struct{}), make(chan struct{})
+	b.run(func() {
+		defer close(stressed)
+		for echo(ssh, "stress") {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if !echo(ssh, "stress") {
-				return
-			}
 		}
-	}()
-	p, err := crashTarget(lan.B, comp)
-	if err != nil {
-		close(stop)
-		return out, err
-	}
-	p.Fault().Arm(kind)
+	})
+	victim.Fault().Arm(kind)
 
 	// Wait for the reincarnation server to act.
 	deadline := time.Now().Add(4 * time.Second)
@@ -276,16 +242,14 @@ func oneRun(comp string, kind faults.Kind, run int) (RunOutcome, error) {
 		return out, nil
 	}
 	time.Sleep(150 * time.Millisecond) // rewiring settles
+	<-stressed
 
 	// Classify, per the paper's methodology: existing ssh connection,
 	// new connections, and the resolver's UDP socket.
 	out.TCPSurvived = echo(ssh, "post-crash")
-	nc, err := cli.Socket(sock.TCP)
-	if err == nil {
-		if err := nc.Connect(lan.IPOf("b", 0), 22); err == nil {
-			out.Reachable = echo(nc, "new-conn")
-		}
+	if nc, err := dial(cli, sock.TCP, server, 22); err == nil {
+		out.Reachable = echo(nc, "new-conn")
 	}
-	out.UDPTransparent = udpQuery(fmt.Sprintf("dns-%d", run))
+	out.UDPTransparent = udpQuery(resolver, server, 53, fmt.Sprintf("dns-%d", run))
 	return out, nil
 }

@@ -60,25 +60,23 @@ func RunCrashTrace(opts TraceOpts) ([]trace.Sample, error) {
 	cfg := core.SplitTSO()
 	cfg.HeartbeatMiss = 120 * time.Millisecond
 	cfg.LinkUpDelay = opts.LinkUpDelay
-	lan, err := core.NewLAN(cfg, 1, nic.Gigabit())
+	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, opts.Total+10*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	defer lan.Stop()
-	victim, err := crashTarget(lan.B, opts.Target)
+	defer b.close()
+	victim, err := crashTarget(b.lan.B, opts.Target)
 	if err != nil {
-		return nil, err
-	}
-	if err := lan.Start(); err != nil {
 		return nil, err
 	}
 
 	// Figure 5 recovers "a set of 1024 rules".
 	if opts.PFRules > 0 {
-		pfc, err := core.NewPFClient(lan.B.Hub, "figload")
+		pfc, err := core.NewPFClient(b.lan.B.Hub, "figload")
 		if err != nil {
 			return nil, err
 		}
+		defer pfc.Close()
 		for i := 0; i < opts.PFRules; i++ {
 			rule := pfeng.Rule{
 				Action: pfeng.Block, Dir: pfeng.In, Proto: netpkt.ProtoTCP,
@@ -88,69 +86,13 @@ func RunCrashTrace(opts TraceOpts) ([]trace.Sample, error) {
 				return nil, fmt.Errorf("rule %d: %w", i, err)
 			}
 		}
-		pfc.Close()
 	}
 
-	var meter trace.Meter
-	ready := make(chan struct{})
-	go func() { // sink on B
-		cli, err := sock.NewClient(lan.B.Hub, "figsink")
-		if err != nil {
-			close(ready)
-			return
-		}
-		cli.CallTimeout = opts.Total + 10*time.Second
-		l, err := cli.Socket(sock.TCP)
-		if err != nil || l.Bind(5001) != nil || l.Listen(2) != nil {
-			close(ready)
-			return
-		}
-		close(ready)
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		buf := make([]byte, 256*1024)
-		for {
-			n, err := conn.Recv(buf)
-			if err != nil || n == 0 {
-				return
-			}
-			meter.Add(n)
-		}
-	}()
-	<-ready
-
-	cli, err := sock.NewClient(lan.A.Hub, "figsrc")
-	if err != nil {
+	var sent, rcvd trace.Meter
+	if _, err := b.bulkFlow(0, 5001, 64*1024, &sent, &rcvd); err != nil {
 		return nil, err
 	}
-	cli.CallTimeout = opts.Total + 10*time.Second
-	s, err := cli.Socket(sock.TCP)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Connect(lan.IPOf("b", 0), 5001); err != nil {
-		return nil, err
-	}
-	stop := make(chan struct{})
-	go func() { // iperf-like source
-		data := make([]byte, 64*1024)
-		for {
-			select {
-			case <-stop:
-				_ = s.Close()
-				return
-			default:
-			}
-			if _, err := s.Send(data); err != nil {
-				return
-			}
-		}
-	}()
-	defer close(stop)
-
-	sampler := trace.NewSampler(&meter, opts.SampleEvery)
+	sampler := trace.NewSampler(&rcvd, opts.SampleEvery)
 	start := time.Now()
 	next := 0
 	for time.Since(start) < opts.Total {
@@ -208,48 +150,35 @@ func RunTable1() ([]RecoveryReport, error) {
 	}
 	cfg := core.SplitTSO()
 	cfg.HeartbeatMiss = 120 * time.Millisecond
-	lan, err := core.NewLAN(cfg, 1, nic.WireConfig{})
+	b, err := newBed(cfg, 1, nic.WireConfig{}, core.LANOpts{}, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
-		return nil, err
-	}
+	defer b.close()
+	lan := b.lan
 
 	// Put some state into every component: a listener, a UDP socket, a
 	// PF rule, an established connection.
 	if err := lan.B.AddPFRule(pfeng.Rule{Action: pfeng.Block, Dir: pfeng.In, DstPort: 9999}); err != nil {
 		return nil, err
 	}
-	cliB, err := sock.NewClient(lan.B.Hub, "t1srv")
+	srv, err := b.client(lan.B, "t1srv")
 	if err != nil {
 		return nil, err
 	}
-	l, err := cliB.Socket(sock.TCP)
-	if err != nil || l.Bind(22) != nil || l.Listen(4) != nil {
-		return nil, fmt.Errorf("table1 listener setup")
-	}
-	go func() {
-		for {
-			if _, err := l.Accept(); err != nil {
-				return
-			}
-		}
-	}()
-	u, err := cliB.Socket(sock.UDP)
-	if err != nil || u.Bind(53) != nil {
-		return nil, fmt.Errorf("table1 udp setup")
-	}
-	cliA, err := sock.NewClient(lan.A.Hub, "t1cli")
+	l, err := listen(srv, 22, 4)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cliA.Socket(sock.TCP)
+	b.echoServer(l, new(echoStats))
+	if _, err := bindUDP(srv, 53); err != nil {
+		return nil, err
+	}
+	cli, err := b.client(lan.A, "t1cli")
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Connect(lan.IPOf("b", 0), 22); err != nil {
+	if _, err := dial(cli, sock.TCP, lan.IPOf("b", 0), 22); err != nil {
 		return nil, err
 	}
 

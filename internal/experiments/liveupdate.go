@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"newtos/internal/core"
+	"newtos/internal/netpkt"
 	"newtos/internal/nic"
 	"newtos/internal/sock"
 	"newtos/internal/trace"
@@ -101,315 +100,179 @@ func RunLiveUpdate(opts LiveUpdateOpts) (LiveUpdateReport, error) {
 	// enough to miss the default heartbeat, and a false hang-restart
 	// mid-swap would turn the planned upgrade into crash recovery.
 	cfg.HeartbeatMiss = 5 * time.Second
-	lan, err := core.NewLAN(cfg, 1, nic.Gigabit())
+	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 60*time.Second)
 	if err != nil {
 		return rep, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
-		return rep, err
-	}
+	defer b.close()
 
 	const (
 		echoPort = 7100
 		udpPort  = 7200
 	)
-	serverIP := lan.IPOf("b", 0)
+	serverIP := b.lan.IPOf("b", 0)
 
-	// Poller echo server on B: ONE goroutine, every connection nonblocking,
-	// readiness demultiplexed through a sock.Poller — the component that
-	// dies first if the swap loses a single readiness edge.
-	srvCli, err := sock.NewClient(lan.B.Hub, "liveupsrv")
+	// On B: the poller echo server — ONE goroutine, every connection
+	// nonblocking, the component that dies first if the swap loses a single
+	// readiness edge — and a UDP echo server whose blocking RecvFrom is
+	// parked in the engine across the swap.
+	srv, err := b.client(b.lan.B, "liveupsrv")
 	if err != nil {
 		return rep, err
 	}
-	srvCli.CallTimeout = 60 * time.Second
-	l, err := srvCli.Socket(sock.TCP)
+	l, err := listen(srv, echoPort, opts.Conns+1)
 	if err != nil {
 		return rep, err
 	}
-	if err := l.Bind(echoPort); err != nil {
+	b.pollEchoServer(srv, []*sock.Socket{l}, new(echoStats))
+	u, err := bindUDP(srv, udpPort)
+	if err != nil {
 		return rep, err
 	}
-	if err := l.Listen(opts.Conns + 1); err != nil {
-		return rep, err
-	}
-	var echoed, peak atomic.Int64
-	srvDone := make(chan struct{})
-	go pollerEchoServer(srvCli, l, &echoed, &peak, srvDone)
+	b.udpEchoServer(u)
 
-	// UDP echo server on B: blocking RecvFrom parked in the engine across
-	// the swap.
-	udpSrv, err := srvCli.Socket(sock.UDP)
+	// On A: one client for the TCP load and a dedicated one for the UDP
+	// pinger, which keeps its rendezvous traffic off the 512-connection
+	// frontdoor channel.
+	cli, err := b.client(b.lan.A, "liveupcli")
 	if err != nil {
 		return rep, err
 	}
-	if err := udpSrv.Bind(udpPort); err != nil {
-		return rep, err
-	}
-	go func() {
-		buf := make([]byte, 2048)
-		for {
-			n, ip, port, err := udpSrv.RecvFrom(buf)
-			if errors.Is(err, sock.ErrTimeout) {
-				continue // quiet spell (pings shed under load): keep serving
-			}
-			if err != nil {
-				return
-			}
-			if _, err := udpSrv.SendTo(buf[:n], ip, port); err != nil {
-				return
-			}
-		}
-	}()
-
-	cli, err := sock.NewClient(lan.A.Hub, "liveupcli")
+	udpCli, err := b.client(b.lan.A, "liveupudp")
 	if err != nil {
 		return rep, err
 	}
-	cli.CallTimeout = 60 * time.Second
+	pinger, err := dial(udpCli, sock.UDP, serverIP, udpPort)
+	if err != nil {
+		return rep, err
+	}
 
 	var (
-		resets    atomic.Int64
 		completed atomic.Int64
 		bulkGot   atomic.Int64
 		udpRounds atomic.Int64
 		udpLost   atomic.Int64
+		work      sync.WaitGroup // echo connections and the bulk transfer
+		ready     sync.WaitGroup // all of them in position for the swap
 	)
 	swapDone := make(chan struct{}) // closed after every component swapped
-	stopUDP := make(chan struct{})
-	errCh := make(chan error, opts.Conns+2)
+	swapped := sync.OnceFunc(func() { close(swapDone) })
+	defer swapped() // an upgrade that fails must not strand the parked load
+	start := time.Now()
 
 	// Echo connections: Rounds round trips, then park in the server's
 	// poller across the swap, then one post-swap round. That last round is
 	// the lost-edge detector: it only completes if the successor's poller
-	// wiring still delivers readiness.
-	var ready sync.WaitGroup // all conns parked and bulk mid-flight
-	ready.Add(opts.Conns + 1)
-	var wg sync.WaitGroup
-	allDone := make(chan struct{})
-	var doneWG sync.WaitGroup
-	doneWG.Add(opts.Conns)
-	go func() { doneWG.Wait(); close(allDone) }()
-
-	start := time.Now()
+	// wiring still delivers readiness. No connection closes before the bed
+	// does.
 	for i := 0; i < opts.Conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parked, finished := false, false
-			defer func() {
-				if !parked {
-					ready.Done()
-				}
-				if !finished {
-					doneWG.Done()
-				}
-				if !finished || !parked {
-					resets.Add(1)
-				}
-			}()
-			s, err := cli.Socket(sock.TCP)
+		work.Add(1)
+		ready.Add(1)
+		b.run(func() {
+			defer work.Done()
+			var parked sync.Once
+			defer parked.Do(ready.Done)
+			s, err := dial(cli, sock.TCP, serverIP, echoPort)
 			if err != nil {
-				errCh <- err
+				b.fail(fmt.Errorf("conn %d: %w", i, err))
 				return
 			}
-			defer s.Close()
-			if err := s.Connect(serverIP, echoPort); err != nil {
-				errCh <- fmt.Errorf("conn %d connect: %w", i, err)
-				return
-			}
-			data := make([]byte, opts.Payload)
-			for b := range data {
-				data[b] = byte(i + b)
-			}
-			buf := make([]byte, opts.Payload)
-			round := func() error {
-				if _, err := s.Send(data); err != nil {
-					return fmt.Errorf("conn %d send: %w", i, err)
+			data, buf := make([]byte, opts.Payload), make([]byte, opts.Payload)
+			fillPattern(data, i)
+			for r := 0; r <= opts.Rounds; r++ {
+				if r == opts.Rounds { // the post-swap round
+					parked.Do(ready.Done)
+					<-swapDone
 				}
-				for got := 0; got < opts.Payload; {
-					n, err := s.Recv(buf[got:])
-					if err != nil {
-						return fmt.Errorf("conn %d recv: %w", i, err)
-					}
-					if n == 0 {
-						return fmt.Errorf("conn %d: unexpected EOF", i)
-					}
-					got += n
-				}
-				if !bytes.Equal(buf, data) {
-					return fmt.Errorf("conn %d: echo corrupted", i)
-				}
-				return nil
-			}
-			for r := 0; r < opts.Rounds; r++ {
-				if err := round(); err != nil {
-					errCh <- err
+				if err := echoRound(s, data, buf); err != nil {
+					b.fail(fmt.Errorf("conn %d round %d: %w", i, r, err))
 					return
 				}
 			}
-			parked = true
-			ready.Done()
-			<-swapDone
-			if err := round(); err != nil { // post-swap: the lost-edge probe
-				errCh <- err
-				return
-			}
 			completed.Add(1)
-			finished = true
-			doneWG.Done()
-			<-allDone
-		}(i)
+		})
 	}
 
 	// Bulk transfer: stream Bulk bytes through the echo server and verify
 	// the echo byte-exact; the swap fires while it is mid-flight.
-	bulkExact := make(chan bool, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		exact := false
-		defer func() { bulkExact <- exact }()
-		s, err := cli.Socket(sock.TCP)
+	work.Add(1)
+	ready.Add(1)
+	b.run(func() {
+		defer work.Done()
+		var midFlight sync.Once
+		defer midFlight.Do(ready.Done)
+		s, err := dial(cli, sock.TCP, serverIP, echoPort)
 		if err != nil {
-			errCh <- err
-			ready.Done()
+			b.fail(fmt.Errorf("bulk: %w", err))
 			return
 		}
-		defer s.Close()
-		if err := s.Connect(serverIP, echoPort); err != nil {
-			errCh <- fmt.Errorf("bulk connect: %w", err)
-			ready.Done()
-			return
-		}
-		pattern := func(off int) byte { return byte(off*7 + off>>8) }
-		go func() { // writer: 8 KiB slabs
+		b.run(func() { // writer: 8 KiB slabs
 			chunk := make([]byte, 8192)
 			for off := 0; off < opts.Bulk; {
-				n := len(chunk)
-				if opts.Bulk-off < n {
-					n = opts.Bulk - off
-				}
-				for j := 0; j < n; j++ {
-					chunk[j] = pattern(off + j)
-				}
+				n := min(len(chunk), opts.Bulk-off)
+				fillPattern(chunk[:n], off)
 				sent, err := s.Send(chunk[:n])
 				if err != nil {
-					errCh <- fmt.Errorf("bulk send: %w", err)
+					b.fail(fmt.Errorf("bulk send: %w", err))
 					return
 				}
 				off += sent
 			}
-		}()
+		})
 		buf := make([]byte, 64*1024)
-		signaled := false
 		for got := 0; got < opts.Bulk; {
 			n, err := s.Recv(buf)
 			if err != nil || n == 0 {
-				errCh <- fmt.Errorf("bulk recv after %d bytes: %v", got, err)
-				if !signaled {
-					ready.Done()
-				}
+				b.fail(fmt.Errorf("bulk recv after %d bytes: %v", got, err))
 				return
 			}
 			for j := 0; j < n; j++ {
 				if buf[j] != pattern(got+j) {
-					errCh <- fmt.Errorf("bulk echo corrupted at byte %d", got+j)
-					if !signaled {
-						ready.Done()
-					}
+					b.fail(fmt.Errorf("bulk echo corrupted at byte %d", got+j))
 					return
 				}
 			}
 			got += n
 			bulkGot.Store(int64(got))
-			if !signaled && got >= opts.Bulk/3 {
-				signaled = true // mid-flight: let the swap fire
-				ready.Done()
+			if got >= opts.Bulk/3 {
+				midFlight.Do(ready.Done) // let the swap fire
 			}
 		}
-		if !signaled {
-			ready.Done()
-		}
-		exact = true
-	}()
+	})
 
 	// Connected-UDP ping-pong, running across the UDP server swap. UDP is
 	// datagram service: under bulk load the NIC RX ring can legitimately
 	// shed frames (RxDropsNoBuf), so a lost round retries on a short
 	// timeout — what must NOT happen is the pinger wedging or the swapped
 	// server going silent (UDPRounds keeps growing after the swap).
-	// A dedicated client keeps the pinger's rendezvous traffic off the
-	// 512-connection frontdoor channel.
-	udpCli, err := sock.NewClient(lan.A.Hub, "liveupudp")
-	if err != nil {
-		return rep, err
-	}
-	udpCli.CallTimeout = 60 * time.Second
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s, err := udpCli.Socket(sock.UDP)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		defer s.Close()
-		if err := s.Connect(serverIP, udpPort); err != nil {
-			errCh <- fmt.Errorf("udp connect: %w", err)
-			return
-		}
+	b.run(func() {
 		ping := []byte("are you still there?")
 		buf := make([]byte, len(ping))
-		for {
-			select {
-			case <-stopUDP:
-				return
-			default:
-			}
-			if _, err := s.Send(ping); err != nil {
-				udpLost.Add(1)
-				continue
-			}
-			// A read deadline, not CallTimeout, bounds the blocking Recv:
-			// the rendezvous call returns EAGAIN and the client re-polls,
-			// so only the socket deadline turns a shed reply into a
-			// retryable timeout instead of a wedge.
-			_ = s.SetReadDeadline(time.Now().Add(2 * time.Second))
-			n, err := s.Recv(buf)
-			if err != nil || !bytes.Equal(buf[:n], ping) {
+		for !b.quiescing() {
+			if !udpRound(pinger, netpkt.IPAddr{}, 0, ping, buf, 2*time.Second) {
 				udpLost.Add(1)
 				continue
 			}
 			udpRounds.Add(1)
 			time.Sleep(time.Millisecond)
 		}
-	}()
+	})
 
 	// Everyone is in position: swap every TCP shard, then the UDP server,
 	// under full load.
 	ready.Wait()
 	for k := 0; k < opts.Shards; k++ {
 		name := core.TCPShardName(k, opts.Shards)
-		ph, err := lan.B.Upgrade(name)
+		ph, err := b.lan.B.Upgrade(name)
 		if err != nil {
-			close(swapDone)
-			close(stopUDP)
-			wg.Wait()
 			return rep, fmt.Errorf("upgrade %s: %w", name, err)
 		}
 		rep.TCPPhases = append(rep.TCPPhases, ph)
 	}
-	udpPh, err := lan.B.Upgrade(core.CompUDP)
-	if err != nil {
-		close(swapDone)
-		close(stopUDP)
-		wg.Wait()
+	if rep.UDPPhases, err = b.lan.B.Upgrade(core.CompUDP); err != nil {
 		return rep, fmt.Errorf("upgrade udp: %w", err)
 	}
-	rep.UDPPhases = udpPh
-	close(swapDone)
+	swapped()
 
 	// Let the UDP pinger prove the swapped server still answers.
 	deadline := time.Now().Add(10 * time.Second)
@@ -418,26 +281,13 @@ func RunLiveUpdate(opts LiveUpdateOpts) (LiveUpdateReport, error) {
 		time.Sleep(time.Millisecond)
 	}
 	rep.UDPPostSwap = int(udpRounds.Load() - base)
-	close(stopUDP)
-	wg.Wait()
+	work.Wait()
 	rep.Elapsed = time.Since(start)
 	rep.Completed = int(completed.Load())
-	rep.Resets = int(resets.Load())
+	rep.Resets = opts.Conns - rep.Completed
 	rep.BulkBytes = bulkGot.Load()
-	rep.BulkExact = <-bulkExact
+	rep.BulkExact = rep.BulkBytes == int64(opts.Bulk)
 	rep.UDPRounds = int(udpRounds.Load())
 	rep.UDPLost = int(udpLost.Load())
-
-	_ = l.Close()
-	_ = udpSrv.Close()
-	select {
-	case <-srvDone:
-	case <-time.After(5 * time.Second):
-	}
-	select {
-	case err := <-errCh:
-		return rep, err
-	default:
-	}
-	return rep, nil
+	return rep, b.failure()
 }

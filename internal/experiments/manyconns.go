@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"newtos/internal/core"
-	"newtos/internal/msg"
 	"newtos/internal/nic"
 	"newtos/internal/sock"
 )
@@ -74,256 +71,55 @@ func RunManyConns(opts ManyConnsOpts) (ManyConnsReport, error) {
 	// slowed enough to miss the default 250 ms heartbeat, and a false
 	// hang-restart mid-run aborts connections.
 	cfg.HeartbeatMiss = 5 * time.Second
-	lan, err := core.NewLAN(cfg, 1, nic.Gigabit())
+	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 60*time.Second)
 	if err != nil {
 		return rep, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
-		return rep, err
-	}
+	defer b.close()
 
 	const port = 7000
-	srvCli, err := sock.NewClient(lan.B.Hub, "manysrv")
+	srv, err := b.client(b.lan.B, "manysrv")
 	if err != nil {
 		return rep, err
 	}
-	srvCli.CallTimeout = 60 * time.Second
-	l, err := srvCli.Socket(sock.TCP)
+	l, err := listen(srv, port, opts.Conns)
 	if err != nil {
 		return rep, err
 	}
-	if err := l.Bind(port); err != nil {
-		return rep, err
-	}
-	if err := l.Listen(opts.Conns); err != nil {
-		return rep, err
-	}
-
-	var echoed, peak atomic.Int64
-	srvDone := make(chan struct{})
+	var st echoStats
 	if opts.Poller {
-		go pollerEchoServer(srvCli, l, &echoed, &peak, srvDone)
+		b.pollEchoServer(srv, []*sock.Socket{l}, &st)
 	} else {
-		go goroutineEchoServer(l, &echoed, &peak, srvDone)
+		b.echoServer(l, &st)
 	}
 
 	// Clients: one shared Client, one goroutine per connection (the load
-	// generator side is not under test). A barrier holds every connection
-	// open until all have finished their rounds, so the server really
-	// serves Conns concurrent sockets.
-	cli, err := sock.NewClient(lan.A.Hub, "manycli")
+	// generator side is not under test). No connection closes before the
+	// bed does, so the server really serves Conns concurrent sockets.
+	cli, err := b.client(b.lan.A, "manycli")
 	if err != nil {
 		return rep, err
 	}
-	cli.CallTimeout = 60 * time.Second
-	var wg sync.WaitGroup
 	var completed atomic.Int64
-	errCh := make(chan error, opts.Conns)
-	allDone := make(chan struct{})
-	var doneWG sync.WaitGroup
-	doneWG.Add(opts.Conns)
-	go func() { doneWG.Wait(); close(allDone) }()
-
 	start := time.Now()
-	for i := 0; i < opts.Conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			finished := false
-			defer func() {
-				if !finished {
-					doneWG.Done()
-				}
-			}()
-			s, err := cli.Socket(sock.TCP)
-			if err != nil {
-				errCh <- err
-				return
+	err = b.fanOut(opts.Conns, func(i int) error {
+		s, err := dial(cli, sock.TCP, b.lan.IPOf("b", 0), port)
+		if err != nil {
+			return fmt.Errorf("conn %d: %w", i, err)
+		}
+		data, buf := make([]byte, opts.Payload), make([]byte, opts.Payload)
+		fillPattern(data, i)
+		for r := 0; r < opts.Rounds; r++ {
+			if err := echoRound(s, data, buf); err != nil {
+				return fmt.Errorf("conn %d round %d: %w", i, r, err)
 			}
-			defer s.Close()
-			if err := s.Connect(lan.IPOf("b", 0), port); err != nil {
-				errCh <- fmt.Errorf("conn %d connect: %w", i, err)
-				return
-			}
-			data := make([]byte, opts.Payload)
-			for b := range data {
-				data[b] = byte(i + b)
-			}
-			buf := make([]byte, opts.Payload)
-			for r := 0; r < opts.Rounds; r++ {
-				if _, err := s.Send(data); err != nil {
-					errCh <- fmt.Errorf("conn %d send: %w", i, err)
-					return
-				}
-				for got := 0; got < opts.Payload; {
-					n, err := s.Recv(buf[got:])
-					if err != nil {
-						errCh <- fmt.Errorf("conn %d recv: %w", i, err)
-						return
-					}
-					if n == 0 {
-						errCh <- fmt.Errorf("conn %d: unexpected EOF", i)
-						return
-					}
-					got += n
-				}
-			}
-			completed.Add(1)
-			finished = true
-			doneWG.Done()
-			<-allDone // hold the connection open until everyone finished
-		}(i)
-	}
-	wg.Wait()
+		}
+		completed.Add(1)
+		return nil
+	})
 	rep.Elapsed = time.Since(start)
 	rep.Completed = int(completed.Load())
-	rep.Echoed = echoed.Load()
-	rep.PeakActive = int(peak.Load())
-
-	_ = l.Close()
-	select {
-	case <-srvDone:
-	case <-time.After(5 * time.Second):
-	}
-	select {
-	case err := <-errCh:
-		return rep, err
-	default:
-	}
-	return rep, nil
-}
-
-// pollerEchoServer is the event-driven server: ONE goroutine, one Poller,
-// every socket in user-level nonblocking mode, edges drained until
-// ErrWouldBlock — the epoll idiom over the split stack.
-func pollerEchoServer(cli *sock.Client, l *sock.Socket, echoed, peak *atomic.Int64, done chan<- struct{}) {
-	defer close(done)
-	l.SetNonblock(true)
-	p := cli.NewPoller()
-	defer p.Close()
-	if err := p.Add(l, msg.EvAcceptReady|msg.EvError); err != nil {
-		return
-	}
-	active := 0
-	buf := make([]byte, 64*1024)
-	// pending holds echo bytes a nonblocking send could not stage; they
-	// flush on the socket's writable edge, and reads pause until the
-	// backlog drains so echo order is preserved.
-	pending := map[*sock.Socket][]byte{}
-	closeConn := func(s *sock.Socket) {
-		p.Del(s)
-		delete(pending, s)
-		_ = s.Close()
-		active--
-	}
-	// write echoes what it can and queues the rest; false means the
-	// connection died.
-	write := func(s *sock.Socket, data []byte) bool {
-		for len(data) > 0 {
-			n, err := s.Send(data)
-			echoed.Add(int64(n))
-			data = data[n:]
-			if errors.Is(err, sock.ErrWouldBlock) || (err == nil && len(data) > 0 && n == 0) {
-				pending[s] = append(pending[s], data...)
-				return true
-			}
-			if err != nil {
-				closeConn(s)
-				return false
-			}
-		}
-		return true
-	}
-	for {
-		events, err := p.Wait(-1)
-		if err != nil {
-			return
-		}
-		for _, e := range events {
-			if e.Sock == l {
-				// Drain the accept queue (edge-triggered contract).
-				for {
-					child, err := l.Accept()
-					if errors.Is(err, sock.ErrWouldBlock) {
-						break
-					}
-					if err != nil {
-						return // listener closed: experiment over
-					}
-					child.SetNonblock(true)
-					if err := p.Add(child, msg.EvReadable|msg.EvWritable|msg.EvEOF|msg.EvError); err != nil {
-						_ = child.Close()
-						continue
-					}
-					active++
-					if int64(active) > peak.Load() {
-						peak.Store(int64(active))
-					}
-				}
-				continue
-			}
-			s := e.Sock
-			// Flush queued echo bytes first; while a backlog remains,
-			// don't read more (order), wait for the next writable edge.
-			if q := pending[s]; len(q) > 0 {
-				delete(pending, s)
-				if !write(s, q) {
-					continue
-				}
-				if len(pending[s]) > 0 {
-					continue
-				}
-			}
-			// Drain the connection until it would block; echo what we read.
-			for {
-				n, err := s.Recv(buf)
-				if errors.Is(err, sock.ErrWouldBlock) {
-					break
-				}
-				if err != nil || n == 0 {
-					closeConn(s)
-					break
-				}
-				if !write(s, buf[:n]) {
-					break
-				}
-				if len(pending[s]) > 0 {
-					break // backpressure: resume on the writable edge
-				}
-			}
-		}
-	}
-}
-
-// goroutineEchoServer is the classic comparison: a blocking accept loop
-// spawning one goroutine per connection.
-func goroutineEchoServer(l *sock.Socket, echoed, peak *atomic.Int64, done chan<- struct{}) {
-	defer close(done)
-	var active atomic.Int64
-	for {
-		child, err := l.Accept()
-		if err != nil {
-			return
-		}
-		n := active.Add(1)
-		if n > peak.Load() {
-			peak.Store(n)
-		}
-		go func(s *sock.Socket) {
-			defer active.Add(-1)
-			defer s.Close()
-			buf := make([]byte, 64*1024)
-			for {
-				n, err := s.Recv(buf)
-				if err != nil || n == 0 {
-					return
-				}
-				if _, err := s.Send(buf[:n]); err != nil {
-					return
-				}
-				echoed.Add(int64(n))
-			}
-		}(child)
-	}
+	rep.Echoed = st.echoed.Load()
+	rep.PeakActive = int(st.peak.Load())
+	return rep, err
 }

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"newtos/internal/core"
 	"newtos/internal/nic"
-	"newtos/internal/sock"
 	"newtos/internal/trace"
 )
 
@@ -103,132 +100,42 @@ type FailoverResult struct {
 // survivor), and TCP's RTO-driven retransmission via the new route.
 func RunLinkFailover(opts FailoverOpts) (FailoverResult, error) {
 	opts.fill()
-	cfg := core.SplitTSO()
-	lan, err := core.NewLANOpt(cfg, 2, nic.Gigabit(), core.LANOpts{PeerGateways: true})
+	b, err := newBed(core.SplitTSO(), 2, nic.Gigabit(), core.LANOpts{PeerGateways: true}, opts.Timeout)
 	if err != nil {
 		return FailoverResult{}, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
+	defer b.close()
+	lan := b.lan
+
+	// Warm up on wire 0 (the sink is addressed via wire 0), then cut it.
+	var sent, rcvd trace.Meter
+	sinkDone, err := b.bulkFlow(0, 7100, 64*1024, &sent, &rcvd)
+	if err != nil {
 		return FailoverResult{}, err
 	}
-
-	const port = 7100
-	var (
-		meter    trace.Meter
-		sent     atomic.Uint64
-		received atomic.Uint64
-		stop     = make(chan struct{})
-		ready    = make(chan struct{})
-		sinkDone = make(chan struct{})
-		wg       sync.WaitGroup
-		errs     = make(chan error, 2)
-	)
-
-	wg.Add(1)
-	go func() { // sink on B, addressed via wire 0
-		defer wg.Done()
-		defer close(sinkDone)
-		cli, err := sock.NewClient(lan.B.Hub, "fosink")
-		if err != nil {
-			errs <- err
-			close(ready)
-			return
-		}
-		cli.CallTimeout = opts.Timeout
-		l, err := cli.Socket(sock.TCP)
-		if err != nil || l.Bind(port) != nil || l.Listen(2) != nil {
-			errs <- fmt.Errorf("failover sink setup: %v", err)
-			close(ready)
-			return
-		}
-		close(ready)
-		conn, err := l.Accept()
-		if err != nil {
-			errs <- err
-			return
-		}
-		buf := make([]byte, 256*1024)
-		for {
-			n, err := conn.Recv(buf)
-			if err != nil || n == 0 {
-				return // EOF: sender closed after the tail
-			}
-			meter.Add(n)
-			received.Add(uint64(n))
-		}
-	}()
-
-	wg.Add(1)
-	go func() { // source on A
-		defer wg.Done()
-		<-ready
-		cli, err := sock.NewClient(lan.A.Hub, "fosrc")
-		if err != nil {
-			errs <- err
-			return
-		}
-		cli.CallTimeout = opts.Timeout
-		s, err := cli.Socket(sock.TCP)
-		if err != nil {
-			errs <- err
-			return
-		}
-		if err := s.Connect(lan.IPOf("b", 0), port); err != nil {
-			errs <- err
-			return
-		}
-		data := make([]byte, 64*1024)
-		for {
-			select {
-			case <-stop:
-				_ = s.Close()
-				return
-			default:
-			}
-			n, err := s.Send(data)
-			sent.Add(uint64(n))
-			if err != nil {
-				errs <- fmt.Errorf("failover send: %w", err)
-				return
-			}
-		}
-	}()
-
-	finish := func() {
-		close(stop)
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(opts.Timeout):
-		}
-	}
-
-	// Warm up on wire 0, then cut it.
 	time.Sleep(opts.Warmup)
-	select {
-	case err := <-errs:
-		finish()
+	if err := b.failure(); err != nil {
 		return FailoverResult{}, err
-	default:
 	}
 	deadDev := lan.DeviceOf("b", 0)
 	survivorDev := lan.DeviceOf("b", 1)
-	deadFramesAtCut := deadDev.Stats().RxFrames
 	survivorBytesAtCut := survivorDev.Stats().RxBytes
-	atCut := meter.Total()
+	atCut := rcvd.Total()
 	cutAt := time.Now()
 	lan.SetLink("a", 0, false)
+	// Count from a moment after the cut: a frame the device was already
+	// DMAing when carrier dropped completes microseconds later, and is not
+	// the dead wire delivering.
+	time.Sleep(time.Millisecond)
+	deadFramesAtCut := deadDev.Stats().RxFrames
 
 	// Recovery: the receiver moves RecoveryBytes past its at-cut total.
 	res := FailoverResult{}
 	deadline := cutAt.Add(opts.Timeout)
-	for meter.Total() < atCut+opts.RecoveryBytes {
+	for rcvd.Total() < atCut+opts.RecoveryBytes {
 		if time.Now().After(deadline) {
-			finish()
 			return res, fmt.Errorf("failover: no recovery within %v (received %d bytes past cut)",
-				opts.Timeout, meter.Total()-atCut)
+				opts.Timeout, rcvd.Total()-atCut)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -238,19 +145,17 @@ func RunLinkFailover(opts FailoverOpts) (FailoverResult, error) {
 	// closes, the sink drains to EOF, and the totals must match — TCP
 	// delivered every byte across the failover.
 	time.Sleep(opts.Tail)
-	finish()
+	b.quiesce()
 	select {
 	case <-sinkDone:
 	case <-time.After(opts.Timeout):
 		return res, fmt.Errorf("failover: sink did not drain to EOF")
 	}
-	select {
-	case err := <-errs:
+	if err := b.failure(); err != nil {
 		return res, err
-	default:
 	}
-	res.BytesSent = sent.Load()
-	res.BytesReceived = received.Load()
+	res.BytesSent = sent.Total()
+	res.BytesReceived = rcvd.Total()
 	res.SurvivorRxBytes = survivorDev.Stats().RxBytes - survivorBytesAtCut
 	res.DeadRxFramesAfterCut = deadDev.Stats().RxFrames - deadFramesAtCut
 	return res, nil

@@ -31,3 +31,12 @@ func RunScaling(shards int, pinned bool, opts Table2Opts) (float64, error) {
 	wcfg.Latency = 5 * time.Microsecond // keep BDP inside the 64 KB window
 	return RunLANTransfer(cfg, wcfg, opts)
 }
+
+// RunTCPSharded measures aggregate outgoing TCP throughput with the TCP
+// engine sharded N ways (docs/ARCHITECTURE.md "Sharded TCP"): the unpinned
+// point of the scaling curve. Connections are spread across shards by the
+// SYSCALL server's round-robin connect routing, so N shards put N engine
+// loops to work on a multi-core box.
+func RunTCPSharded(shards int, opts Table2Opts) (float64, error) {
+	return RunScaling(shards, false, opts)
+}

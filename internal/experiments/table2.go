@@ -6,12 +6,10 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"newtos/internal/core"
 	"newtos/internal/nic"
-	"newtos/internal/sock"
 	"newtos/internal/trace"
 )
 
@@ -117,124 +115,29 @@ func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
 // driver behind every Table II row and the shard-scaling benchmarks.
 func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (float64, error) {
 	opts.fill()
-	lan, err := core.NewLAN(cfg, opts.Wires, wcfg)
+	b, err := newBed(cfg, opts.Wires, wcfg, core.LANOpts{}, 30*time.Second)
 	if err != nil {
 		return 0, err
 	}
-	defer lan.Stop()
-	if err := lan.Start(); err != nil {
-		return 0, err
-	}
+	defer b.close()
 
-	// ConnsPerWire bulk connections per wire; aggregate received bytes on
-	// B. errs has room for every goroutine's one error, so none blocks.
-	var meter trace.Meter
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	conns := opts.Wires * opts.ConnsPerWire
-	errs := make(chan error, 2*conns)
-
-	for ci := 0; ci < conns; ci++ {
-		i := ci % opts.Wires
-		port := uint16(9000 + ci)
-		ready := make(chan struct{})
-		wg.Add(1)
-		go func() { // sink on B
-			defer wg.Done()
-			cli, err := sock.NewClient(lan.B.Hub, fmt.Sprintf("sink%d", port))
-			if err != nil {
-				errs <- err
-				close(ready)
-				return
-			}
-			// Close the client on exit: each leaked pump goroutine keeps
-			// polling its endpoint forever, and accumulated pumps from
-			// repeated runs in one process eventually starve the loops.
-			defer cli.Close()
-			s, err := cli.Socket(sock.TCP)
-			if err != nil {
-				errs <- err
-				close(ready)
-				return
-			}
-			if err := s.Bind(port); err != nil {
-				errs <- err
-				close(ready)
-				return
-			}
-			if err := s.Listen(4); err != nil {
-				errs <- err
-				close(ready)
-				return
-			}
-			close(ready)
-			conn, err := s.Accept()
-			if err != nil {
-				errs <- err
-				return
-			}
-			buf := make([]byte, 256*1024)
-			for {
-				n, err := conn.Recv(buf)
-				if err != nil || n == 0 {
-					return
-				}
-				meter.Add(n)
-			}
-		}()
-		wg.Add(1)
-		go func() { // source on A
-			defer wg.Done()
-			<-ready
-			cli, err := sock.NewClient(lan.A.Hub, fmt.Sprintf("src%d", port))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cli.Close()
-			cli.CallTimeout = 30 * time.Second
-			s, err := cli.Socket(sock.TCP)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if err := s.Connect(lan.IPOf("b", i), port); err != nil {
-				errs <- err
-				return
-			}
-			data := make([]byte, opts.ChunkBytes)
-			for {
-				select {
-				case <-stop:
-					_ = s.Close()
-					return
-				default:
-				}
-				if _, err := s.Send(data); err != nil {
-					return
-				}
-			}
-		}()
+	// ConnsPerWire bulk connections per wire; aggregate received bytes on B.
+	var sent, rcvd trace.Meter
+	for ci := 0; ci < opts.Wires*opts.ConnsPerWire; ci++ {
+		if _, err := b.bulkFlow(ci%opts.Wires, uint16(9000+ci), opts.ChunkBytes, &sent, &rcvd); err != nil {
+			return 0, err
+		}
 	}
 
 	// Measure after a warmup.
 	time.Sleep(300 * time.Millisecond)
-	startBytes := meter.Total()
+	startBytes := rcvd.Total()
 	start := time.Now()
 	time.Sleep(opts.Duration)
 	elapsed := time.Since(start)
-	gotBytes := meter.Total() - startBytes
-	close(stop)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-	}
-	select {
-	case err := <-errs:
+	gotBytes := rcvd.Total() - startBytes
+	if err := b.failure(); err != nil {
 		return 0, err
-	default:
 	}
 	return float64(gotBytes) * 8 / elapsed.Seconds() / 1e6, nil
 }

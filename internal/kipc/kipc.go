@@ -155,6 +155,21 @@ func (k *Kernel) Lookup(name string) (EndpointID, bool) {
 	return id, ok
 }
 
+// Halt powers the machine off: a machine that goes down takes its processes
+// with it, so every registered endpoint is closed. An application that
+// outlives its node then sees ErrClosed instead of waiting on a dead stack.
+func (k *Kernel) Halt() {
+	k.mu.Lock()
+	eps := make([]*Endpoint, 0, len(k.eps))
+	for _, ep := range k.eps {
+		eps = append(eps, ep)
+	}
+	k.mu.Unlock()
+	for _, ep := range eps {
+		ep.Close()
+	}
+}
+
 // Interrupt delivers a hardware interrupt to dst as a notification from the
 // Hardware pseudo-endpoint ("the kernel converts interrupts to messages to
 // the drivers"). irqLine is stashed so drivers can distinguish sources.

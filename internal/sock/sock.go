@@ -137,8 +137,11 @@ type Client struct {
 	// (transport died) are capped by maxOrphans.
 	orphans map[uint64]orphanCall
 	evs     map[evKey]*evState
-	stop    chan struct{}
-	done    chan struct{}
+	// stop closes when the client is closed or its endpoint is (the node
+	// halted): every parked call and event wait then fails with ErrClosed.
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 
 	// Cached frontdoor endpoint ids, used to attribute an incoming event
 	// to its transport (events carry a socket id, and the id spaces of the
@@ -171,6 +174,7 @@ func NewClient(hub *wiring.Hub, name string) (*Client, error) {
 // route to their socket's event state (and any Poller attached to it).
 func (c *Client) pump() {
 	defer close(c.done)
+	defer c.stopOnce.Do(func() { close(c.stop) })
 	for {
 		select {
 		case <-c.stop:
@@ -180,7 +184,7 @@ func (c *Client) pump() {
 		m, err := c.ep.Receive(kipc.Any, 100*time.Millisecond)
 		if err != nil {
 			if errors.Is(err, kipc.ErrClosed) {
-				return
+				return // Close, or the node halted under us
 			}
 			continue
 		}
@@ -317,7 +321,7 @@ func (c *Client) unregister(s *Socket) {
 
 // Close releases the client's kernel endpoint and stops the pump.
 func (c *Client) Close() {
-	close(c.stop)
+	c.stopOnce.Do(func() { close(c.stop) })
 	c.ep.Close()
 	<-c.done
 }

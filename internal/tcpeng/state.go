@@ -24,8 +24,8 @@ package tcpeng
 // conservatively re-announced for nonblocking sockets — spurious edges,
 // never lost ones.
 //
-// The engine deliberately does not import internal/liveup: the server wraps
-// the image and the handles into the typed payload.
+// The engine deliberately does not know the handoff message: the server
+// shell wraps the image and the handles into transport.Payload.
 
 import (
 	"fmt"

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -35,28 +34,4 @@ func (h HandoffPhases) String() string {
 	}
 	return fmt.Sprintf("%s %s: drain=%v transfer=%v rewire=%v resume=%v total=%v",
 		h.Component, mode, h.Drain, h.Transfer, h.Rewire, h.Resume, h.Total())
-}
-
-// HandoffRecorder accumulates handoff phase timings across upgrades. Safe
-// for concurrent use: upgrades are control-plane operations driven from
-// arbitrary goroutines.
-type HandoffRecorder struct {
-	mu     sync.Mutex
-	phases []HandoffPhases
-}
-
-// Record appends one upgrade's timings.
-func (r *HandoffRecorder) Record(p HandoffPhases) {
-	r.mu.Lock()
-	r.phases = append(r.phases, p)
-	r.mu.Unlock()
-}
-
-// All returns a copy of every recorded upgrade, in order.
-func (r *HandoffRecorder) All() []HandoffPhases {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]HandoffPhases, len(r.phases))
-	copy(out, r.phases)
-	return out
 }

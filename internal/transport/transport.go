@@ -11,14 +11,14 @@
 // iteration wiring.Edge spells out. As a proc.Handoffer it captures the
 // engine's complete live state for a successor incarnation and restores it
 // on the other side, so a planned upgrade loses no event and no peer
-// observes the swap (package liveup describes the protocol).
+// observes the swap (docs/ARCHITECTURE.md "Zero-downtime live update" describes
+// the protocol).
 package transport
 
 import (
 	"fmt"
 	"time"
 
-	"newtos/internal/liveup"
 	"newtos/internal/msg"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
@@ -54,6 +54,33 @@ type Engine interface {
 	SaveState() ([]byte, error)
 	HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error)
 	Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Time) error
+}
+
+// Payload is what crosses the proc handoff channel in a live update: an
+// explicit state-transfer message from the old incarnation to its successor,
+// not a storage round-trip.
+type Payload struct {
+	// Engine is the engine's serialized live state (its HandoffState blob).
+	Engine []byte
+	// ToIP and ToSC are requests the predecessor staged but the queues did
+	// not accept; the successor stages them first, so they leave in order
+	// ahead of anything it produces itself.
+	ToIP, ToSC []msg.Req
+	// Handles are the live shared-memory objects the successor adopts.
+	Handles Handles
+}
+
+// Handles are pointers that cannot (and need not) be serialized: the
+// backing objects live in the node's shm.Space, which outlives
+// incarnations, so the successor adopts them in place. Every rich pointer
+// in the engine blob resolves against these pools unchanged.
+type Handles struct {
+	// HdrPool is the engine's packet-header pool; in-flight segment
+	// headers and un-flushed sends point into it.
+	HdrPool *shm.Pool
+	// SockBufs maps socket id to its TX buffer; stream chunks and
+	// un-recycled send payloads point into these.
+	SockBufs map[uint32]*sockbuf.Buf
 }
 
 // Env is what the shell wires into every engine the same way: the shared
@@ -116,9 +143,9 @@ func (s *Server[E]) Engine() E { return s.eng }
 // wiring resumed in place so peers never observe the swap.
 func (s *Server[E]) Init(rt *proc.Runtime, restart bool) error {
 	hub := s.ports.Hub()
-	var payload *liveup.Payload
+	var payload *Payload
 	if rt.Handoff != nil {
-		p, ok := rt.Handoff.(*liveup.Payload)
+		p, ok := rt.Handoff.(*Payload)
 		if !ok || p.Handles.HdrPool == nil {
 			return fmt.Errorf("%s: unusable handoff payload %T", s.spec.Name, rt.Handoff)
 		}
@@ -166,7 +193,7 @@ func (s *Server[E]) Init(rt *proc.Runtime, restart bool) error {
 // subscribing, so generations stay frozen and no peer runs its crash path.
 // Output the predecessor could not send is staged first, in order, for this
 // incarnation's first Poll.
-func (s *Server[E]) restoreHandoff(rt *proc.Runtime, p *liveup.Payload) error {
+func (s *Server[E]) restoreHandoff(rt *proc.Runtime, p *Payload) error {
 	s.ports.Resume(rt.Bell)
 	s.ip = wiring.NewEdge(s.ports.Port(s.spec.IPEdge))
 	s.sc = wiring.NewEdge(s.ports.Port(s.spec.SCEdge))
@@ -193,11 +220,11 @@ func (s *Server[E]) HandoffState() (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.spec.Name, err)
 	}
-	return &liveup.Payload{
+	return &Payload{
 		Engine:  blob,
 		ToIP:    s.ip.TakeStaged(),
 		ToSC:    s.sc.TakeStaged(),
-		Handles: liveup.Handles{HdrPool: s.hdrPool, SockBufs: bufs},
+		Handles: Handles{HdrPool: s.hdrPool, SockBufs: bufs},
 	}, nil
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"newtos/internal/channel"
 	"newtos/internal/kipc"
-	"newtos/internal/liveup"
 	"newtos/internal/msg"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
@@ -228,7 +227,7 @@ func TestHandoffRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := state.(*liveup.Payload)
+	p := state.(*Payload)
 	if len(p.ToIP) != 4 || p.ToIP[0].ID != 3 || len(p.ToSC) != 3 || p.ToSC[0].ID != 13 {
 		t.Fatalf("payload carries ToIP=%v ToSC=%v", p.ToIP, p.ToSC)
 	}
@@ -267,9 +266,9 @@ func TestUnusableHandoffFailsInit(t *testing.T) {
 		want    string
 	}{
 		{"not a payload", "garbage", &fakeEngine{}, "unusable handoff payload string"},
-		{"no header pool handle", &liveup.Payload{}, &fakeEngine{}, "unusable handoff payload"},
+		{"no header pool handle", &Payload{}, &fakeEngine{}, "unusable handoff payload"},
 		{
-			"engine rejects the blob", &liveup.Payload{Handles: liveup.Handles{HdrPool: pool}},
+			"engine rejects the blob", &Payload{Handles: Handles{HdrPool: pool}},
 			&fakeEngine{restoreErr: errors.New("missing TX buffer handle")}, "missing TX buffer handle",
 		},
 	}

@@ -7,11 +7,11 @@ import (
 
 	"newtos/internal/channel"
 	"newtos/internal/kipc"
-	"newtos/internal/liveup"
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
+	"newtos/internal/transport"
 	"newtos/internal/wiring"
 )
 
@@ -129,7 +129,7 @@ func TestHandoffWithMissingBufferHandleFailsInit(t *testing.T) {
 		t.Fatalf("intact payload restored %d sockets, want 1", succ.Engine().NumSockets())
 	}
 
-	delete(state.(*liveup.Payload).Handles.SockBufs, flow)
+	delete(state.(*transport.Payload).Handles.SockBufs, flow)
 	s := New(Config{LocalIP: firstIP}, r.ports)
 	err = s.Init(&proc.Runtime{Bell: r.bell, Incarnation: 2, Handoff: state}, false)
 	if err == nil || !strings.Contains(err.Error(), "missing TX buffer handle") {
