@@ -63,7 +63,9 @@ type Config struct {
 	// match the device names.
 	Ifaces []ipeng.IfaceConfig
 	// SyscallServer interposes the SYSCALL server between applications
-	// and the transports (Table II rows 3 vs 2).
+	// and the transports (Table II rows 3 vs 2): it hosts the doors
+	// (syscallsrv) applications call through. Without it the TCP and UDP
+	// servers' processes each host their own door beside the transport.
 	SyscallServer bool
 	// PF enables the packet filter in the T junction.
 	PF bool
@@ -199,32 +201,48 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 
 	// The stack servers in boot order, inside-out: IP, PF, the transports.
 	// Each becomes its own process, or all of them one (cfg.SingleServer).
+	// A server is one shell or, for a transport on a node without the
+	// SYSCALL server, two: the transport and the door applications call it
+	// through, sharing a process the way the paper's row 2 has it — the
+	// transport itself pays the trapping toll the SYSCALL server otherwise
+	// absorbs, and the gap between rows 2 and 3 is exactly that.
+	type shell = func() proc.Service
 	type server struct {
-		name  string
-		group int
-		new   func() proc.Service
+		name   string
+		group  int
+		shells []shell
 	}
 	var stack []server
+	// transport adds a transport server to the stack and, when there is no
+	// SYSCALL server to hold it, its door as a second shell beside it.
+	transport := func(name string, group int, srv shell, d syscallsrv.Door) {
+		shells := []shell{srv}
+		if !cfg.SyscallServer {
+			ports := wiring.NewPorts(hub, "door-"+name)
+			shells = append(shells, func() proc.Service { return syscallsrv.New(ports, d) })
+		}
+		stack = append(stack, server{name, group, shells})
+	}
 
 	ipPorts := wiring.NewPorts(hub, CompIP)
 	ipCfg := ipsrv.Config{
 		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload,
 		Drivers: drvNames, TCPShards: shards,
 	}
-	stack = append(stack, server{CompIP, ipGroup, func() proc.Service {
+	stack = append(stack, server{CompIP, ipGroup, []shell{func() proc.Service {
 		return ipsrv.New(ipCfg, ipPorts)
-	}})
+	}}})
 
 	if cfg.PF {
 		pfPorts := wiring.NewPorts(hub, CompPF)
-		stack = append(stack, server{CompPF, pfGroup, func() proc.Service {
+		stack = append(stack, server{CompPF, pfGroup, []shell{func() proc.Service {
 			return pf.New(pfPorts)
-		}})
+		}}})
 	}
 
 	// Transports. TCP runs as TCPShards independent flow-hash shards, each
-	// its own process with its own doorbell; the SYSCALL server routes
-	// socket calls between them, so sharding requires it.
+	// its own process with its own doorbell; the TCP door routes socket
+	// calls between them from the SYSCALL server, so sharding requires it.
 	for k := 0; k < shards; k++ {
 		name := TCPShardName(k, shards)
 		tcpPorts := wiring.NewPorts(hub, name)
@@ -232,51 +250,32 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 			LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload, TSO: cfg.TSO,
 			Shard: k, Shards: shards,
 		}
-		var tcpShim *wiring.Ports
-		var tcpSubs map[uint32]kipc.EndpointID
-		if !cfg.SyscallServer { // implies shards == 1 (gated above)
-			tcpShim = wiring.NewPorts(hub, "shim-sc-tcp")
-			tcpSubs = make(map[uint32]kipc.EndpointID)
-		}
-		stack = append(stack, server{name, tcpGroup0 + k, func() proc.Service {
-			s := tcpsrv.New(tcpCfg, tcpPorts)
-			if !cfg.SyscallServer {
-				return newDirectFrontWithPorts(s, tcpShim, "sc-tcp", syscallsrv.TCPFrontdoor, tcpSubs)
-			}
-			return s
-		}})
+		transport(name, tcpGroup0+k, func() proc.Service {
+			return tcpsrv.New(tcpCfg, tcpPorts)
+		}, syscallsrv.TCP(shards))
 	}
 	udpPorts := wiring.NewPorts(hub, CompUDP)
-	udpShim := wiring.NewPorts(hub, "shim-sc-udp")
-	udpSubs := make(map[uint32]kipc.EndpointID)
 	udpCfg := udpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload}
-	stack = append(stack, server{CompUDP, udpGroup, func() proc.Service {
-		s := udpsrv.New(udpCfg, udpPorts)
-		if !cfg.SyscallServer {
-			return newDirectFrontWithPorts(s, udpShim, "sc-udp", syscallsrv.UDPFrontdoor, udpSubs)
-		}
-		return s
-	}})
+	transport(CompUDP, udpGroup, func() proc.Service {
+		return udpsrv.New(udpCfg, udpPorts)
+	}, syscallsrv.UDP())
 
 	if cfg.SingleServer {
-		n.addProc(CompStack, pin(ipGroup), func() proc.Service {
-			parts := make(hosted, len(stack))
-			for i, s := range stack {
-				parts[i] = s.new()
-			}
-			return parts
-		})
-	} else {
+		var all []shell
 		for _, s := range stack {
-			n.addProc(s.name, pin(s.group), s.new)
+			all = append(all, s.shells...)
 		}
+		stack = []server{{CompStack, ipGroup, all}}
+	}
+	for _, s := range stack {
+		n.addProc(s.name, pin(s.group), host(s.shells))
 	}
 
-	// SYSCALL server.
+	// SYSCALL server: all three doors.
 	if cfg.SyscallServer {
 		scPorts := wiring.NewPorts(hub, CompSC)
 		n.addProc(CompSC, pin(scGroup), func() proc.Service {
-			return syscallsrv.New(scPorts, shards)
+			return syscallsrv.New(scPorts, syscallsrv.TCP(shards), syscallsrv.UDP(), syscallsrv.PF())
 		})
 	}
 	return n, nil

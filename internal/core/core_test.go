@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"newtos/internal/faults"
+	"newtos/internal/msg"
 	"newtos/internal/nic"
 	"newtos/internal/pfeng"
 	"newtos/internal/sock"
@@ -587,5 +589,54 @@ func TestStoppedNodeTakesItsClientsDown(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines before the LAN, %d after Stop:\n%s", base, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestPFControlCallAbortedOnPFRestart: a control call in flight when PF
+// reincarnates is answered — with an abort, like a call to any other
+// restarted peer — instead of leaking in the door's pending table while the
+// caller sits out its five-second receive.
+func TestPFControlCallAbortedOnPFRestart(t *testing.T) {
+	lan := testLAN(t, nil)
+	stop := make(chan struct{})
+	type result struct {
+		calls, aborted int
+		slowest        time.Duration
+		err            error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		for {
+			select {
+			case <-stop:
+				done <- r
+				return
+			default:
+			}
+			start := time.Now()
+			err := lan.B.AddPFRule(pfeng.Rule{Action: pfeng.Block, Dir: pfeng.In, DstPort: 9999})
+			r.calls++
+			r.slowest = max(r.slowest, time.Since(start))
+			if err != nil {
+				r.aborted++
+				if !strings.Contains(err.Error(), fmt.Sprint(msg.StatusErrAborted)) {
+					r.err = err
+				}
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		time.Sleep(20 * time.Millisecond)
+		crashAndRecover(t, lan.B, CompPF)
+	}
+	close(stop)
+	r := <-done
+	t.Logf("%d calls, %d aborted, slowest %v", r.calls, r.aborted, r.slowest)
+	if r.err != nil {
+		t.Fatalf("a control call failed with something other than an abort: %v", r.err)
+	}
+	if r.slowest > 500*time.Millisecond {
+		t.Fatalf("a control call took %v across a PF restart, want an answer within 500ms", r.slowest)
 	}
 }

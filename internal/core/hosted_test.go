@@ -10,11 +10,13 @@ import (
 
 	"newtos/internal/faults"
 	"newtos/internal/ipsrv"
+	"newtos/internal/msg"
 	"newtos/internal/nic"
 	"newtos/internal/pf"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
 	"newtos/internal/sock"
+	"newtos/internal/syscallsrv"
 	"newtos/internal/tcpsrv"
 	"newtos/internal/udpsrv"
 )
@@ -251,6 +253,69 @@ func TestStackCrashRestoresSockets(t *testing.T) {
 	}
 }
 
+// TestHostedDoorReannouncesAfterRestart covers the rows without a SYSCALL
+// server, where a door shares its transport's process: when that process
+// crashes — the UDP server's own on a split node, the whole stack's on a
+// single-server one (Table II row 1) — the new door restores its
+// subscription table from storage, re-pushes the nonblocking mode to the
+// sockets the engine restored and pokes their subscribers, so a parked
+// poller wakes and the socket still answers "would block" instead of
+// parking the call.
+func TestHostedDoorReannouncesAfterRestart(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		comp := CompUDP
+		if single {
+			comp = CompStack
+		}
+		t.Run("crash "+comp, func(t *testing.T) {
+			lan := testLAN(t, func(c *Config) { c.SyscallServer, c.SingleServer = false, single })
+			cli, err := sock.NewClient(lan.A.Hub, "directpoll")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli.CallTimeout = 2 * time.Second
+			s, err := cli.Socket(sock.UDP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Bind(5600); err != nil {
+				t.Fatal(err)
+			}
+			s.SetNonblock(true)
+			p := cli.NewPoller()
+			if err := p.Add(s, msg.EvReadable|msg.EvWritable); err != nil {
+				t.Fatal(err)
+			}
+			for { // drain the edges arming raised
+				evs, err := p.Wait(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(evs) == 0 {
+					break
+				}
+			}
+
+			crashAndRecover(t, lan.A, comp)
+
+			evs, err := p.Wait(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			woke := false
+			for _, e := range evs {
+				woke = woke || e.Sock == s
+			}
+			if !woke {
+				t.Fatalf("poller not woken by the re-announced edge (events %v)", evs)
+			}
+			if _, _, _, err := s.RecvFrom(make([]byte, 64)); !errors.Is(err, sock.ErrWouldBlock) {
+				t.Fatalf("recv on the recovered socket: %v, want ErrWouldBlock (mode bits re-pushed)", err)
+			}
+		})
+	}
+}
+
 // TestStorageCrashIsRestored: the storage server loses everything when it
 // crashes (paper §V-D: "every other server has to store its state again"),
 // so every server must notice and park its state again — or an idle
@@ -264,7 +329,10 @@ func TestStorageCrashIsRestored(t *testing.T) {
 	}
 	crashAndRecover(t, lan.B, CompStorage)
 	time.Sleep(20 * time.Millisecond) // idle loops wake within MaxSleep and re-store
-	for _, key := range []string{tcpsrv.StorageKeyFor(0), udpsrv.StorageKey, ipsrv.StorageKey, pf.RulesKey} {
+	for _, key := range []string{
+		tcpsrv.StorageKeyFor(0), udpsrv.StorageKey, ipsrv.StorageKey, pf.RulesKey,
+		syscallsrv.TCP(1).StateKey(), syscallsrv.UDP().StateKey(),
+	} {
 		if _, ok := lan.B.Hub.Store.Get(key); !ok {
 			t.Errorf("%s not stored again after the storage crash", key)
 		}

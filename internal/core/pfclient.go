@@ -34,7 +34,7 @@ func (c *PFClient) Close() { c.ep.Close() }
 
 func (c *PFClient) call(req msg.Req) (msg.Req, error) {
 	req.ID = c.next.Add(1)
-	dst, ok := c.hub.Kern.Lookup("frontdoor-pf")
+	dst, ok := c.hub.Kern.Lookup(msg.PFFrontdoor)
 	if !ok {
 		return msg.Req{}, fmt.Errorf("pfclient: no PF frontdoor")
 	}

@@ -277,66 +277,6 @@ func TestUDPLeftoverKeepsSource(t *testing.T) {
 	}
 }
 
-// TestDirectFrontReannouncesAfterRestart covers the row without a SYSCALL
-// server: when the UDP server (and the shim in its process) crashes, the
-// shim's first rebind re-pushes the nonblocking mode to the restored
-// sockets and pokes their subscribers, so a parked poller wakes and the
-// socket still answers "would block" instead of parking the call.
-func TestDirectFrontReannouncesAfterRestart(t *testing.T) {
-	lan := testLAN(t, func(c *Config) { c.SyscallServer = false })
-	cli, err := sock.NewClient(lan.A.Hub, "directpoll")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli.CallTimeout = 2 * time.Second
-	s, err := cli.Socket(sock.UDP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Bind(5600); err != nil {
-		t.Fatal(err)
-	}
-	s.SetNonblock(true)
-	p := cli.NewPoller()
-	if err := p.Add(s, msg.EvReadable|msg.EvWritable); err != nil {
-		t.Fatal(err)
-	}
-	for { // drain the edges arming raised
-		evs, err := p.Wait(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(evs) == 0 {
-			break
-		}
-	}
-
-	before := len(lan.A.Monitor.Events())
-	lan.A.Proc(CompUDP).Fault().Arm(faults.Crash)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(lan.A.Monitor.Events()) <= before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if len(lan.A.Monitor.Events()) <= before {
-		t.Fatal("UDP never recovered")
-	}
-
-	evs, err := p.Wait(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	woke := false
-	for _, e := range evs {
-		woke = woke || e.Sock == s
-	}
-	if !woke {
-		t.Fatalf("poller not woken by the re-announced edge (events %v)", evs)
-	}
-	if _, _, _, err := s.RecvFrom(make([]byte, 64)); !errors.Is(err, sock.ErrWouldBlock) {
-		t.Fatalf("recv on the recovered socket: %v, want ErrWouldBlock (mode bits re-pushed)", err)
-	}
-}
-
 // TestClosedUDPSocketsReleaseTheirBuffers: closing a UDP socket withdraws
 // its TX buffer from the registry and drops the buffer's pool from the
 // shared space, and the datagram sent just before still reaches the peer.
@@ -565,5 +505,135 @@ func TestPollerShardRestartRecovery(t *testing.T) {
 	// never fire).
 	if _, err := s.Recv(make([]byte, 64)); err == nil || errors.Is(err, sock.ErrWouldBlock) {
 		t.Fatalf("recv on crashed-shard socket: %v, want a hard error", err)
+	}
+}
+
+// TestSyscallServerCrashKeepsSubscriptions: the SYSCALL server's
+// subscription table is parked in storage, so after its crash readiness
+// edges still reach the applications that armed them. A parked poller and
+// a goroutine blocked in Recv both wake with the data at stack speed, not
+// at the library's 500 ms backstop.
+func TestSyscallServerCrashKeepsSubscriptions(t *testing.T) {
+	lan := testLAN(t, nil)
+	aIP := lan.IPOf("a", 0)
+
+	// Node B: a listener whose accepted connection the test writes to, and
+	// a UDP socket to send from.
+	srv, err := sock.NewClient(lan.B.Hub, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := srv.Socket(sock.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Bind(7800); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Listen(4); err != nil {
+		t.Fatal(err)
+	}
+	bu, err := srv.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Node A: a bound UDP socket under a poller and a TCP connection with a
+	// goroutine blocked in Recv.
+	cli, err := sock.NewClient(lan.A.Hub, "cli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.CallTimeout = 2 * time.Second
+	u, err := cli.Socket(sock.UDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Bind(5800); err != nil {
+		t.Fatal(err)
+	}
+	u.SetNonblock(true)
+	p := cli.NewPoller()
+	if err := p.Add(u, msg.EvReadable); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cli.Socket(sock.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Connect(lan.IPOf("b", 0), 7800); err != nil {
+		t.Fatal(err)
+	}
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcpGot := make(chan time.Time, 1)
+	go func() {
+		buf := make([]byte, 64)
+		for {
+			n, err := c.Recv(buf)
+			if errors.Is(err, sock.ErrClosed) {
+				return
+			}
+			if err == nil && n > 0 {
+				tcpGot <- time.Now()
+				return
+			}
+			time.Sleep(time.Millisecond) // a call lost with the crashed server
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the Recv park on its readiness edge
+
+	crashAndRecover(t, lan.A, CompSC)
+	time.Sleep(20 * time.Millisecond) // the new incarnation's re-announced edges land
+	for {                             // consume them: nothing is readable yet
+		evs, err := p.Wait(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) == 0 {
+			break
+		}
+	}
+	if _, _, _, err := u.RecvFrom(make([]byte, 64)); !errors.Is(err, sock.ErrWouldBlock) {
+		t.Fatalf("recv on the empty socket after the crash: %v, want ErrWouldBlock", err)
+	}
+
+	sent := time.Now()
+	if _, err := bu.SendTo([]byte("dgram"), aIP, 5800); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.Send([]byte("stream")); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 100 * time.Millisecond // well under the 500 ms recv backstop
+	buf := make([]byte, 64)
+	for got := false; !got; {
+		var evs []sock.Event
+		if left := bound - time.Since(sent); left > 0 { // Wait(<0) would wait forever
+			if evs, err = p.Wait(left); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(evs) == 0 {
+			t.Fatalf("poller not woken within %v of the datagram", bound)
+		}
+		n, _, _, err := u.RecvFrom(buf)
+		if err != nil && !errors.Is(err, sock.ErrWouldBlock) {
+			t.Fatal(err)
+		}
+		got = err == nil && string(buf[:n]) == "dgram"
+	}
+	select {
+	case at := <-tcpGot:
+		if d := at.Sub(sent); d > bound {
+			t.Fatalf("blocked Recv woke %v after the data was sent, want under %v", d, bound)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocked Recv never woke")
+	}
+	if _, _, _, err := u.RecvFrom(buf); !errors.Is(err, sock.ErrWouldBlock) {
+		t.Fatalf("recv on the drained socket: %v, want ErrWouldBlock", err)
 	}
 }

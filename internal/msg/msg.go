@@ -103,6 +103,15 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint16(o))
 }
 
+// The doors: the kernel endpoint names applications send their socket and
+// packet-filter control calls to. A door is registered by the SYSCALL
+// server or, on a node without one, by the transport behind it.
+const (
+	TCPFrontdoor = "frontdoor-tcp"
+	UDPFrontdoor = "frontdoor-udp"
+	PFFrontdoor  = "frontdoor-pf"
+)
+
 // Offload flags for OpTxSubmit / OpIPSend (Arg0 / Arg3).
 const (
 	OffloadCsumIP  = 1 << 0 // device fills the IPv4 header checksum

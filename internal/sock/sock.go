@@ -13,9 +13,11 @@
 // drive thousands of flows through a Poller instead of parking a goroutine
 // per socket.
 //
-// The same library also works without a SYSCALL server (paper Table II
-// row 2): the frontdoor endpoint names are then registered by the
-// transports themselves, and calls go to them directly.
+// Calls go to a door: the kernel endpoint msg.TCPFrontdoor or
+// msg.UDPFrontdoor. Who registered it is the node's business — the SYSCALL
+// server, or, on a node without one (paper Table II rows 1 and 2), the
+// transport's own process, which hosts the same door (syscallsrv) beside
+// the transport. The library cannot tell and does not need to.
 package sock
 
 import (
@@ -287,10 +289,10 @@ func (c *Client) protoOf(from kipc.EndpointID) Proto {
 	if from == c.fdUDP {
 		return UDP
 	}
-	if id, ok := c.hub.Kern.Lookup("frontdoor-tcp"); ok {
+	if id, ok := c.hub.Kern.Lookup(msg.TCPFrontdoor); ok {
 		c.fdTCP = id
 	}
-	if id, ok := c.hub.Kern.Lookup("frontdoor-udp"); ok {
+	if id, ok := c.hub.Kern.Lookup(msg.UDPFrontdoor); ok {
 		c.fdUDP = id
 	}
 	if from == c.fdUDP {
@@ -328,9 +330,9 @@ func (c *Client) Close() {
 
 // frontdoor resolves the kernel endpoint a call must go to.
 func (c *Client) frontdoor(p Proto) (kipc.EndpointID, error) {
-	name := "frontdoor-tcp"
+	name := msg.TCPFrontdoor
 	if p == UDP {
-		name = "frontdoor-udp"
+		name = msg.UDPFrontdoor
 	}
 	id, ok := c.hub.Kern.Lookup(name)
 	if !ok {

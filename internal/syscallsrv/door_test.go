@@ -1,0 +1,597 @@
+package syscallsrv
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"newtos/internal/channel"
+	"newtos/internal/kipc"
+	"newtos/internal/msg"
+	"newtos/internal/proc"
+	"newtos/internal/storage"
+	"newtos/internal/tcpeng"
+	"newtos/internal/tcpsrv"
+	"newtos/internal/wiring"
+)
+
+// The three doors, by the kernel endpoint name applications look up.
+const (
+	doorTCP = msg.TCPFrontdoor
+	doorUDP = msg.UDPFrontdoor
+	doorPF  = msg.PFFrontdoor
+)
+
+// pendingCalls counts the calls the server holds for a transport's reply.
+func pendingCalls(s *Server) int {
+	n := 0
+	for _, d := range s.doors {
+		n += len(d.pending)
+	}
+	return n
+}
+
+// transport plays one of the server's peers (a TCP shard, UDP or PF): the
+// attaching end of the server's edge towards that component.
+type transport struct {
+	ports *wiring.Ports
+	edge  string
+	end   *wiring.Edge
+	got   []msg.Req
+}
+
+// reincarnate restarts the transport: its new bell makes the server export
+// a fresh duplex, which advances the server's port generation.
+func (p *transport) reincarnate() {
+	p.ports.Begin(channel.NewDoorbell())
+	p.end = wiring.NewEdge(p.ports.Attach(p.edge))
+	p.got = nil
+}
+
+// drain collects what the server delivered to this incarnation.
+func (p *transport) drain() {
+	p.end.Intake(make([]msg.Req, wiring.ScratchLen), nil, func(b []msg.Req) {
+		p.got = append(p.got, b...)
+	})
+}
+
+// take returns what arrived since the last take.
+func (p *transport) take() []msg.Req {
+	got := p.got
+	p.got = nil
+	return got
+}
+
+// delivery is one kernel message an application received.
+type delivery struct {
+	door string // which door sent it
+	req  msg.Req
+}
+
+// app is one application process: a kernel endpoint and what landed on it.
+type app struct {
+	ep  *kipc.Endpoint
+	got []delivery
+}
+
+func (a *app) take() []delivery {
+	got := a.got
+	a.got = nil
+	return got
+}
+
+type rig struct {
+	t      *testing.T
+	hub    *wiring.Hub
+	ports  *wiring.Ports // the server's, stable across its incarnations
+	srv    *Server
+	now    time.Time
+	peers  map[string]*transport // by component name
+	apps   []*app
+	shards int
+}
+
+// newRig boots a SYSCALL server over fake transports: shards TCP peers, UDP
+// and PF.
+func newRig(t *testing.T, shards int) *rig {
+	r := &rig{
+		t: t, hub: wiring.NewHub(kipc.New(kipc.Config{})), now: time.Unix(1000, 0),
+		peers: map[string]*transport{}, shards: shards,
+	}
+	r.ports = wiring.NewPorts(r.hub, "sc")
+	r.boot(false)
+	t.Cleanup(func() { r.srv.Stop() })
+	for k := 0; k < shards; k++ {
+		edge, name := tcpsrv.SCEdge(k, shards)
+		r.attach(name, edge)
+	}
+	r.attach("udp", "sc-udp")
+	r.attach("pf", "sc-pf")
+	r.poll() // every edge's first rebind is wiring, not a restart to recover from
+	return r
+}
+
+// boot starts an incarnation of the server with all three doors; the one
+// before it, if any, is abandoned the way a crash abandons it.
+func (r *rig) boot(restart bool) {
+	r.srv = New(r.ports, TCP(r.shards), UDP(), PF())
+	if err := r.srv.Init(&proc.Runtime{Bell: channel.NewDoorbell(), Incarnation: 1}, restart); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+func (r *rig) attach(name, edge string) {
+	p := &transport{ports: wiring.NewPorts(r.hub, name), edge: edge}
+	p.reincarnate()
+	r.peers[name] = p
+}
+
+// tcp is TCP shard k's fake.
+func (r *rig) tcp(k int) *transport { return r.peers[tcpsrv.ShardName(k, r.shards)] }
+
+func (r *rig) newApp(name string) *app {
+	ep, err := r.hub.Kern.Register("app/"+name, nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.t.Cleanup(ep.Close)
+	a := &app{ep: ep}
+	r.apps = append(r.apps, a)
+	return a
+}
+
+// poll runs one server iteration. A send to an application is a rendezvous,
+// so the applications keep receiving while the server polls; when Poll has
+// returned, everything it sent has been received. Then the transports drain.
+func (r *rig) poll() {
+	r.now = r.now.Add(time.Millisecond)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.srv.Poll(r.now)
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			runtime.Gosched()
+		}
+		for _, a := range r.apps {
+			for {
+				m, err := a.ep.TryReceive(kipc.Any)
+				if err != nil {
+					break
+				}
+				req, err := msg.UnmarshalReq(m.Data)
+				if err != nil {
+					r.t.Fatalf("app received garbage: %v", err)
+				}
+				d := delivery{req: req}
+				for _, door := range []string{doorTCP, doorUDP, doorPF} {
+					if id, ok := r.hub.Kern.Lookup(door); ok && id == m.From {
+						d.door = door
+					}
+				}
+				a.got = append(a.got, d)
+			}
+		}
+	}
+	for _, p := range r.peers {
+		p.drain()
+	}
+}
+
+// call sends one application call through a door and polls the server until
+// it has taken it; the forward is then with the transport.
+func (r *rig) call(a *app, door string, req msg.Req) {
+	r.t.Helper()
+	dst, ok := r.hub.Kern.Lookup(door)
+	if !ok {
+		r.t.Fatalf("no %s endpoint", door)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- a.ep.Send(dst, kipc.Msg{Type: uint32(req.Op), Data: req.MarshalBinary()}) }()
+	for {
+		r.poll()
+		select {
+		case err := <-sent:
+			if err != nil {
+				r.t.Fatalf("send to %s: %v", door, err)
+			}
+			return
+		default:
+		}
+	}
+}
+
+// answer has a transport send requests (replies, events) and the server
+// relay them.
+func (r *rig) answer(p *transport, reqs ...msg.Req) {
+	p.end.Push(reqs...)
+	p.end.Flush(r.now, true)
+	r.poll()
+}
+
+// forwarded is the one request of that op the transport got since the last
+// take; anything else fails the test.
+func (r *rig) forwarded(p *transport, op msg.Op) msg.Req {
+	r.t.Helper()
+	got := p.take()
+	if len(got) != 1 || got[0].Op != op {
+		r.t.Fatalf("transport %s got %v, want one %v", p.ports.Name(), got, op)
+	}
+	return got[0]
+}
+
+// replied is the one message the application got since the last take.
+func (r *rig) replied(a *app, door string) msg.Req {
+	r.t.Helper()
+	got := a.take()
+	if len(got) != 1 || got[0].door != door {
+		r.t.Fatalf("app got %+v, want one message from %s", got, door)
+	}
+	return got[0].req
+}
+
+func (r *rig) silent(a *app) {
+	r.t.Helper()
+	if got := a.take(); len(got) != 0 {
+		r.t.Fatalf("app got %+v, want nothing", got)
+	}
+}
+
+func flags(flow uint32) msg.Req {
+	r := msg.Req{Op: msg.OpSockSetFlags, Flow: flow}
+	r.Arg[0] = msg.SockNonblock
+	return r
+}
+
+func event(flow uint32, bits uint64) msg.Req {
+	r := msg.Req{Op: msg.OpSockEvent, Flow: flow}
+	r.Arg[0] = bits
+	return r
+}
+
+// subscribe puts flow in nonblocking mode on a door's behalf and completes
+// the call, so nothing stays pending.
+func (r *rig) subscribe(a *app, door string, p *transport, flow uint32) {
+	r.t.Helper()
+	r.call(a, door, flags(flow))
+	fwd := r.forwarded(p, msg.OpSockSetFlags)
+	r.answer(p, fwd.Reply(msg.OpSockReply, msg.StatusOK))
+	r.replied(a, door)
+}
+
+// openVsock creates a socket through the sharded TCP door and returns the id
+// the door gave it.
+func (r *rig) openVsock(a *app) uint32 {
+	r.t.Helper()
+	r.call(a, doorTCP, msg.Req{ID: 1, Op: msg.OpSockCreate})
+	var flow uint32
+	for k := 0; k < r.shards; k++ {
+		fwd := r.forwarded(r.tcp(k), msg.OpSockCreate)
+		flow = uint32(fwd.Arg[0])
+		rep := fwd.Reply(msg.OpSockReply, msg.StatusOK)
+		rep.Flow = flow
+		r.answer(r.tcp(k), rep)
+	}
+	if rep := r.replied(a, doorTCP); rep.Status != msg.StatusOK || rep.Flow != flow || flow == 0 {
+		r.t.Fatalf("create = %+v, shards were told id %d", rep, flow)
+	}
+	return flow
+}
+
+// broadcast sends one call every shard must see and returns the forwards,
+// by shard.
+func (r *rig) broadcast(a *app, req msg.Req) []msg.Req {
+	r.t.Helper()
+	r.call(a, doorTCP, req)
+	fwds := make([]msg.Req, r.shards)
+	for k := range fwds {
+		fwds[k] = r.forwarded(r.tcp(k), req.Op)
+	}
+	return fwds
+}
+
+// TestDoor scripts the door contract over real ports, queues and kernel
+// endpoints with fake transports behind them.
+func TestDoor(t *testing.T) {
+	doors := []struct {
+		door, peer string
+		op         msg.Op
+	}{{doorTCP, "tcp", msg.OpSockBind}, {doorUDP, "udp", msg.OpSockBind}, {doorPF, "pf", msg.OpPFStats}}
+
+	t.Run("a reply comes back under the caller's id, once", func(t *testing.T) {
+		r := newRig(t, 1)
+		a := r.newApp("a")
+		for _, d := range doors {
+			p := r.peers[d.peer]
+			r.call(a, d.door, msg.Req{ID: 77, Op: d.op, Flow: 5})
+			fwd := r.forwarded(p, d.op)
+			if fwd.Flow != 5 || fwd.ID == 77 {
+				t.Fatalf("%s forwarded %+v", d.door, fwd)
+			}
+			rep := fwd.Reply(msg.OpSockReply, msg.StatusErrInUse)
+			r.answer(p, rep)
+			if got := r.replied(a, d.door); got.ID != 77 || got.Status != msg.StatusErrInUse || got.Flow != 5 {
+				t.Fatalf("%s reply = %+v", d.door, got)
+			}
+			r.answer(p, rep) // the same reply again matches nothing
+			r.silent(a)
+		}
+		if n := pendingCalls(r.srv); n != 0 {
+			t.Fatalf("%d calls still pending", n)
+		}
+	})
+
+	t.Run("recv-done is forwarded and forgotten", func(t *testing.T) {
+		r := newRig(t, 1)
+		a := r.newApp("a")
+		r.call(a, doorTCP, msg.Req{ID: 3, Op: msg.OpSockRecvDone, Flow: 5})
+		r.call(a, doorUDP, msg.Req{ID: 4, Op: msg.OpSockRecvDone, Flow: 5})
+		r.forwarded(r.tcp(0), msg.OpSockRecvDone)
+		r.forwarded(r.peers["udp"], msg.OpSockRecvDone)
+		if n := pendingCalls(r.srv); n != 0 {
+			t.Fatalf("%d calls pending after fire-and-forget ops", n)
+		}
+	})
+
+	t.Run("an event reaches its subscriber only, and nobody after close", func(t *testing.T) {
+		r := newRig(t, 1)
+		a, b := r.newApp("a"), r.newApp("b")
+		tcp, udp := r.tcp(0), r.peers["udp"]
+		r.subscribe(a, doorTCP, tcp, 5) // the transports' socket ids overlap
+		r.subscribe(b, doorUDP, udp, 5)
+
+		r.answer(tcp, event(5, msg.EvReadable))
+		if ev := r.replied(a, doorTCP); ev.Op != msg.OpSockEvent || ev.Flow != 5 || ev.Arg[0] != msg.EvReadable {
+			t.Fatalf("event = %+v", ev)
+		}
+		r.silent(b)
+		r.answer(udp, event(5, msg.EvWritable))
+		if ev := r.replied(b, doorUDP); ev.Op != msg.OpSockEvent || ev.Arg[0] != msg.EvWritable {
+			t.Fatalf("event = %+v", ev)
+		}
+		r.silent(a)
+		r.answer(tcp, event(6, msg.EvReadable)) // nobody armed socket 6
+		r.silent(a)
+		r.silent(b)
+
+		r.call(a, doorTCP, msg.Req{ID: 9, Op: msg.OpSockClose, Flow: 5})
+		r.answer(tcp, event(5, msg.EvReadable))
+		r.silent(a)
+		r.answer(udp, event(5, msg.EvReadable)) // UDP's socket 5 is still open
+		r.replied(b, doorUDP)
+	})
+
+	// A transport reincarnates between two polls with calls in flight.
+	restarts := []struct {
+		door, peer string
+		poke       uint64
+	}{
+		{doorTCP, "tcp", msg.EvError | msg.EvReadable | msg.EvWritable | msg.EvAcceptReady},
+		{doorUDP, "udp", msg.EvReadable | msg.EvWritable},
+	}
+	for _, d := range restarts {
+		t.Run("restart of "+d.peer+" aborts calls, reissues recv and accept, re-arms subscribers", func(t *testing.T) {
+			r := newRig(t, 1)
+			a, b := r.newApp("a"), r.newApp("b")
+			p := r.peers[d.peer]
+			r.subscribe(a, d.door, p, 5)
+			r.call(a, d.door, msg.Req{ID: 10, Op: msg.OpSockSend, Flow: 5})
+			r.call(a, d.door, msg.Req{ID: 11, Op: msg.OpSockRecv, Flow: 5})
+			r.call(b, d.door, msg.Req{ID: 12, Op: msg.OpSockAccept, Flow: 6})
+			// A call through another door is not this transport's.
+			other, otherPeer := doorUDP, r.peers["udp"]
+			if d.door == doorUDP {
+				other, otherPeer = doorTCP, r.tcp(0)
+			}
+			r.call(b, other, msg.Req{ID: 13, Op: msg.OpSockSend, Flow: 5})
+			p.take()
+
+			p.reincarnate()
+			r.poll()
+
+			got := a.take()
+			if len(got) != 2 {
+				t.Fatalf("app a got %+v, want the abort and the poke", got)
+			}
+			for _, g := range got {
+				switch g.req.Op {
+				case msg.OpSockReply:
+					if g.req.ID != 10 || g.req.Status != msg.StatusErrAborted || g.door != d.door {
+						t.Fatalf("abort = %+v", g)
+					}
+				case msg.OpSockEvent:
+					if g.req.Flow != 5 || g.req.Arg[0] != d.poke || g.door != d.door {
+						t.Fatalf("poke = %+v, want bits %#x", g, d.poke)
+					}
+				default:
+					t.Fatalf("app a got %+v", g)
+				}
+			}
+			r.silent(b) // its accept was reissued, its other call is alive
+
+			var ops []msg.Op
+			reissued := map[msg.Op]msg.Req{}
+			for _, q := range p.take() {
+				ops = append(ops, q.Op)
+				reissued[q.Op] = q
+			}
+			slices.Sort(ops)
+			if want := []msg.Op{msg.OpSockAccept, msg.OpSockRecv, msg.OpSockSetFlags}; !slices.Equal(ops, want) {
+				t.Fatalf("new incarnation got %v, want %v once each", ops, want)
+			}
+			if sf := reissued[msg.OpSockSetFlags]; sf.Flow != 5 || sf.Arg[0] != msg.SockNonblock {
+				t.Fatalf("mode bits re-pushed as %+v", sf)
+			}
+			r.poll() // nothing is reissued twice
+			if extra := p.take(); len(extra) != 0 {
+				t.Fatalf("a second poll sent %v", extra)
+			}
+
+			rec := reissued[msg.OpSockRecv]
+			r.answer(p, rec.Reply(msg.OpSockRecvData, msg.StatusOK))
+			if rep := r.replied(a, d.door); rep.ID != 11 || rep.Op != msg.OpSockRecvData {
+				t.Fatalf("reissued recv completed as %+v", rep)
+			}
+			fwd := r.forwarded(otherPeer, msg.OpSockSend)
+			r.answer(otherPeer, fwd.Reply(msg.OpSockReply, msg.StatusOK))
+			if rep := r.replied(b, other); rep.ID != 13 || rep.Status != msg.StatusOK {
+				t.Fatalf("the other door's call completed as %+v", rep)
+			}
+		})
+	}
+
+	t.Run("restart of pf aborts the control call in flight", func(t *testing.T) {
+		r := newRig(t, 1)
+		a := r.newApp("a")
+		r.call(a, doorPF, msg.Req{ID: 40, Op: msg.OpPFRuleAdd})
+		r.peers["pf"].reincarnate()
+		r.poll()
+		if rep := r.replied(a, doorPF); rep.ID != 40 || rep.Status != msg.StatusErrAborted {
+			t.Fatalf("control call ended as %+v", rep)
+		}
+		if n := pendingCalls(r.srv); n != 0 {
+			t.Fatalf("%d calls leaked in the pending table", n)
+		}
+	})
+
+	t.Run("the server's own restart keeps the subscriptions", func(t *testing.T) {
+		r := newRig(t, 1)
+		a, b := r.newApp("a"), r.newApp("b")
+		tcp, udp := r.tcp(0), r.peers["udp"]
+		r.subscribe(a, doorTCP, tcp, 5)
+		r.subscribe(b, doorUDP, udp, 5)
+		r.subscribe(b, doorUDP, udp, 6)
+		r.call(b, doorUDP, msg.Req{ID: 9, Op: msg.OpSockClose, Flow: 6})
+		udp.take()
+
+		r.boot(true) // a crash: nobody stopped the old incarnation
+		r.poll()     // fresh edges: the first poll recovers every peer
+		if sf := r.forwarded(tcp, msg.OpSockSetFlags); sf.Flow != 5 || sf.Arg[0] != msg.SockNonblock {
+			t.Fatalf("TCP mode bits re-pushed as %+v", sf)
+		}
+		if sf := r.forwarded(udp, msg.OpSockSetFlags); sf.Flow != 5 {
+			t.Fatalf("UDP mode bits re-pushed as %+v (socket 6 was closed)", sf)
+		}
+		if ev := r.replied(a, doorTCP); ev.Op != msg.OpSockEvent || ev.Flow != 5 || ev.Arg[0]&msg.EvError == 0 {
+			t.Fatalf("TCP subscriber poked with %+v", ev)
+		}
+		if ev := r.replied(b, doorUDP); ev.Op != msg.OpSockEvent || ev.Flow != 5 || ev.Arg[0] != msg.EvReadable|msg.EvWritable {
+			t.Fatalf("UDP subscriber poked with %+v", ev)
+		}
+		r.answer(udp, event(5, msg.EvReadable)) // and events route again
+		if ev := r.replied(b, doorUDP); ev.Arg[0] != msg.EvReadable {
+			t.Fatalf("event after the restart = %+v", ev)
+		}
+		r.silent(a)
+
+		// A storage crash takes the parked tables; the next poll parks them again.
+		storage.NewService(r.hub.Store).Init(nil, true)
+		if _, ok := r.hub.Store.Get(UDP().StateKey()); ok {
+			t.Fatal("storage not wiped")
+		}
+		r.poll()
+		r.boot(true)
+		r.poll()
+		r.forwarded(udp, msg.OpSockSetFlags)
+		r.replied(b, doorUDP)
+	})
+
+	t.Run("sharded: a broadcast gathers the first failure, a close gathers to OK", func(t *testing.T) {
+		r := newRig(t, 2)
+		a := r.newApp("a")
+		flow := r.openVsock(a)
+
+		bind := msg.Req{ID: 2, Op: msg.OpSockBind, Flow: flow}
+		bind.Arg[0] = 8080
+		fwds := r.broadcast(a, bind)
+		r.answer(r.tcp(1), fwds[1].Reply(msg.OpSockReply, msg.StatusOK))
+		r.silent(a) // one shard is still out
+		r.answer(r.tcp(0), fwds[0].Reply(msg.OpSockReply, msg.StatusErrInUse))
+		if rep := r.replied(a, doorTCP); rep.ID != 2 || rep.Status != msg.StatusErrInUse || rep.Flow != flow {
+			t.Fatalf("bind = %+v", rep)
+		}
+
+		fwds = r.broadcast(a, bind)
+		r.answer(r.tcp(0), fwds[0].Reply(msg.OpSockReply, msg.StatusErrInUse))
+		r.answer(r.tcp(1), fwds[1].Reply(msg.OpSockReply, msg.StatusErrNoBufs))
+		if rep := r.replied(a, doorTCP); rep.Status != msg.StatusErrInUse {
+			t.Fatalf("bind = %+v, want the first failure", rep)
+		}
+
+		fwds = r.broadcast(a, msg.Req{ID: 3, Op: msg.OpSockClose, Flow: flow})
+		r.answer(r.tcp(0), fwds[0].Reply(msg.OpSockReply, msg.StatusErrNotConn))
+		r.answer(r.tcp(1), fwds[1].Reply(msg.OpSockReply, msg.StatusOK))
+		if rep := r.replied(a, doorTCP); rep.ID != 3 || rep.Status != msg.StatusOK {
+			t.Fatalf("close = %+v, want OK whatever the shards said", rep)
+		}
+		if n := pendingCalls(r.srv); n != 0 {
+			t.Fatalf("%d calls still pending", n)
+		}
+	})
+
+	t.Run("sharded: one shard's restart leaves the other shard's calls alone", func(t *testing.T) {
+		r := newRig(t, 2)
+		a := r.newApp("a")
+		// Engine-assigned ids name their shard.
+		r.call(a, doorTCP, msg.Req{ID: 20, Op: msg.OpSockSend, Flow: tcpeng.SockIDBase})
+		r.call(a, doorTCP, msg.Req{ID: 21, Op: msg.OpSockSend, Flow: tcpeng.SockIDBase + 1})
+		alive := r.forwarded(r.tcp(0), msg.OpSockSend)
+		r.forwarded(r.tcp(1), msg.OpSockSend)
+
+		r.tcp(1).reincarnate()
+		r.poll()
+		if rep := r.replied(a, doorTCP); rep.ID != 21 || rep.Status != msg.StatusErrAborted {
+			t.Fatalf("after shard 1's restart the app got %+v", rep)
+		}
+		if got := r.tcp(0).take(); len(got) != 0 {
+			t.Fatalf("shard 0 was sent %v", got)
+		}
+		r.answer(r.tcp(0), alive.Reply(msg.OpSockReply, msg.StatusOK))
+		if rep := r.replied(a, doorTCP); rep.ID != 20 || rep.Status != msg.StatusOK {
+			t.Fatalf("shard 0's call completed as %+v", rep)
+		}
+	})
+
+	t.Run("sharded: a child accepted for a closed listener is closed, not leaked", func(t *testing.T) {
+		r := newRig(t, 2)
+		a := r.newApp("a")
+		flow := r.openVsock(a)
+		for k, fwd := range r.broadcast(a, msg.Req{ID: 2, Op: msg.OpSockListen, Flow: flow}) {
+			r.answer(r.tcp(k), fwd.Reply(msg.OpSockReply, msg.StatusOK))
+		}
+		r.replied(a, doorTCP)
+
+		// A blocking accept parks in the door behind one standing accept per shard.
+		r.call(a, doorTCP, msg.Req{ID: 30, Op: msg.OpSockAccept, Flow: flow})
+		standing := r.forwarded(r.tcp(1), msg.OpSockAccept)
+		r.forwarded(r.tcp(0), msg.OpSockAccept)
+		r.silent(a)
+
+		fwds := r.broadcast(a, msg.Req{ID: 31, Op: msg.OpSockClose, Flow: flow})
+		if rep := r.replied(a, doorTCP); rep.ID != 30 || rep.Status != msg.StatusErrAborted {
+			t.Fatalf("the parked accept ended as %+v", rep)
+		}
+		for k, fwd := range fwds {
+			r.answer(r.tcp(k), fwd.Reply(msg.OpSockReply, msg.StatusOK))
+		}
+		if rep := r.replied(a, doorTCP); rep.ID != 31 || rep.Status != msg.StatusOK {
+			t.Fatalf("close = %+v", rep)
+		}
+
+		child := standing.Reply(msg.OpSockReply, msg.StatusOK)
+		child.Arg[0] = uint64(tcpeng.SockIDBase + 1) // a connection shard 1 established
+		r.answer(r.tcp(1), child)
+		r.silent(a)
+		if cl := r.forwarded(r.tcp(1), msg.OpSockClose); cl.Flow != tcpeng.SockIDBase+1 {
+			t.Fatalf("orphan close = %+v", cl)
+		}
+		if got := r.tcp(0).take(); len(got) != 0 {
+			t.Fatalf("shard 0 was sent %v", got)
+		}
+	})
+}

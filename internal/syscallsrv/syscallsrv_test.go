@@ -13,80 +13,99 @@ import (
 	"newtos/internal/wiring"
 )
 
-// newServer boots a SYSCALL server routing to two TCP shards, with no
-// transports attached: what it forwards stays staged on its edges.
-func newServer(t testing.TB) (*Server, *storage.Store) {
+// newDoor boots the TCP door routing to two shards, with no transports
+// attached: what it forwards stays staged on its edges.
+func newDoor(t testing.TB) (*door, *storage.Store) {
 	hub := wiring.NewHub(kipc.New(kipc.Config{}))
-	s := New(wiring.NewPorts(hub, "sc"), 2)
+	s := New(wiring.NewPorts(hub, "sc"), TCP(2))
 	if err := s.Init(&proc.Runtime{Bell: channel.NewDoorbell(), Incarnation: 1}, false); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Stop)
-	return s, hub.Store
+	return s.doors[0], hub.Store
 }
 
-// stored reads the parked shard table back the way a restarted server does.
-func stored(t testing.TB, store *storage.Store) map[uint32]*vsock {
+// stored reads the parked record back the way a restarted door does.
+func stored(t testing.TB, d *door) *door {
 	t.Helper()
-	blob, ok := store.Get(ShardMetaKey)
+	blob, ok := d.store.Get(d.StateKey())
 	if !ok {
-		t.Fatal("no shard table in storage")
+		t.Fatal("no door record in storage")
 	}
-	return load(t, blob)
-}
-
-func load(t testing.TB, blob []byte) map[uint32]*vsock {
-	t.Helper()
-	s := &Server{nShards: 2, vsocks: make(map[uint32]*vsock)}
-	if err := s.loadShardMeta(blob); err != nil {
+	got := blank()
+	if err := got.load(blob); err != nil {
 		t.Fatal(err)
 	}
-	return s.vsocks
+	return got
 }
 
-// TestSmallShardTableSavesAtOnce: below staterec.EntriesPerMilli sockets a
-// routing change is in storage before the call that made it is even
-// forwarded, so no reply acknowledging it can precede it. Virtual time: the
-// server reads no clock.
+// blank is a two-shard TCP door with empty tables, to load a record into.
+func blank() *door {
+	return &door{Door: TCP(2), subs: map[uint32]kipc.EndpointID{}, vsocks: map[uint32]*vsock{}}
+}
+
+// TestSmallShardTableSavesAtOnce: below staterec.EntriesPerMilli entries a
+// routing or subscription change is in storage before the call that made it
+// is even forwarded, so no reply acknowledging it can precede it. Virtual
+// time: the door reads no clock.
 func TestSmallShardTableSavesAtOnce(t *testing.T) {
-	s, store := newServer(t)
+	d, _ := newDoor(t)
 	now := time.Unix(1000, 0)
-	s.Poll(now)
+	d.Poll(now)
 	for i := 1; i <= 3; i++ { // three creates in one iteration: same now
-		s.dispatch(0, 7, msg.Req{ID: uint64(i), Op: msg.OpSockCreate})
-		if got := stored(t, store); len(got) != i || got[uint32(i)] == nil || got[uint32(i)].owner != -1 {
+		d.route(7, msg.Req{ID: uint64(i), Op: msg.OpSockCreate})
+		if got := stored(t, d).vsocks; len(got) != i || got[uint32(i)] == nil || got[uint32(i)].owner != -1 {
 			t.Fatalf("after create %d storage holds %d sockets: %+v", i, len(got), got)
 		}
 	}
 	bind := msg.Req{ID: 9, Op: msg.OpSockBind, Flow: 2}
 	bind.Arg[0] = 8080
-	g := s.broadcastTCP(7, bind, bind, 2)
-	g.bindPort, g.remaining = 8080, 0
-	s.finishGather(g)
-	if v := stored(t, store)[2]; v.port != 8080 {
+	g := d.broadcast(7, bind.ID, bind, 2)
+	g.bindPort, g.remaining = 8080, 1
+	d.gathered(g, msg.StatusOK)
+	if v := stored(t, d).vsocks[2]; v.port != 8080 {
 		t.Fatalf("bound port not saved: %+v", v)
 	}
-	if !s.Deadline(now).IsZero() {
+	arm := msg.Req{Op: msg.OpSockSetFlags, Flow: tcpSock}
+	arm.Arg[0] = msg.SockNonblock
+	d.noteSubscription(7, arm)
+	if got := stored(t, d).subs; len(got) != 1 || got[tcpSock] != 7 {
+		t.Fatalf("subscription not saved: %v", got)
+	}
+	d.noteSubscription(7, msg.Req{Op: msg.OpSockClose, Flow: tcpSock})
+	if got := stored(t, d).subs; len(got) != 0 {
+		t.Fatalf("closed socket still subscribed in storage: %v", got)
+	}
+	puts, _ := d.store.Stats()
+	d.noteSubscription(7, msg.Req{Op: msg.OpSockClose, Flow: tcpSock}) // changes nothing
+	if after, _ := d.store.Stats(); after != puts {
+		t.Fatal("a call that changed no table was saved")
+	}
+	if due := d.meta.Deadline(d.entries()); !due.IsZero() {
 		t.Fatal("a flush is pending on a small table")
 	}
 }
+
+// tcpSock is an engine-assigned socket id (shard 0's first).
+const tcpSock = 1 << 20
 
 // TestLargeShardTablePacesSaves: on a table of a thousand sockets a burst of
 // routing changes costs a bounded number of storage puts, Deadline surfaces
 // the flush still owed, and the last change is saved when it fires.
 func TestLargeShardTablePacesSaves(t *testing.T) {
-	s, store := newServer(t)
+	d, store := newDoor(t)
+	srv := &Server{doors: []*door{d}}
 	now := time.Unix(1000, 0)
-	s.Poll(now)
+	d.Poll(now)
 	for i := 0; i < 1000; i++ {
-		s.newVsock()
+		d.newVsock()
 	}
-	gap := staterec.Gap(len(s.vsocks) + 100)
+	gap := staterec.Gap(len(d.vsocks) + 100)
 	if gap < 3*time.Millisecond {
-		t.Fatalf("gap for %d sockets = %v", len(s.vsocks), gap)
+		t.Fatalf("gap for %d sockets = %v", len(d.vsocks), gap)
 	}
 	now = now.Add(time.Second) // quiet since the ramp
-	s.Poll(now)
+	d.Poll(now)
 
 	const burst = 100
 	start := now
@@ -94,65 +113,74 @@ func TestLargeShardTablePacesSaves(t *testing.T) {
 	var last *vsock
 	for i := 0; i < burst; i++ {
 		now = now.Add(50 * time.Microsecond)
-		s.Poll(now)
-		last = s.newVsock()
+		d.Poll(now)
+		last = d.newVsock()
 	}
 	puts, _ := store.Stats()
 	if n, max := int(puts-putsBefore), int(now.Sub(start)/staterec.Gap(1000))+1; n == 0 || n > max {
 		t.Fatalf("%d changes in %v made %d puts, want 1..%d", burst, now.Sub(start), n, max)
 	}
-	if stored(t, store)[last.id] != nil {
+	if stored(t, d).vsocks[last.id] != nil {
 		t.Fatal("the last change was saved inside the gap")
 	}
-	due := s.Deadline(now)
+	due := srv.Deadline(now)
 	if due.IsZero() || due.Sub(now) > gap {
 		t.Fatalf("pending flush not surfaced: Deadline = %v, now = %v, gap = %v", due, now, gap)
 	}
-	s.Poll(due)
-	if after, _ := store.Stats(); after != puts+1 || stored(t, store)[last.id] == nil {
-		t.Fatalf("Poll at the deadline made %d puts; last socket saved: %v", after-puts, stored(t, store)[last.id] != nil)
+	d.Poll(due)
+	if after, _ := store.Stats(); after != puts+1 || stored(t, d).vsocks[last.id] == nil {
+		t.Fatalf("Poll at the deadline made %d puts; last socket saved: %v", after-puts, stored(t, d).vsocks[last.id] != nil)
 	}
-	if !s.Deadline(due).IsZero() {
+	if !srv.Deadline(due).IsZero() {
 		t.Fatal("a flush is still pending after the flush")
 	}
 }
 
-// shardTable is a parked table with sockets in every state it records.
-func shardTable(t testing.TB) []byte {
-	s, store := newServer(t)
-	s.Poll(time.Unix(1000, 0))
+// doorRecord is a parked record with sockets in every state it records and
+// two subscribers.
+func doorRecord(t testing.TB) []byte {
+	d, store := newDoor(t)
+	d.Poll(time.Unix(1000, 0))
 	for i := 0; i < 4; i++ {
-		s.newVsock()
+		d.newVsock()
 	}
-	s.vsocks[1].owner, s.vsocks[1].port = 1, 8080
-	s.vsocks[2].listening, s.vsocks[3].nonblock = true, true
-	s.rr = 5
-	s.flushShardMeta()
-	blob, _ := store.Get(ShardMetaKey)
+	d.vsocks[1].owner, d.vsocks[1].port = 1, 8080
+	d.vsocks[2].listening, d.vsocks[3].nonblock = true, true
+	d.rr = 5
+	d.subs[3], d.subs[tcpSock] = 7, 9
+	d.park()
+	blob, _ := store.Get(d.StateKey())
 	return blob
 }
 
-// TestEveryShardTablePrefixFails: a table cut anywhere is refused and leaves
-// the server's own table untouched.
+// TestEveryShardTablePrefixFails: a record cut anywhere — inside the
+// subscription list, the counters or the routing table — is refused and
+// leaves the door's own tables untouched.
 func TestEveryShardTablePrefixFails(t *testing.T) {
-	blob := shardTable(t)
-	if got := load(t, blob); len(got) != 4 ||
+	blob := doorRecord(t)
+	d := blank()
+	if err := d.load(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.vsocks; len(got) != 4 || d.rr != 5 || d.nextV != 4 ||
 		got[1].owner != 1 || got[1].port != 8080 || !got[2].listening || !got[3].nonblock || got[4].owner != -1 || len(got[4].armed) != 2 {
 		t.Fatalf("round trip = %+v", got)
 	}
+	if len(d.subs) != 2 || d.subs[3] != 7 || d.subs[tcpSock] != 9 {
+		t.Fatalf("subscriptions round trip = %v", d.subs)
+	}
 	for n := 0; n < len(blob); n++ {
-		s := &Server{nShards: 2, vsocks: make(map[uint32]*vsock)}
-		if err := s.loadShardMeta(blob[:n]); err == nil || len(s.vsocks) != 0 || s.nextV != 0 || s.rr != 0 {
-			t.Fatalf("prefix %d/%d: err %v, table %+v, nextV %d, rr %d", n, len(blob), err, s.vsocks, s.nextV, s.rr)
+		d := blank()
+		if err := d.load(blob[:n]); err == nil || len(d.vsocks) != 0 || len(d.subs) != 0 || d.nextV != 0 || d.rr != 0 {
+			t.Fatalf("prefix %d/%d: err %v, table %+v, subs %v, nextV %d, rr %d", n, len(blob), err, d.vsocks, d.subs, d.nextV, d.rr)
 		}
 	}
 }
 
 // FuzzLoadShardMeta: any outcome but a panic or a hang is fine.
 func FuzzLoadShardMeta(f *testing.F) {
-	f.Add(shardTable(f))
+	f.Add(doorRecord(f))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		s := &Server{nShards: 2, vsocks: make(map[uint32]*vsock)}
-		_ = s.loadShardMeta(blob)
+		_ = blank().load(blob)
 	})
 }
