@@ -21,10 +21,6 @@ func setAffinity(set *cpuSet) error {
 	return nil
 }
 
-// Available reports whether PinThread can actually restrict the calling
-// thread's CPU mask on this platform.
-func Available() bool { return true }
-
 // PinThread restricts the calling OS thread to the given CPU. The caller
 // must hold runtime.LockOSThread so the mask applies to the goroutine's
 // thread for its lifetime.

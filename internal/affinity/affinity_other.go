@@ -2,10 +2,6 @@
 
 package affinity
 
-// Available reports whether PinThread can actually restrict the calling
-// thread's CPU mask on this platform.
-func Available() bool { return false }
-
 // PinThread is unavailable: callers fall back to LockOSThread-only
 // placement (the GOMAXPROCS-partitioned grouping still applies).
 func PinThread(cpu int) error { return ErrUnsupported }

@@ -13,8 +13,9 @@
 //   - take sync locks (Mutex/RWMutex Lock, WaitGroup/Cond Wait) — engine
 //     state is isolated by design and owned by one loop.
 //
-// Reachability follows static calls, and calls through an interface method
-// to that method on every program type implementing the interface.
+// Reachability follows static calls, functions and methods named as values
+// (callbacks), and calls through an interface method to that method on every
+// program type implementing the interface.
 //
 // Infrastructure packages that emulate shared hardware or kernel machinery
 // (shm pools, the storage server, NIC devices, channel/spsc queues, kipc)
@@ -131,13 +132,14 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// callees returns the statically-resolved functions cur calls (closure
-// bodies count as part of cur).
+// callees returns the functions cur calls or names as a value: a method
+// handed on as a callback (the hooks a loop gives Edge.Intake) runs on the
+// hot path like one it calls itself (closure bodies count as part of cur).
 func callees(cur *funcInfo) []*types.Func {
 	var out []*types.Func
 	ast.Inspect(cur.decl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := analysis.Callee(cur.pkg.Info, call); fn != nil {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := cur.pkg.Info.Uses[id].(*types.Func); ok {
 				out = append(out, fn)
 			}
 		}

@@ -167,11 +167,9 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 
 	// Drivers: one per device, attached to devices built with the node's
 	// shared space.
-	drvNames := make([]string, 0, len(devices))
 	drvGroup := 0
 	for name, dev := range devices {
 		name, dev := name, dev
-		drvNames = append(drvNames, name)
 		drvGroup++
 		ports := wiring.NewPorts(hub, name)
 		n.addProc(name, pin(drvGroup), func() proc.Service {
@@ -226,8 +224,7 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 
 	ipPorts := wiring.NewPorts(hub, CompIP)
 	ipCfg := ipsrv.Config{
-		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload,
-		Drivers: drvNames, TCPShards: shards,
+		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload, TCPShards: shards,
 	}
 	stack = append(stack, server{CompIP, ipGroup, []shell{func() proc.Service {
 		return ipsrv.New(ipCfg, ipPorts)

@@ -156,10 +156,12 @@ func TestCampaignPlanFollowsTheSeed(t *testing.T) {
 // one process. When run k inherits leaked pumps and a spinning responder
 // from runs 0..k-1, every run past some index is off: 168 ms for the first,
 // 21 s and a flipped outcome for the ninth, failure from the tenth on. One
-// odd run is let through, because it has a cause that does not depend on
-// the index: on a shared host about one injection in 700 meets a
-// stall of the whole process longer than the campaign's 120 ms heartbeat, and
-// both nodes' monitors then restart every component at once.
+// odd run is let through, for causes that do not depend on the index: on a
+// shared host about one injection in 700 meets a stall of the whole process
+// longer than the campaign's 120 ms heartbeat, which stretches that run (it
+// no longer makes both nodes' monitors restart every component at once:
+// reinc.Monitor.sweep discounts its own lateness), and a run can shed more
+// than the one readiness edge the time allowance below covers.
 func TestRepeatedInjectionDoesNotDegrade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("14 full injections")

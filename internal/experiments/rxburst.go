@@ -108,6 +108,7 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 		return RxBurstResult{}, err
 	}
 	eng.SetMAC("eth0", selfMAC)
+	drv, udp := 0, len(eng.Peers())-1 // the peer table: eth0's driver first, UDP last
 
 	// The peer's single TX frame: one UDP datagram addressed to the engine.
 	poolB, err := spaceB.NewPool("peer.tx", 2048, 8)
@@ -140,7 +141,7 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 	// once more than hold are waiting.
 	pump := func(hold int) {
 		eng.Tick(time.Now())
-		for _, r := range eng.DrainToDriver("eth0") {
+		for _, r := range eng.Drain(drv) {
 			switch r.Op {
 			case msg.OpRxSupply:
 				_ = devA.PostRx(r.Ptrs[0])
@@ -151,12 +152,13 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 			}
 		}
 		now := time.Now()
+		var fromDrv []msg.Req
 		for _, c := range devA.CollectTx() {
 			st := msg.StatusOK
 			if !c.OK {
 				st = msg.StatusErrNoBufs
 			}
-			eng.FromDriver("eth0", msg.Req{ID: c.Cookie, Op: msg.OpTxDone, Status: st}, now)
+			fromDrv = append(fromDrv, msg.Req{ID: c.Cookie, Op: msg.OpTxDone, Status: st})
 		}
 		for _, c := range devA.CollectRx() {
 			r := msg.Req{Op: msg.OpRxPacket}
@@ -165,18 +167,20 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 			if c.CsumOK {
 				r.Arg[1] = msg.FlagCsumOK
 			}
-			eng.FromDriver("eth0", r, now)
+			fromDrv = append(fromDrv, r)
 		}
-		for _, d := range eng.DrainToUDP() {
+		eng.From(drv, fromDrv, now)
+		for _, d := range eng.Drain(udp) {
 			if d.Op == msg.OpIPDeliver {
 				parked = append(parked, d)
 			}
 		}
+		var done []msg.Req
 		for len(parked) > hold {
-			d := parked[0]
+			done = append(done, msg.Req{ID: parked[0].ID, Op: msg.OpIPDeliverDone})
 			parked = parked[1:]
-			eng.FromTransport(netpkt.ProtoUDP, msg.Req{ID: d.ID, Op: msg.OpIPDeliverDone}, now)
 		}
+		eng.From(udp, done, now)
 		if segs := eng.RxPoolCounters().Segments(); segs > res.SegmentsPeak {
 			res.SegmentsPeak = segs
 		}

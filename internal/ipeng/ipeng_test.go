@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -34,8 +35,18 @@ func newEngine(t *testing.T, pf bool) (*Engine, *shm.Space) {
 	return e, space
 }
 
-// sendFromTransport asks the engine to transmit a UDP payload.
-func sendFromTransport(t *testing.T, e *Engine, space *shm.Space, id uint64) {
+// Shorthands for the triple: the UDP peer is the table's last entry, from
+// feeds one message from a peer, linkDown plays a driver's link event.
+func udpAt(e *Engine) int { return len(e.peers) - 1 }
+
+func from(e *Engine, p int, r msg.Req, now time.Time) { e.From(p, []msg.Req{r}, now) }
+
+func linkDown(e *Engine, name string, now time.Time) {
+	from(e, e.driver(name), msg.Req{Op: msg.OpLinkEvent}, now)
+}
+
+// sendUDP asks the engine, as the UDP peer, to transmit a payload.
+func sendUDP(t *testing.T, e *Engine, space *shm.Space, id uint64) {
 	t.Helper()
 	pool, err := space.NewPool("t.hdr", 64, 8)
 	if err != nil {
@@ -49,7 +60,7 @@ func sendFromTransport(t *testing.T, e *Engine, space *shm.Space, id uint64) {
 	r.Arg[0] = uint64(netpkt.ProtoUDP)
 	r.Arg[1] = uint64(selfIP.U32())
 	r.Arg[2] = uint64(peerIP.U32())
-	e.FromTransport(netpkt.ProtoUDP, r, time.Now())
+	from(e, udpAt(e), r, time.Now())
 }
 
 // arpReplyFor builds the peer's ARP reply in an RX-style buffer.
@@ -69,15 +80,15 @@ func deliverARPReply(t *testing.T, e *Engine, space *shm.Space) {
 	ap.Marshal(buf[netpkt.EthHeaderLen:])
 	r := msg.Req{Op: msg.OpRxPacket}
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, netpkt.EthHeaderLen+netpkt.ARPLen)})
-	e.FromDriver("eth0", r, time.Now())
+	from(e, e.driver("eth0"), r, time.Now())
 }
 
 func TestSendTriggersARPThenTransmits(t *testing.T) {
 	e, space := newEngine(t, false)
-	sendFromTransport(t, e, space, 77)
+	sendUDP(t, e, space, 77)
 
 	// First output: an ARP request (packet parked awaiting resolution).
-	out := e.DrainToDriver("eth0")
+	out := e.Drain(e.driver("eth0"))
 	if len(out) != 1 || out[0].Op != msg.OpTxSubmit {
 		t.Fatalf("out = %+v", out)
 	}
@@ -95,7 +106,7 @@ func TestSendTriggersARPThenTransmits(t *testing.T) {
 
 	// Peer replies: the parked packet goes out with the learned MAC.
 	deliverARPReply(t, e, space)
-	out = e.DrainToDriver("eth0")
+	out = e.Drain(e.driver("eth0"))
 	var data *msg.Req
 	for i := range out {
 		if out[i].Op == msg.OpTxSubmit {
@@ -117,8 +128,8 @@ func TestSendTriggersARPThenTransmits(t *testing.T) {
 	}
 
 	// Driver completion flows back to the transport.
-	e.FromDriver("eth0", msg.Req{ID: data.ID, Op: msg.OpTxDone, Status: msg.StatusOK}, time.Now())
-	reps := e.DrainToUDP()
+	from(e, e.driver("eth0"), msg.Req{ID: data.ID, Op: msg.OpTxDone, Status: msg.StatusOK}, time.Now())
+	reps := e.Drain(udpAt(e))
 	if len(reps) != 1 || reps[0].ID != 77 || reps[0].Op != msg.OpIPSendDone {
 		t.Fatalf("transport reply = %+v", reps)
 	}
@@ -132,8 +143,8 @@ func TestNoRouteFailsSend(t *testing.T) {
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, 8)})
 	r.Arg[0] = uint64(netpkt.ProtoUDP)
 	r.Arg[2] = uint64(netpkt.MustIP("99.99.99.99").U32()) // no route, no GW
-	e.FromTransport(netpkt.ProtoUDP, r, time.Now())
-	reps := e.DrainToUDP()
+	from(e, udpAt(e), r, time.Now())
+	reps := e.Drain(udpAt(e))
 	if len(reps) != 1 || reps[0].Status == msg.StatusOK {
 		t.Fatalf("reps = %+v", reps)
 	}
@@ -144,14 +155,14 @@ func TestNoRouteFailsSend(t *testing.T) {
 
 func TestPFJunctionBlockFailsSend(t *testing.T) {
 	e, space := newEngine(t, true)
-	sendFromTransport(t, e, space, 9)
-	queries := e.DrainToPF()
+	sendUDP(t, e, space, 9)
+	queries := e.Drain(e.pfAt)
 	if len(queries) != 1 || queries[0].Op != msg.OpPFQuery || queries[0].Arg[0] != 1 {
 		t.Fatalf("queries = %+v", queries)
 	}
 	// Verdict: block.
-	e.FromPF(msg.Req{ID: queries[0].ID, Op: msg.OpPFVerdict, Status: 1}, time.Now())
-	reps := e.DrainToUDP()
+	from(e, e.pfAt, msg.Req{ID: queries[0].ID, Op: msg.OpPFVerdict, Status: 1}, time.Now())
+	reps := e.Drain(udpAt(e))
 	if len(reps) != 1 || reps[0].Status != msg.StatusErrBlocked {
 		t.Fatalf("reps = %+v", reps)
 	}
@@ -159,22 +170,22 @@ func TestPFJunctionBlockFailsSend(t *testing.T) {
 		t.Fatal("block not counted")
 	}
 	// Nothing reached the driver.
-	if out := e.DrainToDriver("eth0"); len(out) != 0 {
+	if out := e.Drain(e.driver("eth0")); len(out) != 0 {
 		t.Fatalf("driver got %+v despite block", out)
 	}
 }
 
 func TestPFCrashResubmitsQueries(t *testing.T) {
 	e, space := newEngine(t, true)
-	sendFromTransport(t, e, space, 11)
-	q1 := e.DrainToPF()
+	sendUDP(t, e, space, 11)
+	q1 := e.Drain(e.pfAt)
 	if len(q1) != 1 {
 		t.Fatal("no query")
 	}
 	// PF crashes before answering: the query must be resubmitted with a
 	// fresh ID ("without packet loss").
-	e.OnPFRestart(time.Now())
-	q2 := e.DrainToPF()
+	e.Restart(e.pfAt, time.Now())
+	q2 := e.Drain(e.pfAt)
 	if len(q2) != 1 {
 		t.Fatalf("resubmission = %+v", q2)
 	}
@@ -185,8 +196,8 @@ func TestPFCrashResubmitsQueries(t *testing.T) {
 		t.Fatal("resubmission not counted")
 	}
 	// A late verdict for the dead incarnation's ID is ignored.
-	e.FromPF(msg.Req{ID: q1[0].ID, Op: msg.OpPFVerdict, Status: 0}, time.Now())
-	if out := e.DrainToDriver("eth0"); len(out) != 0 {
+	from(e, e.pfAt, msg.Req{ID: q1[0].ID, Op: msg.OpPFVerdict, Status: 0}, time.Now())
+	if out := e.Drain(e.driver("eth0")); len(out) != 0 {
 		t.Fatalf("stale verdict produced output: %+v", out)
 	}
 }
@@ -195,7 +206,7 @@ func TestICMPEchoAnswered(t *testing.T) {
 	e, space := newEngine(t, false)
 	// Learn the peer's MAC first so the reply goes straight out.
 	deliverARPReply(t, e, space)
-	e.DrainToDriver("eth0")
+	e.Drain(e.driver("eth0"))
 
 	// Deliver an echo request.
 	pool, _ := space.NewPool("rx2", 2048, 4)
@@ -215,10 +226,10 @@ func TestICMPEchoAnswered(t *testing.T) {
 	echo.Marshal(icmp, len(payload))
 	r := msg.Req{Op: msg.OpRxPacket}
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, uint32(netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+icmpLen))})
-	e.FromDriver("eth0", r, time.Now())
+	from(e, e.driver("eth0"), r, time.Now())
 
 	var reply *msg.Req
-	for _, out := range e.DrainToDriver("eth0") {
+	for _, out := range e.Drain(e.driver("eth0")) {
 		if out.Op == msg.OpTxSubmit {
 			out := out
 			reply = &out
@@ -252,7 +263,7 @@ func TestMalformedPacketsDropped(t *testing.T) {
 	eh.Marshal(buf)
 	r := msg.Req{Op: msg.OpRxPacket}
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, netpkt.EthHeaderLen+6)})
-	e.FromDriver("eth0", r, time.Now())
+	from(e, e.driver("eth0"), r, time.Now())
 
 	// Bad checksum (not offload-verified).
 	ptr2, buf2, _ := pool.Alloc()
@@ -262,14 +273,14 @@ func TestMalformedPacketsDropped(t *testing.T) {
 	buf2[netpkt.EthHeaderLen+8] ^= 0xff
 	r2 := msg.Req{Op: msg.OpRxPacket}
 	r2.SetChain([]shm.RichPtr{ptr2.Slice(0, netpkt.EthHeaderLen+netpkt.IPv4HeaderLen)})
-	e.FromDriver("eth0", r2, time.Now())
+	from(e, e.driver("eth0"), r2, time.Now())
 
 	if e.Stats().DropsMalformed != 2 {
 		t.Fatalf("malformed drops = %d, want 2", e.Stats().DropsMalformed)
 	}
 	// Buffers were recycled: resupply messages went to the driver.
 	resupplies := 0
-	for _, out := range e.DrainToDriver("eth0") {
+	for _, out := range e.Drain(e.driver("eth0")) {
 		if out.Op == msg.OpRxSupply {
 			resupplies++
 		}
@@ -282,7 +293,7 @@ func TestMalformedPacketsDropped(t *testing.T) {
 func TestSupplyDriverTopsUp(t *testing.T) {
 	e, _ := newEngine(t, false)
 	e.SupplyDriver("eth0")
-	out := e.DrainToDriver("eth0")
+	out := e.Drain(e.driver("eth0"))
 	supplies := 0
 	for _, r := range out {
 		if r.Op == msg.OpRxSupply {
@@ -293,8 +304,8 @@ func TestSupplyDriverTopsUp(t *testing.T) {
 		t.Fatalf("supplies = %d, want %d", supplies, RxBufsPerDriver)
 	}
 	// After a driver restart the full complement is resupplied.
-	e.OnDriverRestart("eth0", time.Now())
-	out = e.DrainToDriver("eth0")
+	e.Restart(e.driver("eth0"), time.Now())
+	out = e.Drain(e.driver("eth0"))
 	supplies = 0
 	for _, r := range out {
 		if r.Op == msg.OpRxSupply {
@@ -307,99 +318,86 @@ func TestSupplyDriverTopsUp(t *testing.T) {
 }
 
 func TestSaveRestoreConfig(t *testing.T) {
-	e, _ := newEngine(t, false)
-	blob, err := e.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _ := newMultiEngine(t)
+	blob := e.SaveState()
 	e2, _ := newEngine(t, false)
+	linkDown(e2, "eth0", time.Now())
 	if err := e2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if e2.LocalIP() != selfIP {
-		t.Fatalf("restored IP = %v", e2.LocalIP())
+	if !reflect.DeepEqual(e2.cfg.Ifaces, e.cfg.Ifaces) || !reflect.DeepEqual(e2.Peers(), e.Peers()) {
+		t.Fatalf("restored %+v with peers %+v, want %+v with %+v", e2.cfg.Ifaces, e2.Peers(), e.cfg.Ifaces, e.Peers())
+	}
+	// What the driver taught the engine outlives the restore.
+	if ifc := e2.drv[0].ifc; ifc.mac != selfM || ifc.linkUp {
+		t.Fatalf("eth0 after restore: mac %v, link up %v; want the learned MAC and the link still down", ifc.mac, ifc.linkUp)
+	}
+	// A blob cut anywhere — ipsrv's corrupt-state fault is the 1-byte case
+	// — is a decode error that leaves the old configuration in place.
+	for n := 0; n < len(blob); n++ {
+		if err := e2.RestoreState(blob[:n]); err == nil || len(e2.drv) != 3 || e2.LocalIP() != e.LocalIP() {
+			t.Fatalf("prefix %d/%d: RestoreState = %v, %d interfaces, first %v", n, len(blob), err, len(e2.drv), e2.LocalIP())
+		}
 	}
 	if err := e2.RestoreState([]byte{0xff}); err == nil {
 		t.Fatal("garbage blob accepted")
 	}
 }
 
-// burstRig feeds the engine inbound UDP frames through its own supplied RX
-// buffers, playing both the driver (fifo of posted buffers) and a slow
-// transport (parking deliveries un-acked).
+// FuzzRestoreState: any outcome but a panic or a hang is fine, and what
+// does restore saves back to the same bytes.
+func FuzzRestoreState(f *testing.F) {
+	space := shm.NewSpace()
+	seed := func(ifaces []IfaceConfig) *Engine {
+		e, err := New(Config{Space: space, Ifaces: ifaces})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(e.SaveState())
+		return e
+	}
+	seed(nil)
+	e := seed([]IfaceConfig{
+		{Name: "eth0", IP: selfIP, MaskBits: 24},
+		{Name: "eth1", IP: netpkt.MustIP("10.0.1.1"), MaskBits: 24, GW: netpkt.MustIP("10.0.1.2")},
+	})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := e.RestoreState(blob); err == nil && !bytes.Equal(e.SaveState(), blob) {
+			t.Fatalf("%x restored as %+v, which saves differently", blob, e.cfg.Ifaces)
+		}
+	})
+}
+
+// burstRig is a hubRig (peers_test.go) whose transport is slow: inbound UDP
+// frames arrive through the engine's own supplied RX buffers and their
+// deliveries stay parked, un-acked, holding RX chunks.
 type burstRig struct {
-	t      *testing.T
-	e      *Engine
-	space  *shm.Space
-	posted []shm.RichPtr // supplied buffers, consumed FIFO like a device ring
-	parked []msg.Req     // un-acked deliveries holding RX chunks
-	frame  []byte
+	*hubRig
+	parked []msg.Req
 }
 
 func newBurstRig(t *testing.T, elastic shm.Elastic) *burstRig {
-	t.Helper()
-	space := shm.NewSpace()
-	e, err := New(Config{
-		Space:   space,
-		Ifaces:  []IfaceConfig{{Name: "eth0", IP: selfIP, MaskBits: 24}},
-		Elastic: elastic,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetMAC("eth0", selfM)
-	frame := make([]byte, netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.UDPHeaderLen+4)
-	eh := netpkt.EthHeader{Dst: selfM, Src: peerM, Type: netpkt.EtherTypeIPv4}
-	eh.Marshal(frame)
-	ih := netpkt.IPv4Header{
-		TotalLen: uint16(len(frame) - netpkt.EthHeaderLen), TTL: 64,
-		Proto: netpkt.ProtoUDP, Src: peerIP, Dst: selfIP,
-	}
-	ih.Marshal(frame[netpkt.EthHeaderLen:], true)
-	uh := netpkt.UDPHeader{SrcPort: 1000, DstPort: 2000, Length: netpkt.UDPHeaderLen + 4}
-	uh.Marshal(frame[netpkt.EthHeaderLen+netpkt.IPv4HeaderLen:])
-	return &burstRig{t: t, e: e, space: space, frame: frame}
-}
-
-// pump runs one "loop iteration": tick the engine and collect new supplies.
-func (r *burstRig) pump() {
-	r.e.Tick(time.Now())
-	for _, req := range r.e.DrainToDriver("eth0") {
-		if req.Op == msg.OpRxSupply {
-			r.posted = append(r.posted, req.Ptrs[0])
-		}
-	}
+	return &burstRig{hubRig: newHubRig(t, 1, Config{Elastic: elastic})}
 }
 
 // deliver injects one frame into the oldest posted buffer; false means the
 // device ring ran dry (the starvation the elastic pool is meant to avoid).
 func (r *burstRig) deliver() bool {
 	r.pump()
-	if len(r.posted) == 0 {
+	if len(r.posted[0]) == 0 {
 		return false
 	}
-	buf := r.posted[0]
-	r.posted = r.posted[1:]
-	view, err := r.space.View(buf)
-	if err != nil {
-		r.t.Fatalf("posted buffer view: %v", err)
-	}
-	copy(view, r.frame)
-	req := msg.Req{Op: msg.OpRxPacket}
-	req.SetChain([]shm.RichPtr{buf.Slice(0, uint32(len(r.frame)))})
-	req.Arg[1] = msg.FlagCsumOK
-	r.e.FromDriver("eth0", req, time.Now())
-	r.parked = append(r.parked, r.e.DrainToUDP()...)
+	r.rx(0, r.frame(0, netpkt.ProtoUDP, 1000, 2000, 0, 0, 4))
+	r.parked = append(r.parked, r.e.Drain(r.udp())...)
 	return true
 }
 
 // ackAll releases every parked delivery back to the engine.
 func (r *burstRig) ackAll() {
 	for _, d := range r.parked {
-		if d.Op != msg.OpIPDeliver {
-			continue
+		if d.Op == msg.OpIPDeliver {
+			from(r.e, r.udp(), msg.Req{ID: d.ID, Op: msg.OpIPDeliverDone}, r.now)
 		}
-		r.e.FromTransport(netpkt.ProtoUDP, msg.Req{ID: d.ID, Op: msg.OpIPDeliverDone}, time.Now())
 	}
 	r.parked = nil
 }

@@ -91,7 +91,7 @@ func TestRouteTable(t *testing.T) {
 			e, _ := newMultiEngine(t)
 			now := time.Now()
 			for _, d := range tc.down {
-				e.OnLinkChange(d, false, now)
+				linkDown(e, d, now)
 			}
 			ifc, hop, ok := e.route(tc.dst, tc.src)
 			if tc.wantIfc == "" {
@@ -124,7 +124,7 @@ func injectFrame(t *testing.T, e *Engine, space *shm.Space, name string, frame [
 	r := msg.Req{Op: msg.OpRxPacket}
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, uint32(len(frame)))})
 	r.Arg[1] = msg.FlagCsumOK
-	e.FromDriver(name, r, time.Now())
+	from(e, e.driver(name), r, time.Now())
 }
 
 // learnNeighbor seeds the ARP table of the named interface via a broadcast
@@ -151,7 +151,7 @@ func TestICMPEchoReplySourcedFromPingedAddress(t *testing.T) {
 	peer := netpkt.MustIP("10.0.0.9")
 	peerMAC := netpkt.MAC{0xbb, 0, 0, 0, 0, 9}
 	learnNeighbor(t, e, space, "eth0", peer, peerMAC)
-	e.DrainToDriver("eth0") // discard anything the learn produced
+	e.Drain(e.driver("eth0")) // discard anything the learn produced
 
 	pinged := netpkt.MustIP("10.0.1.1") // the SECOND interface's address
 	payload := 16
@@ -170,7 +170,7 @@ func TestICMPEchoReplySourcedFromPingedAddress(t *testing.T) {
 	if e.Stats().ICMPEchoes != 1 {
 		t.Fatalf("echo not handled: %+v", e.Stats())
 	}
-	out := e.DrainToDriver("eth0")
+	out := e.Drain(e.driver("eth0"))
 	var rep *msg.Req
 	for i := range out {
 		if out[i].Op == msg.OpTxSubmit {
@@ -207,15 +207,15 @@ func TestICMPEchoReplySourcedFromPingedAddress(t *testing.T) {
 func TestARPGiveUpFailsQueuedPackets(t *testing.T) {
 	e, space := newEngine(t, false)
 	now := time.Now()
-	sendFromTransport(t, e, space, 77) // parks awaiting ARP of peerIP
+	sendUDP(t, e, space, 77) // parks awaiting ARP of peerIP
 
 	arpReqs := 0
 	drainARP := func() {
-		for _, r := range e.DrainToDriver("eth0") {
+		for _, r := range e.Drain(e.driver("eth0")) {
 			if r.Op == msg.OpTxSubmit {
 				arpReqs++
 				// Complete the transmission so the ARP header chunk frees.
-				e.FromDriver("eth0", msg.Req{ID: r.ID, Op: msg.OpTxDone, Status: msg.StatusOK}, now)
+				from(e, e.driver("eth0"), msg.Req{ID: r.ID, Op: msg.OpTxDone, Status: msg.StatusOK}, now)
 			}
 		}
 	}
@@ -229,7 +229,7 @@ func TestARPGiveUpFailsQueuedPackets(t *testing.T) {
 	if arpReqs != maxARPTries {
 		t.Fatalf("sent %d ARP requests, want exactly %d", arpReqs, maxARPTries)
 	}
-	reps := e.DrainToUDP()
+	reps := e.Drain(udpAt(e))
 	if len(reps) != 1 || reps[0].Op != msg.OpIPSendDone || reps[0].ID != 77 ||
 		reps[0].Status != msg.StatusErrNoRoute {
 		t.Fatalf("transport reply = %+v, want IPSendDone ErrNoRoute", reps)
@@ -237,7 +237,7 @@ func TestARPGiveUpFailsQueuedPackets(t *testing.T) {
 	if got := e.Stats().ARPFailed; got != 1 {
 		t.Fatalf("ARPFailed = %d, want 1", got)
 	}
-	if ifc := e.ifaces["eth0"]; len(ifc.pending) != 0 || len(ifc.arpSent) != 0 || len(ifc.arpTries) != 0 {
+	if ifc := e.drv[0].ifc; len(ifc.pending) != 0 || len(ifc.arpSent) != 0 || len(ifc.arpTries) != 0 {
 		t.Fatalf("neighbor state not cleared: %+v", ifc)
 	}
 	if inUse := e.hdrPool.InUse(); inUse != 0 {
@@ -266,16 +266,16 @@ func TestLinkDownReroutesARPPending(t *testing.T) {
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, 8)})
 	r.Arg[0] = uint64(netpkt.ProtoUDP)
 	r.Arg[2] = uint64(netpkt.MustIP("10.0.0.9").U32())
-	e.FromTransport(netpkt.ProtoUDP, r, now)
-	e.DrainToDriver("eth0") // the eth0 ARP request
+	from(e, udpAt(e), r, now)
+	e.Drain(e.driver("eth0")) // the eth0 ARP request
 
 	// Link dies before the neighbor answers: the packet must move.
-	e.OnLinkChange("eth0", false, now)
+	linkDown(e, "eth0", now)
 	if got := e.Stats().Rerouted; got != 1 {
 		t.Fatalf("Rerouted = %d, want 1", got)
 	}
 	// It now waits for the gateway's MAC on eth1.
-	out := e.DrainToDriver("eth1")
+	out := e.Drain(e.driver("eth1"))
 	if len(out) != 1 || out[0].Op != msg.OpTxSubmit {
 		t.Fatalf("eth1 out = %+v, want one ARP request", out)
 	}
@@ -287,7 +287,7 @@ func TestLinkDownReroutesARPPending(t *testing.T) {
 
 	// Gateway answers: the data frame leaves eth1, IP dst unchanged.
 	learnNeighbor(t, e, space, "eth1", gw, gwMAC)
-	out = e.DrainToDriver("eth1")
+	out = e.Drain(e.driver("eth1"))
 	var data *msg.Req
 	for i := range out {
 		if out[i].Op == msg.OpTxSubmit {
@@ -339,29 +339,29 @@ func TestRerouteRepassesPFJunction(t *testing.T) {
 	r.SetChain([]shm.RichPtr{ptr.Slice(0, 8)})
 	r.Arg[0] = uint64(netpkt.ProtoUDP)
 	r.Arg[2] = uint64(netpkt.MustIP("10.0.0.9").U32())
-	e.FromTransport(netpkt.ProtoUDP, r, now)
+	from(e, udpAt(e), r, now)
 
 	// First verdict query is for eth0; pass it — the packet then parks
 	// awaiting ARP on eth0.
-	qs := e.DrainToPF()
+	qs := e.Drain(e.pfAt)
 	if len(qs) != 1 || msg.UnpackIfaceName(qs[0].Arg[1]) != "eth0" {
 		t.Fatalf("first query = %+v, want one for eth0", qs)
 	}
-	e.FromPF(msg.Req{ID: qs[0].ID, Op: msg.OpPFVerdict, Status: 0}, now)
-	e.DrainToDriver("eth0") // its ARP request
+	from(e, e.pfAt, msg.Req{ID: qs[0].ID, Op: msg.OpPFVerdict, Status: 0}, now)
+	e.Drain(e.driver("eth0")) // its ARP request
 
 	// The link dies: the reroute must re-consult PF for eth1.
-	e.OnLinkChange("eth0", false, now)
-	qs = e.DrainToPF()
+	linkDown(e, "eth0", now)
+	qs = e.Drain(e.pfAt)
 	if len(qs) != 1 || msg.UnpackIfaceName(qs[0].Arg[1]) != "eth1" {
 		t.Fatalf("reroute query = %+v, want one for eth1", qs)
 	}
 	// eth1 policy blocks it: the transport hears Blocked, nothing egresses.
-	e.FromPF(msg.Req{ID: qs[0].ID, Op: msg.OpPFVerdict, Status: 1}, now)
-	if out := e.DrainToDriver("eth1"); len(out) != 0 {
+	from(e, e.pfAt, msg.Req{ID: qs[0].ID, Op: msg.OpPFVerdict, Status: 1}, now)
+	if out := e.Drain(e.driver("eth1")); len(out) != 0 {
 		t.Fatalf("blocked reroute still egressed: %+v", out)
 	}
-	reps := e.DrainToUDP()
+	reps := e.Drain(udpAt(e))
 	if len(reps) != 1 || reps[0].ID != 42 || reps[0].Status != msg.StatusErrBlocked {
 		t.Fatalf("transport reply = %+v, want Blocked", reps)
 	}
@@ -371,10 +371,10 @@ func TestRerouteRepassesPFJunction(t *testing.T) {
 // parked packets fail back to the transport instead of leaking.
 func TestLinkDownWithoutAlternativeFailsPending(t *testing.T) {
 	e, space := newEngine(t, false)
-	sendFromTransport(t, e, space, 55)
-	e.DrainToDriver("eth0")
-	e.OnLinkChange("eth0", false, time.Now())
-	reps := e.DrainToUDP()
+	sendUDP(t, e, space, 55)
+	e.Drain(e.driver("eth0"))
+	linkDown(e, "eth0", time.Now())
+	reps := e.Drain(udpAt(e))
 	if len(reps) != 1 || reps[0].ID != 55 || reps[0].Status != msg.StatusErrNoRoute {
 		t.Fatalf("reply = %+v, want IPSendDone ErrNoRoute", reps)
 	}
@@ -401,7 +401,7 @@ func TestWeakHostAcceptsSecondAddressOnOtherNIC(t *testing.T) {
 	uh.Marshal(frame[netpkt.EthHeaderLen+netpkt.IPv4HeaderLen:])
 	injectFrame(t, e, space, "eth0", frame) // ...delivered on eth0
 
-	out := e.DrainToUDP()
+	out := e.Drain(udpAt(e))
 	if len(out) != 1 || out[0].Op != msg.OpIPDeliver {
 		t.Fatalf("UDP deliveries = %+v, want the weak-host datagram", out)
 	}

@@ -2,7 +2,10 @@
 // engine. IP is the hub of the stack (paper Figure 3): it is the creator of
 // the channels towards the drivers, the packet filter, TCP and UDP, and it
 // hands every packet to PF three times per traversal of the T junction
-// without being the bottleneck.
+// without being the bottleneck. The shell knows its neighbours only as the
+// engine's peer table: it exports one edge per ipeng.Peers() entry, in that
+// order, and every loop iteration calls the engine's triple — Restart,
+// From, Drain — with the entry's index.
 package ipsrv
 
 import (
@@ -11,7 +14,6 @@ import (
 
 	"newtos/internal/ipeng"
 	"newtos/internal/msg"
-	"newtos/internal/netpkt"
 	"newtos/internal/proc"
 	"newtos/internal/tcpsrv"
 	"newtos/internal/wiring"
@@ -20,13 +22,12 @@ import (
 // StorageKey is where IP parks its configuration.
 const StorageKey = "ip/config"
 
-// Config assembles an IP server.
+// Config assembles an IP server. Each interface's driver is the component
+// of the same name, on edge "ip-<name>".
 type Config struct {
 	Ifaces    []ipeng.IfaceConfig
 	PFEnabled bool
 	Offload   bool
-	// Drivers lists the driver component names (edge "ip-<name>").
-	Drivers []string
 	// TCPShards is the number of TCP engine shards. IP creates one edge per
 	// shard ("ip-tcp<k>" towards component "tcp<k>") with its own SPSC
 	// duplex, and routes inbound segments between them by the flow-hash
@@ -41,23 +42,18 @@ type Server struct {
 	ports *wiring.Ports
 
 	eng *ipeng.Engine
-	// edges holds one edge per peer — every driver, PF, every TCP shard,
-	// UDP — and peers[i] the engine's entry points for edges[i]'s peer. A
-	// single peer's reincarnation aborts only that peer's in-flight work.
+	// edges[i] is the edge to the engine's peer i (ipeng.Peers() order:
+	// every driver, PF, every TCP shard, UDP). A single peer's
+	// reincarnation aborts only that peer's in-flight work.
 	edges []*wiring.Edge
-	peers []peer
+	// cur is the peer whose edge is in Intake, for its two hooks
+	// (restartCur, fromCur).
+	cur int
 	// scratch is the reusable drain buffer all edges share (the loop is
 	// single-threaded and each batch is fully processed before the next
-	// drain); now is the current iteration's timestamp, for the peer hooks.
+	// drain); now is the current iteration's timestamp, for the hooks.
 	scratch []msg.Req
 	now     time.Time
-}
-
-// peer is how the engine talks to one kind of neighbour.
-type peer struct {
-	restart func()
-	handle  func([]msg.Req)
-	drain   func() []msg.Req
 }
 
 var _ proc.Service = (*Server)(nil)
@@ -97,38 +93,13 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.eng.Persist()
 
 	s.ports.Begin(rt.Bell)
-	export := func(edge, peerName string, p peer) {
-		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export(edge, peerName)))
-		s.peers = append(s.peers, p)
+	for _, p := range eng.Peers() {
+		edge, peer := "ip-"+p.Name, p.Name
+		if p.Kind == ipeng.PeerTCP {
+			edge, peer = tcpsrv.IPEdge(p.Shard, max(s.cfg.TCPShards, 1))
+		}
+		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export(edge, peer)))
 	}
-	for _, d := range s.cfg.Drivers {
-		export("ip-"+d, d, peer{
-			restart: func() { eng.OnDriverRestart(d, s.now) },
-			handle:  func(b []msg.Req) { eng.FromDriverBatch(d, b, s.now) },
-			drain:   func() []msg.Req { return eng.DrainToDriver(d) },
-		})
-	}
-	if s.cfg.PFEnabled {
-		export("ip-pf", "pf", peer{
-			restart: func() { eng.OnPFRestart(s.now) },
-			handle:  func(b []msg.Req) { eng.FromPFBatch(b, s.now) },
-			drain:   eng.DrainToPF,
-		})
-	}
-	shards := max(s.cfg.TCPShards, 1)
-	for k := 0; k < shards; k++ {
-		edge, peerName := tcpsrv.IPEdge(k, shards)
-		export(edge, peerName, peer{
-			restart: func() { eng.OnTCPShardRestart(k, s.now) },
-			handle:  func(b []msg.Req) { eng.FromTCPShardBatch(k, b, s.now) },
-			drain:   func() []msg.Req { return eng.DrainToTCPShard(k) },
-		})
-	}
-	export("ip-udp", "udp", peer{
-		restart: func() { eng.OnTransportRestart(netpkt.ProtoUDP, s.now) },
-		handle:  func(b []msg.Req) { eng.FromTransportBatch(netpkt.ProtoUDP, b, s.now) },
-		drain:   eng.DrainToUDP,
-	})
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 
 	// Inject faults that corrupt routing state (fault-injection hook).
@@ -137,6 +108,9 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	})
 	return nil
 }
+
+func (s *Server) restartCur()         { s.eng.Restart(s.cur, s.now) }
+func (s *Server) fromCur(b []msg.Req) { s.eng.From(s.cur, b, s.now) }
 
 // Poll drains every edge in batches, runs the whole intake through the
 // engine, and flushes each destination's accumulated output once — one
@@ -148,7 +122,8 @@ func (s *Server) Poll(now time.Time) bool {
 	}
 	worked := false
 	for i, e := range s.edges {
-		if e.Intake(s.scratch, s.peers[i].restart, s.peers[i].handle) {
+		s.cur = i
+		if e.Intake(s.scratch, s.restartCur, s.fromCur) {
 			worked = true
 		}
 	}
@@ -160,7 +135,7 @@ func (s *Server) Poll(now time.Time) bool {
 
 	idle := !worked
 	for i, e := range s.edges {
-		e.Push(s.peers[i].drain()...)
+		e.Push(s.eng.Drain(i)...)
 		if e.Flush(now, idle) {
 			worked = true
 		}

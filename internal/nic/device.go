@@ -128,9 +128,6 @@ func (d *Device) Name() string { return d.cfg.Name }
 // MAC returns the hardware address.
 func (d *Device) MAC() netpkt.MAC { return d.cfg.MAC }
 
-// Caps reports hardware offload capabilities.
-func (d *Device) Caps() (csum, tso bool) { return d.cfg.CsumOffload, d.cfg.TSOOffload }
-
 // SetIRQ installs the interrupt callback (must be non-blocking).
 func (d *Device) SetIRQ(fn func()) { d.irq.Store(&fn) }
 
@@ -217,13 +214,6 @@ func (d *Device) PostTx(desc TxDesc) error {
 	default:
 	}
 	return nil
-}
-
-// TxSpace returns free TX descriptors.
-func (d *Device) TxSpace() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return TxRingSize - len(d.txQ)
 }
 
 // CollectTx drains completed TX descriptors.

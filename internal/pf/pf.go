@@ -155,9 +155,7 @@ func (s *Server) config(r msg.Req) {
 }
 
 func (s *Server) persistRules() {
-	if blob, err := s.eng.SaveRules(); err == nil {
-		s.ports.Hub().Store.Put(RulesKey, blob)
-	}
+	s.ports.Hub().Store.Put(RulesKey, s.eng.SaveRules())
 }
 
 // OutboxDropped sums the requests PF's edges shed across peer

@@ -11,8 +11,6 @@
 package pfeng
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -120,13 +118,6 @@ func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, r) }
 
 // Flush removes all rules (state is kept).
 func (e *Engine) Flush() { e.rules = nil }
-
-// Rules returns a copy of the rule set.
-func (e *Engine) Rules() []Rule {
-	out := make([]Rule, len(e.rules))
-	copy(out, e.rules)
-	return out
-}
 
 // NumRules returns the rule count.
 func (e *Engine) NumRules() int { return len(e.rules) }
@@ -278,20 +269,34 @@ func (r *Rule) matches(dir Dir, iface string, f Flow) bool {
 	return true
 }
 
-// SaveRules serializes the rule set (the static configuration the paper
+// ruleSet describes the saved rule set (the static configuration the paper
 // parks in the storage server).
-func (e *Engine) SaveRules() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e.rules); err != nil {
-		return nil, fmt.Errorf("pfeng: encode rules: %w", err)
-	}
-	return buf.Bytes(), nil
+func ruleSet(c *staterec.Codec, rules *[]Rule) {
+	staterec.List(c, rules, 8+8+1+4+8+4+8+2+2+1+4, func(r *Rule) {
+		staterec.Num(c, &r.Action)
+		staterec.Num(c, &r.Dir)
+		staterec.Num(c, &r.Proto)
+		c.Bytes(r.Src[:])
+		staterec.Num(c, &r.SrcBits)
+		c.Bytes(r.Dst[:])
+		staterec.Num(c, &r.DstBits)
+		staterec.Num(c, &r.SrcPort)
+		staterec.Num(c, &r.DstPort)
+		c.Bool(&r.Quick)
+		c.String(&r.Iface)
+	})
 }
 
-// LoadRules replaces the rule set from SaveRules output.
+// SaveRules serializes the rule set.
+func (e *Engine) SaveRules() []byte {
+	return staterec.Encode(func(c *staterec.Codec) { ruleSet(c, &e.rules) })
+}
+
+// LoadRules replaces the rule set from SaveRules output; a blob that does
+// not decode leaves the rules as they were.
 func (e *Engine) LoadRules(b []byte) error {
 	var rules []Rule
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rules); err != nil {
+	if err := staterec.Decode(b, func(c *staterec.Codec) { ruleSet(c, &rules) }); err != nil {
 		return fmt.Errorf("pfeng: decode rules: %w", err)
 	}
 	e.rules = rules

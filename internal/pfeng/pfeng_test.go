@@ -180,21 +180,45 @@ func TestRulesSaveLoadRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.AddRule(Rule{Action: Block, Dir: In, Proto: netpkt.ProtoTCP, DstPort: uint16(1000 + i), Quick: i%2 == 0})
 	}
-	blob, err := e.SaveRules()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e.AddRule(Rule{Action: Pass, Dir: Out, Src: hostA, SrcBits: 24, Dst: hostB, DstBits: 32, SrcPort: 7, Iface: "eth1"})
+	blob := e.SaveRules()
 	e2 := New(0)
 	if err := e2.LoadRules(blob); err != nil {
 		t.Fatal(err)
 	}
-	if e2.NumRules() != 10 {
-		t.Fatalf("rules = %d", e2.NumRules())
+	if !reflect.DeepEqual(e2.rules, e.rules) {
+		t.Fatalf("rules = %+v, want %+v", e2.rules, e.rules)
 	}
 	now := time.Now()
 	if v := e2.Verdict(In, "", tcpFlow(evil, hostA, 1, 1003), 0, now); v != Block {
 		t.Fatal("restored rules not effective")
 	}
+	// A rule set cut anywhere is refused and the rules in force stay.
+	for n := 0; n < len(blob); n++ {
+		if err := e2.LoadRules(blob[:n]); err == nil || len(e2.rules) != len(e.rules) {
+			t.Fatalf("prefix %d/%d: LoadRules = %v, %d rules in force", n, len(blob), err, len(e2.rules))
+		}
+	}
+}
+
+// FuzzLoadRules: any outcome but a panic or a hang is fine, and what does
+// load survives another save and load unchanged (not byte-identical: any
+// non-zero byte reads as a true Quick).
+func FuzzLoadRules(f *testing.F) {
+	e := New(0)
+	f.Add(e.SaveRules())
+	e.AddRule(Rule{Action: Block, Dir: In, Proto: netpkt.ProtoTCP, DstPort: 22, Quick: true})
+	e.AddRule(Rule{Action: Pass, Dir: Out, Src: hostA, SrcBits: 24, Iface: "eth1"})
+	f.Add(e.SaveRules())
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		e, again := New(0), New(0)
+		if e.LoadRules(blob) != nil {
+			return
+		}
+		if err := again.LoadRules(e.SaveRules()); err != nil || !reflect.DeepEqual(again.rules, e.rules) {
+			t.Fatalf("%x loaded as %+v, which saves and loads as %+v, %v", blob, e.rules, again.rules, err)
+		}
+	})
 }
 
 // TestFlowDumpRebuildsConntrack: the flows a transport parks in storage,

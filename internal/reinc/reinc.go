@@ -60,6 +60,11 @@ type Monitor struct {
 	stop    chan struct{}
 	done    chan struct{}
 	started bool
+
+	// lastSweep is when sweep last ran and armed the instant since which
+	// the monitor has been watching without interruption; only sweep's
+	// caller (the loop goroutine) touches them.
+	lastSweep, armed time.Time
 }
 
 // NewMonitor creates a reincarnation server.
@@ -183,21 +188,34 @@ func (m *Monitor) loop() {
 		case ev := <-m.crashCh:
 			m.recover(ev.Name, ev.Reason, ev.Injected, false)
 		case <-tick.C:
-			m.sweep()
+			m.sweep(time.Now())
 		}
 	}
 }
 
-// sweep detects hung children: running status but stale heartbeat.
-func (m *Monitor) sweep() {
+// sweep detects hung children: running status but a heartbeat older than
+// HeartbeatMiss. A failure detector must not believe its own lateness: a
+// sweep that is itself more than HeartbeatMiss/2 overdue means the whole
+// process was stalled (or the monitor was busy restarting somebody), and
+// the children's heartbeats are stale for the same reason this sweep is
+// late. Such a sweep convicts nobody and re-arms: every child gets a full
+// HeartbeatMiss, counted from now, to show it is alive.
+func (m *Monitor) sweep(now time.Time) {
+	if now.Sub(m.lastSweep) > m.cfg.HeartbeatInterval+m.cfg.HeartbeatMiss/2 {
+		m.armed = now
+	}
+	m.lastSweep = now
 	m.mu.Lock()
 	var hung []*proc.Proc
 	for _, p := range m.children {
 		if m.disabled[p.Name()] {
 			continue
 		}
-		if p.Status() == proc.StatusRunning &&
-			time.Since(p.Heartbeat()) > m.cfg.HeartbeatMiss {
+		seen := p.Heartbeat()
+		if seen.Before(m.armed) {
+			seen = m.armed
+		}
+		if p.Status() == proc.StatusRunning && now.Sub(seen) > m.cfg.HeartbeatMiss {
 			hung = append(hung, p)
 		}
 	}

@@ -91,6 +91,43 @@ func TestHangDetectedByHeartbeat(t *testing.T) {
 	}
 }
 
+// TestLateSweepConvictsNobody: the monitor judges staleness on its own
+// clock. When the whole process stalls for several HeartbeatMiss, the sweep
+// that finally runs finds every heartbeat that stale — and is itself that
+// late, which is the tell: it must restart nobody. A child that really is
+// hung is still convicted by sweeps that come on time. The test plays the
+// loop itself, calling sweep with the instants it wants.
+func TestLateSweepConvictsNobody(t *testing.T) {
+	const interval, miss = 5 * time.Millisecond, 50 * time.Millisecond
+	stalled := NewMonitor(Config{HeartbeatInterval: interval, HeartbeatMiss: miss})
+	a, aRestarts := startChild(t, stalled, "a")
+	defer a.Shutdown()
+	b, bRestarts := startChild(t, stalled, "b")
+	defer b.Shutdown()
+
+	now := time.Now()
+	stalled.sweep(now)
+	stalled.sweep(now.Add(5 * miss)) // every heartbeat now reads ~5 misses old
+	if n, evs := aRestarts.Load()+bRestarts.Load(), stalled.Events(); n != 0 || len(evs) != 0 {
+		t.Fatalf("a sweep that was itself %v late restarted %d healthy children: %+v", 5*miss, n, evs)
+	}
+
+	// On-time sweeps, on a monitor whose clock was not wound forward.
+	m := NewMonitor(Config{HeartbeatInterval: interval, HeartbeatMiss: miss})
+	m.Adopt(a)
+	m.Adopt(b)
+	a.Fault().Arm(faults.Hang)
+	for deadline := time.Now().Add(3 * time.Second); aRestarts.Load() == 0 && time.Now().Before(deadline); {
+		m.sweep(time.Now())
+		time.Sleep(interval)
+	}
+	evs := m.Events()
+	if aRestarts.Load() != 1 || bRestarts.Load() != 0 || len(evs) != 1 || evs[0].Name != "a" || !evs[0].Hang {
+		t.Fatalf("hung a restarted %d times, healthy b %d times, events %+v; want only a convicted, once",
+			aRestarts.Load(), bRestarts.Load(), evs)
+	}
+}
+
 func TestRepeatedCrashesKeepRecovering(t *testing.T) {
 	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond})
 	m.Start()

@@ -275,9 +275,6 @@ type Pool struct {
 // ID returns the pool's identifier.
 func (p *Pool) ID() PoolID { return p.id }
 
-// Owner returns the name of the owning server.
-func (p *Pool) Owner() string { return p.owner }
-
 // Gen returns the current generation.
 func (p *Pool) Gen() uint32 { return p.gen.Load() }
 
@@ -481,7 +478,7 @@ func (p *Pool) OwnerView(ptr RichPtr) ([]byte, error) {
 	return p.View(ptr)
 }
 
-// Grow appends one segment, extending the pool by SegChunks chunks. All
+// Grow appends one segment of the base segment's chunk complement. All
 // outstanding rich pointers remain valid: offsets are global and existing
 // segments are untouched. Fails with ErrPoolFull at the elastic policy's
 // segment cap (a pool with no policy may grow without bound).

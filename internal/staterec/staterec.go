@@ -134,6 +134,18 @@ func (c *Codec) Bytes(v []byte) {
 	}
 }
 
+// String is a length-prefixed string field, such as an interface name. Its
+// length is checked against the input that remains, like a list's.
+func (c *Codec) String(s *string) {
+	n := len(*s)
+	c.Count(&n, 1)
+	if !c.reading {
+		c.buf = append(c.buf, *s...)
+	} else {
+		*s = string(c.take(n))
+	}
+}
+
 // Encoded sizes of the composite fields, for Count and List.
 const (
 	PtrSize    = 16

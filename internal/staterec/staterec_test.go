@@ -23,6 +23,8 @@ type sample struct {
 	at    time.Time
 	never time.Time
 	addr  [4]byte
+	name  string
+	blank string
 	ptr   shm.RichPtr
 	chain []shm.RichPtr
 	none  []shm.RichPtr
@@ -41,6 +43,8 @@ func (s *sample) record(c *Codec) {
 	c.Time(&s.at)
 	c.Time(&s.never)
 	c.Bytes(s.addr[:])
+	c.String(&s.name)
+	c.String(&s.blank)
 	c.Ptr(&s.ptr)
 	List(c, &s.chain, PtrSize, c.Ptr)
 	List(c, &s.none, PtrSize, c.Ptr)
@@ -52,7 +56,7 @@ func filled() sample {
 	req.SetChain([]shm.RichPtr{{Pool: 3, Gen: 1, Off: 4096, Len: 1460}, {Pool: 4, Gen: 2, Off: 0, Len: 7}})
 	return sample{
 		u8: 200, u16: 65000, u32: 1 << 31, u64: 1 << 63, i: -5, i32: -11, dur: -time.Second,
-		flag: true, at: time.Unix(12, 345), addr: [4]byte{10, 0, 0, 1},
+		flag: true, at: time.Unix(12, 345), addr: [4]byte{10, 0, 0, 1}, name: "eth0",
 		ptr:   shm.RichPtr{Pool: 1, Gen: 2, Off: 3, Len: 4},
 		chain: []shm.RichPtr{{Pool: 9, Len: 1}},
 		reqs:  []msg.Req{req, {Op: msg.OpSockReply}},
@@ -99,6 +103,20 @@ func TestCountIsBoundedByInput(t *testing.T) {
 	})
 	if got != nil || !errors.Is(err, ErrShort) {
 		t.Fatalf("list behind an impossible count: %d entries, err %v", len(got), err)
+	}
+}
+
+// TestStringIsBoundedByInput: a string's length prefix cannot make the
+// decoder read or allocate beyond the bytes that are there.
+func TestStringIsBoundedByInput(t *testing.T) {
+	blob := Encode(func(c *Codec) {
+		n := 1 << 30 // claims a gigabyte, carries three bytes
+		c.Count(&n, 1)
+		c.Bytes([]byte("eth"))
+	})
+	var got string
+	if err := Decode(blob, func(c *Codec) { c.String(&got) }); got != "" || !errors.Is(err, ErrShort) {
+		t.Fatalf("string behind an impossible length: %q, err %v", got, err)
 	}
 }
 

@@ -393,16 +393,7 @@ func (e *Engine) rtoFire(p *pcb) {
 		inflight := p.sndNxt - p.sndUna
 		p.ssthresh = max32(inflight/2, 2*uint32(p.mss))
 		p.cwnd = 2 * uint32(p.mss)
-		p.sndNxt = p.sndUna
-		if p.finSent && netpkt.SeqLEQ(p.finSeq, p.sndUna) {
-			// FIN was the unacked byte; re-arm for it.
-			p.finSent = false
-		}
-		if p.finSent {
-			p.finSent = false
-		}
-		p.rttSeq = 0 // Karn
-		e.output(p)
+		e.rewind(p)
 	}
 	p.rto *= 2
 	if p.rto > maxRTO {
@@ -411,20 +402,15 @@ func (e *Engine) rtoFire(p *pcb) {
 	e.armTimer(p, timerRTO, e.now.Add(p.rto))
 }
 
-// ResubmitInflight implements the post-IP-crash policy: rewind sndNxt to
-// sndUna on every connection with unacknowledged data and retransmit
-// immediately with fresh request IDs.
-func (e *Engine) ResubmitInflight() {
-	e.eachPCB(func(p *pcb) {
-		if p.sndNxt == p.sndUna {
-			return
-		}
-		p.sndNxt = p.sndUna
-		p.finSent = false
-		p.rttSeq = 0
-		e.stats.SendsResubmitted++
-		e.output(p)
-	})
+// rewind is go-back-N: everything past the last acknowledged byte is sent
+// again — the FIN too, if it was out — and, by Karn's rule, no RTT sample
+// is taken from the retransmission. The RTO and an IP restart both recover
+// through it.
+func (e *Engine) rewind(p *pcb) {
+	p.sndNxt = p.sndUna
+	p.finSent = false
+	p.rttSeq = 0
+	e.output(p)
 }
 
 // Deadline returns the earliest pending timer (a conservative lower bound

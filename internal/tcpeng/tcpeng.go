@@ -1025,11 +1025,12 @@ func (e *Engine) OnFrontRestart() {
 	})
 }
 
-// OnIPRestart aborts in-flight sends to the dead IP incarnation,
-// resubmitting data segments with fresh IDs ("it is much more important
-// that we quickly retransmit (possibly) lost packets to avoid the error
-// detection and congestion avoidance"), and drops stale receive-pool
-// references.
+// OnIPRestart is the recovery action for a reincarnated IP server: stale
+// receive-pool references are dropped, the sends in flight to the dead
+// incarnation are aborted, and every connection with unacknowledged data
+// retransmits it at once with fresh request IDs instead of waiting out an
+// RTO ("it is much more important that we quickly retransmit (possibly)
+// lost packets to avoid the error detection and congestion avoidance").
 func (e *Engine) OnIPRestart() {
 	e.eachPCB(func(p *pcb) {
 		// Drop unconsumed receive data that lives in the dead pool. The
@@ -1043,4 +1044,10 @@ func (e *Engine) OnIPRestart() {
 	})
 	e.deliverRefs = make(map[uint64]int) // the cookies died with the pool
 	e.db.AbortDest("ip")
+	e.eachPCB(func(p *pcb) {
+		if p.sndNxt != p.sndUna {
+			e.stats.SendsResubmitted++
+			e.rewind(p)
+		}
+	})
 }

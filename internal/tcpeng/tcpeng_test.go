@@ -598,7 +598,6 @@ func TestResubmitInflightAfterIPCrash(t *testing.T) {
 		t.Fatal("no in-flight segments to lose")
 	}
 	pi.a.OnIPRestart()
-	pi.a.ResubmitInflight()
 	if pi.a.Stats().SendsResubmitted == 0 {
 		t.Fatal("nothing resubmitted")
 	}

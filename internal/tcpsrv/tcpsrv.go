@@ -73,16 +73,6 @@ type Config struct {
 // Server is one TCP server incarnation.
 type Server = transport.Server[*tcpeng.Engine]
 
-// engine completes tcpeng's IP-restart recovery for the shell: beyond
-// aborting what was in flight to the dead IP incarnation, unacknowledged
-// data is retransmitted at once instead of waiting out an RTO.
-type engine struct{ *tcpeng.Engine }
-
-func (e engine) OnIPRestart() {
-	e.Engine.OnIPRestart()
-	e.ResubmitInflight()
-}
-
 // New creates a TCP server incarnation.
 func New(cfg Config, ports *wiring.Ports) *Server {
 	ipEdge, _ := IPEdge(cfg.Shard, cfg.Shards)
@@ -99,7 +89,7 @@ func New(cfg Config, ports *wiring.Ports) *Server {
 				ShardID: cfg.Shard, ShardCount: cfg.Shards,
 				PublishBuf: env.PublishBuf, UnpublishBuf: env.UnpublishBuf, SaveState: env.SaveState,
 			}, hdrPool)
-			return e, engine{e}
+			return e, e
 		},
 	}, ports)
 }
