@@ -413,3 +413,35 @@ func TestBatchAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestGRORefusesSegmentsWithOptions: a merged run keeps only its lead
+// segment's TCP header and hands the rest over payload-only, so a data
+// segment that carries options — SACK blocks, on a connection sending both
+// ways — must neither join a run (its blocks would vanish) nor lead one (its
+// blocks would be read as the whole run's). It travels alone, in order.
+func TestGRORefusesSegmentsWithOptions(t *testing.T) {
+	r := newHubRig(t, 1, Config{})
+	const pay = 100
+	seg := func(i int, withSACK bool) []byte {
+		th := netpkt.TCPHeader{SrcPort: 40000, DstPort: 9000, Seq: uint32(1000 + pay*i), Ack: 77, Flags: netpkt.TCPAck, Window: 65535}
+		if withSACK {
+			th.NSACK, th.SACK[0] = 1, netpkt.SACKBlock{Start: 500, End: 600}
+		}
+		f := r.frame(0, netpkt.ProtoTCP, 40000, 9000, 0, 0, th.MarshalLen()-netpkt.TCPHeaderLen+pay)
+		th.Marshal(f[netpkt.EthHeaderLen+netpkt.IPv4HeaderLen:])
+		return f
+	}
+	for i, withSACK := range []bool{false, false, true, true, false, false} {
+		r.rx(0, seg(i, withSACK))
+	}
+	var got []uint64
+	for _, d := range r.e.Drain(r.tcp(0)) {
+		if d.Op != msg.OpIPDeliver {
+			t.Fatalf("unexpected %v towards TCP", d.Op)
+		}
+		got = append(got, max(d.Arg[3], 1))
+	}
+	if want := []uint64{2, 1, 1, 2}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
+		t.Fatalf("segments per delivery %v, want %v: plain pairs merge, each segment with options goes alone", got, want)
+	}
+}

@@ -22,9 +22,9 @@ type inPkt struct {
 	dstPort uint16
 	portsOK bool
 	// GRO metadata, parsed at intake alongside the ports: data-bearing
-	// TCP segments with only ACK(+PSH) set are coalescing candidates
-	// (groOK); the sequence/ack/window fields decide in-order same-flow
-	// adjacency in the shard's GRO slot.
+	// TCP segments with only ACK(+PSH) set and no options are coalescing
+	// candidates (groOK); the sequence/ack/window fields decide in-order
+	// same-flow adjacency in the shard's GRO slot.
 	groOK      bool
 	tcpSeq     uint32
 	tcpAckNo   uint32
@@ -137,9 +137,12 @@ func (e *Engine) handleIPv4(ifc *iface, buf shm.RichPtr, view []byte, csumOK boo
 		pkt.portsOK = true
 		if ih.Proto == netpkt.ProtoTCP {
 			// Same economy for the GRO fields: a data-bearing segment
-			// with only ACK(+PSH) set can merge into the shard's slot.
-			// PSH does NOT end a run — the transmitter pushes every
-			// burst, so flushing on it would disable coalescing.
+			// with only ACK(+PSH) set and no TCP options can merge into
+			// the shard's slot. PSH does NOT end a run — the transmitter
+			// pushes every burst, so flushing on it would disable
+			// coalescing. Options do: a merged run keeps only its lead
+			// header, and the extras arrive payload-only, so a trailing
+			// segment's SACK blocks would be silently discarded.
 			if th, err := netpkt.ParseTCP(l4); err == nil {
 				pkt.tcpSeq = th.Seq
 				pkt.tcpAckNo = th.Ack
@@ -147,7 +150,8 @@ func (e *Engine) handleIPv4(ifc *iface, buf shm.RichPtr, view []byte, csumOK boo
 				pkt.tcpDataOff = uint32(th.DataOff)
 				pkt.tcpPayLen = uint32(len(l4) - th.DataOff)
 				pkt.groOK = th.Flags&^(netpkt.TCPAck|netpkt.TCPPsh) == 0 &&
-					th.Flags&netpkt.TCPAck != 0 && pkt.tcpPayLen > 0
+					th.Flags&netpkt.TCPAck != 0 && pkt.tcpPayLen > 0 &&
+					th.DataOff == netpkt.TCPHeaderLen
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"newtos/internal/msg"
+	"newtos/internal/netpkt"
 )
 
 // swap replaces *ep with a successor incarnation built over the same shm
@@ -156,4 +157,43 @@ func TestHandoffReannouncesReadiness(t *testing.T) {
 	if bits&msg.EvReadable == 0 || bits&msg.EvWritable == 0 {
 		t.Fatalf("readiness lost across handoff: re-announced bits %#x", bits)
 	}
+}
+
+// TestHandoffMidRecovery swaps the receiver and then the sender while a hole
+// is open: the reassembly queue crosses with its references on the deliver
+// cookies (recounted on install, released when the data is read), the
+// scoreboard and the recovery episode cross with the pcb, and when the wire
+// lets the hole's segment through the stream completes byte-exact.
+func TestHandoffMidRecovery(t *testing.T) {
+	w := newOneWay(t, 4243, nil)
+	hole, open := w.snd.sndNxt+2*MSS, true
+	w.fate = func(_ string, _ int, seg []byte) (int, int) {
+		if th, err := netpkt.ParseTCP(seg); open && err == nil && th.Seq == hole && len(seg) > th.DataOff {
+			return 0, 0
+		}
+		return 1, 0
+	}
+	data := pattern(12 * MSS)
+	w.sendBytes(w.a, w.aBufs, w.csock, data)
+	for i := 0; i < 4; i++ {
+		w.step()
+	}
+	w.swap(&w.b)
+	w.swap(&w.a)
+	snd, rcv := w.a.pcbOf(w.csock), w.b.pcbOf(w.child)
+	if len(rcv.oooQ) == 0 || len(snd.sacked) == 0 || !snd.inRecovery {
+		t.Fatalf("after the swaps: %d segments held, %d SACKed ranges, inRecovery %v", len(rcv.oooQ), len(snd.sacked), snd.inRecovery)
+	}
+	if held := len(w.b.deliverRefs); held != len(rcv.oooQ)+len(rcv.rcvQ) {
+		t.Fatalf("successor counts %d deliver cookies for %d queued views", held, len(rcv.oooQ)+len(rcv.rcvQ))
+	}
+	open = false
+	if got := w.recvBytes(w.b, w.child, len(data)); !bytes.Equal(got, data) {
+		t.Fatalf("stream corrupted at %d across the swaps", firstDiff(got, data))
+	}
+	if st := w.b.Stats(); st.DropsOOO != 0 {
+		t.Errorf("sender re-sent %d segments the receiver held: the scoreboard did not cross", st.DropsOOO)
+	}
+	w.run(50)
+	w.checkNothingLeaked()
 }

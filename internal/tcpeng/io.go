@@ -73,6 +73,7 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 	if th.MSS != 0 && th.MSS < c.mss {
 		c.mss = th.MSS
 	}
+	c.sackOK = th.SACKPermitted
 	e.initSendState(c)
 	c.irs = th.Seq
 	c.rcvNxt = th.Seq + 1
@@ -83,7 +84,6 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 	// accepted-but-idle connection costs no socket-buffer memory.
 	e.emitSegment(c, netpkt.TCPSyn|netpkt.TCPAck, c.iss, nil, 0, true)
 	c.sndNxt = c.iss + 1
-	c.sndMax = c.sndNxt
 	c.rto = synRTO
 	e.armTimer(c, timerRTO, e.now.Add(c.rto))
 }
@@ -92,14 +92,14 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 // the payload-only views of GRO-coalesced trailing segments (nil for a
 // plain single-segment delivery); nseg is the wire segment count.
 func (e *Engine) segmentForConn(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, view []byte, extras []shm.RichPtr, nseg int, deliverID uint64) {
-	defer func() {
-		// Everything below either queued the payload range (keeping the
-		// deliver cookie) or is done with the buffer.
-	}()
-
 	if th.Flags&netpkt.TCPRst != 0 {
 		e.stats.RSTsIn++
-		e.connReset(p)
+		// Not in TIME-WAIT (RFC 1337): the close completed cleanly, and the
+		// RST is a gone peer's answer to a duplicate of our last ACK. It must
+		// not take the data and the EOF the application has yet to read.
+		if p.state != StateTimeWait {
+			e.connReset(p)
+		}
 		e.releaseDeliver(deliverID)
 		return
 	}
@@ -120,12 +120,26 @@ func (e *Engine) segmentForConn(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, vi
 			return
 		}
 	case StateTimeWait:
-		e.sendAck(p)
+		// Re-ACK what occupies sequence space — the peer's FIN again, its
+		// ACK lost — and nothing else: answering pure ACKs would have two
+		// ends in TIME-WAIT (a simultaneous close) ACK each other until the
+		// timer ran out.
+		if th.Flags&netpkt.TCPFin != 0 || len(view) > th.DataOff {
+			e.sendAck(p)
+		}
 		e.releaseDeliver(deliverID)
 		return
 	case StateClosed:
 		e.releaseDeliver(deliverID)
 		return
+	default:
+		if th.Flags&netpkt.TCPSyn != 0 {
+			// A SYN-ACK again: the ACK that completed the handshake was
+			// lost, and a peer that speaks first is waiting for it.
+			e.sendAck(p)
+			e.releaseDeliver(deliverID)
+			return
+		}
 	}
 
 	// ACK processing. plen spans the whole (possibly merged) run.
@@ -147,8 +161,15 @@ func (e *Engine) segmentForConn(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, vi
 		used = e.processData(p, th, seg, extras, nseg, plen, deliverID)
 	}
 
-	// FIN processing (only when all data up to the FIN has arrived).
-	if th.Flags&netpkt.TCPFin != 0 && p.rcvNxt == th.Seq+plen {
+	// FIN processing, only when all data up to the FIN has arrived. One that
+	// comes behind a hole — its own data held, or no data and inside the
+	// window — is remembered and takes effect when the hole fills.
+	if fin := th.Seq + plen; th.Flags&netpkt.TCPFin != 0 && netpkt.SeqLT(p.rcvNxt, fin) &&
+		(used || plen == 0 && netpkt.SeqLEQ(fin, p.rcvNxt+e.rcvWnd(p))) {
+		p.finHeld, p.finAt = true, fin
+	}
+	if th.Flags&netpkt.TCPFin != 0 && p.rcvNxt == th.Seq+plen || p.finHeld && p.rcvNxt == p.finAt {
+		p.finHeld = false
 		e.processFin(p)
 	}
 
@@ -169,6 +190,7 @@ func (e *Engine) synSentIn(p *pcb, th netpkt.TCPHeader) {
 	if th.MSS != 0 && th.MSS < p.mss {
 		p.mss = th.MSS
 	}
+	p.sackOK = th.SACKPermitted
 	e.established(p)
 	e.sendAck(p)
 	e.output(p)
@@ -212,51 +234,55 @@ func (e *Engine) established(p *pcb) {
 }
 
 // processAck advances the send window, frees acknowledged stream chunks,
-// samples RTT, and drives congestion control (Reno).
+// samples RTT, records what the peer SACKed, and drives congestion control
+// (Reno growth; loss response in detectLoss).
 func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
 	ack := th.Ack
-	if netpkt.SeqLT(p.sndMax, ack) {
-		// Acks something we never sent: ignore. The bound is sndMax, not
-		// sndNxt: after a Go-back-N rewind a cumulative ACK for data from
-		// the pre-rewind flight is still valid — judging it against the
-		// rewound sndNxt would discard it and livelock the connection
-		// (the peer keeps dup-acking our retransmissions as duplicates,
-		// we keep ignoring its ACK as "never sent").
-		return
+	if netpkt.SeqLT(p.sndNxt, ack) || netpkt.SeqLT(ack, p.sndUna) {
+		return // acks something we never sent, or older than what we know
 	}
-	if netpkt.SeqLEQ(ack, p.sndUna) {
+	if ack == p.sndUna {
 		// A duplicate ACK in the RFC 5681 sense: no payload, no window
 		// change, data outstanding. Window updates and data segments that
-		// repeat the ack number are NOT loss signals.
-		if ack == p.sndUna && p.sndNxt != p.sndUna && !hasPayload &&
-			uint32(th.Window) == p.sndWnd {
+		// repeat the ack number are NOT loss signals; SACK blocks are
+		// evidence whatever they ride on.
+		if p.sndNxt != p.sndUna && !hasPayload && uint32(th.Window) == p.sndWnd {
 			p.dupAcks++
 			e.stats.DupAcksIn++
-			if p.dupAcks == 3 {
-				e.fastRetransmit(p)
-			}
+		}
+		if th.NSACK > 0 || !p.sackOK && p.dupAcks >= 3 {
+			p.sackUpdate(&th)
+			e.detectLoss(p)
 		}
 		return
 	}
 	// New data acknowledged.
 	acked := ack - p.sndUna
 	p.sndUna = ack
-	if netpkt.SeqLT(p.sndNxt, ack) {
-		// Rewound below the cumulative ACK: everything up to ack already
-		// reached the receiver, resume transmission from there.
-		p.sndNxt = ack
+	p.dupAcks, p.retxCount = 0, 0
+	if p.probe == probeSent {
+		p.probe = probeIdle
 	}
-	p.dupAcks = 0
+	if len(p.sacked) > 0 {
+		p.sackTrim()
+	}
+	if th.NSACK > 0 {
+		p.sackUpdate(&th)
+	}
 
 	// RTT sample (Karn's rule: only for never-retransmitted segments).
 	if p.rttSeq != 0 && netpkt.SeqLT(p.rttSeq, ack) {
 		e.rttSample(p, e.now.Sub(p.rttStart))
 		p.rttSeq = 0
 	}
-	// Congestion control.
+	// Congestion control. An episode opened on evidence holds cwnd at
+	// ssthresh until it ends; one opened by a timeout slow-starts up to it.
+	if p.inRecovery {
+		p.ackInRecovery()
+	}
 	if p.cwnd < p.ssthresh {
 		p.cwnd += min32(acked, uint32(p.mss)) // slow start
-	} else {
+	} else if !p.inRecovery {
 		p.cwnd += max32(uint32(p.mss)*uint32(p.mss)/p.cwnd, 1) // AIMD
 	}
 
@@ -265,11 +291,13 @@ func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
 	// Retransmission timer.
 	if p.sndUna == p.sndNxt {
 		e.disarmTimer(p, timerRTO)
-		p.retxCount = 0
 	} else {
 		// Push the deadline out; the existing wheel entry (if earlier) is
 		// reused and re-indexes itself when it comes up.
-		e.armTimer(p, timerRTO, e.now.Add(p.rto))
+		e.armRetx(p)
+	}
+	if len(p.sacked) > 0 {
+		e.detectLoss(p)
 	}
 
 	// Half-close progress.
@@ -307,36 +335,38 @@ func (e *Engine) rttSample(p *pcb, rtt time.Duration) {
 	}
 }
 
-// processData queues in-order payload; out-of-order segments are dropped
-// with an immediate duplicate ACK (the retransmission recovers them — a
-// deliberate lwIP-class simplification, see docs/ARCHITECTURE.md
-// "Substitutions and non-goals").
+// processData takes a delivery's payload into the connection. What starts
+// at rcvNxt (after trimming a duplicate head) is queued for the application,
+// clipped at the advertised window and at the first byte the reassembly
+// queue already holds; what starts above rcvNxt goes into the reassembly
+// queue (reasm.go) and is ACKed at once with SACK blocks. Either way nothing
+// inside the window is discarded unless the bytes are already here.
 // The payload may span several views (a GRO-merged run: the lead segment's
 // payload plus one payload-only view per coalesced trailing segment, all
 // contiguous in sequence space); one rxItem is queued per view part that
 // lands in the window, each holding a reference on the deliver cookie.
-// Returns true when the deliver buffer was retained in the receive queue.
+// Returns true when the deliver buffer was retained in either queue.
 func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extras []shm.RichPtr, nseg int, plen uint32, deliverID uint64) bool {
 	switch p.state {
 	case StateEstablished, StateFinWait1, StateFinWait2:
 	default:
 		return false
 	}
+	spans := e.paySpans(&th, seg, extras)
 	seq := th.Seq
-	start := uint32(0)
-	if netpkt.SeqLT(seq, p.rcvNxt) {
-		// Partial or full duplicate: trim the head.
-		dup := p.rcvNxt - seq
-		if dup >= plen {
-			e.stats.DropsDup++
-			e.sendAck(p)
-			return false
+	if netpkt.SeqLT(p.rcvNxt, seq) {
+		// Out of order: hold it, and tell the sender at once — the ACK is
+		// its evidence of the hole and its map of what not to resend.
+		used := e.hold(p, seq, plen, spans, deliverID)
+		if !used {
+			e.stats.DropsOOO++
 		}
-		start = dup
-		seq = p.rcvNxt
-	} else if seq != p.rcvNxt {
-		// Out of order: dup-ack, drop.
-		e.stats.DropsOOO++
+		e.sendAck(p)
+		return used
+	}
+	start := p.rcvNxt - seq // duplicate head to trim
+	if start >= plen {
+		e.stats.DropsDup++
 		e.sendAck(p)
 		return false
 	}
@@ -350,22 +380,17 @@ func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extra
 		e.stats.DropsWindow++
 		take = e.rcvWnd(p)
 	}
+	holes := len(p.oooQ) > 0
+	if holes {
+		// A retransmission sized by a sender that knows less than we hold
+		// may run into the next held segment: those bytes are here already.
+		take = min32(take, p.oooQ[0].seq-p.rcvNxt)
+	}
 
 	// Walk the payload views, skipping the trimmed head and stopping at the
-	// window clamp. The lead view's payload begins at the TCP data offset;
-	// the extras are payload-only.
-	type paySpan struct {
-		ptr  shm.RichPtr
-		base uint32 // payload start within ptr
-		n    uint32 // payload bytes in this view
-	}
-	spans := make([]paySpan, 0, 1+len(extras))
-	spans = append(spans, paySpan{ptr: seg, base: uint32(th.DataOff), n: seg.Len - uint32(th.DataOff)})
-	for _, ex := range extras {
-		spans = append(spans, paySpan{ptr: ex, n: ex.Len})
-	}
+	// clamp.
 	wasEmpty := p.rcvQueued == 0
-	skip, left, used := start, take, false
+	skip, left := start, take
 	for _, sp := range spans {
 		if left == 0 {
 			break
@@ -374,10 +399,7 @@ func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extra
 			skip -= sp.n
 			continue
 		}
-		n := sp.n - skip
-		if n > left {
-			n = left
-		}
+		n := min32(sp.n-skip, left)
 		p.rcvQ = append(p.rcvQ, rxItem{
 			payload:   sp.ptr.Slice(sp.base+skip, sp.base+skip+n),
 			deliverID: deliverID,
@@ -385,21 +407,25 @@ func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extra
 		e.retainDeliver(deliverID)
 		skip = 0
 		left -= n
-		used = true
 	}
 	p.rcvQueued += take
-	p.rcvNxt = seq + take
+	p.rcvNxt += take
 	e.stats.BytesIn += uint64(take)
+	if holes {
+		e.drainHeld(p)
+	}
 	if wasEmpty && p.pendingRecv == 0 {
 		e.event(p, msg.EvReadable)
 	}
 
-	// ACK policy: every second segment — or a PSH boundary (the end of a
-	// sender burst) — immediately; otherwise delayed. A merged delivery
-	// counts as its wire segment count so ack clocking is unchanged by GRO.
-	// Acking on PSH keeps TSO bursts from stalling on the delayed-ACK timer.
+	// ACK policy: a segment that fills a hole, wholly or partly — at once,
+	// the sender is waiting for exactly this. Otherwise every second segment
+	// — or a PSH boundary (the end of a sender burst) — immediately, else
+	// delayed. A merged delivery counts as its wire segment count so ack
+	// clocking is unchanged by GRO. Acking on PSH keeps TSO bursts from
+	// stalling on the delayed-ACK timer.
 	p.ackPending += nseg
-	if p.ackPending >= 2 || th.Flags&netpkt.TCPPsh != 0 {
+	if holes || p.ackPending >= 2 || th.Flags&netpkt.TCPPsh != 0 {
 		e.sendAck(p)
 	} else if p.delAckAt.IsZero() {
 		e.armTimer(p, timerDelAck, e.now.Add(delAckDelay))
@@ -411,7 +437,7 @@ func (e *Engine) processData(p *pcb, th netpkt.TCPHeader, seg shm.RichPtr, extra
 		p.pendingRecv = 0
 		e.replyRecv(id, p)
 	}
-	return used
+	return take > 0
 }
 
 func (e *Engine) processFin(p *pcb) {
@@ -467,6 +493,13 @@ func (e *Engine) connReset(p *pcb) {
 	if p.pendingRecv != 0 {
 		e.reply(p.pendingRecv, p.id, msg.StatusErrConnRst)
 		p.pendingRecv = 0
+	}
+	if p.finQueued {
+		// The application closed this socket already: nobody is left to
+		// learn the outcome or to close it again, so parking would leak it.
+		e.destroy(p)
+		e.persist()
+		return
 	}
 	// Keep the pcb visible as reset for subsequent app calls.
 	e.parkFailed(p, status)

@@ -25,61 +25,65 @@ func max32(a, b uint32) uint32 {
 	return b
 }
 
-// output transmits whatever the window currently allows: queued stream
-// data (as TSO bursts or MSS-sized segments) and a queued FIN.
+// maxBurst is the largest payload one OpIPSend carries on this connection.
+func (e *Engine) maxBurst(p *pcb) uint32 {
+	if e.cfg.TSO {
+		return TSOMaxBurst
+	}
+	return uint32(p.mss)
+}
+
+// tsoSeg is the segment size the device splits a burst of got bytes at;
+// zero means the burst is one segment already.
+func (e *Engine) tsoSeg(p *pcb, got uint32) uint16 {
+	if e.cfg.TSO && got > uint32(p.mss) {
+		return p.mss
+	}
+	return 0
+}
+
+// output transmits whatever the windows currently allow: first, in a
+// recovery episode, the holes marked lost; then queued stream data (as TSO
+// bursts or MSS-sized segments) and a queued FIN. The congestion window
+// bounds the pipe — what is believed to be in the network — and the peer's
+// window bounds sndNxt.
 func (e *Engine) output(p *pcb) {
-	switch p.state {
-	case StateEstablished, StateCloseWait, StateFinWait1, StateClosing, StateLastAck:
-	default:
+	if !p.state.sends() {
 		return
+	}
+	if p.inRecovery {
+		e.retransmitLost(p)
 	}
 	dataEnd := p.streamEnd
 	if p.finQueued {
 		dataEnd = p.finSeq
 	}
 	for netpkt.SeqLT(p.sndNxt, dataEnd) {
-		inflight := p.sndNxt - p.sndUna
-		wnd := min32(p.cwnd, p.sndWnd)
-		if inflight >= wnd {
+		inflight, pipe := p.sndNxt-p.sndUna, p.pipe()
+		if inflight >= p.sndWnd || pipe >= p.cwnd {
 			// Window closed. With data waiting and nothing in flight, arm
 			// the timer so rtoFire sends a zero-window probe (there is no
 			// separate persist timer; the RTO doubles as it).
 			if p.sndWnd == 0 && inflight == 0 && p.rtoAt.IsZero() {
-				e.armTimer(p, timerRTO, e.now.Add(p.rto))
+				e.armRetx(p)
 			}
 			break
 		}
-		budget := wnd - inflight
-		avail := dataEnd - p.sndNxt
-		burst := min32(avail, budget)
-		maxSeg := uint32(p.mss)
-		if e.cfg.TSO {
-			maxSeg = TSOMaxBurst
-		}
-		burst = min32(burst, maxSeg)
-		if burst == 0 {
-			break
-		}
-		ptrs, got := e.gather(p, p.sndNxt, burst)
+		burst := min32(dataEnd-p.sndNxt, min32(p.sndWnd-inflight, p.cwnd-pipe))
+		ptrs, got := e.gather(p, p.sndNxt, min32(burst, e.maxBurst(p)))
 		if got == 0 {
 			break
 		}
 		// PSH on every burst boundary: the receiver acks PSH segments
 		// immediately, so window tails never stall on the delayed-ACK
 		// timer (classic throughput bug for window-limited transfers).
-		flags := netpkt.TCPAck | netpkt.TCPPsh
-		seg := uint16(0)
-		if e.cfg.TSO && got > uint32(p.mss) {
-			seg = p.mss
-		}
-		e.emitData(p, flags, p.sndNxt, ptrs, got, seg)
-		if p.rttSeq == 0 && p.retxCount == 0 {
-			p.rttSeq = p.sndNxt
-			p.rttStart = e.now
-		}
+		e.emitData(p, netpkt.TCPAck|netpkt.TCPPsh, p.sndNxt, ptrs, got, e.tsoSeg(p, got))
 		p.sndNxt += got
-		if netpkt.SeqLT(p.sndMax, p.sndNxt) {
-			p.sndMax = p.sndNxt
+		if p.rttSeq == 0 && !p.inRecovery {
+			// Time the burst to its last byte: what a probe timeout must
+			// outwait is the ACK of a whole flight, not of its first segment.
+			p.rttSeq = p.sndNxt - 1
+			p.rttStart = e.now
 		}
 		e.stats.BytesOut += uint64(got)
 	}
@@ -87,13 +91,10 @@ func (e *Engine) output(p *pcb) {
 	if p.finQueued && !p.finSent && p.sndNxt == p.finSeq {
 		e.emitSegment(p, netpkt.TCPFin|netpkt.TCPAck, p.finSeq, nil, 0, false)
 		p.sndNxt = p.finSeq + 1
-		if netpkt.SeqLT(p.sndMax, p.sndNxt) {
-			p.sndMax = p.sndNxt
-		}
 		p.finSent = true
 	}
 	if p.sndNxt != p.sndUna && p.rtoAt.IsZero() {
-		e.armTimer(p, timerRTO, e.now.Add(p.rto))
+		e.armRetx(p)
 	}
 }
 
@@ -127,13 +128,17 @@ func (e *Engine) emitData(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr
 	e.emit(p, flags, seq, payload, plen, segSize, false)
 }
 
-// emitSegment sends a control segment (SYN, SYN|ACK, FIN, pure ACK).
-// withMSS adds the MSS option (SYN family).
-func (e *Engine) emitSegment(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, withMSS bool) {
-	e.emit(p, flags, seq, payload, plen, 0, withMSS)
+// emitSegment sends a control segment (SYN, SYN|ACK, FIN, pure ACK). syn
+// adds the SYN family's options: MSS, and SACK-permitted — offered on a SYN,
+// echoed on a SYN-ACK when the SYN carried it.
+func (e *Engine) emitSegment(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, syn bool) {
+	e.emit(p, flags, seq, payload, plen, 0, syn)
 }
 
-func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, segSize uint16, withMSS bool) {
+// emit builds one segment and queues it for IP. A pure ACK reports what the
+// reassembly queue holds in SACK blocks; data segments carry no options, so
+// TSO and the peer's GRO see fixed 20-byte headers.
+func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, plen uint32, segSize uint16, syn bool) {
 	hdrPtr, hdrBuf, err := e.hdrPool.Alloc()
 	if err != nil {
 		return // out of header chunks: the RTO will retry
@@ -146,8 +151,11 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 	if flags&netpkt.TCPAck != 0 {
 		th.Ack = p.rcvNxt
 	}
-	if withMSS {
+	if syn {
 		th.MSS = MSS
+		th.SACKPermitted = p.sackOK
+	} else if flags == netpkt.TCPAck && plen == 0 && len(p.oooQ) > 0 && p.sackOK {
+		p.fillSACK(&th)
 	}
 	hlen := th.MarshalLen()
 	th.Marshal(hdrBuf)
@@ -168,7 +176,7 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 	}
 
 	id := e.db.NewID()
-	if plen > 0 && netpkt.SeqLT(seq, p.sndMax) {
+	if plen > 0 && netpkt.SeqLT(seq, p.sndNxt) {
 		// This frame re-covers bytes already transmitted once. A cumulative
 		// ACK for them — elicited by the earlier copy — can arrive while the
 		// NIC is still reading this one; recycling their ring space then
@@ -176,6 +184,7 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 		// recycleAcked defers until it completes (sendDone or crash abort).
 		e.retxFrames[id] = p.id
 		p.retxPending++
+		e.stats.Retransmits++
 	}
 	e.trackFrame(id, hdr)
 	req := msg.Req{ID: id, Op: msg.OpIPSend, Flow: p.id}
@@ -258,23 +267,6 @@ func (e *Engine) sendRstFor(th netpkt.TCPHeader, srcIP, localIP netpkt.IPAddr) {
 	e.stats.SegsOut++
 }
 
-// fastRetransmit reacts to the third duplicate ACK (Reno).
-func (e *Engine) fastRetransmit(p *pcb) {
-	inflight := p.sndNxt - p.sndUna
-	p.ssthresh = max32(inflight/2, 2*uint32(p.mss))
-	p.cwnd = p.ssthresh + 3*uint32(p.mss)
-	p.recover = p.sndNxt
-	e.stats.FastRetx++
-	e.stats.Retransmits++
-	// Resend one segment at sndUna.
-	ptrs, got := e.gather(p, p.sndUna, uint32(p.mss))
-	if got > 0 {
-		flags := netpkt.TCPAck
-		e.emitData(p, flags, p.sndUna, ptrs, got, 0)
-	}
-	p.rttSeq = 0 // Karn
-}
-
 // Tick drives every per-connection timer through the timing wheel:
 // retransmission, delayed ACK, TIME-WAIT reaping, and handshake retries.
 // Cost scales with due timers and live TX buffers, not total connections —
@@ -310,7 +302,7 @@ func (e *Engine) Tick(now time.Time) {
 
 // trackFrame enters a frame handed to IP in the request database. Abort
 // action on IP crash: release the header chunk; the data itself is
-// resubmitted by OnIPRestart through go-back-N.
+// resubmitted by OnIPRestart through the scoreboard.
 func (e *Engine) trackFrame(id uint64, hdr shm.RichPtr) {
 	e.db.Track(id, "ip", hdr, func(aborted uint64, data any) {
 		if ptr, ok := data.(shm.RichPtr); ok {
@@ -332,23 +324,20 @@ func (e *Engine) fireTimer(p *pcb, kind int) {
 			e.dead = append(e.dead, p)
 		}
 	case timerRTO:
-		e.rtoFire(p)
+		if p.probe == probeArmed {
+			e.probeFire(p)
+		} else {
+			e.rtoFire(p)
+		}
 	}
 }
 
+// rtoFire is the retransmission timeout. retxCount counts CONSECUTIVE
+// fires — any advancing ACK resets it — so a long-lived bulk stream does not
+// accumulate isolated timeouts into a spurious local reset.
 func (e *Engine) rtoFire(p *pcb) {
-	// The give-up threshold counts CONSECUTIVE no-progress RTO fires. A
-	// long-lived bulk stream whose pipe never fully drains must not
-	// accumulate isolated RTO episodes into a spurious local reset — but
-	// retxCount itself stays nonzero through recovery, because it also
-	// gates Karn's rule (output): resetting it on every advancing ACK
-	// would sample RTT off retransmitted data and melt the RTO estimate.
-	if p.sndUna != p.retxMark {
-		p.retxCount = 0
-		p.retxMark = p.sndUna
-	}
 	p.retxCount++
-	e.stats.Retransmits++
+	p.probe = probeIdle
 	switch p.state {
 	case StateSynSent, StateSynRcvd:
 		if p.retxCount > 6 {
@@ -389,28 +378,13 @@ func (e *Engine) rtoFire(p *pcb) {
 			}
 			break
 		}
-		// Go-back-N from the last acknowledged byte; Reno loss response.
-		inflight := p.sndNxt - p.sndUna
-		p.ssthresh = max32(inflight/2, 2*uint32(p.mss))
-		p.cwnd = 2 * uint32(p.mss)
-		e.rewind(p)
+		e.rtoData(p)
 	}
 	p.rto *= 2
 	if p.rto > maxRTO {
 		p.rto = maxRTO
 	}
 	e.armTimer(p, timerRTO, e.now.Add(p.rto))
-}
-
-// rewind is go-back-N: everything past the last acknowledged byte is sent
-// again — the FIN too, if it was out — and, by Karn's rule, no RTT sample
-// is taken from the retransmission. The RTO and an IP restart both recover
-// through it.
-func (e *Engine) rewind(p *pcb) {
-	p.sndNxt = p.sndUna
-	p.finSent = false
-	p.rttSeq = 0
-	e.output(p)
 }
 
 // Deadline returns the earliest pending timer (a conservative lower bound

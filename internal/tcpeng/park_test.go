@@ -103,6 +103,7 @@ func TestParkedResetNeverRefires(t *testing.T) {
 	if !parked {
 		t.Fatal("RST never parked the connection")
 	}
+	pi.step() // the RST's receive buffer goes home
 
 	base := pi.a.Stats()
 	for i := 0; i < 1200; i++ {

@@ -53,7 +53,7 @@ func (s *pcbSlab) release(p *pcb) {
 		p.timerSeq[k]++
 	}
 	p.wheelAt = [numTimers]int64{}
-	p.stream, p.rcvQ, p.buf = nil, nil, nil
+	p.stream, p.rcvQ, p.oooQ, p.sacked, p.buf = nil, nil, nil, nil, nil
 	p.pendingAccept, p.acceptQ = nil, nil
 	s.free = append(s.free, p.slot)
 	s.inUse--

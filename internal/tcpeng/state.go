@@ -7,7 +7,8 @@ package tcpeng
 //   - HandoffState, the live-update image, carries the id counter, a live
 //     section (ISS clock, port cursor, counters, un-drained output, the
 //     request database's in-flight sends) and every pcb in full — stream
-//     chunks, receive queue, congestion state, parked timer deadlines. TX
+//     chunks, receive and reassembly queues, congestion state, the SACK
+//     scoreboard and recovery episode, parked timer deadlines. TX
 //     buffers cross beside it by handle: their pools live in the node's
 //     shm.Space, which outlives incarnations, so every rich pointer in the
 //     image stays valid.
@@ -57,11 +58,11 @@ func (p *pcb) record(c *staterec.Codec) (hasBuf bool) {
 	staterec.Num(c, &p.iss)
 	staterec.Num(c, &p.sndUna)
 	staterec.Num(c, &p.sndNxt)
-	staterec.Num(c, &p.sndMax)
 	staterec.Num(c, &p.sndWnd)
 	staterec.Num(c, &p.cwnd)
 	staterec.Num(c, &p.ssthresh)
 	staterec.Num(c, &p.mss)
+	c.Bool(&p.sackOK)
 	staterec.List(c, &p.stream, 4+staterec.PtrSize, func(ch *streamChunk) {
 		staterec.Num(c, &ch.seq)
 		c.Ptr(&ch.ptr)
@@ -78,19 +79,36 @@ func (p *pcb) record(c *staterec.Codec) (hasBuf bool) {
 	staterec.Num(c, &p.rttSeq)
 	c.Time(&p.rttStart)
 	staterec.Num(c, &p.retxCount)
-	staterec.Num(c, &p.retxMark)
 	staterec.Num(c, &p.retxPending)
 	staterec.Num(c, &p.dupAcks)
+
+	staterec.List(c, &p.sacked, 4+4, func(r *seqRange) {
+		staterec.Num(c, &r.start)
+		staterec.Num(c, &r.end)
+	})
+	c.Bool(&p.inRecovery)
 	staterec.Num(c, &p.recover)
+	staterec.Num(c, &p.lostTo)
+	staterec.Num(c, &p.rxtNxt)
+	staterec.Num(c, &p.probe)
 
 	staterec.Num(c, &p.irs)
 	staterec.Num(c, &p.rcvNxt)
-	staterec.List(c, &p.rcvQ, staterec.PtrSize+8+4, func(rx *rxItem) {
-		c.Ptr(&rx.payload)
-		staterec.Num(c, &rx.deliverID)
-		staterec.Num(c, &rx.consumed)
-	})
+	rx := func(item *rxItem) {
+		c.Ptr(&item.payload)
+		staterec.Num(c, &item.deliverID)
+		staterec.Num(c, &item.consumed)
+	}
+	staterec.List(c, &p.rcvQ, staterec.PtrSize+8+4, rx)
 	staterec.Num(c, &p.rcvQueued)
+	staterec.List(c, &p.oooQ, 4+4+staterec.PtrSize+8+4, func(held *oooSeg) {
+		staterec.Num(c, &held.seq)
+		staterec.Num(c, &held.stamp)
+		rx(&held.rxItem)
+	})
+	staterec.Num(c, &p.oooClock)
+	c.Bool(&p.finHeld)
+	staterec.Num(c, &p.finAt)
 	c.Bool(&p.finRcvd)
 	c.Time(&p.delAckAt)
 	staterec.Num(c, &p.ackPending)
@@ -114,8 +132,9 @@ func (p *pcb) record(c *staterec.Codec) (hasBuf bool) {
 func (s *Stats) counters() []*uint64 {
 	return []*uint64{
 		&s.SegsOut, &s.SegsIn, &s.BytesOut, &s.BytesIn, &s.Retransmits, &s.FastRetx,
+		&s.RTOs, &s.Probes,
 		&s.RSTsSent, &s.RSTsIn, &s.DupAcksIn, &s.ConnsOpened, &s.ConnsAccepted,
-		&s.SendsResubmitted, &s.DropsOOO, &s.DropsDup, &s.DropsWindow,
+		&s.SendsResubmitted, &s.OOOQueued, &s.DropsOOO, &s.DropsDup, &s.DropsWindow,
 	}
 }
 
@@ -268,6 +287,9 @@ func (e *Engine) installPCB(rec *pcb, hasBuf bool, buf *sockbuf.Buf) error {
 	}
 	for _, rx := range p.rcvQ {
 		e.retainDeliver(rx.deliverID)
+	}
+	for _, held := range p.oooQ {
+		e.retainDeliver(held.deliverID)
 	}
 
 	// Port table and listener map are rebuilt from the pcbs. reserve can

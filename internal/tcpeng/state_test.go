@@ -104,10 +104,12 @@ func TestPCBRecordCoversEveryField(t *testing.T) {
 	}
 }
 
-// liveImages builds a sender and a receiver mid-transfer — listener,
-// established connections with unacknowledged stream chunks and a queued
-// receive payload, a nonblocking socket, armed timers — and returns their
-// handoff and crash images with the buffer handles.
+// liveImages builds a sender and a receiver mid-transfer and mid-recovery —
+// listener, established connections with unacknowledged stream chunks, a
+// queued receive payload, a hole the wire keeps open (so the receiver's
+// reassembly queue and the sender's scoreboard are populated), a nonblocking
+// socket, armed timers — and returns their handoff and crash images with the
+// buffer handles.
 func liveImages(t testing.TB) (images [][]byte, bufs []map[uint32]*sockbuf.Buf, now time.Time) {
 	pi := newPipe(t, false)
 	var crash []byte
@@ -118,7 +120,20 @@ func liveImages(t testing.TB) (images [][]byte, bufs []map[uint32]*sockbuf.Buf, 
 	fl := msg.Req{Op: msg.OpSockSetFlags, Flow: child}
 	fl.Arg[0] = msg.SockNonblock
 	pi.call(pi.b, fl)
+	hole := pi.a.pcbOf(csock).sndNxt + 2*MSS
+	pi.fate = func(_ string, _ int, seg []byte) (int, int) {
+		if th, err := netpkt.ParseTCP(seg); err == nil && th.Seq == hole && len(seg) > th.DataOff {
+			return 0, 0
+		}
+		return 1, 0
+	}
 	pi.sendBytes(pi.a, aBufs, csock, bytes.Repeat([]byte{7}, 20000))
+	for i := 0; i < 4; i++ {
+		pi.step() // the SACKs reach the sender
+	}
+	if snd, rcv := pi.a.pcbOf(csock), pi.b.pcbOf(child); len(snd.sacked) == 0 || !snd.inRecovery || len(rcv.oooQ) == 0 {
+		t.Fatalf("no recovery state to image: %d SACKed ranges, inRecovery %v, %d segments held", len(snd.sacked), snd.inRecovery, len(rcv.oooQ))
+	}
 	for _, e := range []*Engine{pi.a, pi.b} {
 		blob, b, err := e.HandoffState()
 		if err != nil {

@@ -1,10 +1,21 @@
 // Package tcpeng is the TCP protocol engine: a from-scratch, lwIP-class
 // TCP with the features the paper's evaluation depends on — three-way
 // handshake, sliding-window transfer with flow control, RFC 6298
-// retransmission timing with exponential backoff, fast retransmit, Reno
-// congestion control, the MSS option, zero-copy transmit out of per-socket
-// shared buffers, and TCP segmentation offload (TSO) so one channel request
-// can carry 64 KB (the decisive optimization of Table II rows 5-6).
+// retransmission timing with exponential backoff, Reno congestion control,
+// the MSS option, zero-copy transmit out of per-socket shared buffers, and
+// TCP segmentation offload (TSO) so one channel request can carry 64 KB (the
+// decisive optimization of Table II rows 5-6).
+//
+// Loss recovery is selective (docs/ARCHITECTURE.md "Loss recovery"). The
+// receiver keeps out-of-order segments in a per-connection reassembly queue
+// (reasm.go) and reports them in SACK blocks; the sender keeps a scoreboard
+// of what the peer holds (recovery.go), declares a hole lost on evidence —
+// three segments' worth of bytes SACKed above it, three duplicate ACKs from
+// a peer without SACK, or the answer to a tail-loss probe — and retransmits
+// every lost hole while the pipe has room, with one window reduction per
+// episode. The retransmission timeout and an IP restart mark everything the
+// peer does not hold as lost on the same scoreboard: there is one recovery
+// path and it never resends what was selectively acknowledged.
 //
 // Recovery semantics follow paper Table I: the engine persists only the
 // cheap, rarely-changing part of its state (listening sockets and the
@@ -133,15 +144,22 @@ type Config struct {
 	SaveState func(blob []byte)
 }
 
-// Stats counts engine activity.
+// Stats counts engine activity. Retransmits is every data segment emitted
+// that re-covers bytes already sent once (a TSO burst counts once, as it does
+// in SegsOut); FastRetx is recovery episodes entered on SACK or duplicate-ACK
+// evidence, RTOs retransmission timeouts, Probes tail-loss probes. OOOQueued
+// is out-of-order segments taken into a reassembly queue; DropsOOO is
+// out-of-order data refused (beyond the window, or overlapping what is held).
 type Stats struct {
 	SegsOut, SegsIn                 uint64
 	BytesOut, BytesIn               uint64
 	Retransmits, FastRetx           uint64
+	RTOs, Probes                    uint64
 	RSTsSent, RSTsIn                uint64
 	DupAcksIn                       uint64
 	ConnsOpened, ConnsAccepted      uint64
 	SendsResubmitted                uint64
+	OOOQueued                       uint64
 	DropsOOO, DropsDup, DropsWindow uint64
 }
 
@@ -175,29 +193,36 @@ type pcb struct {
 	bound     bool
 	portEphem bool // localPort came from autobind (refcounted, not exclusive)
 
-	// Send state.
+	// Send state. sndNxt only ever advances: retransmissions are driven by
+	// the scoreboard below, not by rewinding it.
 	iss, sndUna, sndNxt uint32
-	sndMax              uint32 // highest sndNxt ever reached (survives Go-back-N rewinds)
 	sndWnd              uint32 // peer's advertised window
 	cwnd, ssthresh      uint32
 	mss                 uint16
+	sackOK              bool          // both ends sent SACK-permitted
 	stream              []streamChunk // retained until acked
 	streamEnd           uint32        // seq after last byte in stream
-	finQueued           bool
 	finSeq              uint32
-	finSent             bool
+	finQueued, finSent  bool
 
-	// RTT estimation (Karn: only segments never retransmitted).
+	// RTT estimation (Karn: never from a recovery episode or a probed tail).
 	srtt, rttvar time.Duration
 	rto          time.Duration
-	rtoAt        time.Time
-	rttSeq       uint32 // sequence being timed; 0 = none
+	rtoAt        time.Time // the retransmission timer: an RTO, or a probe timeout (probe)
 	rttStart     time.Time
-	retxCount    int
-	retxMark     uint32 // sndUna at the last RTO fire; progress resets retxCount
+	rttSeq       uint32 // sequence being timed; 0 = none
 	retxPending  int32  // frames re-covering already-sent bytes still at the NIC
+	retxCount    int    // consecutive RTO fires without an advancing ACK
 	dupAcks      int
-	recover      uint32 // fast-recovery high-water mark
+
+	// Loss recovery (recovery.go). sacked is the scoreboard: what the peer
+	// holds above sndUna. The other four only mean something inRecovery.
+	sacked     []seqRange
+	recover    uint32 // sndNxt when the episode began; it ends when sndUna gets there
+	lostTo     uint32 // un-SACKed bytes below this are lost
+	rxtNxt     uint32 // lost bytes below this were retransmitted in this episode
+	inRecovery bool
+	probe      uint8 // tail-loss probe state (probeIdle, probeArmed, probeSent)
 
 	// Timing-wheel bookkeeping (wheel.go): per-kind generation counters
 	// (bumped on disarm/re-arm/slot-reuse to invalidate stale entries) and
@@ -205,10 +230,15 @@ type pcb struct {
 	timerSeq [numTimers]uint32
 	wheelAt  [numTimers]int64
 
-	// Receive state.
+	// Receive state. oooQ is the reassembly queue (reasm.go): segments that
+	// arrived above rcvNxt, inside the advertised window.
 	irs, rcvNxt uint32
 	rcvQ        []rxItem
+	oooQ        []oooSeg
 	rcvQueued   uint32 // bytes queued in rcvQ (unconsumed)
+	oooClock    uint32 // stamps oooQ arrivals, for SACK block order
+	finAt       uint32 // where a FIN that arrived behind a hole sits (finHeld)
+	finHeld     bool
 	finRcvd     bool
 	delAckAt    time.Time
 	ackPending  int // segments since last ack
@@ -266,9 +296,12 @@ type Engine struct {
 	// that re-cover already-sent bytes: their connection's ring recycle is
 	// deferred until they complete at the NIC (see recycleAcked).
 	retxFrames map[uint64]uint32
-	next       uint32
-	idStride   uint32
-	issClock   uint32
+	// spans is processData's scratch: the payload views of the delivery in
+	// hand, shared by the in-order and the reassembly path.
+	spans    []paySpan
+	next     uint32
+	idStride uint32
+	issClock uint32
 
 	toIP    []msg.Req
 	toFront []msg.Req
@@ -684,9 +717,9 @@ func (e *Engine) connect(r msg.Req) {
 	} else {
 		p.pendingConnect = r.ID
 	}
+	p.sackOK = true // offered; the SYN-ACK says whether the peer agrees
 	e.emitSegment(p, netpkt.TCPSyn, p.iss, nil, 0, true)
 	p.sndNxt = p.iss + 1
-	p.sndMax = p.sndNxt
 	p.rto = synRTO
 	e.armTimer(p, timerRTO, e.now.Add(p.rto))
 	e.stats.ConnsOpened++
@@ -931,13 +964,11 @@ func (e *Engine) queueFin(p *pcb) {
 // holds the socket, so autobind must not hand its port to someone else
 // before the close.
 func (e *Engine) parkFailed(p *pcb, status int32) {
-	for _, item := range p.rcvQ {
-		e.releaseDeliver(item.deliverID)
-	}
-	p.rcvQ, p.rcvQueued = nil, 0
+	e.releaseRx(p)
 	e.dropTuple(p)
 	e.disarmAll(p)
 	p.retxCount = 0
+	p.sacked, p.inRecovery, p.probe = nil, false, probeIdle
 	p.state = StateClosed
 	p.reset = true
 	if status != 0 && p.connStatus == 0 && p.pendingConnect == 0 {
@@ -965,10 +996,7 @@ func (e *Engine) dropTuple(p *pcb) {
 // shared space and its registry export withdrawn, and the slab slot is
 // freed for reuse.
 func (e *Engine) destroy(p *pcb) {
-	for _, item := range p.rcvQ {
-		e.releaseDeliver(item.deliverID)
-	}
-	p.rcvQ = nil
+	e.releaseRx(p)
 	if p.bound && p.state != StateListen {
 		if p.portEphem {
 			e.ports.ephemRelease(p.localPort)
@@ -990,6 +1018,19 @@ func (e *Engine) destroy(p *pcb) {
 	p.state = StateClosed
 	e.byID.del(uint64(p.id))
 	e.slab.release(p)
+}
+
+// releaseRx gives back every receive-pool reference a connection holds,
+// delivered or still waiting for a hole to fill.
+func (e *Engine) releaseRx(p *pcb) {
+	for _, item := range p.rcvQ {
+		e.releaseDeliver(item.deliverID)
+	}
+	for _, held := range p.oooQ {
+		e.releaseDeliver(held.deliverID)
+	}
+	p.rcvQ, p.rcvQueued = nil, 0
+	p.oooQ, p.finHeld = nil, false
 }
 
 // retainDeliver records one more receive-queue reference to a deliver
@@ -1028,9 +1069,11 @@ func (e *Engine) OnFrontRestart() {
 // OnIPRestart is the recovery action for a reincarnated IP server: stale
 // receive-pool references are dropped, the sends in flight to the dead
 // incarnation are aborted, and every connection with unacknowledged data
-// retransmits it at once with fresh request IDs instead of waiting out an
-// RTO ("it is much more important that we quickly retransmit (possibly)
-// lost packets to avoid the error detection and congestion avoidance").
+// retransmits what the peer does not hold at once, with fresh request IDs,
+// instead of waiting out an RTO ("it is much more important that we quickly
+// retransmit (possibly) lost packets to avoid the error detection and
+// congestion avoidance"). It is the RTO's marking without the RTO's window
+// reduction: a crashed IP server is not congestion.
 func (e *Engine) OnIPRestart() {
 	e.eachPCB(func(p *pcb) {
 		// Drop unconsumed receive data that lives in the dead pool. The
@@ -1041,13 +1084,17 @@ func (e *Engine) OnIPRestart() {
 		for i := range p.rcvQ {
 			p.rcvQ[i].deliverID = 0 // old IP is gone; nothing to release to
 		}
+		for i := range p.oooQ {
+			p.oooQ[i].deliverID = 0
+		}
 	})
 	e.deliverRefs = make(map[uint64]int) // the cookies died with the pool
 	e.db.AbortDest("ip")
 	e.eachPCB(func(p *pcb) {
-		if p.sndNxt != p.sndUna {
+		if p.sndNxt != p.sndUna && p.state.sends() {
 			e.stats.SendsResubmitted++
-			e.rewind(p)
+			e.markAllLost(p)
+			e.output(p)
 		}
 	})
 }

@@ -12,10 +12,12 @@ import (
 	"newtos/internal/sockbuf"
 )
 
-// pipe is a minimal stand-in for the IP layer: it moves OpIPSend requests
-// from one engine to the other as OpIPDeliver, copying segments into a
-// simulated receive pool (as a NIC's DMA would), splitting TSO bursts, and
-// optionally dropping segments to exercise retransmission.
+// pipe is a minimal stand-in for the IP layer and the wire under it: it
+// moves OpIPSend requests from one engine to the other as OpIPDeliver,
+// copying segments into a simulated receive pool (as a NIC's DMA would),
+// splitting TSO bursts, optionally coalescing in-order runs as IP's GRO does,
+// and optionally losing, duplicating and delaying segments. Time is virtual:
+// the engines are pure in the now they are handed.
 type pipe struct {
 	t     testing.TB
 	space *shm.Space
@@ -25,13 +27,29 @@ type pipe struct {
 
 	rxPool    *shm.Pool
 	deliverID uint64
-	inFlight  map[uint64]shm.RichPtr // deliverID -> rx chunk
+	inFlight  map[uint64][]shm.RichPtr // deliver cookie -> rx chunks of the run
 
-	drop func(dir string, n int) bool // decide per segment; nil = no loss
-	sent int
+	// fate decides what the wire does with the n-th segment it carries: how
+	// many copies arrive (0 = lost, 2 = duplicated) and how many steps late,
+	// on top of latency, the steps every segment takes. nil = one copy.
+	fate    func(dir string, n int, seg []byte) (copies, delay int)
+	latency int
+	gro     bool // coalesce in-order runs into one delivery, as ipeng does
+	sent    int
+	steps   int
+	wire    []wireSeg // carried, not yet arrived
 
 	aFront, bFront []msg.Req
+	callID         uint64
 	now            time.Time
+}
+
+// wireSeg is a segment on the wire, arriving at step due at whichever engine
+// is then on that side (a live update may swap it meanwhile).
+type wireSeg struct {
+	due int
+	toB bool
+	seg []byte
 }
 
 func newPipe(t testing.TB, tso bool) *pipe {
@@ -44,8 +62,8 @@ func newPipe(t testing.TB, tso bool) *pipe {
 	pi := &pipe{
 		t: t, space: space, rxPool: rxPool,
 		aIP: netpkt.MustIP("10.0.0.1"), bIP: netpkt.MustIP("10.0.0.2"),
-		inFlight: make(map[uint64]shm.RichPtr),
-		now:      time.Now(),
+		inFlight: make(map[uint64][]shm.RichPtr),
+		now:      time.Unix(1_000_000, 0),
 	}
 	mkEngine := func(ip netpkt.IPAddr, name string) *Engine {
 		hdr, err := space.NewPool(name+".hdr", 128, 4096)
@@ -59,17 +77,43 @@ func newPipe(t testing.TB, tso bool) *pipe {
 	return pi
 }
 
-// step moves all pending traffic once; returns true if anything moved.
+// step moves all pending traffic once — both engines' output onto the wire,
+// then everything due off it, in wire order — and returns true if anything
+// moved. It does not advance time.
 func (pi *pipe) step() bool {
-	moved := false
-	moved = pi.moveDir(pi.a, pi.b, pi.aIP, pi.bIP, "a->b") || moved
-	moved = pi.moveDir(pi.b, pi.a, pi.bIP, pi.aIP, "b->a") || moved
+	pi.steps++
+	moved := pi.carry(pi.a, "a->b")
+	moved = pi.carry(pi.b, "b->a") || moved
+	var due []wireSeg
+	rest := pi.wire[:0]
+	for _, ws := range pi.wire {
+		if ws.due <= pi.steps {
+			due = append(due, ws)
+		} else {
+			rest = append(rest, ws)
+		}
+	}
+	pi.wire = rest
+	for len(due) > 0 {
+		run := [][]byte{due[0].seg}
+		for pi.gro && len(run) < 4 && len(run) < len(due) && due[len(run)].toB == due[0].toB && groJoins(run[len(run)-1], due[len(run)].seg) {
+			run = append(run, due[len(run)].seg)
+		}
+		if due[0].toB {
+			pi.deliver(pi.b, pi.aIP, run)
+		} else {
+			pi.deliver(pi.a, pi.bIP, run)
+		}
+		due = due[len(run):]
+		moved = true
+	}
 	pi.aFront = append(pi.aFront, pi.a.DrainToFront()...)
 	pi.bFront = append(pi.bFront, pi.b.DrainToFront()...)
 	return moved
 }
 
-func (pi *pipe) moveDir(src, dst *Engine, srcIP, dstIP netpkt.IPAddr, dir string) bool {
+// carry puts src's output on the wire and completes src's sends.
+func (pi *pipe) carry(src *Engine, dir string) bool {
 	reqs := src.DrainToIP()
 	for _, r := range reqs {
 		switch r.Op {
@@ -87,33 +131,79 @@ func (pi *pipe) moveDir(src, dst *Engine, srcIP, dstIP netpkt.IPAddr, dir string
 			}
 			for _, seg := range segs {
 				pi.sent++
-				if pi.drop != nil && pi.drop(dir, pi.sent) {
-					continue
+				copies, delay := 1, 0
+				if pi.fate != nil {
+					copies, delay = pi.fate(dir, pi.sent, seg)
 				}
-				pi.deliver(dst, srcIP, seg)
+				for ; copies > 0; copies-- {
+					pi.wire = append(pi.wire, wireSeg{pi.steps + pi.latency + delay, src == pi.a, seg})
+				}
 			}
 			src.FromIP(msg.Req{ID: r.ID, Op: msg.OpIPSendDone, Status: msg.StatusOK}, pi.now)
 		case msg.OpIPDeliverDone:
-			if ptr, ok := pi.inFlight[r.ID]; ok {
-				delete(pi.inFlight, r.ID)
-				_ = pi.rxPool.Free(ptr)
-			}
+			pi.recycle(r.ID)
 		}
 	}
 	return len(reqs) > 0
 }
 
-func (pi *pipe) deliver(dst *Engine, srcIP netpkt.IPAddr, seg []byte) {
-	ptr, buf, err := pi.rxPool.Alloc()
-	if err != nil {
-		pi.t.Fatalf("pipe rx pool exhausted (%d in flight)", len(pi.inFlight))
+// recycle is IP's OpIPDeliverDone: the delivery's receive chunks come home.
+func (pi *pipe) recycle(cookie uint64) {
+	for _, ptr := range pi.inFlight[cookie] {
+		_ = pi.rxPool.Free(ptr)
 	}
-	copy(buf, seg)
+	delete(pi.inFlight, cookie)
+}
+
+// takeReply removes and returns the reply to request id, if it has come.
+func takeReply(front *[]msg.Req, id uint64) (msg.Req, bool) {
+	for j, rep := range *front {
+		if rep.ID == id {
+			*front = append((*front)[:j], (*front)[j+1:]...)
+			return rep, true
+		}
+	}
+	return msg.Req{}, false
+}
+
+// groJoins is ipeng's GRO predicate: next continues prev in sequence, both
+// are option-less data segments with only ACK(+PSH) set, same ack and window.
+func groJoins(prev, next []byte) bool {
+	a, errA := netpkt.ParseTCP(prev)
+	b, errB := netpkt.ParseTCP(next)
+	plain := func(h netpkt.TCPHeader, seg []byte) bool {
+		return h.DataOff == netpkt.TCPHeaderLen && len(seg) > h.DataOff &&
+			h.Flags&^(netpkt.TCPAck|netpkt.TCPPsh) == 0 && h.Flags&netpkt.TCPAck != 0
+	}
+	return errA == nil && errB == nil && plain(a, prev) && plain(b, next) &&
+		a.Seq+uint32(len(prev)-a.DataOff) == b.Seq && a.Ack == b.Ack && a.Window == b.Window
+}
+
+// deliver hands dst one delivery: a segment, or a coalesced run — the lead
+// segment's full view plus the payload-only views of the rest under one
+// cookie, the shape ipeng.deliver produces.
+func (pi *pipe) deliver(dst *Engine, srcIP netpkt.IPAddr, run [][]byte) {
 	pi.deliverID++
-	pi.inFlight[pi.deliverID] = ptr
 	req := msg.Req{ID: pi.deliverID, Op: msg.OpIPDeliver}
-	req.SetChain([]shm.RichPtr{ptr.Slice(0, uint32(len(seg)))})
+	var chain []shm.RichPtr
+	for i, seg := range run {
+		ptr, buf, err := pi.rxPool.Alloc()
+		if err != nil {
+			pi.t.Fatalf("pipe rx pool exhausted (%d deliveries in flight)", len(pi.inFlight))
+		}
+		copy(buf, seg)
+		pi.inFlight[pi.deliverID] = append(pi.inFlight[pi.deliverID], ptr)
+		off := uint32(0)
+		if i > 0 {
+			off = uint32(seg[12]>>4) * 4
+		}
+		chain = append(chain, ptr.Slice(off, uint32(len(seg))))
+	}
+	req.SetChain(chain)
 	req.Arg[1] = uint64(srcIP.U32())
+	if len(run) > 1 {
+		req.Arg[3] = uint64(len(run))
+	}
 	dst.FromIP(req, pi.now)
 }
 
@@ -143,7 +233,7 @@ func tsoSplitL4(seg []byte, mss int) [][]byte {
 		if !last {
 			th2.Flags &^= netpkt.TCPFin | netpkt.TCPPsh
 		}
-		th2.MSS = 0
+		th2.MSS, th2.SACKPermitted, th2.NSACK = 0, false, 0
 		if th.DataOff > netpkt.TCPHeaderLen {
 			// keep existing options region as-is
 			th2.Marshal(s[:netpkt.TCPHeaderLen])
@@ -174,18 +264,16 @@ func (pi *pipe) run(steps int) {
 // call issues a front request and pumps until its reply appears.
 func (pi *pipe) call(e *Engine, r msg.Req) msg.Req {
 	pi.t.Helper()
-	r.ID = uint64(time.Now().UnixNano()) ^ uint64(pi.sent)<<32
+	pi.callID++
+	r.ID = 1<<40 + pi.callID
 	e.FromFront(r, pi.now)
 	front := &pi.aFront
 	if e == pi.b {
 		front = &pi.bFront
 	}
 	for i := 0; i < 20000; i++ {
-		for j, rep := range *front {
-			if rep.ID == r.ID {
-				*front = append((*front)[:j], (*front)[j+1:]...)
-				return rep
-			}
+		if rep, ok := takeReply(front, r.ID); ok {
+			return rep
 		}
 		pi.step()
 		pi.now = pi.now.Add(200 * time.Microsecond)
@@ -425,12 +513,12 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	csock, child := pi.connectPair(9004)
 	// Drop every 13th data segment once.
 	dropped := map[int]bool{}
-	pi.drop = func(dir string, n int) bool {
+	pi.fate = func(dir string, n int, _ []byte) (int, int) {
 		if dir == "a->b" && n%13 == 0 && !dropped[n] {
 			dropped[n] = true
-			return true
+			return 0, 0
 		}
-		return false
+		return 1, 0
 	}
 	data := pattern(30000)
 	pi.sendBytes(pi.a, aBufs, csock, data)
