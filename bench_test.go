@@ -509,10 +509,3 @@ func BenchmarkAblation_DoorbellSpin(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblation_WirePacing sanity-checks the gigabit token bucket at
-// full MTU (regression guard for the pacing rework).
-func BenchmarkAblation_WirePacing(b *testing.B) {
-	_ = nic.Gigabit()
-	b.Skip("covered by nic.TestWireBandwidthShaping; placeholder for -bench discovery")
-}

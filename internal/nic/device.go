@@ -310,12 +310,13 @@ func (d *Device) txEngine() {
 		d.mu.Unlock()
 
 		if !have {
+			// No timer: PostTx appends under d.mu and then posts to the
+			// 1-deep txKick, so a descriptor queued after the empty check
+			// above always leaves a token for this select to find.
 			select {
 			case <-d.stop:
 				return
 			case <-d.txKick:
-				continue
-			case <-time.After(time.Millisecond):
 				continue
 			}
 		}
@@ -355,8 +356,8 @@ func (d *Device) transmitDesc(tx *wireDir, desc TxDesc) bool {
 		return true
 	}
 	frame := pkt.Bytes() // gather DMA
-	if tx.validFrame(len(frame)) != nil {
-		return false
+	if len(frame) > DefaultMTU+netpkt.EthHeaderLen {
+		return false // no TSO to split it: the link cannot carry it
 	}
 	return d.putOnWire(tx, frame, desc.Flags)
 }

@@ -93,13 +93,6 @@ func verifyChecksums(frame []byte) bool {
 // Ethernet (14) plus maximal IPv4 (60) plus maximal TCP (60).
 const tsoMaxHdr = netpkt.EthHeaderLen + 60 + 60
 
-// tsoSplit implements TCP segmentation offload on an already-linearized
-// frame. Kept for callers (and tests) that hold a flat buffer; the device
-// TX path uses tsoSplitChain to avoid linearizing the burst first.
-func tsoSplit(frame []byte, mss int) ([][]byte, error) {
-	return tsoSplitChain(netpkt.Packet{Chunks: []netpkt.Chunk{{Data: frame}}}, mss)
-}
-
 // tsoSplitChain implements TCP segmentation offload directly on a
 // scatter/gather chain: one oversized packet (Ethernet + IPv4 + TCP header
 // chunk followed by payload chunks) becomes many MTU-sized frames with

@@ -13,14 +13,20 @@
 package nic
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// DefaultMTU is the standard Ethernet MTU used in all paper configurations.
+// DefaultMTU is the MTU of every link: standard Ethernet, as in all paper
+// configurations.
 const DefaultMTU = 1500
+
+// wireQueueFrames bounds the frames in flight per direction. A transmit
+// into a full queue blocks, which is the backpressure that fills the device
+// TX ring and in turn the stack's channels.
+const wireQueueFrames = 256
 
 // WireConfig describes one emulated link.
 type WireConfig struct {
@@ -33,19 +39,6 @@ type WireConfig struct {
 	LossProb float64
 	// Seed seeds the loss process (reproducible experiments).
 	Seed int64
-	// MTU is the maximum payload the link carries (default 1500).
-	MTU int
-	// QueueFrames bounds in-flight frames per direction (default 256).
-	QueueFrames int
-}
-
-func (c *WireConfig) fill() {
-	if c.MTU == 0 {
-		c.MTU = DefaultMTU
-	}
-	if c.QueueFrames == 0 {
-		c.QueueFrames = 256
-	}
 }
 
 // Gigabit returns the paper's standard link: 1 Gbps, 50µs latency, no loss.
@@ -60,24 +53,28 @@ func TenGigabit() WireConfig {
 
 // Wire is a full-duplex point-to-point link between two Devices.
 type Wire struct {
-	cfg  WireConfig
 	dirs [2]*wireDir
 	wg   sync.WaitGroup
 }
 
+// wireDir is one direction of the link: a queue of frames in transmit
+// order, each stamped with the instant it is due at the far end. Both of the
+// link's delays are deterministic, so the instant is computed once, when the
+// frame is handed over, and a single goroutine (deliverLoop) waits for it.
 type wireDir struct {
-	cfg    WireConfig
-	frames chan []byte
-	// delayed carries frames through the propagation-latency stage; a
-	// dedicated goroutine delivers them strictly in order (per-frame
-	// timers would race and reorder segments).
-	delayed chan timedFrame
-	stop    chan struct{}
-	mu      sync.Mutex
-	dst     *Device
-	rng     *rand.Rand
-	sent    uint64
-	lost    uint64
+	cfg   WireConfig
+	queue chan timedFrame
+	stop  chan struct{}
+	mu    sync.Mutex
+	dst   *Device
+
+	// busyUntil is the instant the link finishes serializing everything
+	// transmitted so far. It and rng are touched only by transmit, that is
+	// by the attached device's txEngine.
+	busyUntil time.Time
+	rng       *rand.Rand
+
+	sent, lost atomic.Uint64
 }
 
 type timedFrame struct {
@@ -87,22 +84,17 @@ type timedFrame struct {
 
 // NewWire creates an unattached wire; connect devices with AttachA/AttachB.
 func NewWire(cfg WireConfig) *Wire {
-	cfg.fill()
-	w := &Wire{cfg: cfg}
+	w := &Wire{}
 	for i := range w.dirs {
 		w.dirs[i] = &wireDir{
-			cfg:     cfg,
-			frames:  make(chan []byte, cfg.QueueFrames),
-			delayed: make(chan timedFrame, cfg.QueueFrames*4),
-			stop:    make(chan struct{}),
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i))),
+			cfg:   cfg,
+			queue: make(chan timedFrame, wireQueueFrames),
+			stop:  make(chan struct{}),
+			rng:   rand.New(rand.NewSource(cfg.Seed + int64(i))),
 		}
 	}
 	return w
 }
-
-// MTU returns the link MTU.
-func (w *Wire) MTU() int { return w.cfg.MTU }
 
 // AttachA connects dev as the A side (transmits on direction 0).
 func (w *Wire) AttachA(dev *Device) { w.attach(dev, 0) }
@@ -129,18 +121,15 @@ func (w *Wire) attach(dev *Device, dir int) {
 		a.setPeer(b)
 		b.setPeer(a)
 	}
-	w.wg.Add(2)
-	go func() {
-		defer w.wg.Done()
-		d.run()
-	}()
+	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
 		d.deliverLoop()
 	}()
 }
 
-// Close stops both directions and waits for the pacing goroutines.
+// Close stops both directions and waits for their delivery goroutines;
+// frames still in flight are dropped.
 func (w *Wire) Close() {
 	for _, d := range w.dirs {
 		d.mu.Lock()
@@ -156,92 +145,57 @@ func (w *Wire) Close() {
 
 // Stats returns frames sent and lost per direction (A->B, B->A).
 func (w *Wire) Stats() (sentAB, lostAB, sentBA, lostBA uint64) {
-	return w.dirs[0].sent, w.dirs[0].lost, w.dirs[1].sent, w.dirs[1].lost
+	return w.dirs[0].sent.Load(), w.dirs[0].lost.Load(), w.dirs[1].sent.Load(), w.dirs[1].lost.Load()
 }
 
-// transmit enqueues a frame for pacing; blocks when the direction's queue
-// is full, which is the backpressure that fills the device TX ring and in
-// turn the stack's channels.
+// transmit puts a frame on the link: it charges the frame's serialization
+// time to the link, draws its loss (one draw per frame, in transmit order,
+// so a seed fixes which frames are lost) and queues it for delivery at the
+// end of its serialization plus the propagation latency. It blocks while
+// the queue is full and reports false once the wire is closed.
 func (d *wireDir) transmit(frame []byte) bool {
+	if now := time.Now(); d.busyUntil.Before(now) {
+		d.busyUntil = now
+	}
+	if d.cfg.BitsPerSec > 0 {
+		d.busyUntil = d.busyUntil.Add(time.Duration(float64(len(frame)*8) / d.cfg.BitsPerSec * float64(time.Second)))
+	}
+	if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
+		d.lost.Add(1)
+		return true
+	}
+	d.sent.Add(1)
 	select {
-	case d.frames <- frame:
+	case d.queue <- timedFrame{due: d.busyUntil.Add(d.cfg.Latency), f: frame}:
 		return true
 	case <-d.stop:
 		return false
 	}
 }
 
-// run paces frames at line rate and delivers them to the destination
-// device, modelling serialization delay plus propagation latency.
-//
-// Per-frame serialization at gigabit rates (≈12µs per full frame) is far
-// below the sleep granularity of commodity timers, so pacing is done by
-// accounting: the link tracks the instant until which it is busy and only
-// actually sleeps once the accumulated debt exceeds a millisecond. Average
-// rate is exact; burstiness stays bounded at ~1ms of line rate.
-func (d *wireDir) run() {
-	var busyUntil time.Time
-	for {
-		select {
-		case <-d.stop:
-			return
-		case f := <-d.frames:
-			if d.cfg.BitsPerSec > 0 {
-				now := time.Now()
-				if busyUntil.Before(now) {
-					busyUntil = now
-				}
-				ser := time.Duration(float64(len(f)*8) / d.cfg.BitsPerSec * float64(time.Second))
-				busyUntil = busyUntil.Add(ser)
-				// Pace by spinning to the exact serialization instant:
-				// sleeping quantizes to OS timer granularity (~100µs),
-				// which would add artificial RTT bubbles that a real link
-				// does not have. Long debts (bursts far ahead of line
-				// rate) still sleep coarsely first.
-				if debt := busyUntil.Sub(now); debt > 2*time.Millisecond {
-					d.sleep(debt - time.Millisecond)
-				}
-				for time.Now().Before(busyUntil) {
-				}
-			}
-			if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
-				d.lost++
-				continue
-			}
-			d.sent++
-			if d.cfg.Latency > 0 {
-				select {
-				case d.delayed <- timedFrame{due: time.Now().Add(d.cfg.Latency), f: f}:
-				case <-d.stop:
-					return
-				}
-				continue
-			}
-			d.mu.Lock()
-			dst := d.dst
-			d.mu.Unlock()
-			if dst != nil {
-				dst.receiveFrame(f)
-			}
-		}
-	}
-}
-
-// deliverLoop applies propagation latency while preserving frame order.
+// deliverLoop hands each frame to the destination device at its due
+// instant, strictly in transmit order (per-frame timers would race and
+// reorder segments).
 func (d *wireDir) deliverLoop() {
 	for {
 		select {
 		case <-d.stop:
 			return
-		case tf := <-d.delayed:
-			// Sub-timer-granularity latencies must spin: a 5µs
-			// propagation delay slept through the OS timer would
-			// serialize delivery at ~100µs per frame.
+		case tf := <-d.queue:
+			// Waits below timer granularity must spin: at gigabit rates a
+			// full frame is due ≈12µs after the one before it, and sleeping
+			// through the OS timer (~100µs) would add RTT bubbles a real
+			// link does not have.
 			if wait := time.Until(tf.due); wait > 500*time.Microsecond {
-				d.sleep(wait)
-			} else {
-				for time.Now().Before(tf.due) {
+				t := time.NewTimer(wait)
+				select {
+				case <-t.C:
+				case <-d.stop:
+					t.Stop()
+					return
 				}
+			}
+			for time.Now().Before(tf.due) {
 			}
 			d.mu.Lock()
 			dst := d.dst
@@ -251,26 +205,4 @@ func (d *wireDir) deliverLoop() {
 			}
 		}
 	}
-}
-
-// sleep waits d (or less if stopping). Very short serialization delays are
-// accumulated rather than slept to avoid timer-granularity distortion.
-func (d *wireDir) sleep(dur time.Duration) {
-	if dur <= 0 {
-		return
-	}
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-d.stop:
-	}
-}
-
-// validFrame checks frame size against the link MTU (+Ethernet header).
-func (d *wireDir) validFrame(n int) error {
-	if n > d.cfg.MTU+14 {
-		return fmt.Errorf("nic: frame of %d exceeds MTU %d", n, d.cfg.MTU)
-	}
-	return nil
 }

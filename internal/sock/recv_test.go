@@ -1,0 +1,204 @@
+package sock
+
+import (
+	"bytes"
+	"slices"
+	"sync"
+	"testing"
+
+	"newtos/internal/kipc"
+	"newtos/internal/msg"
+	"newtos/internal/shm"
+	"newtos/internal/wiring"
+)
+
+// tcpDoor stands in for the TCP door and the engine's receive queue behind
+// it: it keeps every range that has not been acknowledged, offers up to
+// msg.MaxPtrs of them per OpSockRecv and drops exactly the acknowledged
+// bytes on OpSockRecvDone — tcpeng's contract, which is what lets the
+// library keep no copy of its own.
+type tcpDoor struct {
+	ep *kipc.Endpoint
+
+	mu   sync.Mutex
+	rcvQ []shm.RichPtr
+	acks []uint64 // Arg[0] of every OpSockRecvDone, in order
+}
+
+func newTCPDoor(t *testing.T, hub *wiring.Hub) *tcpDoor {
+	t.Helper()
+	ep, err := hub.Kern.Register(msg.TCPFrontdoor, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &tcpDoor{ep: ep}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.serve()
+	}()
+	t.Cleanup(func() {
+		ep.Close()
+		<-done
+	})
+	return d
+}
+
+func (d *tcpDoor) serve() {
+	for {
+		m, err := d.ep.Receive(kipc.Any, 0)
+		if err != nil {
+			return // closed
+		}
+		r, err := msg.UnmarshalReq(m.Data)
+		if err != nil {
+			continue
+		}
+		rep := r.Reply(msg.OpSockReply, msg.StatusOK)
+		d.mu.Lock()
+		switch r.Op {
+		case msg.OpSockCreate:
+			rep.Flow = 1
+		case msg.OpSockRecv:
+			rep.Op = msg.OpSockRecvData
+			rep.SetChain(d.rcvQ[:min(len(d.rcvQ), msg.MaxPtrs)])
+			rep.Arg[0] = uint64(rep.ChainLen())
+		case msg.OpSockRecvDone:
+			d.acks = append(d.acks, r.Arg[0])
+			for n := uint32(r.Arg[0]); n > 0 && len(d.rcvQ) > 0; {
+				take := min(n, d.rcvQ[0].Len)
+				d.rcvQ[0] = d.rcvQ[0].Slice(take, d.rcvQ[0].Len)
+				n -= take
+				if d.rcvQ[0].Len == 0 {
+					d.rcvQ = d.rcvQ[1:]
+				}
+			}
+		}
+		d.mu.Unlock()
+		if r.Op == msg.OpSockRecvDone {
+			continue // posted, not called
+		}
+		if err := d.ep.Send(m.From, kipc.Msg{Type: uint32(rep.Op), Data: rep.MarshalBinary()}); err != nil {
+			return
+		}
+	}
+}
+
+// deliver queues data as one received segment held in pool.
+func (d *tcpDoor) deliver(t *testing.T, pool *shm.Pool, data []byte) {
+	t.Helper()
+	ptr, buf, err := pool.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, data)
+	d.mu.Lock()
+	d.rcvQ = append(d.rcvQ, ptr.Slice(0, uint32(len(data))))
+	d.mu.Unlock()
+}
+
+// state returns the acknowledgements so far and the bytes still queued.
+func (d *tcpDoor) state() (acks []uint64, queued int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, p := range d.rcvQ {
+		queued += int(p.Len)
+	}
+	return append([]uint64(nil), d.acks...), queued
+}
+
+func tcpSocketOverDoor(t *testing.T) (*Socket, *tcpDoor, *wiring.Hub) {
+	t.Helper()
+	hub := wiring.NewHub(kipc.New(kipc.Config{}))
+	door := newTCPDoor(t, hub)
+	c, err := NewClient(hub, "recv-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	s, err := c.Socket(TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetNonblock(true)
+	return s, door, hub
+}
+
+// A read shorter than what the stack delivered takes its bytes and
+// acknowledges exactly those; the rest comes back, byte-exact, on the reads
+// that follow — across view boundaries, and across the MaxPtrs views one
+// reply can carry.
+func TestShortReadsReturnTheRestOnLaterReads(t *testing.T) {
+	s, door, hub := tcpSocketOverDoor(t)
+	pool, err := hub.Space.NewPool("ip-rx", 2048, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []byte
+	for i := 0; i < msg.MaxPtrs+6; i++ {
+		seg := make([]byte, 1+(i*397)%1460)
+		for j := range seg {
+			seg[j] = byte(len(stream) + j*7)
+		}
+		door.deliver(t, pool, seg)
+		stream = append(stream, seg...)
+	}
+
+	var got []byte
+	var wantAcks []uint64
+	for i, sizes := 0, []int{1, 700, 1460, 5, 4000, 64 << 10}; len(got) < len(stream); i++ {
+		p := make([]byte, sizes[i%len(sizes)])
+		n, err := s.Recv(p)
+		if err != nil || n == 0 {
+			t.Fatalf("read %d after %d of %d bytes: n=%d err=%v", i, len(got), len(stream), n, err)
+		}
+		got = append(got, p[:n]...)
+		wantAcks = append(wantAcks, uint64(n))
+	}
+	if !bytes.Equal(got, stream) {
+		t.Fatal("stream differs from what was delivered")
+	}
+	// The door handles messages in order, so one more call says every
+	// acknowledgement before it has been counted.
+	if _, err := s.Recv(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	acks, queued := door.state()
+	if queued != 0 {
+		t.Fatalf("%d bytes still queued in the engine after all were read", queued)
+	}
+	if !slices.Equal(acks, wantAcks) {
+		t.Fatalf("acknowledgements %v, want one per read, of the bytes it returned: %v", acks, wantAcks)
+	}
+}
+
+// A view whose pool is gone (its owner restarted) ends the read there: what
+// was copied before it is returned and acknowledged, nothing after it is.
+func TestStaleViewAcknowledgesOnlyWhatWasCopied(t *testing.T) {
+	s, door, hub := tcpSocketOverDoor(t)
+	live, err := hub.Space.NewPool("ip-rx", 2048, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := hub.Space.NewPool("ip-rx-old", 2048, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	door.deliver(t, live, bytes.Repeat([]byte("a"), 1000))
+	door.deliver(t, dead, bytes.Repeat([]byte("b"), 900))
+	door.deliver(t, live, bytes.Repeat([]byte("c"), 800))
+	hub.Space.Drop(dead.ID())
+
+	p := make([]byte, 4096)
+	n, err := s.Recv(p)
+	if err != nil || !bytes.Equal(p[:n], bytes.Repeat([]byte("a"), 1000)) {
+		t.Fatalf("Recv = %d, %v; want the 1000 bytes before the stale view", n, err)
+	}
+	if _, err := s.Recv(p[:0]); err != nil { // flushes the acknowledgement, see above
+		t.Fatal(err)
+	}
+	acks, queued := door.state()
+	if len(acks) < 1 || acks[0] != 1000 || queued != 900+800 {
+		t.Fatalf("acknowledged %v with %d bytes left queued; want 1000 and 1700", acks, queued)
+	}
+}

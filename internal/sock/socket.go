@@ -39,9 +39,9 @@ type Socket struct {
 	id    uint32
 	ev    *evState
 	buf   *sockbuf.Buf
-	// leftover is received data handed to us that the caller has not
-	// consumed yet, together with the datagram source it arrived from
-	// (UDP): a short read must not erase where the rest came from.
+	// leftover is the part of a datagram (UDP only) that the caller has
+	// not consumed yet, together with the source it arrived from: a short
+	// read must not erase where the rest came from.
 	leftover     []byte
 	leftoverIP   netpkt.IPAddr
 	leftoverPort uint16
@@ -486,8 +486,12 @@ func (s *Socket) recvMeta(p []byte) (int, netpkt.IPAddr, uint16, error) {
 	}
 }
 
-// consumeRecvData copies a data reply out of the shared views, then
-// acknowledges so the stack can release the buffers and reopen the window.
+// consumeRecvData copies a data reply out of the shared views straight into
+// p, then acknowledges so the stack can release the buffers and reopen the
+// window. What does not fit in p stays where it is for TCP — the engine
+// keeps every byte that is not acknowledged and offers it again on the next
+// Recv — and is kept here for UDP, whose acknowledgement gives the whole
+// datagram's buffer back.
 func (s *Socket) consumeRecvData(p []byte, rep msg.Req) (int, netpkt.IPAddr, uint16, error) {
 	var srcIP netpkt.IPAddr
 	var srcPort uint16
@@ -501,27 +505,30 @@ func (s *Socket) consumeRecvData(p []byte, rep msg.Req) (int, netpkt.IPAddr, uin
 		s.eof = true
 		return 0, netpkt.IPAddr{}, 0, nil
 	}
-	var all []byte
+	n := 0
 	for _, ptr := range rep.Chain() {
 		v, err := s.c.hub.Space.View(ptr)
 		if err != nil {
 			// The pool owner restarted under us; the bytes are gone.
 			break
 		}
-		all = append(all, v...)
+		m := copy(p[n:], v)
+		n += m
+		if m == len(v) {
+			continue
+		}
+		if s.proto != UDP {
+			break
+		}
+		s.leftover = append(s.leftover, v[m:]...)
+		s.leftoverIP, s.leftoverPort = srcIP, srcPort
 	}
 	done := msg.Req{Op: msg.OpSockRecvDone, Flow: s.id}
-	done.Arg[0] = uint64(len(all))
+	done.Arg[0] = uint64(n) // TCP: the bytes consumed
 	if s.proto == UDP {
 		done.Arg[0] = rep.Arg[2] // deliver cookie for datagram release
 	}
 	_ = s.c.post(s.proto, done)
-
-	n := copy(p, all)
-	if n < len(all) {
-		s.leftover = append(s.leftover[:0], all[n:]...)
-		s.leftoverIP, s.leftoverPort = srcIP, srcPort
-	}
 	return n, srcIP, srcPort, nil
 }
 
