@@ -1,39 +1,17 @@
 // Netlint runs this repository's invariant analyzers (internal/analysis)
-// over module packages.
-//
-// Standalone (the CI entry point):
+// over module packages:
 //
 //	go run ./cmd/netlint ./...
 //	go run ./cmd/netlint ./internal/tcpeng ./internal/sock
 //
-// It prints one "file:line:col: analyzer: message" line per finding and
-// exits nonzero if there are any.
-//
-// As a vet tool (per-package, driven by the go command's build graph):
-//
-//	go build -o /tmp/netlint ./cmd/netlint
-//	go vet -vettool=/tmp/netlint ./...
-//
-// In vet-tool mode the go command hands the tool one .cfg file per package
-// (the unitchecker protocol: -V=full for the cache key, -flags for flag
-// discovery, then <unit>.cfg). Cross-package analyzers see only the package
-// under analysis plus its dependencies' export data in this mode, so the
-// standalone run remains the authoritative one.
+// It loads the named patterns (default ./...) from the enclosing module,
+// runs the full suite program-wide, prints one "file:line:col: analyzer:
+// message" line per finding and exits nonzero if there are any.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"newtos/internal/analysis"
 	"newtos/internal/analysis/loader"
@@ -41,39 +19,7 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
-		printVersion()
-	case len(args) == 1 && args[0] == "-flags":
-		// Flag discovery for `go vet`: netlint has no analyzer flags.
-		fmt.Println("[]")
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		runVetUnit(args[0])
-	default:
-		runStandalone(args)
-	}
-}
-
-// printVersion answers `netlint -V=full`. The go command uses the line as a
-// cache key, so it includes a content hash of the executable: rebuilding the
-// tool invalidates cached vet results.
-func printVersion() {
-	name := "netlint"
-	if exe, err := os.Executable(); err == nil {
-		name = filepath.Base(exe)
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			fmt.Printf("%s version devel buildID=%x\n", name, sum[:16])
-			return
-		}
-	}
-	fmt.Printf("%s version devel buildID=unknown\n", name)
-}
-
-// runStandalone loads the named patterns (default ./...) from the enclosing
-// module and runs the full suite program-wide.
-func runStandalone(patterns []string) {
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -98,115 +44,6 @@ func runStandalone(patterns []string) {
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "netlint: %d finding(s)\n", len(findings))
-		os.Exit(2)
-	}
-}
-
-// vetConfig is the package description the go command writes for vet tools
-// (the fields of x/tools' unitchecker.Config that netlint uses).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package unit under `go vet`.
-func runVetUnit(cfgPath string) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("netlint: parsing %s: %w", cfgPath, err))
-	}
-	// Netlint exports no facts, but the go command requires the output file.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		return // facts-only request for a dependency: nothing to report
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// The invariants govern the stack, not its tests — tests violate
-		// them on purpose (leaking chunks to check leak accounting, partial
-		// switches in pump harnesses). The standalone loader never sees
-		// _test.go files; keep vet-tool mode on the same footing.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return
-			}
-			fatal(err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if actual, ok := cfg.ImportMap[path]; ok {
-			path = actual
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return
-		}
-		fatal(err)
-	}
-
-	// The unit is both the single target and the whole visible program:
-	// cross-package analyzers degrade to package scope here (the standalone
-	// run covers the program-wide view).
-	pkg := &loader.Package{
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	pr := &loader.Program{Fset: fset, Packages: []*loader.Package{pkg}}
-	findings, err := analysis.Run(pr, []*loader.Package{pkg}, suite.Analyzers)
-	if err != nil {
-		fatal(err)
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f.String())
-	}
-	if len(findings) > 0 {
 		os.Exit(2)
 	}
 }

@@ -2,6 +2,16 @@
 
 package affinity
 
+import "runtime"
+
+func allowedCPUs() []int {
+	cpus := make([]int, runtime.NumCPU())
+	for i := range cpus {
+		cpus[i] = i
+	}
+	return cpus
+}
+
 // PinThread is unavailable: callers fall back to LockOSThread-only
 // placement (the GOMAXPROCS-partitioned grouping still applies).
 func PinThread(cpu int) error { return ErrUnsupported }

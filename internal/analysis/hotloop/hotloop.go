@@ -333,32 +333,6 @@ func serviceInterface(pass *analysis.Pass) *types.Interface {
 			return lookupIface(pkg.Types)
 		}
 	}
-	// Fall back to import graphs (vet-tool mode: deps come from export data).
-	seen := map[*types.Package]bool{}
-	var walk func(p *types.Package) *types.Interface
-	walk = func(p *types.Package) *types.Interface {
-		if seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if p.Path() == procPath {
-			return lookupIface(p)
-		}
-		for _, imp := range p.Imports() {
-			if i := walk(imp); i != nil {
-				return i
-			}
-		}
-		return nil
-	}
-	for _, t := range pass.Targets {
-		if i := walk(t.Types); i != nil {
-			return i
-		}
-	}
-	if pass.Pkg != nil {
-		return walk(pass.Pkg)
-	}
 	return nil
 }
 

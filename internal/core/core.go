@@ -85,10 +85,8 @@ type Config struct {
 	// the SYSCALL server are the same code as in the split placement; what
 	// changes is that one crash takes all four down. Excludes TCPShards > 1.
 	SingleServer bool
-	// DedicatedCores pins each server loop to an OS thread.
-	DedicatedCores bool
-	// PinCores additionally assigns the data-plane loops to core-affine
-	// loop groups (implies per-loop OS threads): drivers, IP, and each TCP
+	// PinCores assigns the data-plane loops to core-affine loop groups, each
+	// locked to its own OS thread: drivers, IP, and each TCP
 	// shard land on distinct CPUs (wrapping when groups outnumber cores),
 	// then SC, PF, and UDP. Storage stays ungrouped — it is not on the hot
 	// path. Uses sched_setaffinity where available; elsewhere the groups
@@ -111,8 +109,8 @@ func (c Config) tcpShardCount() int {
 	return c.TCPShards
 }
 
-// SplitTSO returns the flagship configuration: split stack, dedicated
-// cores, SYSCALL server, checksum offload and TSO (Table II row 6).
+// SplitTSO returns the flagship configuration: split stack, SYSCALL
+// server, PF, checksum offload and TSO (Table II row 6).
 func SplitTSO() Config {
 	return Config{
 		SyscallServer: true, PF: true, Offload: true, TSO: true,
@@ -146,7 +144,6 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		devices: devices,
 	}
 
-	opts := proc.Options{DedicatedCore: cfg.DedicatedCores}
 	// Core-affine loop groups (Config.PinCores): the hot path is numbered
 	// in placement priority — drivers (they soak interrupts and DMA
 	// completions), then IP, then the TCP shards — so when groups
@@ -155,13 +152,13 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 	// storage stays ungrouped (not on the hot path).
 	pin := func(group int) proc.Options {
 		if !cfg.PinCores {
-			return opts
+			return proc.Options{}
 		}
-		return proc.Options{DedicatedCore: true, LoopGroup: group}
+		return proc.Options{LoopGroup: group}
 	}
 
 	// Storage server.
-	n.addProc(CompStorage, opts, func() proc.Service {
+	n.addProc(CompStorage, proc.Options{}, func() proc.Service {
 		return storage.NewService(hub.Store)
 	})
 

@@ -22,7 +22,6 @@ import (
 func testLAN(t *testing.T, mod func(*Config)) *LAN {
 	t.Helper()
 	cfg := SplitTSO()
-	cfg.DedicatedCores = false // plenty of goroutines in tests already
 	cfg.HeartbeatMiss = 150 * time.Millisecond
 	if mod != nil {
 		mod(&cfg)
@@ -274,7 +273,6 @@ func TestPFPolicyPerInterface(t *testing.T) {
 		t.Skip("full-stack PF pump (~7s); skipped in -short")
 	}
 	cfg := SplitTSO()
-	cfg.DedicatedCores = false
 	cfg.HeartbeatMiss = 150 * time.Millisecond
 	lan, err := NewLAN(cfg, 2, nic.WireConfig{})
 	if err != nil {

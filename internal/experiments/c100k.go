@@ -135,7 +135,7 @@ func heapAlloc() uint64 {
 // full split stack — mostly idle, with a small active echo subset — and
 // measures what scale costs: connection-establishment rate, per-Tick
 // engine cost at baseline vs full population (the timing-wheel claim:
-// idle connections cost ~zero per Tick), heap per connection (slab pcbs,
+// idle connections cost ~zero per Tick), heap per connection (heap pcbs,
 // lazy TX buffers), and active-subset echo latency under the idle mass.
 func RunC100K(opts C100KOpts) (C100KReport, error) {
 	opts.fill()

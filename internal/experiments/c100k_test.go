@@ -15,7 +15,7 @@ import (
 
 // TestC100KSmoke runs the connection-scale experiment small enough for the
 // default suite: a couple thousand mostly-idle connections plus an active
-// echo subset, exercising the timing wheel, slab pcb tables, ephemeral
+// echo subset, exercising the timing wheel, the connection maps, ephemeral
 // port reuse across listener ports, and lazy TX-buffer provisioning end
 // to end through the split stack.
 func TestC100KSmoke(t *testing.T) {
@@ -69,7 +69,7 @@ func TestC100KScaleSmoke(t *testing.T) {
 	if rep.FullTickNs > 2e6 {
 		t.Errorf("per-Tick cost %.0f ns at %d conns, want <= 2ms", rep.FullTickNs, rep.Conns)
 	}
-	// Whole-process bound: slab pcb + index entries + lazy (absent) TX
+	// Whole-process bound: heap pcb + map entries + lazy (absent) TX
 	// buffer on the stack side, plus BOTH app-side Socket/Poller entries.
 	if rep.HeapPerConn > 64*1024 {
 		t.Errorf("heap %.0f B/conn, want <= 64KiB (whole-process bound)", rep.HeapPerConn)
@@ -80,15 +80,15 @@ func TestC100KScaleSmoke(t *testing.T) {
 		rep.EchoAvgRTT, rep.EchoMaxRTT)
 }
 
-// TestSlabChurnRace is the -race stress for the slab pcb tables: churn
+// TestConnChurnRace is the -race stress for the connection tables: churn
 // workers hammer create/connect/close through the sharded frontdoor —
-// constantly allocating and releasing slab slots, recycling ephemeral
-// ports, and leaving late replies and orphaned accept children behind —
-// while echo workers keep long-lived connections (and their slab slots)
-// busy. The engine side is single-threaded per shard; what this pins down
-// is that slot/id reuse under concurrent app-side churn never corrupts a
-// live connection: every echo must come back intact.
-func TestSlabChurnRace(t *testing.T) {
+// constantly adding and deleting pcbs in the id and four-tuple maps,
+// recycling ephemeral ports, and leaving late replies and orphaned accept
+// children behind — while echo workers keep long-lived connections busy.
+// The engine side is single-threaded per shard; what this pins down is that
+// id and port reuse under concurrent app-side churn never corrupts a live
+// connection: every echo must come back intact.
+func TestConnChurnRace(t *testing.T) {
 	iters := 60
 	if testing.Short() {
 		iters = 15
@@ -129,7 +129,7 @@ func TestSlabChurnRace(t *testing.T) {
 	}
 	stop := make(chan struct{})
 
-	// Echo workers: long-lived connections whose slab slots must survive
+	// Echo workers: long-lived connections whose pcbs and ports must survive
 	// the churn around them.
 	for w := 0; w < 4; w++ {
 		echoWG.Add(1)
@@ -164,7 +164,7 @@ func TestSlabChurnRace(t *testing.T) {
 
 	// Churn workers: create/connect/(half echo once)/close in a tight
 	// loop. Closes tear down both the client socket and the server-side
-	// child, freeing and reallocating slab slots continuously.
+	// child, deleting and re-adding pcbs and ports continuously.
 	for w := 0; w < 8; w++ {
 		churnWG.Add(1)
 		go func(w int) {

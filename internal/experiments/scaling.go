@@ -23,10 +23,7 @@ import (
 func RunScaling(shards int, pinned bool, opts Table2Opts) (float64, error) {
 	cfg := core.SplitTSO()
 	cfg.TCPShards = shards
-	if pinned {
-		cfg.DedicatedCores = true
-		cfg.PinCores = true
-	}
+	cfg.PinCores = pinned
 	wcfg := nic.TenGigabit()
 	wcfg.Latency = 5 * time.Microsecond // keep BDP inside the 64 KB window
 	return RunLANTransfer(cfg, wcfg, opts)

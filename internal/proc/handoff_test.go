@@ -52,7 +52,7 @@ func TestUpgradeHandsStateToSuccessor(t *testing.T) {
 	var failNext atomic.Bool
 	p := New("carrier", func() Service {
 		return &carrier{cell: &cell, handoffs: &handoffs, failNext: &failNext}
-	}, Options{SpinBudget: 2, MaxSleep: time.Millisecond}, nil)
+	}, Options{}, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestUpgradeSerializeFailureFallsBackToRestart(t *testing.T) {
 	var failNext atomic.Bool
 	p := New("carrier", func() Service {
 		return &carrier{cell: &cell, handoffs: &handoffs, failNext: &failNext}
-	}, Options{SpinBudget: 2, MaxSleep: time.Millisecond}, nil)
+	}, Options{}, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

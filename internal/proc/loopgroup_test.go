@@ -22,7 +22,7 @@ func TestLoopGroupsStartStopConcurrently(t *testing.T) {
 		svcs[g] = &echoService{}
 		svc := svcs[g]
 		procs[g] = New(fmt.Sprintf("grp%d", g+1), func() Service { return svc },
-			Options{DedicatedCore: true, LoopGroup: g + 1, SpinBudget: 8}, nil)
+			Options{LoopGroup: g + 1}, nil)
 	}
 	for _, p := range procs {
 		if err := p.Start(); err != nil {
@@ -64,18 +64,14 @@ func TestLoopGroupsStartStopConcurrently(t *testing.T) {
 	}
 }
 
-// TestCPUForGroupPartitions pins down the group→CPU fallback mapping:
-// ungrouped maps to no placement, groups spread over available CPUs and
-// wrap.
+// TestCPUForGroupPartitions pins down the group→CPU mapping the loops use:
+// ungrouped maps to no placement, and consecutive groups only collide once
+// groups outnumber the CPUs the process may run on (affinity's own tests
+// check which CPUs those are).
 func TestCPUForGroupPartitions(t *testing.T) {
 	if got := affinity.CPUForGroup(0); got != -1 {
 		t.Fatalf("CPUForGroup(0) = %d, want -1", got)
 	}
-	if got := affinity.CPUForGroup(1); got != 0 {
-		t.Fatalf("CPUForGroup(1) = %d, want 0", got)
-	}
-	// Groups never map outside the available CPUs, and consecutive groups
-	// only collide once groups outnumber CPUs.
 	seen := map[int]int{}
 	for g := 1; g <= 64; g++ {
 		cpu := affinity.CPUForGroup(g)
@@ -85,9 +81,11 @@ func TestCPUForGroupPartitions(t *testing.T) {
 		seen[cpu]++
 	}
 	width := len(seen)
+	first := map[int]bool{}
 	for g := 1; g <= width; g++ {
-		if affinity.CPUForGroup(g) != g-1 {
-			t.Fatalf("group %d did not land on CPU %d", g, g-1)
-		}
+		first[affinity.CPUForGroup(g)] = true
+	}
+	if len(first) != width {
+		t.Fatalf("groups 1..%d share CPUs: %v", width, first)
 	}
 }

@@ -129,34 +129,19 @@ type handoffRes struct {
 	drain, transfer time.Duration
 }
 
+// maxSleep caps one doorbell sleep so heartbeats stay fresh.
+const maxSleep = 500 * time.Microsecond
+
 // Options tune a process.
 type Options struct {
-	// SpinBudget is how many empty polls the loop performs before arming
-	// the doorbell and sleeping — the paper's "more aggressive polling to
-	// avoid halting the core if the gap between requests is short".
-	SpinBudget int
-	// MaxSleep caps one doorbell sleep so heartbeats stay fresh.
-	MaxSleep time.Duration
-	// DedicatedCore pins the loop to an OS thread, approximating a core
-	// dedicated to the component.
-	DedicatedCore bool
 	// LoopGroup assigns the loop to a core-affine group (numbered from 1;
-	// 0 means ungrouped). With DedicatedCore set, the loop's thread is
-	// additionally pinned to affinity.CPUForGroup(LoopGroup) where the
-	// platform supports sched_setaffinity; elsewhere the group is only the
-	// GOMAXPROCS-partitioned placement hint and the loop stays
-	// LockOSThread-pinned without a CPU mask. Distinct groups land on
-	// distinct CPUs until groups outnumber CPUs, then wrap.
+	// 0 means ungrouped). A grouped loop is locked to an OS thread,
+	// approximating a core dedicated to the component, and that thread is
+	// pinned to affinity.CPUForGroup(LoopGroup) where the platform supports
+	// sched_setaffinity; elsewhere the loop stays LockOSThread-pinned
+	// without a CPU mask. Distinct groups land on distinct CPUs until groups
+	// outnumber CPUs, then wrap.
 	LoopGroup int
-}
-
-func (o *Options) fill() {
-	if o.SpinBudget == 0 {
-		o.SpinBudget = 256
-	}
-	if o.MaxSleep == 0 {
-		o.MaxSleep = 500 * time.Microsecond
-	}
 }
 
 // Proc supervises one component across incarnations.
@@ -190,7 +175,6 @@ type incarnation struct {
 // New creates a process. factory builds a fresh Service per incarnation;
 // onCrash (may be nil) is invoked from the dying goroutine.
 func New(name string, factory func() Service, opts Options, onCrash func(CrashEvent)) *Proc {
-	opts.fill()
 	p := &Proc{name: name, factory: factory, opts: opts, onCrash: onCrash}
 	p.status.Store(int32(StatusIdle))
 	return p
@@ -477,7 +461,7 @@ func (p *Proc) launch(restart bool) error {
 // panic containment and crash reporting.
 func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 	defer close(inc.done)
-	if p.opts.DedicatedCore {
+	if p.opts.LoopGroup != 0 {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 		if cpu := affinity.CPUForGroup(p.opts.LoopGroup); cpu >= 0 {
@@ -508,7 +492,6 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 	p.status.Store(int32(StatusRunning))
 	p.hb.Store(time.Now().UnixNano())
 
-	idle := 0
 	var backoff channel.Backoff
 	for {
 		select {
@@ -527,12 +510,13 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 		p.hb.Store(now.UnixNano())
 		inc.rt.Fault.Check()
 		if inc.svc.Poll(now) {
-			idle = 0
 			backoff.Reset()
 			continue
 		}
-		idle++
-		if idle < p.opts.SpinBudget && !backoff.Saturated() {
+		// The paper's "more aggressive polling to avoid halting the core if
+		// the gap between requests is short": spin until the backoff ramp
+		// saturates, then park on the doorbell.
+		if !backoff.Saturated() {
 			backoff.Wait()
 			continue
 		}
@@ -540,10 +524,9 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 		inc.rt.Bell.Arm()
 		if inc.svc.Poll(time.Now()) {
 			inc.rt.Bell.Disarm()
-			idle = 0
 			continue
 		}
-		timeout := p.opts.MaxSleep
+		timeout := maxSleep
 		if dl := inc.svc.Deadline(time.Now()); !dl.IsZero() {
 			if until := time.Until(dl); until < timeout {
 				timeout = until
@@ -558,7 +541,6 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 		// that finds work resets it, so a persistently idle loop settles
 		// into doorbell naps instead of re-running the micro-sleep ramp
 		// (a timer-interrupt storm when many loops idle on few cores).
-		idle = 0
 	}
 }
 

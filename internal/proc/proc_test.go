@@ -246,7 +246,7 @@ func TestCorruptFaultRunsHookAndContinues(t *testing.T) {
 
 func TestDoorbellWakesIdleLoop(t *testing.T) {
 	svc := &echoService{}
-	p := New("sleepy", func() Service { return svc }, Options{SpinBudget: 2, MaxSleep: time.Hour}, nil)
+	p := New("sleepy", func() Service { return svc }, Options{}, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +255,13 @@ func TestDoorbellWakesIdleLoop(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	before := svc.polls.Load()
 	time.Sleep(20 * time.Millisecond)
-	// With MaxSleep=1h and no work, poll rate should be ~0 now.
+	// An idle loop naps on the doorbell for maxSleep at a time: at most
+	// about one idle poll per 500 µs (two per nap, counting the re-check
+	// after arming), and the bell below still wakes it.
 	idlePolls := svc.polls.Load() - before
+	if limit := int64(3 * (20 * time.Millisecond / maxSleep)); idlePolls > limit {
+		t.Fatalf("%d polls in 20 ms of idleness, want at most %d", idlePolls, limit)
+	}
 	// Give it work and ring.
 	svc.work.Store(3)
 	svc.mu.Lock()

@@ -287,26 +287,6 @@ func TestTickQuiescenceShrinksBackToBase(t *testing.T) {
 	}
 }
 
-func TestTickLowWaterGrowsProactively(t *testing.T) {
-	_, p := newTestPool(t, 32, 4)
-	p.SetElastic(Elastic{MaxSegments: 2, LowWater: 0.5})
-	// 3 of 4 chunks in use: free fraction 0.25 < 0.5 → Tick grows.
-	for i := 0; i < 3; i++ {
-		if _, _, err := p.Alloc(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Tick()
-	if p.Segments() != 2 {
-		t.Fatalf("segments after low-water tick = %d", p.Segments())
-	}
-	// At the cap it stays put.
-	p.Tick()
-	if p.Segments() != 2 {
-		t.Fatalf("grew past cap to %d", p.Segments())
-	}
-}
-
 // TestConcurrentAllocFreeDuringGrow exercises the race-cleanliness the
 // elastic contract promises: Alloc/Free from the owner, Grow/Shrink from a
 // policy goroutine, and lock-free Views from consumers, all concurrent.

@@ -157,11 +157,6 @@ type Elastic struct {
 	// MaxSegments caps the pool at this many segments in total (including
 	// the base segment). <= 1 disables automatic growth.
 	MaxSegments int
-	// LowWater triggers proactive growth from Tick: when the free fraction
-	// of the whole pool drops below LowWater, a segment is appended before
-	// Alloc ever fails. 0 disables proactive growth (Alloc still grows on
-	// demand when the pool runs dry).
-	LowWater float64
 	// HighWater guards shrinking: a trailing segment is only retired when,
 	// after retiring it, the remaining pool would still be at least
 	// HighWater free — so a pool running near its working set never
@@ -573,9 +568,9 @@ func (p *Pool) anyLiveBelowLocked(segs []*segment, i int) bool {
 
 // Tick runs one step of the elastic policy; the owner calls it once per
 // loop iteration (quiescence is measured in iterations, not wall clock).
-// It grows proactively below the low watermark and retires one quiescent
-// trailing segment at a time once the pool has stayed comfortably free for
-// the policy's quiescence window. No-op for non-elastic pools.
+// It retires one quiescent trailing segment at a time once the pool has
+// stayed comfortably free for the policy's quiescence window (growth is
+// Alloc's, on demand). No-op for non-elastic pools.
 func (p *Pool) Tick() {
 	if !p.elastic.Enabled() {
 		return
@@ -586,12 +581,6 @@ func (p *Pool) Tick() {
 	free := p.freeLocked()
 	live := p.liveLocked()
 	total := live * p.segChunks
-	if lw := p.elastic.LowWater; lw > 0 && live < p.elastic.MaxSegments &&
-		float64(free) < lw*float64(total) {
-		p.growLocked()
-		p.quiet = 0
-		return
-	}
 	// Shrink eligibility: the highest live segment (never the last one
 	// standing) is fully free, and the pool stays above the high
 	// watermark after retiring it.

@@ -32,13 +32,13 @@ func (pi *pipe) swap(ep **Engine) {
 // that would double-fire.
 func armedTimers(e *Engine) int {
 	n := 0
-	e.eachPCB(func(p *pcb) {
+	for _, p := range e.byID {
 		for k := 0; k < numTimers; k++ {
 			if p.wheelAt[k] != 0 {
 				n++
 			}
 		}
-	})
+	}
 	return n
 }
 
@@ -129,6 +129,21 @@ func TestHandoffGhostTimers(t *testing.T) {
 // have consumed the edge just before the swap, and edges are not
 // re-derivable by the receiver. Spurious edges, never lost ones.
 func TestHandoffReannouncesReadiness(t *testing.T) {
+	checkReannounced(t, func(pi *pipe) { pi.swap(&pi.b) })
+}
+
+// TestFrontRestartReannouncesReadiness: a restarted frontdoor never sees the
+// edges staged towards its dead incarnation (the edge's restart rule drops
+// them), so the engine re-announces current readiness as after a swap.
+func TestFrontRestartReannouncesReadiness(t *testing.T) {
+	checkReannounced(t, func(pi *pipe) { pi.b.OnFrontRestart() })
+}
+
+// checkReannounced readies a nonblocking socket on b, drops every edge it
+// has emitted, runs lose, and wants the socket's readable and writable
+// levels announced again.
+func checkReannounced(t *testing.T, lose func(pi *pipe)) {
+	t.Helper()
 	pi := newPipe(t, false)
 	aBufs := captureBufs(pi.a)
 	captureBufs(pi.b)
@@ -144,8 +159,8 @@ func TestHandoffReannouncesReadiness(t *testing.T) {
 		pi.step()
 	}
 
-	pi.bFront = nil // drop every pre-swap edge: the successor must re-announce
-	pi.swap(&pi.b)
+	pi.bFront = nil // drop every earlier edge: b must re-announce
+	lose(pi)
 	pi.step()
 
 	var bits uint64
@@ -155,7 +170,7 @@ func TestHandoffReannouncesReadiness(t *testing.T) {
 		}
 	}
 	if bits&msg.EvReadable == 0 || bits&msg.EvWritable == 0 {
-		t.Fatalf("readiness lost across handoff: re-announced bits %#x", bits)
+		t.Fatalf("readiness lost: re-announced bits %#x", bits)
 	}
 }
 

@@ -40,8 +40,8 @@ func (e *Engine) segmentIn(r msg.Req) {
 	key := fourTuple{localPort: th.DstPort, remoteIP: srcIP, remotePort: th.SrcPort}
 
 	dstIP := netpkt.IPFromU32(uint32(r.Arg[2]))
-	if slot, ok := e.byTuple.get(key.key()); ok {
-		e.segmentForConn(e.slab.at(slot), th, seg, view, extras, nseg, r.ID)
+	if p := e.byTuple[key]; p != nil {
+		e.segmentForConn(p, th, seg, view, extras, nseg, r.ID)
 		return
 	}
 	// No connection: a listener may take a SYN.
@@ -65,11 +65,10 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 	if len(l.acceptQ)+1 > l.backlog {
 		return // silently drop; peer retries
 	}
-	c, slot := e.slab.alloc()
-	c.id, c.state, c.mss, c.listenerID = e.allocID(), StateSynRcvd, MSS, l.id
-	c.fourTuple = key
-	c.localIP = dstIP
-	c.bound = true
+	c := &pcb{
+		id: e.allocID(), state: StateSynRcvd, mss: MSS, listenerID: l.id,
+		fourTuple: key, localIP: dstIP, bound: true,
+	}
 	if th.MSS != 0 && th.MSS < c.mss {
 		c.mss = th.MSS
 	}
@@ -78,8 +77,8 @@ func (e *Engine) handleListenSyn(l *pcb, th netpkt.TCPHeader, key fourTuple, dst
 	c.irs = th.Seq
 	c.rcvNxt = th.Seq + 1
 	c.sndWnd = uint32(th.Window)
-	e.byID.put(uint64(c.id), slot)
-	e.byTuple.put(key.key(), slot)
+	e.byID[c.id] = c
+	e.byTuple[key] = c
 	// No TX buffer yet: it is provisioned lazily on the first send, so an
 	// accepted-but-idle connection costs no socket-buffer memory.
 	e.emitSegment(c, netpkt.TCPSyn|netpkt.TCPAck, c.iss, nil, 0, true)

@@ -286,14 +286,6 @@ func (e *Engine) Tick(now time.Time) {
 		p.buf.Tick()
 	}
 	e.wheel.advance(now, e.fireTimer)
-	if len(e.dead) > 0 {
-		for i, p := range e.dead {
-			e.destroy(p)
-			e.dead[i] = nil
-		}
-		e.dead = e.dead[:0]
-		e.persist()
-	}
 	e.flushIfDue()
 	e.tickCount.Add(1)
 	//lint:ignore hotloop closes the t0 self-timing above.
@@ -312,16 +304,14 @@ func (e *Engine) trackFrame(id uint64, hdr shm.RichPtr) {
 	})
 }
 
-// fireTimer dispatches one due wheel timer. TIME-WAIT expiries are only
-// collected here — destroy frees slab slots, which must not happen while
-// the wheel is mid-advance.
+// fireTimer dispatches one due wheel timer.
 func (e *Engine) fireTimer(p *pcb, kind int) {
 	switch kind {
 	case timerDelAck:
 		e.sendAck(p)
 	case timerTimeWait:
 		if p.state == StateTimeWait {
-			e.dead = append(e.dead, p)
+			e.destroy(p)
 		}
 	case timerRTO:
 		if p.probe == probeArmed {
@@ -392,7 +382,7 @@ func (e *Engine) rtoFire(p *pcb) {
 // outstanding, its flush time. O(wheel slots), independent of connections.
 func (e *Engine) Deadline(now time.Time) time.Time {
 	min := e.wheel.nextDeadline()
-	if t := e.save.Deadline(e.byID.len()); !t.IsZero() && (min.IsZero() || t.Before(min)) {
+	if t := e.save.Deadline(len(e.byID)); !t.IsZero() && (min.IsZero() || t.Before(min)) {
 		min = t
 	}
 	return min

@@ -17,13 +17,13 @@ package tcpeng
 //     one record per listener keeping only what paper Table I says TCP can
 //     recover. Established connections die with the server.
 //
-// Restore reads either, into fresh slab slots (alloc zeroes wheelAt, so
-// re-arm is never short-circuited). Id and tuple indexes, listener map,
-// port table and receive-cookie counts are rebuilt from the pcbs, so they
-// can never disagree with them; request ids are re-seeded, timers re-armed
-// on a fresh wheel from the transferred deadlines, and readiness
-// conservatively re-announced for nonblocking sockets — spurious edges,
-// never lost ones.
+// Restore reads either and installs each decoded pcb as it is (wheelAt is
+// never in a record, so re-arm is never short-circuited). Id and tuple
+// maps, listener map, port table and receive-cookie counts are rebuilt from
+// the pcbs, so they can never disagree with them; request ids are
+// re-seeded, timers re-armed on a fresh wheel from the transferred
+// deadlines, and readiness conservatively re-announced for nonblocking
+// sockets — spurious edges, never lost ones.
 //
 // The engine deliberately does not know the handoff message: the server
 // shell wraps the image and the handles into transport.Payload.
@@ -42,9 +42,9 @@ import (
 
 // record names every field of a pcb that means something to another
 // incarnation, in wire order, and reports whether the socket has a TX
-// buffer (the buffer itself crosses by handle). slot, bufIdx, timerSeq and
-// wheelAt are deliberately absent: they index this incarnation's slab,
-// buffer list and wheel.
+// buffer (the buffer itself crosses by handle). bufIdx and wheelAt are
+// deliberately absent: they index this incarnation's buffer list and
+// wheel.
 func (p *pcb) record(c *staterec.Codec) (hasBuf bool) {
 	staterec.Num(c, &p.id)
 	staterec.Num(c, &p.state)
@@ -223,13 +223,13 @@ func (e *Engine) HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error) {
 	blob := staterec.Encode(func(c *staterec.Codec) {
 		e.header(c, true)
 		e.live(c)
-		n := e.byID.len()
+		n := len(e.byID)
 		c.Count(&n, 1)
-		e.eachPCB(func(p *pcb) {
+		for _, p := range e.byID {
 			if p.record(c) {
 				bufs[p.id] = p.buf
 			}
-		})
+		}
 	})
 	return blob, bufs, nil
 }
@@ -251,9 +251,9 @@ func (e *Engine) Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Tim
 		}
 		var n int
 		for c.Count(&n, 1); n > 0 && c.Err() == nil; n-- {
-			var rec pcb
-			if hasBuf := rec.record(c); c.Err() == nil {
-				c.Fail(e.installPCB(&rec, hasBuf, bufs[rec.id]))
+			p := new(pcb)
+			if hasBuf := p.record(c); c.Err() == nil {
+				c.Fail(e.installPCB(p, hasBuf, bufs[p.id]))
 			}
 		}
 	})
@@ -266,24 +266,19 @@ func (e *Engine) Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Tim
 	return nil
 }
 
-// installPCB gives a decoded pcb a home in this incarnation: a slab slot,
-// its index entries, its share of the port table and listener map, its TX
-// buffer, and its timers on this wheel. Crash recovery and live update both
-// end here.
-func (e *Engine) installPCB(rec *pcb, hasBuf bool, buf *sockbuf.Buf) error {
+// installPCB gives a decoded pcb a home in this incarnation: its index
+// entries, its share of the port table and listener map, its TX buffer, and
+// its timers on this wheel. Crash recovery and live update both end here.
+func (e *Engine) installPCB(p *pcb, hasBuf bool, buf *sockbuf.Buf) error {
 	if hasBuf && buf == nil {
-		return fmt.Errorf("pcb %d: missing TX buffer handle", rec.id)
+		return fmt.Errorf("pcb %d: missing TX buffer handle", p.id)
 	}
-	if e.pcbOf(rec.id) != nil {
-		return fmt.Errorf("pcb %d: duplicate socket id", rec.id)
+	if e.pcbOf(p.id) != nil {
+		return fmt.Errorf("pcb %d: duplicate socket id", p.id)
 	}
-	p, slot := e.slab.alloc()
-	rec.slot, rec.bufIdx, rec.timerSeq = p.slot, p.bufIdx, p.timerSeq
-	*p = *rec
-
-	e.byID.put(uint64(p.id), slot)
+	e.byID[p.id] = p
 	if p.fourTuple != (fourTuple{}) {
-		e.byTuple.put(p.fourTuple.key(), slot)
+		e.byTuple[p.fourTuple] = p
 	}
 	for _, rx := range p.rcvQ {
 		e.retainDeliver(rx.deliverID)
@@ -315,9 +310,9 @@ func (e *Engine) installPCB(rec *pcb, hasBuf bool, buf *sockbuf.Buf) error {
 		// live — the buffer object itself never changed — so no re-publish.
 	}
 
-	// Re-arm parked timers on the fresh wheel. The slab gave us a zeroed
-	// wheelAt, so arm never short-circuits; deadlines already in the past
-	// fire on the first Tick.
+	// Re-arm parked timers on the fresh wheel. A decoded wheelAt is zero, so
+	// arm never short-circuits; deadlines already in the past fire on the
+	// first Tick.
 	for kind := 0; kind < numTimers; kind++ {
 		if at := *p.timerAt(kind); !at.IsZero() {
 			e.armTimer(p, kind, at)
@@ -355,19 +350,18 @@ func (p *pcb) readiness() uint64 {
 	return bits
 }
 
-// persist notes that the recoverable state changed and saves it at once
-// when the pacing rule allows (always, while the socket table is small);
-// otherwise Tick saves it when the gap has passed.
+// persist notes that the recoverable state changed. Tick saves it — once
+// per iteration at most, after the iteration's intake and before its
+// replies leave (transport.Server.Poll drains them after Tick), and no
+// sooner than the pacing rule allows for the table's size.
 func (e *Engine) persist() {
-	if e.cfg.SaveState == nil {
-		return
+	if e.cfg.SaveState != nil {
+		e.save.Mark()
 	}
-	e.save.Mark()
-	e.flushIfDue()
 }
 
 func (e *Engine) flushIfDue() {
-	if e.save.Take(e.now, e.byID.len()) {
+	if e.save.Take(e.now, len(e.byID)) {
 		if blob, err := e.SaveState(); err == nil {
 			e.cfg.SaveState(blob)
 		}
@@ -380,11 +374,10 @@ func (e *Engine) flushIfDue() {
 // different interfaces, and PF's rebuilt entries must carry the address the
 // packets really use, not the node's first address.
 func (e *Engine) Flows() []pfeng.Flow {
-	out := make([]pfeng.Flow, 0, e.byTuple.len())
-	e.byTuple.each(func(_ uint64, slot uint32) {
-		p := e.slab.at(slot)
+	out := make([]pfeng.Flow, 0, len(e.byTuple))
+	for _, p := range e.byTuple {
 		if p.state != StateEstablished {
-			return
+			continue
 		}
 		local := p.localIP
 		if local == (netpkt.IPAddr{}) {
@@ -395,6 +388,6 @@ func (e *Engine) Flows() []pfeng.Flow {
 			Src:   local, SrcPort: p.localPort,
 			Dst: p.remoteIP, DstPort: p.remotePort,
 		})
-	})
+	}
 	return out
 }

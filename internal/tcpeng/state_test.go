@@ -89,7 +89,7 @@ func checkRecord[T any](t *testing.T, local map[string]bool, record func(*T, *st
 func TestPCBRecordCoversEveryField(t *testing.T) {
 	hasBuf := true
 	checkRecord(t, map[string]bool{
-		"slot": true, "bufIdx": true, "timerSeq": true, "wheelAt": true, // slab, buffer list, wheel
+		"bufIdx": true, "wheelAt": true, // buffer list, wheel
 		"buf": true, // crosses by handle; the record carries only its presence
 	}, func(p *pcb, c *staterec.Codec) { hasBuf = p.record(c) })
 	if hasBuf {
@@ -229,29 +229,51 @@ func newSocket(e *Engine, now time.Time) uint32 {
 	return reps[len(reps)-1].Flow
 }
 
-// listenOn binds flow and leaves the listen's reply undrained.
-func listenOn(e *Engine, now time.Time, flow uint32, port uint16) {
+// bindPort binds flow to port and drains the reply.
+func bindPort(e *Engine, now time.Time, flow uint32, port uint16) {
 	bind := msg.Req{ID: 2, Op: msg.OpSockBind, Flow: flow}
 	bind.Arg[0] = uint64(port)
 	e.FromFront(bind, now)
 	e.DrainToFront()
+}
+
+// listenOn binds flow and leaves the listen's reply undrained.
+func listenOn(e *Engine, now time.Time, flow uint32, port uint16) {
+	bindPort(e, now, flow, port)
 	e.FromFront(msg.Req{ID: 3, Op: msg.OpSockListen, Flow: flow}, now)
 }
 
 // TestSmallTableSavesBeforeTheReplyLeaves: below staterec.EntriesPerMilli
-// sockets a transition is in storage before DrainToFront yields the reply
-// that acknowledges it. Virtual time: the engine is pure in now.
+// sockets, the transitions of one loop iteration (intake, then Tick) are in
+// storage, in one save, before DrainToFront yields the replies that
+// acknowledge them. Virtual time: the engine is pure in now.
 func TestSmallTableSavesBeforeTheReplyLeaves(t *testing.T) {
 	e := freshEngine(t)
 	var s saves
 	s.hook(e)
 	now := time.Unix(1000, 0)
-	for port := uint16(7000); port < 7003; port++ {
-		listenOn(e, now, newSocket(e, now), port) // all three in one loop iteration: same now
-		if !s.hasListener(t, port) {
-			t.Fatalf("listen on %d acknowledged before it was saved", port)
+	for base := uint16(7000); base < 7020; base += 10 {
+		flows := make([]uint32, 3)
+		for i := range flows {
+			flows[i] = newSocket(e, now)
+			bindPort(e, now, flows[i], base+uint16(i))
 		}
-		if reps := e.DrainToFront(); len(reps) != 1 || reps[0].Status != msg.StatusOK {
+		e.Tick(now)
+		// One loop iteration (same now): three listens, then Tick.
+		for _, flow := range flows {
+			e.FromFront(msg.Req{ID: 3, Op: msg.OpSockListen, Flow: flow}, now)
+		}
+		before := s.n
+		e.Tick(now)
+		if s.n != before+1 {
+			t.Fatalf("one iteration made %d saves, want 1", s.n-before)
+		}
+		for port := base; port < base+3; port++ {
+			if !s.hasListener(t, port) {
+				t.Fatalf("listen on %d acknowledged before it was saved", port)
+			}
+		}
+		if reps := e.DrainToFront(); len(reps) != 3 || reps[0].Status != msg.StatusOK {
 			t.Fatalf("listen replies = %+v", reps)
 		}
 	}

@@ -32,12 +32,12 @@
 // finds one locally — the whole established connection then lives on that
 // shard alone.
 //
-// Connection scale (docs/ARCHITECTURE.md "Connection scale"): pcbs live in
-// a slab indexed by compact open-addressing tables (slab.go), all timers
-// ride a hierarchical timing wheel (wheel.go), TX buffers are provisioned
-// lazily on first use, and state persistence is paced by table size
-// (state.go) — so both Tick and memory cost scale with active connections,
-// not total connections.
+// Connection scale (docs/ARCHITECTURE.md "Connection scale"): a pcb is an
+// ordinary heap object found through two Go maps (socket id, four-tuple),
+// all timers ride a hierarchical timing wheel (wheel.go), TX buffers are
+// provisioned lazily on first use, and state persistence is coalesced to
+// one save per Tick and paced by table size (state.go) — so both Tick and
+// memory cost scale with active connections, not total connections.
 package tcpeng
 
 import (
@@ -163,13 +163,14 @@ type Stats struct {
 	DropsOOO, DropsDup, DropsWindow uint64
 }
 
+// fourTuple keys the connection index. The local IP is not part of it
+// (engine instances are per-host and a port is used towards one remote
+// endpoint at most once).
 type fourTuple struct {
 	localPort  uint16
 	remoteIP   netpkt.IPAddr
 	remotePort uint16
 }
-
-func (t fourTuple) key() uint64 { return tupleKey(t.localPort, t.remoteIP, t.remotePort) }
 
 // streamChunk is one app-written chunk in the send stream.
 type streamChunk struct {
@@ -186,7 +187,6 @@ type rxItem struct {
 
 type pcb struct {
 	id    uint32
-	slot  uint32 // slab slot; stable for this pcb's lifetime
 	state State
 	fourTuple
 	localIP   netpkt.IPAddr
@@ -224,11 +224,9 @@ type pcb struct {
 	inRecovery bool
 	probe      uint8 // tail-loss probe state (probeIdle, probeArmed, probeSent)
 
-	// Timing-wheel bookkeeping (wheel.go): per-kind generation counters
-	// (bumped on disarm/re-arm/slot-reuse to invalidate stale entries) and
-	// the tick of the live wheel entry (0 = none indexed).
-	timerSeq [numTimers]uint32
-	wheelAt  [numTimers]int64
+	// Timing-wheel bookkeeping (wheel.go): per kind, the tick of the live
+	// wheel entry (0 = none indexed); an entry at any other tick is stale.
+	wheelAt [numTimers]int64
 
 	// Receive state. oooQ is the reassembly queue (reasm.go): segments that
 	// arrived above rcvNxt, inside the advertised window.
@@ -245,7 +243,7 @@ type pcb struct {
 
 	// App interface.
 	buf    *sockbuf.Buf
-	bufIdx int32 // index in Engine.bufs; -1 when buf == nil
+	bufIdx int32 // index in Engine.bufs while buf != nil
 	// nonblock makes accept/recv/connect reply StatusErrAgain instead of
 	// parking, and turns on edge-triggered OpSockEvent publication.
 	nonblock bool
@@ -279,14 +277,12 @@ type Engine struct {
 	hdrPool *shm.Pool
 	db      *channel.ReqDB
 
-	slab      pcbSlab
-	byID      idx64 // socket id -> slab slot
-	byTuple   idx64 // packed four-tuple -> slab slot
+	byID      map[uint32]*pcb
+	byTuple   map[fourTuple]*pcb
 	listeners map[uint16]uint32
 	ports     portTable
 	wheel     timerWheel
 	bufs      []*pcb // sockets with a live TX buffer (Tick only walks these)
-	dead      []*pcb // TIME-WAIT expiries collected during wheel advance
 
 	// deliverRefs counts receive-queue items still referencing a deliver
 	// cookie. GRO-merged deliveries carry several payload views under one
@@ -325,6 +321,8 @@ func New(cfg Config, hdrPool *shm.Pool) *Engine {
 		cfg:         cfg,
 		hdrPool:     hdrPool,
 		db:          channel.NewReqDB(),
+		byID:        make(map[uint32]*pcb),
+		byTuple:     make(map[fourTuple]*pcb),
 		listeners:   make(map[uint16]uint32),
 		deliverRefs: make(map[uint64]int),
 		retxFrames:  make(map[uint64]uint32),
@@ -366,21 +364,10 @@ func (e *Engine) srcFor(dst netpkt.IPAddr) netpkt.IPAddr {
 }
 
 // NumSockets returns the live socket count.
-func (e *Engine) NumSockets() int { return e.byID.len() }
+func (e *Engine) NumSockets() int { return len(e.byID) }
 
-// pcbOf resolves a socket id through the slab index; nil when unknown.
-func (e *Engine) pcbOf(id uint32) *pcb {
-	slot, ok := e.byID.get(uint64(id))
-	if !ok {
-		return nil
-	}
-	return e.slab.at(slot)
-}
-
-// eachPCB visits every live socket. Membership must not change mid-walk.
-func (e *Engine) eachPCB(fn func(*pcb)) {
-	e.byID.each(func(_ uint64, slot uint32) { fn(e.slab.at(slot)) })
-}
+// pcbOf resolves a socket id; nil when unknown.
+func (e *Engine) pcbOf(id uint32) *pcb { return e.byID[id] }
 
 // SocketState returns a socket's connection state.
 func (e *Engine) SocketState(id uint32) (State, bool) {
@@ -398,11 +385,10 @@ func (e *Engine) armTimer(p *pcb, kind int, at time.Time) {
 	e.wheel.arm(p, kind, at)
 }
 
-// disarmTimer clears a pcb timer; its wheel entry (if any) is lazily
-// dropped by generation when its slot comes up — O(1) cancellation.
+// disarmTimer clears a pcb timer; its wheel entry (if any) no longer
+// matches wheelAt and is dropped when its slot comes up — O(1) cancellation.
 func (e *Engine) disarmTimer(p *pcb, kind int) {
 	*p.timerAt(kind) = zeroTime
-	p.timerSeq[kind]++
 	p.wheelAt[kind] = 0
 }
 
@@ -420,15 +406,11 @@ func (e *Engine) trackBuf(p *pcb) {
 }
 
 func (e *Engine) untrackBuf(p *pcb) {
-	if p.bufIdx < 0 {
-		return
-	}
 	last := len(e.bufs) - 1
 	e.bufs[p.bufIdx] = e.bufs[last]
 	e.bufs[p.bufIdx].bufIdx = p.bufIdx
 	e.bufs[last] = nil
 	e.bufs = e.bufs[:last]
-	p.bufIdx = -1
 }
 
 // DrainToIP returns and clears pending requests towards IP.
@@ -533,13 +515,12 @@ func (e *Engine) create(r msg.Req) {
 	id := uint32(r.Arg[0])
 	if id == 0 {
 		id = e.allocID()
-	} else if _, exists := e.byID.get(uint64(id)); exists || id >= SockIDBase {
+	} else if e.byID[id] != nil || id >= SockIDBase {
 		e.reply(r.ID, id, msg.StatusErrInval)
 		return
 	}
-	p, slot := e.slab.alloc()
-	p.id, p.state, p.mss = id, StateClosed, MSS
-	e.byID.put(uint64(id), slot)
+	p := &pcb{id: id, state: StateClosed, mss: MSS}
+	e.byID[id] = p
 	rep := r.Reply(msg.OpSockReply, msg.StatusOK)
 	rep.Flow = p.id
 	e.toFront = append(e.toFront, rep)
@@ -637,7 +618,7 @@ func (e *Engine) autobind(p *pcb) {
 			netpkt.TCPShardOf(port, p.remoteIP, p.remotePort, e.cfg.ShardCount) != e.cfg.ShardID {
 			continue
 		}
-		if _, busy := e.byTuple.get(tupleKey(port, p.remoteIP, p.remotePort)); busy {
+		if e.byTuple[fourTuple{port, p.remoteIP, p.remotePort}] != nil {
 			continue
 		}
 		p.localPort, p.bound, p.portEphem = port, true, true
@@ -702,12 +683,12 @@ func (e *Engine) connect(r msg.Req) {
 	}
 	p.localIP = e.srcFor(p.remoteIP)
 	key := fourTuple{localPort: p.localPort, remoteIP: p.remoteIP, remotePort: p.remotePort}
-	if _, dup := e.byTuple.get(key.key()); dup {
+	if e.byTuple[key] != nil {
 		e.reply(r.ID, r.Flow, msg.StatusErrInUse)
 		return
 	}
 	p.fourTuple = key
-	e.byTuple.put(key.key(), p.slot)
+	e.byTuple[key] = p
 	e.initSendState(p)
 	p.state = StateSynSent
 	if p.nonblock {
@@ -960,7 +941,7 @@ func (e *Engine) queueFin(p *pcb) {
 // so the app can learn the outcome (and re-dial: the status read-clears).
 // Timers are disarmed — a parked pcb must never re-enter rtoFire, which
 // would spam EvError events and re-poison the read-cleared status — and
-// the socket's slab slot, id, port, and buffer are retained: the app still
+// the socket's pcb, id, port, and buffer are retained: the app still
 // holds the socket, so autobind must not hand its port to someone else
 // before the close.
 func (e *Engine) parkFailed(p *pcb, status int32) {
@@ -977,15 +958,11 @@ func (e *Engine) parkFailed(p *pcb, status int32) {
 }
 
 // dropTuple removes the pcb's four-tuple index entry — but only while it
-// still points at this pcb's slot: a parked pcb's old tuple may have been
+// still points at this pcb: a parked pcb's old tuple may have been
 // re-claimed by a newer connection, whose index entry must survive.
 func (e *Engine) dropTuple(p *pcb) {
-	if p.fourTuple == (fourTuple{}) {
-		return
-	}
-	key := p.fourTuple.key()
-	if slot, ok := e.byTuple.get(key); ok && slot == p.slot {
-		e.byTuple.del(key)
+	if e.byTuple[p.fourTuple] == p {
+		delete(e.byTuple, p.fourTuple)
 	}
 	p.fourTuple = fourTuple{}
 }
@@ -993,8 +970,9 @@ func (e *Engine) dropTuple(p *pcb) {
 // destroy removes a pcb entirely: receive-pool references are released,
 // the port reservation is dropped (listener ports stay reserved until the
 // listener closes), the TX buffer's backing pool is removed from the
-// shared space and its registry export withdrawn, and the slab slot is
-// freed for reuse.
+// shared space and its registry export withdrawn, and the pcb leaves the
+// id index. Its timers are disarmed, so wheel entries still pointing at it
+// are dropped when their slots come up.
 func (e *Engine) destroy(p *pcb) {
 	e.releaseRx(p)
 	if p.bound && p.state != StateListen {
@@ -1016,8 +994,7 @@ func (e *Engine) destroy(p *pcb) {
 		p.buf = nil
 	}
 	p.state = StateClosed
-	e.byID.del(uint64(p.id))
-	e.slab.release(p)
+	delete(e.byID, p.id)
 }
 
 // releaseRx gives back every receive-pool reference a connection holds,
@@ -1058,12 +1035,16 @@ func (e *Engine) releaseDeliver(id uint64) {
 // requester that no longer exists, so completing them would either be
 // dropped or — worse — consume an accepted connection the new incarnation
 // never learns about. Accepted children stay in their listeners' accept
-// queues for the new incarnation's reissued accepts.
+// queues for the new incarnation's reissued accepts. The restart also
+// dropped every event staged towards the dead incarnation (the edge's
+// restart rule), so each nonblocking socket's current readiness is
+// re-announced, as installPCB does after a live update.
 func (e *Engine) OnFrontRestart() {
-	e.eachPCB(func(p *pcb) {
+	for _, p := range e.byID {
 		p.pendingAccept = nil
 		p.pendingRecv = 0
-	})
+		e.event(p, p.readiness())
+	}
 }
 
 // OnIPRestart is the recovery action for a reincarnated IP server: stale
@@ -1075,7 +1056,7 @@ func (e *Engine) OnFrontRestart() {
 // congestion avoidance"). It is the RTO's marking without the RTO's window
 // reduction: a crashed IP server is not congestion.
 func (e *Engine) OnIPRestart() {
-	e.eachPCB(func(p *pcb) {
+	for _, p := range e.byID {
 		// Drop unconsumed receive data that lives in the dead pool. The
 		// bytes were ACKed but never given to the app — this is exactly
 		// the "connection damage" an IP crash can cause; we keep rcvNxt
@@ -1087,14 +1068,14 @@ func (e *Engine) OnIPRestart() {
 		for i := range p.oooQ {
 			p.oooQ[i].deliverID = 0
 		}
-	})
+	}
 	e.deliverRefs = make(map[uint64]int) // the cookies died with the pool
 	e.db.AbortDest("ip")
-	e.eachPCB(func(p *pcb) {
+	for _, p := range e.byID {
 		if p.sndNxt != p.sndUna && p.state.sends() {
 			e.stats.SendsResubmitted++
 			e.markAllLost(p)
 			e.output(p)
 		}
-	})
+	}
 }

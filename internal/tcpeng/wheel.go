@@ -24,14 +24,17 @@ const (
 	wheelLevels    = 3
 )
 
-// wheelEntry indexes one (pcb, kind) timer. seq is the pcb's generation
-// for that kind at insertion time: disarm and re-arm bump the generation,
-// so a stale entry is recognized and dropped when its slot comes up — O(1)
-// cancellation without searching the wheel.
+// wheelEntry indexes one (pcb, kind) timer at tick. The entry is live
+// exactly while tick equals the pcb's wheelAt for that kind: disarm and
+// destroy zero wheelAt, and re-arming earlier indexes a new tick, so a
+// stale entry is recognized and dropped when its slot comes up — O(1)
+// cancellation without searching the wheel. Two live entries can share a
+// tick (disarm, then re-arm to the same tick); the first to come up clears
+// or moves wheelAt, and the second is dropped.
 type wheelEntry struct {
 	p    *pcb
 	kind int32
-	seq  uint32
+	tick int64
 	next *wheelEntry
 }
 
@@ -90,19 +93,18 @@ func (w *timerWheel) arm(p *pcb, kind int, at time.Time) {
 	if wa := p.wheelAt[kind]; wa != 0 && wa <= t {
 		return
 	}
-	p.timerSeq[kind]++
 	p.wheelAt[kind] = t
-	w.insert(w.alloc(p, kind, p.timerSeq[kind]), t)
+	w.insert(w.alloc(p, kind), t)
 }
 
-func (w *timerWheel) alloc(p *pcb, kind int, seq uint32) *wheelEntry {
+func (w *timerWheel) alloc(p *pcb, kind int) *wheelEntry {
 	ent := w.free
 	if ent != nil {
 		w.free = ent.next
 	} else {
 		ent = &wheelEntry{}
 	}
-	ent.p, ent.kind, ent.seq, ent.next = p, int32(kind), seq, nil
+	ent.p, ent.kind, ent.next = p, int32(kind), nil
 	w.live++
 	return ent
 }
@@ -133,6 +135,7 @@ func (w *timerWheel) place(t int64) (int, int) {
 }
 
 func (w *timerWheel) insert(ent *wheelEntry, t int64) {
+	ent.tick = t
 	lvl, idx := w.place(t)
 	ent.next = w.slots[lvl][idx]
 	w.slots[lvl][idx] = ent
@@ -141,7 +144,8 @@ func (w *timerWheel) insert(ent *wheelEntry, t int64) {
 
 // advance processes all ticks up to now, firing due timers through fire.
 // fire may arm, disarm, or destroy pcbs freely: new entries always land at
-// future ticks and destroyed pcbs' entries are invalidated by generation.
+// future ticks and destroyed pcbs' entries are invalidated by their zeroed
+// wheelAt.
 func (w *timerWheel) advance(now time.Time, fire func(*pcb, int)) {
 	w.maybeInit(now)
 	target := w.tickFloor(now)
@@ -179,11 +183,10 @@ func (w *timerWheel) cascade(lvl, idx int) {
 	for ent != nil {
 		next := ent.next
 		w.cnt[lvl]--
-		p, k := ent.p, int(ent.kind)
-		if ent.seq != p.timerSeq[k] {
+		if ent.tick != ent.p.wheelAt[ent.kind] {
 			w.release(ent)
 		} else {
-			w.insert(ent, p.wheelAt[k])
+			w.insert(ent, ent.tick)
 		}
 		ent = next
 	}
@@ -201,7 +204,7 @@ func (w *timerWheel) fireSlot(idx int, fire func(*pcb, int)) {
 		next := ent.next
 		w.cnt[0]--
 		p, k := ent.p, int(ent.kind)
-		if ent.seq != p.timerSeq[k] {
+		if ent.tick != p.wheelAt[k] {
 			w.release(ent)
 			ent = next
 			continue
@@ -216,8 +219,6 @@ func (w *timerWheel) fireSlot(idx int, fire func(*pcb, int)) {
 		}
 		if t := w.tickCeil(at); t > w.cur {
 			// Deadline pushed later since indexing: re-index in place.
-			p.timerSeq[k]++
-			ent.seq = p.timerSeq[k]
 			p.wheelAt[k] = t
 			w.insert(ent, t) // entry stays live; no release/alloc churn
 			ent = next

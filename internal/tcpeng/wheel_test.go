@@ -20,10 +20,9 @@ func wArm(w *timerWheel, p *pcb, kind int, at time.Time) {
 	w.arm(p, kind, at)
 }
 
-// wDisarm mirrors Engine.disarmTimer: clear the field, bump the generation.
+// wDisarm mirrors Engine.disarmTimer: clear the field and the live tick.
 func wDisarm(p *pcb, kind int) {
 	*p.timerAt(kind) = time.Time{}
-	p.timerSeq[kind]++
 	p.wheelAt[kind] = 0
 }
 
@@ -166,6 +165,29 @@ func TestWheelRearmEarlier(t *testing.T) {
 	w.advance(now.Add(3*time.Second), log.fire)
 	if len(log.fired) != 1 {
 		t.Fatalf("stale original deadline fired too (total %d)", len(log.fired))
+	}
+}
+
+// TestWheelRearmSameTick: a disarm and a re-arm to the same deadline leave
+// two entries at one tick, both matching wheelAt; the first to come up
+// clears it, so the timer fires once and the other entry is reaped.
+func TestWheelRearmSameTick(t *testing.T) {
+	for _, d := range []time.Duration{time.Millisecond, time.Second, 20 * time.Second} {
+		var w timerWheel
+		log := fireLog{w: &w}
+		now := wheelEpoch
+		w.maybeInit(now)
+		p := &pcb{}
+		wArm(&w, p, timerRTO, now.Add(d))
+		wDisarm(p, timerRTO)
+		wArm(&w, p, timerRTO, now.Add(d))
+		if w.live != 2 {
+			t.Fatalf("delay %v: live=%d, want both entries indexed", d, w.live)
+		}
+		w.advance(now.Add(d+time.Minute), log.fire)
+		if len(log.fired) != 1 || w.live != 0 {
+			t.Fatalf("delay %v: fired %d times, %d entries left; want once, none", d, len(log.fired), w.live)
+		}
 	}
 }
 

@@ -68,13 +68,9 @@ func (s *Stats) counters() []*uint64 {
 	}
 }
 
+// persist notes that the socket table changed; Tick saves it.
 func (e *Engine) persist() {
-	if e.cfg.SaveState == nil {
-		return
-	}
-	if blob, err := e.SaveState(); err == nil {
-		e.cfg.SaveState(blob)
-	}
+	e.dirty = e.cfg.SaveState != nil
 }
 
 // header opens every image: the socket-id counter, and whether a live
@@ -168,7 +164,8 @@ func (e *Engine) Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, _ time.Time)
 	if err != nil {
 		return fmt.Errorf("udpeng: restore: %w", err)
 	}
-	// Seed this incarnation's storage snapshot from the restored table.
+	// Seed this incarnation's storage snapshot from the restored table: the
+	// first Tick saves it.
 	e.persist()
 	return nil
 }

@@ -135,6 +135,7 @@ func liveImages(t testing.TB) (handoff []byte, bufs map[uint32]*sockbuf.Buf, cra
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.e.Tick() // the iteration's save
 	return handoff, bufs, h.saved[len(h.saved)-1]
 }
 

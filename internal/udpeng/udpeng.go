@@ -41,10 +41,11 @@ type Config struct {
 	UnpublishBuf func(sock uint32)
 	// SaveState persists the socket table for crash recovery. May be nil.
 	SaveState func(blob []byte)
-	// RecvQueueCap bounds per-socket queued datagrams (default 64);
-	// overflow is dropped, as datagram semantics allow.
-	RecvQueueCap int
 }
+
+// recvQueueCap bounds per-socket queued datagrams; overflow is dropped, as
+// datagram semantics allow.
+const recvQueueCap = 64
 
 // Engine is one UDP instance. Single-threaded.
 type Engine struct {
@@ -67,6 +68,8 @@ type Engine struct {
 
 	toIP    []msg.Req
 	toFront []msg.Req
+	// dirty marks a socket-table change that Tick has yet to save.
+	dirty bool
 
 	stats Stats
 }
@@ -118,9 +121,6 @@ type pendingSend struct {
 // New creates a UDP engine. hdrPool must be owned by the caller's server
 // (headers are built in it and freed on send completion).
 func New(cfg Config, hdrPool *shm.Pool) *Engine {
-	if cfg.RecvQueueCap == 0 {
-		cfg.RecvQueueCap = 64
-	}
 	return &Engine{
 		cfg:     cfg,
 		hdrPool: hdrPool,
@@ -198,12 +198,20 @@ func (e *Engine) FromIP(r msg.Req) {
 
 // Tick runs the per-iteration elastic-pool policy: the header pool and
 // every socket buffer advance their quiescence clocks, so grown segments
-// retire even on sockets that have gone fully idle. The server loop calls
-// it once per iteration.
+// retire even on sockets that have gone fully idle. It is also the one
+// place the socket table is saved: once per iteration at most, after the
+// iteration's intake and before its replies leave. The server loop calls it
+// once per iteration.
 func (e *Engine) Tick() {
 	e.hdrPool.Tick()
 	for _, s := range e.bufs {
 		s.buf.Tick()
+	}
+	if e.dirty {
+		e.dirty = false
+		if blob, err := e.SaveState(); err == nil {
+			e.cfg.SaveState(blob)
+		}
 	}
 }
 
@@ -326,14 +334,16 @@ func (e *Engine) setFlags(r msg.Req) {
 	e.event(s, s.readiness())
 }
 
-// recycleChain hands a rejected send's staged chunks back to the socket's
-// supply ring (the engine is the ring's only producer; the app cannot).
-func (e *Engine) recycleChain(s *socket, r msg.Req) {
-	if s.buf == nil {
-		return
-	}
-	for _, ptr := range r.Chain() {
+// recycle hands a send's chunks back to the socket's supply ring (the
+// engine is the ring's only producer; the app cannot). Refilling an
+// exhausted ring is the edge a nonblocking sender waits on.
+func (e *Engine) recycle(s *socket, chain []shm.RichPtr) {
+	ringWasEmpty := s.buf.Free() == 0
+	for _, ptr := range chain {
 		s.buf.Recycle(ptr)
+	}
+	if ringWasEmpty && len(chain) > 0 {
+		e.event(s, msg.EvWritable)
 	}
 }
 
@@ -348,7 +358,7 @@ func (e *Engine) send(r msg.Req) {
 	if dstPort == 0 {
 		if !s.connected {
 			e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusErrNotConn))
-			e.recycleChain(s, r)
+			e.recycle(s, r.Chain())
 			return
 		}
 		dstIP, dstPort = s.remoteIP, s.remotePt
@@ -369,7 +379,7 @@ func (e *Engine) send(r msg.Req) {
 		// Header-pool exhaustion is backpressure: give the app its staged
 		// chunks back so the EWOULDBLOCK-style retry can restage them.
 		e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusErrNoBufs))
-		e.recycleChain(s, r)
+		e.recycle(s, r.Chain())
 		return
 	}
 	uh := netpkt.UDPHeader{
@@ -457,15 +467,7 @@ func (e *Engine) sendDone(r msg.Req) {
 	_ = e.hdrPool.Free(ps.hdr)
 	if s, ok := e.sockets[ps.sock]; ok {
 		s.inflight--
-		// Recycling into an exhausted supply ring is the edge a nonblocking
-		// sender waits on.
-		ringWasEmpty := s.buf.Free() == 0
-		for _, p := range ps.payload {
-			s.buf.Recycle(p)
-		}
-		if ringWasEmpty && len(ps.payload) > 0 {
-			e.event(s, msg.EvWritable)
-		}
+		e.recycle(s, ps.payload)
 	} else if s, ok := e.closing[ps.sock]; ok {
 		if s.inflight--; s.inflight == 0 {
 			s.buf.Destroy(e.cfg.Space)
@@ -505,7 +507,7 @@ func (e *Engine) deliver(r msg.Req) {
 			return
 		}
 	}
-	if len(s.recvQ) >= e.cfg.RecvQueueCap {
+	if len(s.recvQ) >= recvQueueCap {
 		e.stats.DroppedQueueFull++
 		e.release(r.ID)
 		return
@@ -604,6 +606,16 @@ func (e *Engine) close(r msg.Req) {
 	}
 	e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusOK))
 	e.persist()
+}
+
+// OnFrontRestart is the recovery action for a reincarnated frontdoor. The
+// restart dropped every event staged towards the dead incarnation (the
+// edge's restart rule), so each nonblocking socket's current readiness is
+// re-announced, as installSocket does after a live update.
+func (e *Engine) OnFrontRestart() {
+	for _, s := range e.sockets {
+		e.event(s, s.readiness())
+	}
 }
 
 // OnIPRestart runs the request-database abort actions for the IP server

@@ -71,6 +71,28 @@ func (h *harness) bind(sock uint32, port uint16) int32 {
 	return h.call(r).Status
 }
 
+// nonblocking switches a socket to nonblocking mode and drops the entry
+// announcement.
+func (h *harness) nonblocking(sock uint32) {
+	h.t.Helper()
+	r := msg.Req{Op: msg.OpSockSetFlags, Flow: sock}
+	r.Arg[0] = msg.SockNonblock
+	if rep := h.call(r); rep.Status != msg.StatusOK {
+		h.t.Fatalf("setflags: %d", rep.Status)
+	}
+}
+
+// eventBits ors the readiness events reqs carry for sock.
+func eventBits(reqs []msg.Req, sock uint32) uint64 {
+	var bits uint64
+	for _, r := range reqs {
+		if r.Op == msg.OpSockEvent && r.Flow == sock {
+			bits |= r.Arg[0]
+		}
+	}
+	return bits
+}
+
 // deliver injects a UDP datagram as IP would.
 func (h *harness) deliver(srcIP netpkt.IPAddr, srcPort, dstPort uint16, payload []byte) uint64 {
 	h.t.Helper()
@@ -218,12 +240,15 @@ func TestDeliverToUnknownPortDropsAndReleases(t *testing.T) {
 
 func TestRecvQueueBoundDrops(t *testing.T) {
 	h := newHarness(t)
-	h.e.cfg.RecvQueueCap = 2
 	sock := h.socket()
 	h.bind(sock, 7000)
 	src := netpkt.MustIP("1.1.1.1")
-	h.deliver(src, 1, 7000, []byte("a"))
-	h.deliver(src, 1, 7000, []byte("b"))
+	for i := 0; i < recvQueueCap; i++ {
+		h.deliver(src, 1, 7000, []byte("a"))
+	}
+	if h.e.Stats().DroppedQueueFull != 0 {
+		t.Fatalf("dropped below the cap: %d", h.e.Stats().DroppedQueueFull)
+	}
 	h.deliver(src, 1, 7000, []byte("c")) // over cap
 	if h.e.Stats().DroppedQueueFull != 1 {
 		t.Fatalf("drops = %d", h.e.Stats().DroppedQueueFull)
@@ -261,9 +286,10 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	c.Arg[0] = uint64(netpkt.MustIP("10.9.9.9").U32())
 	c.Arg[1] = 53
 	h.call(c)
+	h.e.Tick()
 
-	if len(h.saved) == 0 {
-		t.Fatal("nothing persisted")
+	if len(h.saved) != 1 {
+		t.Fatalf("one iteration saved %d times, want 1", len(h.saved))
 	}
 	blob := h.saved[len(h.saved)-1]
 
@@ -399,5 +425,62 @@ func TestCloseWaitsForSendsInFlight(t *testing.T) {
 	nw.FromIP(msg.Req{ID: toIP[0].ID, Op: msg.OpIPSendDone, Status: msg.StatusOK})
 	if _, err := h.space.Pool(pool); err == nil {
 		t.Fatal("TX buffer pool outlived the closed socket's last send")
+	}
+}
+
+// TestNoBufsRefusalAnnouncesWritable: a send refused for want of a header
+// hands its chunks back, and when they refill an exhausted supply ring that
+// is the writable edge the nonblocking sender waits on — the same rule as a
+// completed send's recycle.
+func TestNoBufsRefusalAnnouncesWritable(t *testing.T) {
+	h := newHarness(t)
+	sock := h.socket()
+	h.nonblocking(sock)
+	for {
+		if _, _, err := h.e.hdrPool.Alloc(); err != nil {
+			break
+		}
+	}
+	buf := h.bufs[sock]
+	chunk, _ := buf.Get()
+	for buf.Free() > 0 {
+		buf.Get()
+	}
+	ptr, _ := buf.Write(chunk, []byte("x"))
+	r := msg.Req{Op: msg.OpSockSend, Flow: sock}
+	r.SetChain([]shm.RichPtr{ptr})
+	r.Arg[0] = uint64(netpkt.MustIP("10.0.0.2").U32())
+	r.Arg[1] = 53
+	h.next++
+	r.ID = h.next
+	h.e.FromFront(r)
+	reps := h.e.DrainToFront()
+	if len(reps) == 0 || reps[0].ID != r.ID || reps[0].Status != msg.StatusErrNoBufs {
+		t.Fatalf("send with the header pool exhausted: %+v", reps)
+	}
+	if buf.Free() != 1 {
+		t.Fatalf("ring holds %d chunks after the refusal, want the 1 sent", buf.Free())
+	}
+	if eventBits(reps, sock)&msg.EvWritable == 0 {
+		t.Fatal("refilled an exhausted ring without a writable edge")
+	}
+}
+
+// TestFrontRestartReannouncesReadiness: a restarted frontdoor never sees the
+// edges staged towards its dead incarnation (the edge's restart rule drops
+// them), so the engine re-announces every nonblocking socket's current
+// readiness, as after a live update.
+func TestFrontRestartReannouncesReadiness(t *testing.T) {
+	h := newHarness(t)
+	sock := h.socket()
+	h.bind(sock, 7100)
+	h.nonblocking(sock)
+	h.deliver(netpkt.MustIP("1.1.1.1"), 1, 7100, []byte("queued"))
+	if bits := eventBits(h.e.DrainToFront(), sock); bits != msg.EvReadable {
+		t.Fatalf("delivery announced %#x, want readable", bits)
+	}
+	h.e.OnFrontRestart()
+	if bits := eventBits(h.e.DrainToFront(), sock); bits != msg.EvReadable|msg.EvWritable {
+		t.Fatalf("after the frontdoor restart: announced %#x, want readable|writable", bits)
 	}
 }

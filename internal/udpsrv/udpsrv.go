@@ -39,13 +39,12 @@ type Config struct {
 type Server = transport.Server[*udpeng.Engine]
 
 // engine gives udpeng the method set the shell drives: UDP keeps no clock
-// and no timers, and parks nothing a frontdoor restart would orphan.
+// and no timers.
 type engine struct{ *udpeng.Engine }
 
 func (e engine) FromIP(r msg.Req, _ time.Time)    { e.Engine.FromIP(r) }
 func (e engine) FromFront(r msg.Req, _ time.Time) { e.Engine.FromFront(r) }
 func (e engine) Tick(time.Time)                   { e.Engine.Tick() }
-func (e engine) OnFrontRestart()                  {}
 func (e engine) Deadline(time.Time) time.Time     { return time.Time{} }
 
 // New creates a UDP server incarnation.
