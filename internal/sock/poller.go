@@ -24,7 +24,8 @@ type evState struct {
 	// notify is closed-and-replaced on every wake: a BROADCAST, because
 	// one socket may have a reader and a writer blocked at once (net.Conn
 	// allows it) waiting on different bits — a single token could wake
-	// the wrong one and leave the right one sleeping until its backstop.
+	// the wrong one and leave the right one asleep on a posted bit, and
+	// nothing re-checks it.
 	notify chan struct{}
 }
 

@@ -2,6 +2,7 @@ package sock
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -12,17 +13,25 @@ import (
 	"newtos/internal/wiring"
 )
 
-// tcpDoor stands in for the TCP door and the engine's receive queue behind
-// it: it keeps every range that has not been acknowledged, offers up to
-// msg.MaxPtrs of them per OpSockRecv and drops exactly the acknowledged
-// bytes on OpSockRecvDone — tcpeng's contract, which is what lets the
-// library keep no copy of its own.
+// tcpDoor stands in for the TCP door and a nonblocking engine behind it.
+// Its receive queue keeps every range that has not been acknowledged, offers
+// up to msg.MaxPtrs of them per OpSockRecv and drops exactly the
+// acknowledged bytes on OpSockRecvDone — tcpeng's contract, which is what
+// lets the library keep no copy of its own. Recv, accept and connect answer
+// EAGAIN until the test makes them ready; no edge is posted unless the test
+// posts it (edge), so the door counts every op a wrapper issues while it
+// waits.
 type tcpDoor struct {
 	ep *kipc.Endpoint
 
-	mu   sync.Mutex
-	rcvQ []shm.RichPtr
-	acks []uint64 // Arg[0] of every OpSockRecvDone, in order
+	mu        sync.Mutex
+	app       kipc.EndpointID // the subscriber: who set nonblocking mode
+	next      uint32          // the last socket id handed out
+	ops       map[msg.Op]int
+	rcvQ      []shm.RichPtr
+	acks      []uint64 // Arg[0] of every OpSockRecvDone, in order
+	children  []uint32 // connections an accept hands out
+	connected bool     // connect answers OK instead of EAGAIN
 }
 
 func newTCPDoor(t *testing.T, hub *wiring.Hub) *tcpDoor {
@@ -31,7 +40,7 @@ func newTCPDoor(t *testing.T, hub *wiring.Hub) *tcpDoor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &tcpDoor{ep: ep}
+	d := &tcpDoor{ep: ep, ops: make(map[msg.Op]int)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -56,13 +65,32 @@ func (d *tcpDoor) serve() {
 		}
 		rep := r.Reply(msg.OpSockReply, msg.StatusOK)
 		d.mu.Lock()
+		d.ops[r.Op]++
 		switch r.Op {
 		case msg.OpSockCreate:
-			rep.Flow = 1
+			d.next++
+			rep.Flow = d.next
+		case msg.OpSockSetFlags:
+			d.app = m.From
 		case msg.OpSockRecv:
+			if len(d.rcvQ) == 0 {
+				rep.Status = msg.StatusErrAgain
+				break
+			}
 			rep.Op = msg.OpSockRecvData
 			rep.SetChain(d.rcvQ[:min(len(d.rcvQ), msg.MaxPtrs)])
 			rep.Arg[0] = uint64(rep.ChainLen())
+		case msg.OpSockAccept:
+			if len(d.children) == 0 {
+				rep.Status = msg.StatusErrAgain
+				break
+			}
+			rep.Arg[0] = uint64(d.children[0])
+			d.children = d.children[1:]
+		case msg.OpSockConnect:
+			if !d.connected {
+				rep.Status = msg.StatusErrAgain
+			}
 		case msg.OpSockRecvDone:
 			d.acks = append(d.acks, r.Arg[0])
 			for n := uint32(r.Arg[0]); n > 0 && len(d.rcvQ) > 0; {
@@ -95,6 +123,34 @@ func (d *tcpDoor) deliver(t *testing.T, pool *shm.Pool, data []byte) {
 	d.mu.Lock()
 	d.rcvQ = append(d.rcvQ, ptr.Slice(0, uint32(len(data))))
 	d.mu.Unlock()
+}
+
+// edge posts a readiness event for flow to its subscriber.
+func (d *tcpDoor) edge(t *testing.T, flow uint32, bits uint64) {
+	t.Helper()
+	d.mu.Lock()
+	app := d.app
+	d.mu.Unlock()
+	ev := msg.Req{Op: msg.OpSockEvent, Flow: flow}
+	ev.Arg[0] = bits
+	if err := d.ep.Send(app, kipc.Msg{Type: uint32(ev.Op), Data: ev.MarshalBinary()}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// count returns how many op requests the door has answered.
+func (d *tcpDoor) count(op msg.Op) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.ops[op]
+}
+
+// ready makes the next accept hand out child and every connect succeed.
+func (d *tcpDoor) ready(child uint32) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.children = append(d.children, child)
+	d.connected = true
 }
 
 // state returns the acknowledgements so far and the bytes still queued.
@@ -160,8 +216,8 @@ func TestShortReadsReturnTheRestOnLaterReads(t *testing.T) {
 	}
 	// The door handles messages in order, so one more call says every
 	// acknowledgement before it has been counted.
-	if _, err := s.Recv(make([]byte, 1)); err != nil {
-		t.Fatal(err)
+	if _, err := s.Recv(make([]byte, 1)); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("Recv on the drained queue: %v, want ErrWouldBlock", err)
 	}
 	acks, queued := door.state()
 	if queued != 0 {
@@ -194,11 +250,42 @@ func TestStaleViewAcknowledgesOnlyWhatWasCopied(t *testing.T) {
 	if err != nil || !bytes.Equal(p[:n], bytes.Repeat([]byte("a"), 1000)) {
 		t.Fatalf("Recv = %d, %v; want the 1000 bytes before the stale view", n, err)
 	}
-	if _, err := s.Recv(p[:0]); err != nil { // flushes the acknowledgement, see above
-		t.Fatal(err)
+	// The next read starts at the stale view (see below); as a call it also
+	// flushes the acknowledgement, see above.
+	if _, err := s.Recv(p); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Recv at the stale view: %v, want ErrAborted", err)
 	}
 	acks, queued := door.state()
 	if len(acks) < 1 || acks[0] != 1000 || queued != 900+800 {
 		t.Fatalf("acknowledged %v with %d bytes left queued; want 1000 and 1700", acks, queued)
+	}
+}
+
+// A read whose first view is stale copies nothing. That is not end of
+// stream: the bytes are gone, so the read fails with ErrAborted, which the
+// net.Conn adapter passes on instead of io.EOF, and nothing is consumed.
+func TestStaleFirstViewIsAbortedNotEOF(t *testing.T) {
+	s, door, hub := tcpSocketOverDoor(t)
+	live, err := hub.Space.NewPool("ip-rx", 2048, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := hub.Space.NewPool("ip-rx-old", 2048, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	door.deliver(t, dead, bytes.Repeat([]byte("b"), 900))
+	door.deliver(t, live, bytes.Repeat([]byte("c"), 800))
+	hub.Space.Drop(dead.ID())
+
+	p := make([]byte, 4096)
+	for i := 0; i < 2; i++ {
+		if n, err := NewConn(s).Read(p); n != 0 || !errors.Is(err, ErrAborted) {
+			t.Fatalf("read %d = %d, %v; want 0, ErrAborted", i, n, err)
+		}
+	}
+	acks, queued := door.state()
+	if slices.ContainsFunc(acks, func(a uint64) bool { return a != 0 }) || queued != 900+800 {
+		t.Fatalf("acknowledged %v with %d bytes left queued; want nothing and 1700", acks, queued)
 	}
 }

@@ -173,22 +173,16 @@ func NewClient(hub *wiring.Hub, name string) (*Client, error) {
 }
 
 // pump receives every reply and routes it to its caller; readiness events
-// route to their socket's event state (and any Poller attached to it).
+// route to their socket's event state (and any Poller attached to it). It
+// blocks in Receive with no timeout: Close and a node halt both close the
+// endpoint, which is the only error Receive then returns.
 func (c *Client) pump() {
 	defer close(c.done)
 	defer c.stopOnce.Do(func() { close(c.stop) })
 	for {
-		select {
-		case <-c.stop:
-			return
-		default:
-		}
-		m, err := c.ep.Receive(kipc.Any, 100*time.Millisecond)
+		m, err := c.ep.Receive(kipc.Any, 0)
 		if err != nil {
-			if errors.Is(err, kipc.ErrClosed) {
-				return // Close, or the node halted under us
-			}
-			continue
+			return // Close, or the node halted under us
 		}
 		if m.Type == kipc.MsgNotify || m.Data == nil {
 			continue

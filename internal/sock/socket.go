@@ -13,26 +13,14 @@ import (
 	"newtos/internal/sockbuf"
 )
 
-// Event-wait backstops. Readiness edges normally arrive within the stack's
-// round trip; the backstop re-polls the nonblocking op in case an edge was
-// lost anyway (a supply-ring length race on the transport side, or a
-// frontdoor crash that shed staged events), turning a would-be deadlock
-// into a slow retry. Edges are the fast path; the backstop is insurance.
-const (
-	recvBackstop    = 500 * time.Millisecond
-	acceptBackstop  = 500 * time.Millisecond
-	connectBackstop = 250 * time.Millisecond
-	// writableBackstop is short: the exhausted→free edge is raced against
-	// the app draining the supply ring, so a lost edge here is the least
-	// improbable and stalls bulk senders.
-	writableBackstop = 5 * time.Millisecond
-)
-
 // Socket is one open socket. Blocking calls are wrappers over the
 // nonblocking core: issue the op, and on StatusErrAgain wait for the
-// matching readiness edge (bounded by the socket's deadline). SetNonblock
-// switches the wrappers to return ErrWouldBlock instead of waiting, which
-// is how a Poller-driven application uses the socket.
+// matching readiness edge (bounded by the socket's deadline). Nothing
+// re-polls: every EAGAIN the stack answers is followed by an edge
+// (docs/ARCHITECTURE.md "The wait contract"), so a blocked call wakes on
+// that edge, its deadline or Close. SetNonblock switches the wrappers to
+// return ErrWouldBlock instead of waiting, which is how a Poller-driven
+// application uses the socket.
 type Socket struct {
 	c     *Client
 	proto Proto
@@ -145,12 +133,16 @@ func (s *Socket) writeDeadline() time.Time {
 	return s.wrDeadline
 }
 
-// waitEvent blocks until one of the mask bits is posted for this socket
-// (consuming exactly those bits), the socket closes, or the deadline —
-// re-read through dl every wakeup, so concurrent SetDeadline calls take
-// effect — expires. A backstop > 0 bounds one wait: on its expiry (0, nil)
-// is returned and the caller re-issues the nonblocking op.
-func (s *Socket) waitEvent(mask uint64, dl func() time.Time, backstop time.Duration) (uint64, error) {
+// waitEvent is what a wrapper does with an EAGAIN: in user-level
+// nonblocking mode it returns ErrWouldBlock; otherwise it blocks until one
+// of the mask bits is posted for this socket (consuming exactly those bits),
+// the socket or its client closes, or the deadline — re-read through dl
+// every wakeup, so concurrent SetDeadline calls take effect — expires. The
+// caller then re-issues the nonblocking op.
+func (s *Socket) waitEvent(mask uint64, dl func() time.Time) error {
+	if s.nonblock.Load() {
+		return ErrWouldBlock
+	}
 	ev := s.ev
 	for {
 		ev.mu.Lock()
@@ -162,45 +154,24 @@ func (s *Socket) waitEvent(mask uint64, dl func() time.Time, backstop time.Durat
 		notify := ev.notify
 		ev.mu.Unlock()
 		if got != 0 {
-			return got, nil
+			return nil
 		}
 		if closed {
-			return 0, ErrClosed
+			return ErrClosed
 		}
-		deadline := dl()
-		wait := backstop
-		deadlineSooner := false
-		if !deadline.IsZero() {
+		var expiry <-chan time.Time // nil, never ready, without a deadline
+		if deadline := dl(); !deadline.IsZero() {
 			d := time.Until(deadline)
 			if d <= 0 {
-				return 0, ErrTimeout
+				return ErrTimeout
 			}
-			if wait <= 0 || d < wait {
-				wait = d
-				deadlineSooner = true
-			}
-		}
-		var timer *time.Timer
-		var expiry <-chan time.Time
-		if wait > 0 {
-			timer = time.NewTimer(wait)
-			expiry = timer.C
+			expiry = time.After(d) // collected once unreferenced (Go 1.23+)
 		}
 		select {
 		case <-notify:
-			if timer != nil {
-				timer.Stop()
-			}
-		case <-expiry:
-			if deadlineSooner && !time.Now().Before(dl()) {
-				return 0, ErrTimeout
-			}
-			return 0, nil // backstop: re-poll the op
+		case <-expiry: // the loop re-reads the deadline: SetDeadline may have moved it
 		case <-s.c.stop:
-			if timer != nil {
-				timer.Stop()
-			}
-			return 0, ErrClosed
+			return ErrClosed
 		}
 	}
 }
@@ -241,10 +212,7 @@ func (s *Socket) Accept() (*Socket, error) {
 			return nil, err
 		}
 		if rep.Status == msg.StatusErrAgain {
-			if s.nonblock.Load() {
-				return nil, ErrWouldBlock
-			}
-			if _, err := s.waitEvent(msg.EvAcceptReady|msg.EvError, s.readDeadline, acceptBackstop); err != nil {
+			if err := s.waitEvent(msg.EvAcceptReady|msg.EvError, s.readDeadline); err != nil {
 				return nil, err
 			}
 			continue
@@ -282,10 +250,7 @@ func (s *Socket) Connect(ip netpkt.IPAddr, port uint16) error {
 			return err
 		}
 		if rep.Status == msg.StatusErrAgain {
-			if s.nonblock.Load() {
-				return ErrWouldBlock
-			}
-			if _, err := s.waitEvent(msg.EvWritable|msg.EvError, s.writeDeadline, connectBackstop); err != nil {
+			if err := s.waitEvent(msg.EvWritable|msg.EvError, s.writeDeadline); err != nil {
 				return err
 			}
 			continue
@@ -366,51 +331,33 @@ func (s *Socket) SendTo(data []byte, dst netpkt.IPAddr, port uint16) (int, error
 		if err != nil {
 			return total, err
 		}
-		if filled == 0 {
-			// No free chunks: the stack is still draining earlier data.
-			// Wait for the transport's exhausted→free recycle edge.
-			if werr := s.sendWait(); werr != nil {
-				if total > 0 && errors.Is(werr, ErrWouldBlock) {
-					return total, nil // partial nonblocking send is a success
-				}
-				return total, werr
+		if filled > 0 {
+			rep, err := s.c.call(s.proto, r, time.Time{})
+			if err != nil {
+				return total, err
 			}
-			continue
-		}
-		rep, err := s.c.call(s.proto, r, time.Time{})
-		if err != nil {
-			return total, err
-		}
-		if err := statusErr(rep.Status); err != nil {
-			if errors.Is(err, ErrWouldBlock) {
-				// The stack rejected the chain under buffer pressure and
-				// recycled it; wait for the writable edge and restage.
-				if werr := s.sendWait(); werr != nil {
-					if total > 0 && errors.Is(werr, ErrWouldBlock) {
-						return total, nil
-					}
-					return total, werr
-				}
+			err = statusErr(rep.Status)
+			if err == nil {
+				total += n
 				continue
 			}
+			if !errors.Is(err, ErrWouldBlock) {
+				return total, err
+			}
+		}
+		// No free chunks — the stack is still draining earlier data — or
+		// the stack refused the chain under buffer pressure and recycled
+		// it: wait for the writable edge and restage. A nonblocking sender
+		// that already staged bytes has succeeded with a short count
+		// (write(2): never report an error after committing data).
+		if err := s.waitEvent(msg.EvWritable|msg.EvError, s.writeDeadline); err != nil {
+			if total > 0 && errors.Is(err, ErrWouldBlock) {
+				return total, nil
+			}
 			return total, err
 		}
-		total += n
 	}
 	return total, nil
-}
-
-// sendWait blocks a sender until the socket becomes writable. In
-// user-level nonblocking mode it fails with ErrWouldBlock instead; the
-// caller converts that to a short-count success when bytes were already
-// staged (write(2) semantics — never report an error after committing
-// data to the stream).
-func (s *Socket) sendWait() error {
-	if s.nonblock.Load() {
-		return ErrWouldBlock
-	}
-	_, err := s.waitEvent(msg.EvWritable|msg.EvError, s.writeDeadline, writableBackstop)
-	return err
 }
 
 // fillChain moves as much of data as fits into free shared-buffer chunks,
@@ -468,16 +415,13 @@ func (s *Socket) recvMeta(p []byte) (int, netpkt.IPAddr, uint16, error) {
 			return 0, netpkt.IPAddr{}, 0, err
 		}
 		if rep.Op != msg.OpSockRecvData {
-			if rep.Status == msg.StatusErrAgain {
-				if s.nonblock.Load() {
-					return 0, netpkt.IPAddr{}, 0, ErrWouldBlock
-				}
-				if _, werr := s.waitEvent(msg.EvReadable|msg.EvEOF|msg.EvError, s.readDeadline, recvBackstop); werr != nil {
-					return 0, netpkt.IPAddr{}, 0, werr
-				}
-				continue
+			if rep.Status != msg.StatusErrAgain {
+				return 0, netpkt.IPAddr{}, 0, statusErr(rep.Status)
 			}
-			return 0, netpkt.IPAddr{}, 0, statusErr(rep.Status)
+			if err := s.waitEvent(msg.EvReadable|msg.EvEOF|msg.EvError, s.readDeadline); err != nil {
+				return 0, netpkt.IPAddr{}, 0, err
+			}
+			continue
 		}
 		if err := statusErr(rep.Status); err != nil {
 			return 0, netpkt.IPAddr{}, 0, err
@@ -506,10 +450,12 @@ func (s *Socket) consumeRecvData(p []byte, rep msg.Req) (int, netpkt.IPAddr, uin
 		return 0, netpkt.IPAddr{}, 0, nil
 	}
 	n := 0
+	stale := false
 	for _, ptr := range rep.Chain() {
 		v, err := s.c.hub.Space.View(ptr)
 		if err != nil {
 			// The pool owner restarted under us; the bytes are gone.
+			stale = true
 			break
 		}
 		m := copy(p[n:], v)
@@ -529,6 +475,11 @@ func (s *Socket) consumeRecvData(p []byte, rep msg.Req) (int, netpkt.IPAddr, uin
 		done.Arg[0] = rep.Arg[2] // deliver cookie for datagram release
 	}
 	_ = s.c.post(s.proto, done)
+	if n == 0 && stale {
+		// Nothing was copied before the stale view: (0, nil) would read as
+		// EOF (TCP) or an empty datagram (UDP), but the bytes are gone.
+		return 0, srcIP, srcPort, ErrAborted
+	}
 	return n, srcIP, srcPort, nil
 }
 

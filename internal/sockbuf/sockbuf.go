@@ -12,7 +12,11 @@
 //	acknowledged (TCP) and recycles it into the ring
 //
 // An exhausted ring is back-pressure: the application blocks in send until
-// the stack has drained earlier data.
+// the stack has drained earlier data. A Get that comes up empty raises the
+// buffer's starved flag before it looks a second time, and the transport
+// takes the flag after it recycles (TakeStarved): either the second look
+// finds the recycled chunk or the transport finds the flag and owes the
+// writable edge, so no interleaving of the two sides loses the wakeup.
 //
 // Elastic buffers (NewElastic) provision sockets for the common case
 // instead of the worst: a socket starts with a small base complement and
@@ -25,6 +29,7 @@ package sockbuf
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"newtos/internal/shm"
 	"newtos/internal/spsc"
@@ -51,6 +56,9 @@ type Buf struct {
 	// elastic buffers return chunks beyond it to the pool on recycle.
 	base    int
 	elastic bool
+	// starved is set by the app when Get comes up empty and cleared by the
+	// transport that owes it the writable edge (TakeStarved).
+	starved atomic.Bool
 }
 
 // New allocates a static socket buffer in space, owned by owner. All chunks
@@ -113,8 +121,19 @@ func (b *Buf) ChunkSize() int { return b.pool.ChunkSize() }
 // Get pops a free chunk; app side only. An elastic buffer that outran its
 // ring grows the backing pool on demand. ok=false means the buffer is
 // exhausted (elastic: at its hard cap) and the caller should back off —
-// the EWOULDBLOCK-style flow-control signal, never an error.
+// the EWOULDBLOCK-style flow-control signal, never an error. The app may
+// then wait for the writable edge: the starved flag raised here makes the
+// transport's next recycle announce it.
 func (b *Buf) Get() (shm.RichPtr, bool) {
+	if ptr, ok := b.get(); ok {
+		return ptr, true
+	}
+	b.starved.Store(true)
+	return b.get()
+}
+
+// get is one look at the ring and, for an elastic buffer, the pool.
+func (b *Buf) get() (shm.RichPtr, bool) {
 	if ptr, ok := b.supply.TryDequeue(); ok {
 		return ptr, true
 	}
@@ -178,6 +197,13 @@ func (b *Buf) Tick() {
 	if b.elastic {
 		b.pool.Tick()
 	}
+}
+
+// TakeStarved reports, once, whether the app found the buffer exhausted
+// since the last call; transport side only, after recycling. True means the
+// app may be waiting and the transport owes it the writable edge.
+func (b *Buf) TakeStarved() bool {
+	return b.starved.Load() && b.starved.Swap(false)
 }
 
 // Free returns how many chunks are currently available to the app.

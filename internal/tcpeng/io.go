@@ -519,17 +519,16 @@ func (e *Engine) sendDone(r msg.Req) {
 	e.retxDone(r.ID)
 }
 
-// recycleAcked frees stream chunks that are fully acknowledged. If the
-// supply ring was exhausted (the app's fillChain came up empty), the
-// recycle is the exhausted → free edge a nonblocking sender waits on.
-// Deferred while any frame re-covering already-sent bytes is still at the
-// NIC: freeing the ring space would let the app overwrite the very memory
-// the NIC is reading out of that older copy.
+// recycleAcked frees stream chunks that are fully acknowledged. If the app
+// found its buffer exhausted (sockbuf.Buf.TakeStarved), the recycle is the
+// exhausted → free edge a sender waits on. Deferred while any frame
+// re-covering already-sent bytes is still at the NIC: freeing the ring space
+// would let the app overwrite the very memory the NIC is reading out of that
+// older copy.
 func (e *Engine) recycleAcked(p *pcb) {
 	if p.retxPending > 0 {
 		return
 	}
-	ringWasEmpty := p.buf != nil && p.buf.Free() == 0
 	recycled := false
 	for len(p.stream) > 0 {
 		c := p.stream[0]
@@ -542,7 +541,7 @@ func (e *Engine) recycleAcked(p *pcb) {
 		}
 		p.stream = p.stream[1:]
 	}
-	if recycled && ringWasEmpty {
+	if recycled && p.buf.TakeStarved() {
 		e.event(p, msg.EvWritable)
 	}
 }

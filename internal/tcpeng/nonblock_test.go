@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"newtos/internal/msg"
+	"newtos/internal/shm"
 )
 
 // setNonblock puts a socket in stack-level nonblocking mode via the op.
@@ -192,6 +193,51 @@ func TestSetFlagsAnnouncesReadiness(t *testing.T) {
 	pi.setNonblock(pi.a, csock)
 	if ev := pi.takeEvents(pi.a, csock); ev&msg.EvWritable == 0 {
 		t.Fatalf("arming did not announce writability (bits %#x)", ev)
+	}
+}
+
+// TestRecycleAnnouncesWritableToAStarvedSender: a sender that found its
+// buffer exhausted is owed EvWritable when acknowledged chunks come back; one
+// that never came up empty is not, however low its ring ran.
+func TestRecycleAnnouncesWritableToAStarvedSender(t *testing.T) {
+	pi := newPipe(t, false)
+	aBufs := captureBufs(pi.a)
+	csock, _ := pi.connectPair(8085)
+	pi.setNonblock(pi.a, csock)
+	if rep := pi.call(pi.a, msg.Req{Op: msg.OpSockBufEnsure, Flow: csock}); rep.Status != msg.StatusOK {
+		t.Fatalf("buf ensure: %d", rep.Status)
+	}
+	buf := aBufs[csock]
+	sendAll := func(starve bool) {
+		var chain []shm.RichPtr
+		for buf.Free() > 1 || starve {
+			chunk, ok := buf.Get()
+			if !ok {
+				break
+			}
+			ptr, err := buf.Write(chunk, []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain = append(chain, ptr)
+		}
+		r := msg.Req{Op: msg.OpSockSend, Flow: csock}
+		r.SetChain(chain)
+		if rep := pi.call(pi.a, r); rep.Status != msg.StatusOK {
+			t.Fatalf("send: %d", rep.Status)
+		}
+	}
+	pi.takeEvents(pi.a, csock) // the arming announcement
+
+	sendAll(false)
+	pi.run(100)
+	if ev := pi.takeEvents(pi.a, csock); ev&msg.EvWritable != 0 {
+		t.Fatalf("recycle announced writable to a sender that never ran dry (bits %#x)", ev)
+	}
+	sendAll(true)
+	pi.run(100)
+	if ev := pi.takeEvents(pi.a, csock); ev&msg.EvWritable == 0 {
+		t.Fatalf("no EvWritable edge for the starved sender after its chunks were acknowledged (bits %#x)", ev)
 	}
 }
 

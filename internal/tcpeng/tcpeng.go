@@ -716,43 +716,33 @@ func (e *Engine) initSendState(p *pcb) {
 	p.sndWnd = MSS
 }
 
-// ensureBuf creates and publishes the socket's TX buffer; false means
-// socket-buffer memory could not be provisioned (callers must surface that
-// as backpressure, not silence). Buffers are provisioned lazily — on first
-// send, or an explicit OpSockBufEnsure from the app's first buffer fetch —
-// so an idle connection holds no TX buffer memory at all.
-func (e *Engine) ensureBuf(p *pcb) bool {
-	if p.buf != nil {
-		return true
-	}
-	// Elastic: the socket starts at sockbuf.ElasticBaseChunks and grows on
-	// demand to sockbuf.DefaultChunks, shrinking back when the app goes
-	// idle — socket memory scales with active connections, not the worst
-	// case.
-	buf, err := sockbuf.NewElastic(e.cfg.Space, "tcp.sock."+strconv.FormatUint(uint64(p.id), 10),
-		sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
-	if err != nil {
-		return false
-	}
-	p.buf = buf
-	e.trackBuf(p)
-	if e.cfg.PublishBuf != nil {
-		e.cfg.PublishBuf(p.id, buf)
-	}
-	return true
-}
-
-// bufEnsure is the app-side handle on lazy buffer provisioning: the socket
-// layer issues it when a send finds no published buffer yet.
+// bufEnsure creates and publishes the socket's TX buffer. Buffers are
+// provisioned lazily — the socket layer issues OpSockBufEnsure when its
+// first send finds no published buffer — so an idle connection holds no TX
+// buffer memory at all. Memory that cannot be provisioned is NoBufs, which
+// the app hears as an error, not as a reason to wait.
 func (e *Engine) bufEnsure(r msg.Req) {
 	p := e.pcbOf(r.Flow)
 	if p == nil {
 		e.reply(r.ID, r.Flow, msg.StatusErrNoSock)
 		return
 	}
-	if !e.ensureBuf(p) {
-		e.reply(r.ID, r.Flow, msg.StatusErrNoBufs)
-		return
+	if p.buf == nil {
+		// Elastic: the socket starts at sockbuf.ElasticBaseChunks and grows
+		// on demand to sockbuf.DefaultChunks, shrinking back when the app
+		// goes idle — socket memory scales with active connections, not the
+		// worst case.
+		buf, err := sockbuf.NewElastic(e.cfg.Space, "tcp.sock."+strconv.FormatUint(uint64(p.id), 10),
+			sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
+		if err != nil {
+			e.reply(r.ID, r.Flow, msg.StatusErrNoBufs)
+			return
+		}
+		p.buf = buf
+		e.trackBuf(p)
+		if e.cfg.PublishBuf != nil {
+			e.cfg.PublishBuf(p.id, buf)
+		}
 	}
 	e.reply(r.ID, r.Flow, msg.StatusOK)
 }
@@ -779,10 +769,11 @@ func (e *Engine) send(r msg.Req) {
 		e.recycleChain(p, r)
 		return
 	}
-	if p.buf == nil && !e.ensureBuf(p) {
-		// The socket's shared buffer could not be provisioned: backpressure,
-		// not a hard error.
-		e.reply(r.ID, r.Flow, msg.StatusErrAgain)
+	if p.buf == nil {
+		// A chain can only be staged in the socket's buffer, which
+		// OpSockBufEnsure provisions first: these chunks are not the
+		// socket's, and there is no ring to hand them back to.
+		e.reply(r.ID, r.Flow, msg.StatusErrInval)
 		return
 	}
 	total := 0
@@ -1047,9 +1038,9 @@ func (e *Engine) OnFrontRestart() {
 	}
 }
 
-// OnIPRestart is the recovery action for a reincarnated IP server: stale
-// receive-pool references are dropped, the sends in flight to the dead
-// incarnation are aborted, and every connection with unacknowledged data
+// OnIPRestart is the recovery action for a reincarnated IP server: the
+// deliver cookies of the dead incarnation are forgotten, the sends in flight
+// to it are aborted, and every connection with unacknowledged data
 // retransmits what the peer does not hold at once, with fresh request IDs,
 // instead of waiting out an RTO ("it is much more important that we quickly
 // retransmit (possibly) lost packets to avoid the error detection and
@@ -1057,11 +1048,12 @@ func (e *Engine) OnFrontRestart() {
 // reduction: a crashed IP server is not congestion.
 func (e *Engine) OnIPRestart() {
 	for _, p := range e.byID {
-		// Drop unconsumed receive data that lives in the dead pool. The
-		// bytes were ACKed but never given to the app — this is exactly
-		// the "connection damage" an IP crash can cause; we keep rcvNxt
-		// so the stream stays consistent for in-flight delivery, and the
-		// peer's retransmissions cover the rest.
+		// Unconsumed receive data stays queued, views and all: only the
+		// cookies, which the new IP does not know, are zeroed. The bytes
+		// were ACKed, so nobody resends them; while their pool exists the
+		// app still reads them, and a view whose pool is gone fails the
+		// app's read with ErrAborted (sock) — the "connection damage" an
+		// IP crash can cause.
 		for i := range p.rcvQ {
 			p.rcvQ[i].deliverID = 0 // old IP is gone; nothing to release to
 		}

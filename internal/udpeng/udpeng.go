@@ -335,14 +335,14 @@ func (e *Engine) setFlags(r msg.Req) {
 }
 
 // recycle hands a send's chunks back to the socket's supply ring (the
-// engine is the ring's only producer; the app cannot). Refilling an
-// exhausted ring is the edge a nonblocking sender waits on.
+// engine is the ring's only producer; the app cannot). Refilling a ring the
+// app found exhausted (sockbuf.Buf.TakeStarved) is the edge a sender waits
+// on.
 func (e *Engine) recycle(s *socket, chain []shm.RichPtr) {
-	ringWasEmpty := s.buf.Free() == 0
 	for _, ptr := range chain {
 		s.buf.Recycle(ptr)
 	}
-	if ringWasEmpty && len(chain) > 0 {
+	if len(chain) > 0 && s.buf.TakeStarved() {
 		e.event(s, msg.EvWritable)
 	}
 }
@@ -377,9 +377,11 @@ func (e *Engine) send(r msg.Req) {
 	hdrPtr, hdrBuf, err := e.hdrPool.Alloc()
 	if err != nil {
 		// Header-pool exhaustion is backpressure: give the app its staged
-		// chunks back so the EWOULDBLOCK-style retry can restage them.
+		// chunks back and announce them, the writable edge the refused
+		// sender waits on before it restages.
 		e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusErrNoBufs))
 		e.recycle(s, r.Chain())
+		e.event(s, msg.EvWritable)
 		return
 	}
 	uh := netpkt.UDPHeader{
