@@ -353,8 +353,8 @@ func BenchmarkSec4_PollEcho(b *testing.B) {
 // BenchmarkSec4_C100K measures connection scale: many mostly-idle TCP
 // connections held established through the split stack while a 512-conn
 // subset echoes. Reports establishment rate, per-Tick engine cost at
-// baseline vs full population (the timing-wheel claim: idle connections
-// are ~free per Tick), whole-process heap per connection, and active-
+// baseline vs full population (idle connections arm no timer, so they are
+// ~free per Tick), whole-process heap per connection, and active-
 // subset echo latency. Defaults to 10k connections so the CI bench smoke
 // stays fast; set C100K_CONNS=100000 for the full EXPERIMENTS.md row.
 func BenchmarkSec4_C100K(b *testing.B) {

@@ -103,8 +103,8 @@ type C100KReport struct {
 
 	// Tick cost: average nanoseconds per TCP-engine Tick during an
 	// identical probe workload, sampled at Baseline conns and at full
-	// population. TickRatio = Full/Baseline; the timing wheel's claim is
-	// that idle connections are free, so this stays near 1.
+	// population. TickRatio = Full/Baseline; idle connections arm no timer,
+	// so they are free per Tick and this stays near 1.
 	BaselineConns  int
 	BaselineTickNs float64
 	FullTickNs     float64
@@ -134,8 +134,8 @@ func heapAlloc() uint64 {
 // RunC100K holds Conns concurrent TCP connections established through the
 // full split stack — mostly idle, with a small active echo subset — and
 // measures what scale costs: connection-establishment rate, per-Tick
-// engine cost at baseline vs full population (the timing-wheel claim:
-// idle connections cost ~zero per Tick), heap per connection (heap pcbs,
+// engine cost at baseline vs full population (idle connections arm no
+// timer, so they cost ~zero per Tick), heap per connection (heap pcbs,
 // lazy TX buffers), and active-subset echo latency under the idle mass.
 func RunC100K(opts C100KOpts) (C100KReport, error) {
 	opts.fill()

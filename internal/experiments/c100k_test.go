@@ -15,7 +15,7 @@ import (
 
 // TestC100KSmoke runs the connection-scale experiment small enough for the
 // default suite: a couple thousand mostly-idle connections plus an active
-// echo subset, exercising the timing wheel, the connection maps, ephemeral
+// echo subset, exercising the timer heap, the connection maps, ephemeral
 // port reuse across listener ports, and lazy TX-buffer provisioning end
 // to end through the split stack.
 func TestC100KSmoke(t *testing.T) {
@@ -59,8 +59,8 @@ func TestC100KScaleSmoke(t *testing.T) {
 	if rep.Established != rep.Conns {
 		t.Fatalf("established %d of %d connections", rep.Established, rep.Conns)
 	}
-	// The timing-wheel claim: per-Tick cost is set by the active probe,
-	// not the idle population. 2x is the acceptance bound at 100k vs 1k;
+	// Idle connections arm no timer: per-Tick cost is set by the active
+	// probe, not the idle population. 2x is the acceptance bound at 100k vs 1k;
 	// allow measurement slop at this smaller scale.
 	if rep.TickRatio > 2.5 {
 		t.Errorf("tick cost grew x%.2f from %d to %d conns (%.0f -> %.0f ns), want <= 2.5x",

@@ -97,6 +97,7 @@ func (a *peerApp) poll() {
 		a.e.FromFront(done, a.pi.now)
 	}
 	*a.front = (*a.front)[:0]
+	a.pi.audited()
 }
 
 // pump is one turn of the virtual-time loop: move what is pending, then
@@ -115,6 +116,7 @@ func (pi *pipe) pump() (moved bool) {
 	pi.now = next
 	pi.a.Tick(pi.now)
 	pi.b.Tick(pi.now)
+	pi.audited()
 	return moved
 }
 
@@ -219,7 +221,8 @@ func (pi *pipe) checkNothingLeaked() {
 // TestSeededAdversity: whatever the wire does — lose, duplicate, hold back
 // by a few steps, each drawn from the seed — both directions arrive
 // byte-exact, both FINs complete, and nothing is leaked. Each seed also
-// picks TSO and GRO on or off and the transfer sizes.
+// picks TSO and GRO on or off and the transfer sizes. After every event
+// either engine is handed, its timer heap holds exactly its armed timers.
 func TestSeededAdversity(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -232,6 +235,10 @@ func TestSeededAdversity(t *testing.T) {
 		pi := newPipe(t, rng.Intn(2) == 0)
 		pi.gro = rng.Intn(2) == 0
 		pi.latency = rng.Intn(3)
+		pi.audit = func() {
+			checkTimers(t, pi.a)
+			checkTimers(t, pi.b)
+		}
 		pi.fate = func(string, int, []byte) (copies, delay int) {
 			copies = 1
 			switch x := rng.Float64(); {

@@ -26,31 +26,6 @@ func (pi *pipe) swap(ep **Engine) {
 	*ep = nw
 }
 
-// armedTimers counts non-zero wheel indexes across all pcbs. Immediately
-// after a restore this must equal wheel.live exactly: the fresh wheel holds
-// one entry per armed timer and nothing else — any excess is a ghost entry
-// that would double-fire.
-func armedTimers(e *Engine) int {
-	n := 0
-	for _, p := range e.byID {
-		for k := 0; k < numTimers; k++ {
-			if p.wheelAt[k] != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func checkNoGhosts(t *testing.T, e *Engine, who string) int {
-	t.Helper()
-	armed := armedTimers(e)
-	if e.wheel.live != armed {
-		t.Fatalf("%s: wheel holds %d entries for %d armed timers (ghosts)", who, e.wheel.live, armed)
-	}
-	return armed
-}
-
 // TestHandoffMidTransfer swaps first the receiver and then the sender in
 // the middle of a bulk transfer; every byte must arrive exactly once and in
 // order across both swaps.
@@ -68,14 +43,14 @@ func TestHandoffMidTransfer(t *testing.T) {
 
 	pi.sendBytes(pi.a, aBufs, csock, data[:half])
 	pi.swap(&pi.b) // receiver: rcvQ, delayed-ACK state and listener cross over
-	checkNoGhosts(t, pi.b, "receiver after swap")
+	checkTimers(t, pi.b)
 	got := pi.recvBytes(pi.b, child, half)
 	if !bytes.Equal(got, data[:half]) {
 		t.Fatal("first half corrupted across receiver swap")
 	}
 
 	pi.swap(&pi.a) // sender: un-ACKed stream chunks and RTO state cross over
-	checkNoGhosts(t, pi.a, "sender after swap")
+	checkTimers(t, pi.a)
 	pi.sendBytes(pi.a, aBufs, csock, data[half:])
 	got = pi.recvBytes(pi.b, child, len(data)-half)
 	if !bytes.Equal(got, data[half:]) {
@@ -100,8 +75,8 @@ func TestHandoffMidTransfer(t *testing.T) {
 }
 
 // TestHandoffGhostTimers runs a double swap back-to-back while timers are
-// armed: the second restore must produce the same timer census as the
-// first — duplicate wheel entries would accumulate swap over swap.
+// armed: each restore leaves the heap holding exactly the armed timers, and
+// the second the same census as the first — a ghost entry would double-fire.
 func TestHandoffGhostTimers(t *testing.T) {
 	pi := newPipe(t, false)
 	aBufs := captureBufs(pi.a)
@@ -110,14 +85,14 @@ func TestHandoffGhostTimers(t *testing.T) {
 	pi.sendBytes(pi.a, aBufs, csock, bytes.Repeat([]byte{0xAB}, 8192))
 
 	pi.swap(&pi.a)
-	first := checkNoGhosts(t, pi.a, "after first swap")
+	first := checkTimers(t, pi.a)
 	pi.swap(&pi.a)
-	second := checkNoGhosts(t, pi.a, "after second swap")
+	second := checkTimers(t, pi.a)
 	if first != second {
 		t.Fatalf("timer census changed across idle swap: %d -> %d", first, second)
 	}
 
-	// Timers still fire on the new wheel: a retransmission deadline left
+	// Timers still fire in the new heap: a retransmission deadline left
 	// armed must not strand the connection.
 	if got := pi.recvBytes(pi.b, child, 8192); !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, 8192)) {
 		t.Fatal("payload corrupted across double swap")

@@ -291,8 +291,7 @@ func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
 	if p.sndUna == p.sndNxt {
 		e.disarmTimer(p, timerRTO)
 	} else {
-		// Push the deadline out; the existing wheel entry (if earlier) is
-		// reused and re-indexes itself when it comes up.
+		// Push the deadline out: the armed entry moves down the heap.
 		e.armRetx(p)
 	}
 	if len(p.sacked) > 0 {

@@ -267,10 +267,11 @@ func (e *Engine) sendRstFor(th netpkt.TCPHeader, srcIP, localIP netpkt.IPAddr) {
 	e.stats.SegsOut++
 }
 
-// Tick drives every per-connection timer through the timing wheel:
-// retransmission, delayed ACK, TIME-WAIT reaping, and handshake retries.
-// Cost scales with due timers and live TX buffers, not total connections —
-// an idle connection contributes nothing here.
+// Tick fires every per-connection timer whose deadline is at or before now —
+// retransmission, delayed ACK, TIME-WAIT reaping, and handshake retries —
+// earliest first. Cost scales with due timers and live TX buffers, not total
+// connections: an idle connection contributes nothing here. A handler
+// re-arms at now plus a positive delay, so the loop ends.
 func (e *Engine) Tick(now time.Time) {
 	//lint:ignore hotloop Tick self-times its own cost (tickNanos observability counter); the passed-in now can't measure this iteration.
 	t0 := time.Now()
@@ -285,7 +286,9 @@ func (e *Engine) Tick(now time.Time) {
 	for _, p := range e.bufs {
 		p.buf.Tick()
 	}
-	e.wheel.advance(now, e.fireTimer)
+	for t, ok := e.timers.popDue(now); ok; t, ok = e.timers.popDue(now) {
+		e.fireTimer(t.p, t.kind)
+	}
 	e.flushIfDue()
 	e.tickCount.Add(1)
 	//lint:ignore hotloop closes the t0 self-timing above.
@@ -304,7 +307,7 @@ func (e *Engine) trackFrame(id uint64, hdr shm.RichPtr) {
 	})
 }
 
-// fireTimer dispatches one due wheel timer.
+// fireTimer dispatches one due timer.
 func (e *Engine) fireTimer(p *pcb, kind int) {
 	switch kind {
 	case timerDelAck:
@@ -377,11 +380,11 @@ func (e *Engine) rtoFire(p *pcb) {
 	e.armTimer(p, timerRTO, e.now.Add(p.rto))
 }
 
-// Deadline returns the earliest pending timer (a conservative lower bound
-// from the wheel — see nextDeadline) and, when a coalesced state save is
-// outstanding, its flush time. O(wheel slots), independent of connections.
+// Deadline returns the earliest armed timer's deadline, exactly, or the
+// flush time of an outstanding coalesced state save if that comes first.
+// O(1), independent of connections.
 func (e *Engine) Deadline(now time.Time) time.Time {
-	min := e.wheel.nextDeadline()
+	min := e.timers.next()
 	if t := e.save.Deadline(len(e.byID)); !t.IsZero() && (min.IsZero() || t.Before(min)) {
 		min = t
 	}

@@ -7,7 +7,7 @@ import (
 	"newtos/internal/msg"
 )
 
-// Regression tests pinning parked-pcb semantics on the timing wheel:
+// Regression tests pinning parked-pcb semantics on the timers:
 // parkFailed must disarm every timer, so a parked pcb never re-enters
 // rtoFire — which would spam EvError edges and re-poison the read-cleared
 // connect status — no matter how long the engine keeps ticking.

@@ -17,11 +17,11 @@ package tcpeng
 //     one record per listener keeping only what paper Table I says TCP can
 //     recover. Established connections die with the server.
 //
-// Restore reads either and installs each decoded pcb as it is (wheelAt is
-// never in a record, so re-arm is never short-circuited). Id and tuple
-// maps, listener map, port table and receive-cookie counts are rebuilt from
-// the pcbs, so they can never disagree with them; request ids are
-// re-seeded, timers re-armed on a fresh wheel from the transferred
+// Restore reads either and installs each decoded pcb as it is (heapPos is
+// never in a record, so a decoded pcb starts with every timer disarmed). Id
+// and tuple maps, listener map, port table and receive-cookie counts are
+// rebuilt from the pcbs, so they can never disagree with them; request ids
+// are re-seeded, timers re-armed in a fresh heap from the transferred
 // deadlines, and readiness conservatively re-announced for nonblocking
 // sockets — spurious edges, never lost ones.
 //
@@ -42,9 +42,9 @@ import (
 
 // record names every field of a pcb that means something to another
 // incarnation, in wire order, and reports whether the socket has a TX
-// buffer (the buffer itself crosses by handle). bufIdx and wheelAt are
-// deliberately absent: they index this incarnation's buffer list and
-// wheel.
+// buffer (the buffer itself crosses by handle). bufIdx and heapPos are
+// deliberately absent: they index this incarnation's buffer list and timer
+// heap.
 func (p *pcb) record(c *staterec.Codec) (hasBuf bool) {
 	staterec.Num(c, &p.id)
 	staterec.Num(c, &p.state)
@@ -239,10 +239,9 @@ func (e *Engine) HandoffState() ([]byte, map[uint32]*sockbuf.Buf, error) {
 // no handles — the SaveState image a crashed incarnation left in storage,
 // which recovers the listening sockets (previously established connections
 // are not restored; peers learn via RST when their next segment arrives).
-// now seeds the engine clock so re-armed timers index correctly on the
-// fresh wheel. Called from a new incarnation's Init, before its first Poll;
-// an engine whose restore failed is half-built and must be discarded, as
-// Init does.
+// now seeds the engine clock. Called from a new incarnation's Init, before
+// its first Poll; an engine whose restore failed is half-built and must be
+// discarded, as Init does.
 func (e *Engine) Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Time) error {
 	e.now = now
 	err := staterec.Decode(blob, func(c *staterec.Codec) {
@@ -268,7 +267,7 @@ func (e *Engine) Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, now time.Tim
 
 // installPCB gives a decoded pcb a home in this incarnation: its index
 // entries, its share of the port table and listener map, its TX buffer, and
-// its timers on this wheel. Crash recovery and live update both end here.
+// its timers in this heap. Crash recovery and live update both end here.
 func (e *Engine) installPCB(p *pcb, hasBuf bool, buf *sockbuf.Buf) error {
 	if hasBuf && buf == nil {
 		return fmt.Errorf("pcb %d: missing TX buffer handle", p.id)
@@ -310,9 +309,9 @@ func (e *Engine) installPCB(p *pcb, hasBuf bool, buf *sockbuf.Buf) error {
 		// live — the buffer object itself never changed — so no re-publish.
 	}
 
-	// Re-arm parked timers on the fresh wheel. A decoded wheelAt is zero, so
-	// arm never short-circuits; deadlines already in the past fire on the
-	// first Tick.
+	// Re-arm parked timers in the fresh heap. A decoded heapPos is zero, so
+	// each goes in as new; deadlines already in the past fire on the first
+	// Tick.
 	for kind := 0; kind < numTimers; kind++ {
 		if at := *p.timerAt(kind); !at.IsZero() {
 			e.armTimer(p, kind, at)

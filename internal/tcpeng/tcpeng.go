@@ -34,10 +34,11 @@
 //
 // Connection scale (docs/ARCHITECTURE.md "Connection scale"): a pcb is an
 // ordinary heap object found through two Go maps (socket id, four-tuple),
-// all timers ride a hierarchical timing wheel (wheel.go), TX buffers are
-// provisioned lazily on first use, and state persistence is coalesced to
-// one save per Tick and paced by table size (state.go) — so both Tick and
-// memory cost scale with active connections, not total connections.
+// the armed timers sit in one binary min-heap (timers.go) that an idle
+// connection never enters, TX buffers are provisioned lazily on first use,
+// and state persistence is coalesced to one save per Tick and paced by table
+// size (state.go) — so both Tick and memory cost scale with active
+// connections, not total connections.
 package tcpeng
 
 import (
@@ -224,9 +225,9 @@ type pcb struct {
 	inRecovery bool
 	probe      uint8 // tail-loss probe state (probeIdle, probeArmed, probeSent)
 
-	// Timing-wheel bookkeeping (wheel.go): per kind, the tick of the live
-	// wheel entry (0 = none indexed); an entry at any other tick is stale.
-	wheelAt [numTimers]int64
+	// Per timer kind, the position in Engine.timers plus one (timers.go);
+	// 0 = disarmed.
+	heapPos [numTimers]int32
 
 	// Receive state. oooQ is the reassembly queue (reasm.go): segments that
 	// arrived above rcvNxt, inside the advertised window.
@@ -281,7 +282,7 @@ type Engine struct {
 	byTuple   map[fourTuple]*pcb
 	listeners map[uint16]uint32
 	ports     portTable
-	wheel     timerWheel
+	timers    timerHeap
 	bufs      []*pcb // sockets with a live TX buffer (Tick only walks these)
 
 	// deliverRefs counts receive-queue items still referencing a deliver
@@ -378,18 +379,16 @@ func (e *Engine) SocketState(id uint32) (State, bool) {
 	return p.state, true
 }
 
-// armTimer sets a pcb timer's deadline and indexes it on the wheel.
+// armTimer sets a pcb timer's deadline and files it in the heap.
 func (e *Engine) armTimer(p *pcb, kind int, at time.Time) {
 	*p.timerAt(kind) = at
-	e.wheel.maybeInit(e.now)
-	e.wheel.arm(p, kind, at)
+	e.timers.set(p, kind)
 }
 
-// disarmTimer clears a pcb timer; its wheel entry (if any) no longer
-// matches wheelAt and is dropped when its slot comes up — O(1) cancellation.
+// disarmTimer clears a pcb timer and takes it out of the heap.
 func (e *Engine) disarmTimer(p *pcb, kind int) {
 	*p.timerAt(kind) = zeroTime
-	p.wheelAt[kind] = 0
+	e.timers.remove(p, kind)
 }
 
 // disarmAll clears every timer of a pcb (park, destroy).
@@ -962,8 +961,7 @@ func (e *Engine) dropTuple(p *pcb) {
 // the port reservation is dropped (listener ports stay reserved until the
 // listener closes), the TX buffer's backing pool is removed from the
 // shared space and its registry export withdrawn, and the pcb leaves the
-// id index. Its timers are disarmed, so wheel entries still pointing at it
-// are dropped when their slots come up.
+// id index. Its timers are disarmed, so the heap holds nothing of it.
 func (e *Engine) destroy(p *pcb) {
 	e.releaseRx(p)
 	if p.bound && p.state != StateListen {

@@ -42,6 +42,16 @@ type pipe struct {
 	aFront, bFront []msg.Req
 	callID         uint64
 	now            time.Time
+
+	// audit, when set, runs after every delivery, send completion, Tick and
+	// application turn the virtual-time loop hands an engine.
+	audit func()
+}
+
+func (pi *pipe) audited() {
+	if pi.audit != nil {
+		pi.audit()
+	}
 }
 
 // wireSeg is a segment on the wire, arriving at step due at whichever engine
@@ -140,6 +150,7 @@ func (pi *pipe) carry(src *Engine, dir string) bool {
 				}
 			}
 			src.FromIP(msg.Req{ID: r.ID, Op: msg.OpIPSendDone, Status: msg.StatusOK}, pi.now)
+			pi.audited()
 		case msg.OpIPDeliverDone:
 			pi.recycle(r.ID)
 		}
@@ -205,6 +216,7 @@ func (pi *pipe) deliver(dst *Engine, srcIP netpkt.IPAddr, run [][]byte) {
 		req.Arg[3] = uint64(len(run))
 	}
 	dst.FromIP(req, pi.now)
+	pi.audited()
 }
 
 // tsoSplitL4 splits an L4 TCP burst into mss-sized segments (header-only
