@@ -7,6 +7,7 @@ package suite
 import (
 	"newtos/internal/analysis"
 	"newtos/internal/analysis/atomicmix"
+	"newtos/internal/analysis/busywait"
 	"newtos/internal/analysis/chunkleak"
 	"newtos/internal/analysis/hotloop"
 	"newtos/internal/analysis/opswitch"
@@ -16,6 +17,7 @@ import (
 // Analyzers is the full netlint suite, in reporting-name order.
 var Analyzers = []*analysis.Analyzer{
 	atomicmix.Analyzer,
+	busywait.Analyzer,
 	chunkleak.Analyzer,
 	hotloop.Analyzer,
 	opswitch.Analyzer,

@@ -418,6 +418,7 @@ func spin(d time.Duration) {
 		return
 	}
 	start := time.Now()
+	//lint:ignore busywait burning the core is the point: this models trap cost.
 	for time.Since(start) < d {
 	}
 }

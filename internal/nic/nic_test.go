@@ -653,6 +653,39 @@ func TestWireCloseWithFramesInFlight(t *testing.T) {
 	}
 }
 
+// TestWireYieldsWhileFrameInFlight holds the wire to sharing the processor
+// with the stack: on one P, with a frame waiting out its latency, a goroutine
+// that yields in a loop keeps running until the frame arrives. A delivery
+// loop that spins to the due instant holds the only P for the whole wait, and
+// this goroutine gets no turn between transmit and delivery.
+func TestWireYieldsWhileFrameInFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a, b, space, done := devicePair(t, WireConfig{Latency: 400 * time.Microsecond})
+	defer done()
+	postBuffers(t, space, b, 1)
+	txPool, _ := space.NewPool("tx", 2048, 1)
+	frame := buildFrame(t, []byte("in flight"), true)
+	ptr, buf, _ := txPool.Alloc()
+	copy(buf, frame)
+	if err := a.PostTx(TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, uint32(len(frame)))}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	inFlight := 0
+	for len(b.CollectRx()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("frame not delivered")
+		}
+		if a.Stats().TxFrames == 1 {
+			inFlight++
+		}
+		runtime.Gosched()
+	}
+	if inFlight < 50 {
+		t.Fatalf("%d turns while the frame was in flight, want at least 50", inFlight)
+	}
+}
+
 func BenchmarkDeviceTxRx1500(b *testing.B) {
 	space := shm.NewSpace()
 	a := NewDevice(DeviceConfig{Name: "a", CsumOffload: true}, space)

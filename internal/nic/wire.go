@@ -14,6 +14,7 @@ package nic
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,10 +183,12 @@ func (d *wireDir) deliverLoop() {
 		case <-d.stop:
 			return
 		case tf := <-d.queue:
-			// Waits below timer granularity must spin: at gigabit rates a
-			// full frame is due ≈12µs after the one before it, and sleeping
-			// through the OS timer (~100µs) would add RTT bubbles a real
-			// link does not have.
+			// Waits below timer granularity poll the clock: at gigabit
+			// rates a full frame is due ≈12µs after the one before it, and a
+			// Go timer can fire a millisecond late, which would add RTT
+			// bubbles a real link does not have. The poll yields between
+			// reads because the stack's loops share these processors: a
+			// bare spin holds one of them for the whole wait, per direction.
 			if wait := time.Until(tf.due); wait > 500*time.Microsecond {
 				t := time.NewTimer(wait)
 				select {
@@ -196,6 +199,7 @@ func (d *wireDir) deliverLoop() {
 				}
 			}
 			for time.Now().Before(tf.due) {
+				runtime.Gosched()
 			}
 			d.mu.Lock()
 			dst := d.dst
