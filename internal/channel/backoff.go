@@ -5,28 +5,33 @@ import (
 	"time"
 )
 
-// Backoff paces a spin loop that polls for work: the first spins yield
-// the processor (cheap, keeps latency low when work arrives immediately),
-// then successive empty polls sleep for exponentially growing intervals
-// up to a small cap. Unpinned runs on few cores must not burn a whole
-// timeslice per empty poll — a pure Gosched loop does exactly that when
-// every other runnable goroutine is also a spinning server loop. The cap
-// stays far below doorbell wakeup latency, so sleeping here never becomes
-// the bottleneck; loops still Arm their doorbell and block properly once
-// their spin budget runs out.
+// Backoff paces the spin phase of a loop that waits for work: the first
+// spins yield the processor (cheap, keeps latency low when work arrives
+// immediately), then successive idle spins sleep for exponentially growing
+// intervals up to a small cap. Unpinned runs on few cores must not burn a
+// whole timeslice per idle spin — a pure Gosched loop does exactly that
+// when every other runnable goroutine is also a spinning server loop. The
+// cap stays far below doorbell wakeup latency, so sleeping here never
+// becomes the bottleneck; loops still Arm their doorbell and block properly
+// once their spin budget runs out.
+//
+// Backoff only paces; what a spin does is the loop's business. A loop that
+// owns a doorbell (proc's event loop) watches the bell's post count while it
+// spins and polls its queues again only when the count moves or a deadline
+// falls due, so an idle spin costs one atomic load plus the wait below.
 type Backoff struct {
 	n int
 }
 
-// Backoff tuning: yield for the first spinYields empty polls, then sleep
-// starting at sleepMin, doubling per empty poll up to sleepMax.
+// Backoff tuning: yield for the first spinYields idle spins, then sleep
+// starting at sleepMin, doubling per idle spin up to sleepMax.
 const (
 	spinYields = 32
 	sleepMin   = 1 * time.Microsecond
 	sleepMax   = 32 * time.Microsecond
 )
 
-// Wait blocks appropriately for the n-th consecutive empty poll.
+// Wait blocks appropriately for the n-th consecutive idle spin.
 func (b *Backoff) Wait() {
 	if b.n < spinYields {
 		b.n++
@@ -43,7 +48,7 @@ func (b *Backoff) Wait() {
 }
 
 // Saturated reports that the backoff has ramped to its maximum sleep: the
-// streak of empty polls is long enough that further Wait calls buy nothing
+// streak of idle spins is long enough that further Wait calls buy nothing
 // over a real blocking mechanism. Loops that own a doorbell should stop
 // spinning and park on it at this point — hundreds of capped micro-sleeps
 // per idle episode are a timer-interrupt storm that starves busy loops on

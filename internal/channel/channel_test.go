@@ -124,6 +124,58 @@ func TestDoorbellRingWhileAwakeIsCheapAndLost(t *testing.T) {
 	}
 }
 
+// TestDoorbellCountsEveryRing: a spinning consumer watches Posts, so a ring
+// must count whether or not the consumer has armed the bell.
+func TestDoorbellCountsEveryRing(t *testing.T) {
+	d := NewDoorbell()
+	d.Ring() // awake
+	if got := d.Posts(); got != 1 {
+		t.Fatalf("Posts after an awake ring = %d, want 1", got)
+	}
+	d.Arm()
+	d.Ring() // armed: wakes and counts
+	if got := d.Posts(); got != 2 {
+		t.Fatalf("Posts after an armed ring = %d, want 2", got)
+	}
+	if !d.Wait(time.Second) || d.Wakeups() != 1 {
+		t.Fatalf("armed ring did not wake (Wakeups = %d)", d.Wakeups())
+	}
+	d.Ring() // awake again
+	if got := d.Posts(); got != 3 || d.Wakeups() != 1 {
+		t.Fatalf("Posts = %d, Wakeups = %d, want 3 and 1", got, d.Wakeups())
+	}
+}
+
+// TestFullRingWakesProducer: a producer whose batch the ring cut short may
+// stop polling with the remainder staged, so the consumer freeing space
+// must ring the producer's bell.
+func TestFullRingWakesProducer(t *testing.T) {
+	prodBell, consBell := NewDoorbell(), NewDoorbell()
+	prod, cons, err := NewDuplex(4, prodBell, consBell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]msg.Req, 6)
+	if n := prod.Out.SendBatch(batch); n != 4 {
+		t.Fatalf("SendBatch into a depth-4 queue = %d, want 4", n)
+	}
+	prodBell.Arm()
+	woke := make(chan bool)
+	go func() { woke <- prodBell.Wait(time.Second) }()
+	if n := cons.In.RecvBatch(make([]msg.Req, 1)); n != 1 {
+		t.Fatalf("RecvBatch = %d, want 1", n)
+	}
+	if !<-woke {
+		t.Fatal("freeing a full ring did not wake its producer within 1 s")
+	}
+	// The mark is taken once: draining further does not ring again.
+	posts := prodBell.Posts()
+	cons.In.RecvBatch(make([]msg.Req, 4))
+	if got := prodBell.Posts(); got != posts {
+		t.Fatalf("producer rung %d more times after the mark was taken", got-posts)
+	}
+}
+
 func TestDoorbellArmRecheckProtocol(t *testing.T) {
 	// Producer enqueues then rings; consumer arms then re-checks. Whatever
 	// the interleaving, the consumer must observe the item without hanging.

@@ -23,14 +23,18 @@ import (
 // each server exports one memory location it watches while idle, and every
 // producer that appends to one of the server's queues "writes" to it.
 //
-// While the consumer is running, Ring costs a single atomic load. Only when
-// the consumer has announced it is going to sleep (Arm) does Ring pay for a
-// wake-up — mirroring the paper's observation that waking an idle core is
-// expensive (kernel-assisted MWAIT) while polling a hot one is free.
+// Every Ring counts one post, awake or armed: a consumer that is still
+// spinning watches that count (Posts) instead of re-reading its queues, the
+// way a monitored cache line changes under MWAIT. While the consumer is
+// running, Ring costs one atomic add and one atomic load. Only when the
+// consumer has announced it is going to sleep (Arm) does Ring also pay one
+// CAS and a wake-up — mirroring the paper's observation that waking an idle
+// core is expensive (kernel-assisted MWAIT) while polling a hot one is free.
 type Doorbell struct {
 	// state is 0 while the consumer is awake and 1 once it has armed the
 	// bell before sleeping.
 	state atomic.Int32
+	posts atomic.Uint64 // how many times the bell was rung
 	wake  chan struct{}
 	rungs atomic.Uint64 // how many times a sleeper was actually woken
 }
@@ -40,9 +44,12 @@ func NewDoorbell() *Doorbell {
 	return &Doorbell{wake: make(chan struct{}, 1)}
 }
 
-// Ring wakes the consumer if (and only if) it is sleeping. Producers call
-// it after every enqueue; in the common busy case it is one atomic load.
+// Ring counts a post and wakes the consumer if (and only if) it is
+// sleeping. Producers call it after every enqueue, so a post count read
+// before a poll that has not moved since means nothing was enqueued after
+// that read.
 func (d *Doorbell) Ring() {
+	d.posts.Add(1)
 	if d.state.Load() == 1 && d.state.CompareAndSwap(1, 0) {
 		d.rungs.Add(1)
 		select {
@@ -96,3 +103,12 @@ func (d *Doorbell) Wait(timeout time.Duration) bool {
 // Wakeups returns how many times a sleeping consumer was woken, an
 // indicator of how often the stack fell off the polling fast path.
 func (d *Doorbell) Wakeups() uint64 { return d.rungs.Load() }
+
+// Posts returns how many times the bell was rung, armed or not. It is the
+// spinning consumer's one load per idle iteration: it polls its queues
+// again only once the count has moved since it last looked.
+func (d *Doorbell) Posts() uint64 { return d.posts.Load() }
+
+// Armed reports whether the consumer has armed the bell and not yet been
+// woken or disarmed: it is parked, or about to be.
+func (d *Doorbell) Armed() bool { return d.state.Load() == 1 }

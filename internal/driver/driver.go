@@ -108,7 +108,7 @@ func (s *Server) Poll(now time.Time) bool {
 
 	// Link transitions are edge events IP's route table depends on: report
 	// every change exactly once (SetLink raises an interrupt, so the loop
-	// wakes promptly; retrain completion is caught by the regular poll).
+	// wakes promptly; retrain completion is Deadline's).
 	if up := s.dev.LinkUp(); !s.linkKnown || up != s.lastLink {
 		s.linkKnown, s.lastLink = true, up
 		ev := msg.Req{Op: msg.OpLinkEvent}
@@ -202,8 +202,14 @@ func (s *Server) handleIPReq(r msg.Req) {
 // (wiring.DropReporter).
 func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.outIP) }
 
-// Deadline: the driver has no timers; device interrupts wake it.
-func (s *Server) Deadline(now time.Time) time.Time { return time.Time{} }
+// Deadline is the instant a training link comes up, the one device
+// transition that raises no interrupt; zero once the link is trained.
+func (s *Server) Deadline(now time.Time) time.Time {
+	if at := s.dev.LinkUpAt(); !now.After(at) {
+		return at
+	}
+	return time.Time{}
+}
 
 // Stop releases the kernel endpoint.
 func (s *Server) Stop() {

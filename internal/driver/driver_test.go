@@ -53,10 +53,14 @@ func (r *rig) send(req msg.Req) bool {
 	return r.ip.Flush(time.Now(), true)
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigWith(t, 0) }
+
+// newRigWith boots the rig with a device whose link trains for linkUpDelay
+// after a reset.
+func newRigWith(t *testing.T, linkUpDelay time.Duration) *rig {
 	t.Helper()
 	hub := wiring.NewHub(kipc.New(kipc.Config{}))
-	dev := nic.NewDevice(nic.DeviceConfig{Name: "eth0", MAC: netpkt.MAC{1, 2, 3, 4, 5, 6}}, hub.Space)
+	dev := nic.NewDevice(nic.DeviceConfig{Name: "eth0", MAC: netpkt.MAC{1, 2, 3, 4, 5, 6}, LinkUpDelay: linkUpDelay}, hub.Space)
 	peer := nic.NewDevice(nic.DeviceConfig{Name: "peer"}, hub.Space)
 	w := nic.NewWire(nic.WireConfig{})
 	w.AttachA(dev)
@@ -221,5 +225,45 @@ func TestDriverSurvivesRestartAndResetsDevice(t *testing.T) {
 	}
 	if r.dev.Stats().Resets == resets {
 		t.Fatal("device not reset on driver restart")
+	}
+}
+
+// TestResetRetrainsOnDeadline: a reset link comes up without an interrupt,
+// so while it trains the driver's Deadline is the link-up instant, and the
+// up event reaches IP once that instant passes.
+func TestResetRetrainsOnDeadline(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	r := newRigWith(t, delay)
+	r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpDrvInfo })
+	if ev := r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpLinkEvent }); ev.Arg[0] != 1 {
+		t.Fatalf("initial link event = %+v, want up", ev)
+	}
+	s := New("eth0", wiring.NewPorts(r.hub, "eth0"), r.dev)
+	if dl := s.Deadline(time.Now()); !dl.IsZero() {
+		t.Fatalf("Deadline = %v on a trained link, want zero", dl)
+	}
+
+	before := time.Now()
+	if !r.send(msg.Req{Op: msg.OpDrvReset}) {
+		t.Fatal("reset request not sent")
+	}
+	if ev := r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpLinkEvent }); ev.Arg[0] != 0 {
+		t.Fatalf("link event after reset = %+v, want down", ev)
+	}
+	at := r.dev.LinkUpAt()
+	if at.Before(before.Add(delay)) {
+		t.Fatalf("link-up instant %v is earlier than reset + %v", at.Sub(before), delay)
+	}
+	if dl := s.Deadline(at.Add(-time.Millisecond)); !dl.Equal(at) {
+		t.Fatalf("Deadline while training = %v, want the link-up instant %v", dl, at)
+	}
+	if dl := s.Deadline(at.Add(time.Nanosecond)); !dl.IsZero() {
+		t.Fatalf("Deadline after training = %v, want zero", dl)
+	}
+	if ev := r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpLinkEvent }); ev.Arg[0] != 1 {
+		t.Fatalf("link event after training = %+v, want up", ev)
+	}
+	if now := time.Now(); now.Before(at) {
+		t.Fatalf("link reported up %v before its link-up instant", at.Sub(now))
 	}
 }

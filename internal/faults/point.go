@@ -12,6 +12,7 @@ package faults
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,6 +64,9 @@ func (i Injected) Error() string {
 // construct with NewPoint.
 type Point struct {
 	component string
+	// armed is true while a fault is scheduled and has not fired: Check,
+	// which runs on every loop iteration, returns on one load otherwise.
+	armed atomic.Bool
 
 	mu        sync.Mutex
 	kind      Kind
@@ -94,6 +98,7 @@ func (p *Point) ArmAfter(k Kind, d time.Duration) {
 	p.kind = k
 	p.at = time.Now().Add(d)
 	p.fired = false
+	p.armed.Store(k != None)
 }
 
 // Disarm cancels a scheduled fault.
@@ -101,6 +106,7 @@ func (p *Point) Disarm() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.kind = None
+	p.armed.Store(false)
 }
 
 // Fired reports whether the armed fault has gone off.
@@ -114,6 +120,9 @@ func (p *Point) Fired() bool {
 // (Hang first blocks until Release). Corrupt runs the corruption hook once
 // and lets execution continue.
 func (p *Point) Check() {
+	if !p.armed.Load() {
+		return
+	}
 	p.mu.Lock()
 	if p.kind == None || p.fired || time.Now().Before(p.at) {
 		p.mu.Unlock()
@@ -121,6 +130,7 @@ func (p *Point) Check() {
 	}
 	kind := p.kind
 	p.fired = true
+	p.armed.Store(false)
 	hook := p.corrupt
 	abandoned := p.abandoned
 	p.mu.Unlock()

@@ -97,6 +97,10 @@ type Device struct {
 	adminDown   bool
 	carrierDown bool
 	gen         uint32 // bumped on Reset; stale completions are discarded
+	// txPending and rxPending count the completions in txDone and rxDone.
+	// They change under mu, and CollectTx/CollectRx read them without it,
+	// so a collect that finds nothing takes no lock.
+	txPending, rxPending atomic.Int32
 
 	txKick chan struct{}
 	stop   chan struct{}
@@ -216,12 +220,18 @@ func (d *Device) PostTx(desc TxDesc) error {
 	return nil
 }
 
-// CollectTx drains completed TX descriptors.
+// CollectTx drains completed TX descriptors. A completion posted after the
+// pending count was read raises its interrupt after it is counted, so the
+// driver collects it on the poll that interrupt causes.
 func (d *Device) CollectTx() []TxCompletion {
+	if d.txPending.Load() == 0 {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := d.txDone
 	d.txDone = nil
+	d.txPending.Store(0)
 	return out
 }
 
@@ -236,12 +246,17 @@ func (d *Device) PostRx(buf shm.RichPtr) error {
 	return nil
 }
 
-// CollectRx drains received frames.
+// CollectRx drains received frames; like CollectTx, it takes no lock when
+// nothing is pending.
 func (d *Device) CollectRx() []RxCompletion {
+	if d.rxPending.Load() == 0 {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := d.rxDone
 	d.rxDone = nil
+	d.rxPending.Store(0)
 	return out
 }
 
@@ -257,9 +272,20 @@ func (d *Device) Reset() {
 	d.txDone = nil
 	d.rxFree = nil
 	d.rxDone = nil
+	d.txPending.Store(0)
+	d.rxPending.Store(0)
 	d.linkUpAt = time.Now().Add(d.cfg.LinkUpDelay)
 	d.mu.Unlock()
 	d.stats.resets.Add(1)
+}
+
+// LinkUpAt returns the instant the link finishes training after the last
+// Reset or the last time either end raised it. Training completing raises
+// no interrupt, so a driver that waits for it treats it as a deadline.
+func (d *Device) LinkUpAt() time.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.linkUpAt
 }
 
 // Close stops the device's engines.
@@ -378,6 +404,7 @@ func (d *Device) complete(gen uint32, c TxCompletion) {
 	d.mu.Lock()
 	if gen == d.gen {
 		d.txDone = append(d.txDone, c)
+		d.txPending.Add(1)
 	}
 	d.mu.Unlock()
 	d.raiseIRQ()
@@ -416,6 +443,7 @@ func (d *Device) receiveFrame(frame []byte) {
 	}
 	d.mu.Lock()
 	d.rxDone = append(d.rxDone, RxCompletion{Ptr: buf.Slice(0, uint32(len(frame))), Len: len(frame), CsumOK: csumOK})
+	d.rxPending.Add(1)
 	d.mu.Unlock()
 	d.stats.rxFrames.Add(1)
 	d.stats.rxBytes.Add(uint64(len(frame)))

@@ -3,11 +3,13 @@
 // process on its own (dedicated) core.
 //
 // The event loop realizes the paper's design rules: it polls the server's
-// channels aggressively while work keeps arriving, then arms the doorbell
-// (the MONITOR/MWAIT analogue) and sleeps; panics are contained to the
-// incarnation and reported as crash signals to the reincarnation server;
-// restarted incarnations are told they are restarting so they can recover
-// state from the storage server.
+// channels aggressively while work keeps arriving; once a poll comes back
+// empty it spins for a short while watching only its doorbell (the memory
+// location MONITOR watches) and polls again only when a producer rings or
+// the service's deadline falls due; then it arms the doorbell (MWAIT) and
+// sleeps. Panics are contained to the incarnation and reported as crash
+// signals to the reincarnation server; restarted incarnations are told they
+// are restarting so they can recover state from the storage server.
 package proc
 
 import (
@@ -166,7 +168,11 @@ type incarnation struct {
 	stop    chan struct{}
 	done    chan struct{}
 	handoff chan *handoffReq
-	valid   atomic.Bool // false once abandoned/superseded
+	// signaled is raised after stop is closed or a handoff request is
+	// queued, and before the bell rings: the loop looks at those channels
+	// only when it is up.
+	signaled atomic.Bool
+	valid    atomic.Bool // false once abandoned/superseded
 	// ready flips after Init succeeds; Service() hides the incarnation
 	// until then, so observers never see a service mid-construction.
 	ready atomic.Bool
@@ -274,7 +280,7 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 	case <-inc.done:
 		return HandoffReport{}, fmt.Errorf("proc %s: incarnation died before handoff", p.name)
 	}
-	inc.rt.Bell.Ring()
+	inc.signal()
 	var res handoffRes
 	select {
 	case res = <-req.done:
@@ -395,7 +401,7 @@ func (p *Proc) Shutdown() {
 	}
 	inc.valid.Store(false)
 	close(inc.stop)
-	inc.rt.Bell.Ring()
+	inc.signal()
 	inc.rt.Fault.Release()
 	<-inc.done
 	p.status.Store(int32(StatusStopped))
@@ -417,8 +423,15 @@ func (p *Proc) abandon() {
 	default:
 		close(inc.stop)
 	}
-	inc.rt.Bell.Ring()
+	inc.signal()
 	inc.rt.Fault.Release()
+}
+
+// signal tells the loop to look at its stop and handoff channels: the flag
+// first, then the bell, so a loop woken by the ring finds the flag up.
+func (inc *incarnation) signal() {
+	inc.signaled.Store(true)
+	inc.rt.Bell.Ring()
 }
 
 func (p *Proc) launch(restart bool) error {
@@ -492,26 +505,46 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 	p.status.Store(int32(StatusRunning))
 	p.hb.Store(time.Now().UnixNano())
 
-	var backoff channel.Backoff
+	bell := inc.rt.Bell
+	var (
+		backoff channel.Backoff
+		// The spin phase's gate: idle says the last Poll came back empty,
+		// seen is the bell's post count read before it, and due the
+		// deadline the service reported after it.
+		idle bool
+		seen uint64
+		due  time.Time
+	)
 	for {
-		select {
-		case <-inc.stop:
-			inc.svc.Stop()
-			if inc.valid.Load() {
-				p.status.Store(int32(StatusStopped))
+		if inc.signaled.Load() {
+			select {
+			case <-inc.stop:
+				inc.svc.Stop()
+				if inc.valid.Load() {
+					p.status.Store(int32(StatusStopped))
+				}
+				return
+			case req := <-inc.handoff:
+				p.completeHandoff(inc, req)
+				return
+			default:
 			}
-			return
-		case req := <-inc.handoff:
-			p.completeHandoff(inc, req)
-			return
-		default:
 		}
 		now := time.Now()
 		p.hb.Store(now.UnixNano())
 		inc.rt.Fault.Check()
-		if inc.svc.Poll(now) {
-			backoff.Reset()
-			continue
+		// After an empty Poll the loop watches its doorbell, not its
+		// queues: every input either rings the bell or is a deadline, so
+		// until the post count moves or the deadline falls due another
+		// Poll would find nothing.
+		if posts := bell.Posts(); !idle || posts != seen || (!due.IsZero() && !now.Before(due)) {
+			seen = posts
+			if inc.svc.Poll(now) {
+				backoff.Reset()
+				idle = false
+				continue
+			}
+			idle, due = true, inc.svc.Deadline(now)
 		}
 		// The paper's "more aggressive polling to avoid halting the core if
 		// the gap between requests is short": spin until the backoff ramp
@@ -521,26 +554,30 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 			continue
 		}
 		// Fall off the polling fast path: arm the doorbell, re-check, sleep.
-		inc.rt.Bell.Arm()
+		bell.Arm()
+		seen = bell.Posts()
 		if inc.svc.Poll(time.Now()) {
-			inc.rt.Bell.Disarm()
+			bell.Disarm()
+			idle = false
 			continue
 		}
 		timeout := maxSleep
-		if dl := inc.svc.Deadline(time.Now()); !dl.IsZero() {
-			if until := time.Until(dl); until < timeout {
+		if due = inc.svc.Deadline(time.Now()); !due.IsZero() {
+			if until := time.Until(due); until < timeout {
 				timeout = until
 			}
 		}
 		if timeout > 0 {
-			inc.rt.Bell.Wait(timeout)
+			bell.Wait(timeout)
 		} else {
-			inc.rt.Bell.Disarm()
+			bell.Disarm()
 		}
 		// The backoff streak deliberately survives the nap: only a poll
 		// that finds work resets it, so a persistently idle loop settles
 		// into doorbell naps instead of re-running the micro-sleep ramp
-		// (a timer-interrupt storm when many loops idle on few cores).
+		// (a timer-interrupt storm when many loops idle on few cores). A
+		// nap that ends with no post and no due deadline goes straight
+		// back to the arm and its re-check: one Poll per nap.
 	}
 }
 

@@ -9,11 +9,13 @@
 // its own restarts — per the paper, "if the storage process itself crashes
 // and comes up, every other server has to store its state again" — so the
 // facade exposes a generation counter that clients watch
-// (wiring.Ports.StoreWiped) to know when to re-store.
+// (wiring.Ports.StoreWiped) to know when to re-store, and rings every
+// watcher's doorbell when a wipe bumps it.
 package storage
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"newtos/internal/proc"
@@ -22,11 +24,14 @@ import (
 // Store is the stable facade other servers hold. It survives storage-server
 // restarts; the data does not.
 type Store struct {
-	mu   sync.Mutex
-	data map[string][]byte
-	gen  uint32
-	puts uint64
-	gets uint64
+	// gen is read by every watcher's loop on each Poll, without the lock.
+	gen atomic.Uint32
+
+	mu       sync.Mutex
+	data     map[string][]byte
+	puts     uint64
+	gets     uint64
+	watchers []func()
 }
 
 // NewStore returns an empty store facade.
@@ -80,10 +85,15 @@ func (s *Store) Keys(prefix string) []string {
 
 // Gen returns the storage generation; it bumps when a storage-server crash
 // wipes the data, telling every client to re-store its state.
-func (s *Store) Gen() uint32 {
+func (s *Store) Gen() uint32 { return s.gen.Load() }
+
+// Watch registers ring to run after every wipe, once the generation has
+// moved: a watcher's loop that stopped polling learns of the wipe from its
+// doorbell, as it learns of any other input.
+func (s *Store) Watch(ring func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	s.watchers = append(s.watchers, ring)
 }
 
 // Stats returns cumulative put/get counts.
@@ -93,12 +103,17 @@ func (s *Store) Stats() (puts, gets uint64) {
 	return s.puts, s.gets
 }
 
-// wipe clears all data (storage server crashed) and bumps the generation.
+// wipe clears all data (storage server crashed), bumps the generation and
+// rings the watchers.
 func (s *Store) wipe() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.data = make(map[string][]byte)
-	s.gen++
+	s.gen.Add(1)
+	watchers := s.watchers
+	s.mu.Unlock()
+	for _, ring := range watchers {
+		ring()
+	}
 }
 
 // Service is the storage server's process incarnation. Its Poll does no

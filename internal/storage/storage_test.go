@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"newtos/internal/channel"
 	"newtos/internal/proc"
 )
 
@@ -68,6 +70,44 @@ func TestCrashWipesAndBumpsGeneration(t *testing.T) {
 	puts, gets := st.Stats()
 	if puts == 0 || gets != 0 {
 		t.Fatalf("stats = %d, %d", puts, gets)
+	}
+}
+
+// TestWipeRingsWatchers: a loop polls only when its doorbell rings, so a
+// storage crash must ring every watcher, after the generation has moved.
+func TestWipeRingsWatchers(t *testing.T) {
+	st := NewStore()
+	gen0 := st.Gen()
+	bells := []*channel.Doorbell{channel.NewDoorbell(), channel.NewDoorbell(), channel.NewDoorbell()}
+	var sawNewGen atomic.Int32
+	for _, b := range bells {
+		st.Watch(func() {
+			if st.Gen() != gen0 {
+				sawNewGen.Add(1)
+			}
+			b.Ring()
+		})
+	}
+	p := proc.New("storage", func() proc.Service { return NewService(st) }, proc.Options{}, nil)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown()
+	for i, b := range bells {
+		if b.Posts() != 0 {
+			t.Fatalf("watcher %d rung by a fresh start", i)
+		}
+	}
+	if err := p.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bells {
+		if b.Posts() != 1 {
+			t.Fatalf("watcher %d rung %d times by one wipe, want 1", i, b.Posts())
+		}
+	}
+	if int(sawNewGen.Load()) != len(bells) {
+		t.Fatalf("%d of %d watchers rung before the generation moved", len(bells)-int(sawNewGen.Load()), len(bells))
 	}
 }
 

@@ -94,9 +94,9 @@ func NewEdge(port *Port) *Edge {
 // wiring is a rebind like any other; a loop that must tell "wired" from
 // "rewired" (the driver's device reset) does so in its hook.
 func (e *Edge) Intake(scratch []msg.Req, onRestart func(), handle func([]msg.Req)) bool {
-	var changed bool
-	e.cur, e.gen, changed = e.port.take()
+	dup, gen, changed := e.port.take(e.gen)
 	if changed {
+		e.cur, e.gen = dup, gen
 		e.Drop()
 		if onRestart != nil {
 			onRestart()

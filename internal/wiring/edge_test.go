@@ -9,10 +9,14 @@ import (
 	"newtos/internal/trace"
 )
 
-// Take is the tests' two-value view of take.
+// Take is the tests' two-value view of take: it adopts a pending rebind and
+// returns the duplex held afterwards.
 func (p *Port) Take() (channel.Duplex, bool) {
-	d, _, changed := p.take()
-	return d, changed
+	cur, gen := p.held()
+	if d, _, changed := p.take(gen); changed {
+		return d, true
+	}
+	return cur, false
 }
 
 // edgeRig is one exported/attached edge seen from the creator ("ip"), with

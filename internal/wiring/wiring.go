@@ -27,6 +27,7 @@ package wiring
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"newtos/internal/channel"
 	"newtos/internal/kipc"
@@ -59,9 +60,13 @@ func NewHub(kern *kipc.Kernel) *Hub {
 // Port is one server's end of one edge. Safe for a single owning loop plus
 // concurrent rebinds from registry callbacks.
 type Port struct {
+	// gen advances every time a rebind installs a fresh duplex; the owner
+	// compares it with the generation it holds, so an iteration without a
+	// rebind reads it without the lock.
+	gen atomic.Int64
+
 	mu   sync.Mutex
-	dup  channel.Duplex
-	gen  int
+	dup  channel.Duplex // the duplex at generation gen
 	seen int
 	cur  channel.Duplex // the duplex at generation seen: what the owner holds
 }
@@ -70,21 +75,24 @@ type Port struct {
 func (p *Port) set(d channel.Duplex) {
 	p.mu.Lock()
 	p.dup = d
-	p.gen++
+	p.gen.Add(1)
 	p.mu.Unlock()
 }
 
-// take adopts the latest duplex on behalf of the owning loop and returns it
-// with its generation, and whether it changed since the last take. A change
-// means the peer (or this end) reincarnated: the owner must run its
-// abort/resubmit recovery actions (Edge.Intake does).
-func (p *Port) take() (dup channel.Duplex, gen int, changed bool) {
-	//lint:ignore hotloop the rebind registry emulates the kernel remapping channels during restart; uncontended except while the supervisor reincarnates a peer.
+// take adopts, on behalf of the owning loop, a duplex newer than held, the
+// generation the owner holds. It returns the new duplex and its generation
+// and changed = true, or changed = false after one atomic load when nothing
+// was rebound. A change means the peer (or this end) reincarnated: the
+// owner must run its abort/resubmit recovery actions (Edge.Intake does).
+func (p *Port) take(held int) (dup channel.Duplex, gen int, changed bool) {
+	if p.latest() == held {
+		return channel.Duplex{}, held, false
+	}
+	//lint:ignore hotloop the rebind registry emulates the kernel remapping channels during restart; taken only while the supervisor reincarnates a peer.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	changed = p.gen != p.seen
-	p.seen, p.cur = p.gen, p.dup
-	return p.cur, p.seen, changed
+	p.seen, p.cur = int(p.gen.Load()), p.dup
+	return p.cur, p.seen, true
 }
 
 // held returns the duplex and generation the owner last took, without
@@ -99,12 +107,7 @@ func (p *Port) held() (channel.Duplex, int) {
 // every time a rebind installs a fresh duplex (either side reincarnated);
 // while it is ahead of what the owner took, a rebind is pending and nothing
 // staged for the held duplex may survive into the next incarnation.
-func (p *Port) latest() int {
-	//lint:ignore hotloop rebind registry read; see take.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gen
-}
+func (p *Port) latest() int { return int(p.gen.Load()) }
 
 // Ports manages one component's edges across incarnations. It is held by
 // the component's factory closure (it outlives incarnations); each
@@ -113,16 +116,20 @@ type Ports struct {
 	hub  *Hub
 	name string
 
+	// bell is the current incarnation's doorbell.
+	bell atomic.Pointer[channel.Doorbell]
+
 	mu      sync.Mutex
-	bell    *channel.Doorbell
 	cancels []func()
 	ports   map[string]*Port
 	depth   int
 
 	// storeGen is the storage generation the owning loop last saw
 	// (StoreWiped); it outlives the component's own incarnations, so a
-	// storage crash during its downtime is noticed too.
+	// storage crash during its downtime is noticed too. watching is set
+	// once the store rings this component's bell on a wipe.
 	storeGen uint32
+	watching bool
 }
 
 // NewPorts creates the edge manager for the named component.
@@ -148,11 +155,24 @@ func (ps *Ports) Hub() *Hub { return ps.hub }
 // last call: it lost what this server parked there, and the server must
 // park it again (paper §V-D: "every other server has to store its state
 // again"). A storage peer has no channel whose Port generation would say
-// so; owning loops ask once per iteration instead.
+// so; owning loops ask once per iteration instead. The first call also
+// makes every later wipe ring this component's current doorbell, so a loop
+// that only polls when rung still asks in time.
 func (ps *Ports) StoreWiped() bool {
+	if !ps.watching {
+		ps.watching = true
+		ps.hub.Store.Watch(ps.ring)
+	}
 	seen := ps.storeGen
 	ps.storeGen = ps.hub.Store.Gen()
 	return ps.storeGen != seen
+}
+
+// ring rings the doorbell of the component's current incarnation.
+func (ps *Ports) ring() {
+	if bell := ps.bell.Load(); bell != nil {
+		bell.Ring()
+	}
 }
 
 // Begin starts a new incarnation: previous subscriptions are cancelled
@@ -162,7 +182,7 @@ func (ps *Ports) Begin(bell *channel.Doorbell) {
 	ps.mu.Lock()
 	cancels := ps.cancels
 	ps.cancels = nil
-	ps.bell = bell
+	ps.bell.Store(bell)
 	ps.mu.Unlock()
 	for _, c := range cancels {
 		c()
@@ -177,11 +197,7 @@ func (ps *Ports) Begin(bell *channel.Doorbell) {
 // subscription stays valid, and no port generation advances — peers never
 // observe the swap and run no crash-recovery actions. bell must be the
 // inherited doorbell (proc hands it to the successor's Runtime).
-func (ps *Ports) Resume(bell *channel.Doorbell) {
-	ps.mu.Lock()
-	ps.bell = bell
-	ps.mu.Unlock()
-}
+func (ps *Ports) Resume(bell *channel.Doorbell) { ps.bell.Store(bell) }
 
 // Port returns the stable Port for an edge without subscribing. The
 // handoff path re-acquires the ports its predecessor already attached or
@@ -211,9 +227,9 @@ func (ps *Ports) port(edge string) *Port {
 func (ps *Ports) Export(edge, peerName string) *Port {
 	ps.mu.Lock()
 	p := ps.port(edge)
-	myBell := ps.bell
 	depth := ps.depth
 	ps.mu.Unlock()
+	myBell := ps.bell.Load()
 
 	cancel := ps.hub.Reg.Subscribe("bell/"+peerName, func(a channel.Announcement) {
 		peerBell, ok := a.Value.(*channel.Doorbell)
@@ -239,8 +255,8 @@ func (ps *Ports) Export(edge, peerName string) *Port {
 func (ps *Ports) Attach(edge string) *Port {
 	ps.mu.Lock()
 	p := ps.port(edge)
-	myBell := ps.bell
 	ps.mu.Unlock()
+	myBell := ps.bell.Load()
 
 	cancel := ps.hub.Reg.Subscribe("chan/"+edge, func(a channel.Announcement) {
 		dup, ok := a.Value.(channel.Duplex)

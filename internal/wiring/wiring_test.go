@@ -6,6 +6,8 @@ import (
 	"newtos/internal/channel"
 	"newtos/internal/kipc"
 	"newtos/internal/msg"
+	"newtos/internal/proc"
+	"newtos/internal/storage"
 )
 
 func newHub() *Hub { return NewHub(kipc.New(kipc.Config{})) }
@@ -197,5 +199,33 @@ func TestMultipleEdges(t *testing.T) {
 	}
 	if r, ok := d0a.In.Recv(); !ok || r.ID != 55 {
 		t.Fatal("edge 0 broken")
+	}
+}
+
+// TestStoreWipeRingsCurrentBell: once a component has asked StoreWiped, a
+// storage crash rings the doorbell of its current incarnation, so a loop
+// that polls only when rung re-parks its state in time.
+func TestStoreWipeRingsCurrentBell(t *testing.T) {
+	hub := newHub()
+	ps := NewPorts(hub, "pf")
+	old, cur := channel.NewDoorbell(), channel.NewDoorbell()
+	ps.Begin(old)
+	if ps.StoreWiped() {
+		t.Fatal("a fresh store reported a wipe")
+	}
+	ps.Begin(cur) // the component reincarnates
+	st := proc.New("storage", func() proc.Service { return storage.NewService(hub.Store) }, proc.Options{}, nil)
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown()
+	if err := st.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if cur.Posts() != 1 || old.Posts() != 0 {
+		t.Fatalf("wipe rang the current bell %d times and the old one %d times, want 1 and 0", cur.Posts(), old.Posts())
+	}
+	if !ps.StoreWiped() || ps.StoreWiped() {
+		t.Fatal("StoreWiped must report the wipe exactly once")
 	}
 }
