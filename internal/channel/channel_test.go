@@ -146,6 +146,29 @@ func TestDoorbellCountsEveryRing(t *testing.T) {
 	}
 }
 
+// TestDoorbellWaitAllocatesNothing: an idle loop naps from 1 µs up, so a
+// timed Wait must reuse the bell's timer, whether it times out or is rung.
+func TestDoorbellWaitAllocatesNothing(t *testing.T) {
+	d := NewDoorbell()
+	if n := testing.AllocsPerRun(100, func() {
+		d.Arm()
+		if d.Wait(time.Microsecond) {
+			t.Fatal("woke without a ring")
+		}
+	}); n != 0 {
+		t.Fatalf("a Wait that times out: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d.Arm()
+		d.Ring()
+		if !d.Wait(time.Second) {
+			t.Fatal("a ring did not end the Wait")
+		}
+	}); n != 0 {
+		t.Fatalf("a Wait a ring ends: %v allocations, want 0", n)
+	}
+}
+
 // TestFullRingWakesProducer: a producer whose batch the ring cut short may
 // stop polling with the remainder staged, so the consumer freeing space
 // must ring the producer's bell.

@@ -37,11 +37,16 @@ type Doorbell struct {
 	posts atomic.Uint64 // how many times the bell was rung
 	wake  chan struct{}
 	rungs atomic.Uint64 // how many times a sleeper was actually woken
+	// timer bounds every Wait. Only the consumer touches it, and it is
+	// stopped whenever no Wait is running, so one timer serves every nap.
+	timer *time.Timer
 }
 
 // NewDoorbell returns a ready-to-use doorbell.
 func NewDoorbell() *Doorbell {
-	return &Doorbell{wake: make(chan struct{}, 1)}
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &Doorbell{wake: make(chan struct{}, 1), timer: t}
 }
 
 // Ring counts a post and wakes the consumer if (and only if) it is
@@ -60,9 +65,10 @@ func (d *Doorbell) Ring() {
 }
 
 // Arm announces that the consumer intends to sleep. After arming, the
-// consumer MUST re-check all of its queues before actually blocking: a
-// producer that enqueued before Arm will not ring. This is the classic
-// lost-wakeup protocol the MWAIT monitor provides in hardware.
+// consumer MUST re-check before actually blocking, either its queues or
+// the post count it read before it last looked at them: a producer that
+// enqueued before Arm will not ring. This is the classic lost-wakeup
+// protocol the MWAIT monitor provides in hardware.
 func (d *Doorbell) Arm() {
 	d.state.Store(1)
 }
@@ -79,20 +85,22 @@ func (d *Doorbell) Disarm() {
 
 // Wait blocks until rung or until the timeout elapses. A zero or negative
 // timeout means wait indefinitely. It returns true if woken by a ring.
-// The consumer must have called Arm (and re-checked its queues) first.
+// The consumer must have called Arm (and re-checked) first. A timed Wait
+// allocates nothing: it re-arms the bell's one timer, and since Go 1.23 a
+// stopped or fired timer leaves no stale tick behind for the next Reset.
 func (d *Doorbell) Wait(timeout time.Duration) bool {
 	if timeout <= 0 {
 		<-d.wake
 		d.state.Store(0)
 		return true
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	d.timer.Reset(timeout)
 	select {
 	case <-d.wake:
+		d.timer.Stop()
 		d.state.Store(0)
 		return true
-	case <-t.C:
+	case <-d.timer.C:
 		// Timed out: disarm so producers stop trying to wake us, and
 		// drain any ring that raced with the timer.
 		d.Disarm()

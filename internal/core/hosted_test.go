@@ -328,7 +328,7 @@ func TestStorageCrashIsRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashAndRecover(t, lan.B, CompStorage)
-	time.Sleep(20 * time.Millisecond) // idle loops wake within one 500 µs nap and re-store
+	time.Sleep(20 * time.Millisecond) // the wipe rings every watcher's bell, and each loop re-stores
 	for _, key := range []string{
 		tcpsrv.StorageKeyFor(0), udpsrv.StorageKey, ipsrv.StorageKey, pf.RulesKey,
 		syscallsrv.TCP(1).StateKey(), syscallsrv.UDP().StateKey(),

@@ -147,8 +147,8 @@ func (s *Server) Poll(now time.Time) bool {
 // reincarnations (wiring.DropReporter).
 func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.edges...) }
 
-// Deadline: IP's only timers are ARP retries, absorbed by the loop's
-// 500 µs nap cap.
+// Deadline: IP's only timers are ARP retries, and they ride the Poll an
+// idle loop makes at least once per 500 µs.
 func (s *Server) Deadline(now time.Time) time.Time { return time.Time{} }
 
 // Stop is a no-op; pools die with the incarnation.

@@ -4,12 +4,12 @@
 //
 // The event loop realizes the paper's design rules: it polls the server's
 // channels aggressively while work keeps arriving; once a poll comes back
-// empty it spins for a short while watching only its doorbell (the memory
-// location MONITOR watches) and polls again only when a producer rings or
-// the service's deadline falls due; then it arms the doorbell (MWAIT) and
-// sleeps. Panics are contained to the incarnation and reported as crash
-// signals to the reincarnation server; restarted incarnations are told they
-// are restarting so they can recover state from the storage server.
+// empty it watches only its doorbell (the memory location MONITOR watches)
+// and polls again only when a producer rings or the service's deadline
+// falls due, yielding for a short while and then napping on the armed
+// doorbell (MWAIT). Panics are contained to the incarnation and reported as
+// crash signals to the reincarnation server; restarted incarnations are told
+// they are restarting so they can recover state from the storage server.
 package proc
 
 import (
@@ -131,8 +131,15 @@ type handoffRes struct {
 	drain, transfer time.Duration
 }
 
-// maxSleep caps one doorbell sleep so heartbeats stay fresh.
-const maxSleep = 500 * time.Microsecond
+// The idle path: after a Poll that found nothing the loop yields
+// spinYields times, then naps on its armed doorbell, napMin long at first
+// and twice as long each nap after. An idle loop polls again at the latest
+// maxSleep after its last Poll, so heartbeats stay fresh.
+const (
+	spinYields = 32
+	napMin     = time.Microsecond
+	maxSleep   = 500 * time.Microsecond
+)
 
 // Options tune a process.
 type Options struct {
@@ -507,13 +514,15 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 
 	bell := inc.rt.Bell
 	var (
-		backoff channel.Backoff
-		// The spin phase's gate: idle says the last Poll came back empty,
-		// seen is the bell's post count read before it, and due the
-		// deadline the service reported after it.
+		// The idle gate: idle says the last Poll came back empty, seen is
+		// the bell's post count read before it, and due is when the loop
+		// polls anyway: the service's deadline, at most maxSleep away.
 		idle bool
 		seen uint64
 		due  time.Time
+		// Idle steps since the last Poll that found work: the first
+		// spinYields yield, the ones after nap.
+		spins int
 	)
 	for {
 		if inc.signaled.Load() {
@@ -537,47 +546,44 @@ func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
 		// queues: every input either rings the bell or is a deadline, so
 		// until the post count moves or the deadline falls due another
 		// Poll would find nothing.
-		if posts := bell.Posts(); !idle || posts != seen || (!due.IsZero() && !now.Before(due)) {
+		if posts := bell.Posts(); !idle || posts != seen || !now.Before(due) {
 			seen = posts
 			if inc.svc.Poll(now) {
-				backoff.Reset()
-				idle = false
+				idle, spins = false, 0
 				continue
 			}
-			idle, due = true, inc.svc.Deadline(now)
-		}
-		// The paper's "more aggressive polling to avoid halting the core if
-		// the gap between requests is short": spin until the backoff ramp
-		// saturates, then park on the doorbell.
-		if !backoff.Saturated() {
-			backoff.Wait()
-			continue
-		}
-		// Fall off the polling fast path: arm the doorbell, re-check, sleep.
-		bell.Arm()
-		seen = bell.Posts()
-		if inc.svc.Poll(time.Now()) {
-			bell.Disarm()
-			idle = false
-			continue
-		}
-		timeout := maxSleep
-		if due = inc.svc.Deadline(time.Now()); !due.IsZero() {
-			if until := time.Until(due); until < timeout {
-				timeout = until
+			idle, due = true, now.Add(maxSleep)
+			if d := inc.svc.Deadline(now); !d.IsZero() && d.Before(due) {
+				due = d
 			}
 		}
-		if timeout > 0 {
-			bell.Wait(timeout)
+		// The paper's "more aggressive polling to avoid halting the core if
+		// the gap between requests is short": yield for a while, then nap.
+		if spins < spinYields {
+			spins++
+			runtime.Gosched()
+			continue
+		}
+		// The nap is the loop's one blocking wait. Ring counts its post
+		// before it looks at the arm, so a post that raced the Arm shows
+		// in the count and sends the loop back to the gate instead.
+		bell.Arm()
+		if bell.Posts() != seen {
+			bell.Disarm()
+			continue
+		}
+		nap := napMin << (spins - spinYields)
+		if wait := min(nap, time.Until(due)); wait > 0 {
+			bell.Wait(wait)
 		} else {
 			bell.Disarm()
 		}
-		// The backoff streak deliberately survives the nap: only a poll
-		// that finds work resets it, so a persistently idle loop settles
-		// into doorbell naps instead of re-running the micro-sleep ramp
-		// (a timer-interrupt storm when many loops idle on few cores). A
-		// nap that ends with no post and no due deadline goes straight
-		// back to the arm and its re-check: one Poll per nap.
+		// The streak survives an empty Poll: only one that finds work
+		// resets it, so a persistently idle loop settles into one nap and
+		// one Poll per maxSleep instead of re-running the ramp.
+		if nap < maxSleep {
+			spins++
+		}
 	}
 }
 

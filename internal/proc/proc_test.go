@@ -256,9 +256,8 @@ func TestDoorbellWakesIdleLoop(t *testing.T) {
 	before := svc.polls.Load()
 	time.Sleep(20 * time.Millisecond)
 	// An idle loop naps on the doorbell for maxSleep at a time: about one
-	// idle poll per 500 µs (the re-check after arming; a nap that ends
-	// with no post goes straight back to it), and the bell below still
-	// wakes it.
+	// idle poll per 500 µs, when the nap's due time passes, and the bell
+	// below still wakes it.
 	idlePolls := svc.polls.Load() - before
 	if limit := int64(3 * (20 * time.Millisecond / maxSleep)); idlePolls > limit {
 		t.Fatalf("%d polls in 20 ms of idleness, want at most %d", idlePolls, limit)
