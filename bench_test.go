@@ -238,7 +238,7 @@ func BenchmarkSec4_TCPSharded(b *testing.B) {
 // BenchmarkTable2_Scaling measures the multi-core scaling curve: the same
 // aggregate bulk transfer as BenchmarkSec4_TCPSharded, swept over
 // TCPShards 1/2/4 both with the loops left to the Go scheduler (unpinned)
-// and with core-affine pinned loop groups (core.Config.PinCores). On a
+// and with the runners pinned to cores (core.Config.PinCores). On a
 // multi-core runner the pinned curve should rise monotonically with the
 // shard count and sit at or above the unpinned one; on a single-core CI
 // box both curves are flat and the sweep merely smoke-tests the pinned

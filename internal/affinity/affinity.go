@@ -1,6 +1,7 @@
 // Package affinity pins OS threads to CPUs where the platform allows it
-// (sched_setaffinity on Linux), so core-affine loop groups actually land
-// on distinct cores instead of merely being locked to distinct threads.
+// (sched_setaffinity on Linux), so pinned runners (proc.Options.Pinned)
+// actually land on distinct cores instead of merely being locked to
+// distinct threads.
 // Groups map onto the CPUs the process was started on — a taskset or
 // cpuset restriction included — and an unpinned thread gets that set back.
 // On platforms without an affinity syscall the package degrades to a

@@ -26,7 +26,8 @@ import (
 // Every Ring counts one post, awake or armed: a consumer that is still
 // spinning watches that count (Posts) instead of re-reading its queues, the
 // way a monitored cache line changes under MWAIT. While the consumer is
-// running, Ring costs one atomic add and one atomic load. Only when the
+// running, Ring costs one atomic add and one atomic load, and a relayed
+// bell (RelayTo) the same again for its relay. Only when the
 // consumer has announced it is going to sleep (Arm) does Ring also pay one
 // CAS and a wake-up — mirroring the paper's observation that waking an idle
 // core is expensive (kernel-assisted MWAIT) while polling a hot one is free.
@@ -40,6 +41,9 @@ type Doorbell struct {
 	// timer bounds every Wait. Only the consumer touches it, and it is
 	// stopped whenever no Wait is running, so one timer serves every nap.
 	timer *time.Timer
+	// relay, when set, is rung by every Ring of this bell: the bell of the
+	// goroutine that steps this bell's consumer along with others.
+	relay atomic.Pointer[Doorbell]
 }
 
 // NewDoorbell returns a ready-to-use doorbell.
@@ -55,6 +59,9 @@ func NewDoorbell() *Doorbell {
 // that read.
 func (d *Doorbell) Ring() {
 	d.posts.Add(1)
+	if up := d.relay.Load(); up != nil {
+		up.Ring()
+	}
 	if d.state.Load() == 1 && d.state.CompareAndSwap(1, 0) {
 		d.rungs.Add(1)
 		select {
@@ -107,6 +114,12 @@ func (d *Doorbell) Wait(timeout time.Duration) bool {
 		return false
 	}
 }
+
+// RelayTo makes every later Ring also ring up: a consumer stepped by a
+// goroutine that serves several bells sleeps on that goroutine's bell,
+// never on this one. A post counted here before the relay changed is
+// still in Posts, which is what the stepping goroutine re-checks.
+func (d *Doorbell) RelayTo(up *Doorbell) { d.relay.Store(up) }
 
 // Wakeups returns how many times a sleeping consumer was woken, an
 // indicator of how often the stack fell off the polling fast path.

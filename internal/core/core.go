@@ -85,12 +85,11 @@ type Config struct {
 	// the SYSCALL server are the same code as in the split placement; what
 	// changes is that one crash takes all four down. Excludes TCPShards > 1.
 	SingleServer bool
-	// PinCores assigns the data-plane loops to core-affine loop groups, each
-	// locked to its own OS thread: drivers, IP, and each TCP
-	// shard land on distinct CPUs (wrapping when groups outnumber cores),
-	// then SC, PF, and UDP. Storage stays ungrouped — it is not on the hot
-	// path. Uses sched_setaffinity where available; elsewhere the groups
-	// degrade to LockOSThread-only placement (internal/affinity).
+	// PinCores gives the servers dedicated cores: the runners that step
+	// them (proc.Options.Pinned) are locked to their OS threads, each
+	// thread pinned to a distinct CPU. Uses sched_setaffinity where
+	// available; elsewhere the runners degrade to LockOSThread-only
+	// placement (internal/affinity).
 	PinCores bool
 	// Kernel sets the simulated kernel cost model.
 	Kernel kipc.Config
@@ -144,18 +143,9 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		devices: devices,
 	}
 
-	// Core-affine loop groups (Config.PinCores): the hot path is numbered
-	// in placement priority — drivers (they soak interrupts and DMA
-	// completions), then IP, then the TCP shards — so when groups
-	// outnumber CPUs and the mapping wraps, the loops that benefit most
-	// from a dedicated core claimed theirs first. SC, PF, and UDP follow;
-	// storage stays ungrouped (not on the hot path).
-	pin := func(group int) proc.Options {
-		if !cfg.PinCores {
-			return proc.Options{}
-		}
-		return proc.Options{LoopGroup: group}
-	}
+	// Config.PinCores: every server but storage (it is not on the hot
+	// path) asks for runners pinned to cores.
+	pin := proc.Options{Pinned: cfg.PinCores}
 
 	// Storage server.
 	n.addProc(CompStorage, proc.Options{}, func() proc.Service {
@@ -164,20 +154,13 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 
 	// Drivers: one per device, attached to devices built with the node's
 	// shared space.
-	drvGroup := 0
 	for name, dev := range devices {
 		name, dev := name, dev
-		drvGroup++
 		ports := wiring.NewPorts(hub, name)
-		n.addProc(name, pin(drvGroup), func() proc.Service {
+		n.addProc(name, pin, func() proc.Service {
 			return driver.New(name, ports, dev)
 		})
 	}
-	ipGroup := len(devices) + 1
-	tcpGroup0 := ipGroup + 1 // shard k gets tcpGroup0+k
-	scGroup := tcpGroup0 + cfg.tcpShardCount()
-	pfGroup := scGroup + 1
-	udpGroup := pfGroup + 1
 
 	localIP := netpkt.IPAddr{}
 	if len(cfg.Ifaces) > 0 {
@@ -204,32 +187,31 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 	type shell = func() proc.Service
 	type server struct {
 		name   string
-		group  int
 		shells []shell
 	}
 	var stack []server
 	// transport adds a transport server to the stack and, when there is no
 	// SYSCALL server to hold it, its door as a second shell beside it.
-	transport := func(name string, group int, srv shell, d syscallsrv.Door) {
+	transport := func(name string, srv shell, d syscallsrv.Door) {
 		shells := []shell{srv}
 		if !cfg.SyscallServer {
 			ports := wiring.NewPorts(hub, "door-"+name)
 			shells = append(shells, func() proc.Service { return syscallsrv.New(ports, d) })
 		}
-		stack = append(stack, server{name, group, shells})
+		stack = append(stack, server{name, shells})
 	}
 
 	ipPorts := wiring.NewPorts(hub, CompIP)
 	ipCfg := ipsrv.Config{
 		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload, TCPShards: shards,
 	}
-	stack = append(stack, server{CompIP, ipGroup, []shell{func() proc.Service {
+	stack = append(stack, server{CompIP, []shell{func() proc.Service {
 		return ipsrv.New(ipCfg, ipPorts)
 	}}})
 
 	if cfg.PF {
 		pfPorts := wiring.NewPorts(hub, CompPF)
-		stack = append(stack, server{CompPF, pfGroup, []shell{func() proc.Service {
+		stack = append(stack, server{CompPF, []shell{func() proc.Service {
 			return pf.New(pfPorts)
 		}}})
 	}
@@ -244,13 +226,13 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 			LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload, TSO: cfg.TSO,
 			Shard: k, Shards: shards,
 		}
-		transport(name, tcpGroup0+k, func() proc.Service {
+		transport(name, func() proc.Service {
 			return tcpsrv.New(tcpCfg, tcpPorts)
 		}, syscallsrv.TCP(shards))
 	}
 	udpPorts := wiring.NewPorts(hub, CompUDP)
 	udpCfg := udpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload}
-	transport(CompUDP, udpGroup, func() proc.Service {
+	transport(CompUDP, func() proc.Service {
 		return udpsrv.New(udpCfg, udpPorts)
 	}, syscallsrv.UDP())
 
@@ -259,16 +241,16 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		for _, s := range stack {
 			all = append(all, s.shells...)
 		}
-		stack = []server{{CompStack, ipGroup, all}}
+		stack = []server{{CompStack, all}}
 	}
 	for _, s := range stack {
-		n.addProc(s.name, pin(s.group), host(s.shells))
+		n.addProc(s.name, pin, host(s.shells))
 	}
 
 	// SYSCALL server: all three doors.
 	if cfg.SyscallServer {
 		scPorts := wiring.NewPorts(hub, CompSC)
-		n.addProc(CompSC, pin(scGroup), func() proc.Service {
+		n.addProc(CompSC, pin, func() proc.Service {
 			return syscallsrv.New(scPorts, syscallsrv.TCP(shards), syscallsrv.UDP(), syscallsrv.PF())
 		})
 	}

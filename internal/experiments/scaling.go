@@ -9,17 +9,15 @@ import (
 
 // RunScaling measures one point of the multi-core scaling curve
 // (docs/ARCHITECTURE.md "Multi-core data plane"): the flagship split stack
-// with the TCP engine sharded N ways, with the data-plane loops either left
-// to the Go scheduler (pinned=false) or placed on dedicated OS threads in
-// core-affine loop groups (pinned=true, core.Config.PinCores) so the
-// drivers, IP, and every TCP shard land on distinct cores.
+// with the TCP engine sharded N ways, with the runners that step the
+// servers either left to the Go scheduler (pinned=false) or locked to OS
+// threads pinned to distinct cores (pinned=true, core.Config.PinCores).
 //
 // Like RunTCPSharded, the wire is ten-gigabit with negligible latency so
 // the transport — not wire pacing — is the bottleneck being scaled; compare
-// curve points against each other, not against the paced Table II rows. On
-// a box with fewer cores than loops (or where sched_setaffinity is
-// unavailable), pinning degrades gracefully to GOMAXPROCS-partitioned
-// dedicated threads and the curve flattens rather than failing.
+// curve points against each other, not against the paced Table II rows.
+// Where sched_setaffinity is unavailable, pinning degrades to runners
+// locked to unpinned threads.
 func RunScaling(shards int, pinned bool, opts Table2Opts) (float64, error) {
 	cfg := core.SplitTSO()
 	cfg.TCPShards = shards

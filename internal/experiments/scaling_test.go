@@ -8,9 +8,8 @@ import (
 )
 
 // TestScalingPinnedRuns smoke-tests the pinned data plane end to end on any
-// box: core-affine loop groups must start, carry a short transfer, and shut
-// down cleanly even when cores are scarcer than loops (affinity then
-// degrades to dedicated threads).
+// box: pinned runners must start, carry a short transfer, and shut down
+// cleanly, unpinning their threads on the way out.
 func TestScalingPinnedRuns(t *testing.T) {
 	mbps, err := RunScaling(2, true, Table2Opts{
 		Duration: 150 * time.Millisecond, Wires: 1, ConnsPerWire: 2,

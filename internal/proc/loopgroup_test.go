@@ -8,12 +8,11 @@ import (
 	"newtos/internal/affinity"
 )
 
-// TestLoopGroupsStartStopConcurrently exercises core-affine loop groups
-// under the race detector: several pinned, grouped loops start, poll,
-// restart, and shut down concurrently. On platforms with
-// sched_setaffinity the loops pin and unpin their threads; elsewhere the
-// group is only a placement hint — either way no shared proc state may
-// race.
+// TestLoopGroupsStartStopConcurrently exercises pinned processes under
+// the race detector: several start, poll, restart, and shut down
+// concurrently. On platforms with sched_setaffinity their runners pin and
+// unpin their threads; elsewhere the runners only lock them — either way
+// no shared proc state may race.
 func TestLoopGroupsStartStopConcurrently(t *testing.T) {
 	const groups = 4
 	procs := make([]*Proc, groups)
@@ -22,14 +21,14 @@ func TestLoopGroupsStartStopConcurrently(t *testing.T) {
 		svcs[g] = &echoService{}
 		svc := svcs[g]
 		procs[g] = New(fmt.Sprintf("grp%d", g+1), func() Service { return svc },
-			Options{LoopGroup: g + 1}, nil)
+			Options{Pinned: true}, nil)
 	}
 	for _, p := range procs {
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Each loop must make progress on its assigned CPU (or unpinned
+	// Each must make progress on the pinned runners (or the unpinned
 	// fallback).
 	deadline := time.Now().Add(2 * time.Second)
 	for _, svc := range svcs {
@@ -40,8 +39,7 @@ func TestLoopGroupsStartStopConcurrently(t *testing.T) {
 			t.Fatal("grouped loop never polled")
 		}
 	}
-	// Concurrent restarts re-pin on fresh goroutines while old threads
-	// unpin on the way out.
+	// Concurrent restarts leave and join the pinned runners.
 	done := make(chan error, groups)
 	for _, p := range procs {
 		go func(p *Proc) { done <- p.Restart() }(p)
@@ -64,7 +62,8 @@ func TestLoopGroupsStartStopConcurrently(t *testing.T) {
 	}
 }
 
-// TestCPUForGroupPartitions pins down the group→CPU mapping the loops use:
+// TestCPUForGroupPartitions pins down the group→CPU mapping pinned runners
+// use (runner i is group i+1):
 // ungrouped maps to no placement, and consecutive groups only collide once
 // groups outnumber the CPUs the process may run on (affinity's own tests
 // check which CPUs those are).

@@ -1,25 +1,28 @@
 // Package proc implements the server process model of the multiserver
 // system: each OS component is a single-threaded, asynchronous, event-driven
-// process on its own (dedicated) core.
+// process. The paper gives each one a dedicated core; here one Runner per
+// processor (GOMAXPROCS of them) steps the components in turn, each
+// component by one runner at a time, so the Go scheduler rotates a handful
+// of runners, not every component.
 //
-// The event loop realizes the paper's design rules: it polls the server's
+// Stepping realizes the paper's design rules: the runners poll a server's
 // channels aggressively while work keeps arriving; once a poll comes back
-// empty it watches only its doorbell (the memory location MONITOR watches)
-// and polls again only when a producer rings or the service's deadline
-// falls due, yielding for a short while and then napping on the armed
-// doorbell (MWAIT). Panics are contained to the incarnation and reported as
-// crash signals to the reincarnation server; restarted incarnations are told
-// they are restarting so they can recover state from the storage server.
+// empty they watch only the server's doorbell (the memory location MONITOR
+// watches) and poll again only when a producer rings or the service's
+// deadline falls due. When no server has work a runner yields for a short
+// while and then naps on its own armed doorbell (MWAIT), which every
+// server's doorbell also rings. Panics are contained to the
+// incarnation and reported as crash signals to the reincarnation server;
+// restarted incarnations are told they are restarting so they can recover
+// state from the storage server.
 package proc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"newtos/internal/affinity"
 	"newtos/internal/channel"
 	"newtos/internal/faults"
 )
@@ -98,11 +101,12 @@ type Service interface {
 type Handoffer interface {
 	Service
 	// HandoffState serializes the service's complete live state for the
-	// successor incarnation. It runs on the loop goroutine as the
-	// incarnation's final act, after the drain rounds quiesced the engine
-	// at a batch boundary: the loop exits right after, and the successor's
-	// Init observes the returned payload via Runtime.Handoff with a full
-	// happens-before chain (handoff channel send, then goroutine start).
+	// successor incarnation. It runs on a runner as the incarnation's
+	// final step, after the drain rounds quiesced the engine at a batch
+	// boundary: the incarnation leaves the runners right after, and the
+	// successor's Init observes the returned payload via Runtime.Handoff
+	// with a full happens-before chain (handoff channel send, then the
+	// successor's Init on the upgrading goroutine).
 	HandoffState() (any, error)
 }
 
@@ -110,9 +114,10 @@ type Handoffer interface {
 // the old loop at a batch boundary), transfer (serialize live state onto
 // the handoff channel), rewire (successor Init: re-point ports, restore
 // state, re-arm timers, re-announce readiness edges), resume (until the
-// new loop's first heartbeat). Live is false when the service does not
-// implement Handoffer and the upgrade fell back to a planned graceful
-// restart (stop, then a restart-mode launch recovering from storage).
+// runners have stepped the successor once). Live is false when the service
+// does not implement Handoffer and the upgrade fell back to a planned
+// graceful restart (stop, then a restart-mode launch recovering from
+// storage).
 type HandoffReport struct {
 	Live                            bool
 	Drain, Transfer, Rewire, Resume time.Duration
@@ -131,26 +136,14 @@ type handoffRes struct {
 	drain, transfer time.Duration
 }
 
-// The idle path: after a Poll that found nothing the loop yields
-// spinYields times, then naps on its armed doorbell, napMin long at first
-// and twice as long each nap after. An idle loop polls again at the latest
-// maxSleep after its last Poll, so heartbeats stay fresh.
-const (
-	spinYields = 32
-	napMin     = time.Microsecond
-	maxSleep   = 500 * time.Microsecond
-)
-
 // Options tune a process.
 type Options struct {
-	// LoopGroup assigns the loop to a core-affine group (numbered from 1;
-	// 0 means ungrouped). A grouped loop is locked to an OS thread,
-	// approximating a core dedicated to the component, and that thread is
-	// pinned to affinity.CPUForGroup(LoopGroup) where the platform supports
-	// sched_setaffinity; elsewhere the loop stays LockOSThread-pinned
-	// without a CPU mask. Distinct groups land on distinct CPUs until groups
-	// outnumber CPUs, then wrap.
-	LoopGroup int
+	// Pinned asks for dedicated cores: while a pinned process is a member,
+	// every runner is locked to its OS thread, and runner i's thread is
+	// pinned to CPU affinity.CPUForGroup(i+1) where the platform supports
+	// sched_setaffinity (elsewhere the runner stays LockOSThread-pinned
+	// without a CPU mask). Every runner steps every process, pinned or not.
+	Pinned bool
 }
 
 // Proc supervises one component across incarnations.
@@ -164,29 +157,47 @@ type Proc struct {
 	cur     *incarnation
 	incNum  int
 	status  atomic.Int32
-	hb      atomic.Int64 // unix nanos of last loop heartbeat
 	crashes atomic.Int32
 }
 
 type incarnation struct {
+	p       *Proc
 	num     int
 	svc     Service
 	rt      *Runtime
 	stop    chan struct{}
-	done    chan struct{}
+	done    chan struct{} // closed after the incarnation's last step
 	handoff chan *handoffReq
+	// stepped is closed after the incarnation's first step.
+	stepped chan struct{}
 	// signaled is raised after stop is closed or a handoff request is
-	// queued, and before the bell rings: the loop looks at those channels
-	// only when it is up.
+	// queued, and before the bell rings: the runner looks at those
+	// channels only when it is up.
 	signaled atomic.Bool
 	valid    atomic.Bool // false once abandoned/superseded
 	// ready flips after Init succeeds; Service() hides the incarnation
 	// until then, so observers never see a service mid-construction.
 	ready atomic.Bool
+	// busy is when the step a runner is taking of this incarnation began,
+	// in Unix nanoseconds, and 0 between steps: moving it from 0 claims
+	// the incarnation for one step. It is negated once that runner has
+	// been replaced in the middle of the step (isolate).
+	busy atomic.Int64
+
+	// Owned by the runner holding the claim. The idle gate: idle says the
+	// last Poll came back empty, seen is the bell's post count read
+	// before it, and due is when a runner polls anyway: the service's
+	// deadline, at most maxSleep away.
+	idle  bool
+	seen  uint64
+	due   time.Time
+	begun bool // the first step has been taken (stepped is closed)
+	gone  bool // the last step has been taken
 }
 
 // New creates a process. factory builds a fresh Service per incarnation;
-// onCrash (may be nil) is invoked from the dying goroutine.
+// onCrash (may be nil) is invoked from the runner that stepped the dying
+// incarnation, or from the launching goroutine when Init panicked.
 func New(name string, factory func() Service, opts Options, onCrash func(CrashEvent)) *Proc {
 	p := &Proc{name: name, factory: factory, opts: opts, onCrash: onCrash}
 	p.status.Store(int32(StatusIdle))
@@ -209,8 +220,38 @@ func (p *Proc) Incarnation() int {
 	return p.incNum
 }
 
-// Heartbeat returns the time of the last loop iteration.
-func (p *Proc) Heartbeat() time.Time { return time.Unix(0, p.hb.Load()) }
+// BusySince returns when a runner began the step it is taking of the live
+// incarnation, or the zero time when it is between steps. A step
+// lasts one Poll, so a stamp that grows old is a hung component.
+func (p *Proc) BusySince() time.Time {
+	p.mu.Lock()
+	inc := p.cur
+	p.mu.Unlock()
+	if inc == nil {
+		return time.Time{}
+	}
+	s := inc.busy.Load()
+	if s == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, max(s, -s))
+}
+
+// Isolate replaces the runner stepping the live incarnation when that
+// step has run longer than overrun, so the other members again have
+// GOMAXPROCS runners; the stuck runner exits once the step returns. It
+// reports whether it replaced a runner.
+func (p *Proc) Isolate(overrun time.Duration) bool {
+	p.mu.Lock()
+	inc := p.cur
+	p.mu.Unlock()
+	if inc == nil {
+		return false
+	}
+	runners.mu.Lock()
+	defer runners.mu.Unlock()
+	return isolate(inc, overrun)
+}
 
 // Fault returns the live incarnation's fault point (nil when not running).
 func (p *Proc) Fault() *faults.Point {
@@ -228,8 +269,8 @@ func (p *Proc) rtOf(inc *incarnation) *Runtime { return inc.rt }
 // running or the current incarnation has not finished Init (its state may
 // still be under construction). Callers may type-assert observability
 // interfaces (e.g. stats or drop reporters); the service's methods are only
-// safe to call when they read atomic counters, as the loop goroutine owns
-// all other state.
+// safe to call when they read atomic counters, as the runner stepping the
+// incarnation owns all other state.
 func (p *Proc) Service() Service {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -292,11 +333,18 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 	select {
 	case res = <-req.done:
 	case <-inc.done:
-		// Crashed mid-drain: the crash path owns recovery from here.
-		return HandoffReport{}, fmt.Errorf("proc %s: crashed during handoff", p.name)
+		// The result is sent before the incarnation's last step ends, so
+		// leaving without one is a crash mid-drain: the crash path owns
+		// recovery from here.
+		select {
+		case res = <-req.done:
+		default:
+			return HandoffReport{}, fmt.Errorf("proc %s: crashed during handoff", p.name)
+		}
 	}
-	// The old loop goroutine exits right after sending; wait for it so the
-	// successor adopts the engine state with a strict happens-before.
+	// The incarnation's last step ends right after sending; wait for that
+	// so the successor adopts the engine state with a strict
+	// happens-before.
 	<-inc.done
 	inc.rt.Fault.Release()
 	p.mu.Lock()
@@ -312,7 +360,10 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 	}
 
 	rewireStart := time.Now()
-	if err := p.adopt(inc, res.state); err != nil {
+	// The successor inherits the predecessor's doorbell, so every duplex
+	// peers hold keeps waking it.
+	succ, err := p.incarnate(inc.rt.Bell, res.state, false)
+	if err != nil {
 		if lerr := p.launch(true); lerr != nil {
 			return HandoffReport{}, fmt.Errorf("%v; restart fallback: %w", err, lerr)
 		}
@@ -320,16 +371,16 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 	}
 	rewire := time.Since(rewireStart)
 
-	// Resume: the successor's loop stores its first heartbeat at the top of
-	// its first iteration; waiting for a heartbeat past rewireStart bounds
-	// "the engine is polling again". All predecessor heartbeats
-	// happened-before rewireStart, so the comparison cannot confuse them.
+	// Resume: "the engine is polling again" once a runner has stepped the
+	// successor; a successor stopped before that ends the wait too, and
+	// so does a second with every runner stuck in other members' steps.
 	mark := time.Now()
-	for time.Since(mark) < time.Second {
-		if p.hb.Load() >= rewireStart.UnixNano() {
-			break
-		}
-		runtime.Gosched()
+	bound := time.NewTimer(time.Second)
+	defer bound.Stop()
+	select {
+	case <-succ.stepped:
+	case <-succ.stop:
+	case <-bound.C:
 	}
 	return HandoffReport{
 		Live:     true,
@@ -340,61 +391,19 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 	}, nil
 }
 
-// completeHandoff runs on the incarnation's loop goroutine: quiesce at a
-// batch boundary, serialize, hand the payload back, exit.
-func (p *Proc) completeHandoff(inc *incarnation, req *handoffReq) {
+// completeHandoff is the incarnation's last step: quiesce
+// at a batch boundary, serialize, hand the payload back.
+func completeHandoff(inc *incarnation, req *handoffReq) {
 	h := inc.svc.(Handoffer)
 	t0 := time.Now()
 	for i := 0; i < handoffDrainRounds; i++ {
-		now := time.Now()
-		p.hb.Store(now.UnixNano())
-		if !inc.svc.Poll(now) {
+		if !inc.svc.Poll(time.Now()) {
 			break
 		}
 	}
 	t1 := time.Now()
 	state, err := h.HandoffState()
 	req.done <- handoffRes{state: state, err: err, drain: t1.Sub(t0), transfer: time.Since(t1)}
-}
-
-// adopt launches the successor incarnation of a live handoff: it inherits
-// the predecessor's doorbell (so every duplex peers hold keeps waking it)
-// and receives the serialized state via Runtime.Handoff.
-func (p *Proc) adopt(prev *incarnation, state any) error {
-	p.mu.Lock()
-	if p.cur != nil {
-		p.mu.Unlock()
-		return fmt.Errorf("proc %s: already running", p.name)
-	}
-	p.incNum++
-	inc := &incarnation{
-		num:     p.incNum,
-		svc:     p.factory(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		handoff: make(chan *handoffReq, 1),
-		rt: &Runtime{
-			Bell:        prev.rt.Bell,
-			Fault:       faults.NewPoint(p.name),
-			Incarnation: p.incNum,
-			Handoff:     state,
-		},
-	}
-	inc.valid.Store(true)
-	p.cur = inc
-	p.mu.Unlock()
-
-	initDone := make(chan error, 1)
-	go p.run(inc, false, initDone)
-	if err := <-initDone; err != nil {
-		p.mu.Lock()
-		if p.cur == inc {
-			p.cur = nil
-		}
-		p.mu.Unlock()
-		return fmt.Errorf("proc %s: handoff init: %w", p.name, err)
-	}
-	return nil
 }
 
 // Shutdown gracefully stops the current incarnation and waits for it.
@@ -410,12 +419,15 @@ func (p *Proc) Shutdown() {
 	close(inc.stop)
 	inc.signal()
 	inc.rt.Fault.Release()
-	<-inc.done
+	inc.await()
 	p.status.Store(int32(StatusStopped))
 }
 
 // abandon gives up on the current incarnation without waiting for its
-// goroutine (it may be hung); Release unwinds a parked Hang fault.
+// runner (it may be hung in a step); Release unwinds a parked Hang fault.
+// A step hung beyond Release keeps its runner until the reincarnation
+// server's sweep replaces it (Isolate), which happens before the sweep
+// convicts the hang; the other runners step the successor meanwhile.
 func (p *Proc) abandon() {
 	p.mu.Lock()
 	inc := p.cur
@@ -434,157 +446,76 @@ func (p *Proc) abandon() {
 	inc.rt.Fault.Release()
 }
 
-// signal tells the loop to look at its stop and handoff channels: the flag
-// first, then the bell, so a loop woken by the ring finds the flag up.
+// signal tells the runner to look at the stop and handoff channels: the
+// flag first, then the bell, so a runner woken by the ring finds the flag
+// up.
 func (inc *incarnation) signal() {
 	inc.signaled.Store(true)
 	inc.rt.Bell.Ring()
 }
 
 func (p *Proc) launch(restart bool) error {
+	_, err := p.incarnate(channel.NewDoorbell(), nil, restart)
+	return err
+}
+
+// incarnate makes the next incarnation on bell, runs its Init on the
+// calling goroutine and, when that succeeds, hands it to the runners.
+// handoff is the predecessor's state on a live update, nil otherwise.
+func (p *Proc) incarnate(bell *channel.Doorbell, handoff any, restart bool) (*incarnation, error) {
 	p.mu.Lock()
 	if p.cur != nil {
 		p.mu.Unlock()
-		return fmt.Errorf("proc %s: already running", p.name)
+		return nil, fmt.Errorf("proc %s: already running", p.name)
 	}
 	p.incNum++
 	inc := &incarnation{
+		p:       p,
 		num:     p.incNum,
 		svc:     p.factory(),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		handoff: make(chan *handoffReq, 1),
+		stepped: make(chan struct{}),
 		rt: &Runtime{
-			Bell:        channel.NewDoorbell(),
+			Bell:        bell,
 			Fault:       faults.NewPoint(p.name),
 			Incarnation: p.incNum,
+			Handoff:     handoff,
 		},
 	}
 	inc.valid.Store(true)
 	p.cur = inc
 	p.mu.Unlock()
 
-	initDone := make(chan error, 1)
-	go p.run(inc, restart, initDone)
-	if err := <-initDone; err != nil {
+	if err := inc.init(restart); err != nil {
 		p.mu.Lock()
 		if p.cur == inc {
 			p.cur = nil
 		}
 		p.mu.Unlock()
-		return fmt.Errorf("proc %s: init: %w", p.name, err)
-	}
-	return nil
-}
-
-// run is one incarnation's goroutine: init, then the event loop, with
-// panic containment and crash reporting.
-func (p *Proc) run(inc *incarnation, restart bool, initDone chan<- error) {
-	defer close(inc.done)
-	if p.opts.LoopGroup != 0 {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-		if cpu := affinity.CPUForGroup(p.opts.LoopGroup); cpu >= 0 {
-			if affinity.PinThread(cpu) == nil {
-				// LIFO defers: the mask is restored before the thread
-				// unlocks back into the scheduler's pool.
-				defer affinity.UnpinThread()
-			}
+		close(inc.done)
+		if handoff != nil {
+			return nil, fmt.Errorf("proc %s: handoff init: %w", p.name, err)
 		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			// If Init itself panicked, unblock the launcher too.
-			select {
-			case initDone <- fmt.Errorf("panic during init: %v", r):
-			default:
-			}
-			p.reportCrash(inc, r)
-		}
-	}()
-
-	if err := inc.svc.Init(inc.rt, restart); err != nil {
-		initDone <- err
-		return
+		return nil, fmt.Errorf("proc %s: init: %w", p.name, err)
 	}
 	inc.ready.Store(true)
-	initDone <- nil
 	p.status.Store(int32(StatusRunning))
-	p.hb.Store(time.Now().UnixNano())
+	join(inc)
+	return inc, nil
+}
 
-	bell := inc.rt.Bell
-	var (
-		// The idle gate: idle says the last Poll came back empty, seen is
-		// the bell's post count read before it, and due is when the loop
-		// polls anyway: the service's deadline, at most maxSleep away.
-		idle bool
-		seen uint64
-		due  time.Time
-		// Idle steps since the last Poll that found work: the first
-		// spinYields yield, the ones after nap.
-		spins int
-	)
-	for {
-		if inc.signaled.Load() {
-			select {
-			case <-inc.stop:
-				inc.svc.Stop()
-				if inc.valid.Load() {
-					p.status.Store(int32(StatusStopped))
-				}
-				return
-			case req := <-inc.handoff:
-				p.completeHandoff(inc, req)
-				return
-			default:
-			}
+// init runs the service's Init; a panic there is a crash of the
+// incarnation and fails the launch.
+func (inc *incarnation) init(restart bool) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic during init: %v", r)
+			inc.p.reportCrash(inc, r)
 		}
-		now := time.Now()
-		p.hb.Store(now.UnixNano())
-		inc.rt.Fault.Check()
-		// After an empty Poll the loop watches its doorbell, not its
-		// queues: every input either rings the bell or is a deadline, so
-		// until the post count moves or the deadline falls due another
-		// Poll would find nothing.
-		if posts := bell.Posts(); !idle || posts != seen || !now.Before(due) {
-			seen = posts
-			if inc.svc.Poll(now) {
-				idle, spins = false, 0
-				continue
-			}
-			idle, due = true, now.Add(maxSleep)
-			if d := inc.svc.Deadline(now); !d.IsZero() && d.Before(due) {
-				due = d
-			}
-		}
-		// The paper's "more aggressive polling to avoid halting the core if
-		// the gap between requests is short": yield for a while, then nap.
-		if spins < spinYields {
-			spins++
-			runtime.Gosched()
-			continue
-		}
-		// The nap is the loop's one blocking wait. Ring counts its post
-		// before it looks at the arm, so a post that raced the Arm shows
-		// in the count and sends the loop back to the gate instead.
-		bell.Arm()
-		if bell.Posts() != seen {
-			bell.Disarm()
-			continue
-		}
-		nap := napMin << (spins - spinYields)
-		if wait := min(nap, time.Until(due)); wait > 0 {
-			bell.Wait(wait)
-		} else {
-			bell.Disarm()
-		}
-		// The streak survives an empty Poll: only one that finds work
-		// resets it, so a persistently idle loop settles into one nap and
-		// one Poll per maxSleep instead of re-running the ramp.
-		if nap < maxSleep {
-			spins++
-		}
-	}
+	}()
+	return inc.svc.Init(inc.rt, restart)
 }
 
 func (p *Proc) reportCrash(inc *incarnation, r any) {

@@ -79,8 +79,8 @@ func TestStartRunsServiceLoop(t *testing.T) {
 		t.Fatalf("init state: inited=%v restarted=%v", svc.inited, svc.restarted)
 	}
 	svc.mu.Unlock()
-	if time.Since(p.Heartbeat()) > time.Second {
-		t.Fatal("heartbeat stale")
+	if since := p.BusySince(); !since.IsZero() && time.Since(since) > time.Second {
+		t.Fatalf("one step has run since %v", since)
 	}
 }
 
@@ -186,23 +186,28 @@ func TestCrashReportedAndRestarts(t *testing.T) {
 }
 
 func TestHangDetectableViaHeartbeatAndRestart(t *testing.T) {
-	svc := &echoService{}
 	p := New("hang", func() Service { return &echoService{} }, Options{}, nil)
-	_ = svc
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
+	if since := p.BusySince(); !since.IsZero() && time.Since(since) > time.Second {
+		t.Fatalf("a healthy loop reads busy since %v", since)
+	}
 	p.Fault().Arm(faults.Hang)
-	// Heartbeat goes stale while status stays Running.
+	// The hang parks inside a step, so its busy stamp grows old while the
+	// status stays Running.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if p.Status() == StatusRunning && time.Since(p.Heartbeat()) > 100*time.Millisecond {
+		if since := p.BusySince(); !since.IsZero() && time.Since(since) > 100*time.Millisecond {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if time.Since(p.Heartbeat()) <= 100*time.Millisecond {
-		t.Fatal("heartbeat did not go stale")
+	if since := p.BusySince(); since.IsZero() || time.Since(since) <= 100*time.Millisecond {
+		t.Fatalf("busy stamp did not grow old: %v", since)
+	}
+	if p.Status() != StatusRunning {
+		t.Fatalf("status of the hung loop = %v", p.Status())
 	}
 	// The supervisor's reaction: Restart abandons the hung incarnation.
 	if err := p.Restart(); err != nil {
@@ -212,11 +217,14 @@ func TestHangDetectableViaHeartbeatAndRestart(t *testing.T) {
 	if p.Status() != StatusRunning {
 		t.Fatalf("status after restart = %v", p.Status())
 	}
-	// The abandoned goroutine's eventual unwind must not disturb the new
-	// incarnation.
+	// The abandoned incarnation's eventual unwind must not disturb the new
+	// one.
 	time.Sleep(50 * time.Millisecond)
 	if p.Status() != StatusRunning || p.Crashes() != 0 {
 		t.Fatalf("stale incarnation disturbed: status=%v crashes=%d", p.Status(), p.Crashes())
+	}
+	if since := p.BusySince(); !since.IsZero() && time.Since(since) > 50*time.Millisecond {
+		t.Fatalf("the new incarnation reads busy since %v", since)
 	}
 }
 

@@ -5,12 +5,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"newtos/internal/channel"
 )
 
 // spinService finds no work and has no deadline unless a test gives it
-// one. It counts its Polls and the ones made with the bell armed.
+// one. It counts its Polls and the ones made with its runner's bell armed.
 type spinService struct {
 	rt *Runtime
+	// runnerBell is the bell its runner naps on, once the test has set it.
+	runnerBell atomic.Pointer[channel.Doorbell]
 	// onFirst runs inside the first Poll, on the loop goroutine.
 	onFirst func(s *spinService)
 	// deadline is loop-owned: set and cleared by Poll, read by Deadline.
@@ -34,7 +38,7 @@ func (s *spinService) Poll(now time.Time) bool {
 	} else if !s.deadline.IsZero() && !now.Before(s.deadline) {
 		s.deadline = time.Time{} // the timer fired
 	}
-	if s.rt.Bell.Armed() {
+	if b := s.runnerBell.Load(); b != nil && b.Armed() {
 		s.armedPolls.Add(1)
 	}
 	return false
@@ -44,17 +48,19 @@ func (s *spinService) Deadline(now time.Time) time.Time { return s.deadline }
 func (s *spinService) Stop()                            {}
 
 // TestIdleSpinPollsOnlyOnPost pins the idle gate: after an empty Poll the
-// loop polls again only when its doorbell is rung or its deadline falls
-// due, so a streak with neither runs one Poll up to the first armed nap,
-// where re-polling every idle step would run one per yield. No Poll runs
-// between Arm and Wait: the re-check is the post count.
+// runner polls a member again only when the member's doorbell is rung or
+// its deadline falls due, so a streak with neither runs one Poll up to the
+// runner's first armed nap, where re-polling every idle sweep would run
+// one per yield. No Poll runs between Arm and Wait of the runner's bell:
+// the re-check is that bell's post count, which every member's ring
+// reaches.
 //
-// On one P the test goroutine runs only while the loop yields, unarmed,
-// or blocks; so the first time it finds the bell armed the loop is in a
-// nap of its first streak, and no Poll can have slipped in since unless
-// the host stalled the streak past maxSleep, which the test retries.
+// On one P the test goroutine runs only while the runner yields, unarmed,
+// or blocks; so the first time it finds the runner's bell armed the runner
+// is in a nap of its first streak, and no Poll can have slipped in since
+// unless the host stalled the streak past maxSleep, which the test
+// retries.
 func TestIdleSpinPollsOnlyOnPost(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cases := []struct {
 		name    string
 		onFirst func(s *spinService)
@@ -98,23 +104,35 @@ func TestIdleSpinPollsOnlyOnPost(t *testing.T) {
 	}
 }
 
-// idleStreak runs a spinService until its loop first naps and reports the
-// Polls up to then, how long after the first Poll that was, and how many
-// Polls ran with the bell armed over several maxSleep polls after it.
+// idleStreak runs a spinService until its runner first naps and reports
+// the Polls up to then, how long after the first Poll that was, and how
+// many Polls ran with the runner's bell armed over several maxSleep polls
+// after it.
 func idleStreak(t *testing.T, onFirst func(s *spinService)) (polls int32, took time.Duration, armed int32) {
+	defer oneRunner(t)()
 	svc := &spinService{onFirst: onFirst}
 	p := New("spin", func() Service { return svc }, Options{}, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer p.Shutdown()
-	bell := svc.rt.Bell
+	runners.mu.Lock()
+	bell := runners.bells[0]
+	runners.mu.Unlock()
+	svc.runnerBell.Store(bell)
 	for give := time.Now().Add(5 * time.Second); !bell.Armed(); runtime.Gosched() {
 		if time.Now().After(give) {
-			t.Fatal("loop never napped")
+			t.Fatal("runner never napped")
 		}
 	}
 	polls, took = svc.polls.Load(), time.Since(time.Unix(0, svc.first.Load()))
 	time.Sleep(10 * maxSleep)
 	return polls, took, svc.armedPolls.Load()
+}
+
+// running returns how many runner indices are in use.
+func running() int {
+	runners.mu.Lock()
+	defer runners.mu.Unlock()
+	return runners.n
 }

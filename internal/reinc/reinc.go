@@ -17,7 +17,7 @@ type Event struct {
 	Incarnation int
 	Reason      string
 	Injected    bool
-	Hang        bool // detected via heartbeat, not crash signal
+	Hang        bool // busy in one step past HeartbeatMiss, not a crash signal
 	// Planned marks a deliberate live update (Upgrade), not crash
 	// recovery: the component was swapped on purpose, so the event never
 	// counts toward the MaxRestarts crash budget.
@@ -28,10 +28,12 @@ type Event struct {
 
 // Config tunes the monitor.
 type Config struct {
-	// HeartbeatInterval is how often children are checked.
+	// HeartbeatInterval is how often children are checked. A child busy
+	// in one step for longer than this holds the runner stepping it, and
+	// the check replaces that runner (proc.Proc.Isolate).
 	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how stale a child's heartbeat may get before it is
-	// declared hung and reset.
+	// HeartbeatMiss is how long a child may stay busy in one step before
+	// it is declared hung and reset.
 	HeartbeatMiss time.Duration
 	// MaxRestarts caps restarts per component (0 = unlimited); beyond it
 	// the component is left down (the "reboot necessary" outcome).
@@ -193,13 +195,16 @@ func (m *Monitor) loop() {
 	}
 }
 
-// sweep detects hung children: running status but a heartbeat older than
-// HeartbeatMiss. A failure detector must not believe its own lateness: a
-// sweep that is itself more than HeartbeatMiss/2 overdue means the whole
-// process was stalled (or the monitor was busy restarting somebody), and
-// the children's heartbeats are stale for the same reason this sweep is
-// late. Such a sweep convicts nobody and re-arms: every child gets a full
-// HeartbeatMiss, counted from now, to show it is alive.
+// sweep detects hung children: running status and busy in one step
+// (proc.Proc.BusySince) for longer than HeartbeatMiss. A child busy for
+// longer than HeartbeatInterval has its runner replaced first, so a hang
+// holds a runner for at most about one sweep interval past that. A
+// failure detector must not believe its own lateness: a sweep that is
+// itself more than HeartbeatMiss/2 overdue means the whole process was
+// stalled (or the monitor was busy restarting somebody), and the children's
+// steps look long for the same reason this sweep is late. Such a sweep
+// convicts nobody and re-arms: every child gets a full HeartbeatMiss,
+// counted from now, to show it is alive.
 func (m *Monitor) sweep(now time.Time) {
 	if now.Sub(m.lastSweep) > m.cfg.HeartbeatInterval+m.cfg.HeartbeatMiss/2 {
 		m.armed = now
@@ -211,11 +216,18 @@ func (m *Monitor) sweep(now time.Time) {
 		if m.disabled[p.Name()] {
 			continue
 		}
-		seen := p.Heartbeat()
-		if seen.Before(m.armed) {
-			seen = m.armed
+		since := p.BusySince()
+		if since.IsZero() {
+			continue
 		}
-		if p.Status() == proc.StatusRunning && now.Sub(seen) > m.cfg.HeartbeatMiss {
+		if since.Before(m.armed) {
+			since = m.armed
+		}
+		busy := now.Sub(since)
+		if busy > m.cfg.HeartbeatInterval {
+			p.Isolate(m.cfg.HeartbeatInterval)
+		}
+		if p.Status() == proc.StatusRunning && busy > m.cfg.HeartbeatMiss {
 			hung = append(hung, p)
 		}
 	}

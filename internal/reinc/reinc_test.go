@@ -64,14 +64,25 @@ func TestCrashTriggersRestart(t *testing.T) {
 }
 
 func TestHangDetectedByHeartbeat(t *testing.T) {
-	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond, HeartbeatMiss: 50 * time.Millisecond})
+	const miss = 50 * time.Millisecond
+	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond, HeartbeatMiss: miss})
 	m.Start()
 	defer m.Stop()
 	p, restarts := startChild(t, m, "hung")
 	defer p.Shutdown()
 
 	p.Fault().Arm(faults.Hang)
+	// The hang parks inside a step: the child reads busy from the step's
+	// start until the monitor resets it.
+	var since time.Time
 	deadline := time.Now().Add(3 * time.Second)
+	for since.IsZero() && restarts.Load() == 0 && time.Now().Before(deadline) {
+		since = p.BusySince()
+		time.Sleep(time.Millisecond)
+	}
+	if since.IsZero() {
+		t.Fatal("the hung child never read busy")
+	}
 	for restarts.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
@@ -88,6 +99,9 @@ func TestHangDetectedByHeartbeat(t *testing.T) {
 	}
 	if len(evs) == 0 || !evs[0].Hang {
 		t.Fatalf("events = %+v", evs)
+	}
+	if busy := evs[0].DetectedAt.Sub(since); busy <= miss {
+		t.Fatalf("convicted after %v busy in one step, want more than HeartbeatMiss %v", busy, miss)
 	}
 }
 

@@ -118,7 +118,7 @@ func (s *Store) wipe() {
 
 // Service is the storage server's process incarnation. Its Poll does no
 // work (the facade is synchronous — modelling kernel-IPC sendrec to the
-// storage process) but it carries the fault point and heartbeat, and a
+// storage process) but it carries the fault point and is watched for hangs, and a
 // restart wipes the data.
 type Service struct {
 	backing *Store

@@ -10,7 +10,7 @@ import (
 // "Zero-downtime live update"): drain (old engine quiesces at a batch
 // boundary and flushes its edges), transfer (live state serialized onto
 // the handoff channel), rewire (successor re-points ports and restores
-// state, re-arming timers), resume (until the new loop's first heartbeat).
+// state, re-arming timers), resume (until its runner first steps the successor).
 // Live is false when the component fell back to a planned graceful restart
 // instead of a state-carrying handoff.
 type HandoffPhases struct {
