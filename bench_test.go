@@ -210,65 +210,6 @@ func BenchmarkSec4_ChannelBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSec4_TCPSharded measures shard-count scaling of the flow-hash
-// sharded TCP engine: the same aggregate bulk transfer over a fat
-// (ten-gigabit, low-latency) pipe with the TCP engine split 1/2/4 ways.
-// The paper scales by multiplying components, not threads; on a multi-core
-// box /4 should beat /1 because four engine loops chew the same socket
-// load behind four doorbells. On a single-core CI box the sub-benchmarks
-// merely smoke-test the sharded data path end to end.
-func BenchmarkSec4_TCPSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprint(shards), func(b *testing.B) {
-			var total float64
-			for i := 0; i < b.N; i++ {
-				mbps, err := experiments.RunTCPSharded(shards, experiments.Table2Opts{
-					Duration: 600 * time.Millisecond, Wires: 2, ConnsPerWire: 4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += mbps
-			}
-			b.ReportMetric(total/float64(b.N), "Mbps")
-		})
-	}
-}
-
-// BenchmarkTable2_Scaling measures the multi-core scaling curve: the same
-// aggregate bulk transfer as BenchmarkSec4_TCPSharded, swept over
-// TCPShards 1/2/4 both with the loops left to the Go scheduler (unpinned)
-// and with the runners pinned to cores (core.Config.PinCores). On a
-// multi-core runner the pinned curve should rise monotonically with the
-// shard count and sit at or above the unpinned one; on a single-core CI
-// box both curves are flat and the sweep merely smoke-tests the pinned
-// code path end to end.
-func BenchmarkTable2_Scaling(b *testing.B) {
-	for _, pinned := range []bool{false, true} {
-		name := "unpinned"
-		if pinned {
-			name = "pinned"
-		}
-		b.Run(name, func(b *testing.B) {
-			for _, shards := range []int{1, 2, 4} {
-				b.Run(fmt.Sprint(shards), func(b *testing.B) {
-					var total float64
-					for i := 0; i < b.N; i++ {
-						mbps, err := experiments.RunScaling(shards, pinned, experiments.Table2Opts{
-							Duration: 600 * time.Millisecond, Wires: 2, ConnsPerWire: 4,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						total += mbps
-					}
-					b.ReportMetric(total/float64(b.N), "Mbps")
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkSec4_RxBurst measures the elastic RX-pool burst path
 // (docs/ARCHITECTURE.md "Elastic pools"): a 4× over-complement burst that
 // must complete with zero device drops while the pool grows and then
@@ -390,8 +331,8 @@ func BenchmarkSec4_C100K(b *testing.B) {
 	b.ReportMetric(float64(conns), "conns")
 }
 
-// BenchmarkSec4_LiveUpdate measures the zero-downtime engine swap: every
-// TCP shard and the UDP server are live-upgraded while parked
+// BenchmarkSec4_LiveUpdate measures the zero-downtime engine swap: the
+// TCP server and the UDP server are live-upgraded while parked
 // connections, a bulk transfer, and a UDP ping-pong run across the swap.
 // Reports the worst handoff pause (the paper's comparison point is the
 // ~1-RTO stall of crash recovery; minRTO here is 20ms). Sized down for
@@ -409,18 +350,16 @@ func BenchmarkSec4_LiveUpdate(b *testing.B) {
 			b.Fatalf("swap was not transparent: %+v", rep)
 		}
 		pause += float64(rep.MaxPause().Microseconds())
-		for _, ph := range rep.TCPPhases {
-			drain += float64(ph.Drain.Microseconds())
-			transfer += float64(ph.Transfer.Microseconds())
-			rewire += float64(ph.Rewire.Microseconds())
-		}
+		ph := rep.TCPPhases
+		drain += float64(ph.Drain.Microseconds())
+		transfer += float64(ph.Transfer.Microseconds())
+		rewire += float64(ph.Rewire.Microseconds())
 	}
 	n := float64(b.N)
-	shards := n * 2
 	b.ReportMetric(pause/n, "max-pause-us")
-	b.ReportMetric(drain/shards, "drain-us")
-	b.ReportMetric(transfer/shards, "transfer-us")
-	b.ReportMetric(rewire/shards, "rewire-us")
+	b.ReportMetric(drain/n, "drain-us")
+	b.ReportMetric(transfer/n, "transfer-us")
+	b.ReportMetric(rewire/n, "rewire-us")
 }
 
 // BenchmarkSec4_KernelTrapHot is the ~150-cycle comparison point.

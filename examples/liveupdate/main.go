@@ -8,7 +8,7 @@
 // rides the drain-and-handoff path: Node.Upgrade quiesces the old engine
 // at a batch boundary, streams its live state to a fresh incarnation, and
 // re-points the wiring — no storage round-trip, no RTO stall. A TCP bulk
-// transfer is mid-flight through the very shard being swapped, and the
+// transfer is mid-flight through the very TCP server being swapped, and the
 // demo asserts the echoed stream comes back byte-exact; the UDP socket
 // keeps answering without being reopened. Phase timings (drain, transfer,
 // rewire, resume) are printed for each swap.
@@ -37,7 +37,6 @@ func main() {
 
 func run() error {
 	cfg := core.SplitTSO()
-	cfg.TCPShards = 2
 	lan, err := core.NewLAN(cfg, 1, nic.Gigabit())
 	if err != nil {
 		return err
@@ -116,7 +115,7 @@ func run() error {
 	}
 
 	// Bulk TCP transfer: a patterned 512 KiB stream echoed back through
-	// the shard that is about to be swapped out from under it.
+	// the TCP server that is about to be swapped out from under it.
 	var sent atomic.Int64
 	sendErr := make(chan error, 1)
 	go func() {
@@ -135,7 +134,7 @@ func run() error {
 	}()
 
 	// Read the echo back, verifying every byte; once a third of the
-	// stream is through, live-update every TCP shard and the UDP server
+	// stream is through, live-update the TCP server and the UDP server
 	// while the transfer keeps running.
 	buf := make([]byte, 64*1024)
 	got, swapped := 0, false
@@ -156,14 +155,12 @@ func run() error {
 		if !swapped && got >= bulkTotal/3 {
 			swapped = true
 			fmt.Printf("mid-transfer (%d/%d bytes echoed): live-updating engines on node B ...\n", got, bulkTotal)
-			for k := 0; k < cfg.TCPShards; k++ {
-				ph, err := lan.B.Upgrade(core.TCPShardName(k, cfg.TCPShards))
-				if err != nil {
-					return fmt.Errorf("upgrade: %w", err)
-				}
-				fmt.Printf("  %s\n", ph)
+			ph, err := lan.B.Upgrade(core.CompTCP)
+			if err != nil {
+				return fmt.Errorf("upgrade tcp: %w", err)
 			}
-			ph, err := lan.B.Upgrade(core.CompUDP)
+			fmt.Printf("  %s\n", ph)
+			ph, err = lan.B.Upgrade(core.CompUDP)
 			if err != nil {
 				return fmt.Errorf("upgrade udp: %w", err)
 			}

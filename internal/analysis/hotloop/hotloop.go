@@ -38,16 +38,15 @@ const procPath = "newtos/internal/proc"
 // allowed are the infrastructure packages exempt from hot-loop rules (they
 // emulate hardware, shared memory, or the kernel — not stack components).
 var allowed = map[string]bool{
-	"newtos/internal/shm":      true,
-	"newtos/internal/storage":  true,
-	"newtos/internal/nic":      true,
-	"newtos/internal/channel":  true,
-	"newtos/internal/spsc":     true,
-	"newtos/internal/kipc":     true,
-	"newtos/internal/trace":    true,
-	"newtos/internal/faults":   true,
-	"newtos/internal/proc":     true,
-	"newtos/internal/affinity": true,
+	"newtos/internal/shm":     true,
+	"newtos/internal/storage": true,
+	"newtos/internal/nic":     true,
+	"newtos/internal/channel": true,
+	"newtos/internal/spsc":    true,
+	"newtos/internal/kipc":    true,
+	"newtos/internal/trace":   true,
+	"newtos/internal/faults":  true,
+	"newtos/internal/proc":    true,
 }
 
 // Analyzer reports clock reads, string formatting, blocking channel ops and

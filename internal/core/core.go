@@ -47,14 +47,6 @@ const (
 	CompStack = "stack"
 )
 
-// MaxTCPShards bounds Config.TCPShards (the shard index must fit the edge
-// naming and the fault-injection tooling; 16 is far beyond the evaluation).
-const MaxTCPShards = 16
-
-// TCPShardName returns the component name of TCP shard k in an n-shard
-// node: the historical "tcp" when n <= 1, "tcp<k>" otherwise.
-func TCPShardName(k, n int) string { return tcpsrv.ShardName(k, n) }
-
 // Config selects a stack configuration (one Table II row).
 type Config struct {
 	// Name identifies the node (diagnostics).
@@ -73,24 +65,12 @@ type Config struct {
 	Offload bool
 	// TSO additionally enables TCP segmentation offload (rows 5-6).
 	TSO bool
-	// TCPShards runs the TCP engine as this many flow-hash shards, each an
-	// independent server process with its own doorbell and channel pair to
-	// IP and to the SYSCALL server (docs/ARCHITECTURE.md "Sharded TCP").
-	// <= 1 keeps the single quarantined TCP server. Sharding requires the
-	// SYSCALL server (it is the shard router for socket calls).
-	TCPShards int
 	// SingleServer hosts the IP, PF, TCP and UDP servers in one process,
 	// CompStack, on one event loop and doorbell (Table II's single-server
 	// rows). The servers and every edge between them, to the drivers and to
 	// the SYSCALL server are the same code as in the split placement; what
-	// changes is that one crash takes all four down. Excludes TCPShards > 1.
+	// changes is that one crash takes all four down.
 	SingleServer bool
-	// PinCores gives the servers dedicated cores: the runners that step
-	// them (proc.Options.Pinned) are locked to their OS threads, each
-	// thread pinned to a distinct CPU. Uses sched_setaffinity where
-	// available; elsewhere the runners degrade to LockOSThread-only
-	// placement (internal/affinity).
-	PinCores bool
 	// Kernel sets the simulated kernel cost model.
 	Kernel kipc.Config
 	// HeartbeatMiss tunes hang detection (default 250ms).
@@ -98,14 +78,6 @@ type Config struct {
 	// LinkUpDelay is the device link-retrain time after a reset — the
 	// visible gap of Figure 4 (default 0 for fast tests).
 	LinkUpDelay time.Duration
-}
-
-// tcpShardCount is TCPShards normalized to at least one shard.
-func (c Config) tcpShardCount() int {
-	if c.TCPShards < 1 {
-		return 1
-	}
-	return c.TCPShards
 }
 
 // SplitTSO returns the flagship configuration: split stack, SYSCALL
@@ -143,12 +115,8 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		devices: devices,
 	}
 
-	// Config.PinCores: every server but storage (it is not on the hot
-	// path) asks for runners pinned to cores.
-	pin := proc.Options{Pinned: cfg.PinCores}
-
 	// Storage server.
-	n.addProc(CompStorage, proc.Options{}, func() proc.Service {
+	n.addProc(CompStorage, func() proc.Service {
 		return storage.NewService(hub.Store)
 	})
 
@@ -157,7 +125,7 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 	for name, dev := range devices {
 		name, dev := name, dev
 		ports := wiring.NewPorts(hub, name)
-		n.addProc(name, pin, func() proc.Service {
+		n.addProc(name, func() proc.Service {
 			return driver.New(name, ports, dev)
 		})
 	}
@@ -167,15 +135,6 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		localIP = cfg.Ifaces[0].IP
 	}
 	srcFor := SrcSelector(cfg.Ifaces)
-	shards := cfg.tcpShardCount()
-	switch {
-	case shards > MaxTCPShards:
-		return nil, fmt.Errorf("node %s: TCPShards %d exceeds MaxTCPShards %d", cfg.Name, shards, MaxTCPShards)
-	case shards > 1 && !cfg.SyscallServer:
-		return nil, fmt.Errorf("node %s: TCPShards %d requires the SYSCALL server (it routes socket calls to shards)", cfg.Name, shards)
-	case shards > 1 && cfg.SingleServer:
-		return nil, fmt.Errorf("node %s: TCPShards %d with SingleServer (shards are separate processes by definition)", cfg.Name, shards)
-	}
 
 	// The stack servers in boot order, inside-out: IP, PF, the transports.
 	// Each becomes its own process, or all of them one (cfg.SingleServer).
@@ -203,7 +162,7 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 
 	ipPorts := wiring.NewPorts(hub, CompIP)
 	ipCfg := ipsrv.Config{
-		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload, TCPShards: shards,
+		Ifaces: cfg.Ifaces, PFEnabled: cfg.PF, Offload: cfg.Offload,
 	}
 	stack = append(stack, server{CompIP, []shell{func() proc.Service {
 		return ipsrv.New(ipCfg, ipPorts)
@@ -216,20 +175,12 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		}}})
 	}
 
-	// Transports. TCP runs as TCPShards independent flow-hash shards, each
-	// its own process with its own doorbell; the TCP door routes socket
-	// calls between them from the SYSCALL server, so sharding requires it.
-	for k := 0; k < shards; k++ {
-		name := TCPShardName(k, shards)
-		tcpPorts := wiring.NewPorts(hub, name)
-		tcpCfg := tcpsrv.Config{
-			LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload, TSO: cfg.TSO,
-			Shard: k, Shards: shards,
-		}
-		transport(name, func() proc.Service {
-			return tcpsrv.New(tcpCfg, tcpPorts)
-		}, syscallsrv.TCP(shards))
-	}
+	// Transports.
+	tcpPorts := wiring.NewPorts(hub, CompTCP)
+	tcpCfg := tcpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload, TSO: cfg.TSO}
+	transport(CompTCP, func() proc.Service {
+		return tcpsrv.New(tcpCfg, tcpPorts)
+	}, syscallsrv.TCP())
 	udpPorts := wiring.NewPorts(hub, CompUDP)
 	udpCfg := udpsrv.Config{LocalIP: localIP, SrcFor: srcFor, Offload: cfg.Offload}
 	transport(CompUDP, func() proc.Service {
@@ -244,21 +195,21 @@ func NewNode(cfg Config, hub *wiring.Hub, devices map[string]*nic.Device) (*Node
 		stack = []server{{CompStack, all}}
 	}
 	for _, s := range stack {
-		n.addProc(s.name, pin, host(s.shells))
+		n.addProc(s.name, host(s.shells))
 	}
 
 	// SYSCALL server: all three doors.
 	if cfg.SyscallServer {
 		scPorts := wiring.NewPorts(hub, CompSC)
-		n.addProc(CompSC, pin, func() proc.Service {
-			return syscallsrv.New(scPorts, syscallsrv.TCP(shards), syscallsrv.UDP(), syscallsrv.PF())
+		n.addProc(CompSC, func() proc.Service {
+			return syscallsrv.New(scPorts, syscallsrv.TCP(), syscallsrv.UDP(), syscallsrv.PF())
 		})
 	}
 	return n, nil
 }
 
-func (n *Node) addProc(name string, opts proc.Options, factory func() proc.Service) {
-	p := proc.New(name, factory, opts, n.Monitor.OnCrash())
+func (n *Node) addProc(name string, factory func() proc.Service) {
+	p := proc.New(name, factory, n.Monitor.OnCrash())
 	n.procs[name] = p
 	n.order = append(n.order, name)
 	n.Monitor.Adopt(p)
@@ -295,7 +246,7 @@ func (n *Node) Proc(name string) *proc.Proc { return n.procs[name] }
 
 // Upgrade live-swaps the named component for a new incarnation — the
 // zero-downtime update path (docs/ARCHITECTURE.md "Zero-downtime live
-// update"). TCP shards and UDP hand their full state to the successor
+// update"). TCP and UDP hand their full state to the successor
 // (zero event loss, no peer-visible change); components without handoff
 // support fall back to a planned graceful restart (Live=false in the
 // result). Either way the swap goes through the reincarnation server's
@@ -339,8 +290,8 @@ func (n *Node) OutboxDroppedPer() map[string]uint64 {
 
 // Components lists the crashable stack components on this node (the
 // fault-injection population of Table III): every process but storage and
-// the SYSCALL server. Every TCP shard is its own crashable component; a
-// SingleServer node has CompStack in place of the transports, IP and PF.
+// the SYSCALL server. A SingleServer node has CompStack in place of the
+// transports, IP and PF.
 func (n *Node) Components() []string {
 	var out []string
 	for _, name := range n.order {

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
 	"newtos/internal/faults"
 	"newtos/internal/ipsrv"
 	"newtos/internal/msg"
-	"newtos/internal/nic"
 	"newtos/internal/pf"
 	"newtos/internal/pfeng"
 	"newtos/internal/proc"
@@ -48,7 +46,7 @@ func TestHostedDeadlineIsEarliestNonZero(t *testing.T) {
 func TestHostedInitFailureFailsTheLaunch(t *testing.T) {
 	boom := errors.New("boom")
 	first, bad, last := &part{}, &part{initErr: boom}, &part{}
-	p := proc.New("stack", func() proc.Service { return hosted{first, bad, last} }, proc.Options{}, nil)
+	p := proc.New("stack", func() proc.Service { return hosted{first, bad, last} }, nil)
 	if err := p.Start(); !errors.Is(err, boom) {
 		t.Fatalf("Start = %v, want the part's error", err)
 	}
@@ -57,14 +55,6 @@ func TestHostedInitFailureFailsTheLaunch(t *testing.T) {
 	}
 	if p.Service() != nil {
 		t.Fatal("a failed launch left a live service")
-	}
-}
-
-func TestSingleServerRejectsShards(t *testing.T) {
-	cfg := SplitTSO()
-	cfg.SingleServer, cfg.TCPShards = true, 2
-	if _, err := NewLAN(cfg, 1, nic.WireConfig{}); err == nil || !strings.Contains(err.Error(), "SingleServer") {
-		t.Fatalf("NewLAN = %v, want a SingleServer+TCPShards rejection", err)
 	}
 }
 
@@ -330,8 +320,8 @@ func TestStorageCrashIsRestored(t *testing.T) {
 	crashAndRecover(t, lan.B, CompStorage)
 	time.Sleep(20 * time.Millisecond) // the wipe rings every watcher's bell, and each loop re-stores
 	for _, key := range []string{
-		tcpsrv.StorageKeyFor(0), udpsrv.StorageKey, ipsrv.StorageKey, pf.RulesKey,
-		syscallsrv.TCP(1).StateKey(), syscallsrv.UDP().StateKey(),
+		tcpsrv.StorageKey, udpsrv.StorageKey, ipsrv.StorageKey, pf.RulesKey,
+		syscallsrv.TCP().StateKey(), syscallsrv.UDP().StateKey(),
 	} {
 		if _, ok := lan.B.Hub.Store.Get(key); !ok {
 			t.Errorf("%s not stored again after the storage crash", key)

@@ -9,7 +9,6 @@ import (
 
 	"newtos/internal/faults"
 	"newtos/internal/msg"
-	"newtos/internal/netpkt"
 	"newtos/internal/shm"
 	"newtos/internal/sock"
 	"newtos/internal/sockbuf"
@@ -415,16 +414,16 @@ func TestSockConcurrentClient(t *testing.T) {
 	}
 }
 
-// TestPollerShardRestartRecovery is the recovery regression of the
-// event-driven API: a poller parked on a socket whose TCP shard crashes
+// TestPollerTCPRestartRecovery is the recovery regression of the
+// event-driven API: a poller parked on a socket whose TCP server crashes
 // must be woken by the frontdoor's re-announced EvError edge — never left
 // waiting on an edge the dead incarnation swallowed — and the next
 // operation must surface the failure.
-func TestPollerShardRestartRecovery(t *testing.T) {
-	const shards = 2
-	lan := testLAN(t, func(c *Config) { c.TCPShards = shards })
-	childShards := shardEchoServer(t, lan, 7700, shards)
-	aIP := lan.IPOf("a", 0)
+func TestPollerTCPRestartRecovery(t *testing.T) {
+	lan := testLAN(t, nil)
+	ready, done := make(chan struct{}), make(chan error, 1)
+	go echoServer(t, lan, 7700, ready, done)
+	<-ready
 	bIP := lan.IPOf("b", 0)
 
 	cli, err := sock.NewClient(lan.A.Hub, "pollcli")
@@ -433,21 +432,13 @@ func TestPollerShardRestartRecovery(t *testing.T) {
 	}
 	cli.CallTimeout = 20 * time.Second
 
-	// Bind the client port explicitly so the socket's owner shard on node
-	// A is known: the frontdoor routes a bound connect by flow hash.
-	clientPort := clientPortFor(t, 7700, aIP, 0, shards)
-	crashShard := netpkt.TCPShardOf(clientPort, bIP, 7700, shards)
 	s, err := cli.Socket(sock.TCP)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Bind(clientPort); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Connect(bIP, 7700); err != nil {
 		t.Fatal(err)
 	}
-	<-childShards
 	if _, err := s.Send([]byte("warm")); err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +461,9 @@ func TestPollerShardRestartRecovery(t *testing.T) {
 		}
 	}
 
-	// Crash the owner shard on the CLIENT node: every edge in flight for
-	// this socket dies with it.
-	proc := lan.A.Proc(TCPShardName(crashShard, shards))
-	if proc == nil {
-		t.Fatalf("no %s component", TCPShardName(crashShard, shards))
-	}
+	// Crash TCP on the CLIENT node: every edge in flight for this socket
+	// dies with it.
+	proc := lan.A.Proc(CompTCP)
 	before := len(lan.A.Monitor.Events())
 	proc.Fault().Arm(faults.Crash)
 	deadline := time.Now().Add(5 * time.Second)
@@ -483,7 +471,7 @@ func TestPollerShardRestartRecovery(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if len(lan.A.Monitor.Events()) <= before {
-		t.Fatal("shard never recovered")
+		t.Fatal("tcp never recovered")
 	}
 
 	// The poller must wake on the re-announced edge.
@@ -498,13 +486,13 @@ func TestPollerShardRestartRecovery(t *testing.T) {
 		}
 	}
 	if bits&msg.EvError == 0 {
-		t.Fatalf("poller woke with bits %#x, want EvError re-announcement after shard crash", bits)
+		t.Fatalf("poller woke with bits %#x, want EvError re-announcement after tcp crash", bits)
 	}
 	// The socket is genuinely dead: the next op reports it (anything but
 	// "would block", which would send the app back to a poll that can
 	// never fire).
 	if _, err := s.Recv(make([]byte, 64)); err == nil || errors.Is(err, sock.ErrWouldBlock) {
-		t.Fatalf("recv on crashed-shard socket: %v, want a hard error", err)
+		t.Fatalf("recv on a socket of the crashed tcp: %v, want a hard error", err)
 	}
 }
 

@@ -68,7 +68,7 @@ func newRigWith(t *testing.T, linkUpDelay time.Duration) *rig {
 
 	ports := wiring.NewPorts(hub, "eth0")
 	p := proc.New("eth0", func() proc.Service { return New("eth0", ports, dev) },
-		proc.Options{}, nil)
+		nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

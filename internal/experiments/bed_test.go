@@ -35,8 +35,6 @@ func TestDriversLeaveNothingRunning(t *testing.T) {
 	}{
 		{"RunTable2Row", func() error { _, err := RunTable2Row(RowSplitSCTSO, small); return err }},
 		{"RunTable2Row/single-server", func() error { _, err := RunTable2Row(RowSingleTSO, small); return err }},
-		{"RunScaling/pinned", func() error { _, err := RunScaling(2, true, small); return err }},
-		{"RunTCPSharded", func() error { _, err := RunTCPSharded(2, small); return err }},
 		{"RunMultiNIC", func() error { _, err := RunMultiNIC(small); return err }},
 		{"RunLinkFailover", func() error {
 			_, err := RunLinkFailover(FailoverOpts{Warmup: 100 * time.Millisecond, Tail: 50 * time.Millisecond})

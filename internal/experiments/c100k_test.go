@@ -81,11 +81,11 @@ func TestC100KScaleSmoke(t *testing.T) {
 }
 
 // TestConnChurnRace is the -race stress for the connection tables: churn
-// workers hammer create/connect/close through the sharded frontdoor —
+// workers hammer create/connect/close through the frontdoor —
 // constantly adding and deleting pcbs in the id and four-tuple maps,
 // recycling ephemeral ports, and leaving late replies and orphaned accept
 // children behind — while echo workers keep long-lived connections busy.
-// The engine side is single-threaded per shard; what this pins down is that
+// The engine side is single-threaded; what this pins down is that
 // id and port reuse under concurrent app-side churn never corrupts a live
 // connection: every echo must come back intact.
 func TestConnChurnRace(t *testing.T) {
@@ -94,7 +94,6 @@ func TestConnChurnRace(t *testing.T) {
 		iters = 15
 	}
 	cfg := core.SplitTSO()
-	cfg.TCPShards = 2
 	cfg.HeartbeatMiss = 10 * time.Second
 	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 60*time.Second)
 	if err != nil {

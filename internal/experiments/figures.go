@@ -146,7 +146,7 @@ func RunTable1() ([]RecoveryReport, error) {
 		{core.CompIP, "static interface/route config from storage; NIC reset required", []string{ipsrv.StorageKey}},
 		{core.CompUDP, "socket 4-tuples from storage; sockets recreated", []string{udpsrv.StorageKey, udpsrv.FlowsKey}},
 		{core.CompPF, "rules from storage; conntrack rebuilt from transport flow tables", []string{pf.RulesKey}},
-		{core.CompTCP, "listeners recovered; established connections reset by design", []string{tcpsrv.StorageKeyFor(0), tcpsrv.FlowsKeyFor(0)}},
+		{core.CompTCP, "listeners recovered; established connections reset by design", []string{tcpsrv.StorageKey, tcpsrv.FlowsKey}},
 	}
 	cfg := core.SplitTSO()
 	cfg.HeartbeatMiss = 120 * time.Millisecond

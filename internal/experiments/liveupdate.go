@@ -26,8 +26,6 @@ type LiveUpdateOpts struct {
 	// Bulk is the size of the bulk transfer that straddles the swap
 	// (default 1 MiB).
 	Bulk int
-	// Shards is the TCP shard count; every shard is swapped (default 2).
-	Shards int
 }
 
 func (o *LiveUpdateOpts) fill() {
@@ -42,9 +40,6 @@ func (o *LiveUpdateOpts) fill() {
 	}
 	if o.Bulk == 0 {
 		o.Bulk = 1 << 20
-	}
-	if o.Shards == 0 {
-		o.Shards = 2
 	}
 }
 
@@ -62,27 +57,21 @@ type LiveUpdateReport struct {
 	// measures congestion, not handoff loss (the focused swap-loop tests
 	// show 0 without competing load).
 	UDPLost int
-	// TCPPhases holds the handoff phase timings per swapped TCP shard;
-	// UDPPhases the UDP server's. All swaps must be Live (state handed to
-	// the successor, not a restart).
-	TCPPhases []trace.HandoffPhases
+	// TCPPhases and UDPPhases hold the two servers' handoff phase
+	// timings. Both swaps must be Live (state handed to the successor, not
+	// a restart).
+	TCPPhases trace.HandoffPhases
 	UDPPhases trace.HandoffPhases
 	Elapsed   time.Duration
 }
 
-// MaxPause returns the longest single-component handoff pause of the run.
+// MaxPause returns the longer of the two servers' handoff pauses.
 func (r LiveUpdateReport) MaxPause() time.Duration {
-	max := r.UDPPhases.Total()
-	for _, p := range r.TCPPhases {
-		if t := p.Total(); t > max {
-			max = t
-		}
-	}
-	return max
+	return max(r.TCPPhases.Total(), r.UDPPhases.Total())
 }
 
 // RunLiveUpdate measures the paper's §V deliberate-update scenario on the
-// flagship split stack: every TCP shard and the UDP server are live-swapped
+// flagship split stack: the TCP server and the UDP server are live-swapped
 // for new incarnations while a bulk transfer is mid-flight, Conns
 // poller-served echo connections are open, and a connected-UDP ping-pong is
 // running. The drain-and-handoff path must keep all of it intact: the bulk
@@ -95,7 +84,6 @@ func RunLiveUpdate(opts LiveUpdateOpts) (LiveUpdateReport, error) {
 	rep := LiveUpdateReport{Conns: opts.Conns}
 
 	cfg := core.SplitTSO()
-	cfg.TCPShards = opts.Shards
 	// Like RunManyConns: under the race detector the server loops are slow
 	// enough to miss the default heartbeat, and a false hang-restart
 	// mid-swap would turn the planned upgrade into crash recovery.
@@ -258,16 +246,11 @@ func RunLiveUpdate(opts LiveUpdateOpts) (LiveUpdateReport, error) {
 		}
 	})
 
-	// Everyone is in position: swap every TCP shard, then the UDP server,
+	// Everyone is in position: swap the TCP server, then the UDP server,
 	// under full load.
 	ready.Wait()
-	for k := 0; k < opts.Shards; k++ {
-		name := core.TCPShardName(k, opts.Shards)
-		ph, err := b.lan.B.Upgrade(name)
-		if err != nil {
-			return rep, fmt.Errorf("upgrade %s: %w", name, err)
-		}
-		rep.TCPPhases = append(rep.TCPPhases, ph)
+	if rep.TCPPhases, err = b.lan.B.Upgrade(core.CompTCP); err != nil {
+		return rep, fmt.Errorf("upgrade tcp: %w", err)
 	}
 	if rep.UDPPhases, err = b.lan.B.Upgrade(core.CompUDP); err != nil {
 		return rep, fmt.Errorf("upgrade udp: %w", err)

@@ -113,7 +113,7 @@ func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
 // RunLANTransfer measures aggregate A→B TCP throughput over a two-node LAN
 // in the given stack configuration: Wires links, ConnsPerWire parallel
 // bulk connections per link, measured after warmup. It is the shared
-// driver behind every Table II row and the shard-scaling benchmarks.
+// driver behind every Table II row and the multi-NIC comparison.
 func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (float64, error) {
 	opts.fill()
 	b, err := newBed(cfg, opts.Wires, wcfg, core.LANOpts{}, 30*time.Second)

@@ -6,11 +6,11 @@
 // makes PF crashes lossless.
 //
 // IP is the hub of the stack, and the engine is built as one: a single
-// table of peers — every driver, PF, every TCP shard, UDP, in that order —
+// table of peers — every driver, PF, TCP, UDP, in that order —
 // where each entry holds everything the hub keeps per neighbour: the
 // request-database scope its in-flight work is tracked under, the action
 // that runs when it crashes with work in flight, the output queue the
-// server loop drains once per iteration, and (for a TCP shard) the
+// server loop drains once per iteration, and (for TCP) the
 // receive-coalescing run. Whatever the kind of neighbour, the boundary is
 // the same triple: From(p, batch, now) feeds the engine what peer p sent,
 // Drain(p) takes what the engine has for it, Restart(p, now) recovers from
@@ -22,11 +22,6 @@
 // outgoing frames, so it is also the component whose crash forces device
 // resets (paper §V-D "IP").
 //
-// IP is also the inbound router of the sharded TCP engine
-// (docs/ARCHITECTURE.md "Sharded TCP"): with Config.TCPShards > 1 it hashes
-// every inbound segment's 4-tuple (netpkt.TCPShardOf) to one of the N TCP
-// peers — one output batch, one wakeup per shard per iteration.
-//
 // ipeng.go is the hub (peer table, triple, housekeeping, saved state);
 // tx.go the outbound path, rx.go the inbound one.
 package ipeng
@@ -34,7 +29,6 @@ package ipeng
 import (
 	"fmt"
 	"log"
-	"strconv"
 	"time"
 
 	"newtos/internal/channel"
@@ -97,13 +91,6 @@ type Config struct {
 	// Offload requests device checksum offload (and enables TSO
 	// pass-through from the transports).
 	Offload bool
-	// TCPShards is how many TCP engine shards inbound segments are
-	// distributed over. IP routes each segment by the flow-hash contract
-	// (netpkt.TCPShardOf over dstPort/srcIP/srcPort — the local host's view
-	// of the 4-tuple), accumulating one output batch per shard per
-	// iteration so the one-wakeup-per-batch-per-hop amortization holds for
-	// every shard edge. <= 1 means a single unsharded TCP server.
-	TCPShards int
 	// Elastic is the growth policy for the RX and header pools. The zero
 	// value keeps both statically sized (the pre-elastic behavior); see
 	// DefaultElastic for the policy core turns on.
@@ -136,8 +123,8 @@ type Stats struct {
 	// RxPressure counts RX-buffer allocations that failed while supplying
 	// a driver: each one is a receive buffer the device went without.
 	RxPressure uint64
-	// GRODeliveries counts merged (multi-segment) deliveries to TCP
-	// shards; GROCoalesced counts the extra segments folded into them —
+	// GRODeliveries counts merged (multi-segment) deliveries to TCP;
+	// GROCoalesced counts the extra segments folded into them —
 	// each one an OpIPDeliver/OpIPDeliverDone round trip saved.
 	GRODeliveries uint64
 	GROCoalesced  uint64
@@ -160,8 +147,6 @@ type Peer struct {
 	Kind PeerKind
 	// Name is a driver's interface name; "pf", "tcp" or "udp" otherwise.
 	Name string
-	// Shard is a TCP peer's shard index.
-	Shard int
 }
 
 // peer is everything the hub keeps per neighbour.
@@ -177,7 +162,7 @@ type peer struct {
 	// one batch — and pays one wakeup — per iteration, not one per request.
 	out []msg.Req
 	ifc *iface  // PeerDriver: the interface behind the driver
-	gro groSlot // PeerTCP: the shard's run of mergeable segments
+	gro groSlot // PeerTCP: the run of mergeable segments
 }
 
 type iface struct {
@@ -236,13 +221,13 @@ type Engine struct {
 	ipid    uint16
 
 	// peers is the one table of neighbours: drivers in cfg.Ifaces order
-	// (which is also routing order), PF when enabled, TCP shards 0..N-1,
-	// UDP last. drv and tcp are its driver and TCP stretches; pf (nil, at
-	// index -1, when the filter is off) and udp point into it.
-	peers       []peer
-	drv, tcp    []peer
-	pf, udp     *peer
-	pfAt, tcpAt int
+	// (which is also routing order), PF when enabled, TCP, UDP last. drv
+	// is its driver stretch; pf (nil, at index -1, when the filter is off),
+	// tcp and udp point into it.
+	peers        []peer
+	drv          []peer
+	pf, tcp, udp *peer
+	pfAt, tcpAt  int
 
 	stats Stats
 	now   time.Time
@@ -296,9 +281,8 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) layout(ifaces []IfaceConfig) {
 	old := e.drv
 	resubmit, ask, recycle := e.txAborted, e.pfAborted, e.recycle
-	shards := max(e.cfg.TCPShards, 1)
 	// Never reallocated, so entries can be pointed at as they are added.
-	e.peers = make([]peer, 0, len(ifaces)+1+shards+1)
+	e.peers = make([]peer, 0, len(ifaces)+3)
 	add := func(p peer) *peer {
 		e.peers = append(e.peers, p)
 		return &e.peers[len(e.peers)-1]
@@ -319,15 +303,12 @@ func (e *Engine) layout(ifaces []IfaceConfig) {
 		e.pf = add(peer{Peer: Peer{Kind: PeerPF, Name: "pf"}, scope: "pf", abort: ask})
 	}
 	e.tcpAt = len(e.peers)
-	for k := 0; k < shards; k++ {
-		add(peer{Peer: Peer{Kind: PeerTCP, Name: "tcp", Shard: k}, scope: "tcp/" + strconv.Itoa(k), abort: recycle})
-	}
-	e.tcp = e.peers[e.tcpAt:]
+	e.tcp = add(peer{Peer: Peer{Kind: PeerTCP, Name: "tcp"}, scope: "tcp", abort: recycle})
 	e.udp = add(peer{Peer: Peer{Kind: PeerUDP, Name: "udp"}, scope: "udp", abort: recycle})
 }
 
 // Peers lists the engine's neighbours in table order: every driver in
-// Config.Ifaces order, PF when enabled, TCP shard 0..N-1, UDP. The server
+// Config.Ifaces order, PF when enabled, TCP, UDP. The server
 // loop exports one edge per entry and calls the triple by index.
 func (e *Engine) Peers() []Peer {
 	out := make([]Peer, len(e.peers))

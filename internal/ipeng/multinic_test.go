@@ -241,7 +241,7 @@ func TestARPGiveUpFailsQueuedPackets(t *testing.T) {
 		t.Fatalf("neighbor state not cleared: %+v", ifc)
 	}
 	if inUse := e.hdrPool.InUse(); inUse != 0 {
-		t.Fatalf("%d header chunks still pinned after give-up", inUse)
+		t.Fatalf("%d header chunks still held after give-up", inUse)
 	}
 }
 

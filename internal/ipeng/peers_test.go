@@ -73,7 +73,7 @@ func newHubRig(t testing.TB, nics int, cfg Config) *hubRig {
 func (r *hubRig) neigh(i int) netpkt.IPAddr { return netpkt.IPAddr{10, 0, byte(i), 2} }
 func (r *hubRig) neighMAC(i int) netpkt.MAC { return netpkt.MAC{0xbb, 0, 0, 0, 0, byte(i)} }
 func (r *hubRig) udp() int                  { return udpAt(r.e) }
-func (r *hubRig) tcp(k int) int             { return r.e.tcpAt + k }
+func (r *hubRig) tcp() int                  { return r.e.tcpAt }
 
 // pump is the housekeeping half of a loop iteration: tick, and let every
 // driver post the buffers it was supplied.
@@ -159,16 +159,6 @@ func (r *hubRig) sendReq(d int, id uint64) msg.Req {
 	return req
 }
 
-// portFor finds a remote port whose flow to local port 9000 from driver
-// d's neighbour hashes to the given TCP shard.
-func (r *hubRig) portFor(d, shard int) uint16 {
-	for p := uint16(40000); ; p++ {
-		if netpkt.TCPShardOf(9000, r.neigh(d), p, len(r.e.tcp)) == shard {
-			return p
-		}
-	}
-}
-
 // TestPFRestartTwiceBeforeVerdictLosesNothing: "a PF crash loses no
 // packets" must hold however often PF crashes. An inbound packet whose
 // query is outstanding when PF restarts, and whose resubmitted query is
@@ -213,25 +203,24 @@ func TestPFRestartTwiceBeforeVerdictLosesNothing(t *testing.T) {
 // (PF), its deliveries' buffers recycled (a transport) — and every other
 // peer's in-flight work and output queue stay exactly as they were.
 func TestRestartTouchesOnlyThatPeer(t *testing.T) {
-	// Every peer of a 2-NIC, PF, 2-shard engine gets work in flight and
-	// something waiting in its output queue.
+	// Every peer of a 2-NIC, PF engine gets work in flight and something
+	// waiting in its output queue.
 	build := func(t *testing.T) *hubRig {
-		r := newHubRig(t, 2, Config{PFEnabled: true, TCPShards: 2})
+		r := newHubRig(t, 2, Config{PFEnabled: true})
 		for d := 0; d < 2; d++ {
 			// Outbound: a datagram's and a segment's frame with each driver.
 			from(r.e, r.udp(), r.sendReq(d, uint64(100+d)), r.now)
-			from(r.e, r.tcp(d), r.sendReq(d, uint64(200+d)), r.now)
-			// Inbound on each NIC: a datagram, and a lone (SYN) segment
-			// for each shard, all parked with their transports.
+			from(r.e, r.tcp(), r.sendReq(d, uint64(200+d)), r.now)
+			// Inbound on each NIC: a datagram and a lone (SYN) segment,
+			// both parked with their transports.
 			r.rx(d, r.frame(d, netpkt.ProtoUDP, 1000, 2000, 0, 0, 4))
-			r.rx(d, r.frame(d, netpkt.ProtoTCP, r.portFor(d, 0), 9000, 1, netpkt.TCPSyn, 0))
-			r.rx(d, r.frame(d, netpkt.ProtoTCP, r.portFor(d, 1), 9000, 1, netpkt.TCPSyn, 0))
+			r.rx(d, r.frame(d, netpkt.ProtoTCP, 40000, 9000, 1, netpkt.TCPSyn, 0))
 			r.pass()
 		}
-		// Shard 1 also has a run still open in its GRO slot, and PF one
-		// more inbound query to answer.
-		r.rx(1, r.frame(1, netpkt.ProtoTCP, r.portFor(1, 1), 9000, 2, netpkt.TCPAck, 100))
-		r.rx(1, r.frame(1, netpkt.ProtoTCP, r.portFor(1, 1), 9000, 102, netpkt.TCPAck, 100))
+		// TCP also has a run still open in its GRO slot, and PF one more
+		// inbound query to answer.
+		r.rx(1, r.frame(1, netpkt.ProtoTCP, 40001, 9000, 2, netpkt.TCPAck, 100))
+		r.rx(1, r.frame(1, netpkt.ProtoTCP, 40001, 9000, 102, netpkt.TCPAck, 100))
 		r.pass()
 		r.rx(0, r.frame(0, netpkt.ProtoUDP, 1000, 2000, 0, 0, 4))
 		r.pump() // drivers back at their full complement
@@ -277,7 +266,7 @@ func TestRestartTouchesOnlyThatPeer(t *testing.T) {
 					t.Fatalf("%d of %d queries resubmitted, %d tracked afterwards", got, before.pending, after.pending)
 				}
 			}},
-		{"tcp shard 1 of 2", Peer{Kind: PeerTCP, Name: "tcp", Shard: 1},
+		{"tcp", Peer{Kind: PeerTCP, Name: "tcp"},
 			func(t *testing.T, r *hubRig, p int, before, after state, _ Stats, inUse0 int) {
 				// Two parked segments and the two of the open GRO run.
 				if got := inUse0 - r.e.rxPool.InUse(); after.pending != 0 || got != before.pending+2 || r.e.peers[p].gro.head != nil {
@@ -363,14 +352,14 @@ func TestBatchAllocationCeiling(t *testing.T) {
 			id++
 			sends[i] = r.sendReq(0, id)
 		}
-		r.e.From(r.tcp(0), sends, r.now)
+		r.e.From(r.tcp(), sends, r.now)
 		r.pass()
 		out := r.e.Drain(0)
 		for i := range out {
 			out[i] = msg.Req{ID: out[i].ID, Op: msg.OpTxDone}
 		}
 		r.e.From(0, out, r.now)
-		if done := r.e.Drain(r.tcp(0)); len(done) != batch {
+		if done := r.e.Drain(r.tcp()); len(done) != batch {
 			t.Fatalf("%d of %d sends completed", len(done), batch)
 		}
 	}
@@ -385,7 +374,7 @@ func TestBatchAllocationCeiling(t *testing.T) {
 		}
 		r.e.From(0, frames, r.now)
 		r.pass()
-		ds := r.e.Drain(r.tcp(0))
+		ds := r.e.Drain(r.tcp())
 		segs := 0
 		for i := range ds {
 			segs += int(ds[i].Arg[3])
@@ -394,7 +383,7 @@ func TestBatchAllocationCeiling(t *testing.T) {
 		if segs != batch {
 			t.Fatalf("%d of %d segments delivered", segs, batch)
 		}
-		r.e.From(r.tcp(0), ds, r.now)
+		r.e.From(r.tcp(), ds, r.now)
 		r.pump()
 	}
 	for _, c := range []struct {
@@ -435,7 +424,7 @@ func TestGRORefusesSegmentsWithOptions(t *testing.T) {
 		r.rx(0, seg(i, withSACK))
 	}
 	var got []uint64
-	for _, d := range r.e.Drain(r.tcp(0)) {
+	for _, d := range r.e.Drain(r.tcp()) {
 		if d.Op != msg.OpIPDeliver {
 			t.Fatalf("unexpected %v towards TCP", d.Op)
 		}

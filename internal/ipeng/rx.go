@@ -15,24 +15,21 @@ type inPkt struct {
 	srcIP netpkt.IPAddr
 	dstIP netpkt.IPAddr
 	proto uint8
-	// srcPort/dstPort are parsed at intake (while the frame view is in
-	// hand) for TCP shard routing; portsOK is false when the segment was
-	// too short to carry them.
-	srcPort uint16
-	dstPort uint16
-	portsOK bool
-	// GRO metadata, parsed at intake alongside the ports: data-bearing
-	// TCP segments with only ACK(+PSH) set and no options are coalescing
-	// candidates (groOK); the sequence/ack/window fields decide in-order
-	// same-flow adjacency in the shard's GRO slot.
+	// GRO metadata, parsed at intake while the frame view is in hand:
+	// data-bearing TCP segments with only ACK(+PSH) set and no options
+	// are coalescing candidates (groOK); the ports and the
+	// sequence/ack/window fields decide in-order same-flow adjacency in
+	// TCP's GRO slot.
 	groOK      bool
+	srcPort    uint16
+	dstPort    uint16
 	tcpSeq     uint32
 	tcpAckNo   uint32
 	tcpWnd     uint16
 	tcpDataOff uint32
 	tcpPayLen  uint32
 	// next chains the segments of a GRO run: one delivery, one request
-	// database entry, every buffer recycled together when the shard
+	// database entry, every buffer recycled together when TCP
 	// acknowledges (or dies).
 	next *inPkt
 }
@@ -45,8 +42,7 @@ const (
 	groMaxBytes = 64 << 10
 )
 
-// groSlot accumulates an in-order run of same-flow TCP segments bound for
-// one shard, merged into a single OpIPDeliver before dispatch. The run's
+// groSlot accumulates an in-order run of same-flow TCP segments, merged into a single OpIPDeliver before dispatch. The run's
 // flow, ack and window are its head's. One slot per TCP peer; it never
 // survives a loop iteration (Drain flushes).
 type groSlot struct {
@@ -129,30 +125,26 @@ func (e *Engine) handleIPv4(ifc *iface, buf shm.RichPtr, view []byte, csumOK boo
 		dstIP: ih.Dst,
 		proto: ih.Proto,
 	}
-	if l4 := l3[ih.HeaderLen:]; len(l4) >= 4 {
-		// Parse the port pair here, while the view is in hand, so shard
-		// routing in demux needs no second space lookup per segment.
-		pkt.srcPort = uint16(l4[0])<<8 | uint16(l4[1])
-		pkt.dstPort = uint16(l4[2])<<8 | uint16(l4[3])
-		pkt.portsOK = true
-		if ih.Proto == netpkt.ProtoTCP {
-			// Same economy for the GRO fields: a data-bearing segment
-			// with only ACK(+PSH) set and no TCP options can merge into
-			// the shard's slot. PSH does NOT end a run — the transmitter
-			// pushes every burst, so flushing on it would disable
-			// coalescing. Options do: a merged run keeps only its lead
-			// header, and the extras arrive payload-only, so a trailing
-			// segment's SACK blocks would be silently discarded.
-			if th, err := netpkt.ParseTCP(l4); err == nil {
-				pkt.tcpSeq = th.Seq
-				pkt.tcpAckNo = th.Ack
-				pkt.tcpWnd = th.Window
-				pkt.tcpDataOff = uint32(th.DataOff)
-				pkt.tcpPayLen = uint32(len(l4) - th.DataOff)
-				pkt.groOK = th.Flags&^(netpkt.TCPAck|netpkt.TCPPsh) == 0 &&
-					th.Flags&netpkt.TCPAck != 0 && pkt.tcpPayLen > 0 &&
-					th.DataOff == netpkt.TCPHeaderLen
-			}
+	if ih.Proto == netpkt.ProtoTCP {
+		// Parse the GRO fields here, while the view is in hand, so GRO
+		// needs no second space lookup per segment. A data-bearing
+		// segment with only ACK(+PSH) set and no TCP options can merge
+		// into TCP's slot. PSH does NOT end a run — the transmitter
+		// pushes every burst, so flushing on it would disable coalescing.
+		// Options do: a merged run keeps only its lead header, and the
+		// extras arrive payload-only, so a trailing segment's SACK blocks
+		// would be silently discarded.
+		l4 := l3[ih.HeaderLen:]
+		if th, err := netpkt.ParseTCP(l4); err == nil {
+			pkt.srcPort, pkt.dstPort = th.SrcPort, th.DstPort
+			pkt.tcpSeq = th.Seq
+			pkt.tcpAckNo = th.Ack
+			pkt.tcpWnd = th.Window
+			pkt.tcpDataOff = uint32(th.DataOff)
+			pkt.tcpPayLen = uint32(len(l4) - th.DataOff)
+			pkt.groOK = th.Flags&^(netpkt.TCPAck|netpkt.TCPPsh) == 0 &&
+				th.Flags&netpkt.TCPAck != 0 && pkt.tcpPayLen > 0 &&
+				th.DataOff == netpkt.TCPHeaderLen
 		}
 	}
 	if e.pf != nil {
@@ -175,24 +167,16 @@ func (e *Engine) isLocal(ip netpkt.IPAddr) bool {
 	return false
 }
 
-// demux hands a passed inbound packet to its protocol. TCP segments are
-// routed to their owning shard by the flow-hash contract; the delivery is
-// tracked under that shard's abort scope so only the owning shard's
-// restart recycles it.
+// demux hands a passed inbound packet to its protocol; the delivery is
+// tracked under that transport's abort scope so only its restart recycles
+// it.
 func (e *Engine) demux(pkt *inPkt) {
 	switch pkt.proto {
 	case netpkt.ProtoICMP:
 		e.handleICMP(pkt)
 		e.recycleRx(pkt)
 	case netpkt.ProtoTCP:
-		shard := e.tcpShardFor(pkt)
-		if shard < 0 {
-			// Segment too short to carry ports: malformed, drop.
-			e.stats.DropsMalformed++
-			e.recycleRx(pkt)
-			return
-		}
-		e.groAdd(&e.tcp[shard], pkt)
+		e.groAdd(e.tcp, pkt)
 	case netpkt.ProtoUDP:
 		e.deliver(e.udp, pkt)
 	default:
@@ -200,23 +184,9 @@ func (e *Engine) demux(pkt *inPkt) {
 	}
 }
 
-// tcpShardFor computes the owning shard of an inbound segment from the
-// local host's view of the 4-tuple: (dstPort, srcIP, srcPort) — the same
-// tuple the TCP engines key their connection tables on. The ports were
-// parsed at intake; -1 means the segment was too short to carry them.
-func (e *Engine) tcpShardFor(pkt *inPkt) int {
-	if len(e.tcp) <= 1 {
-		return 0
-	}
-	if !pkt.portsOK {
-		return -1
-	}
-	return netpkt.TCPShardOf(pkt.dstPort, pkt.srcIP, pkt.srcPort, len(e.tcp))
-}
-
-// groAdd routes one inbound TCP segment through its shard's GRO slot:
+// groAdd routes one inbound TCP segment through its peer's GRO slot:
 // an in-order continuation of the slot's run joins it; anything else
-// flushes the slot first (order to the shard is preserved) and either
+// flushes the slot first (order to TCP is preserved) and either
 // starts a new run or ships solo.
 func (e *Engine) groAdd(to *peer, pkt *inPkt) {
 	slot := &to.gro
@@ -244,7 +214,7 @@ func (e *Engine) groAdd(to *peer, pkt *inPkt) {
 	*slot = groSlot{head: pkt, tail: pkt, segs: 1, nextSeq: pkt.tcpSeq + pkt.tcpPayLen, bytes: pkt.tcpPayLen}
 }
 
-// groFlush dispatches the shard's pending run.
+// groFlush dispatches the peer's pending run.
 func (e *Engine) groFlush(to *peer) {
 	if run := to.gro.head; run != nil {
 		to.gro = groSlot{}

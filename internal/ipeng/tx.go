@@ -25,7 +25,7 @@ type outPkt struct {
 	dstIP netpkt.IPAddr
 	srcIP netpkt.IPAddr
 	// src is the transport peer that asked and origID its request, so the
-	// completion goes home to the shard that sent it; nil for frames the
+	// completion goes home to the transport that sent it; nil for frames the
 	// engine originates itself (ICMP replies, ARP).
 	src    *peer
 	origID uint64
@@ -34,7 +34,7 @@ type outPkt struct {
 	arp bool
 }
 
-// fromTransport handles a message from a TCP shard or from UDP.
+// fromTransport handles a message from TCP or from UDP.
 func (e *Engine) fromTransport(src *peer, r *msg.Req) {
 	switch r.Op {
 	case msg.OpIPSend:

@@ -15,7 +15,6 @@ import (
 	"newtos/internal/ipeng"
 	"newtos/internal/msg"
 	"newtos/internal/proc"
-	"newtos/internal/tcpsrv"
 	"newtos/internal/wiring"
 )
 
@@ -28,12 +27,6 @@ type Config struct {
 	Ifaces    []ipeng.IfaceConfig
 	PFEnabled bool
 	Offload   bool
-	// TCPShards is the number of TCP engine shards. IP creates one edge per
-	// shard ("ip-tcp<k>" towards component "tcp<k>") with its own SPSC
-	// duplex, and routes inbound segments between them by the flow-hash
-	// contract (see ipeng.Config.TCPShards). <= 1 keeps the single
-	// "ip-tcp"/"tcp" edge.
-	TCPShards int
 }
 
 // Server is one IP server incarnation.
@@ -43,7 +36,7 @@ type Server struct {
 
 	eng *ipeng.Engine
 	// edges[i] is the edge to the engine's peer i (ipeng.Peers() order:
-	// every driver, PF, every TCP shard, UDP). A single peer's
+	// every driver, PF, TCP, UDP). A single peer's
 	// reincarnation aborts only that peer's in-flight work.
 	edges []*wiring.Edge
 	// cur is the peer whose edge is in Intake, for its two hooks
@@ -75,7 +68,6 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 		Ifaces:    s.cfg.Ifaces,
 		PFEnabled: s.cfg.PFEnabled,
 		Offload:   s.cfg.Offload,
-		TCPShards: s.cfg.TCPShards,
 		Elastic:   ipeng.DefaultElastic(),
 		SaveState: func(blob []byte) { hub.Store.Put(StorageKey, blob) },
 	})
@@ -94,11 +86,7 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 
 	s.ports.Begin(rt.Bell)
 	for _, p := range eng.Peers() {
-		edge, peer := "ip-"+p.Name, p.Name
-		if p.Kind == ipeng.PeerTCP {
-			edge, peer = tcpsrv.IPEdge(p.Shard, max(s.cfg.TCPShards, 1))
-		}
-		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export(edge, peer)))
+		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export("ip-"+p.Name, p.Name)))
 	}
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
 

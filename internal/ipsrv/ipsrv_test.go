@@ -123,8 +123,8 @@ func TestDriverRestartRecoversOnlyThatDriver(t *testing.T) {
 // batch came in on: what each neighbour sends is answered on its own edge,
 // and what the engine has for it arrives there and nowhere else.
 func TestEdgesAreThePeerTable(t *testing.T) {
-	names := []string{"eth0", "eth1", "pf", "tcp0", "tcp1", "udp"}
-	r := newRig(t, Config{Ifaces: twoNICs, PFEnabled: true, TCPShards: 2}, names...)
+	names := []string{"eth0", "eth1", "pf", "tcp", "udp"}
+	r := newRig(t, Config{Ifaces: twoNICs, PFEnabled: true}, names...)
 	peers := r.srv.Engine().Peers()
 	if len(r.srv.edges) != len(peers) || len(peers) != len(names) {
 		t.Fatalf("%d edges for %d peers, want %d of each", len(r.srv.edges), len(peers), len(names))
@@ -132,7 +132,7 @@ func TestEdgesAreThePeerTable(t *testing.T) {
 	for i, want := range []ipeng.Peer{
 		{Kind: ipeng.PeerDriver, Name: "eth0"}, {Kind: ipeng.PeerDriver, Name: "eth1"},
 		{Kind: ipeng.PeerPF, Name: "pf"},
-		{Kind: ipeng.PeerTCP, Name: "tcp", Shard: 0}, {Kind: ipeng.PeerTCP, Name: "tcp", Shard: 1},
+		{Kind: ipeng.PeerTCP, Name: "tcp"},
 		{Kind: ipeng.PeerUDP, Name: "udp"},
 	} {
 		if peers[i] != want {
@@ -171,12 +171,13 @@ func TestEdgesAreThePeerTable(t *testing.T) {
 	if a, b := r.peers["eth0"].count(msg.OpTxSubmit), r.peers["eth1"].count(msg.OpTxSubmit); a != 0 || b != 1 {
 		t.Fatalf("eth0 got %d frames and eth1 %d, want 0 and 1", a, b)
 	}
-	// Shard 1 sends where no route leads: the failure comes back to shard
-	// 1, and shard 0 hears nothing.
-	r.peers["tcp1"].send(r.now, send(9, netpkt.IPAddr{99, 9, 9, 9}))
+	// TCP sends where no route leads: the failure comes back to TCP, and
+	// UDP hears nothing.
+	tcp, udp := r.peers["tcp"], r.peers["udp"]
+	udpGot := len(udp.got)
+	tcp.send(r.now, send(9, netpkt.IPAddr{99, 9, 9, 9}))
 	r.poll()
-	tcp0, tcp1 := r.peers["tcp0"], r.peers["tcp1"]
-	if len(tcp0.got) != 0 || len(tcp1.got) != 1 || tcp1.got[0].ID != 9 || tcp1.got[0].Status != msg.StatusErrNoRoute {
-		t.Fatalf("tcp0 got %+v, tcp1 got %+v, want only tcp1 to hear ErrNoRoute for request 9", tcp0.got, tcp1.got)
+	if len(udp.got) != udpGot || len(tcp.got) != 1 || tcp.got[0].ID != 9 || tcp.got[0].Status != msg.StatusErrNoRoute {
+		t.Fatalf("udp got %+v, tcp got %+v, want only tcp to hear ErrNoRoute for request 9", udp.got[udpGot:], tcp.got)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // RulesKey is where PF parks its rule set. The flow dumps it rebuilds
 // conntrack from are the transports' keys, found by pfeng.FlowsKeySuffix so
-// PF needs no knowledge of which transports, or how many TCP shards, exist.
+// PF needs no knowledge of which transports exist.
 const RulesKey = "pf/rules"
 
 // Server is one PF incarnation.

@@ -304,8 +304,8 @@ func (e *Engine) LoadRules(b []byte) error {
 }
 
 // FlowsKeySuffix ends every storage key that holds a flow dump: each
-// transport server (each TCP shard) parks its own under such a key, and the
-// PF server's rebuild is the union of all of them.
+// transport server parks its own under such a key, and the PF server's
+// rebuild is the union of all of them.
 const FlowsKeySuffix = "/flows"
 
 // flowDump describes a flow dump: the record a transport server parks in

@@ -52,7 +52,7 @@ func TestUpgradeHandsStateToSuccessor(t *testing.T) {
 	var failNext atomic.Bool
 	p := New("carrier", func() Service {
 		return &carrier{cell: &cell, handoffs: &handoffs, failNext: &failNext}
-	}, Options{}, nil)
+	}, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestUpgradeSerializeFailureFallsBackToRestart(t *testing.T) {
 	var failNext atomic.Bool
 	p := New("carrier", func() Service {
 		return &carrier{cell: &cell, handoffs: &handoffs, failNext: &failNext}
-	}, Options{}, nil)
+	}, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,7 @@ func TestUpgradeSerializeFailureFallsBackToRestart(t *testing.T) {
 func TestUpgradeNotRunning(t *testing.T) {
 	p := New("idle", func() Service {
 		return &carrier{cell: new(atomic.Int64), handoffs: new(atomic.Int32), failNext: new(atomic.Bool)}
-	},
-		Options{}, nil)
+	}, nil)
 	if _, err := p.Upgrade(); err == nil {
 		t.Fatal("expected error upgrading a stopped proc")
 	}

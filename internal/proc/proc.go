@@ -136,21 +136,10 @@ type handoffRes struct {
 	drain, transfer time.Duration
 }
 
-// Options tune a process.
-type Options struct {
-	// Pinned asks for dedicated cores: while a pinned process is a member,
-	// every runner is locked to its OS thread, and runner i's thread is
-	// pinned to CPU affinity.CPUForGroup(i+1) where the platform supports
-	// sched_setaffinity (elsewhere the runner stays LockOSThread-pinned
-	// without a CPU mask). Every runner steps every process, pinned or not.
-	Pinned bool
-}
-
 // Proc supervises one component across incarnations.
 type Proc struct {
 	name    string
 	factory func() Service
-	opts    Options
 	onCrash func(CrashEvent)
 
 	mu      sync.Mutex
@@ -198,8 +187,8 @@ type incarnation struct {
 // New creates a process. factory builds a fresh Service per incarnation;
 // onCrash (may be nil) is invoked from the runner that stepped the dying
 // incarnation, or from the launching goroutine when Init panicked.
-func New(name string, factory func() Service, opts Options, onCrash func(CrashEvent)) *Proc {
-	p := &Proc{name: name, factory: factory, opts: opts, onCrash: onCrash}
+func New(name string, factory func() Service, onCrash func(CrashEvent)) *Proc {
+	p := &Proc{name: name, factory: factory, onCrash: onCrash}
 	p.status.Store(int32(StatusIdle))
 	return p
 }

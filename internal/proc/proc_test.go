@@ -59,7 +59,7 @@ func (s *echoService) Stop() {
 
 func TestStartRunsServiceLoop(t *testing.T) {
 	svc := &echoService{}
-	p := New("echo", func() Service { return svc }, Options{}, nil)
+	p := New("echo", func() Service { return svc }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStartRunsServiceLoop(t *testing.T) {
 }
 
 func TestDoubleStartFails(t *testing.T) {
-	p := New("x", func() Service { return &echoService{} }, Options{}, nil)
+	p := New("x", func() Service { return &echoService{} }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestDoubleStartFails(t *testing.T) {
 }
 
 func TestInitErrorPropagates(t *testing.T) {
-	p := New("bad", func() Service { return &echoService{initErr: errors.New("nope")} }, Options{}, nil)
+	p := New("bad", func() Service { return &echoService{initErr: errors.New("nope")} }, nil)
 	if err := p.Start(); err == nil {
 		t.Fatal("start with failing init succeeded")
 	}
 	// Can start again after a failed init.
-	p2 := New("ok", func() Service { return &echoService{} }, Options{}, nil)
+	p2 := New("ok", func() Service { return &echoService{} }, nil)
 	if err := p2.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,7 @@ func TestInitErrorPropagates(t *testing.T) {
 
 func TestInitPanicPropagates(t *testing.T) {
 	var crashed atomic.Bool
-	p := New("boom", func() Service { return &echoService{initPanic: true} }, Options{},
-		func(CrashEvent) { crashed.Store(true) })
+	p := New("boom", func() Service { return &echoService{initPanic: true} }, func(CrashEvent) { crashed.Store(true) })
 	if err := p.Start(); err == nil {
 		t.Fatal("start with panicking init succeeded")
 	}
@@ -119,7 +118,7 @@ func TestInitPanicPropagates(t *testing.T) {
 
 func TestShutdownStopsService(t *testing.T) {
 	svc := &echoService{}
-	p := New("x", func() Service { return svc }, Options{}, nil)
+	p := New("x", func() Service { return svc }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestCrashReportedAndRestarts(t *testing.T) {
 		mu.Unlock()
 		return s
 	}
-	p := New("frag", factory, Options{}, func(ev CrashEvent) {
+	p := New("frag", factory, func(ev CrashEvent) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
@@ -186,7 +185,7 @@ func TestCrashReportedAndRestarts(t *testing.T) {
 }
 
 func TestHangDetectableViaHeartbeatAndRestart(t *testing.T) {
-	p := New("hang", func() Service { return &echoService{} }, Options{}, nil)
+	p := New("hang", func() Service { return &echoService{} }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestCorruptFaultRunsHookAndContinues(t *testing.T) {
 	factory := func() Service {
 		return &echoService{}
 	}
-	p := New("corr", factory, Options{}, nil)
+	p := New("corr", factory, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestCorruptFaultRunsHookAndContinues(t *testing.T) {
 
 func TestDoorbellWakesIdleLoop(t *testing.T) {
 	svc := &echoService{}
-	p := New("sleepy", func() Service { return svc }, Options{}, nil)
+	p := New("sleepy", func() Service { return svc }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

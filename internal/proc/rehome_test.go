@@ -59,9 +59,9 @@ func TestRunnerHangRehomesCoMembers(t *testing.T) {
 		s := &member{hang: &hang, block: block}
 		stuck.Store(s)
 		return s
-	}, proc.Options{}, m.OnCrash())
+	}, m.OnCrash())
 	peer := &member{}
-	pp := proc.New("peer", func() proc.Service { return peer }, proc.Options{}, m.OnCrash())
+	pp := proc.New("peer", func() proc.Service { return peer }, m.OnCrash())
 	for _, p := range []*proc.Proc{hp, pp} {
 		if err := p.Start(); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"newtos/internal/affinity"
 	"newtos/internal/channel"
 )
 
@@ -44,11 +43,9 @@ type Runner struct {
 	cur atomic.Pointer[incarnation]
 
 	// Owned by the runner goroutine.
-	local  []*incarnation // the members as of the last re-read
-	gen    uint64         // runners.gen at that re-read
-	due    time.Time      // the earliest due of the members it gated
-	pinned bool           // locked to its OS thread
-	masked bool           // that thread pinned to a CPU
+	local []*incarnation // the members as of the last re-read
+	gen   uint64         // runners.gen at that re-read
+	due   time.Time      // the earliest due of the members it gated
 }
 
 // runners is the process-wide set of runners and the members they step.
@@ -153,40 +150,13 @@ func (r *Runner) refresh() bool {
 		}
 	}
 	runners.mu.Unlock()
-	for _, inc := range r.local {
-		if inc.p.opts.Pinned && !r.pinned {
-			r.pin()
-		}
-	}
 	return len(r.local) > 0
-}
-
-// pin locks the runner to its OS thread and that thread to the CPU of its
-// index.
-func (r *Runner) pin() {
-	r.pinned = true
-	runtime.LockOSThread()
-	if cpu := affinity.CPUForGroup(r.index + 1); cpu >= 0 {
-		r.masked = affinity.PinThread(cpu) == nil
-	}
-}
-
-func (r *Runner) unpin() {
-	// The mask is restored before the thread unlocks back into the
-	// scheduler's pool.
-	if r.masked {
-		affinity.UnpinThread()
-	}
-	if r.pinned {
-		runtime.UnlockOSThread()
-	}
 }
 
 // run is the runner's goroutine: sweeps while any member has work, the
 // idle path when none has, until the last member leaves or the runner is
 // replaced.
 func (r *Runner) run() {
-	defer r.unpin()
 	// Sweeps since the last one in which a Poll found work: the first
 	// spinYields yield, the ones after nap.
 	spins := 0

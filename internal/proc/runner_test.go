@@ -54,7 +54,7 @@ func TestRunnerStopWithHungMember(t *testing.T) {
 	for i := range procs {
 		svc := &echoService{}
 		svcs[i] = svc
-		procs[i] = New("m", func() Service { return svc }, Options{}, nil)
+		procs[i] = New("m", func() Service { return svc }, nil)
 		if err := procs[i].Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +95,8 @@ func TestRunnerIsolateKeepsTheRelayChain(t *testing.T) {
 	noRunners(t)
 	// The anchor keeps the runners from running out of members, and so
 	// from exiting, while the hung one is between incarnations.
-	anchor := New("anchor", func() Service { return &echoService{} }, Options{}, nil)
-	p := New("stuck", func() Service { return &echoService{} }, Options{}, nil)
+	anchor := New("anchor", func() Service { return &echoService{} }, nil)
+	p := New("stuck", func() Service { return &echoService{} }, nil)
 	for _, q := range []*Proc{anchor, p} {
 		if err := q.Start(); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRunnerIsolateKeepsTheRelayChain(t *testing.T) {
 func TestRunnerIdleSweepAllocatesNothing(t *testing.T) {
 	r := &Runner{bell: channel.NewDoorbell()}
 	for i := 0; i < 4; i++ {
-		p := New("idle", nil, Options{}, nil)
+		p := New("idle", nil, nil)
 		r.local = append(r.local, &incarnation{
 			p: p, svc: &echoService{}, stepped: make(chan struct{}),
 			rt: &Runtime{Bell: channel.NewDoorbell(), Fault: faults.NewPoint("idle")},
@@ -154,8 +154,7 @@ func TestRunnersExitWhenEmpty(t *testing.T) {
 	for i := 0; i < 2*runtime.GOMAXPROCS(0)+1; i++ {
 		svc := &echoService{}
 		svcs = append(svcs, svc)
-		// A pinned runner unpins on its way out.
-		p := New("m", func() Service { return svc }, Options{Pinned: i == 0}, nil)
+		p := New("m", func() Service { return svc }, nil)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}

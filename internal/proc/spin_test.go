@@ -111,7 +111,7 @@ func TestIdleSpinPollsOnlyOnPost(t *testing.T) {
 func idleStreak(t *testing.T, onFirst func(s *spinService)) (polls int32, took time.Duration, armed int32) {
 	defer oneRunner(t)()
 	svc := &spinService{onFirst: onFirst}
-	p := New("spin", func() Service { return svc }, Options{}, nil)
+	p := New("spin", func() Service { return svc }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func startChild(t *testing.T, m *Monitor, name string) (*proc.Proc, *atomic.Int3
 	t.Helper()
 	var restarts atomic.Int32
 	p := proc.New(name, func() proc.Service { return &dummy{restarts: &restarts} },
-		proc.Options{}, m.OnCrash())
+		m.OnCrash())
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

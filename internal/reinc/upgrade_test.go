@@ -35,7 +35,7 @@ func TestUpgradeIsPlannedEvent(t *testing.T) {
 
 	var restarts atomic.Int32
 	p := proc.New("svc", func() proc.Service { return &hoDummy{dummy: dummy{restarts: &restarts}} },
-		proc.Options{}, m.OnCrash())
+		m.OnCrash())
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -249,7 +249,7 @@ func (c *Client) handleOrphan(p Proto, op msg.Op, rep msg.Req) {
 
 // releaseOrphanData handles a data reply whose caller timed out before it
 // arrived. A UDP reply carries a dequeued datagram whose IP buffer is
-// pinned by the deliver cookie — acknowledge it so the pool drains (the
+// held by the deliver cookie — acknowledge it so the pool drains (the
 // datagram is lost, which datagram semantics allow). TCP needs nothing:
 // the engine keeps the stream bytes queued until a recv-done consumes
 // them, so the next Recv simply reads the same data again.

@@ -49,7 +49,7 @@ func TestCrashWipesAndBumpsGeneration(t *testing.T) {
 	gen0 := st.Gen()
 
 	p := proc.New("storage", func() proc.Service { return NewService(st) },
-		proc.Options{}, nil)
+		nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestWipeRingsWatchers(t *testing.T) {
 			b.Ring()
 		})
 	}
-	p := proc.New("storage", func() proc.Service { return NewService(st) }, proc.Options{}, nil)
+	p := proc.New("storage", func() proc.Service { return NewService(st) }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}

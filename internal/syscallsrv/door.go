@@ -2,8 +2,6 @@ package syscallsrv
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"newtos/internal/kipc"
@@ -20,15 +18,9 @@ type pendingCall struct {
 	appID uint64
 	sock  uint32
 	op    msg.Op
-	// orig is the call as it was forwarded, peer the peer it went to: what
-	// a reissue after that peer's restart sends again.
+	// orig is the call as it was forwarded: what a reissue after the
+	// peer's restart sends again.
 	orig msg.Req
-	peer int
-	// gather links the call into a broadcast (nil for single-peer calls).
-	gather *gather
-	// standing marks a door-synthesized accept (no app is waiting on this
-	// ID; completions feed the listener's childQ/waiters).
-	standing bool
 }
 
 // appCall is the pending entry of a call forwarded as the application made it.
@@ -41,10 +33,10 @@ type door struct {
 	Door
 	store *storage.Store
 	ep    *kipc.Endpoint
-	edges []*wiring.Edge // one per peer
-	// onRestart[k] is recoverPeer(k) and relay is relayReplies, bound once
-	// so that an iteration allocates no closures.
-	onRestart []func()
+	edge  *wiring.Edge // to the peer
+	// onRestart is recoverPeer and relay is relayReplies, bound once so
+	// that an iteration allocates no closures.
+	onRestart func()
 	relay     func([]msg.Req)
 	scratch   []msg.Req
 
@@ -53,11 +45,6 @@ type door struct {
 	// subs routes a peer's OpSockEvent readiness edges to the application
 	// endpoint that armed them by putting the socket in nonblocking mode.
 	subs map[uint32]kipc.EndpointID
-
-	// Shard-routing state (empty on a door with one peer).
-	vsocks map[uint32]*vsock
-	nextV  uint32
-	rr     int
 
 	// meta paces flushes of the parked record (staterec.Gap of its size);
 	// now is the current iteration's timestamp, for flushes made mid-dispatch.
@@ -68,12 +55,9 @@ type door struct {
 func (d *door) init(ports *wiring.Ports, rt *proc.Runtime, scratch []msg.Req, restart bool) error {
 	d.pending = make(map[uint64]pendingCall)
 	d.subs = make(map[uint32]kipc.EndpointID)
-	d.vsocks = make(map[uint32]*vsock)
 	d.scratch = scratch
-	for k, p := range d.peers {
-		d.edges = append(d.edges, wiring.NewEdge(ports.Export(p[0], p[1])))
-		d.onRestart = append(d.onRestart, func() { d.recoverPeer(k) })
-	}
+	d.edge = wiring.NewEdge(ports.Export(d.peer[0], d.peer[1]))
+	d.onRestart = d.recoverPeer
 	d.relay = d.relayReplies
 	if restart {
 		if blob, ok := d.store.Get(d.StateKey()); ok {
@@ -85,20 +69,12 @@ func (d *door) init(ports *wiring.Ports, rt *proc.Runtime, scratch []msg.Req, re
 	return err
 }
 
-// sharded reports whether the door is also the TCP shard router (shards.go).
-func (d *door) sharded() bool { return len(d.edges) > 1 }
-
-// Poll is the door's iteration: peers' replies outward (after a peer's
-// recovery, when it reincarnated), application calls inward, one paced
-// batch flushed per peer.
+// Poll is the door's iteration: the peer's replies outward (after the
+// peer's recovery, when it reincarnated), application calls inward, one
+// paced batch flushed to the peer.
 func (d *door) Poll(now time.Time) bool {
 	d.now = now
-	worked := false
-	for k, e := range d.edges {
-		if e.Intake(d.scratch, d.onRestart[k], d.relay) {
-			worked = true
-		}
-	}
+	worked := d.edge.Intake(d.scratch, d.onRestart, d.relay)
 	for i := 0; i < 64; i++ {
 		m, err := d.ep.TryReceive(kipc.Any)
 		if err != nil {
@@ -112,44 +88,35 @@ func (d *door) Poll(now time.Time) bool {
 			continue
 		}
 		d.noteSubscription(m.From, req)
-		if d.sharded() {
-			d.route(m.From, req)
-		} else {
-			d.forward(0, req, appCall(m.From, req))
-		}
+		d.forward(req, appCall(m.From, req))
 		worked = true
 	}
-	idle := !worked
-	for _, e := range d.edges {
-		if e.Flush(now, idle) {
-			worked = true
-		}
+	if d.edge.Flush(now, !worked) {
+		worked = true
 	}
 	d.parkIfDue() // a record change the pacing rule held back
 	return worked
 }
 
-// forward sends req to peer k under a fresh internal ID. call, unless nil,
-// waits in the pending table for the reply carrying that ID; a nil call, or
-// a recv-done, is fire-and-forget (a reply to an ID nobody waits on is
-// skipped by relayReplies).
-func (d *door) forward(k int, req msg.Req, call *pendingCall) {
+// forward sends req to the peer under a fresh internal ID. call, unless
+// nil, waits in the pending table for the reply carrying that ID; a nil
+// call, or a recv-done, is fire-and-forget (a reply to an ID nobody waits
+// on is skipped by relayReplies).
+func (d *door) forward(req msg.Req, call *pendingCall) {
 	d.nextID++
 	req.ID = d.nextID
 	if call != nil && req.Op != msg.OpSockRecvDone {
-		call.orig, call.peer = req, k
+		call.orig = req
 		d.pending[req.ID] = *call
 	}
-	d.edges[k].Push(req)
+	d.edge.Push(req)
 }
 
-// pushMode forwards a socket's mode bits to peer k's engine.
-func (d *door) pushMode(k int, flow uint32, nonblock bool) {
+// pushNonblock puts a socket back in nonblocking mode on the peer's engine.
+func (d *door) pushNonblock(flow uint32) {
 	sf := msg.Req{Op: msg.OpSockSetFlags, Flow: flow}
-	if nonblock {
-		sf.Arg[0] = msg.SockNonblock
-	}
-	d.forward(k, sf, nil)
+	sf.Arg[0] = msg.SockNonblock
+	d.forward(sf, nil)
 }
 
 // toApp delivers one message to an application. For a reply the app is
@@ -207,85 +174,40 @@ func (d *door) relayReplies(b []msg.Req) {
 			continue // fire-and-forget, or from a previous incarnation
 		}
 		delete(d.pending, r.ID)
-		switch {
-		case call.gather != nil:
-			d.gathered(call.gather, r.Status)
-		case call.standing:
-			d.standingAcceptReply(call, r)
-		default:
-			// Release the routed owner ONLY on port exhaustion: there
-			// the clone holds no handshake state and a retry must be
-			// free to pick a shard with ephemeral ports to spare.
-			// EAGAIN means in progress, and hard failures pin a sticky
-			// status on the owner — both need later connect polls to
-			// keep landing on the SAME shard, or the router would
-			// start a duplicate handshake on a fresh clone.
-			if call.op == msg.OpSockConnect && r.Status == msg.StatusErrNoBufs {
-				d.noteConnectFailed(call.sock, call.peer)
-			}
-			r.ID = call.appID
-			d.toApp(call.app, r)
-		}
+		r.ID = call.appID
+		d.toApp(call.app, r)
 	}
 }
 
-// recoverPeer is the restart hook of the edge to peer k (the package comment
-// states the contract): only calls in flight to that peer are touched.
-func (d *door) recoverPeer(k int) {
+// recoverPeer is the restart hook of the edge to the peer (the package
+// comment states the contract).
+func (d *door) recoverPeer() {
 	// Collect reissues first: inserting into d.pending while ranging over
 	// it may make the new entry visible to the same iteration, reissuing
 	// the call twice.
 	var reissues []pendingCall
 	for id, call := range d.pending {
-		if call.peer != k {
-			continue
-		}
 		delete(d.pending, id)
-		switch {
-		case call.gather != nil:
-			d.gathered(call.gather, msg.StatusErrAborted)
-		case call.standing:
-			if v := d.vsocks[call.sock]; v != nil {
-				v.armed[k] = false // shardLost re-arms the listeners that need it
-			}
-		case call.op == msg.OpSockRecv || call.op == msg.OpSockAccept:
+		if call.op == msg.OpSockRecv || call.op == msg.OpSockAccept {
 			reissues = append(reissues, call)
-		default:
-			if call.op == msg.OpSockConnect {
-				d.noteConnectFailed(call.sock, k)
-			}
+		} else {
 			d.answer(call.app, call.appID, call.sock, msg.StatusErrAborted)
 		}
 	}
 	for _, call := range reissues {
-		d.forward(k, call.orig, &call)
-	}
-	if d.sharded() {
-		d.shardLost(k)
+		d.forward(call.orig, &call)
 	}
 	for flow := range d.subs {
-		held, bits := true, d.poke
-		if d.sharded() {
-			held, bits = d.shardStake(k, flow)
-		}
-		if held {
-			d.pushMode(k, flow, true)
-		}
-		d.pokeEvent(flow, bits)
+		d.pushNonblock(flow)
+		d.pokeEvent(flow, d.poke)
 	}
 }
 
-// record describes what the door parks in the storage server: who subscribed
-// to which socket and, on the sharded TCP door, the routing table — the id
-// counter, the round-robin cursor, and per socket its id, owner, bound port
-// and mode. Calls in flight, standing accepts and queued children are not
-// kept: the applications' call timeouts end the former, the next accept
-// re-arms the shards.
+// record describes what the door parks in the storage server: who
+// subscribed to which socket. Calls in flight are not kept: the
+// applications' call timeouts end them.
 type record struct {
-	subs  []sub
-	nextV uint32
-	rr    int
-	socks []*vsock
+	subs []sub
 }
 
 type sub struct {
@@ -298,23 +220,10 @@ func (p *record) fields(c *staterec.Codec) {
 		staterec.Num(c, &s.flow)
 		staterec.Num(c, &s.app)
 	})
-	staterec.Num(c, &p.nextV)
-	staterec.Num(c, &p.rr)
-	staterec.List(c, &p.socks, 4+8+2+1+1, func(vp **vsock) {
-		if c.Reading() {
-			*vp = &vsock{}
-		}
-		v := *vp
-		staterec.Num(c, &v.id)
-		staterec.Num(c, &v.owner)
-		staterec.Num(c, &v.port)
-		c.Bool(&v.listening)
-		c.Bool(&v.nonblock)
-	})
 }
 
 // entries is the size the pacing rule sees.
-func (d *door) entries() int { return len(d.subs) + len(d.vsocks) }
+func (d *door) entries() int { return len(d.subs) }
 
 // changed records that the parked record is stale and flushes it at once
 // when the pacing rule allows (always, while the tables are small);
@@ -334,7 +243,7 @@ func (d *door) parkIfDue() {
 
 // park writes the door's record to the storage server.
 func (d *door) park() {
-	p := record{nextV: d.nextV, rr: d.rr, socks: slices.Collect(maps.Values(d.vsocks)), subs: make([]sub, 0, len(d.subs))}
+	p := record{subs: make([]sub, 0, len(d.subs))}
 	for flow, app := range d.subs {
 		p.subs = append(p.subs, sub{flow, app})
 	}
@@ -348,13 +257,8 @@ func (d *door) load(blob []byte) error {
 	if err := staterec.Decode(blob, p.fields); err != nil {
 		return fmt.Errorf("syscallsrv: %s record: %w", d.name, err)
 	}
-	d.nextV, d.rr = p.nextV, p.rr
 	for _, s := range p.subs {
 		d.subs[s.flow] = s.app
-	}
-	for _, v := range p.socks {
-		v.armed = make([]bool, len(d.peers))
-		d.vsocks[v.id] = v
 	}
 	return nil
 }

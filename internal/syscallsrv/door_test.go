@@ -11,8 +11,6 @@ import (
 	"newtos/internal/msg"
 	"newtos/internal/proc"
 	"newtos/internal/storage"
-	"newtos/internal/tcpeng"
-	"newtos/internal/tcpsrv"
 	"newtos/internal/wiring"
 )
 
@@ -32,7 +30,7 @@ func pendingCalls(s *Server) int {
 	return n
 }
 
-// transport plays one of the server's peers (a TCP shard, UDP or PF): the
+// transport plays one of the server's peers (TCP, UDP or PF): the
 // attaching end of the server's edge towards that component.
 type transport struct {
 	ports *wiring.Ports
@@ -82,30 +80,25 @@ func (a *app) take() []delivery {
 }
 
 type rig struct {
-	t      *testing.T
-	hub    *wiring.Hub
-	ports  *wiring.Ports // the server's, stable across its incarnations
-	srv    *Server
-	now    time.Time
-	peers  map[string]*transport // by component name
-	apps   []*app
-	shards int
+	t     *testing.T
+	hub   *wiring.Hub
+	ports *wiring.Ports // the server's, stable across its incarnations
+	srv   *Server
+	now   time.Time
+	peers map[string]*transport // by component name
+	apps  []*app
 }
 
-// newRig boots a SYSCALL server over fake transports: shards TCP peers, UDP
-// and PF.
-func newRig(t *testing.T, shards int) *rig {
+// newRig boots a SYSCALL server over fake transports: TCP, UDP and PF.
+func newRig(t *testing.T) *rig {
 	r := &rig{
 		t: t, hub: wiring.NewHub(kipc.New(kipc.Config{})), now: time.Unix(1000, 0),
-		peers: map[string]*transport{}, shards: shards,
+		peers: map[string]*transport{},
 	}
 	r.ports = wiring.NewPorts(r.hub, "sc")
 	r.boot(false)
 	t.Cleanup(func() { r.srv.Stop() })
-	for k := 0; k < shards; k++ {
-		edge, name := tcpsrv.SCEdge(k, shards)
-		r.attach(name, edge)
-	}
+	r.attach("tcp", "sc-tcp")
 	r.attach("udp", "sc-udp")
 	r.attach("pf", "sc-pf")
 	r.poll() // every edge's first rebind is wiring, not a restart to recover from
@@ -115,7 +108,7 @@ func newRig(t *testing.T, shards int) *rig {
 // boot starts an incarnation of the server with all three doors; the one
 // before it, if any, is abandoned the way a crash abandons it.
 func (r *rig) boot(restart bool) {
-	r.srv = New(r.ports, TCP(r.shards), UDP(), PF())
+	r.srv = New(r.ports, TCP(), UDP(), PF())
 	if err := r.srv.Init(&proc.Runtime{Bell: channel.NewDoorbell(), Incarnation: 1}, restart); err != nil {
 		r.t.Fatal(err)
 	}
@@ -126,9 +119,6 @@ func (r *rig) attach(name, edge string) {
 	p.reincarnate()
 	r.peers[name] = p
 }
-
-// tcp is TCP shard k's fake.
-func (r *rig) tcp(k int) *transport { return r.peers[tcpsrv.ShardName(k, r.shards)] }
 
 func (r *rig) newApp(name string) *app {
 	ep, err := r.hub.Kern.Register("app/"+name, nil)
@@ -264,37 +254,6 @@ func (r *rig) subscribe(a *app, door string, p *transport, flow uint32) {
 	r.replied(a, door)
 }
 
-// openVsock creates a socket through the sharded TCP door and returns the id
-// the door gave it.
-func (r *rig) openVsock(a *app) uint32 {
-	r.t.Helper()
-	r.call(a, doorTCP, msg.Req{ID: 1, Op: msg.OpSockCreate})
-	var flow uint32
-	for k := 0; k < r.shards; k++ {
-		fwd := r.forwarded(r.tcp(k), msg.OpSockCreate)
-		flow = uint32(fwd.Arg[0])
-		rep := fwd.Reply(msg.OpSockReply, msg.StatusOK)
-		rep.Flow = flow
-		r.answer(r.tcp(k), rep)
-	}
-	if rep := r.replied(a, doorTCP); rep.Status != msg.StatusOK || rep.Flow != flow || flow == 0 {
-		r.t.Fatalf("create = %+v, shards were told id %d", rep, flow)
-	}
-	return flow
-}
-
-// broadcast sends one call every shard must see and returns the forwards,
-// by shard.
-func (r *rig) broadcast(a *app, req msg.Req) []msg.Req {
-	r.t.Helper()
-	r.call(a, doorTCP, req)
-	fwds := make([]msg.Req, r.shards)
-	for k := range fwds {
-		fwds[k] = r.forwarded(r.tcp(k), req.Op)
-	}
-	return fwds
-}
-
 // TestDoor scripts the door contract over real ports, queues and kernel
 // endpoints with fake transports behind them.
 func TestDoor(t *testing.T) {
@@ -304,7 +263,7 @@ func TestDoor(t *testing.T) {
 	}{{doorTCP, "tcp", msg.OpSockBind}, {doorUDP, "udp", msg.OpSockBind}, {doorPF, "pf", msg.OpPFStats}}
 
 	t.Run("a reply comes back under the caller's id, once", func(t *testing.T) {
-		r := newRig(t, 1)
+		r := newRig(t)
 		a := r.newApp("a")
 		for _, d := range doors {
 			p := r.peers[d.peer]
@@ -327,11 +286,11 @@ func TestDoor(t *testing.T) {
 	})
 
 	t.Run("recv-done is forwarded and forgotten", func(t *testing.T) {
-		r := newRig(t, 1)
+		r := newRig(t)
 		a := r.newApp("a")
 		r.call(a, doorTCP, msg.Req{ID: 3, Op: msg.OpSockRecvDone, Flow: 5})
 		r.call(a, doorUDP, msg.Req{ID: 4, Op: msg.OpSockRecvDone, Flow: 5})
-		r.forwarded(r.tcp(0), msg.OpSockRecvDone)
+		r.forwarded(r.peers["tcp"], msg.OpSockRecvDone)
 		r.forwarded(r.peers["udp"], msg.OpSockRecvDone)
 		if n := pendingCalls(r.srv); n != 0 {
 			t.Fatalf("%d calls pending after fire-and-forget ops", n)
@@ -339,9 +298,9 @@ func TestDoor(t *testing.T) {
 	})
 
 	t.Run("an event reaches its subscriber only, and nobody after close", func(t *testing.T) {
-		r := newRig(t, 1)
+		r := newRig(t)
 		a, b := r.newApp("a"), r.newApp("b")
-		tcp, udp := r.tcp(0), r.peers["udp"]
+		tcp, udp := r.peers["tcp"], r.peers["udp"]
 		r.subscribe(a, doorTCP, tcp, 5) // the transports' socket ids overlap
 		r.subscribe(b, doorUDP, udp, 5)
 
@@ -376,7 +335,7 @@ func TestDoor(t *testing.T) {
 	}
 	for _, d := range restarts {
 		t.Run("restart of "+d.peer+" aborts calls, reissues recv and accept, re-arms subscribers", func(t *testing.T) {
-			r := newRig(t, 1)
+			r := newRig(t)
 			a, b := r.newApp("a"), r.newApp("b")
 			p := r.peers[d.peer]
 			r.subscribe(a, d.door, p, 5)
@@ -386,7 +345,7 @@ func TestDoor(t *testing.T) {
 			// A call through another door is not this transport's.
 			other, otherPeer := doorUDP, r.peers["udp"]
 			if d.door == doorUDP {
-				other, otherPeer = doorTCP, r.tcp(0)
+				other, otherPeer = doorTCP, r.peers["tcp"]
 			}
 			r.call(b, other, msg.Req{ID: 13, Op: msg.OpSockSend, Flow: 5})
 			p.take()
@@ -446,7 +405,7 @@ func TestDoor(t *testing.T) {
 	}
 
 	t.Run("restart of pf aborts the control call in flight", func(t *testing.T) {
-		r := newRig(t, 1)
+		r := newRig(t)
 		a := r.newApp("a")
 		r.call(a, doorPF, msg.Req{ID: 40, Op: msg.OpPFRuleAdd})
 		r.peers["pf"].reincarnate()
@@ -460,9 +419,9 @@ func TestDoor(t *testing.T) {
 	})
 
 	t.Run("the server's own restart keeps the subscriptions", func(t *testing.T) {
-		r := newRig(t, 1)
+		r := newRig(t)
 		a, b := r.newApp("a"), r.newApp("b")
-		tcp, udp := r.tcp(0), r.peers["udp"]
+		tcp, udp := r.peers["tcp"], r.peers["udp"]
 		r.subscribe(a, doorTCP, tcp, 5)
 		r.subscribe(b, doorUDP, udp, 5)
 		r.subscribe(b, doorUDP, udp, 6)
@@ -499,99 +458,5 @@ func TestDoor(t *testing.T) {
 		r.poll()
 		r.forwarded(udp, msg.OpSockSetFlags)
 		r.replied(b, doorUDP)
-	})
-
-	t.Run("sharded: a broadcast gathers the first failure, a close gathers to OK", func(t *testing.T) {
-		r := newRig(t, 2)
-		a := r.newApp("a")
-		flow := r.openVsock(a)
-
-		bind := msg.Req{ID: 2, Op: msg.OpSockBind, Flow: flow}
-		bind.Arg[0] = 8080
-		fwds := r.broadcast(a, bind)
-		r.answer(r.tcp(1), fwds[1].Reply(msg.OpSockReply, msg.StatusOK))
-		r.silent(a) // one shard is still out
-		r.answer(r.tcp(0), fwds[0].Reply(msg.OpSockReply, msg.StatusErrInUse))
-		if rep := r.replied(a, doorTCP); rep.ID != 2 || rep.Status != msg.StatusErrInUse || rep.Flow != flow {
-			t.Fatalf("bind = %+v", rep)
-		}
-
-		fwds = r.broadcast(a, bind)
-		r.answer(r.tcp(0), fwds[0].Reply(msg.OpSockReply, msg.StatusErrInUse))
-		r.answer(r.tcp(1), fwds[1].Reply(msg.OpSockReply, msg.StatusErrNoBufs))
-		if rep := r.replied(a, doorTCP); rep.Status != msg.StatusErrInUse {
-			t.Fatalf("bind = %+v, want the first failure", rep)
-		}
-
-		fwds = r.broadcast(a, msg.Req{ID: 3, Op: msg.OpSockClose, Flow: flow})
-		r.answer(r.tcp(0), fwds[0].Reply(msg.OpSockReply, msg.StatusErrNotConn))
-		r.answer(r.tcp(1), fwds[1].Reply(msg.OpSockReply, msg.StatusOK))
-		if rep := r.replied(a, doorTCP); rep.ID != 3 || rep.Status != msg.StatusOK {
-			t.Fatalf("close = %+v, want OK whatever the shards said", rep)
-		}
-		if n := pendingCalls(r.srv); n != 0 {
-			t.Fatalf("%d calls still pending", n)
-		}
-	})
-
-	t.Run("sharded: one shard's restart leaves the other shard's calls alone", func(t *testing.T) {
-		r := newRig(t, 2)
-		a := r.newApp("a")
-		// Engine-assigned ids name their shard.
-		r.call(a, doorTCP, msg.Req{ID: 20, Op: msg.OpSockSend, Flow: tcpeng.SockIDBase})
-		r.call(a, doorTCP, msg.Req{ID: 21, Op: msg.OpSockSend, Flow: tcpeng.SockIDBase + 1})
-		alive := r.forwarded(r.tcp(0), msg.OpSockSend)
-		r.forwarded(r.tcp(1), msg.OpSockSend)
-
-		r.tcp(1).reincarnate()
-		r.poll()
-		if rep := r.replied(a, doorTCP); rep.ID != 21 || rep.Status != msg.StatusErrAborted {
-			t.Fatalf("after shard 1's restart the app got %+v", rep)
-		}
-		if got := r.tcp(0).take(); len(got) != 0 {
-			t.Fatalf("shard 0 was sent %v", got)
-		}
-		r.answer(r.tcp(0), alive.Reply(msg.OpSockReply, msg.StatusOK))
-		if rep := r.replied(a, doorTCP); rep.ID != 20 || rep.Status != msg.StatusOK {
-			t.Fatalf("shard 0's call completed as %+v", rep)
-		}
-	})
-
-	t.Run("sharded: a child accepted for a closed listener is closed, not leaked", func(t *testing.T) {
-		r := newRig(t, 2)
-		a := r.newApp("a")
-		flow := r.openVsock(a)
-		for k, fwd := range r.broadcast(a, msg.Req{ID: 2, Op: msg.OpSockListen, Flow: flow}) {
-			r.answer(r.tcp(k), fwd.Reply(msg.OpSockReply, msg.StatusOK))
-		}
-		r.replied(a, doorTCP)
-
-		// A blocking accept parks in the door behind one standing accept per shard.
-		r.call(a, doorTCP, msg.Req{ID: 30, Op: msg.OpSockAccept, Flow: flow})
-		standing := r.forwarded(r.tcp(1), msg.OpSockAccept)
-		r.forwarded(r.tcp(0), msg.OpSockAccept)
-		r.silent(a)
-
-		fwds := r.broadcast(a, msg.Req{ID: 31, Op: msg.OpSockClose, Flow: flow})
-		if rep := r.replied(a, doorTCP); rep.ID != 30 || rep.Status != msg.StatusErrAborted {
-			t.Fatalf("the parked accept ended as %+v", rep)
-		}
-		for k, fwd := range fwds {
-			r.answer(r.tcp(k), fwd.Reply(msg.OpSockReply, msg.StatusOK))
-		}
-		if rep := r.replied(a, doorTCP); rep.ID != 31 || rep.Status != msg.StatusOK {
-			t.Fatalf("close = %+v", rep)
-		}
-
-		child := standing.Reply(msg.OpSockReply, msg.StatusOK)
-		child.Arg[0] = uint64(tcpeng.SockIDBase + 1) // a connection shard 1 established
-		r.answer(r.tcp(1), child)
-		r.silent(a)
-		if cl := r.forwarded(r.tcp(1), msg.OpSockClose); cl.Flow != tcpeng.SockIDBase+1 {
-			t.Fatalf("orphan close = %+v", cl)
-		}
-		if got := r.tcp(0).take(); len(got) != 0 {
-			t.Fatalf("shard 0 was sent %v", got)
-		}
 	})
 }

@@ -5,9 +5,9 @@
 // asynchronous channels; replies travel the same way back.
 //
 // The server is a list of doors. A door is one kernel endpoint name
-// (msg.TCPFrontdoor, msg.UDPFrontdoor, msg.PFFrontdoor), the edge to each
-// peer behind it, the table of calls awaiting a peer's reply and the table
-// of applications subscribed to a socket's readiness events. Where the
+// (msg.TCPFrontdoor, msg.UDPFrontdoor, msg.PFFrontdoor), the edge to the
+// one peer behind it, the table of calls awaiting the peer's reply and the
+// table of applications subscribed to a socket's readiness events. Where the
 // doors run is placement, not code: core gives all three to the SYSCALL
 // server's process, or, on a node without one (Table II rows 1 and 2), the
 // TCP door to the TCP server's process and the UDP door to UDP's, where the
@@ -30,32 +30,12 @@
 // For its own restart a door parks its subscription table in the storage
 // server (record, written by door.park: paced by staterec.Pacer, parked
 // again when storage itself was wiped). The new incarnation restores the
-// table in Init, and since its edges are fresh, its first Poll runs the
-// peer recovery above for every peer: subscribers are re-armed and poked,
-// and no poller stays parked on an edge the dead door swallowed. Calls that
+// table in Init, and since its edge is fresh, its first Poll runs the peer
+// recovery above: subscribers are re-armed and poked, and no poller stays
+// parked on an edge the dead door swallowed. Calls that
 // were in flight to a crashing door are not recovered: the application's
 // own call timeout ends them (a stated non-goal, docs/ARCHITECTURE.md "The
 // doors").
-//
-// # Sharded TCP routing
-//
-// With N > 1 TCP shards (docs/ARCHITECTURE.md "Sharded TCP") the TCP door
-// has N peers and is also the shard router for socket calls (shards.go):
-//
-//   - create/bind/listen/close are broadcast to every shard (the door
-//     assigns the socket id below tcpeng.SockIDBase so all shards share
-//     it), and the app's reply is gathered from all N;
-//   - connect is routed to exactly one shard — the flow-hash owner when
-//     the socket was explicitly bound, the least loaded otherwise (the
-//     shard's engine then autobinds a port whose hash lands on itself);
-//   - accept keeps one standing accept per shard per listener, so a SYN
-//     hashed to any shard surfaces through its local listener clone;
-//   - data ops route by socket id: engine-assigned ids encode their shard,
-//     door-assigned ids carry an owner record (parked with the
-//     subscription table, so routing survives the door's restart).
-//
-// A single shard's restart aborts/reissues only the calls in flight to
-// that shard; the other shards' pending operations are untouched.
 package syscallsrv
 
 import (
@@ -64,37 +44,30 @@ import (
 
 	"newtos/internal/msg"
 	"newtos/internal/proc"
-	"newtos/internal/tcpsrv"
 	"newtos/internal/wiring"
 )
 
 // Door describes one door to New: its kernel endpoint name, the edge and
-// component name of every peer behind it, and the readiness bits its
-// subscribers are poked with when a peer reincarnates.
+// component name of the peer behind it, and the readiness bits its
+// subscribers are poked with when the peer reincarnates.
 type Door struct {
-	name  string
-	peers [][2]string
-	poke  uint64
+	name string
+	peer [2]string
+	poke uint64
 }
 
-// TCP is the door to the TCP server, or to its shards (<= 1 means the one
-// unsharded server).
-func TCP(shards int) Door {
-	d := Door{name: msg.TCPFrontdoor, poke: msg.EvError | msg.EvReadable | msg.EvWritable | msg.EvAcceptReady}
-	for k := 0; k < max(shards, 1); k++ {
-		edge, peer := tcpsrv.SCEdge(k, shards)
-		d.peers = append(d.peers, [2]string{edge, peer})
-	}
-	return d
+// TCP is the door to the TCP server.
+func TCP() Door {
+	return Door{name: msg.TCPFrontdoor, peer: [2]string{"sc-tcp", "tcp"}, poke: msg.EvError | msg.EvReadable | msg.EvWritable | msg.EvAcceptReady}
 }
 
 // UDP is the door to the UDP server.
 func UDP() Door {
-	return Door{name: msg.UDPFrontdoor, peers: [][2]string{{"sc-udp", "udp"}}, poke: msg.EvReadable | msg.EvWritable}
+	return Door{name: msg.UDPFrontdoor, peer: [2]string{"sc-udp", "udp"}, poke: msg.EvReadable | msg.EvWritable}
 }
 
 // PF is the door to the packet filter's control plane; PF raises no events.
-func PF() Door { return Door{name: msg.PFFrontdoor, peers: [][2]string{{"sc-pf", "pf"}}} }
+func PF() Door { return Door{name: msg.PFFrontdoor, peer: [2]string{"sc-pf", "pf"}} }
 
 // StateKey is where the door's record is parked in the storage server.
 func (d Door) StateKey() string { return "door/" + d.name }
@@ -151,7 +124,7 @@ func (s *Server) Poll(now time.Time) bool {
 func (s *Server) OutboxDropped() uint64 {
 	var n uint64
 	for _, d := range s.doors {
-		n += wiring.SumDropped(d.edges...)
+		n += wiring.SumDropped(d.edge)
 	}
 	return n
 }

@@ -13,11 +13,11 @@ import (
 	"newtos/internal/wiring"
 )
 
-// newDoor boots the TCP door routing to two shards, with no transports
-// attached: what it forwards stays staged on its edges.
+// newDoor boots the TCP door with no transport attached: what it forwards
+// stays staged on its edge.
 func newDoor(t testing.TB) (*door, *storage.Store) {
 	hub := wiring.NewHub(kipc.New(kipc.Config{}))
-	s := New(wiring.NewPorts(hub, "sc"), TCP(2))
+	s := New(wiring.NewPorts(hub, "sc"), TCP())
 	if err := s.Init(&proc.Runtime{Bell: channel.NewDoorbell(), Incarnation: 1}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -39,45 +39,46 @@ func stored(t testing.TB, d *door) *door {
 	return got
 }
 
-// blank is a two-shard TCP door with empty tables, to load a record into.
+// blank is a TCP door with an empty table, to load a record into.
 func blank() *door {
-	return &door{Door: TCP(2), subs: map[uint32]kipc.EndpointID{}, vsocks: map[uint32]*vsock{}}
+	return &door{Door: TCP(), subs: map[uint32]kipc.EndpointID{}}
 }
 
-// TestSmallShardTableSavesAtOnce: below staterec.EntriesPerMilli entries a
-// routing or subscription change is in storage before the call that made it
-// is even forwarded, so no reply acknowledging it can precede it. Virtual
-// time: the door reads no clock.
-func TestSmallShardTableSavesAtOnce(t *testing.T) {
+// arm is the call that subscribes its caller to flow's readiness events.
+func arm(flow uint32) msg.Req {
+	r := msg.Req{Op: msg.OpSockSetFlags, Flow: flow}
+	r.Arg[0] = msg.SockNonblock
+	return r
+}
+
+// tcpSock is the first socket id the TCP engine hands out.
+const tcpSock = 2001
+
+// TestSmallDoorRecordSavesAtOnce: below staterec.EntriesPerMilli entries a
+// subscription change is in storage before the call that made it is even
+// forwarded, so no reply acknowledging it can precede it. Virtual time:
+// the door reads no clock.
+func TestSmallDoorRecordSavesAtOnce(t *testing.T) {
 	d, _ := newDoor(t)
 	now := time.Unix(1000, 0)
 	d.Poll(now)
-	for i := 1; i <= 3; i++ { // three creates in one iteration: same now
-		d.route(7, msg.Req{ID: uint64(i), Op: msg.OpSockCreate})
-		if got := stored(t, d).vsocks; len(got) != i || got[uint32(i)] == nil || got[uint32(i)].owner != -1 {
-			t.Fatalf("after create %d storage holds %d sockets: %+v", i, len(got), got)
+	for i := 1; i <= 3; i++ { // three subscriptions in one iteration: same now
+		d.noteSubscription(7, arm(tcpSock+uint32(i)))
+		if got := stored(t, d).subs; len(got) != i || got[tcpSock+uint32(i)] != 7 {
+			t.Fatalf("after subscription %d storage holds %v", i, got)
 		}
 	}
-	bind := msg.Req{ID: 9, Op: msg.OpSockBind, Flow: 2}
-	bind.Arg[0] = 8080
-	g := d.broadcast(7, bind.ID, bind, 2)
-	g.bindPort, g.remaining = 8080, 1
-	d.gathered(g, msg.StatusOK)
-	if v := stored(t, d).vsocks[2]; v.port != 8080 {
-		t.Fatalf("bound port not saved: %+v", v)
+	d.noteSubscription(8, arm(tcpSock+1)) // another app takes the socket over
+	if got := stored(t, d).subs; got[tcpSock+1] != 8 {
+		t.Fatalf("new subscriber not saved: %v", got)
 	}
-	arm := msg.Req{Op: msg.OpSockSetFlags, Flow: tcpSock}
-	arm.Arg[0] = msg.SockNonblock
-	d.noteSubscription(7, arm)
-	if got := stored(t, d).subs; len(got) != 1 || got[tcpSock] != 7 {
-		t.Fatalf("subscription not saved: %v", got)
-	}
-	d.noteSubscription(7, msg.Req{Op: msg.OpSockClose, Flow: tcpSock})
-	if got := stored(t, d).subs; len(got) != 0 {
+	d.noteSubscription(7, msg.Req{Op: msg.OpSockClose, Flow: tcpSock + 1})
+	if got := stored(t, d).subs; len(got) != 2 || got[tcpSock+1] != 0 {
 		t.Fatalf("closed socket still subscribed in storage: %v", got)
 	}
 	puts, _ := d.store.Stats()
-	d.noteSubscription(7, msg.Req{Op: msg.OpSockClose, Flow: tcpSock}) // changes nothing
+	d.noteSubscription(7, msg.Req{Op: msg.OpSockClose, Flow: tcpSock + 1}) // changes nothing
+	d.noteSubscription(7, arm(tcpSock+2))                                  // nor does this
 	if after, _ := d.store.Stats(); after != puts {
 		t.Fatal("a call that changed no table was saved")
 	}
@@ -86,23 +87,23 @@ func TestSmallShardTableSavesAtOnce(t *testing.T) {
 	}
 }
 
-// tcpSock is an engine-assigned socket id (shard 0's first).
-const tcpSock = 1 << 20
-
-// TestLargeShardTablePacesSaves: on a table of a thousand sockets a burst of
-// routing changes costs a bounded number of storage puts, Deadline surfaces
-// the flush still owed, and the last change is saved when it fires.
-func TestLargeShardTablePacesSaves(t *testing.T) {
+// TestLargeDoorRecordPacesSaves: on a table of a thousand subscriptions a
+// burst of changes costs a bounded number of storage puts, Deadline
+// surfaces the flush still owed, and the last change is saved when it
+// fires.
+func TestLargeDoorRecordPacesSaves(t *testing.T) {
 	d, store := newDoor(t)
 	srv := &Server{doors: []*door{d}}
 	now := time.Unix(1000, 0)
 	d.Poll(now)
+	flow := uint32(tcpSock)
 	for i := 0; i < 1000; i++ {
-		d.newVsock()
+		flow++
+		d.noteSubscription(7, arm(flow))
 	}
-	gap := staterec.Gap(len(d.vsocks) + 100)
+	gap := staterec.Gap(len(d.subs) + 100)
 	if gap < 3*time.Millisecond {
-		t.Fatalf("gap for %d sockets = %v", len(d.vsocks), gap)
+		t.Fatalf("gap for %d subscriptions = %v", len(d.subs), gap)
 	}
 	now = now.Add(time.Second) // quiet since the ramp
 	d.Poll(now)
@@ -110,17 +111,17 @@ func TestLargeShardTablePacesSaves(t *testing.T) {
 	const burst = 100
 	start := now
 	putsBefore, _ := store.Stats()
-	var last *vsock
 	for i := 0; i < burst; i++ {
 		now = now.Add(50 * time.Microsecond)
 		d.Poll(now)
-		last = d.newVsock()
+		flow++
+		d.noteSubscription(7, arm(flow))
 	}
 	puts, _ := store.Stats()
 	if n, max := int(puts-putsBefore), int(now.Sub(start)/staterec.Gap(1000))+1; n == 0 || n > max {
 		t.Fatalf("%d changes in %v made %d puts, want 1..%d", burst, now.Sub(start), n, max)
 	}
-	if stored(t, d).vsocks[last.id] != nil {
+	if _, ok := stored(t, d).subs[flow]; ok {
 		t.Fatal("the last change was saved inside the gap")
 	}
 	due := srv.Deadline(now)
@@ -128,57 +129,45 @@ func TestLargeShardTablePacesSaves(t *testing.T) {
 		t.Fatalf("pending flush not surfaced: Deadline = %v, now = %v, gap = %v", due, now, gap)
 	}
 	d.Poll(due)
-	if after, _ := store.Stats(); after != puts+1 || stored(t, d).vsocks[last.id] == nil {
-		t.Fatalf("Poll at the deadline made %d puts; last socket saved: %v", after-puts, stored(t, d).vsocks[last.id] != nil)
+	if after, _ := store.Stats(); after != puts+1 || stored(t, d).subs[flow] != 7 {
+		t.Fatalf("Poll at the deadline made %d puts; last subscription saved: %v", after-puts, stored(t, d).subs[flow] == 7)
 	}
 	if !srv.Deadline(due).IsZero() {
 		t.Fatal("a flush is still pending after the flush")
 	}
 }
 
-// doorRecord is a parked record with sockets in every state it records and
-// two subscribers.
+// doorRecord is a parked record with three subscribers.
 func doorRecord(t testing.TB) []byte {
 	d, store := newDoor(t)
 	d.Poll(time.Unix(1000, 0))
-	for i := 0; i < 4; i++ {
-		d.newVsock()
-	}
-	d.vsocks[1].owner, d.vsocks[1].port = 1, 8080
-	d.vsocks[2].listening, d.vsocks[3].nonblock = true, true
-	d.rr = 5
-	d.subs[3], d.subs[tcpSock] = 7, 9
+	d.subs[3], d.subs[tcpSock], d.subs[tcpSock+1] = 7, 9, 9
 	d.park()
 	blob, _ := store.Get(d.StateKey())
 	return blob
 }
 
-// TestEveryShardTablePrefixFails: a record cut anywhere — inside the
-// subscription list, the counters or the routing table — is refused and
-// leaves the door's own tables untouched.
-func TestEveryShardTablePrefixFails(t *testing.T) {
+// TestEveryDoorRecordPrefixFails: a record cut anywhere inside the
+// subscription list is refused and leaves the door's own table untouched.
+func TestEveryDoorRecordPrefixFails(t *testing.T) {
 	blob := doorRecord(t)
 	d := blank()
 	if err := d.load(blob); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.vsocks; len(got) != 4 || d.rr != 5 || d.nextV != 4 ||
-		got[1].owner != 1 || got[1].port != 8080 || !got[2].listening || !got[3].nonblock || got[4].owner != -1 || len(got[4].armed) != 2 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if len(d.subs) != 2 || d.subs[3] != 7 || d.subs[tcpSock] != 9 {
+	if len(d.subs) != 3 || d.subs[3] != 7 || d.subs[tcpSock] != 9 || d.subs[tcpSock+1] != 9 {
 		t.Fatalf("subscriptions round trip = %v", d.subs)
 	}
 	for n := 0; n < len(blob); n++ {
 		d := blank()
-		if err := d.load(blob[:n]); err == nil || len(d.vsocks) != 0 || len(d.subs) != 0 || d.nextV != 0 || d.rr != 0 {
-			t.Fatalf("prefix %d/%d: err %v, table %+v, subs %v, nextV %d, rr %d", n, len(blob), err, d.vsocks, d.subs, d.nextV, d.rr)
+		if err := d.load(blob[:n]); err == nil || len(d.subs) != 0 {
+			t.Fatalf("prefix %d/%d: err %v, subs %v", n, len(blob), err, d.subs)
 		}
 	}
 }
 
-// FuzzLoadShardMeta: any outcome but a panic or a hang is fine.
-func FuzzLoadShardMeta(f *testing.F) {
+// FuzzLoadDoorRecord: any outcome but a panic or a hang is fine.
+func FuzzLoadDoorRecord(f *testing.F) {
 	f.Add(doorRecord(f))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		_ = blank().load(blob)

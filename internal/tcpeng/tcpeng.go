@@ -24,14 +24,6 @@
 // are recovered, so new connections can be opened immediately after a TCP
 // crash.
 //
-// The engine is shard-aware (docs/ARCHITECTURE.md "Sharded TCP"): with
-// Config.ShardCount > 1 it is one of N independent instances, autobind only
-// picks ports whose flow hash (netpkt.TCPShardOf) lands on its own shard,
-// engine-assigned socket ids encode the shard above SockIDBase, and
-// listeners are replicated by the frontdoor so a SYN hashed to any shard
-// finds one locally — the whole established connection then lives on that
-// shard alone.
-//
 // Connection scale (docs/ARCHITECTURE.md "Connection scale"): a pcb is an
 // ordinary heap object found through two Go maps (socket id, four-tuple),
 // the armed timers sit in one binary min-heap (timers.go) that an idle
@@ -75,15 +67,6 @@ const (
 	timeWait    = 200 * time.Millisecond
 	synRTO      = 100 * time.Millisecond
 )
-
-// SockIDBase splits the socket-id space between the two allocators: ids
-// below it are assigned by the frontdoor (the SYSCALL server names sockets
-// before broadcasting their creation to every shard); ids at or above it
-// are engine-assigned (accepted children and unsharded stacks) and encode
-// the owning shard as (id - SockIDBase) % ShardCount, which is how the
-// frontdoor routes operations on accepted connections without keeping a
-// table.
-const SockIDBase = 1 << 20
 
 // State is a TCP connection state.
 type State int
@@ -129,14 +112,6 @@ type Config struct {
 	// oversized segments.
 	Offload bool
 	TSO     bool
-	// ShardID / ShardCount place this engine in a flow-hash sharded
-	// deployment (docs/ARCHITECTURE.md "Sharded TCP"): autobind only picks
-	// local ports whose netpkt.TCPShardOf lands on ShardID, so inbound
-	// routing at IP brings return traffic back to this shard, and
-	// engine-assigned socket ids encode the shard. ShardCount <= 1 means
-	// unsharded and changes nothing.
-	ShardID    int
-	ShardCount int
 	// PublishBuf exports a socket's TX buffer to the application.
 	PublishBuf func(sock uint32, buf *sockbuf.Buf)
 	// UnpublishBuf retracts a destroyed socket's TX buffer export.
@@ -297,7 +272,6 @@ type Engine struct {
 	// hand, shared by the in-order and the reassembly path.
 	spans    []paySpan
 	next     uint32
-	idStride uint32
 	issClock uint32
 
 	toIP    []msg.Req
@@ -328,21 +302,14 @@ func New(cfg Config, hdrPool *shm.Pool) *Engine {
 		deliverRefs: make(map[uint64]int),
 		retxFrames:  make(map[uint64]uint32),
 		next:        2000,
-		idStride:    1,
 		issClock:    1,
-	}
-	if cfg.ShardCount > 1 {
-		// Engine-assigned ids must be unique across shards and reveal their
-		// shard: stride by the shard count from a shard-offset base.
-		e.next = SockIDBase + uint32(cfg.ShardID)
-		e.idStride = uint32(cfg.ShardCount)
 	}
 	return e
 }
 
-// allocID returns the next engine-assigned socket id (shard-unique).
+// allocID returns the next socket id.
 func (e *Engine) allocID() uint32 {
-	e.next += e.idStride
+	e.next++
 	return e.next
 }
 
@@ -505,19 +472,9 @@ func (e *Engine) setFlags(r msg.Req) {
 	e.event(p, p.readiness())
 }
 
-// create opens a socket. Arg[0], when non-zero, is a frontdoor-assigned
-// socket id (must be below SockIDBase): the SYSCALL server names the socket
-// before broadcasting the create to every shard, so all shards know the
-// same socket under the same id. Zero means engine-assigned (unsharded
-// fronts).
+// create opens a socket under the next id.
 func (e *Engine) create(r msg.Req) {
-	id := uint32(r.Arg[0])
-	if id == 0 {
-		id = e.allocID()
-	} else if e.byID[id] != nil || id >= SockIDBase {
-		e.reply(r.ID, id, msg.StatusErrInval)
-		return
-	}
+	id := e.allocID()
 	p := &pcb{id: id, state: StateClosed, mss: MSS}
 	e.byID[id] = p
 	rep := r.Reply(msg.OpSockReply, msg.StatusOK)
@@ -595,10 +552,8 @@ func (e *Engine) replyAccept(frontID uint64, listener, child uint32) {
 }
 
 // autobind picks an ephemeral port for the already-set remote endpoint. A
-// port qualifies when it is not exclusively reserved (bind/listen), the
-// exact four-tuple is free, and — in a sharded deployment — its flow hash
-// (netpkt.TCPShardOf) lands on this shard, so IP's hash routing delivers
-// the connection's inbound segments here. Ports are reused across distinct
+// port qualifies when it is not exclusively reserved (bind/listen) and the
+// exact four-tuple is free. Ports are reused across distinct
 // remote endpoints (per-destination reuse), so the connection capacity is
 // ports × remotes, not 2^16; a rotating cursor keeps the search O(1)
 // amortized instead of rescanning from the range start.
@@ -611,10 +566,6 @@ func (e *Engine) autobind(p *pcb) {
 	for i := uint32(0); i < span; i++ {
 		port := uint16(ephemLow + (start+i)%span)
 		if e.ports.isReserved(port) {
-			continue
-		}
-		if e.cfg.ShardCount > 1 &&
-			netpkt.TCPShardOf(port, p.remoteIP, p.remotePort, e.cfg.ShardCount) != e.cfg.ShardID {
 			continue
 		}
 		if e.byTuple[fourTuple{port, p.remoteIP, p.remotePort}] != nil {
@@ -669,13 +620,11 @@ func (e *Engine) connect(r msg.Req) {
 	p.remoteIP = netpkt.IPFromU32(uint32(r.Arg[0]))
 	p.remotePort = uint16(r.Arg[1])
 	if !p.bound {
-		// Remote endpoint first: autobind hashes it to stay on-shard.
+		// Remote endpoint first: ports are reused across remotes.
 		e.autobind(p)
 		if !p.bound {
-			// Ephemeral range exhausted towards this remote (a shard only
-			// owns ~1/N of it): fail loudly instead of SYNing from port 0,
-			// whose replies would hash to some other shard and hang the
-			// handshake.
+			// Ephemeral range exhausted towards this remote: fail loudly
+			// instead of SYNing from port 0.
 			e.reply(r.ID, r.Flow, msg.StatusErrNoBufs)
 			return
 		}

@@ -230,8 +230,8 @@ func (s *Server[E]) HandoffState() (any, error) {
 
 // save parks the engine's crash image in the storage server and, beside
 // it, the active flows so PF can rebuild its connection tracking after a
-// crash. Every server writes its own keys (one pair per TCP shard): a
-// restart replaces only its own flows, and PF's rebuild is the union.
+// crash. Every server writes its own keys: a restart replaces only its own
+// flows, and PF's rebuild is the union.
 func (s *Server[E]) save(blob []byte) {
 	store := s.ports.Hub().Store
 	store.Put(s.spec.StorageKey, blob)

@@ -44,8 +44,7 @@ const (
 //
 // Whatever the queue does not accept stays staged for the next iteration.
 // An Edge belongs to one incarnation of its loop; the Port underneath is
-// stable across incarnations. Sharded components (the TCP shards'
-// "ip-tcp<k>"/"sc-tcp<k>") are ordinary edges, one per shard.
+// stable across incarnations.
 type Edge struct {
 	port *Port
 	// cur is the duplex this loop last adopted and gen its generation;

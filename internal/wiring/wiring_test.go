@@ -214,7 +214,7 @@ func TestStoreWipeRingsCurrentBell(t *testing.T) {
 		t.Fatal("a fresh store reported a wipe")
 	}
 	ps.Begin(cur) // the component reincarnates
-	st := proc.New("storage", func() proc.Service { return storage.NewService(hub.Store) }, proc.Options{}, nil)
+	st := proc.New("storage", func() proc.Service { return storage.NewService(hub.Store) }, nil)
 	if err := st.Start(); err != nil {
 		t.Fatal(err)
 	}
