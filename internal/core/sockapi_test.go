@@ -9,9 +9,12 @@ import (
 
 	"newtos/internal/faults"
 	"newtos/internal/msg"
+	"newtos/internal/nic"
 	"newtos/internal/shm"
 	"newtos/internal/sock"
 	"newtos/internal/sockbuf"
+	"newtos/internal/tcpeng"
+	"newtos/internal/tcpsrv"
 	"newtos/internal/udpsrv"
 )
 
@@ -333,6 +336,119 @@ func TestClosedUDPSocketsReleaseTheirBuffers(t *testing.T) {
 			t.Fatalf("%d of %d datagrams arrived: %v", len(seen), n, err)
 		}
 		seen[buf[0]] = true
+	}
+}
+
+// TestClosedTCPSocketsAreUnpublished is the TCP twin of
+// TestClosedUDPSocketsReleaseTheirBuffers: a connection whose FIN is
+// acknowledged gives its TX buffer back at once — export withdrawn, pool
+// dropped from the shared space, engine no longer tracking it — while its
+// pcb still waits out TIME-WAIT, so Tick does not walk it for 200 ms.
+func TestClosedTCPSocketsAreUnpublished(t *testing.T) {
+	const k = 16
+	lan, err := NewLAN(SplitTSO(), 1, nic.WireConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lan.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var stop sync.Once
+	t.Cleanup(func() { stop.Do(lan.Stop) })
+	eng := lan.A.Proc(CompTCP).Service().(*tcpsrv.Server).Engine()
+
+	srvCli, err := sock.NewClient(lan.B.Hub, "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := srvCli.Socket(sock.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Bind(7100); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Listen(k); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				buf := make([]byte, 64)
+				for {
+					n, err := c.Recv(buf)
+					if err != nil || n == 0 {
+						return
+					}
+					if _, err := c.Send(buf[:n]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	cli, err := sock.NewClient(lan.A.Hub, "churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint32
+	var pools []shm.PoolID
+	for i := 0; i < k; i++ {
+		s, err := cli.Socket(sock.TCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Connect(lan.IPOf("b", 0), 7100); err != nil {
+			t.Fatalf("cycle %d: connect: %v", i, err)
+		}
+		if _, err := s.Send([]byte{byte(i)}); err != nil {
+			t.Fatalf("cycle %d: send: %v", i, err)
+		}
+		a, ok := lan.A.Hub.Reg.Get(tcpsrv.BufKeyPfx + fmt.Sprint(s.ID()))
+		if !ok {
+			t.Fatalf("cycle %d: a socket that sent publishes no buffer", i)
+		}
+		pools = append(pools, a.Value.(*sockbuf.Buf).Pool().ID())
+		buf := make([]byte, 8)
+		if n, err := s.Recv(buf); err != nil || n != 1 || buf[0] != byte(i) {
+			t.Fatalf("cycle %d: echo %v %v, err %v", i, n, buf[:n], err)
+		}
+		ids = append(ids, s.ID())
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last FINs' ACKs are a round trip behind the Close replies.
+	for end := time.Now().Add(2 * time.Second); len(lan.A.Hub.Reg.Keys(tcpsrv.BufKeyPfx)) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("closed sockets still published: %v", lan.A.Hub.Reg.Keys(tcpsrv.BufKeyPfx))
+		}
+	}
+	for i, id := range pools {
+		if _, err := lan.A.Hub.Space.Pool(id); err == nil {
+			t.Fatalf("closed socket %d: TX buffer pool %v still mapped", i, id)
+		}
+	}
+	// Stopping freezes the engine: the pcbs still waiting out TIME-WAIT
+	// show that the buffers went before the pcbs did.
+	stop.Do(lan.Stop)
+	closing := 0
+	for _, id := range ids {
+		if st, ok := eng.SocketState(id); ok && (st == tcpeng.StateTimeWait || st == tcpeng.StateFinWait2) {
+			closing++
+		}
+	}
+	if closing == 0 {
+		t.Fatal("no client socket was still closing once its buffer was gone: the buffers went with the pcbs")
+	}
+	if n := eng.NumBuffers(); n != 0 {
+		t.Fatalf("engine tracks %d buffers with %d client sockets closing", n, closing)
 	}
 }
 

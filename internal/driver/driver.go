@@ -203,9 +203,10 @@ func (s *Server) handleIPReq(r msg.Req) {
 func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.outIP) }
 
 // Deadline is the instant a training link comes up, the one device
-// transition that raises no interrupt; zero once the link is trained.
+// transition that raises no interrupt; zero from that instant on, when the
+// device already counts the link as up.
 func (s *Server) Deadline(now time.Time) time.Time {
-	if at := s.dev.LinkUpAt(); !now.After(at) {
+	if at := s.dev.LinkUpAt(); now.Before(at) {
 		return at
 	}
 	return time.Time{}

@@ -257,6 +257,11 @@ func TestResetRetrainsOnDeadline(t *testing.T) {
 	if dl := s.Deadline(at.Add(-time.Millisecond)); !dl.Equal(at) {
 		t.Fatalf("Deadline while training = %v, want the link-up instant %v", dl, at)
 	}
+	// At the instant itself the deadline is spent: the device counts the
+	// link as up from then on, so a due deadline never meets a training link.
+	if dl := s.Deadline(at); !dl.IsZero() {
+		t.Fatalf("Deadline at the link-up instant = %v, want zero", dl)
+	}
 	if dl := s.Deadline(at.Add(time.Nanosecond)); !dl.IsZero() {
 		t.Fatalf("Deadline after training = %v, want zero", dl)
 	}

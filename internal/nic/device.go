@@ -152,11 +152,14 @@ func (d *Device) attachTx(dir *wireDir) {
 func (d *Device) LinkUp() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.linkOKLocked()
+	return d.linkOKLocked(time.Now())
 }
 
-func (d *Device) linkOKLocked() bool {
-	return !d.adminDown && !d.carrierDown && time.Now().After(d.linkUpAt)
+// linkOKLocked reports whether the link is usable at now. Training ends at
+// linkUpAt itself: the driver's Deadline is spent at that instant, so a
+// Poll run then must find the link up.
+func (d *Device) linkOKLocked(now time.Time) bool {
+	return !d.adminDown && !d.carrierDown && !now.Before(d.linkUpAt)
 }
 
 // SetLink administratively raises or lowers the link — the ifconfig up/down
@@ -325,7 +328,7 @@ func (d *Device) txEngine() {
 			have bool
 			gen  uint32
 			tx   *wireDir
-			up   = d.linkOKLocked()
+			up   = d.linkOKLocked(time.Now())
 		)
 		if len(d.txQ) > 0 {
 			desc, have = d.txQ[0], true
@@ -415,7 +418,7 @@ func (d *Device) complete(gen uint32, c TxCompletion) {
 // raises an interrupt.
 func (d *Device) receiveFrame(frame []byte) {
 	d.mu.Lock()
-	if !d.linkOKLocked() {
+	if !d.linkOKLocked(time.Now()) {
 		d.mu.Unlock()
 		d.stats.rxLinkDown.Add(1)
 		return

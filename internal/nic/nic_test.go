@@ -374,6 +374,24 @@ func TestLinkDownDuringRetrain(t *testing.T) {
 	}
 }
 
+// The link is up from its link-up instant on, not one tick after it: the
+// driver's Deadline stops naming that instant once it is reached, so a Poll
+// run exactly then must see the link up.
+func TestLinkUpAtItsInstant(t *testing.T) {
+	space := shm.NewSpace()
+	a := NewDevice(DeviceConfig{Name: "a", LinkUpDelay: time.Hour}, space)
+	defer a.Close()
+	a.Reset()
+	at := a.LinkUpAt()
+	a.mu.Lock()
+	before, on, after := a.linkOKLocked(at.Add(-time.Nanosecond)), a.linkOKLocked(at), a.linkOKLocked(at.Add(time.Nanosecond))
+	a.mu.Unlock()
+	if before || !on || !after {
+		t.Fatalf("link up 1ns before / at / 1ns after the link-up instant = %v / %v / %v, want false / true / true",
+			before, on, after)
+	}
+}
+
 func TestSetLinkAdminDown(t *testing.T) {
 	a, b, space, done := devicePair(t, WireConfig{})
 	defer done()

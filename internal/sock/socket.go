@@ -38,6 +38,10 @@ type Socket struct {
 	// nonblock is the USER-level mode (the stack side always runs
 	// nonblocking; this only selects wrapper behavior).
 	nonblock atomic.Bool
+	// closed is set by Close. Every later call returns ErrClosed at once,
+	// touching neither the stack nor the shared TX buffer, which the
+	// transport releases once the connection's FIN is acknowledged.
+	closed atomic.Bool
 
 	dlMu       sync.Mutex
 	rdDeadline time.Time
@@ -206,6 +210,9 @@ func (s *Socket) Listen(backlog int) error {
 // accept queue, ErrWouldBlock in nonblocking mode (drain until then on
 // every EvAcceptReady edge), otherwise waiting for the accept-ready edge.
 func (s *Socket) Accept() (*Socket, error) {
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
 	for {
 		rep, err := s.c.call(s.proto, msg.Req{Op: msg.OpSockAccept, Flow: s.id}, s.readDeadline())
 		if err != nil {
@@ -241,6 +248,9 @@ func (s *Socket) Accept() (*Socket, error) {
 // user-level nonblocking mode the caller does that itself after
 // ErrWouldBlock, EINPROGRESS-style.
 func (s *Socket) Connect(ip netpkt.IPAddr, port uint16) error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
 	for {
 		r := msg.Req{Op: msg.OpSockConnect, Flow: s.id}
 		r.Arg[0] = uint64(ip.U32())
@@ -311,11 +321,19 @@ func (s *Socket) Send(data []byte) (int, error) {
 
 // SendTo is Send with an explicit destination (UDP).
 func (s *Socket) SendTo(data []byte, dst netpkt.IPAddr, port uint16) (int, error) {
+	if s.closed.Load() {
+		return 0, ErrClosed
+	}
 	if err := s.fetchBuf(); err != nil {
 		return 0, err
 	}
 	total := 0
 	for total < len(data) {
+		// A Close on another goroutine ends the send before it stages
+		// into a buffer the transport may be releasing.
+		if s.closed.Load() {
+			return total, ErrClosed
+		}
 		// Enforce the write deadline BEFORE staging: chunks taken from the
 		// supply ring can only be recycled by the transport, so a chain
 		// abandoned client-side after an expired-deadline check would leak
@@ -399,6 +417,9 @@ func (s *Socket) RecvFrom(p []byte) (int, netpkt.IPAddr, uint16, error) {
 }
 
 func (s *Socket) recvMeta(p []byte) (int, netpkt.IPAddr, uint16, error) {
+	if s.closed.Load() {
+		return 0, netpkt.IPAddr{}, 0, ErrClosed
+	}
 	// Serve leftover bytes first — tagged with the source address of the
 	// datagram they arrived in.
 	if len(s.leftover) > 0 {
@@ -483,8 +504,12 @@ func (s *Socket) consumeRecvData(p []byte, rep msg.Req) (int, netpkt.IPAddr, uin
 	return n, srcIP, srcPort, nil
 }
 
-// Close closes the socket and wakes every goroutine waiting on it.
+// Close closes the socket and wakes every goroutine waiting on it. Closing
+// it again is ErrClosed.
 func (s *Socket) Close() error {
+	if s.closed.Swap(true) {
+		return ErrClosed
+	}
 	rep, err := s.c.call(s.proto, msg.Req{Op: msg.OpSockClose, Flow: s.id}, time.Time{})
 	s.c.unregister(s)
 	if err != nil {

@@ -212,3 +212,45 @@ func TestSendOnExhaustedRingWaitsForTheRecycleEdge(t *testing.T) {
 		t.Fatalf("%d sends reached the door, want 1", n)
 	}
 }
+
+// After Close every call returns ErrClosed at once: it issues no op to the
+// stack — no buffer ensure either — and takes nothing from the shared TX
+// buffer, which the transport may already have released. Closing again is
+// ErrClosed too.
+func TestUseAfterCloseIsErrClosed(t *testing.T) {
+	s, door := blockingSocketOverDoor(t)
+	buf, err := sockbuf.New(s.c.hub.Space, "tcp.sock", 4096, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.c.hub.Reg.Publish("sockbuf/tcp/"+strconv.Itoa(int(s.ID())), buf)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	calls := append(wrappers[:len(wrappers):len(wrappers)],
+		wrapper{"Send", msg.OpSockSend, 0, func(s *Socket) error {
+			_, err := s.Send([]byte("late"))
+			return err
+		}},
+		wrapper{"SendTo", msg.OpSockSend, 0, func(s *Socket) error {
+			_, err := s.SendTo([]byte("late"), netpkt.MustIP("10.0.0.2"), 80)
+			return err
+		}},
+		wrapper{"Close", msg.OpSockClose, 0, func(s *Socket) error { return s.Close() }},
+	)
+	for _, w := range calls {
+		before := door.count(w.op)
+		if err := w.call(s); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s after Close: %v, want ErrClosed", w.name, err)
+		}
+		if n := door.count(w.op) - before; n != 0 {
+			t.Fatalf("%s after Close issued %d ops", w.name, n)
+		}
+	}
+	if n := door.count(msg.OpSockBufEnsure); n != 0 {
+		t.Fatalf("%d buffer ensures after Close", n)
+	}
+	if s.buf != nil || buf.Free() != 2 {
+		t.Fatalf("a send after Close attached the buffer (%v) or took chunks (%d of 2 free)", s.buf != nil, buf.Free())
+	}
+}

@@ -222,7 +222,8 @@ func (pi *pipe) checkNothingLeaked() {
 // by a few steps, each drawn from the seed — both directions arrive
 // byte-exact, both FINs complete, and nothing is leaked. Each seed also
 // picks TSO and GRO on or off and the transfer sizes. After every event
-// either engine is handed, its timer heap holds exactly its armed timers.
+// either engine is handed, its timer heap holds exactly its armed timers and
+// no socket whose FIN is acknowledged holds a TX buffer (checkBufs).
 func TestSeededAdversity(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -238,6 +239,8 @@ func TestSeededAdversity(t *testing.T) {
 		pi.audit = func() {
 			checkTimers(t, pi.a)
 			checkTimers(t, pi.b)
+			checkBufs(t, pi.a)
+			checkBufs(t, pi.b)
 		}
 		pi.fate = func(string, int, []byte) (copies, delay int) {
 			copies = 1

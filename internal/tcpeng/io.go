@@ -298,8 +298,11 @@ func (e *Engine) processAck(p *pcb, th netpkt.TCPHeader, hasPayload bool) {
 		e.detectLoss(p)
 	}
 
-	// Half-close progress.
+	// Half-close progress. The FIN is acknowledged, so nothing is left to
+	// send and the TX buffer goes (releaseSentBuf): every way into
+	// TIME-WAIT passes through here.
 	if p.finSent && netpkt.SeqLT(p.finSeq, ack) {
+		e.releaseSentBuf(p)
 		switch p.state {
 		case StateFinWait1:
 			p.state = StateFinWait2
@@ -547,7 +550,8 @@ func (e *Engine) recycleAcked(p *pcb) {
 
 // retxDone resolves one tagged frame (see emit): when a connection's last
 // in-flight retransmitted-region frame completes, the deferred ring
-// recycle runs.
+// recycle runs, and so does the deferred release of a socket whose FIN is
+// acknowledged. An IP restart's abort of the frame ends here too.
 func (e *Engine) retxDone(id uint64) {
 	pid, ok := e.retxFrames[id]
 	if !ok {
@@ -563,5 +567,6 @@ func (e *Engine) retxDone(id uint64) {
 	}
 	if p.retxPending == 0 {
 		e.recycleAcked(p)
+		e.releaseSentBuf(p)
 	}
 }

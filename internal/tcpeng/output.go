@@ -280,9 +280,10 @@ func (e *Engine) Tick(now time.Time) {
 	// loop iteration (quiescence is counted in iterations).
 	e.hdrPool.Tick()
 	// Advance socket-buffer quiescence clocks so idle-but-buffered
-	// connections shrink back to their base complement. Only sockets that
-	// ever sent have a buffer (lazy provisioning), so this walks the active
-	// set, not the connection table.
+	// connections shrink back to their base complement. A socket holds a
+	// buffer from its first send until its FIN is acknowledged, so this
+	// walks the sockets that can still send, not the connection table: a
+	// closed connection waiting out TIME-WAIT is not among them.
 	for _, p := range e.bufs {
 		p.buf.Tick()
 	}

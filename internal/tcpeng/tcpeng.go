@@ -334,6 +334,10 @@ func (e *Engine) srcFor(dst netpkt.IPAddr) netpkt.IPAddr {
 // NumSockets returns the live socket count.
 func (e *Engine) NumSockets() int { return len(e.byID) }
 
+// NumBuffers returns how many sockets hold a TX buffer: the sockets Tick
+// walks, from a socket's first send until its FIN is acknowledged.
+func (e *Engine) NumBuffers() int { return len(e.bufs) }
+
 // pcbOf resolves a socket id; nil when unknown.
 func (e *Engine) pcbOf(id uint32) *pcb { return e.byID[id] }
 
@@ -667,12 +671,19 @@ func (e *Engine) initSendState(p *pcb) {
 // bufEnsure creates and publishes the socket's TX buffer. Buffers are
 // provisioned lazily — the socket layer issues OpSockBufEnsure when its
 // first send finds no published buffer — so an idle connection holds no TX
-// buffer memory at all. Memory that cannot be provisioned is NoBufs, which
-// the app hears as an error, not as a reason to wait.
+// buffer memory at all; releaseSentBuf takes it back once the FIN is
+// acknowledged. A socket whose FIN is queued can send nothing more, so it
+// gets no buffer: NotConn, as a send there answers. Memory that cannot be
+// provisioned is NoBufs, which the app hears as an error, not as a reason
+// to wait.
 func (e *Engine) bufEnsure(r msg.Req) {
 	p := e.pcbOf(r.Flow)
 	if p == nil {
 		e.reply(r.ID, r.Flow, msg.StatusErrNoSock)
+		return
+	}
+	if p.finQueued {
+		e.reply(r.ID, r.Flow, msg.StatusErrNotConn)
 		return
 	}
 	if p.buf == nil {
@@ -908,9 +919,9 @@ func (e *Engine) dropTuple(p *pcb) {
 
 // destroy removes a pcb entirely: receive-pool references are released,
 // the port reservation is dropped (listener ports stay reserved until the
-// listener closes), the TX buffer's backing pool is removed from the
-// shared space and its registry export withdrawn, and the pcb leaves the
-// id index. Its timers are disarmed, so the heap holds nothing of it.
+// listener closes), a TX buffer still held is released (releaseBuf), and
+// the pcb leaves the id index. Its timers are disarmed, so the heap holds
+// nothing of it.
 func (e *Engine) destroy(p *pcb) {
 	e.releaseRx(p)
 	if p.bound && p.state != StateListen {
@@ -923,16 +934,34 @@ func (e *Engine) destroy(p *pcb) {
 	}
 	e.dropTuple(p)
 	e.disarmAll(p)
-	if p.buf != nil {
-		e.untrackBuf(p)
-		p.buf.Destroy(e.cfg.Space)
-		if e.cfg.UnpublishBuf != nil {
-			e.cfg.UnpublishBuf(p.id)
-		}
-		p.buf = nil
-	}
+	e.releaseBuf(p)
 	p.state = StateClosed
 	delete(e.byID, p.id)
+}
+
+// releaseBuf gives a socket's TX buffer back: Tick stops walking it, its
+// backing pool leaves the shared space and its registry export is withdrawn.
+func (e *Engine) releaseBuf(p *pcb) {
+	if p.buf == nil {
+		return
+	}
+	e.untrackBuf(p)
+	p.buf.Destroy(e.cfg.Space)
+	if e.cfg.UnpublishBuf != nil {
+		e.cfg.UnpublishBuf(p.id)
+	}
+	p.buf = nil
+}
+
+// releaseSentBuf releases the TX buffer of a socket whose FIN is
+// acknowledged: every byte before it is acknowledged too, and the app, which
+// queued the FIN by closing, sends nothing more. While a retransmitted copy
+// is still at the NIC (emit) the buffer stays, and retxDone calls this again
+// when the last one completes.
+func (e *Engine) releaseSentBuf(p *pcb) {
+	if p.retxPending == 0 && p.finSent && netpkt.SeqLT(p.finSeq, p.sndUna) {
+		e.releaseBuf(p)
+	}
 }
 
 // releaseRx gives back every receive-pool reference a connection holds,
