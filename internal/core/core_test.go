@@ -33,8 +33,55 @@ func testLAN(t *testing.T, mod func(*Config)) *LAN {
 	if err := lan.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { checkDeadlines(t, lan) })
 	t.Cleanup(lan.Stop)
 	return lan
+}
+
+// checkDeadlines fails the test if any member of either node was left, by
+// an empty Poll, with a deadline at or before that Poll's now: its runners
+// then poll it over and over until the clock moves past the deadline.
+func checkDeadlines(t *testing.T, lan *LAN) {
+	t.Helper()
+	for _, n := range []*Node{lan.A, lan.B} {
+		for name, p := range n.procs {
+			if k := p.PastDeadlines(); k != 0 {
+				t.Errorf("%s/%s: %d empty Polls left a deadline that was already due", n.Cfg.Name, name, k)
+			}
+		}
+	}
+}
+
+// TestIdleLANPollsOnlyOnEvents: there is no poll cap. On a two-node LAN
+// with no traffic every member is polled only when its bell rings or its
+// own deadline falls due, which on an idle node is almost never.
+func TestIdleLANPollsOnlyOnEvents(t *testing.T) {
+	lan := testLAN(t, nil)
+	// Let start-up settle: link training, first saves, the monitors'
+	// first sweeps.
+	time.Sleep(300 * time.Millisecond)
+	polls := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, n := range []*Node{lan.A, lan.B} {
+			for name, p := range n.procs {
+				out[n.Cfg.Name+"/"+name] = p.Polls()
+			}
+		}
+		return out
+	}
+	before := polls()
+	time.Sleep(200 * time.Millisecond)
+	most, who := uint64(0), ""
+	for name, n := range polls() {
+		d := n - before[name]
+		if d > 10 {
+			t.Errorf("%s: %d Polls in 200 ms of an idle LAN, want at most 10", name, d)
+		}
+		if d >= most {
+			most, who = d, name
+		}
+	}
+	t.Logf("most Polls of one member in 200 ms: %d (%s)", most, who)
 }
 
 // eachPlacement runs a case on a split node and on a single-server one: the

@@ -69,7 +69,8 @@ func (r RxBurstResult) String() string {
 // Config.Elastic the pool grows segment by segment, the driver never
 // starves, and after the burst drains — light traffic washing the
 // grown-segment buffers back out of the device ring — quiescence shrinks
-// the pool back to its base segment.
+// the pool back to its base segment. The quiescence wait is not slept: the
+// engine's clock is stepped to its Deadline, one retirement at a time.
 //
 // The rig is the real device/wire/engine fast path with the driver and
 // transport loops played inline, so drops are counted by the same nic
@@ -169,7 +170,11 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 			}
 			fromDrv = append(fromDrv, r)
 		}
-		eng.From(drv, fromDrv, now)
+		if len(fromDrv) > 0 {
+			// As Edge.Intake does: the engine hears from the driver only
+			// when the driver sent something.
+			eng.From(drv, fromDrv, now)
+		}
 		for _, d := range eng.Drain(udp) {
 			if d.Op == msg.OpIPDeliver {
 				parked = append(parked, d)
@@ -192,7 +197,9 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 	}
 
 	// Prime the driver: the initial supply complement must be posted
-	// before the first frame hits the wire.
+	// before the first frame hits the wire. IP supplies it when the
+	// driver's edge first comes up, as on a driver restart.
+	eng.Restart(drv, time.Now())
 	pump(opts.Hold)
 
 	// Burst phase: inject in sub-ring batches (the wire is unpaced, so
@@ -229,8 +236,8 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 
 	// Drain phase: release every parked delivery, then run light traffic
 	// (deliver + ack immediately) so the buffers still posted in the
-	// device ring migrate back to the base segment, and let quiescence
-	// ticks retire the grown segments.
+	// device ring migrate back to the base segment, and let the grown
+	// segments retire at the deadlines the engine names.
 	pump(0)
 	washFrames := 3 * ipeng.RxBufsPerDriver
 	for i := 0; i < washFrames; i++ {
@@ -250,8 +257,8 @@ func RunRxBurst(opts RxBurstOpts) (RxBurstResult, error) {
 		}
 	}
 	res.Frames += washFrames
-	for i := 0; i < 8*shm.DefaultQuiescence && eng.RxPoolCounters().Segments() > 1; i++ {
-		pump(0)
+	for due := eng.Deadline(); !due.IsZero() && eng.RxPoolCounters().Segments() > 1; due = eng.Deadline() {
+		eng.Tick(due)
 	}
 
 	st := devA.Stats()

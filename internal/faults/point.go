@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind is the class of fault a point produces.
@@ -64,21 +63,24 @@ func (i Injected) Error() string {
 // construct with NewPoint.
 type Point struct {
 	component string
+	// ring wakes the component's loop, so an armed fault fires on an idle
+	// component too; nil when nothing steps the point.
+	ring func()
 	// armed is true while a fault is scheduled and has not fired: Check,
 	// which runs on every loop iteration, returns on one load otherwise.
 	armed atomic.Bool
 
 	mu        sync.Mutex
 	kind      Kind
-	at        time.Time
 	fired     bool
 	corrupt   func()
 	abandoned chan struct{}
 }
 
-// NewPoint returns a disarmed point for the named component.
-func NewPoint(component string) *Point {
-	return &Point{component: component, abandoned: make(chan struct{})}
+// NewPoint returns a disarmed point for the named component; ring (may be
+// nil) is how Arm wakes the loop that calls Check.
+func NewPoint(component string, ring func()) *Point {
+	return &Point{component: component, ring: ring, abandoned: make(chan struct{})}
 }
 
 // SetCorruptHook registers the state-mutation used by Corrupt faults.
@@ -88,17 +90,17 @@ func (p *Point) SetCorruptHook(fn func()) {
 	p.corrupt = fn
 }
 
-// Arm schedules a fault of the given kind to fire at the next Check.
-func (p *Point) Arm(k Kind) { p.ArmAfter(k, 0) }
-
-// ArmAfter schedules a fault to fire at the first Check after d elapses.
-func (p *Point) ArmAfter(k Kind, d time.Duration) {
+// Arm schedules a fault of the given kind to fire at the next Check, and
+// rings the component's loop so that Check comes without other input.
+func (p *Point) Arm(k Kind) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.kind = k
-	p.at = time.Now().Add(d)
 	p.fired = false
 	p.armed.Store(k != None)
+	p.mu.Unlock()
+	if p.ring != nil {
+		p.ring()
+	}
 }
 
 // Disarm cancels a scheduled fault.
@@ -124,7 +126,7 @@ func (p *Point) Check() {
 		return
 	}
 	p.mu.Lock()
-	if p.kind == None || p.fired || time.Now().Before(p.at) {
+	if p.kind == None || p.fired {
 		p.mu.Unlock()
 		return
 	}

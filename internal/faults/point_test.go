@@ -19,7 +19,7 @@ func check(p *Point) (inj *Injected) {
 }
 
 func TestDisarmedPointDoesNothing(t *testing.T) {
-	p := NewPoint("ip")
+	p := NewPoint("ip", nil)
 	if inj := check(p); inj != nil || p.Fired() {
 		t.Fatalf("a disarmed point fired: %v", inj)
 	}
@@ -33,7 +33,7 @@ func TestDisarmedPointDoesNothing(t *testing.T) {
 // A crash fires once: the panic carries the component and the kind, and the
 // next incarnation's loop, should it share the point, is not hit again.
 func TestCrashFiresOnce(t *testing.T) {
-	p := NewPoint("tcp")
+	p := NewPoint("tcp", nil)
 	p.Arm(Crash)
 	inj := check(p)
 	if inj == nil || inj.Component != "tcp" || inj.Kind != Crash {
@@ -51,22 +51,24 @@ func TestCrashFiresOnce(t *testing.T) {
 	}
 }
 
-func TestArmAfterWaitsForItsInstant(t *testing.T) {
-	p := NewPoint("pf")
-	p.ArmAfter(Crash, 30*time.Millisecond)
-	if inj := check(p); inj != nil {
-		t.Fatalf("fired %v before its delay", inj)
+// Arm rings the component's loop: an idle component has no other reason to
+// run the Check that fires the fault.
+func TestArmRingsTheLoop(t *testing.T) {
+	rings := 0
+	p := NewPoint("storage", func() { rings++ })
+	p.Arm(Corrupt)
+	if rings != 1 {
+		t.Fatalf("Arm rang %d times, want once", rings)
 	}
-	time.Sleep(40 * time.Millisecond)
-	if check(p) == nil {
-		t.Fatal("did not fire after its delay")
+	if check(p); !p.Fired() {
+		t.Fatal("the armed fault did not fire at the Check the ring brought")
 	}
 }
 
 // A hang parks the component's goroutine — no panic, no return — until the
 // supervisor abandons the incarnation; it then unwinds like a crash.
 func TestHangParksUntilReleased(t *testing.T) {
-	p := NewPoint("udp")
+	p := NewPoint("udp", nil)
 	p.Arm(Hang)
 	unwound := make(chan *Injected, 1)
 	go func() { unwound <- check(p) }()
@@ -93,7 +95,7 @@ func TestHangParksUntilReleased(t *testing.T) {
 // Corrupt runs the registered hook once and lets the loop carry on; without
 // a hook it is a no-op that still counts as fired.
 func TestCorruptRunsTheHookAndContinues(t *testing.T) {
-	p := NewPoint("eth0")
+	p := NewPoint("eth0", nil)
 	runs := 0
 	p.SetCorruptHook(func() { runs++ })
 	p.Arm(Corrupt)
@@ -106,7 +108,7 @@ func TestCorruptRunsTheHookAndContinues(t *testing.T) {
 		t.Fatalf("hook ran %d times (fired=%v), want exactly once", runs, p.Fired())
 	}
 
-	bare := NewPoint("eth1")
+	bare := NewPoint("eth1", nil)
 	bare.Arm(Corrupt)
 	if inj := check(bare); inj != nil || !bare.Fired() {
 		t.Fatalf("hookless corrupt: panic %v, fired %v", inj, bare.Fired())

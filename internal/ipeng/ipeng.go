@@ -22,7 +22,7 @@
 // outgoing frames, so it is also the component whose crash forces device
 // resets (paper §V-D "IP").
 //
-// ipeng.go is the hub (peer table, triple, housekeeping, saved state);
+// ipeng.go is the hub (peer table, triple, timers, saved state);
 // tx.go the outbound path, rx.go the inbound one.
 package ipeng
 
@@ -64,10 +64,10 @@ const (
 )
 
 // DefaultElastic is the pool growth policy every node's IP server runs
-// with: up to 8 segments (8× the base complement), shrink a
-// quiescent trailing segment after ~1k idle loop iterations.
+// with: up to 8 segments (8× the base complement); a grown segment retires
+// once it has stayed free for shm's quiescence window.
 func DefaultElastic() shm.Elastic {
-	return shm.Elastic{MaxSegments: 8, HighWater: 0.5, Quiescence: shm.DefaultQuiescence}
+	return shm.Elastic{MaxSegments: 8}
 }
 
 // IfaceConfig is one interface's static configuration — the state the
@@ -231,9 +231,13 @@ type Engine struct {
 
 	stats Stats
 	now   time.Time
+	// arpDue is the earliest instant an ARP request times out (a retry or
+	// a give-up), zero with none outstanding; poolDue is the pools' next
+	// segment retirement as of the last Tick.
+	arpDue, poolDue time.Time
 
 	// rxCounters/hdrCounters mirror the pools' elasticity into trace
-	// gauges; Tick refreshes the gauges once per loop iteration.
+	// counters, kept current by the pools' grow and shrink events.
 	rxCounters  trace.PoolCounters
 	hdrCounters trace.PoolCounters
 }
@@ -262,13 +266,11 @@ func New(cfg Config) (*Engine, error) {
 		rx.SetObserver(&e.rxCounters)
 		// The header pool keeps the historical worst case as its hard
 		// cap: base complement × segments == the old static complement.
-		hdrElastic := cfg.Elastic
-		hdrElastic.MaxSegments = hdrChunks / elasticHdrChunks
-		hdr.SetElastic(hdrElastic)
+		hdr.SetElastic(shm.Elastic{MaxSegments: hdrChunks / elasticHdrChunks})
 		hdr.SetObserver(&e.hdrCounters)
 	}
-	e.rxCounters.Sample(rx.Segments(), rx.InUse())
-	e.hdrCounters.Sample(hdr.Segments(), hdr.InUse())
+	e.rxCounters.SetSegments(rx.Segments())
+	e.hdrCounters.SetSegments(hdr.Segments())
 	return e, nil
 }
 
@@ -355,6 +357,11 @@ func (e *Engine) From(p int, batch []msg.Req, now time.Time) {
 		default:
 			e.fromTransport(src, r)
 		}
+	}
+	if src.Kind == PeerDriver {
+		// The batch's frames took receive buffers off the device ring;
+		// those still parked with PF or a transport are replaced now.
+		e.supply(src.ifc, RxBufsPerDriver)
 	}
 }
 
@@ -466,22 +473,30 @@ func (e *Engine) LocalIP() netpkt.IPAddr {
 	return e.drv[0].ifc.cfg.IP
 }
 
-// Tick runs the per-iteration housekeeping: every driver is topped back up
-// to RxBufsPerDriver (burst traffic parks RX buffers with the transports,
-// so recycling alone under-supplies the device), ARP retries fire and give
-// up for neighbors that never answer, the pools evaluate their grow/shrink
-// policy, and the trace gauges are refreshed. The server loop calls it once
-// per iteration.
+// Tick runs the engine's timers that are due at now: ARP retries and
+// give-ups for neighbors that never answer, and the pools' retirement of
+// grown segments. With nothing due it is a comparison and two atomic
+// loads, so the server loop calls it once per iteration: a pool starts its
+// quiescence window at the first Tick after it drained.
 func (e *Engine) Tick(now time.Time) {
 	e.now = now
-	for i := range e.drv {
-		e.supply(e.drv[i].ifc, RxBufsPerDriver)
+	if !e.arpDue.IsZero() && !now.Before(e.arpDue) {
+		e.arpSweep()
 	}
-	e.arpSweep()
-	e.rxPool.Tick()
-	e.hdrPool.Tick()
-	e.rxCounters.Sample(e.rxPool.Segments(), e.rxPool.InUse())
-	e.hdrCounters.Sample(e.hdrPool.Segments(), e.hdrPool.InUse())
+	e.poolDue = earliest(e.rxPool.Tick(now), e.hdrPool.Tick(now))
+}
+
+// Deadline is when Tick next has work: the earliest ARP timeout or the
+// next pool segment retirement, zero when neither is pending. It is after
+// the now of the last Tick.
+func (e *Engine) Deadline() time.Time { return earliest(e.arpDue, e.poolDue) }
+
+// earliest returns the earlier of two instants, a zero one being none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
 }
 
 // supply posts up to n fresh receive buffers to ifc's driver, never past
@@ -520,13 +535,20 @@ func (e *Engine) rxAlloc(ifc *iface) (shm.RichPtr, bool) {
 	return ptr, true
 }
 
-// freeRx returns a receive buffer to the pool and posts the interface it
-// came in on a fresh one.
-func (e *Engine) freeRx(ifc *iface, buf shm.RichPtr) {
+// freeRx returns a receive buffer to the pool. A driver short of its
+// complement outside a batch of its own is short because the pool ran dry,
+// so the freed chunk goes straight back to it: that is where the pressure
+// ends.
+func (e *Engine) freeRx(buf shm.RichPtr) {
 	full := shm.RichPtr{Pool: buf.Pool, Gen: buf.Gen,
 		Off: buf.Off - buf.Off%RxChunkSize, Len: RxChunkSize}
 	_ = e.rxPool.Free(full)
-	e.supply(ifc, 1)
+	for i := range e.drv {
+		if ifc := e.drv[i].ifc; ifc.rxOutstanding < RxBufsPerDriver {
+			e.supply(ifc, 1)
+			return
+		}
+	}
 }
 
 // ifaceTable describes the saved state: the interface configuration.

@@ -446,13 +446,30 @@ func TestStaticRxPoolStarvationIsCounted(t *testing.T) {
 	}
 }
 
+// TestIdleEngineHasNoDeadline: with its neighbours resolved and its pools
+// at their base segments, an engine has no timer pending, so its loop
+// sleeps until a peer rings.
+func TestIdleEngineHasNoDeadline(t *testing.T) {
+	r := newBurstRig(t, DefaultElastic())
+	for i := 0; i < 8; i++ {
+		if !r.deliver() {
+			t.Fatal("driver starved")
+		}
+		r.ackAll()
+	}
+	r.pump()
+	if due := r.e.Deadline(); !due.IsZero() {
+		t.Fatalf("an idle engine at base pools names a deadline %v", due)
+	}
+}
+
 // TestElasticRxPoolAbsorbsBurst drives the same burst against an elastic
 // pool: the pool grows instead of starving the driver, no pressure is
 // counted, and after the deliveries are released and light traffic washes
 // the high-segment buffers out of the ring, quiescence shrinks the pool
 // back to one segment.
 func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
-	r := newBurstRig(t, shm.Elastic{MaxSegments: 8, HighWater: 0.5, Quiescence: 8})
+	r := newBurstRig(t, shm.Elastic{MaxSegments: 8})
 	total := RxBufsPerDriver * 8 * 2 // 2x the static complement
 	for i := 0; i < total; i++ {
 		if !r.deliver() {
@@ -472,7 +489,7 @@ func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
 
 	// Quiesce: release everything, then run light traffic (deliver + ack
 	// immediately) so the outstanding supplies migrate back to the base
-	// segment, and let the policy ticks retire the rest.
+	// segment, and step the clock to each retirement the engine names.
 	r.ackAll()
 	for i := 0; i < 3*RxBufsPerDriver; i++ {
 		if !r.deliver() {
@@ -480,7 +497,16 @@ func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
 		}
 		r.ackAll()
 	}
-	for i := 0; i < 200 && r.e.RxPoolCounters().Segments() > 1; i++ {
+	r.pump()
+	for i := 0; i < 16 && r.e.RxPoolCounters().Segments() > 1; i++ {
+		due := r.e.Deadline()
+		if due.IsZero() {
+			t.Fatalf("a grown pool (%d segments) names no retirement", r.e.RxPoolCounters().Segments())
+		}
+		if !due.After(r.now) {
+			t.Fatalf("deadline %v is not after the last Tick's now %v", due, r.now)
+		}
+		r.now = due
 		r.pump()
 	}
 	if got := r.e.RxPoolCounters().Segments(); got != 1 {

@@ -220,9 +220,17 @@ func TestARPGiveUpFailsQueuedPackets(t *testing.T) {
 		}
 	}
 	drainARP()
-	// Each sweep past arpTimeout retries once, up to maxARPTries total.
+	// Each ARP timeout is the engine's deadline: stepping the clock to it
+	// retries once, up to maxARPTries total, then gives up.
 	for i := 0; i < maxARPTries+3; i++ {
-		now = now.Add(arpTimeout + 50*time.Millisecond)
+		due := e.Deadline()
+		if due.IsZero() {
+			break
+		}
+		if !due.After(now) {
+			t.Fatalf("deadline %v is not after now %v", due, now)
+		}
+		now = due
 		e.Tick(now)
 		drainARP()
 	}
@@ -242,6 +250,9 @@ func TestARPGiveUpFailsQueuedPackets(t *testing.T) {
 	}
 	if inUse := e.hdrPool.InUse(); inUse != 0 {
 		t.Fatalf("%d header chunks still held after give-up", inUse)
+	}
+	if due := e.Deadline(); !due.IsZero() {
+		t.Fatalf("Deadline = %v after the give-up, want zero", due)
 	}
 }
 

@@ -56,6 +56,8 @@ func newHubRig(t testing.TB, nics int, cfg Config) *hubRig {
 	r.tcpHdr, r.tcpPay = hp.Slice(0, netpkt.TCPHeaderLen), pp.Slice(0, rigMSS)
 	for i := 0; i < nics; i++ {
 		e.SetMAC(cfg.Ifaces[i].Name, netpkt.MAC{0xaa, 0, 0, 0, 0, byte(i)})
+		// The driver's edge comes up: IP supplies its receive complement.
+		e.Restart(i, r.now)
 		r.pump()
 		// The neighbour announces itself, as the first packet of any
 		// workload makes it do.

@@ -85,17 +85,17 @@ func (e *Engine) rxPacket(ifc *iface, r *msg.Req) {
 	e.stats.BytesIn += uint64(len(view))
 	eh, err := netpkt.ParseEth(view)
 	if err != nil {
-		e.freeRx(ifc, buf)
+		e.freeRx(buf)
 		return
 	}
 	switch eh.Type {
 	case netpkt.EtherTypeARP:
 		e.handleARP(ifc, view[netpkt.EthHeaderLen:])
-		e.freeRx(ifc, buf)
+		e.freeRx(buf)
 	case netpkt.EtherTypeIPv4:
 		e.handleIPv4(ifc, buf, view, r.Arg[1]&msg.FlagCsumOK != 0)
 	default:
-		e.freeRx(ifc, buf)
+		e.freeRx(buf)
 	}
 }
 
@@ -104,16 +104,16 @@ func (e *Engine) handleIPv4(ifc *iface, buf shm.RichPtr, view []byte, csumOK boo
 	ih, err := netpkt.ParseIPv4(l3, !csumOK)
 	if err != nil {
 		e.stats.DropsMalformed++
-		e.freeRx(ifc, buf)
+		e.freeRx(buf)
 		return
 	}
 	if !e.isLocal(ih.Dst) {
-		e.freeRx(ifc, buf) // not for us; hosts do not forward
+		e.freeRx(buf) // not for us; hosts do not forward
 		return
 	}
 	if int(ih.TotalLen) > len(l3) || ih.HeaderLen > int(ih.TotalLen) {
 		e.stats.DropsMalformed++
-		e.freeRx(ifc, buf)
+		e.freeRx(buf)
 		return
 	}
 	pkt := &inPkt{
@@ -257,10 +257,10 @@ func (e *Engine) recycle(_ uint64, data any) {
 }
 
 // recycleRx frees the receive buffers of a packet (of every packet in a
-// GRO run) and resupplies the drivers they came from.
+// GRO run).
 func (e *Engine) recycleRx(pkt *inPkt) {
 	for ; pkt != nil; pkt = pkt.next {
-		e.freeRx(pkt.ifc, pkt.buf)
+		e.freeRx(pkt.buf)
 	}
 }
 

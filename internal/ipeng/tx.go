@@ -1,6 +1,8 @@
 package ipeng
 
 import (
+	"time"
+
 	"newtos/internal/msg"
 	"newtos/internal/netpkt"
 	"newtos/internal/shm"
@@ -380,13 +382,15 @@ func (e *Engine) reply(to *peer, id uint64, status int32) {
 	to.out = append(to.out, msg.Req{ID: id, Op: msg.OpIPSendDone, Status: status})
 }
 
-// arpSweep is the per-iteration resolution timer: neighbors with packets
-// queued whose last ARP request timed out (or never left, under header-pool
-// pressure) are retried, and after maxARPTries *sent* requests the queue is
-// failed (StatusErrNoRoute) so the transports see an error and the pool
-// chunks are freed. A later packet for the same neighbor starts a fresh
-// episode.
+// arpSweep is the resolution timer, run when the earliest ARP request
+// times out: neighbors with packets queued whose last ARP request timed out
+// (or never left, under header-pool pressure) are retried, and after
+// maxARPTries *sent* requests the queue is failed (StatusErrNoRoute) so the
+// transports see an error and the pool chunks are freed. A later packet
+// for the same neighbor starts a fresh episode. It leaves arpDue at the
+// earliest timeout still outstanding.
 func (e *Engine) arpSweep() {
+	e.arpDue = time.Time{}
 	for i := range e.drv {
 		ifc := e.drv[i].ifc
 		for target := range ifc.pending {
@@ -408,7 +412,9 @@ func (e *Engine) arpSweep() {
 			if len(ifc.pending[target]) == 0 && e.now.Sub(sentAt) >= arpTimeout {
 				delete(ifc.arpSent, target)
 				delete(ifc.arpTries, target)
+				continue
 			}
+			e.arpDue = earliest(e.arpDue, sentAt.Add(arpTimeout))
 		}
 	}
 }
@@ -420,6 +426,7 @@ func (e *Engine) arpSweep() {
 // EHOSTUNREACH for a neighbor that was never probed.
 func (e *Engine) arpRequest(ifc *iface, target netpkt.IPAddr) {
 	ifc.arpSent[target] = e.now
+	e.arpDue = earliest(e.arpDue, e.now.Add(arpTimeout))
 	if e.arpOut(ifc, netpkt.ARPRequest, netpkt.Broadcast, netpkt.MAC{}, target) {
 		ifc.arpTries[target]++
 		e.stats.ARPRequests++

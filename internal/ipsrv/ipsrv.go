@@ -116,9 +116,8 @@ func (s *Server) Poll(now time.Time) bool {
 		}
 	}
 
-	// Per-iteration housekeeping: top drivers back up to their receive
-	// complement, retry/expire ARP resolution, and run the pools' elastic
-	// grow/shrink policy.
+	// The engine's timers: ARP retries and give-ups, pool segments
+	// retiring. A comparison and two loads when none is due.
 	s.eng.Tick(now)
 
 	idle := !worked
@@ -135,9 +134,10 @@ func (s *Server) Poll(now time.Time) bool {
 // reincarnations (wiring.DropReporter).
 func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.edges...) }
 
-// Deadline: IP's only timers are ARP retries, and they ride the Poll an
-// idle loop makes at least once per 500 µs.
-func (s *Server) Deadline(now time.Time) time.Time { return time.Time{} }
+// Deadline is the engine's: the earliest ARP retry or give-up, or the
+// next retirement of a grown pool segment; zero when neither is pending,
+// and the loop then sleeps until a peer rings.
+func (s *Server) Deadline(now time.Time) time.Time { return s.eng.Deadline() }
 
 // Stop is a no-op; pools die with the incarnation.
 func (s *Server) Stop() {}

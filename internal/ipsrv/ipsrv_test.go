@@ -67,7 +67,7 @@ func newRig(t *testing.T, cfg Config, names ...string) *rig {
 	t.Helper()
 	hub := wiring.NewHub(kipc.New(kipc.Config{}))
 	r := &rig{srv: New(cfg, wiring.NewPorts(hub, "ip")), peers: map[string]*fakePeer{}, now: time.Unix(0, 0)}
-	rt := &proc.Runtime{Bell: channel.NewDoorbell(), Fault: faults.NewPoint("ip"), Incarnation: 1}
+	rt := &proc.Runtime{Bell: channel.NewDoorbell(), Fault: faults.NewPoint("ip", nil), Incarnation: 1}
 	if err := r.srv.Init(rt, false); err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // carrier is a Handoffer whose whole state is one counter: each Poll
-// increments it, HandoffState ships it, and a successor Init resumes from
-// it. Fresh (non-handoff) incarnations start from zero.
+// increments it, which is work, so the runners keep polling it;
+// HandoffState ships it, and a successor Init resumes from it. Fresh
+// (non-handoff) incarnations start from zero.
 type carrier struct {
 	count    int64
 	cell     *atomic.Int64 // externally observable mirror of count
@@ -32,7 +33,7 @@ func (c *carrier) Init(rt *Runtime, restart bool) error {
 func (c *carrier) Poll(now time.Time) bool {
 	c.count++
 	c.cell.Store(c.count)
-	return false
+	return true
 }
 
 func (c *carrier) Deadline(now time.Time) time.Time { return time.Time{} }

@@ -9,9 +9,11 @@
 // channels aggressively while work keeps arriving; once a poll comes back
 // empty they watch only the server's doorbell (the memory location MONITOR
 // watches) and poll again only when a producer rings or the service's
-// deadline falls due. When no server has work a runner yields for a short
-// while and then naps on its own armed doorbell (MWAIT), which every
-// server's doorbell also rings. Panics are contained to the
+// deadline falls due; nothing else polls an idle server. When no server
+// has work a runner yields for a short while and then naps on its own
+// armed doorbell (MWAIT), which every server's doorbell also rings, until
+// the earliest server deadline or, with none, until a ring. Panics are
+// contained to the
 // incarnation and reported as crash signals to the reincarnation server;
 // restarted incarnations are told they are restarting so they can recover
 // state from the storage server.
@@ -147,6 +149,9 @@ type Proc struct {
 	incNum  int
 	status  atomic.Int32
 	crashes atomic.Int32
+	// polls counts the service's Polls; pastDeadlines the empty ones after
+	// which its Deadline was not after the Poll's now.
+	polls, pastDeadlines atomic.Uint64
 }
 
 type incarnation struct {
@@ -176,7 +181,7 @@ type incarnation struct {
 	// Owned by the runner holding the claim. The idle gate: idle says the
 	// last Poll came back empty, seen is the bell's post count read
 	// before it, and due is when a runner polls anyway: the service's
-	// deadline, at most maxSleep away.
+	// deadline, zero for none.
 	idle  bool
 	seen  uint64
 	due   time.Time
@@ -201,6 +206,16 @@ func (p *Proc) Status() Status { return Status(p.status.Load()) }
 
 // Crashes returns how many incarnations have died.
 func (p *Proc) Crashes() int { return int(p.crashes.Load()) }
+
+// Polls returns how many times the runners have polled the component,
+// across incarnations.
+func (p *Proc) Polls() uint64 { return p.polls.Load() }
+
+// PastDeadlines returns how many empty Polls left a Deadline at or before
+// their own now, across incarnations. Each one breaks the deadline
+// contract (the Poll at a due instant consumes it): the runners poll such
+// a member over and over until the clock moves past its deadline.
+func (p *Proc) PastDeadlines() uint64 { return p.pastDeadlines.Load() }
 
 // Incarnation returns the current incarnation number.
 func (p *Proc) Incarnation() int {
@@ -468,7 +483,7 @@ func (p *Proc) incarnate(bell *channel.Doorbell, handoff any, restart bool) (*in
 		stepped: make(chan struct{}),
 		rt: &Runtime{
 			Bell:        bell,
-			Fault:       faults.NewPoint(p.name),
+			Fault:       faults.NewPoint(p.name, bell.Ring),
 			Incarnation: p.incNum,
 			Handoff:     handoff,
 		},

@@ -11,14 +11,10 @@ import (
 
 // The idle path: after a sweep in which no Poll found work the runner
 // yields spinYields times, sweeping after each yield, then naps on its
-// armed doorbell, napMin long at first and twice as long each nap after.
-// An idle member is polled again at the latest maxSleep after its last
-// Poll.
-const (
-	spinYields = 32
-	napMin     = time.Microsecond
-	maxSleep   = 500 * time.Microsecond
-)
+// armed doorbell until a member's ring or the earliest member deadline,
+// with no deadline until a ring. Nothing else polls an idle member: an
+// input that neither rings nor is a deadline waits forever.
+const spinYields = 32
 
 // stepOverrun is how long Shutdown waits for a member's last step before
 // it replaces the runners stuck in other members' steps. A healthy step is
@@ -45,7 +41,9 @@ type Runner struct {
 	// Owned by the runner goroutine.
 	local []*incarnation // the members as of the last re-read
 	gen   uint64         // runners.gen at that re-read
-	due   time.Time      // the earliest due of the members it gated
+	// due is the earliest deadline among the members it stepped in its
+	// last sweep, zero when none has one.
+	due time.Time
 }
 
 // runners is the process-wide set of runners and the members they step.
@@ -109,6 +107,11 @@ func leave(inc *incarnation) {
 		}
 	}
 	runners.gen.Add(1)
+	// A napping runner re-reads the members only once woken, and the
+	// last member's leave is what lets it exit.
+	if len(runners.bells) > 0 {
+		runners.bells[0].Ring()
+	}
 	runners.mu.Unlock()
 	close(inc.done)
 }
@@ -190,17 +193,14 @@ func (r *Runner) run() {
 			r.bell.Disarm()
 			continue
 		}
-		nap := napMin << (spins - spinYields)
-		if wait := min(nap, time.Until(r.due)); wait > 0 {
+		// The streak survives an empty sweep: only one that finds work
+		// resets it, so a runner woken for nothing naps again at once.
+		if r.due.IsZero() {
+			r.bell.Wait(0)
+		} else if wait := time.Until(r.due); wait > 0 {
 			r.bell.Wait(wait)
 		} else {
 			r.bell.Disarm()
-		}
-		// The streak survives an empty sweep: only one that finds work
-		// resets it, so a persistently idle runner settles into one nap
-		// and one sweep per maxSleep instead of re-running the ramp.
-		if nap < maxSleep {
-			spins++
 		}
 	}
 }
@@ -210,7 +210,7 @@ func (r *Runner) run() {
 // replaced during a step.
 func (r *Runner) sweep() (worked, ok bool) {
 	now := time.Now()
-	r.due = now.Add(maxSleep)
+	r.due = time.Time{}
 	for _, inc := range r.local {
 		// The busy stamp is the claim: a runner steps a member only after
 		// moving its stamp from 0, and the member's gate state passes from
@@ -244,7 +244,7 @@ func (r *Runner) sweep() (worked, ok bool) {
 		case found:
 			worked = true
 		default:
-			if due.Before(r.due) {
+			if !due.IsZero() && (r.due.IsZero() || due.Before(r.due)) {
 				r.due = due
 			}
 		}
@@ -303,17 +303,21 @@ func (inc *incarnation) step(now time.Time) (out outcome) {
 	// the post count moves or the deadline falls due another Poll would
 	// find nothing.
 	posts := inc.rt.Bell.Posts()
-	if inc.idle && posts == inc.seen && now.Before(inc.due) {
+	if inc.idle && posts == inc.seen && (inc.due.IsZero() || now.Before(inc.due)) {
 		return gated
 	}
 	inc.seen = posts
+	inc.p.polls.Add(1)
 	if inc.svc.Poll(now) {
 		inc.idle = false
 		return found
 	}
-	inc.idle, inc.due = true, now.Add(maxSleep)
-	if d := inc.svc.Deadline(now); !d.IsZero() && d.Before(inc.due) {
-		inc.due = d
+	inc.idle, inc.due = true, inc.svc.Deadline(now)
+	if !inc.due.IsZero() && !inc.due.After(now) {
+		// The Poll at this now should have consumed that deadline: the
+		// member is polled again at once, and again, until the clock
+		// passes it.
+		inc.p.pastDeadlines.Add(1)
 	}
 	return empty
 }

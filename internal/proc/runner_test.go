@@ -136,7 +136,7 @@ func TestRunnerIdleSweepAllocatesNothing(t *testing.T) {
 		p := New("idle", nil, nil)
 		r.local = append(r.local, &incarnation{
 			p: p, svc: &echoService{}, stepped: make(chan struct{}),
-			rt: &Runtime{Bell: channel.NewDoorbell(), Fault: faults.NewPoint("idle")},
+			rt: &Runtime{Bell: channel.NewDoorbell(), Fault: faults.NewPoint("idle", nil)},
 		})
 	}
 	r.sweep() // each member's first step polls, and closes stepped
@@ -173,6 +173,9 @@ func TestRunnersExitWhenEmpty(t *testing.T) {
 	}
 	for _, p := range procs {
 		p.Shutdown()
+		if n := p.PastDeadlines(); n != 0 {
+			t.Errorf("%d empty Polls left a due deadline", n)
+		}
 	}
 	give := time.Now().Add(2 * time.Second)
 	for time.Now().Before(give) && (running() > 0 || runtime.NumGoroutine() > base) {

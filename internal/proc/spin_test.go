@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"newtos/internal/channel"
+	"newtos/internal/faults"
 )
 
 // spinService finds no work and has no deadline unless a test gives it
@@ -22,6 +23,7 @@ type spinService struct {
 	polls      atomic.Int32
 	armedPolls atomic.Int32
 	first      atomic.Int64 // the first Poll's now, in Unix nanoseconds
+	last       atomic.Int64 // the latest Poll's now, in Unix nanoseconds
 }
 
 func (s *spinService) Init(rt *Runtime, restart bool) error {
@@ -30,6 +32,7 @@ func (s *spinService) Init(rt *Runtime, restart bool) error {
 }
 
 func (s *spinService) Poll(now time.Time) bool {
+	s.last.Store(now.UnixNano())
 	if s.polls.Add(1) == 1 {
 		s.first.Store(now.UnixNano())
 		if s.onFirst != nil {
@@ -53,18 +56,18 @@ func (s *spinService) Stop()                            {}
 // runner's first armed nap, where re-polling every idle sweep would run
 // one per yield. No Poll runs between Arm and Wait of the runner's bell:
 // the re-check is that bell's post count, which every member's ring
-// reaches.
+// reaches. A deadline at or before the Poll's own now breaks the deadline
+// contract, and the process counts it.
 //
 // On one P the test goroutine runs only while the runner yields, unarmed,
 // or blocks; so the first time it finds the runner's bell armed the runner
-// is in a nap of its first streak, and no Poll can have slipped in since
-// unless the host stalled the streak past maxSleep, which the test
-// retries.
+// is in a nap of its first streak.
 func TestIdleSpinPollsOnlyOnPost(t *testing.T) {
 	cases := []struct {
 		name    string
 		onFirst func(s *spinService)
 		want    int32
+		past    uint64 // empty Polls that left a due deadline
 	}{
 		{name: "no input", want: 1},
 		{
@@ -80,42 +83,36 @@ func TestIdleSpinPollsOnlyOnPost(t *testing.T) {
 			name:    "a past deadline",
 			onFirst: func(s *spinService) { s.deadline = time.Now().Add(-time.Millisecond) },
 			want:    2,
+			past:    1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for attempt := 1; ; attempt++ {
-				got, took, armed := idleStreak(t, tc.onFirst)
-				// A streak the host stalled past maxSleep before it napped
-				// owes the cap one more Poll; it says nothing of the gate.
-				if got != tc.want && took >= maxSleep && attempt < 10 {
-					t.Logf("attempt %d: %d Polls in a streak that took %v", attempt, got, took)
-					continue
-				}
-				if got != tc.want {
-					t.Fatalf("%d Polls up to the first armed nap, want %d", got, tc.want)
-				}
-				if armed != 0 {
-					t.Fatalf("%d Polls ran with the bell armed", armed)
-				}
-				return
+			svc := &spinService{onFirst: tc.onFirst}
+			p := startIdle(t, svc)
+			if got := svc.polls.Load(); got != tc.want {
+				t.Fatalf("%d Polls up to the first armed nap, want %d", got, tc.want)
+			}
+			time.Sleep(5 * time.Millisecond)
+			if armed := svc.armedPolls.Load(); armed != 0 {
+				t.Fatalf("%d Polls ran with the bell armed", armed)
+			}
+			if got := p.PastDeadlines(); got != tc.past {
+				t.Fatalf("PastDeadlines = %d, want %d", got, tc.past)
 			}
 		})
 	}
 }
 
-// idleStreak runs a spinService until its runner first naps and reports
-// the Polls up to then, how long after the first Poll that was, and how
-// many Polls ran with the runner's bell armed over several maxSleep polls
-// after it.
-func idleStreak(t *testing.T, onFirst func(s *spinService)) (polls int32, took time.Duration, armed int32) {
-	defer oneRunner(t)()
-	svc := &spinService{onFirst: onFirst}
+// startIdle starts svc as the one member of one runner and returns once
+// that runner first naps. The process shuts down when the test ends.
+func startIdle(t *testing.T, svc *spinService) *Proc {
+	t.Cleanup(oneRunner(t))
 	p := New("spin", func() Service { return svc }, nil)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer p.Shutdown()
+	t.Cleanup(p.Shutdown)
 	runners.mu.Lock()
 	bell := runners.bells[0]
 	runners.mu.Unlock()
@@ -125,9 +122,57 @@ func idleStreak(t *testing.T, onFirst func(s *spinService)) (polls int32, took t
 			t.Fatal("runner never napped")
 		}
 	}
-	polls, took = svc.polls.Load(), time.Since(time.Unix(0, svc.first.Load()))
-	time.Sleep(10 * maxSleep)
-	return polls, took, svc.armedPolls.Load()
+	return p
+}
+
+// TestIdleMemberWithoutDeadlineIsNotPolled: there is no poll cap. A member
+// whose last Poll was empty and that has no deadline is not polled again
+// until something rings its bell.
+func TestIdleMemberWithoutDeadlineIsNotPolled(t *testing.T) {
+	svc := &spinService{}
+	p := startIdle(t, svc)
+	before := svc.polls.Load()
+	time.Sleep(100 * time.Millisecond)
+	if got := svc.polls.Load() - before; got != 0 {
+		t.Fatalf("%d Polls in 100 ms of an idle member with no deadline, want 0", got)
+	}
+	if got := p.PastDeadlines(); got != 0 {
+		t.Fatalf("PastDeadlines = %d", got)
+	}
+}
+
+// TestDeadlinePollsOnceAtItsInstant: a member whose deadline is D is polled
+// once, at or after D, and not in between.
+func TestDeadlinePollsOnceAtItsInstant(t *testing.T) {
+	const wait = 20 * time.Millisecond
+	svc := &spinService{onFirst: func(s *spinService) { s.deadline = time.Now().Add(wait) }}
+	p := startIdle(t, svc)
+	due := time.Unix(0, svc.first.Load()).Add(wait)
+	time.Sleep(time.Until(due) + 100*time.Millisecond)
+	if got := svc.polls.Load(); got != 2 {
+		t.Fatalf("%d Polls, want 2: the first and the one the deadline brought", got)
+	}
+	if last := time.Unix(0, svc.last.Load()); last.Before(due) {
+		t.Fatalf("the second Poll ran %v before the deadline", due.Sub(last))
+	}
+	if got := p.PastDeadlines(); got != 0 {
+		t.Fatalf("PastDeadlines = %d", got)
+	}
+}
+
+// TestArmFiresOnIdleMember: arming a fault rings the member's bell, so it
+// fires on a member that has no other input.
+func TestArmFiresOnIdleMember(t *testing.T) {
+	svc := &spinService{}
+	p := startIdle(t, svc)
+	fired := make(chan struct{})
+	p.Fault().SetCorruptHook(func() { close(fired) })
+	p.Fault().Arm(faults.Corrupt)
+	select {
+	case <-fired:
+	case <-time.After(time.Second):
+		t.Fatal("a fault armed on an idle member never fired")
+	}
 }
 
 // running returns how many runner indices are in use.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // countingObserver records elasticity events (a test stand-in for
@@ -239,9 +240,13 @@ func TestElasticAllocGrowsOnDemandUpToCap(t *testing.T) {
 	}
 }
 
+// TestTickQuiescenceShrinksBackToBase: quiescence is time, read from the
+// now the owner passes. A loaded pool never shrinks; a drained one retires
+// one trailing segment per window, each Tick naming the instant of the
+// next retirement, until only the base remains.
 func TestTickQuiescenceShrinksBackToBase(t *testing.T) {
 	_, p := newTestPool(t, 32, 4)
-	p.SetElastic(Elastic{MaxSegments: 4, Quiescence: 10})
+	p.SetElastic(Elastic{MaxSegments: 4})
 	ptrs := make([]RichPtr, 0, 16)
 	for i := 0; i < 16; i++ {
 		ptr, _, err := p.Alloc()
@@ -253,9 +258,13 @@ func TestTickQuiescenceShrinksBackToBase(t *testing.T) {
 	if p.Segments() != 4 {
 		t.Fatalf("segments = %d", p.Segments())
 	}
-	// Still fully loaded: ticking must not shrink.
-	for i := 0; i < 100; i++ {
-		p.Tick()
+	now := time.Unix(1000, 0)
+	// Still fully loaded: ticking must not shrink, and nothing is due.
+	for i := 0; i < 10; i++ {
+		now = now.Add(quiescence)
+		if due := p.Tick(now); !due.IsZero() {
+			t.Fatalf("a loaded pool named a retirement at %v", due)
+		}
 	}
 	if p.Segments() != 4 {
 		t.Fatalf("shrank under full load to %d segments", p.Segments())
@@ -265,13 +274,26 @@ func TestTickQuiescenceShrinksBackToBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Quiescence is counted per Tick: one trailing segment retires every
-	// 10 ticks until only the base remains.
-	for i := 0; i < 3*10; i++ {
-		p.Tick()
+	// The first Tick after the drain stamps the window and names its end.
+	due := p.Tick(now)
+	if want := now.Add(quiescence); !due.Equal(want) {
+		t.Fatalf("Tick = %v, want %v", due, want)
 	}
-	if p.Segments() != 1 {
-		t.Fatalf("segments after quiescence = %d", p.Segments())
+	for segs := 3; segs >= 1; segs-- {
+		if p.Tick(due.Add(-time.Nanosecond)); p.Segments() != segs+1 {
+			t.Fatalf("a segment retired before its window ended: %d segments", p.Segments())
+		}
+		now = due
+		due = p.Tick(now)
+		if p.Segments() != segs {
+			t.Fatalf("segments at the end of a window = %d, want %d", p.Segments(), segs)
+		}
+		if segs > 1 && !due.Equal(now.Add(quiescence)) {
+			t.Fatalf("next retirement at %v, want one window on", due)
+		}
+	}
+	if !due.IsZero() {
+		t.Fatalf("a pool back at its base named a retirement at %v", due)
 	}
 	if _, sh, _ := p.ElasticStats(); sh != 3 {
 		t.Fatalf("shrinks = %d", sh)
@@ -287,13 +309,64 @@ func TestTickQuiescenceShrinksBackToBase(t *testing.T) {
 	}
 }
 
+// TestAllocRestartsTheQuiescenceWindow: a chunk taken from the trailing
+// segment, even one given back before the next Tick, starts the window
+// over.
+func TestAllocRestartsTheQuiescenceWindow(t *testing.T) {
+	_, p := newTestPool(t, 32, 4)
+	p.SetElastic(Elastic{MaxSegments: 2})
+	var ptrs []RichPtr
+	for i := 0; i < 5; i++ {
+		ptr, _, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs = append(ptrs, ptr)
+	}
+	for _, ptr := range ptrs {
+		_ = p.Free(ptr)
+	}
+	now := time.Unix(1000, 0)
+	first := p.Tick(now)
+	// Fill the base, take one chunk of the trailing segment, give all back.
+	ptrs = ptrs[:0]
+	for i := 0; i < 5; i++ {
+		ptr, _, _ := p.Alloc()
+		ptrs = append(ptrs, ptr)
+	}
+	for _, ptr := range ptrs {
+		_ = p.Free(ptr)
+	}
+	later := now.Add(quiescence / 2)
+	if due := p.Tick(later); !due.Equal(later.Add(quiescence)) {
+		t.Fatalf("after an alloc into the trailing segment the window ends at %v, want %v (it first ended at %v)",
+			due, later.Add(quiescence), first)
+	}
+	if p.Tick(first); p.Segments() != 2 {
+		t.Fatal("the segment retired at the end of the window its alloc restarted")
+	}
+}
+
+// TestTickAtBaseNamesNothing: a pool at its base segment has nothing to
+// retire, so its owner's deadline gains nothing from it.
+func TestTickAtBaseNamesNothing(t *testing.T) {
+	_, p := newTestPool(t, 32, 4)
+	p.SetElastic(Elastic{MaxSegments: 4})
+	if due := p.Tick(time.Now()); !due.IsZero() {
+		t.Fatalf("Tick at base = %v, want zero", due)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Tick(time.Time{}) }); allocs != 0 {
+		t.Fatalf("Tick at base allocates %.1f times", allocs)
+	}
+}
+
 // TestConcurrentAllocFreeDuringGrow exercises the race-cleanliness the
 // elastic contract promises: Alloc/Free from the owner, Grow/Shrink from a
 // policy goroutine, and lock-free Views from consumers, all concurrent.
 // Run with -race.
 func TestConcurrentAllocFreeDuringGrow(t *testing.T) {
 	s, p := newTestPool(t, 64, 8)
-	p.SetElastic(Elastic{MaxSegments: 8, Quiescence: 4})
+	p.SetElastic(Elastic{MaxSegments: 8})
 	stable, _, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +400,7 @@ func TestConcurrentAllocFreeDuringGrow(t *testing.T) {
 	}()
 	go func() { // policy: explicit grow/shrink/tick churn
 		defer wg.Done()
+		now := time.Unix(1000, 0)
 		for i := 0; i < 20000; i++ {
 			switch i % 5 {
 			case 0:
@@ -334,7 +408,8 @@ func TestConcurrentAllocFreeDuringGrow(t *testing.T) {
 			case 1:
 				p.Shrink()
 			default:
-				p.Tick()
+				now = now.Add(quiescence / 2)
+				p.Tick(now)
 			}
 		}
 	}()

@@ -18,8 +18,9 @@
 // same generation — outstanding rich pointers stay valid), Shrink retires
 // fully-free trailing segments (pointers into a retired segment resolve to
 // ErrOutOfRange, never garbage), and an optional Elastic policy drives both
-// automatically: Alloc grows on demand under pressure, and Tick — called
-// once per owner loop iteration — retires quiescent trailing segments.
+// automatically: Alloc grows on demand under pressure, and Tick retires a
+// trailing segment that has stayed free for a quiescence window of time,
+// returning the instant of the next retirement for the owner's deadline.
 // Offsets are global across segments, so the rich-pointer format and every
 // consumer-side rule are unchanged by growth.
 //
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Exported errors, matchable with errors.Is.
@@ -115,6 +117,7 @@ func (s *Space) NewPool(owner string, chunkSize, nChunks int) (*Pool, error) {
 		segChunks: nChunks,
 	}
 	p.gen.Store(1)
+	p.live.Store(1)
 	segs := []*segment{newSegment(chunkSize, nChunks)}
 	p.segs.Store(&segs)
 	s.pools[p.id] = p
@@ -157,43 +160,24 @@ type Elastic struct {
 	// MaxSegments caps the pool at this many segments in total (including
 	// the base segment). <= 1 disables automatic growth.
 	MaxSegments int
-	// HighWater guards shrinking: a trailing segment is only retired when,
-	// after retiring it, the remaining pool would still be at least
-	// HighWater free — so a pool running near its working set never
-	// thrashes grow/shrink. 0 means DefaultHighWater; a negative value
-	// disables the guard (any fully-free trailing segment retires after
-	// quiescence, used by owners that keep their base complement
-	// permanently allocated, e.g. sockbuf's supply ring).
-	HighWater float64
-	// Quiescence is how many consecutive Tick calls (owner loop
-	// iterations, not wall clock) a trailing segment must stay fully free
-	// and above the high watermark before it is retired. 0 means
-	// DefaultQuiescence.
-	Quiescence int
 }
-
-// Elasticity defaults.
-const (
-	DefaultHighWater  = 0.5
-	DefaultQuiescence = 1024
-)
 
 // Enabled reports whether the policy allows automatic growth.
 func (e Elastic) Enabled() bool { return e.MaxSegments > 1 }
 
-func (e Elastic) highWater() float64 {
-	if e.HighWater > 0 {
-		return e.HighWater
-	}
-	return DefaultHighWater
-}
-
-func (e Elastic) quiescence() int {
-	if e.Quiescence > 0 {
-		return e.Quiescence
-	}
-	return DefaultQuiescence
-}
+const (
+	// highWater guards shrinking: a trailing segment is only retired when,
+	// after retiring it, the remaining pool would still be at least half
+	// free, so a pool running near its working set never thrashes
+	// grow/shrink.
+	highWater = 0.5
+	// quiescence is how long a trailing segment must stay fully free, with
+	// the pool above the high watermark, before it retires. Bursts that
+	// come back within it find their segment still there instead of paying
+	// a grow per burst; a pool that has gone quiet gives a segment back
+	// half a second later, however busy or idle its owner's loop is.
+	quiescence = 500 * time.Millisecond
+)
 
 // PoolObserver receives elasticity events; trace.PoolCounters implements
 // it. Methods are called with the pool's owner lock held and must not call
@@ -253,12 +237,16 @@ type Pool struct {
 	// data. Reset (generation bump) is the only thing that compacts.
 	segs atomic.Pointer[[]*segment]
 
+	// live is the number of live segments, so Tick on a pool at its base
+	// segment is one load.
+	live atomic.Int32
+
 	mu       sync.Mutex
 	elastic  Elastic
 	observer PoolObserver
-	// quiet counts consecutive Ticks the trailing segment stayed
-	// shrink-eligible.
-	quiet int
+	// quietSince is when Tick first found the trailing segment eligible
+	// to retire, zero while it is not.
+	quietSince time.Time
 
 	allocs   atomic.Uint64
 	frees    atomic.Uint64
@@ -280,15 +268,7 @@ func (p *Pool) ChunkSize() int { return p.chunkSize }
 func (p *Pool) SegChunks() int { return p.segChunks }
 
 // Segments returns the current live (non-retired) segment count.
-func (p *Pool) Segments() int {
-	live := 0
-	for _, seg := range *p.segs.Load() {
-		if seg != nil {
-			live++
-		}
-	}
-	return live
-}
+func (p *Pool) Segments() int { return int(p.live.Load()) }
 
 // Chunks returns the total number of chunks across all live segments.
 func (p *Pool) Chunks() int { return p.Segments() * p.segChunks }
@@ -329,21 +309,11 @@ func (p *Pool) freeLocked() int {
 	return free
 }
 
-func (p *Pool) liveLocked() int {
-	live := 0
-	for _, seg := range *p.segs.Load() {
-		if seg != nil {
-			live++
-		}
-	}
-	return live
-}
-
 // InUse returns the number of allocated chunks (owner-side accounting).
 func (p *Pool) InUse() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.liveLocked()*p.segChunks - p.freeLocked()
+	return p.Segments()*p.segChunks - p.freeLocked()
 }
 
 // Stats returns cumulative allocation and free counts.
@@ -373,7 +343,7 @@ func (p *Pool) Alloc() (RichPtr, []byte, error) {
 			return ptr, view, nil
 		}
 	}
-	if p.elastic.Enabled() && p.liveLocked() < p.elastic.MaxSegments {
+	if p.elastic.Enabled() && p.Segments() < p.elastic.MaxSegments {
 		if seg := p.growLocked(); seg != nil {
 			ptr, view := p.allocFrom(len(*p.segs.Load())-1, seg)
 			return ptr, view, nil
@@ -387,8 +357,12 @@ func (p *Pool) Alloc() (RichPtr, []byte, error) {
 }
 
 // allocFrom pops one chunk off segment si. Caller holds mu and guarantees
-// the segment has a free chunk.
+// the segment has a free chunk. A chunk taken from the trailing segment
+// restarts its quiescence window.
 func (p *Pool) allocFrom(si int, seg *segment) (RichPtr, []byte) {
+	if si > 0 && si == p.trailingLocked() {
+		p.quietSince = time.Time{}
+	}
 	li := seg.free[len(seg.free)-1]
 	seg.free = seg.free[:len(seg.free)-1]
 	seg.state[li] = 1
@@ -480,7 +454,7 @@ func (p *Pool) OwnerView(ptr RichPtr) ([]byte, error) {
 func (p *Pool) Grow() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if max := p.elastic.MaxSegments; max > 0 && p.liveLocked() >= max {
+	if max := p.elastic.MaxSegments; max > 0 && p.Segments() >= max {
 		return fmt.Errorf("%w: at segment cap %d", ErrPoolFull, max)
 	}
 	if p.growLocked() == nil {
@@ -505,9 +479,10 @@ func (p *Pool) growLocked() *segment {
 	copy(ns, segs)
 	ns[len(segs)] = seg
 	p.segs.Store(&ns)
+	p.live.Add(1)
 	p.grows.Add(1)
 	if p.observer != nil {
-		p.observer.PoolGrew(p.liveLocked())
+		p.observer.PoolGrew(p.Segments())
 	}
 	return seg
 }
@@ -548,9 +523,10 @@ func (p *Pool) shrinkLocked(max int) int {
 		return 0
 	}
 	p.segs.Store(&ns)
+	p.live.Add(-int32(retired))
 	p.shrinks.Add(uint64(retired))
 	if p.observer != nil {
-		p.observer.PoolShrank(p.liveLocked())
+		p.observer.PoolShrank(p.Segments())
 	}
 	return retired
 }
@@ -566,46 +542,58 @@ func (p *Pool) anyLiveBelowLocked(segs []*segment, i int) bool {
 	return false
 }
 
-// Tick runs one step of the elastic policy; the owner calls it once per
-// loop iteration (quiescence is measured in iterations, not wall clock).
-// It retires one quiescent trailing segment at a time once the pool has
-// stayed comfortably free for the policy's quiescence window (growth is
-// Alloc's, on demand). No-op for non-elastic pools.
-func (p *Pool) Tick() {
-	if !p.elastic.Enabled() {
-		return
+// trailingLocked returns the index of the highest live segment.
+func (p *Pool) trailingLocked() int {
+	segs := *p.segs.Load()
+	i := len(segs) - 1
+	for i > 0 && segs[i] == nil {
+		i--
+	}
+	return i
+}
+
+// retirableLocked reports whether the trailing segment may retire: it is
+// not the base, it is fully free, and the pool stays above the high
+// watermark without it.
+func (p *Pool) retirableLocked() bool {
+	t := p.trailingLocked()
+	if t == 0 || len((*p.segs.Load())[t].free) != p.segChunks {
+		return false
+	}
+	total := p.Segments() * p.segChunks
+	return float64(p.freeLocked()-p.segChunks) >= highWater*float64(total-p.segChunks)
+}
+
+// Tick runs the elastic policy's shrink half at now and returns the
+// instant of the next retirement, zero when none is pending: the owner
+// folds it into its deadline and calls Tick again from the loop, at the
+// latest at that instant. Tick stamps when the trailing segment became
+// eligible to retire and retires it once it has stayed eligible for the
+// quiescence window, one segment per window (growth is Alloc's, on
+// demand). A pool at its base segment returns at once.
+func (p *Pool) Tick(now time.Time) time.Time {
+	if p.live.Load() <= 1 {
+		return time.Time{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	segs := *p.segs.Load()
-	free := p.freeLocked()
-	live := p.liveLocked()
-	total := live * p.segChunks
-	// Shrink eligibility: the highest live segment (never the last one
-	// standing) is fully free, and the pool stays above the high
-	// watermark after retiring it.
-	eligible := false
-	if live > 1 {
-		for i := len(segs) - 1; i > 0; i-- {
-			if segs[i] == nil {
-				continue
-			}
-			eligible = len(segs[i].free) == p.segChunks
-			break
-		}
+	if !p.elastic.Enabled() || !p.retirableLocked() {
+		p.quietSince = time.Time{}
+		return time.Time{}
 	}
-	if eligible && p.elastic.HighWater >= 0 {
-		eligible = float64(free-p.segChunks) >= p.elastic.highWater()*float64(total-p.segChunks)
+	if p.quietSince.IsZero() {
+		p.quietSince = now
 	}
-	if eligible {
-		p.quiet++
-		if p.quiet >= p.elastic.quiescence() {
-			p.shrinkLocked(1)
-			p.quiet = 0
-		}
-		return
+	if at := p.quietSince.Add(quiescence); now.Before(at) {
+		return at
 	}
-	p.quiet = 0
+	p.shrinkLocked(1)
+	p.quietSince = time.Time{}
+	if p.retirableLocked() {
+		p.quietSince = now
+		return now.Add(quiescence)
+	}
+	return time.Time{}
 }
 
 // Reset simulates the owner crashing and the pool being re-created in the
@@ -631,5 +619,6 @@ func (p *Pool) Reset() {
 		ns := []*segment{base}
 		p.segs.Store(&ns)
 	}
-	p.quiet = 0
+	p.live.Store(1)
+	p.quietSince = time.Time{}
 }

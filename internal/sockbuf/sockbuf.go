@@ -22,9 +22,11 @@
 // instead of the worst: a socket starts with a small base complement and
 // the backing pool grows segment by segment while the app outruns the ring,
 // up to a hard cap — at which point Get returning ok=false is the same
-// back-pressure signal as a static buffer. When the app goes idle, surplus
-// chunks drain back into the pool on recycle and quiescent trailing
-// segments retire, so socket memory scales with active connections.
+// back-pressure signal as a static buffer. A buffer does not shrink while
+// its socket is open: a grown chunk is recycled into the ring like any
+// other, and the owning transport releases the buffer whole (Destroy) when
+// the socket is done with it, so socket memory scales with the sockets
+// that send.
 package sockbuf
 
 import (
@@ -36,25 +38,21 @@ import (
 )
 
 // DefaultChunks and DefaultChunkSize give each socket 64 KB of TX buffer —
-// one full TSO burst (16 × 4 KB). ElasticBaseChunks is the resident
+// one full TSO burst (16 × 4 KB). ElasticBaseChunks is the initial
 // complement of an elastic socket buffer: 16 KB that grow on demand to the
 // same 64 KB worst case.
 const (
 	DefaultChunks     = 16
 	DefaultChunkSize  = 4096
 	ElasticBaseChunks = 4
-	// elasticQuiescence is how many recycle/tick events a fully-free
-	// trailing segment must survive before it retires.
-	elasticQuiescence = 128
 )
 
 // Buf is one socket's transmit buffer.
 type Buf struct {
 	pool   *shm.Pool
 	supply *spsc.Ring[shm.RichPtr]
-	// base is the chunk complement kept resident in the supply ring;
-	// elastic buffers return chunks beyond it to the pool on recycle.
-	base    int
+	// elastic buffers allocate from the pool, growing it, once the ring
+	// is empty.
 	elastic bool
 	// starved is set by the app when Get comes up empty and cleared by the
 	// transport that owes it the writable edge (TakeStarved).
@@ -67,9 +65,8 @@ func New(space *shm.Space, owner string, chunkSize, nChunks int) (*Buf, error) {
 	return build(space, owner, chunkSize, nChunks, nChunks)
 }
 
-// NewElastic allocates an elastic socket buffer: baseChunks resident, grown
-// on demand up to maxChunks (rounded up to whole base-sized segments),
-// shrunk back after quiescence.
+// NewElastic allocates an elastic socket buffer: baseChunks at first, grown
+// on demand up to maxChunks (rounded up to whole base-sized segments).
 func NewElastic(space *shm.Space, owner string, chunkSize, baseChunks, maxChunks int) (*Buf, error) {
 	if maxChunks < baseChunks {
 		maxChunks = baseChunks
@@ -86,10 +83,7 @@ func build(space *shm.Space, owner string, chunkSize, baseChunks, maxChunks int)
 	segs := 1
 	if elastic {
 		segs = (maxChunks + baseChunks - 1) / baseChunks
-		// HighWater -1: the base complement lives in the supply ring
-		// (permanently allocated), so the free-fraction guard would never
-		// pass; any fully-free trailing segment may retire.
-		pool.SetElastic(shm.Elastic{MaxSegments: segs, HighWater: -1, Quiescence: elasticQuiescence})
+		pool.SetElastic(shm.Elastic{MaxSegments: segs})
 	}
 	// Ring capacity must be a power of two covering every chunk the pool
 	// can ever hold, so Recycle never has to drop.
@@ -101,7 +95,7 @@ func build(space *shm.Space, owner string, chunkSize, baseChunks, maxChunks int)
 	if err != nil {
 		return nil, fmt.Errorf("sockbuf: %w", err)
 	}
-	b := &Buf{pool: pool, supply: ring, base: baseChunks, elastic: elastic}
+	b := &Buf{pool: pool, supply: ring, elastic: elastic}
 	for i := 0; i < baseChunks; i++ {
 		ptr, _, err := pool.Alloc()
 		if err != nil {
@@ -162,11 +156,8 @@ func (b *Buf) Write(ptr shm.RichPtr, data []byte) (shm.RichPtr, error) {
 }
 
 // Recycle returns a chunk to the supply ring; transport side only. The
-// pointer may be a sub-slice of the chunk; the whole chunk is recycled.
-// Elastic buffers keep only the base segment's chunks resident in the
-// ring: chunks from grown segments go back to the backing pool (where
-// demand re-allocates them lowest-segment-first), so trailing segments
-// drain fully free and can retire.
+// pointer may be a sub-slice of the chunk; the whole chunk is recycled,
+// a chunk of a grown segment as much as one of the base.
 func (b *Buf) Recycle(ptr shm.RichPtr) {
 	full := shm.RichPtr{
 		Pool: ptr.Pool,
@@ -174,12 +165,8 @@ func (b *Buf) Recycle(ptr shm.RichPtr) {
 		Off:  ptr.Off - ptr.Off%uint32(b.pool.ChunkSize()),
 		Len:  uint32(b.pool.ChunkSize()),
 	}
-	grown := b.elastic && int(full.Off) >= b.base*b.pool.ChunkSize()
-	if grown || !b.supply.TryEnqueue(full) {
+	if !b.supply.TryEnqueue(full) {
 		_ = b.pool.Free(full)
-	}
-	if b.elastic {
-		b.pool.Tick()
 	}
 }
 
@@ -188,15 +175,6 @@ func (b *Buf) Recycle(ptr shm.RichPtr) {
 // Outstanding rich pointers into the pool resolve to ErrNoSuchPool after.
 func (b *Buf) Destroy(space *shm.Space) {
 	space.Drop(b.pool.ID())
-}
-
-// Tick advances the elastic quiescence clock without a recycle (the owning
-// transport calls it from its loop so idle sockets shrink too). No-op for
-// static buffers.
-func (b *Buf) Tick() {
-	if b.elastic {
-		b.pool.Tick()
-	}
 }
 
 // TakeStarved reports, once, whether the app found the buffer exhausted

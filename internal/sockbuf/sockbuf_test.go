@@ -175,7 +175,9 @@ func TestElasticCapIsBackpressure(t *testing.T) {
 	}
 }
 
-func TestElasticShrinksAfterQuiescence(t *testing.T) {
+// A grown buffer keeps its size while the socket is open: every recycled
+// chunk, grown segment or base, goes back into the ring.
+func TestElasticKeepsGrownChunksInTheRing(t *testing.T) {
 	_, b := newElasticBuf(t)
 	ptrs := make([]shm.RichPtr, 0, 16)
 	for i := 0; i < 16; i++ {
@@ -185,29 +187,19 @@ func TestElasticShrinksAfterQuiescence(t *testing.T) {
 		}
 		ptrs = append(ptrs, ptr)
 	}
-	// Transport recycles everything: grown-segment chunks return to the
-	// pool, base chunks to the ring.
 	for _, ptr := range ptrs {
 		b.Recycle(ptr)
 	}
-	if b.Free() != 4 {
-		t.Fatalf("ring holds %d chunks, want the base 4", b.Free())
+	if b.Free() != 16 || b.Pool().Segments() != 4 {
+		t.Fatalf("ring holds %d chunks over %d segments, want all 16 over 4", b.Free(), b.Pool().Segments())
 	}
-	// Idle ticks advance quiescence until all grown segments retire.
-	for i := 0; i < 4*elasticQuiescence; i++ {
-		b.Tick()
+	// The next 16 Gets come from the ring and grow nothing.
+	for i := 0; i < 16; i++ {
+		if _, ok := b.Get(); !ok {
+			t.Fatalf("chunk %d missing", i)
+		}
 	}
-	if b.Pool().Segments() != 1 {
-		t.Fatalf("segments after quiescence = %d, want 1", b.Pool().Segments())
+	if g, _, _ := b.Pool().ElasticStats(); g != 3 {
+		t.Fatalf("grows = %d, want the first 3 only", g)
 	}
-	// The buffer still works end to end after shrinking.
-	ptr, ok := b.Get()
-	if !ok {
-		t.Fatal("no chunk after shrink")
-	}
-	w, err := b.Write(ptr, []byte("still alive"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Recycle(w)
 }

@@ -162,23 +162,28 @@ func (r *Ring[T]) Peek() (T, bool) {
 // DequeueBatch removes up to len(dst) elements into dst and returns the
 // number moved. It must be called only by the consumer goroutine.
 func (r *Ring[T]) DequeueBatch(dst []T) int {
-	var zero T
 	h := r.head.Load()
 	if h >= r.cachedTail {
 		r.cachedTail = r.tail.Load()
+		if h >= r.cachedTail {
+			return 0 // the empty poll touches no slot
+		}
 	}
-	n := int(r.cachedTail - h)
-	if n > len(dst) {
-		n = len(dst)
+	n := min(int(r.cachedTail-h), len(dst))
+	if n == 0 {
+		return 0
 	}
-	for i := 0; i < n; i++ {
-		idx := (h + uint64(i)) & r.mask
-		dst[i] = r.buf[idx]
-		r.buf[idx] = zero
+	// The n slots are at most two runs of the buffer: up to its end, then
+	// from its start. Moved slots are cleared to release references for
+	// GC.
+	start := int(h & r.mask)
+	first := copy(dst[:n], r.buf[start:])
+	clear(r.buf[start : start+first])
+	if first < n {
+		copy(dst[first:n], r.buf[:n-first])
+		clear(r.buf[:n-first])
 	}
-	if n > 0 {
-		r.head.Store(h + uint64(n))
-	}
+	r.head.Store(h + uint64(n))
 	return n
 }
 

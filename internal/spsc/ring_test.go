@@ -123,6 +123,40 @@ func TestDequeueBatch(t *testing.T) {
 	}
 }
 
+// TestDequeueBatchWrapsAndClears: a batch that runs past the end of the
+// buffer comes out in order, and every slot it moved is cleared, so the
+// ring keeps no reference to what it handed out.
+func TestDequeueBatchWrapsAndClears(t *testing.T) {
+	r := MustNew[*int](8)
+	vals := make([]int, 11)
+	for i := range vals {
+		vals[i] = i
+	}
+	for i := 0; i < 6; i++ {
+		r.TryEnqueue(&vals[i])
+	}
+	dst := make([]*int, 8)
+	if n := r.DequeueBatch(dst); n != 6 {
+		t.Fatalf("batch = %d, want 6", n)
+	}
+	for i := 6; i < 11; i++ {
+		r.TryEnqueue(&vals[i])
+	}
+	if n := r.DequeueBatch(dst); n != 5 {
+		t.Fatalf("wrapping batch = %d, want 5", n)
+	}
+	for i, p := range dst[:5] {
+		if *p != 6+i {
+			t.Fatalf("dst[%d] = %d, want %d", i, *p, 6+i)
+		}
+	}
+	for i, p := range r.buf {
+		if p != nil {
+			t.Fatalf("slot %d still holds %d", i, *p)
+		}
+	}
+}
+
 // TestConcurrentOrdering drives a producer and consumer on separate
 // goroutines and checks that every element arrives exactly once, in order.
 func TestConcurrentOrdering(t *testing.T) {

@@ -11,28 +11,16 @@ import (
 
 // A socket's TX buffer lives from its first send until its FIN is
 // acknowledged, not until the pcb goes: a closed connection waiting out
-// TIME-WAIT holds no buffer, so Tick walks only sockets that can still send.
+// TIME-WAIT holds no buffer.
 
-// checkBufs: the list Tick walks is exactly the pcbs that hold a buffer,
-// each at its own index, and no pcb whose FIN is acknowledged holds one once
-// no retransmitted copy of its data is left at the NIC.
+// checkBufs: no pcb whose FIN is acknowledged holds a buffer once no
+// retransmitted copy of its data is left at the NIC.
 func checkBufs(t testing.TB, e *Engine) {
 	t.Helper()
-	held := 0
 	for _, p := range e.byID {
-		if p.buf == nil {
-			continue
-		}
-		held++
-		if int(p.bufIdx) >= len(e.bufs) || e.bufs[p.bufIdx] != p {
-			t.Fatalf("pcb %d: holds a buffer but is not at its index %d of the %d tracked", p.id, p.bufIdx, len(e.bufs))
-		}
-		if p.finSent && netpkt.SeqLT(p.finSeq, p.sndUna) && p.retxPending == 0 {
+		if p.buf != nil && p.finSent && netpkt.SeqLT(p.finSeq, p.sndUna) && p.retxPending == 0 {
 			t.Fatalf("pcb %d in %v: FIN acknowledged, nothing at the NIC, buffer still held", p.id, p.state)
 		}
-	}
-	if held != len(e.bufs) {
-		t.Fatalf("%d buffers tracked for %d pcbs holding one", len(e.bufs), held)
 	}
 }
 
@@ -70,9 +58,9 @@ func TestFinAckReleasesTheBuffer(t *testing.T) {
 		pi.step()
 	}
 	p := pi.a.pcbOf(csock)
-	if p.state != StateFinWait2 || p.buf != nil || len(pi.a.bufs) != 0 || aBufs[csock] != nil || poolMapped(pi.space, buf) {
+	if p.state != StateFinWait2 || p.buf != nil || pi.a.NumBuffers() != 0 || aBufs[csock] != nil || poolMapped(pi.space, buf) {
 		t.Fatalf("after the FIN's ACK: %v, buffer held %v, %d tracked, exported %v, pool mapped %v; want FIN-WAIT-2 and none",
-			p.state, p.buf != nil, len(pi.a.bufs), aBufs[csock] != nil, poolMapped(pi.space, buf))
+			p.state, p.buf != nil, pi.a.NumBuffers(), aBufs[csock] != nil, poolMapped(pi.space, buf))
 	}
 	pi.call(pi.b, msg.Req{Op: msg.OpSockClose, Flow: child})
 	for i := 0; i < 10; i++ {
@@ -151,7 +139,7 @@ func TestFinAckWaitsForRetransmitAtNIC(t *testing.T) {
 		case "ip-restart":
 			w.a.OnIPRestart()
 		}
-		if w.snd.buf != nil || poolMapped(w.space, buf) || w.aBufs[w.csock] != nil || len(w.a.bufs) != 0 {
+		if w.snd.buf != nil || poolMapped(w.space, buf) || w.aBufs[w.csock] != nil || w.a.NumBuffers() != 0 {
 			t.Fatalf("%s: buffer still held after the last frame left the NIC", how)
 		}
 		checkBufs(t, w.a)
@@ -188,8 +176,8 @@ func TestClosedPcbWithoutBufferCrossesHandoff(t *testing.T) {
 		}
 		pi.swap(&pi.a)
 		p := pi.a.pcbOf(csock)
-		if p == nil || p.state != want || p.buf != nil || len(pi.a.bufs) != 0 {
-			t.Fatalf("restored %v pcb: %+v, %d buffers tracked", want, p, len(pi.a.bufs))
+		if p == nil || p.state != want || p.buf != nil || pi.a.NumBuffers() != 0 {
+			t.Fatalf("restored %v pcb: %+v, %d buffers held", want, p, pi.a.NumBuffers())
 		}
 		checkTimers(t, pi.a)
 		checkBufs(t, pi.a)
@@ -214,7 +202,7 @@ func TestBufEnsureAfterCloseIsRefused(t *testing.T) {
 		if rep := pi.call(pi.a, msg.Req{Op: msg.OpSockBufEnsure, Flow: csock}); rep.Status != msg.StatusErrNotConn {
 			t.Fatalf("%s: buffer ensure answered %d, want NotConn", when, rep.Status)
 		}
-		if p := pi.a.pcbOf(csock); p.buf != nil || aBufs[csock] != nil || len(pi.a.bufs) != 0 {
+		if p := pi.a.pcbOf(csock); p.buf != nil || aBufs[csock] != nil || pi.a.NumBuffers() != 0 {
 			t.Fatalf("%s: a buffer was provisioned", when)
 		}
 	}

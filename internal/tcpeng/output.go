@@ -269,24 +269,13 @@ func (e *Engine) sendRstFor(th netpkt.TCPHeader, srcIP, localIP netpkt.IPAddr) {
 
 // Tick fires every per-connection timer whose deadline is at or before now —
 // retransmission, delayed ACK, TIME-WAIT reaping, and handshake retries —
-// earliest first. Cost scales with due timers and live TX buffers, not total
-// connections: an idle connection contributes nothing here. A handler
-// re-arms at now plus a positive delay, so the loop ends.
+// earliest first. Cost scales with due timers, not connections: an idle
+// connection contributes nothing here. A handler re-arms at now plus a
+// positive delay, so the loop ends.
 func (e *Engine) Tick(now time.Time) {
 	//lint:ignore hotloop Tick self-times its own cost (tickNanos observability counter); the passed-in now can't measure this iteration.
 	t0 := time.Now()
 	e.now = now
-	// Elastic pools: evaluate the header pool's grow/shrink policy once per
-	// loop iteration (quiescence is counted in iterations).
-	e.hdrPool.Tick()
-	// Advance socket-buffer quiescence clocks so idle-but-buffered
-	// connections shrink back to their base complement. A socket holds a
-	// buffer from its first send until its FIN is acknowledged, so this
-	// walks the sockets that can still send, not the connection table: a
-	// closed connection waiting out TIME-WAIT is not among them.
-	for _, p := range e.bufs {
-		p.buf.Tick()
-	}
 	for t, ok := e.timers.popDue(now); ok; t, ok = e.timers.popDue(now) {
 		e.fireTimer(t.p, t.kind)
 	}

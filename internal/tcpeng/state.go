@@ -42,9 +42,8 @@ import (
 
 // record names every field of a pcb that means something to another
 // incarnation, in wire order, and reports whether the socket has a TX
-// buffer (the buffer itself crosses by handle). bufIdx and heapPos are
-// deliberately absent: they index this incarnation's buffer list and timer
-// heap.
+// buffer (the buffer itself crosses by handle). heapPos is deliberately
+// absent: it indexes this incarnation's timer heap.
 func (p *pcb) record(c *staterec.Codec) (hasBuf bool) {
 	staterec.Num(c, &p.id)
 	staterec.Num(c, &p.state)
@@ -304,7 +303,6 @@ func (e *Engine) installPCB(p *pcb, hasBuf bool, buf *sockbuf.Buf) error {
 
 	if hasBuf {
 		p.buf = buf
-		e.trackBuf(p)
 		// The registry entry from the predecessor's PublishBuf is still
 		// live — the buffer object itself never changed — so no re-publish.
 	}

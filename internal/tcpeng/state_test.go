@@ -89,8 +89,8 @@ func checkRecord[T any](t *testing.T, local map[string]bool, record func(*T, *st
 func TestPCBRecordCoversEveryField(t *testing.T) {
 	hasBuf := true
 	checkRecord(t, map[string]bool{
-		"bufIdx": true, "heapPos": true, // buffer list, timer heap
-		"buf": true, // crosses by handle; the record carries only its presence
+		"heapPos": true, // timer heap
+		"buf":     true, // crosses by handle; the record carries only its presence
 	}, func(p *pcb, c *staterec.Codec) { hasBuf = p.record(c) })
 	if hasBuf {
 		t.Error("hasBuf set for a pcb without a buffer")
@@ -200,7 +200,7 @@ func TestCrashImageIsAProjection(t *testing.T) {
 	if p.state != StateListen || !p.bound || p.nonblock || len(p.acceptQ) != 0 || p.backlog == 0 || p.mss != MSS {
 		t.Fatalf("restored listener = %+v", *p)
 	}
-	if !e.ports.isReserved(4242) || len(e.timers) != 0 || len(e.bufs) != 0 {
+	if !e.ports.isReserved(4242) || len(e.timers) != 0 || e.NumBuffers() != 0 {
 		t.Fatal("listener port not reserved, or live state crossed a crash")
 	}
 }

@@ -218,8 +218,7 @@ type pcb struct {
 	ackPending  int // segments since last ack
 
 	// App interface.
-	buf    *sockbuf.Buf
-	bufIdx int32 // index in Engine.bufs while buf != nil
+	buf *sockbuf.Buf
 	// nonblock makes accept/recv/connect reply StatusErrAgain instead of
 	// parking, and turns on edge-triggered OpSockEvent publication.
 	nonblock bool
@@ -258,7 +257,6 @@ type Engine struct {
 	listeners map[uint16]uint32
 	ports     portTable
 	timers    timerHeap
-	bufs      []*pcb // sockets with a live TX buffer (Tick only walks these)
 
 	// deliverRefs counts receive-queue items still referencing a deliver
 	// cookie. GRO-merged deliveries carry several payload views under one
@@ -334,9 +332,17 @@ func (e *Engine) srcFor(dst netpkt.IPAddr) netpkt.IPAddr {
 // NumSockets returns the live socket count.
 func (e *Engine) NumSockets() int { return len(e.byID) }
 
-// NumBuffers returns how many sockets hold a TX buffer: the sockets Tick
-// walks, from a socket's first send until its FIN is acknowledged.
-func (e *Engine) NumBuffers() int { return len(e.bufs) }
+// NumBuffers returns how many sockets hold a TX buffer: a socket holds one
+// from its first send until its FIN is acknowledged.
+func (e *Engine) NumBuffers() int {
+	n := 0
+	for _, p := range e.byID {
+		if p.buf != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // pcbOf resolves a socket id; nil when unknown.
 func (e *Engine) pcbOf(id uint32) *pcb { return e.byID[id] }
@@ -367,20 +373,6 @@ func (e *Engine) disarmAll(p *pcb) {
 	for k := 0; k < numTimers; k++ {
 		e.disarmTimer(p, k)
 	}
-}
-
-// trackBuf registers a socket in the live-buffer list Tick walks.
-func (e *Engine) trackBuf(p *pcb) {
-	p.bufIdx = int32(len(e.bufs))
-	e.bufs = append(e.bufs, p)
-}
-
-func (e *Engine) untrackBuf(p *pcb) {
-	last := len(e.bufs) - 1
-	e.bufs[p.bufIdx] = e.bufs[last]
-	e.bufs[p.bufIdx].bufIdx = p.bufIdx
-	e.bufs[last] = nil
-	e.bufs = e.bufs[:last]
 }
 
 // DrainToIP returns and clears pending requests towards IP.
@@ -688,9 +680,8 @@ func (e *Engine) bufEnsure(r msg.Req) {
 	}
 	if p.buf == nil {
 		// Elastic: the socket starts at sockbuf.ElasticBaseChunks and grows
-		// on demand to sockbuf.DefaultChunks, shrinking back when the app
-		// goes idle — socket memory scales with active connections, not the
-		// worst case.
+		// on demand to sockbuf.DefaultChunks — socket memory scales with
+		// the sockets that send, not the worst case.
 		buf, err := sockbuf.NewElastic(e.cfg.Space, "tcp.sock."+strconv.FormatUint(uint64(p.id), 10),
 			sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
 		if err != nil {
@@ -698,7 +689,6 @@ func (e *Engine) bufEnsure(r msg.Req) {
 			return
 		}
 		p.buf = buf
-		e.trackBuf(p)
 		if e.cfg.PublishBuf != nil {
 			e.cfg.PublishBuf(p.id, buf)
 		}
@@ -939,13 +929,12 @@ func (e *Engine) destroy(p *pcb) {
 	delete(e.byID, p.id)
 }
 
-// releaseBuf gives a socket's TX buffer back: Tick stops walking it, its
-// backing pool leaves the shared space and its registry export is withdrawn.
+// releaseBuf gives a socket's TX buffer back: its backing pool leaves the
+// shared space and its registry export is withdrawn.
 func (e *Engine) releaseBuf(p *pcb) {
 	if p.buf == nil {
 		return
 	}
-	e.untrackBuf(p)
 	p.buf.Destroy(e.cfg.Space)
 	if e.cfg.UnpublishBuf != nil {
 		e.cfg.UnpublishBuf(p.id)

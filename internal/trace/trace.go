@@ -77,28 +77,25 @@ func (c *BatchCounter) String() string {
 		c.Msgs(), c.Batches(), c.Avg(), c.Max())
 }
 
-// PoolCounters surfaces one elastic shared-memory pool's activity: gauges
-// for the current segment count and in-use chunks, and counters for grow,
-// shrink, and pressure (hard allocation failure) events. It implements
-// shm.PoolObserver, so installing it with Pool.SetObserver keeps the event
-// counters live; the owner refreshes the gauges from its loop with Sample.
+// PoolCounters surfaces one elastic shared-memory pool's activity: a gauge
+// for the current segment count, and counters for grow, shrink, and
+// pressure (hard allocation failure) events. It implements
+// shm.PoolObserver, so installing it with Pool.SetObserver keeps all of
+// them live; the owner sets the gauge's starting value with SetSegments.
 //
 // Padded to a cache line so per-pool counters allocated side by side do not
 // false-share.
 type PoolCounters struct {
 	segments atomic.Int64
-	inUse    atomic.Int64
 	grows    atomic.Uint64
 	shrinks  atomic.Uint64
 	pressure atomic.Uint64
-	_        [24]byte
+	_        [32]byte
 }
 
-// Sample refreshes the gauges (called from the owner's loop).
-func (c *PoolCounters) Sample(segments, inUse int) {
-	c.segments.Store(int64(segments))
-	c.inUse.Store(int64(inUse))
-}
+// SetSegments sets the segment gauge, once, before the pool's events move
+// it.
+func (c *PoolCounters) SetSegments(segments int) { c.segments.Store(int64(segments)) }
 
 // PoolGrew records a segment append (shm.PoolObserver).
 func (c *PoolCounters) PoolGrew(segments int) {
@@ -118,9 +115,6 @@ func (c *PoolCounters) PoolPressure() { c.pressure.Add(1) }
 // Segments returns the segment-count gauge.
 func (c *PoolCounters) Segments() int { return int(c.segments.Load()) }
 
-// InUse returns the in-use chunk gauge.
-func (c *PoolCounters) InUse() int { return int(c.inUse.Load()) }
-
 // Grows returns how many segments were appended.
 func (c *PoolCounters) Grows() uint64 { return c.grows.Load() }
 
@@ -131,8 +125,8 @@ func (c *PoolCounters) Shrinks() uint64 { return c.shrinks.Load() }
 func (c *PoolCounters) Pressure() uint64 { return c.pressure.Load() }
 
 func (c *PoolCounters) String() string {
-	return fmt.Sprintf("%d segs, %d in use (+%d/-%d segs, %d pressure)",
-		c.Segments(), c.InUse(), c.Grows(), c.Shrinks(), c.Pressure())
+	return fmt.Sprintf("%d segs (+%d/-%d segs, %d pressure)",
+		c.Segments(), c.Grows(), c.Shrinks(), c.Pressure())
 }
 
 // PacerCounters surfaces one edge pacer's flush-policy decisions: how

@@ -75,9 +75,9 @@ func TestMbpsFormat(t *testing.T) {
 
 func TestPoolCounters(t *testing.T) {
 	var c PoolCounters
-	c.Sample(1, 10)
-	if c.Segments() != 1 || c.InUse() != 10 {
-		t.Fatalf("gauges = %d, %d", c.Segments(), c.InUse())
+	c.SetSegments(1)
+	if c.Segments() != 1 {
+		t.Fatalf("segment gauge = %d", c.Segments())
 	}
 	c.PoolGrew(2)
 	c.PoolGrew(3)

@@ -37,7 +37,9 @@ const hdrSegments = 8
 type Engine interface {
 	FromIP(r msg.Req, now time.Time)
 	FromFront(r msg.Req, now time.Time)
-	// Tick runs timers and the pools' elastic policy, once per iteration.
+	// Tick runs the timers due at now (TCP's connection timers, UDP's
+	// socket-table save), once per iteration. The header pool's
+	// retirements are the shell's: the engines tick no pool.
 	Tick(now time.Time)
 	DrainToIP() []msg.Req
 	DrainToFront() []msg.Req
@@ -122,6 +124,9 @@ type Server[E any] struct {
 	eng     E
 	drv     Engine
 	hdrPool *shm.Pool
+	// hdrDue is the header pool's next segment retirement, as of the last
+	// Poll.
+	hdrDue  time.Time
 	ip, sc  *wiring.Edge
 	scratch []msg.Req
 }
@@ -259,6 +264,7 @@ func (s *Server[E]) Poll(now time.Time) bool {
 		worked = true
 	}
 	s.drv.Tick(now)
+	s.hdrDue = s.hdrPool.Tick(now)
 	s.ip.Push(s.drv.DrainToIP()...)
 	s.sc.Push(s.drv.DrainToFront()...)
 	idle := !worked
@@ -275,8 +281,15 @@ func (s *Server[E]) Poll(now time.Time) bool {
 // reincarnations (wiring.DropReporter).
 func (s *Server[E]) OutboxDropped() uint64 { return wiring.SumDropped(s.ip, s.sc) }
 
-// Deadline surfaces the engine's earliest timer.
-func (s *Server[E]) Deadline(now time.Time) time.Time { return s.drv.Deadline(now) }
+// Deadline is the engine's earliest timer or the header pool's next
+// segment retirement, whichever comes first.
+func (s *Server[E]) Deadline(now time.Time) time.Time {
+	d := s.drv.Deadline(now)
+	if d.IsZero() || !s.hdrDue.IsZero() && s.hdrDue.Before(d) {
+		return s.hdrDue
+	}
+	return d
+}
 
 // Stop is a no-op: pools die with the incarnation or ride the handoff.
 func (s *Server[E]) Stop() {}

@@ -30,8 +30,8 @@ import (
 )
 
 // record names every field of a socket that means something to another
-// incarnation, in wire order. The TX buffer crosses by handle and bufIdx
-// indexes this incarnation's buffer list, so neither is here.
+// incarnation, in wire order. The TX buffer crosses by handle, so it is not
+// here.
 func (s *socket) record(c *staterec.Codec) {
 	staterec.Num(c, &s.id)
 	staterec.Num(c, &s.port)
@@ -137,7 +137,7 @@ func (e *Engine) Restore(blob []byte, bufs map[uint32]*sockbuf.Buf, _ time.Time)
 		table := func(install func(*socket) error) {
 			var n int
 			for c.Count(&n, 1); n > 0 && c.Err() == nil; n-- {
-				s := &socket{bufIdx: -1}
+				s := &socket{}
 				if s.record(c); c.Err() != nil {
 					return
 				}
@@ -207,13 +207,12 @@ func (e *Engine) live(c *staterec.Codec) {
 }
 
 // installSocket gives a decoded socket, already holding its TX buffer, a
-// home in this incarnation: its place on the Tick scan list, and its table
-// and port entries. Crash recovery and live update both end here.
+// home in this incarnation: its table and port entries. Crash recovery and
+// live update both end here.
 func (e *Engine) installSocket(s *socket) error {
 	if e.sockets[s.id] != nil {
 		return fmt.Errorf("socket %d: duplicate socket id", s.id)
 	}
-	e.trackBuf(s)
 	e.sockets[s.id] = s
 	if s.bound {
 		e.byPort[s.port] = s.id

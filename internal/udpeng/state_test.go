@@ -84,8 +84,8 @@ func checkRecord[T any](t *testing.T, local map[string]bool, record func(*T, *st
 }
 
 func TestRecordsCoverEveryField(t *testing.T) {
-	// buf crosses by handle; bufIdx indexes this incarnation's buffer list.
-	checkRecord(t, map[string]bool{"buf": true, "bufIdx": true}, (*socket).record)
+	// buf crosses by handle.
+	checkRecord(t, map[string]bool{"buf": true}, (*socket).record)
 	checkRecord(t, nil, (*pendingSend).record)
 	if n := reflect.TypeOf(Stats{}).NumField(); len(new(Stats).counters()) != n {
 		t.Errorf("Stats.counters lists %d of %d fields", len(new(Stats).counters()), n)

@@ -61,11 +61,6 @@ type Engine struct {
 	// is destroyed when the last of them completes.
 	closing map[uint32]*socket
 
-	// bufs is the dense slice of sockets with a live TX buffer, so Tick's
-	// per-iteration elastic-pool scan walks a flat array instead of the
-	// whole socket map (cache-hostile at many thousands of sockets).
-	bufs []*socket
-
 	toIP    []msg.Req
 	toFront []msg.Req
 	// dirty marks a socket-table change that Tick has yet to save.
@@ -96,7 +91,6 @@ type socket struct {
 	nonblock bool
 
 	buf         *sockbuf.Buf
-	bufIdx      int // position in Engine.bufs (swap-removed on close)
 	inflight    int // sends handed to IP and not yet completed
 	recvQ       []rxItem
 	pendingRecv uint64 // parked front request ID, 0 = none
@@ -196,17 +190,10 @@ func (e *Engine) FromIP(r msg.Req) {
 	}
 }
 
-// Tick runs the per-iteration elastic-pool policy: the header pool and
-// every socket buffer advance their quiescence clocks, so grown segments
-// retire even on sockets that have gone fully idle. It is also the one
-// place the socket table is saved: once per iteration at most, after the
-// iteration's intake and before its replies leave. The server loop calls it
-// once per iteration.
+// Tick is the one place the socket table is saved: once per iteration at
+// most, after the iteration's intake and before its replies leave. The
+// server loop calls it once per iteration.
 func (e *Engine) Tick() {
-	e.hdrPool.Tick()
-	for _, s := range e.bufs {
-		s.buf.Tick()
-	}
 	if e.dirty {
 		e.dirty = false
 		if blob, err := e.SaveState(); err == nil {
@@ -215,25 +202,9 @@ func (e *Engine) Tick() {
 	}
 }
 
-// trackBuf registers a socket on the dense Tick scan list.
-func (e *Engine) trackBuf(s *socket) {
-	s.bufIdx = len(e.bufs)
-	e.bufs = append(e.bufs, s)
-}
-
-// untrackBuf swap-removes a socket from the Tick scan list.
-func (e *Engine) untrackBuf(s *socket) {
-	i := s.bufIdx
-	last := len(e.bufs) - 1
-	e.bufs[i] = e.bufs[last]
-	e.bufs[i].bufIdx = i
-	e.bufs = e.bufs[:last]
-	s.bufIdx = -1
-}
-
-// newBuf provisions one socket's shared TX buffer: a small base complement,
-// demand growth up to sockbuf.DefaultChunks, shrink after quiescence, so
-// socket memory scales with active sockets.
+// newBuf provisions one socket's shared TX buffer: a small base complement
+// that grows on demand up to sockbuf.DefaultChunks, so socket memory scales
+// with the sockets that send.
 func (e *Engine) newBuf(owner string) (*sockbuf.Buf, error) {
 	return sockbuf.NewElastic(e.cfg.Space, owner,
 		sockbuf.DefaultChunkSize, sockbuf.ElasticBaseChunks, sockbuf.DefaultChunks)
@@ -249,7 +220,6 @@ func (e *Engine) create(r msg.Req) {
 		return
 	}
 	s.buf = buf
-	e.trackBuf(s)
 	e.sockets[id] = s
 	if e.cfg.PublishBuf != nil {
 		e.cfg.PublishBuf(id, buf)
@@ -596,7 +566,6 @@ func (e *Engine) close(r msg.Req) {
 	if s.bound {
 		delete(e.byPort, s.port)
 	}
-	e.untrackBuf(s)
 	if e.cfg.UnpublishBuf != nil {
 		e.cfg.UnpublishBuf(s.id)
 	}
