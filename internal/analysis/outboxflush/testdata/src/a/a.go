@@ -30,7 +30,7 @@ type Good struct {
 
 func (s *Good) Poll(now time.Time) bool {
 	s.out.Push(msg.Req{})
-	return s.out.Flush(now, true)
+	return s.out.Flush()
 }
 
 // Sliced stages through a range alias and a helper parameter, and flushes
@@ -43,17 +43,17 @@ func (s *Sliced) Poll(now time.Time) bool {
 	for _, box := range s.boxes {
 		stageInto(box)
 	}
-	return s.flushAll(now)
+	return s.flushAll()
 }
 
 func stageInto(box *wiring.Edge) {
 	box.Push(msg.Req{})
 }
 
-func (s *Sliced) flushAll(now time.Time) bool {
+func (s *Sliced) flushAll() bool {
 	worked := false
 	for _, box := range s.boxes {
-		if box.Flush(now, !worked) {
+		if box.Flush() {
 			worked = true
 		}
 	}
@@ -84,7 +84,7 @@ func (s *Answerer) Poll(now time.Time) bool {
 			s.edge.Push(r)
 		}
 	})
-	return s.edge.Flush(now, !worked) || worked
+	return s.edge.Flush() || worked
 }
 
 // Mute takes requests in and stages its answers, but its Poll path never

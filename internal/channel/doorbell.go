@@ -3,14 +3,15 @@
 // single-producer single-consumer queues, shared-memory pools, a request
 // database with abort actions, and a publish/subscribe channel registry.
 //
-// The kernel (package kipc) is only involved in setting channels up; all
+// The kernel (package kipc) is only involved in setting channels up and in
+// turning a device interrupt into a ring of its driver's doorbell; all
 // fast-path traffic moves through these structures without trapping.
 //
 // The data path is batched end to end (docs/ARCHITECTURE.md): Out.SendBatch
 // moves a whole batch into the ring and rings the consumer's doorbell
 // exactly once, In.RecvBatch drains into a caller-owned scratch slice, and
 // each direction keeps a trace.BatchCounter (Out.Stats/In.Stats) whose
-// msgs-per-batch ratio is the achieved wakeup amortization. The per-slot
+// msgs-per-batch ratio is the messages per doorbell ring. The per-slot
 // Send/Recv pair remains for control-plane and benchmark use.
 package channel
 

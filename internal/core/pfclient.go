@@ -42,11 +42,11 @@ func (c *PFClient) call(req msg.Req) (msg.Req, error) {
 		return msg.Req{}, err
 	}
 	for {
-		m, err := c.ep.Receive(kipc.Any, 5*time.Second)
+		m, err := c.ep.Receive(5 * time.Second)
 		if err != nil {
 			return msg.Req{}, err
 		}
-		if m.Type == kipc.MsgNotify || m.Data == nil {
+		if m.Data == nil {
 			continue
 		}
 		rep, err := msg.UnmarshalReq(m.Data)

@@ -11,7 +11,6 @@
 package driver
 
 import (
-	"fmt"
 	"time"
 
 	"newtos/internal/kipc"
@@ -30,7 +29,6 @@ type Server struct {
 
 	rt      *proc.Runtime
 	kern    *kipc.Kernel
-	ep      *kipc.Endpoint
 	outIP   *wiring.Edge
 	scratch []msg.Req
 	// wired is set by the first rebind of the IP edge: until then there is
@@ -51,22 +49,16 @@ func New(name string, ports *wiring.Ports, dev *nic.Device) *Server {
 	return &Server{name: name, ports: ports, dev: dev}
 }
 
-// Init wires the driver: announce presence, attach IP's channel, register
-// the kernel endpoint interrupts arrive on, and reset the device when
-// coming back from a crash (descriptor state is unrecoverable).
+// Init wires the driver: attach IP's channel, route the device's interrupt
+// to this incarnation's doorbell through the kernel, and reset the device
+// when coming back from a crash (descriptor state is unrecoverable).
 func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.rt = rt
 	s.ports.Begin(rt.Bell)
 	s.outIP = wiring.NewEdge(s.ports.Attach("ip-" + s.name))
 	s.scratch = make([]msg.Req, wiring.ScratchLen)
-	kern := s.ports.Hub().Kern
-	ep, err := kern.Register(s.name, rt.Bell)
-	if err != nil {
-		return fmt.Errorf("driver %s: %w", s.name, err)
-	}
-	s.kern, s.ep = kern, ep
-	id := ep.ID()
-	s.dev.SetIRQ(func() { _ = kern.Interrupt(id) })
+	s.kern = s.ports.Hub().Kern
+	s.dev.SetIRQ(func() { s.kern.Interrupt(rt.Bell) })
 	if restart {
 		s.dev.Reset()
 	}
@@ -119,16 +111,7 @@ func (s *Server) Poll(now time.Time) bool {
 		worked = true
 	}
 
-	// Drain interrupt notifications (edge-style; completions collected
-	// below regardless).
-	for {
-		if _, err := s.ep.TryReceive(kipc.Any); err != nil {
-			break
-		}
-		worked = true
-	}
-
-	// Completions from the device.
+	// Completions from the device; an interrupt only rang the bell.
 	for _, c := range s.dev.CollectTx() {
 		st := msg.StatusOK
 		if !c.OK {
@@ -152,7 +135,7 @@ func (s *Server) Poll(now time.Time) bool {
 		worked = true
 	}
 
-	if s.outIP.Flush(now, !worked) {
+	if s.outIP.Flush() {
 		worked = true
 	}
 	return worked
@@ -212,9 +195,5 @@ func (s *Server) Deadline(now time.Time) time.Time {
 	return time.Time{}
 }
 
-// Stop releases the kernel endpoint.
-func (s *Server) Stop() {
-	if s.ep != nil {
-		s.ep.Close()
-	}
-}
+// Stop is a no-op: the driver owns nothing the incarnation must release.
+func (s *Server) Stop() {}

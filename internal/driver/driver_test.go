@@ -50,7 +50,7 @@ func (r *rig) recv() (msg.Req, bool) {
 // send delivers one IP->driver request.
 func (r *rig) send(req msg.Req) bool {
 	r.ip.Push(req)
-	return r.ip.Flush(time.Now(), true)
+	return r.ip.Flush()
 }
 
 func newRig(t *testing.T) *rig { return newRigWith(t, 0) }
@@ -181,6 +181,53 @@ func TestDriverDeliversReceivedFrames(t *testing.T) {
 	if int(rx.Arg[0]) != len(frame) {
 		t.Fatalf("rx len = %d, want %d", rx.Arg[0], len(frame))
 	}
+}
+
+// TestInterruptRingsTheDriver: the driver registers no kernel endpoint. A
+// frame the device receives raises an interrupt, which is one trap and a
+// ring of the driver's doorbell; the ring is what brings the frame to IP.
+func TestInterruptRingsTheDriver(t *testing.T) {
+	r := newRig(t)
+	r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpDrvInfo })
+	if id, ok := r.hub.Kern.Lookup("eth0"); ok {
+		t.Fatalf("kernel endpoint %d registered under the driver's name", id)
+	}
+	bell := r.p.Service().(*Server).rt.Bell
+
+	pool, _ := r.hub.Space.NewPool("rxtest", 2048, 4)
+	ptr, _, _ := pool.Alloc()
+	sup := msg.Req{ID: 1, Op: msg.OpRxSupply}
+	sup.SetChain([]shm.RichPtr{ptr})
+	if !r.send(sup) {
+		t.Fatal("supply not sent")
+	}
+	// The supply's own ring is counted by now; from here on only the
+	// device rings the driver.
+	before := bell.Posts()
+
+	txPool, _ := r.hub.Space.NewPool("peertx", 2048, 4)
+	p2, buf, _ := txPool.Alloc()
+	frame := make([]byte, 60)
+	frame[12], frame[13] = 0x08, 0x06
+	n := copy(buf, frame)
+	deadline := time.Now().Add(3 * time.Second)
+	for r.dev.Stats().RxFrames == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("device never received a frame")
+		}
+		// The first frames may beat the driver posting the supplied buffer.
+		_ = r.peer.PostTx(nic.TxDesc{Ptrs: []shm.RichPtr{p2.Slice(0, uint32(n))}, Cookie: 9})
+		r.peer.CollectTx()
+		time.Sleep(time.Millisecond)
+	}
+	// The device counts the frame just before it raises the interrupt.
+	for bell.Posts() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("a received frame did not ring the driver's doorbell")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.waitMsg(func(m msg.Req) bool { return m.Op == msg.OpRxPacket })
 }
 
 func TestDriverForwardsLinkTransitions(t *testing.T) {

@@ -120,10 +120,9 @@ func (s *Server) Poll(now time.Time) bool {
 	// retiring. A comparison and two loads when none is due.
 	s.eng.Tick(now)
 
-	idle := !worked
 	for i, e := range s.edges {
 		e.Push(s.eng.Drain(i)...)
-		if e.Flush(now, idle) {
+		if e.Flush() {
 			worked = true
 		}
 	}

@@ -42,7 +42,7 @@ func (p *fakePeer) drain() {
 
 func (p *fakePeer) send(now time.Time, reqs ...msg.Req) {
 	p.end.Push(reqs...)
-	p.end.Flush(now, true)
+	p.end.Flush()
 }
 
 func (p *fakePeer) count(op msg.Op) int {

@@ -11,33 +11,23 @@
 // ~150 cycles hot and ~3000 cycles cold, versus ~30 cycles for a channel
 // enqueue (§IV).
 //
-// Semantics follow MINIX 3: synchronous Send/Receive rendezvous with
-// fixed-size messages, asynchronous Notify bits, and hardware interrupts
-// delivered as notifications from a reserved HARDWARE endpoint. Slow-path
-// uses that remain in NewtOS — channel setup, syscall entry, interrupt
-// dispatch, and idle-wait (the kernel-assisted MWAIT) — run through here.
+// Semantics follow MINIX 3's synchronous Send/Receive rendezvous with
+// fixed-size messages. A hardware interrupt is one trap that rings the
+// driver's doorbell: the driver finds the device's completions on its next
+// Poll, so no message carries the interrupt itself. Slow-path uses that
+// remain in NewtOS — channel setup, syscall entry, interrupt dispatch, and
+// idle-wait (the kernel-assisted MWAIT) — run through here.
 package kipc
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
 // EndpointID names a process known to the kernel.
 type EndpointID uint32
-
-// Reserved endpoints.
-const (
-	// NoEndpoint is the zero, invalid endpoint.
-	NoEndpoint EndpointID = 0
-	// Hardware is the pseudo-endpoint interrupts arrive from.
-	Hardware EndpointID = 1
-	// Any matches any sender in Receive.
-	Any EndpointID = 1<<32 - 1
-)
 
 // Exported errors.
 var (
@@ -58,10 +48,6 @@ type Msg struct {
 	Args [6]uint64
 	Data []byte
 }
-
-// MsgNotify is the Type of notification messages synthesized from notify
-// bits and interrupts.
-const MsgNotify uint32 = 0xffff_fff1
 
 // Config sets the simulated cost model.
 type Config struct {
@@ -108,14 +94,13 @@ func New(cfg Config) *Kernel {
 		cfg:  cfg,
 		eps:  make(map[EndpointID]*Endpoint),
 		byNm: make(map[string]EndpointID),
-		next: Hardware,
 	}
 }
 
-// Waker is rung when a message or notification lands on an endpoint, so
-// event-loop servers can integrate kernel IPC with their channel doorbell
-// (paper §V-B: "we combine the kernel call ... with a non-blocking
-// receive").
+// Waker is rung when a message lands on an endpoint or an interrupt is
+// raised for a driver, so event-loop servers can integrate kernel IPC with
+// their channel doorbell (paper §V-B: "we combine the kernel call ... with
+// a non-blocking receive").
 type Waker interface{ Ring() }
 
 // Register creates an endpoint named name. waker may be nil. If the name
@@ -135,12 +120,11 @@ func (k *Kernel) Register(name string, waker Waker) (*Endpoint, error) {
 	defer k.mu.Unlock()
 	k.next++
 	ep := &Endpoint{
-		k:      k,
-		id:     k.next,
-		name:   name,
-		waker:  waker,
-		wake:   make(chan struct{}, 1),
-		notifs: make(map[EndpointID]bool),
+		k:     k,
+		id:    k.next,
+		name:  name,
+		waker: waker,
+		wake:  make(chan struct{}, 1),
 	}
 	k.eps[ep.id] = ep
 	k.byNm[name] = ep.id
@@ -170,11 +154,12 @@ func (k *Kernel) Halt() {
 	}
 }
 
-// Interrupt delivers a hardware interrupt to dst as a notification from the
-// Hardware pseudo-endpoint ("the kernel converts interrupts to messages to
-// the drivers"). irqLine is stashed so drivers can distinguish sources.
-func (k *Kernel) Interrupt(dst EndpointID) error {
-	return k.notify(Hardware, dst)
+// Interrupt charges one kernel entry and rings the driver's doorbell: the
+// kernel turns a device interrupt into a wake-up of its driver, which then
+// polls the device for whatever completed.
+func (k *Kernel) Interrupt(driver Waker) {
+	spin(k.cfg.TrapCost)
+	driver.Ring()
 }
 
 // TrapHot charges one hot-cache kernel entry (benchmarks/calibration).
@@ -206,26 +191,9 @@ func (k *Kernel) endpoint(id EndpointID) (*Endpoint, error) {
 	return ep, nil
 }
 
-func (k *Kernel) notify(src, dst EndpointID) error {
-	spin(k.cfg.TrapCost)
-	ep, err := k.endpoint(dst)
-	if err != nil {
-		return err
-	}
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		return ErrClosed
-	}
-	ep.notifs[src] = true
-	ep.mu.Unlock()
-	ep.kick()
-	return nil
-}
-
 // Endpoint is one process's kernel communication handle. At most one
 // goroutine may call Receive/TryReceive on an endpoint at a time (servers
-// are single-threaded); any number may Send or Notify to it.
+// are single-threaded); any number may Send to it.
 type Endpoint struct {
 	k     *Kernel
 	id    EndpointID
@@ -235,7 +203,6 @@ type Endpoint struct {
 	mu      sync.Mutex
 	closed  bool
 	senders []*sendReq
-	notifs  map[EndpointID]bool
 	wake    chan struct{}
 }
 
@@ -290,23 +257,16 @@ func (e *Endpoint) Send(dst EndpointID, m Msg) error {
 	return <-req.done
 }
 
-// Notify asynchronously sets dst's notification bit for this sender. It
-// never blocks (MINIX notify semantics).
-func (e *Endpoint) Notify(dst EndpointID) error {
-	return e.k.notify(e.id, dst)
-}
-
-// Receive blocks until a message from `from` (or Any) arrives, or timeout
-// elapses (timeout <= 0 waits forever). Pending notifications are delivered
-// before queued messages, as MsgNotify messages.
-func (e *Endpoint) Receive(from EndpointID, timeout time.Duration) (Msg, error) {
+// Receive blocks until a message arrives, oldest sender first, or timeout
+// elapses (timeout <= 0 waits forever).
+func (e *Endpoint) Receive(timeout time.Duration) (Msg, error) {
 	spin(e.k.cfg.TrapCost)
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
 	for {
-		if m, ok, err := e.tryDequeue(from); err != nil || ok {
+		if m, ok, err := e.tryDequeue(); err != nil || ok {
 			return m, err
 		}
 		var wait time.Duration
@@ -332,8 +292,8 @@ func (e *Endpoint) Receive(from EndpointID, timeout time.Duration) (Msg, error) 
 // TryReceive is the non-blocking receive used by event loops that combine
 // kernel IPC with channel polling. It charges no trap cost by itself — the
 // loop already paid when it entered the idle-wait kernel call.
-func (e *Endpoint) TryReceive(from EndpointID) (Msg, error) {
-	m, ok, err := e.tryDequeue(from)
+func (e *Endpoint) TryReceive() (Msg, error) {
+	m, ok, err := e.tryDequeue()
 	if err != nil {
 		return Msg{}, err
 	}
@@ -343,47 +303,22 @@ func (e *Endpoint) TryReceive(from EndpointID) (Msg, error) {
 	return m, nil
 }
 
-func (e *Endpoint) tryDequeue(from EndpointID) (Msg, bool, error) {
+func (e *Endpoint) tryDequeue() (Msg, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return Msg{}, false, ErrClosed
 	}
-	// Notifications first (MINIX delivers pending notify bits with priority).
-	if len(e.notifs) > 0 {
-		srcs := make([]EndpointID, 0, len(e.notifs))
-		for src := range e.notifs {
-			if from == Any || from == src {
-				srcs = append(srcs, src)
-			}
-		}
-		if len(srcs) > 0 {
-			sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-			src := srcs[0]
-			delete(e.notifs, src)
-			return Msg{From: src, Type: MsgNotify}, true, nil
-		}
+	if len(e.senders) == 0 {
+		return Msg{}, false, nil
 	}
-	for i, req := range e.senders {
-		if from == Any || from == req.m.From {
-			e.senders = append(e.senders[:i], e.senders[i+1:]...)
-			if e.k.cfg.SingleCore {
-				spin(e.k.cfg.ContextSwitchCost)
-			}
-			req.done <- nil
-			return req.m, true, nil
-		}
+	req := e.senders[0]
+	e.senders = append(e.senders[:0], e.senders[1:]...)
+	if e.k.cfg.SingleCore {
+		spin(e.k.cfg.ContextSwitchCost)
 	}
-	return Msg{}, false, nil
-}
-
-// SendRec performs the synchronous call-and-wait-for-reply pattern
-// (MINIX sendrec): Send to dst, then Receive from dst.
-func (e *Endpoint) SendRec(dst EndpointID, m Msg) (Msg, error) {
-	if err := e.Send(dst, m); err != nil {
-		return Msg{}, err
-	}
-	return e.Receive(dst, 0)
+	req.done <- nil
+	return req.m, true, nil
 }
 
 // Close tears the endpoint down. Blocked senders fail with ErrClosed; the

@@ -31,7 +31,7 @@ func TestRegisterLookup(t *testing.T) {
 	if id2, _ := k.Lookup("a"); id2 != a2.ID() || id2 == a.ID() {
 		t.Fatalf("lookup after re-register = %d", id2)
 	}
-	if _, err := a.Receive(Any, time.Millisecond); !errors.Is(err, ErrClosed) {
+	if _, err := a.Receive(time.Millisecond); !errors.Is(err, ErrClosed) {
 		t.Fatalf("old endpoint still alive: %v", err)
 	}
 	if _, ok := k.Lookup("nope"); ok {
@@ -54,7 +54,7 @@ func TestSendReceiveRendezvous(t *testing.T) {
 		}
 		delivered = true
 	}()
-	m, err := b.Receive(Any, time.Second)
+	m, err := b.Receive(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSendBlocksUntilReceived(t *testing.T) {
 		t.Fatal("send completed before receive (not synchronous)")
 	case <-time.After(30 * time.Millisecond):
 	}
-	if _, err := b.Receive(Any, time.Second); err != nil {
+	if _, err := b.Receive(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -91,35 +91,11 @@ func TestSendBlocksUntilReceived(t *testing.T) {
 	}
 }
 
-func TestReceiveFromSpecificSource(t *testing.T) {
-	k := newTestKernel()
-	a, _ := k.Register("a", nil)
-	b, _ := k.Register("b", nil)
-	c, _ := k.Register("c", nil)
-
-	go func() { _ = a.Send(c.ID(), Msg{Type: 10}) }()
-	go func() { _ = b.Send(c.ID(), Msg{Type: 20}) }()
-
-	// Wait for both to be queued.
-	time.Sleep(20 * time.Millisecond)
-	m, err := c.Receive(b.ID(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != 20 {
-		t.Fatalf("selective receive got type %d", m.Type)
-	}
-	m, err = c.Receive(a.ID(), time.Second)
-	if err != nil || m.Type != 10 {
-		t.Fatalf("second receive = %+v, %v", m, err)
-	}
-}
-
 func TestReceiveTimeout(t *testing.T) {
 	k := newTestKernel()
 	a, _ := k.Register("a", nil)
 	start := time.Now()
-	_, err := a.Receive(Any, 25*time.Millisecond)
+	_, err := a.Receive(25 * time.Millisecond)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
@@ -128,51 +104,18 @@ func TestReceiveTimeout(t *testing.T) {
 	}
 }
 
-func TestNotifyNonBlockingAndCoalesced(t *testing.T) {
-	k := newTestKernel()
-	a, _ := k.Register("a", nil)
-	b, _ := k.Register("b", nil)
-	// Multiple notifies coalesce into one bit.
-	for i := 0; i < 5; i++ {
-		if err := a.Notify(b.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := b.Receive(Any, time.Second)
-	if err != nil || m.Type != MsgNotify || m.From != a.ID() {
-		t.Fatalf("notify msg = %+v, %v", m, err)
-	}
-	if _, err := b.TryReceive(Any); !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("coalescing failed: %v", err)
-	}
-}
-
-func TestNotifyBeatsQueuedSend(t *testing.T) {
-	k := newTestKernel()
-	a, _ := k.Register("a", nil)
-	b, _ := k.Register("b", nil)
-	go func() { _ = a.Send(b.ID(), Msg{Type: 1}) }()
-	time.Sleep(20 * time.Millisecond)
-	_ = a.Notify(b.ID())
-	m, err := b.Receive(Any, time.Second)
-	if err != nil || m.Type != MsgNotify {
-		t.Fatalf("first = %+v, %v (notifications must have priority)", m, err)
-	}
-	m, err = b.Receive(Any, time.Second)
-	if err != nil || m.Type != 1 {
-		t.Fatalf("second = %+v, %v", m, err)
-	}
-}
-
+// TestInterrupt: an interrupt is one kernel entry and one ring of the
+// driver's doorbell, with no message behind it.
 func TestInterrupt(t *testing.T) {
-	k := newTestKernel()
-	drv, _ := k.Register("drv", nil)
-	if err := k.Interrupt(drv.ID()); err != nil {
-		t.Fatal(err)
+	k := New(Config{TrapCost: 2 * time.Millisecond})
+	w := &testWaker{}
+	start := time.Now()
+	k.Interrupt(w)
+	if took := time.Since(start); took < 2*time.Millisecond {
+		t.Fatalf("interrupt charged %v, want at least one trap (2ms)", took)
 	}
-	m, err := drv.Receive(Hardware, time.Second)
-	if err != nil || m.From != Hardware || m.Type != MsgNotify {
-		t.Fatalf("irq = %+v, %v", m, err)
+	if n := w.n.Load(); n != 1 {
+		t.Fatalf("driver rung %d times, want 1", n)
 	}
 }
 
@@ -182,31 +125,13 @@ func TestGrantDataIsCopied(t *testing.T) {
 	b, _ := k.Register("b", nil)
 	buf := []byte{1, 2, 3}
 	go func() { _ = a.Send(b.ID(), Msg{Type: 1, Data: buf}) }()
-	m, err := b.Receive(Any, time.Second)
+	m, err := b.Receive(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // sender mutates after delivery
 	if m.Data[0] != 1 {
 		t.Fatal("grant data aliased, not copied")
-	}
-}
-
-func TestSendRec(t *testing.T) {
-	k := newTestKernel()
-	cli, _ := k.Register("cli", nil)
-	srv, _ := k.Register("srv", nil)
-	go func() {
-		m, err := srv.Receive(Any, time.Second)
-		if err != nil {
-			t.Errorf("srv recv: %v", err)
-			return
-		}
-		_ = srv.Send(m.From, Msg{Type: m.Type + 1})
-	}()
-	rep, err := cli.SendRec(srv.ID(), Msg{Type: 41})
-	if err != nil || rep.Type != 42 {
-		t.Fatalf("sendrec = %+v, %v", rep, err)
 	}
 }
 
@@ -247,20 +172,23 @@ func TestWakerRungOnArrival(t *testing.T) {
 	w := &testWaker{}
 	b, _ := k.Register("b", w)
 	a, _ := k.Register("a", nil)
-	_ = a.Notify(b.ID())
-	if w.n.Load() == 0 {
-		t.Fatal("waker not rung on notify")
+	for i := 0; i < 2; i++ {
+		go func() { _ = a.Send(b.ID(), Msg{}) }()
 	}
-	go func() { _ = a.Send(b.ID(), Msg{}) }()
-	time.Sleep(20 * time.Millisecond)
-	if w.n.Load() < 2 {
-		t.Fatal("waker not rung on send")
+	deadline := time.Now().Add(time.Second)
+	for w.n.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := b.Receive(Any, time.Second); err != nil {
-		t.Fatal(err)
+	if n := w.n.Load(); n < 2 {
+		t.Fatalf("waker rung %d times for two sends, want 2", n)
 	}
-	if _, err := b.Receive(Any, time.Second); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := b.TryReceive(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.TryReceive(); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("third receive: %v, want ErrWouldBlock", err)
 	}
 }
 
@@ -269,7 +197,7 @@ func TestTrapCostCharged(t *testing.T) {
 	a, _ := k.Register("a", nil)
 	b, _ := k.Register("b", nil)
 	go func() {
-		m, _ := b.Receive(Any, time.Second)
+		m, _ := b.Receive(time.Second)
 		_ = m
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -299,32 +227,17 @@ func TestPacketRendezvousOnlyOnSingleCore(t *testing.T) {
 	}
 }
 
-func BenchmarkKernelTrapHot(b *testing.B) {
-	k := New(DefaultConfig())
-	for i := 0; i < b.N; i++ {
-		k.TrapHot()
-	}
-}
-
-func BenchmarkKernelTrapCold(b *testing.B) {
-	k := New(DefaultConfig())
-	for i := 0; i < b.N; i++ {
-		k.TrapCold()
-	}
-}
-
 // BenchmarkKernelPingPong measures a full synchronous round trip between
 // two endpoints — the cost the paper's fast path avoids entirely.
 func BenchmarkKernelPingPong(b *testing.B) {
 	k := New(DefaultConfig())
 	cli, _ := k.Register("cli", nil)
 	srv, _ := k.Register("srv", nil)
-	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
-			m, err := srv.Receive(Any, 0)
+			m, err := srv.Receive(0)
 			if err != nil {
 				return
 			}
@@ -336,12 +249,14 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.SendRec(srv.ID(), Msg{Type: 1}); err != nil {
+		if err := cli.Send(srv.ID(), Msg{Type: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cli.Receive(0); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	_ = cli.Send(srv.ID(), Msg{Type: 0xdead})
-	close(stop)
 	<-done
 }

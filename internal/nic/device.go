@@ -78,7 +78,8 @@ type Stats struct {
 // Device simulates one network adapter. The driver side (PostTx, PostRx,
 // CollectTx, CollectRx, Reset) is what the NetDrv server calls; the wire
 // side is internal. IRQ delivery happens through the callback installed
-// with SetIRQ — in the full system that is kernel.Interrupt(driver).
+// with SetIRQ — in the full system that is kipc.Kernel.Interrupt, one
+// trap and a ring of the driver's doorbell.
 type Device struct {
 	cfg   DeviceConfig
 	space *shm.Space

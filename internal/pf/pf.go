@@ -93,7 +93,7 @@ func (s *Server) Poll(now time.Time) bool {
 			s.ipBox.Push(msg.Req{ID: r.ID, Op: msg.OpPFVerdict, Status: verdict})
 		}
 	})
-	if s.ipBox.Flush(now, !worked) {
+	if s.ipBox.Flush() {
 		worked = true
 	}
 
@@ -105,7 +105,7 @@ func (s *Server) Poll(now time.Time) bool {
 	}) {
 		worked = true
 	}
-	if s.scBox.Flush(now, !worked) {
+	if s.scBox.Flush() {
 		worked = true
 	}
 	return worked

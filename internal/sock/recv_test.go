@@ -55,7 +55,7 @@ func newTCPDoor(t *testing.T, hub *wiring.Hub) *tcpDoor {
 
 func (d *tcpDoor) serve() {
 	for {
-		m, err := d.ep.Receive(kipc.Any, 0)
+		m, err := d.ep.Receive(0)
 		if err != nil {
 			return // closed
 		}

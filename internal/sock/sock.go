@@ -180,11 +180,11 @@ func (c *Client) pump() {
 	defer close(c.done)
 	defer c.stopOnce.Do(func() { close(c.stop) })
 	for {
-		m, err := c.ep.Receive(kipc.Any, 0)
+		m, err := c.ep.Receive(0)
 		if err != nil {
 			return // Close, or the node halted under us
 		}
-		if m.Type == kipc.MsgNotify || m.Data == nil {
+		if m.Data == nil {
 			continue
 		}
 		rep, err := msg.UnmarshalReq(m.Data)

@@ -33,23 +33,20 @@ const cacheLine = 64
 type Ring[T any] struct {
 	_ [cacheLine]byte
 
-	// head is the next slot the consumer will read. Written only by the
-	// consumer, read by the producer when its cached copy runs out.
-	head atomic.Uint64
-	_    [cacheLine - 8]byte
-
-	// tail is the next slot the producer will write. Written only by the
-	// producer, read by the consumer when its cached copy runs out.
-	tail atomic.Uint64
-	_    [cacheLine - 8]byte
-
-	// cachedHead is the producer's local copy of head.
-	cachedHead uint64
-	_          [cacheLine - 8]byte
-
-	// cachedTail is the consumer's local copy of tail.
+	// The consumer's line. head is the next slot the consumer will read:
+	// written only by the consumer, read by the producer when its cached
+	// copy runs out. cachedTail is the consumer's local copy of tail, so an
+	// empty poll reads this line and the producer's, nothing else.
+	head       atomic.Uint64
 	cachedTail uint64
-	_          [cacheLine - 8]byte
+	_          [cacheLine - 16]byte
+
+	// The producer's line. tail is the next slot the producer will write:
+	// written only by the producer, read by the consumer when its cached
+	// copy runs out. cachedHead is the producer's local copy of head.
+	tail       atomic.Uint64
+	cachedHead uint64
+	_          [cacheLine - 16]byte
 
 	mask uint64
 	buf  []T

@@ -5,7 +5,28 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestHeaderLayout pins the ring header to three cache lines: a leading
+// pad, the consumer's line (head and its copy of tail) and the producer's
+// line (tail and its copy of head). An empty DequeueBatch then reads two
+// header lines.
+func TestHeaderLayout(t *testing.T) {
+	var r Ring[int]
+	line := func(off uintptr) uintptr { return off / cacheLine }
+	if line(unsafe.Offsetof(r.head)) != 1 || line(unsafe.Offsetof(r.cachedTail)) != 1 {
+		t.Errorf("head at %d, cachedTail at %d: want both on line 1",
+			unsafe.Offsetof(r.head), unsafe.Offsetof(r.cachedTail))
+	}
+	if line(unsafe.Offsetof(r.tail)) != 2 || line(unsafe.Offsetof(r.cachedHead)) != 2 {
+		t.Errorf("tail at %d, cachedHead at %d: want both on line 2",
+			unsafe.Offsetof(r.tail), unsafe.Offsetof(r.cachedHead))
+	}
+	if off := unsafe.Offsetof(r.mask); off != 3*cacheLine {
+		t.Errorf("mask at %d: want the header to end after 3 lines (%d)", off, 3*cacheLine)
+	}
+}
 
 func TestNewRejectsBadCapacity(t *testing.T) {
 	for _, c := range []int{0, 1, 3, 5, 6, 7, 9, 100, -4} {

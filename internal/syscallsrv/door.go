@@ -71,16 +71,16 @@ func (d *door) init(ports *wiring.Ports, rt *proc.Runtime, scratch []msg.Req, re
 
 // Poll is the door's iteration: the peer's replies outward (after the
 // peer's recovery, when it reincarnated), application calls inward, one
-// paced batch flushed to the peer.
+// batch flushed to the peer.
 func (d *door) Poll(now time.Time) bool {
 	d.now = now
 	worked := d.edge.Intake(d.scratch, d.onRestart, d.relay)
 	for i := 0; i < 64; i++ {
-		m, err := d.ep.TryReceive(kipc.Any)
+		m, err := d.ep.TryReceive()
 		if err != nil {
 			break
 		}
-		if m.Type == kipc.MsgNotify || m.Data == nil {
+		if m.Data == nil {
 			continue
 		}
 		req, err := msg.UnmarshalReq(m.Data)
@@ -91,7 +91,7 @@ func (d *door) Poll(now time.Time) bool {
 		d.forward(req, appCall(m.From, req))
 		worked = true
 	}
-	if d.edge.Flush(now, !worked) {
+	if d.edge.Flush() {
 		worked = true
 	}
 	d.parkIfDue() // a record change the pacing rule held back
@@ -119,8 +119,8 @@ func (d *door) pushNonblock(flow uint32) {
 	d.forward(sf, nil)
 }
 
-// toApp delivers one message to an application. For a reply the app is
-// blocked in Receive on its SendRec; the rendezvous completes immediately.
+// toApp delivers one message to an application. Its pump goroutine waits
+// in Receive, so the rendezvous completes as soon as the pump takes it.
 func (d *door) toApp(app kipc.EndpointID, rep msg.Req) {
 	_ = d.ep.Send(app, kipc.Msg{Type: uint32(rep.Op), Data: rep.MarshalBinary()})
 }

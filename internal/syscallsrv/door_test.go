@@ -150,7 +150,7 @@ func (r *rig) poll() {
 		}
 		for _, a := range r.apps {
 			for {
-				m, err := a.ep.TryReceive(kipc.Any)
+				m, err := a.ep.TryReceive()
 				if err != nil {
 					break
 				}
@@ -200,7 +200,7 @@ func (r *rig) call(a *app, door string, req msg.Req) {
 // relay them.
 func (r *rig) answer(p *transport, reqs ...msg.Req) {
 	p.end.Push(reqs...)
-	p.end.Flush(r.now, true)
+	p.end.Flush()
 	r.poll()
 }
 

@@ -129,91 +129,6 @@ func (c *PoolCounters) String() string {
 		c.Segments(), c.Grows(), c.Shrinks(), c.Pressure())
 }
 
-// PacerCounters surfaces one edge pacer's flush-policy decisions: how
-// many flushes fired eagerly (latency mode), on reaching the batch-size
-// threshold, on batch age expiry, or because the owning loop went idle —
-// plus how many flush opportunities were deliberately held back and how
-// many requests moved through paced flushes. Counters are atomic because
-// experiments read them from outside the owning loop.
-//
-// Padded to a cache line so per-edge counters allocated side by side do
-// not false-share.
-type PacerCounters struct {
-	eager atomic.Uint64
-	size  atomic.Uint64
-	age   atomic.Uint64
-	idle  atomic.Uint64
-	held  atomic.Uint64
-	msgs  atomic.Uint64
-	_     [16]byte
-}
-
-// FlushEager records a latency-mode flush of n requests.
-func (c *PacerCounters) FlushEager(n int) { c.eager.Add(1); c.msgs.Add(uint64(n)) }
-
-// FlushSize records a batch-size-threshold flush of n requests.
-func (c *PacerCounters) FlushSize(n int) { c.size.Add(1); c.msgs.Add(uint64(n)) }
-
-// FlushAge records a batch-age-expiry flush of n requests.
-func (c *PacerCounters) FlushAge(n int) { c.age.Add(1); c.msgs.Add(uint64(n)) }
-
-// FlushIdle records a loop-went-idle flush of n requests.
-func (c *PacerCounters) FlushIdle(n int) { c.idle.Add(1); c.msgs.Add(uint64(n)) }
-
-// Held records a deliberately deferred flush opportunity.
-func (c *PacerCounters) Held() { c.held.Add(1) }
-
-// Eager returns the latency-mode flush count.
-func (c *PacerCounters) Eager() uint64 { return c.eager.Load() }
-
-// Size returns the batch-size-threshold flush count.
-func (c *PacerCounters) Size() uint64 { return c.size.Load() }
-
-// Age returns the batch-age-expiry flush count.
-func (c *PacerCounters) Age() uint64 { return c.age.Load() }
-
-// Idle returns the loop-went-idle flush count.
-func (c *PacerCounters) Idle() uint64 { return c.idle.Load() }
-
-// HeldCount returns how many flush opportunities were deferred.
-func (c *PacerCounters) HeldCount() uint64 { return c.held.Load() }
-
-// Msgs returns the requests moved through paced flushes.
-func (c *PacerCounters) Msgs() uint64 { return c.msgs.Load() }
-
-// Flushes returns the total paced flushes across all triggers.
-func (c *PacerCounters) Flushes() uint64 {
-	return c.Eager() + c.Size() + c.Age() + c.Idle()
-}
-
-// AvgBatch returns the mean requests per paced flush.
-func (c *PacerCounters) AvgBatch() float64 {
-	f := c.Flushes()
-	if f == 0 {
-		return 0
-	}
-	return float64(c.Msgs()) / float64(f)
-}
-
-// Add accumulates another counter set into c (for aggregating a loop's
-// per-edge pacers into one report).
-func (c *PacerCounters) Add(o *PacerCounters) {
-	if o == nil {
-		return
-	}
-	c.eager.Add(o.Eager())
-	c.size.Add(o.Size())
-	c.age.Add(o.Age())
-	c.idle.Add(o.Idle())
-	c.held.Add(o.HeldCount())
-	c.msgs.Add(o.Msgs())
-}
-
-func (c *PacerCounters) String() string {
-	return fmt.Sprintf("%d msgs / %d flushes (avg %.1f; %d eager, %d size, %d age, %d idle; %d held)",
-		c.Msgs(), c.Flushes(), c.AvgBatch(), c.Eager(), c.Size(), c.Age(), c.Idle(), c.HeldCount())
-}
-
 // Sample is one point of a bitrate time series.
 type Sample struct {
 	T    time.Duration // since sampling start

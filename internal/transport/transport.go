@@ -218,9 +218,8 @@ func (s *Server[E]) restoreHandoff(rt *proc.Runtime, p *Payload) error {
 func (s *Server[E]) HandoffState() (any, error) {
 	s.ip.Push(s.drv.DrainToIP()...)
 	s.sc.Push(s.drv.DrainToFront()...)
-	now := time.Now()
-	s.ip.Flush(now, true)
-	s.sc.Flush(now, true)
+	s.ip.Flush()
+	s.sc.Flush()
 	blob, bufs, err := s.drv.HandoffState()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.spec.Name, err)
@@ -267,11 +266,10 @@ func (s *Server[E]) Poll(now time.Time) bool {
 	s.hdrDue = s.hdrPool.Tick(now)
 	s.ip.Push(s.drv.DrainToIP()...)
 	s.sc.Push(s.drv.DrainToFront()...)
-	idle := !worked
-	if s.ip.Flush(now, idle) {
+	if s.ip.Flush() {
 		worked = true
 	}
-	if s.sc.Flush(now, idle) {
+	if s.sc.Flush() {
 		worked = true
 	}
 	return worked

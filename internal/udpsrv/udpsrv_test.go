@@ -73,7 +73,7 @@ func (r *rig) call(req msg.Req) msg.Req {
 	r.calls++
 	req.ID = r.calls
 	r.front.Push(req)
-	r.front.Flush(r.now, true)
+	r.front.Flush()
 	for i := 0; i < 3 && len(rep) == 0; i++ {
 		r.now = r.now.Add(time.Millisecond)
 		r.srv.Poll(r.now)

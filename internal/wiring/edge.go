@@ -2,11 +2,9 @@ package wiring
 
 import (
 	"sync/atomic"
-	"time"
 
 	"newtos/internal/channel"
 	"newtos/internal/msg"
-	"newtos/internal/trace"
 )
 
 // Intake tuning shared by every server loop: recvBudget caps how many
@@ -18,23 +16,8 @@ const (
 	ScratchLen = 256
 )
 
-// Flush pacing — the interrupt-coalescing trade applied to doorbell rings,
-// and deliberately not tunable (docs/ARCHITECTURE.md "Substitutions and
-// non-goals"). In latency mode every Flush opportunity sends (one ring per
-// loop iteration); once burstRuns consecutive opportunities arrive with
-// flushN requests staged, the edge shifts to throughput mode and holds
-// batches until flushN requests are staged, the oldest staged request is
-// flushAge old, or the loop goes idle, whichever comes first. Small batches
-// shift it back. flushAge bounds what pacing can add to a request's latency.
-const (
-	flushN    = 64
-	flushAge  = 25 * time.Microsecond
-	burstRuns = 3
-)
-
-// Edge is one server loop's end of one edge: the Port it listens on, the
-// staging queue for what it sends, and the pacer that decides when the
-// staged batch rings the peer's doorbell. A loop iteration is the same
+// Edge is one server loop's end of one edge: the Port it listens on and
+// the staging queue for what it sends. A loop iteration is the same
 // everywhere (paper §IV-A: servers never block on a full queue, and pay
 // one doorbell per batch, not per request):
 //
@@ -53,14 +36,6 @@ type Edge struct {
 	gen int
 	q   []msg.Req
 
-	// Pacer state, owned by the loop goroutine; only the counters are shared.
-	counters   *trace.PacerCounters
-	throughput bool
-	runs       int
-	// heldSince is when Flush first saw the oldest staged request; zero
-	// while nothing is staged.
-	heldSince time.Time
-
 	// dropped is atomic: the owning loop writes it, DropReporter consumers
 	// (recovery experiments) read it from other goroutines.
 	dropped atomic.Uint64
@@ -72,7 +47,7 @@ type Edge struct {
 // successor (Ports.Resume) carries on mid-generation, so what it stages
 // before its first Intake is for the right incarnation.
 func NewEdge(port *Port) *Edge {
-	e := &Edge{port: port, counters: &trace.PacerCounters{}}
+	e := &Edge{port: port}
 	e.cur, e.gen = port.held()
 	return e
 }
@@ -120,80 +95,22 @@ func (e *Edge) Intake(scratch []msg.Req, onRestart func(), handle func([]msg.Req
 // Push stages requests for the incarnation this edge last adopted.
 func (e *Edge) Push(reqs ...msg.Req) { e.q = append(e.q, reqs...) }
 
-// Flush is the send half of an iteration: it decides whether this
-// opportunity sends the staged batch (one SendBatch, one doorbell ring) or
-// holds it for coalescing. idle reports that the loop found no other work
-// this iteration — holding then buys nothing (the loop is about to arm its
-// doorbell and sleep), so the batch always goes out. A batch the peer
-// reincarnated under since it was staged is dropped, never delivered late.
-// Reports whether anything moved.
-//
-// Held batches stay bounded: a loop calls Flush once per iteration, an
-// idle iteration always sends, and a busy loop's next opportunity arrives
-// within one poll — a request waits at most min(flushAge, one busy
-// iteration).
-func (e *Edge) Flush(now time.Time, idle bool) bool {
-	n := len(e.q)
-	if n == 0 {
+// Flush is the send half of an iteration: everything staged goes out in
+// one SendBatch, one doorbell ring. What the queue does not accept stays
+// staged for the next iteration; a batch the peer reincarnated under since
+// it was staged is dropped, never delivered late. Reports whether anything
+// moved.
+func (e *Edge) Flush() bool {
+	if len(e.q) == 0 {
 		return false
 	}
 	if e.gen != e.port.latest() {
 		e.Drop()
 		return false
 	}
-	if e.heldSince.IsZero() {
-		e.heldSince = now
-	}
-	if !e.throughput {
-		// Latency mode: every opportunity sends. A run of full batches is a
-		// burst — shift to throughput mode and start coalescing.
-		if n >= flushN {
-			e.runs++
-		} else {
-			e.runs = 0
-		}
-		if e.runs >= burstRuns {
-			e.throughput, e.runs = true, 0
-		}
-		return e.send(e.counters.FlushEager)
-	}
-	var record func(int)
-	switch {
-	case n >= flushN:
-		record = e.counters.FlushSize
-	case idle:
-		record = e.counters.FlushIdle
-	case now.Sub(e.heldSince) >= flushAge:
-		record = e.counters.FlushAge
-	default:
-		e.counters.Held()
-		return false
-	}
-	// The load dropped enough that small batches run dry or age out: they
-	// belong back in latency mode.
-	if n < flushN/2 {
-		e.throughput = false
-	}
-	return e.send(record)
-}
-
-// send moves as much of the staged batch as the queue accepts and records
-// the count with the trigger's counter. The hold clock only resets when
-// the batch fully drains: a kept remainder is still aging.
-func (e *Edge) send(record func(int)) bool {
-	if !e.cur.Valid() {
-		return false
-	}
-	n := e.cur.Out.SendBatch(e.q)
-	if n == 0 {
-		return false
-	}
-	record(n)
+	n := e.cur.Out.SendBatch(e.q) // zero before the edge is wired
 	e.q = e.q[:copy(e.q, e.q[n:])]
-	if len(e.q) == 0 {
-		e.heldSince = time.Time{}
-	}
-	return true
+	return n > 0
 }
 
 // Drop discards the staged requests and counts them (the peer restarted;
@@ -201,27 +118,22 @@ func (e *Edge) send(record func(int)) bool {
 func (e *Edge) Drop() {
 	e.dropped.Add(uint64(len(e.q)))
 	e.q = e.q[:0]
-	e.heldSince = time.Time{}
 }
 
 // TakeStaged removes and returns the staged batch without sending or
-// dropping it. The live-handoff path calls it after a final idle Flush so
+// dropping it. The live-handoff path calls it after a final Flush so
 // requests the queue did not accept ride the state transfer to the
 // successor's edge instead of being lost — the peer never reincarnated, so
 // the batch is still meant for it.
 func (e *Edge) TakeStaged() []msg.Req {
 	q := e.q
 	e.q = nil
-	e.heldSince = time.Time{}
 	return q
 }
 
 // Dropped returns how many staged requests were discarded because their
 // target incarnation died before they could be flushed.
 func (e *Edge) Dropped() uint64 { return e.dropped.Load() }
-
-// PacerCounters returns the edge's flush-policy counters.
-func (e *Edge) PacerCounters() *trace.PacerCounters { return e.counters }
 
 // DropReporter is implemented by server shells that surface the sum of
 // their edges' Dropped() counters, so recovery experiments can observe how

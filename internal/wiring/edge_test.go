@@ -2,11 +2,9 @@ package wiring
 
 import (
 	"testing"
-	"time"
 
 	"newtos/internal/channel"
 	"newtos/internal/msg"
-	"newtos/internal/trace"
 )
 
 // Take is the tests' two-value view of take: it adopts a pending rebind and
@@ -31,7 +29,6 @@ type edgeRig struct {
 	nextID   uint64 // last ID staged
 	lastRecv uint64 // last ID the peer received (FIFO check)
 	restarts int    // restart-hook calls
-	now      time.Time
 }
 
 func newEdgeRig(t *testing.T, depth int) *edgeRig {
@@ -44,7 +41,7 @@ func newEdgeRig(t *testing.T, depth int) *edgeRig {
 	ipPorts.Begin(channel.NewDoorbell())
 	r := &edgeRig{
 		t: t, ipSide: ipPorts.Export("ip-tcp", "tcp"), tcpPorts: NewPorts(hub, "tcp"),
-		scratch: make([]msg.Req, ScratchLen), now: time.Unix(0, 0),
+		scratch: make([]msg.Req, ScratchLen),
 	}
 	r.reincarnatePeer()
 	r.edge = NewEdge(r.ipSide)
@@ -101,14 +98,12 @@ func (r *edgeRig) recvd() int {
 // step is one scripted moment in an edge's life; the set fields happen in
 // declaration order.
 type step struct {
-	rebind    bool          // the peer reincarnates
-	successor bool          // a live-handoff successor takes over the port with a fresh Edge
-	intake    bool          // the owner runs Intake
-	push      int           // the owner stages this many requests
-	flush     bool          // the owner runs Flush(now+after, idle)
-	after     time.Duration // clock advance before the Flush
-	idle      bool
-	want      int // requests the live peer incarnation holds after the step
+	rebind    bool // the peer reincarnates
+	successor bool // a live-handoff successor takes over the port with a fresh Edge
+	intake    bool // the owner runs Intake
+	push      int  // the owner stages this many requests
+	flush     bool // the owner runs Flush
+	want      int  // requests the live peer incarnation holds after the step
 }
 
 func repeat(s step, n int) []step {
@@ -120,18 +115,8 @@ func repeat(s step, n int) []step {
 }
 
 // TestEdge scripts the whole edge contract against real Ports and channel
-// queues: staging and FIFO delivery, the restart rule, and flush pacing.
+// queues: staging and FIFO delivery, refusal, and the restart rule.
 func TestEdge(t *testing.T) {
-	// burst drives the pacer into throughput mode: burstRuns consecutive
-	// flush opportunities with a full batch staged.
-	burst := repeat(step{push: flushN, flush: true, want: flushN}, burstRuns)
-	script := func(parts ...[]step) []step {
-		var out []step
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
 	cases := []struct {
 		name     string
 		depth    int // queue depth; 0 = channel.DefaultDepth
@@ -139,12 +124,12 @@ func TestEdge(t *testing.T) {
 		staged   int    // left staged at the end
 		dropped  uint64 // Dropped() at the end
 		restarts int    // restart-hook calls
-		check    func(t *testing.T, r *edgeRig, pc *trace.PacerCounters)
+		check    func(t *testing.T, r *edgeRig)
 	}{
 		{
 			name:  "an iteration's pushes leave FIFO in one batch, one doorbell",
 			steps: []step{{push: 2}, {push: 1, flush: true, want: 3}},
-			check: func(t *testing.T, r *edgeRig, _ *trace.PacerCounters) {
+			check: func(t *testing.T, r *edgeRig) {
 				if got := r.peer.In.Stats().Batches(); got != 1 {
 					t.Fatalf("recv batches = %d, want 1 (flush must coalesce)", got)
 				}
@@ -195,54 +180,25 @@ func TestEdge(t *testing.T) {
 		{
 			name:  "latency mode: every opportunity flushes, even one request on a busy loop",
 			steps: repeat(step{push: 1, flush: true, want: 1}, 5),
-			check: func(t *testing.T, _ *edgeRig, pc *trace.PacerCounters) {
-				if pc.Eager() != 5 || pc.HeldCount() != 0 {
-					t.Fatalf("counters = %v", pc)
+			check: func(t *testing.T, r *edgeRig) {
+				if got := r.peer.In.Stats().Batches(); got != 5 {
+					t.Fatalf("recv batches = %d, want 5 (one per Flush)", got)
 				}
 			},
 		},
 		{
-			name:   "throughput mode holds a small young batch on a busy loop",
-			steps:  script(burst, []step{{push: 3, flush: true, want: 0}}),
-			staged: 3,
-		},
-		{
-			name: "throughput mode holds just under N staged, just under T old",
-			steps: script(burst, []step{
-				{push: flushN - 1, flush: true, want: 0}, // starts the batch-age clock
-				{flush: true, after: flushAge - time.Nanosecond, want: 0},
-			}),
-			staged: flushN - 1,
-		},
-		{
-			name:  "throughput mode flushes at N staged",
-			steps: script(burst, []step{{push: 3, flush: true, want: 0}, {push: flushN - 3, flush: true, want: flushN}}),
-		},
-		{
-			name:  "throughput mode flushes when the oldest staged request is T old",
-			steps: script(burst, []step{{push: 3, flush: true, want: 0}, {flush: true, after: flushAge, want: 3}}),
-			check: func(t *testing.T, _ *edgeRig, pc *trace.PacerCounters) {
-				if pc.Age() != 1 {
-					t.Fatalf("counters = %v", pc)
-				}
-			},
-		},
-		{
-			name:  "throughput mode flushes at once when the loop goes idle, and small batches return to latency mode",
-			steps: script(burst, []step{{push: 2, flush: true, want: 0}, {flush: true, idle: true, want: 2}, {push: 1, flush: true, want: 1}}),
-			check: func(t *testing.T, _ *edgeRig, pc *trace.PacerCounters) {
-				if pc.Idle() != 1 || pc.HeldCount() != 1 {
-					t.Fatalf("counters = %v", pc)
-				}
-			},
+			name: "after a burst of full batches, a small batch leaves in the same iteration",
+			steps: append(repeat(step{push: ScratchLen, flush: true, want: ScratchLen}, 4),
+				step{push: 3, flush: true, want: 3}),
 		},
 		{
 			name:  "nothing staged: no flush even when idle",
-			steps: script(burst, []step{{flush: true, idle: true, want: 0}}),
+			steps: []step{{flush: true, want: 0}},
 		},
 		{
 			name:    "a held batch is dropped the moment its peer reincarnates, never delivered late",
-			steps:   script(burst, []step{{push: 3, flush: true, want: 0}, {rebind: true, flush: true, want: 0}}),
+			depth:   4,
+			steps:   []step{{push: 7, flush: true, want: 4}, {rebind: true, flush: true, want: 0}},
 			dropped: 3,
 		},
 	}
@@ -261,8 +217,7 @@ func TestEdge(t *testing.T) {
 				}
 				r.push(s.push)
 				if s.flush {
-					r.now = r.now.Add(s.after)
-					if moved := r.edge.Flush(r.now, s.idle); moved != (s.want > 0) {
+					if moved := r.edge.Flush(); moved != (s.want > 0) {
 						t.Fatalf("step %d: Flush = %v, want %v", i, moved, s.want > 0)
 					}
 				}
@@ -275,7 +230,7 @@ func TestEdge(t *testing.T) {
 					len(r.edge.q), r.edge.Dropped(), r.restarts, tc.staged, tc.dropped, tc.restarts)
 			}
 			if tc.check != nil {
-				tc.check(t, r, r.edge.PacerCounters())
+				tc.check(t, r)
 			}
 		})
 	}

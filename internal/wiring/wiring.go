@@ -19,8 +19,8 @@
 // run its crash-recovery actions (abort requests, resubmit, resupply).
 //
 // The loops' shared data-path primitive lives here as well
-// (docs/ARCHITECTURE.md "The doorbell contract"): Edge owns one edge's Port,
-// staging queue and flush pacer, and spells the iteration every server loop
+// (docs/ARCHITECTURE.md "The doorbell contract"): Edge owns one edge's Port
+// and staging queue, and spells the iteration every server loop
 // runs — Intake, engine, Push, Flush — including the one rule for what
 // happens to staged output when the peer reincarnates under it.
 package wiring
