@@ -38,7 +38,7 @@ func (c *PFClient) call(req msg.Req) (msg.Req, error) {
 	if !ok {
 		return msg.Req{}, fmt.Errorf("pfclient: no PF frontdoor")
 	}
-	if err := c.ep.Send(dst, kipc.Msg{Type: uint32(req.Op), Data: req.MarshalBinary()}); err != nil {
+	if err := c.ep.Send(dst, kipc.Msg{Req: req}); err != nil {
 		return msg.Req{}, err
 	}
 	for {
@@ -46,15 +46,8 @@ func (c *PFClient) call(req msg.Req) (msg.Req, error) {
 		if err != nil {
 			return msg.Req{}, err
 		}
-		if m.Data == nil {
-			continue
-		}
-		rep, err := msg.UnmarshalReq(m.Data)
-		if err != nil {
-			return msg.Req{}, err
-		}
-		if rep.ID == req.ID {
-			return rep, nil
+		if m.Req.ID == req.ID {
+			return m.Req, nil
 		}
 	}
 }

@@ -151,9 +151,9 @@ func (r *hubRig) pass() int {
 	return len(qs)
 }
 
-// sendReq is a transport's request to transmit one MSS-sized payload to
+// ipSendReq is a transport's request to transmit one MSS-sized payload to
 // driver d's neighbour.
-func (r *hubRig) sendReq(d int, id uint64) msg.Req {
+func (r *hubRig) ipSendReq(d int, id uint64) msg.Req {
 	req := msg.Req{ID: id, Op: msg.OpIPSend, NPtr: 2}
 	req.Ptrs[0], req.Ptrs[1] = r.tcpHdr, r.tcpPay
 	req.Arg[1], req.Arg[2] = uint64(r.e.drv[d].ifc.cfg.IP.U32()), uint64(r.neigh(d).U32())
@@ -211,8 +211,8 @@ func TestRestartTouchesOnlyThatPeer(t *testing.T) {
 		r := newHubRig(t, 2, Config{PFEnabled: true})
 		for d := 0; d < 2; d++ {
 			// Outbound: a datagram's and a segment's frame with each driver.
-			from(r.e, r.udp(), r.sendReq(d, uint64(100+d)), r.now)
-			from(r.e, r.tcp(), r.sendReq(d, uint64(200+d)), r.now)
+			from(r.e, r.udp(), r.ipSendReq(d, uint64(100+d)), r.now)
+			from(r.e, r.tcp(), r.ipSendReq(d, uint64(200+d)), r.now)
 			// Inbound on each NIC: a datagram and a lone (SYN) segment,
 			// both parked with their transports.
 			r.rx(d, r.frame(d, netpkt.ProtoUDP, 1000, 2000, 0, 0, 4))
@@ -352,7 +352,7 @@ func TestBatchAllocationCeiling(t *testing.T) {
 	tx := func() {
 		for i := range sends {
 			id++
-			sends[i] = r.sendReq(0, id)
+			sends[i] = r.ipSendReq(0, id)
 		}
 		r.e.From(r.tcp(), sends, r.now)
 		r.pass()

@@ -11,42 +11,43 @@
 // ~150 cycles hot and ~3000 cycles cold, versus ~30 cycles for a channel
 // enqueue (§IV).
 //
-// Semantics follow MINIX 3's synchronous Send/Receive rendezvous with
-// fixed-size messages. A hardware interrupt is one trap that rings the
-// driver's doorbell: the driver finds the device's completions on its next
-// Poll, so no message carries the interrupt itself. Slow-path uses that
-// remain in NewtOS — channel setup, syscall entry, interrupt dispatch, and
-// idle-wait (the kernel-assisted MWAIT) — run through here.
+// A message is MINIX's fixed-size one: the sender, which the kernel fills
+// in, and one msg.Req. A send queues the message and returns, like the
+// asynchronous send MINIX servers use toward their clients, so a server
+// never waits on an application; the receiver takes messages oldest first.
+// A hardware interrupt is one trap that rings the driver's doorbell: the
+// driver finds the device's completions on its next Poll, so no message
+// carries the interrupt itself. Slow-path uses that remain in NewtOS —
+// channel setup, syscall entry, interrupt dispatch, and idle-wait (the
+// kernel-assisted MWAIT) — run through here.
 package kipc
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
+	"unsafe"
+
+	"newtos/internal/msg"
 )
 
 // EndpointID names a process known to the kernel.
 type EndpointID uint32
 
-// Exported errors.
+// Exported errors. ErrClosed also answers a send to an endpoint that is
+// gone: to the kernel a closed endpoint and an unknown one are alike.
 var (
-	ErrNoEndpoint = errors.New("kipc: no such endpoint")
 	ErrClosed     = errors.New("kipc: endpoint closed")
 	ErrTimeout    = errors.New("kipc: receive timed out")
 	ErrWouldBlock = errors.New("kipc: no message pending")
 )
 
-// Msg is the fixed-size kernel message. Data, when non-nil, models a
-// memory-grant copy: the kernel copies it between address spaces, and the
-// simulation charges copy cost proportional to its length. Fast-path
-// NewtOS never sets Data; the "Minix 3 mode" baseline moves whole packets
-// through it.
+// Msg is the fixed-size kernel message: one request and who sent it. The
+// kernel copies it whole from the sender's address space to the
+// receiver's; payload never rides in it, only the request's rich pointers.
 type Msg struct {
 	From EndpointID
-	Type uint32
-	Args [6]uint64
-	Data []byte
+	Req  msg.Req
 }
 
 // Config sets the simulated cost model.
@@ -57,12 +58,12 @@ type Config struct {
 	// ColdTrapCost is the cold-cache trap cost (~3000 cycles, 1.5µs);
 	// used by benchmarks via TrapCold.
 	ColdTrapCost time.Duration
-	// CopyCostPerKB is charged in Send per KB of Msg.Data, modelling the
-	// kernel copying a memory grant between address spaces.
+	// CopyCostPerKB is charged per KB copied between address spaces: one
+	// Msg in every Send, one packet in every PacketRendezvous.
 	CopyCostPerKB time.Duration
-	// ContextSwitchCost is charged at every rendezvous delivery when
-	// SingleCore is set, modelling time-shared servers that must be
-	// scheduled in before they can receive.
+	// ContextSwitchCost is charged at every delivery when SingleCore is
+	// set, modelling time-shared servers that must be scheduled in before
+	// they can receive.
 	ContextSwitchCost time.Duration
 	// SingleCore models the original MINIX 3 single-CPU configuration.
 	SingleCore bool
@@ -81,19 +82,23 @@ func DefaultConfig() Config {
 
 // Kernel is one simulated machine's microkernel.
 type Kernel struct {
-	cfg  Config
-	mu   sync.Mutex
-	eps  map[EndpointID]*Endpoint
-	byNm map[string]EndpointID
-	next EndpointID
+	cfg Config
+	// sendCost is what one Send charges: a trap and the copy of one
+	// message's request.
+	sendCost time.Duration
+	mu       sync.Mutex
+	eps      map[EndpointID]*Endpoint
+	byNm     map[string]EndpointID
+	next     EndpointID
 }
 
 // New creates a kernel with the given cost model.
 func New(cfg Config) *Kernel {
 	return &Kernel{
-		cfg:  cfg,
-		eps:  make(map[EndpointID]*Endpoint),
-		byNm: make(map[string]EndpointID),
+		cfg:      cfg,
+		sendCost: cfg.TrapCost + time.Duration(unsafe.Sizeof(msg.Req{}))*cfg.CopyCostPerKB/1024,
+		eps:      make(map[EndpointID]*Endpoint),
+		byNm:     make(map[string]EndpointID),
 	}
 }
 
@@ -106,7 +111,7 @@ type Waker interface{ Ring() }
 // Register creates an endpoint named name. waker may be nil. If the name
 // is already registered, the previous endpoint is revoked first — a new
 // incarnation of a crashed server re-registering makes the kernel treat
-// the old process as dead (senders blocked on it fail with ErrClosed).
+// the old process as dead (what was queued to it is lost).
 func (k *Kernel) Register(name string, waker Waker) (*Endpoint, error) {
 	k.mu.Lock()
 	if old, dup := k.byNm[name]; dup {
@@ -181,14 +186,10 @@ func (k *Kernel) PacketRendezvous(n int) {
 	spin(2*k.cfg.TrapCost + time.Duration(n)*k.cfg.CopyCostPerKB/1024 + 2*k.cfg.ContextSwitchCost)
 }
 
-func (k *Kernel) endpoint(id EndpointID) (*Endpoint, error) {
+func (k *Kernel) endpoint(id EndpointID) *Endpoint {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	ep, ok := k.eps[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoEndpoint, id)
-	}
-	return ep, nil
+	return k.eps[id]
 }
 
 // Endpoint is one process's kernel communication handle. At most one
@@ -200,15 +201,12 @@ type Endpoint struct {
 	name  string
 	waker Waker
 
-	mu      sync.Mutex
-	closed  bool
-	senders []*sendReq
-	wake    chan struct{}
-}
-
-type sendReq struct {
-	m    Msg
-	done chan error
+	mu     sync.Mutex
+	closed bool
+	// queue[head:] are the messages not yet received, oldest first.
+	queue []Msg
+	head  int
+	wake  chan struct{}
 }
 
 // ID returns the kernel endpoint identifier.
@@ -228,37 +226,35 @@ func (e *Endpoint) kick() {
 	}
 }
 
-// Send synchronously delivers m to dst, blocking until the destination
-// receives it (MINIX rendezvous). The kernel charges trap cost on entry and
-// copy cost for any granted Data.
+// Send queues m for dst and returns: it never waits for the receiver. The
+// kernel charges a trap and the copy of one Msg, and fills in m.From.
 func (e *Endpoint) Send(dst EndpointID, m Msg) error {
-	spin(e.k.cfg.TrapCost)
-	if m.Data != nil {
-		spin(time.Duration(len(m.Data)) * e.k.cfg.CopyCostPerKB / 1024)
-		// The kernel copies the grant; the receiver gets its own buffer.
-		cp := make([]byte, len(m.Data))
-		copy(cp, m.Data)
-		m.Data = cp
-	}
-	tgt, err := e.k.endpoint(dst)
-	if err != nil {
-		return err
+	spin(e.k.sendCost)
+	tgt := e.k.endpoint(dst)
+	if tgt == nil {
+		return ErrClosed
 	}
 	m.From = e.id
-	req := &sendReq{m: m, done: make(chan error, 1)}
 	tgt.mu.Lock()
 	if tgt.closed {
 		tgt.mu.Unlock()
 		return ErrClosed
 	}
-	tgt.senders = append(tgt.senders, req)
+	// Reclaim the received prefix once it is at least half the queue, so a
+	// queue that never drains completely does not grow without bound and
+	// each message is moved at most once per reclaim it survives.
+	if len(tgt.queue) == cap(tgt.queue) && tgt.head >= len(tgt.queue)/2 {
+		tgt.queue = tgt.queue[:copy(tgt.queue, tgt.queue[tgt.head:])]
+		tgt.head = 0
+	}
+	tgt.queue = append(tgt.queue, m)
 	tgt.mu.Unlock()
 	tgt.kick()
-	return <-req.done
+	return nil
 }
 
-// Receive blocks until a message arrives, oldest sender first, or timeout
-// elapses (timeout <= 0 waits forever).
+// Receive blocks until a message arrives, oldest first, or timeout elapses
+// (timeout <= 0 waits forever).
 func (e *Endpoint) Receive(timeout time.Duration) (Msg, error) {
 	spin(e.k.cfg.TrapCost)
 	var deadline time.Time
@@ -309,20 +305,23 @@ func (e *Endpoint) tryDequeue() (Msg, bool, error) {
 	if e.closed {
 		return Msg{}, false, ErrClosed
 	}
-	if len(e.senders) == 0 {
+	if e.head == len(e.queue) {
 		return Msg{}, false, nil
 	}
-	req := e.senders[0]
-	e.senders = append(e.senders[:0], e.senders[1:]...)
+	m := e.queue[e.head]
+	e.head++
+	if e.head == len(e.queue) {
+		e.queue, e.head = e.queue[:0], 0
+	}
 	if e.k.cfg.SingleCore {
 		spin(e.k.cfg.ContextSwitchCost)
 	}
-	req.done <- nil
-	return req.m, true, nil
+	return m, true, nil
 }
 
-// Close tears the endpoint down. Blocked senders fail with ErrClosed; the
-// name is released so a restarted incarnation can re-register.
+// Close tears the endpoint down. What is queued to it is dropped, and its
+// receiver and later senders get ErrClosed; the name is released so a
+// restarted incarnation can re-register.
 func (e *Endpoint) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -330,12 +329,8 @@ func (e *Endpoint) Close() {
 		return
 	}
 	e.closed = true
-	pend := e.senders
-	e.senders = nil
+	e.queue, e.head = nil, 0
 	e.mu.Unlock()
-	for _, req := range pend {
-		req.done <- ErrClosed
-	}
 	select {
 	case e.wake <- struct{}{}:
 	default:

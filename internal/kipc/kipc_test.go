@@ -2,10 +2,12 @@ package kipc
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"newtos/internal/msg"
+	"newtos/internal/shm"
 )
 
 func newTestKernel() *Kernel {
@@ -39,55 +41,107 @@ func TestRegisterLookup(t *testing.T) {
 	}
 }
 
+// TestSendReceiveRendezvous: a message arrives with its request as sent and
+// the kernel's record of who sent it, whatever the sender put in From.
 func TestSendReceiveRendezvous(t *testing.T) {
 	k := newTestKernel()
 	a, _ := k.Register("a", nil)
 	b, _ := k.Register("b", nil)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	delivered := false
-	go func() {
-		defer wg.Done()
-		if err := a.Send(b.ID(), Msg{Type: 7, Args: [6]uint64{1, 2}}); err != nil {
-			t.Errorf("send: %v", err)
-		}
-		delivered = true
-	}()
+	req := msg.Req{ID: 7, Op: msg.OpSockSend, Arg: [4]uint64{1, 2}}
+	if err := a.Send(b.ID(), Msg{From: 999, Req: req}); err != nil {
+		t.Fatal(err)
+	}
 	m, err := b.Receive(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.From != a.ID() || m.Type != 7 || m.Args[1] != 2 {
-		t.Fatalf("msg = %+v", m)
-	}
-	wg.Wait()
-	if !delivered {
-		t.Fatal("sender did not unblock")
+	if m.From != a.ID() || m.Req != req {
+		t.Fatalf("got %+v from %d, sent %+v from %d", m.Req, m.From, req, a.ID())
 	}
 }
 
-func TestSendBlocksUntilReceived(t *testing.T) {
+// TestGrantDataIsCopied: the kernel copies the message into the receiver's
+// queue, so the sender's writes after Send returns do not reach the receiver.
+func TestGrantDataIsCopied(t *testing.T) {
 	k := newTestKernel()
 	a, _ := k.Register("a", nil)
 	b, _ := k.Register("b", nil)
-	done := make(chan struct{})
-	go func() {
-		_ = a.Send(b.ID(), Msg{Type: 1})
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("send completed before receive (not synchronous)")
-	case <-time.After(30 * time.Millisecond):
-	}
-	if _, err := b.Receive(time.Second); err != nil {
+	sent := Msg{Req: msg.Req{ID: 1, Arg: [4]uint64{1}}}
+	sent.Req.SetChain([]shm.RichPtr{{Pool: 1, Len: 3}})
+	want := sent.Req
+	if err := a.Send(b.ID(), sent); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("sender still blocked after receive")
+	sent.Req.Ptrs[0].Len, sent.Req.Arg[0] = 99, 99 // sender mutates after the send
+	m, err := b.Receive(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Req != want {
+		t.Fatalf("received %+v, sent %+v: message aliased, not copied", m.Req, want)
+	}
+}
+
+// TestSendQueuesInFIFOOrder: a send returns before anything receives it,
+// and the receiver takes messages oldest first, whoever sent them.
+func TestSendQueuesInFIFOOrder(t *testing.T) {
+	k := newTestKernel()
+	a, _ := k.Register("a", nil)
+	b, _ := k.Register("b", nil)
+	c, _ := k.Register("c", nil)
+	sends := []struct {
+		from *Endpoint
+		id   uint64
+	}{{a, 1}, {b, 2}, {a, 3}, {b, 4}}
+	for _, s := range sends {
+		if err := s.from.Send(c.ID(), Msg{Req: msg.Req{ID: s.id}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range sends {
+		m, err := c.TryReceive()
+		if err != nil || m.From != s.from.ID() || m.Req.ID != s.id {
+			t.Fatalf("got %d from %d (%v), want %d from %d", m.Req.ID, m.From, err, s.id, s.from.ID())
+		}
+	}
+	if _, err := c.TryReceive(); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("receive after the queue drained: %v, want ErrWouldBlock", err)
+	}
+}
+
+// TestBacklogComesOutInOrder: 10 000 messages, sent while the receiver falls
+// behind to a backlog of thousands, come out complete and in order, and the
+// drained queue is reset to its head.
+func TestBacklogComesOutInOrder(t *testing.T) {
+	k := newTestKernel()
+	a, _ := k.Register("a", nil)
+	b, _ := k.Register("b", nil)
+	const n = 10000
+	next := uint64(0)
+	recv := func() {
+		t.Helper()
+		m, err := b.TryReceive()
+		if err != nil || m.Req.ID != next {
+			t.Fatalf("received %d (%v), want %d", m.Req.ID, err, next)
+		}
+		next++
+	}
+	for i := uint64(0); i < n; i++ {
+		if err := a.Send(b.ID(), Msg{Req: msg.Req{ID: i}}); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 { // the receiver falls behind by two of every three
+			recv()
+		}
+	}
+	for next < n {
+		recv()
+	}
+	if _, err := b.TryReceive(); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("receive after the backlog drained: %v, want ErrWouldBlock", err)
+	}
+	if b.head != 0 || len(b.queue) != 0 || cap(b.queue) > 2*n {
+		t.Fatalf("drained queue has head %d, len %d, cap %d", b.head, len(b.queue), cap(b.queue))
 	}
 }
 
@@ -119,45 +173,34 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
-func TestGrantDataIsCopied(t *testing.T) {
+// TestCloseDropsQueuedMessages: closing an endpoint drops what was queued
+// to it; its receiver and any later sender get ErrClosed, and the name is
+// free for a new incarnation.
+func TestCloseDropsQueuedMessages(t *testing.T) {
 	k := newTestKernel()
 	a, _ := k.Register("a", nil)
 	b, _ := k.Register("b", nil)
-	buf := []byte{1, 2, 3}
-	go func() { _ = a.Send(b.ID(), Msg{Type: 1, Data: buf}) }()
-	m, err := b.Receive(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 99 // sender mutates after delivery
-	if m.Data[0] != 1 {
-		t.Fatal("grant data aliased, not copied")
-	}
-}
-
-func TestCloseUnblocksSenders(t *testing.T) {
-	k := newTestKernel()
-	a, _ := k.Register("a", nil)
-	b, _ := k.Register("b", nil)
-	errc := make(chan error, 1)
-	go func() { errc <- a.Send(b.ID(), Msg{Type: 1}) }()
-	time.Sleep(20 * time.Millisecond)
-	b.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("sender got %v", err)
+	for i := 0; i < 3; i++ {
+		if err := a.Send(b.ID(), Msg{}); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("sender not unblocked by close")
 	}
-	// Name released: a new incarnation can register.
-	if _, err := k.Register("b", nil); err != nil {
+	b.Close()
+	if _, err := b.TryReceive(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("receive on the closed endpoint: %v, want ErrClosed", err)
+	}
+	if _, err := b.Receive(time.Second); !errors.Is(err, ErrClosed) {
+		t.Fatalf("blocking receive on the closed endpoint: %v, want ErrClosed", err)
+	}
+	if err := a.Send(b.ID(), Msg{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send to the closed endpoint: %v, want ErrClosed", err)
+	}
+	b2, err := k.Register("b", nil)
+	if err != nil {
 		t.Fatalf("re-register after close: %v", err)
 	}
-	// Sends to the dead endpoint fail.
-	if err := a.Send(b.ID(), Msg{}); !errors.Is(err, ErrNoEndpoint) {
-		t.Fatalf("send to closed: %v", err)
+	if _, err := b2.TryReceive(); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("the new incarnation inherited a message: %v", err)
 	}
 }
 
@@ -173,13 +216,11 @@ func TestWakerRungOnArrival(t *testing.T) {
 	b, _ := k.Register("b", w)
 	a, _ := k.Register("a", nil)
 	for i := 0; i < 2; i++ {
-		go func() { _ = a.Send(b.ID(), Msg{}) }()
+		if err := a.Send(b.ID(), Msg{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	deadline := time.Now().Add(time.Second)
-	for w.n.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := w.n.Load(); n < 2 {
+	if n := w.n.Load(); n != 2 {
 		t.Fatalf("waker rung %d times for two sends, want 2", n)
 	}
 	for i := 0; i < 2; i++ {
@@ -196,17 +237,23 @@ func TestTrapCostCharged(t *testing.T) {
 	k := New(Config{TrapCost: 200 * time.Microsecond})
 	a, _ := k.Register("a", nil)
 	b, _ := k.Register("b", nil)
-	go func() {
-		m, _ := b.Receive(time.Second)
-		_ = m
-	}()
-	time.Sleep(10 * time.Millisecond)
 	start := time.Now()
 	if err := a.Send(b.ID(), Msg{}); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 150*time.Microsecond {
 		t.Fatal("trap cost not charged on send")
+	}
+	// The copy of one message: 344 bytes at 1 ms per KB.
+	k = New(Config{CopyCostPerKB: time.Millisecond})
+	a, _ = k.Register("a", nil)
+	b, _ = k.Register("b", nil)
+	start = time.Now()
+	if err := a.Send(b.ID(), Msg{}); err != nil {
+		t.Fatal(err)
+	}
+	if took, want := time.Since(start), 344*time.Millisecond/1024; took < want {
+		t.Fatalf("send charged %v, want the copy of one message (%v)", took, want)
 	}
 }
 
@@ -227,8 +274,8 @@ func TestPacketRendezvousOnlyOnSingleCore(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelPingPong measures a full synchronous round trip between
-// two endpoints — the cost the paper's fast path avoids entirely.
+// BenchmarkKernelPingPong measures a full round trip between two endpoints
+// — the cost the paper's fast path avoids entirely.
 func BenchmarkKernelPingPong(b *testing.B) {
 	k := New(DefaultConfig())
 	cli, _ := k.Register("cli", nil)
@@ -241,15 +288,15 @@ func BenchmarkKernelPingPong(b *testing.B) {
 			if err != nil {
 				return
 			}
-			if m.Type == 0xdead {
+			if m.Req.Op == msg.OpInvalid {
 				return
 			}
-			_ = srv.Send(m.From, Msg{Type: m.Type})
+			_ = srv.Send(m.From, m)
 		}
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cli.Send(srv.ID(), Msg{Type: 1}); err != nil {
+		if err := cli.Send(srv.ID(), Msg{Req: msg.Req{Op: msg.OpPing}}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := cli.Receive(0); err != nil {
@@ -257,6 +304,6 @@ func BenchmarkKernelPingPong(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	_ = cli.Send(srv.ID(), Msg{Type: 0xdead})
+	_ = cli.Send(srv.ID(), Msg{})
 	<-done
 }

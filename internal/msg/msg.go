@@ -1,6 +1,7 @@
-// Package msg defines the marshalled request format that travels through
-// fast-path channel queues, and the operation vocabulary spoken between the
-// servers of the decomposed networking stack.
+// Package msg defines the request that travels through fast-path channel
+// queues and, as the body of a kernel message (kipc.Msg), between
+// applications and the doors, and the operation vocabulary spoken between
+// the servers of the decomposed networking stack.
 //
 // The paper (§IV "Queues") describes each filled queue slot as "a marshalled
 // request (not unlike a remote procedure call) which tells the receiver what

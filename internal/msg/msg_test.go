@@ -2,7 +2,6 @@ package msg
 
 import (
 	"testing"
-	"testing/quick"
 
 	"newtos/internal/shm"
 )
@@ -50,64 +49,5 @@ func TestOpStrings(t *testing.T) {
 	}
 	if Op(60000).String() == "" {
 		t.Fatal("unknown op has empty string")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	r := Req{ID: 1 << 60, Op: OpSockRecvData, NPtr: 0, Status: StatusErrConnRst, Flow: 0xdeadbeef}
-	r.Arg = [4]uint64{1, 2, 3, 1 << 63}
-	r.SetChain([]shm.RichPtr{{Pool: 9, Gen: 2, Off: 4096, Len: 1448}})
-	got, err := UnmarshalReq(r.MarshalBinary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != r {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, r)
-	}
-}
-
-func TestUnmarshalRejectsShort(t *testing.T) {
-	if _, err := UnmarshalReq(make([]byte, 10)); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-}
-
-func TestUnmarshalRejectsBadPtrCount(t *testing.T) {
-	var r Req
-	b := r.MarshalBinary()
-	b[10] = MaxPtrs + 1
-	if _, err := UnmarshalReq(b); err == nil {
-		t.Fatal("bad ptr count accepted")
-	}
-}
-
-// Property: marshal/unmarshal is the identity for arbitrary field values.
-func TestQuickMarshalRoundTrip(t *testing.T) {
-	prop := func(id uint64, op uint16, status int32, flow uint32, a0, a1 uint64, nptr uint8) bool {
-		r := Req{ID: id, Op: Op(op), Status: status, Flow: flow}
-		r.Arg[0], r.Arg[1] = a0, a1
-		n := int(nptr) % (MaxPtrs + 1)
-		ptrs := make([]shm.RichPtr, n)
-		for i := range ptrs {
-			ptrs[i] = shm.RichPtr{Pool: shm.PoolID(i), Gen: uint32(i * 3), Off: uint32(i * 64), Len: uint32(i + 1)}
-		}
-		r.SetChain(ptrs)
-		got, err := UnmarshalReq(r.MarshalBinary())
-		return err == nil && got == r
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkMarshal(b *testing.B) {
-	r := Req{ID: 1, Op: OpSockSend}
-	r.SetChain([]shm.RichPtr{{Pool: 1, Len: 4096}})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b2 := r.MarshalBinary()
-		if _, err := UnmarshalReq(b2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

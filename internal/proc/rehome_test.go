@@ -110,3 +110,48 @@ func TestRunnerHangRehomesCoMembers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerReplacedMidStepHandsBackItsMember: a step overruns, so the
+// reincarnation server replaces its runner, and the replacement, with
+// nothing else to do, naps without a deadline. When the step returns with
+// work still pending, the member must be polled again: its old runner rings
+// it as it lets go, since nothing else will.
+func TestRunnerReplacedMidStepHandsBackItsMember(t *testing.T) {
+	defer proc.OneRunner(t)()
+	const interval = 20 * time.Millisecond
+	m := reinc.NewMonitor(reinc.Config{HeartbeatInterval: interval, HeartbeatMiss: 100 * interval})
+	m.Start()
+	defer m.Stop()
+
+	var hang atomic.Bool
+	block := make(chan struct{})
+	slow := &member{hang: &hang, block: block}
+	p := proc.New("slow", func() proc.Service { return slow }, m.OnCrash())
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	m.Adopt(p)
+	defer p.Shutdown()
+
+	time.Sleep(2 * interval) // past the monitor's first grace period
+	slow.work.Store(2)       // the overrunning Poll takes one, one is left
+	hang.Store(true)
+	slow.rt.Load().Bell.Ring()
+	for give := time.Now().Add(2 * time.Second); p.BusySince().IsZero(); time.Sleep(time.Millisecond) {
+		if time.Now().After(give) {
+			t.Fatal("the overrunning step never began")
+		}
+	}
+	// The monitor replaces the runner after one interval of overrun; give
+	// the replacement time to sweep and nap.
+	time.Sleep(5 * interval)
+	close(block)
+	for give := time.Now().Add(time.Second); slow.work.Load() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(give) {
+			t.Fatalf("the member still has %d unit of work 1 s after its overrunning step returned: no runner polled it again", slow.work.Load())
+		}
+	}
+	if p.Incarnation() != 1 {
+		t.Fatalf("the member was reincarnated (incarnation %d): the test wants only its runner replaced", p.Incarnation())
+	}
+}

@@ -231,8 +231,11 @@ func (r *Runner) sweep() (worked, ok bool) {
 		}
 		due := inc.due
 		if !inc.busy.CompareAndSwap(start, 0) {
-			// Replaced (isolate): release the member and exit.
+			// Replaced (isolate): release the member and exit. Every other
+			// runner skipped it while this step held it and may be napping
+			// without its deadline, so its ring brings one back to it.
 			inc.busy.Store(0)
+			inc.rt.Bell.Ring()
 			if out == left {
 				leave(inc)
 			}

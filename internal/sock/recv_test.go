@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"newtos/internal/kipc"
 	"newtos/internal/msg"
@@ -20,7 +21,8 @@ import (
 // lets the library keep no copy of its own. Recv, accept and connect answer
 // EAGAIN until the test makes them ready; no edge is posted unless the test
 // posts it (edge), so the door counts every op a wrapper issues while it
-// waits.
+// waits. While holdAccepts is set it keeps accept replies back until
+// releaseAccepts sends them.
 type tcpDoor struct {
 	ep *kipc.Endpoint
 
@@ -32,6 +34,9 @@ type tcpDoor struct {
 	acks      []uint64 // Arg[0] of every OpSockRecvDone, in order
 	children  []uint32 // connections an accept hands out
 	connected bool     // connect answers OK instead of EAGAIN
+	hold      bool     // keep accept replies back in held
+	held      []kipc.Msg
+	closes    []uint32 // the socket of every OpSockClose, in order
 }
 
 func newTCPDoor(t *testing.T, hub *wiring.Hub) *tcpDoor {
@@ -59,11 +64,9 @@ func (d *tcpDoor) serve() {
 		if err != nil {
 			return // closed
 		}
-		r, err := msg.UnmarshalReq(m.Data)
-		if err != nil {
-			continue
-		}
+		r := m.Req
 		rep := r.Reply(msg.OpSockReply, msg.StatusOK)
+		held := false
 		d.mu.Lock()
 		d.ops[r.Op]++
 		switch r.Op {
@@ -81,6 +84,10 @@ func (d *tcpDoor) serve() {
 			rep.SetChain(d.rcvQ[:min(len(d.rcvQ), msg.MaxPtrs)])
 			rep.Arg[0] = uint64(rep.ChainLen())
 		case msg.OpSockAccept:
+			if held = d.hold; held {
+				d.held = append(d.held, kipc.Msg{From: m.From, Req: rep})
+				break
+			}
 			if len(d.children) == 0 {
 				rep.Status = msg.StatusErrAgain
 				break
@@ -91,6 +98,8 @@ func (d *tcpDoor) serve() {
 			if !d.connected {
 				rep.Status = msg.StatusErrAgain
 			}
+		case msg.OpSockClose:
+			d.closes = append(d.closes, r.Flow)
 		case msg.OpSockRecvDone:
 			d.acks = append(d.acks, r.Arg[0])
 			for n := uint32(r.Arg[0]); n > 0 && len(d.rcvQ) > 0; {
@@ -103,13 +112,42 @@ func (d *tcpDoor) serve() {
 			}
 		}
 		d.mu.Unlock()
-		if r.Op == msg.OpSockRecvDone {
-			continue // posted, not called
+		if r.Op == msg.OpSockRecvDone || held {
+			continue // posted, not called; or answered later
 		}
-		if err := d.ep.Send(m.From, kipc.Msg{Type: uint32(rep.Op), Data: rep.MarshalBinary()}); err != nil {
+		if err := d.ep.Send(m.From, kipc.Msg{Req: rep}); err != nil {
 			return
 		}
 	}
+}
+
+// holdAccepts makes the door keep accept replies back from now on.
+func (d *tcpDoor) holdAccepts() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.hold = true
+}
+
+// releaseAccepts sends every held accept reply, each an OK naming child.
+func (d *tcpDoor) releaseAccepts(t *testing.T, child uint32) {
+	t.Helper()
+	d.mu.Lock()
+	held := d.held
+	d.held = nil
+	d.mu.Unlock()
+	for _, m := range held {
+		m.Req.Arg[0] = uint64(child)
+		if err := d.ep.Send(m.From, kipc.Msg{Req: m.Req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// closed returns the sockets the door was asked to close, in order.
+func (d *tcpDoor) closed() []uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]uint32(nil), d.closes...)
 }
 
 // deliver queues data as one received segment held in pool.
@@ -133,7 +171,7 @@ func (d *tcpDoor) edge(t *testing.T, flow uint32, bits uint64) {
 	d.mu.Unlock()
 	ev := msg.Req{Op: msg.OpSockEvent, Flow: flow}
 	ev.Arg[0] = bits
-	if err := d.ep.Send(app, kipc.Msg{Type: uint32(ev.Op), Data: ev.MarshalBinary()}); err != nil {
+	if err := d.ep.Send(app, kipc.Msg{Req: ev}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,5 +325,31 @@ func TestStaleFirstViewIsAbortedNotEOF(t *testing.T) {
 	acks, queued := door.state()
 	if slices.ContainsFunc(acks, func(a uint64) bool { return a != 0 }) || queued != 900+800 {
 		t.Fatalf("acknowledged %v with %d bytes left queued; want nothing and 1700", acks, queued)
+	}
+}
+
+// An accept abandoned at its deadline is still completed by the stack: the
+// late OK names a child the application will never learn about, so the
+// client closes it from its pump.
+func TestAbandonedAcceptClosesItsLateChild(t *testing.T) {
+	s, door, _ := tcpSocketOverDoor(t)
+	door.holdAccepts()
+	if err := s.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Accept(); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Accept past its deadline: %v, want ErrTimeout", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); door.count(msg.OpSockAccept) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the door never got the accept")
+		}
+	}
+	const child = 42
+	door.releaseAccepts(t, child)
+	for deadline := time.Now().Add(5 * time.Second); !slices.Contains(door.closed(), child); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the door saw closes of %v, never of the late child %d", door.closed(), child)
+		}
 	}
 }

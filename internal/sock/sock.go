@@ -184,13 +184,7 @@ func (c *Client) pump() {
 		if err != nil {
 			return // Close, or the node halted under us
 		}
-		if m.Data == nil {
-			continue
-		}
-		rep, err := msg.UnmarshalReq(m.Data)
-		if err != nil {
-			continue
-		}
+		rep := m.Req
 		if rep.Op == msg.OpSockEvent {
 			c.routeEvent(m.From, rep)
 			continue
@@ -233,16 +227,13 @@ const maxOrphans = 4096
 
 // handleOrphan collects the late reply of an abandoned call: received data
 // is released, an accepted child the app will never learn about is closed.
-// The outbound messages go out on their own goroutine: this runs on the
-// pump, and a rendezvous send toward a frontdoor that is itself blocked
-// sending to this pump would deadlock both.
 func (c *Client) handleOrphan(p Proto, op msg.Op, rep msg.Req) {
 	switch {
 	case rep.Op == msg.OpSockRecvData:
 		c.releaseOrphanData(p, rep)
 	case op == msg.OpSockAccept && rep.Op == msg.OpSockReply && rep.Status == msg.StatusOK:
 		if child := uint32(rep.Arg[0]); child != 0 {
-			go func() { _ = c.post(p, msg.Req{Op: msg.OpSockClose, Flow: child}) }()
+			_ = c.post(p, msg.Req{Op: msg.OpSockClose, Flow: child})
 		}
 	}
 }
@@ -259,7 +250,7 @@ func (c *Client) releaseOrphanData(p Proto, rep msg.Req) {
 	}
 	done := msg.Req{Op: msg.OpSockRecvDone, Flow: rep.Flow}
 	done.Arg[0] = rep.Arg[2]
-	go func() { _ = c.post(UDP, done) }()
+	_ = c.post(UDP, done)
 }
 
 // routeEvent delivers one readiness event to the socket it names.
@@ -359,7 +350,7 @@ func (c *Client) call(p Proto, req msg.Req, deadline time.Time) (msg.Req, error)
 		delete(c.waiters, req.ID)
 		c.mu.Unlock()
 	}
-	if err := c.ep.Send(dst, kipc.Msg{Type: uint32(req.Op), Data: req.MarshalBinary()}); err != nil {
+	if err := c.ep.Send(dst, kipc.Msg{Req: req}); err != nil {
 		cleanup()
 		return msg.Req{}, fmt.Errorf("sock: call: %w", err)
 	}
@@ -422,5 +413,5 @@ func (c *Client) post(p Proto, req msg.Req) error {
 	if err != nil {
 		return err
 	}
-	return c.ep.Send(dst, kipc.Msg{Type: uint32(req.Op), Data: req.MarshalBinary()})
+	return c.ep.Send(dst, kipc.Msg{Req: req})
 }

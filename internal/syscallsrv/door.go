@@ -12,15 +12,14 @@ import (
 	"newtos/internal/wiring"
 )
 
-// pendingCall routes a peer's reply back to the blocked application.
+// pendingCall routes a peer's reply back to the blocked application. Its
+// socket and op are also all a reissue after the peer's restart sends again:
+// recv and accept carry nothing else.
 type pendingCall struct {
 	app   kipc.EndpointID
 	appID uint64
 	sock  uint32
 	op    msg.Op
-	// orig is the call as it was forwarded: what a reissue after the
-	// peer's restart sends again.
-	orig msg.Req
 }
 
 // appCall is the pending entry of a call forwarded as the application made it.
@@ -80,16 +79,15 @@ func (d *door) Poll(now time.Time) bool {
 		if err != nil {
 			break
 		}
-		if m.Data == nil {
-			continue
-		}
-		req, err := msg.UnmarshalReq(m.Data)
-		if err != nil {
-			continue
-		}
-		d.noteSubscription(m.From, req)
-		d.forward(req, appCall(m.From, req))
 		worked = true
+		if m.Req.NPtr > msg.MaxPtrs {
+			// The one check on what an application sends: its chain
+			// would overrun the request everywhere behind the door.
+			d.answer(m.From, m.Req.ID, m.Req.Flow, msg.StatusErrInval)
+			continue
+		}
+		d.noteSubscription(m.From, m.Req)
+		d.forward(m.Req, appCall(m.From, m.Req))
 	}
 	if d.edge.Flush() {
 		worked = true
@@ -106,7 +104,6 @@ func (d *door) forward(req msg.Req, call *pendingCall) {
 	d.nextID++
 	req.ID = d.nextID
 	if call != nil && req.Op != msg.OpSockRecvDone {
-		call.orig = req
 		d.pending[req.ID] = *call
 	}
 	d.edge.Push(req)
@@ -119,10 +116,11 @@ func (d *door) pushNonblock(flow uint32) {
 	d.forward(sf, nil)
 }
 
-// toApp delivers one message to an application. Its pump goroutine waits
-// in Receive, so the rendezvous completes as soon as the pump takes it.
+// toApp queues one message to an application and returns: a reply never
+// waits for the application to receive it. An application that is gone
+// loses it.
 func (d *door) toApp(app kipc.EndpointID, rep msg.Req) {
-	_ = d.ep.Send(app, kipc.Msg{Type: uint32(rep.Op), Data: rep.MarshalBinary()})
+	_ = d.ep.Send(app, kipc.Msg{Req: rep})
 }
 
 // answer completes an application's call with a status of the door's making.
@@ -195,7 +193,7 @@ func (d *door) recoverPeer() {
 		}
 	}
 	for _, call := range reissues {
-		d.forward(call.orig, &call)
+		d.forward(msg.Req{Op: call.op, Flow: call.sock}, &call)
 	}
 	for flow := range d.subs {
 		d.pushNonblock(flow)

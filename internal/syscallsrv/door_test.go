@@ -1,7 +1,6 @@
 package syscallsrv
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -131,69 +130,54 @@ func (r *rig) newApp(name string) *app {
 	return a
 }
 
-// poll runs one server iteration. A send to an application is a rendezvous,
-// so the applications keep receiving while the server polls; when Poll has
-// returned, everything it sent has been received. Then the transports drain.
+// poll runs one server iteration, then the applications take what it
+// queued to them and the transports drain.
 func (r *rig) poll() {
 	r.now = r.now.Add(time.Millisecond)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		r.srv.Poll(r.now)
-	}()
-	for polling := true; polling; {
-		select {
-		case <-done:
-			polling = false
-		default:
-			runtime.Gosched()
-		}
-		for _, a := range r.apps {
-			for {
-				m, err := a.ep.TryReceive()
-				if err != nil {
-					break
-				}
-				req, err := msg.UnmarshalReq(m.Data)
-				if err != nil {
-					r.t.Fatalf("app received garbage: %v", err)
-				}
-				d := delivery{req: req}
-				for _, door := range []string{doorTCP, doorUDP, doorPF} {
-					if id, ok := r.hub.Kern.Lookup(door); ok && id == m.From {
-						d.door = door
-					}
-				}
-				a.got = append(a.got, d)
-			}
-		}
+	r.srv.Poll(r.now)
+	for _, a := range r.apps {
+		r.receive(a)
 	}
 	for _, p := range r.peers {
 		p.drain()
 	}
 }
 
-// call sends one application call through a door and polls the server until
-// it has taken it; the forward is then with the transport.
-func (r *rig) call(a *app, door string, req msg.Req) {
+// receive takes every message queued to a, noting the door it came from.
+func (r *rig) receive(a *app) {
+	for {
+		m, err := a.ep.TryReceive()
+		if err != nil {
+			return
+		}
+		d := delivery{req: m.Req}
+		for _, door := range []string{doorTCP, doorUDP, doorPF} {
+			if id, ok := r.hub.Kern.Lookup(door); ok && id == m.From {
+				d.door = door
+			}
+		}
+		a.got = append(a.got, d)
+	}
+}
+
+// send queues one application call to a door.
+func (r *rig) send(a *app, door string, req msg.Req) {
 	r.t.Helper()
 	dst, ok := r.hub.Kern.Lookup(door)
 	if !ok {
 		r.t.Fatalf("no %s endpoint", door)
 	}
-	sent := make(chan error, 1)
-	go func() { sent <- a.ep.Send(dst, kipc.Msg{Type: uint32(req.Op), Data: req.MarshalBinary()}) }()
-	for {
-		r.poll()
-		select {
-		case err := <-sent:
-			if err != nil {
-				r.t.Fatalf("send to %s: %v", door, err)
-			}
-			return
-		default:
-		}
+	if err := a.ep.Send(dst, kipc.Msg{Req: req}); err != nil {
+		r.t.Fatalf("send to %s: %v", door, err)
 	}
+}
+
+// call sends one application call through a door and polls the server once:
+// the forward is then with the transport.
+func (r *rig) call(a *app, door string, req msg.Req) {
+	r.t.Helper()
+	r.send(a, door, req)
+	r.poll()
 }
 
 // answer has a transport send requests (replies, events) and the server
@@ -282,6 +266,26 @@ func TestDoor(t *testing.T) {
 		}
 		if n := pendingCalls(r.srv); n != 0 {
 			t.Fatalf("%d calls still pending", n)
+		}
+	})
+
+	t.Run("a chain longer than MaxPtrs is refused with EINVAL", func(t *testing.T) {
+		r := newRig(t)
+		a := r.newApp("a")
+		for _, d := range doors {
+			p := r.peers[d.peer]
+			r.call(a, d.door, msg.Req{ID: 21, Op: d.op, Flow: 5, NPtr: msg.MaxPtrs + 1})
+			if got := r.replied(a, d.door); got.ID != 21 || got.Op != msg.OpSockReply || got.Status != msg.StatusErrInval || got.Flow != 5 {
+				t.Fatalf("%s answered %+v", d.door, got)
+			}
+			if got := p.take(); len(got) != 0 {
+				t.Fatalf("%s forwarded %v", d.door, got)
+			}
+			r.call(a, d.door, msg.Req{ID: 22, Op: d.op, Flow: 5, NPtr: msg.MaxPtrs}) // a full chain is fine
+			if fwd := r.forwarded(p, d.op); fwd.NPtr != msg.MaxPtrs {
+				t.Fatalf("%s forwarded %+v", d.door, fwd)
+			}
+			r.silent(a)
 		}
 	})
 
@@ -459,4 +463,91 @@ func TestDoor(t *testing.T) {
 		r.forwarded(udp, msg.OpSockSetFlags)
 		r.replied(b, doorUDP)
 	})
+}
+
+// TestReplyNeverWaitsForTheApplication: a door sends replies and events to
+// an application that never receives, and every Poll still returns; what it
+// sent waits on the application's endpoint, in order.
+func TestReplyNeverWaitsForTheApplication(t *testing.T) {
+	r := newRig(t)
+	ep, err := r.hub.Kern.Register("app/deaf", nil) // not in r.apps: nobody receives
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ep.Close)
+	deaf := &app{ep: ep}
+	tcp := r.peers["tcp"]
+	pollWithin := func(what string) {
+		t.Helper()
+		r.now = r.now.Add(time.Millisecond)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.srv.Poll(r.now)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Poll relaying %s did not return: it waits for the application", what)
+		}
+		tcp.drain()
+	}
+
+	r.send(deaf, doorTCP, flags(5))
+	pollWithin("nothing")
+	fwd := r.forwarded(tcp, msg.OpSockSetFlags)
+	tcp.end.Push(fwd.Reply(msg.OpSockReply, msg.StatusOK))
+	tcp.end.Flush()
+	pollWithin("a reply")
+	const events = 100
+	for i := 1; i <= events; i++ {
+		tcp.end.Push(event(5, uint64(i)))
+		tcp.end.Flush()
+		pollWithin("an event")
+	}
+
+	r.receive(deaf)
+	got := deaf.take()
+	if len(got) != 1+events || got[0].req.Op != msg.OpSockReply || got[0].req.ID != flags(5).ID {
+		t.Fatalf("the application holds %d messages, first %+v; want the reply and %d events", len(got), got[0], events)
+	}
+	for i, g := range got[1:] {
+		if g.req.Op != msg.OpSockEvent || g.req.Arg[0] != uint64(i+1) || g.door != doorTCP {
+			t.Fatalf("message %d is %+v, want event %d from the TCP door", i+1, g, i+1)
+		}
+	}
+}
+
+// TestDoorRoundTripAllocatesNothing: one call through a door and its reply
+// back — application Send, door Poll, peer reply, door Poll, application
+// TryReceive — allocates nothing: a kernel message is a msg.Req, copied by
+// value into the receiver's queue.
+func TestDoorRoundTripAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	a := r.newApp("a")
+	tcp := r.peers["tcp"]
+	dst, _ := r.hub.Kern.Lookup(doorTCP)
+	scratch := make([]msg.Req, wiring.ScratchLen)
+	var fwd []msg.Req
+	take := func(b []msg.Req) { fwd = append(fwd[:0], b...) }
+	roundTrip := func() {
+		if err := a.ep.Send(dst, kipc.Msg{Req: msg.Req{ID: 7, Op: msg.OpSockSend, Flow: 5}}); err != nil {
+			t.Fatal(err)
+		}
+		r.srv.Poll(r.now)
+		tcp.end.Intake(scratch, nil, take)
+		if len(fwd) != 1 {
+			t.Fatalf("the transport got %v", fwd)
+		}
+		tcp.end.Push(fwd[0].Reply(msg.OpSockReply, msg.StatusOK))
+		tcp.end.Flush()
+		r.srv.Poll(r.now)
+		if m, err := a.ep.TryReceive(); err != nil || m.Req.ID != 7 {
+			t.Fatalf("the application got %+v (%v)", m.Req, err)
+		}
+	}
+	roundTrip() // grow the queues and tables once
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Fatalf("%.1f allocations per door round trip, want 0", n)
+	}
 }

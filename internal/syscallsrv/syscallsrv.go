@@ -2,7 +2,9 @@
 // server that "pays the trapping toll for the rest of the system". It
 // receives synchronous POSIX-style socket calls from applications over
 // kernel IPC, peeks into them, and forwards them to the transports over
-// asynchronous channels; replies travel the same way back.
+// asynchronous channels; replies travel the same way back. A reply is
+// queued on the application's kernel endpoint and never waits for the
+// application to receive it.
 //
 // The server is a list of doors. A door is one kernel endpoint name
 // (msg.TCPFrontdoor, msg.UDPFrontdoor, msg.PFFrontdoor), the edge to the
