@@ -64,14 +64,6 @@ func NamedOf(t types.Type) *types.Named {
 	return n
 }
 
-// IsNamedType reports whether t (possibly behind a pointer) is the named
-// type pkgPath.name.
-func IsNamedType(t types.Type, pkgPath, name string) bool {
-	n := NamedOf(t)
-	return n != nil && n.Obj().Pkg() != nil &&
-		n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
-}
-
 // UsesObject reports whether any identifier under node refers to obj.
 func UsesObject(info *types.Info, node ast.Node, obj types.Object) bool {
 	found := false

@@ -9,6 +9,13 @@
 // wait that does not yield (runtime.Gosched, a sleep, a timer) takes the
 // cores the stack is being measured on. netlint loads no _test.go files, so
 // tests may spin.
+//
+// The mutation that proves it is needed: Table II's measuring window in
+// experiments/table2.go spinning on time.Since instead of sleeping. Every
+// tier-1 test still passes, and the row measures a stack with one processor
+// fewer. (The same spin in the wire's deliverLoop also fails
+// nic.TestWireYieldsWhileFrameInFlight; that test guards one loop, this
+// analyzer every loop.)
 package busywait
 
 import (

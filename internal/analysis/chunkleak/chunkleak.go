@@ -11,6 +11,11 @@
 // exempt: a failed Alloc returns no chunk. Paths that end in panic or
 // log.Fatal are exempt too. Functions using goto, labels, or fallthrough
 // are skipped rather than guessed at.
+//
+// The mutation that proves it is needed: an early return between the
+// header Alloc and its hand-off in udpeng.send, refusing a datagram longer
+// than UDP can carry. Every tier-1 test still passes; no test sends down
+// that path, and no runtime check compares the pools with their baseline.
 package chunkleak
 
 import (

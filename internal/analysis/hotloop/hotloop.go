@@ -21,6 +21,10 @@
 // (shm pools, the storage server, NIC devices, channel/spsc queues, kipc)
 // are allowlisted: their short internal locks model cross-process mappings
 // and are not engine state. Traversal stops at their boundary.
+//
+// The mutation that proves it is needed: PF's verdict passing time.Now()
+// to the engine instead of the Poll's now. Every tier-1 test still passes;
+// the cost is one clock read per packet, which no test measures.
 package hotloop
 
 import (

@@ -6,20 +6,14 @@ package suite
 
 import (
 	"newtos/internal/analysis"
-	"newtos/internal/analysis/atomicmix"
 	"newtos/internal/analysis/busywait"
 	"newtos/internal/analysis/chunkleak"
 	"newtos/internal/analysis/hotloop"
-	"newtos/internal/analysis/opswitch"
-	"newtos/internal/analysis/outboxflush"
 )
 
 // Analyzers is the full netlint suite, in reporting-name order.
 var Analyzers = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	busywait.Analyzer,
 	chunkleak.Analyzer,
 	hotloop.Analyzer,
-	opswitch.Analyzer,
-	outboxflush.Analyzer,
 }

@@ -45,6 +45,10 @@ type Doorbell struct {
 	// relay, when set, is rung by every Ring of this bell: the bell of the
 	// goroutine that steps this bell's consumer along with others.
 	relay atomic.Pointer[Doorbell]
+	// unflushed names the consumer's own outgoing edges that hold requests
+	// staged since their last flush, one entry per such edge. Only the
+	// goroutine stepping the consumer touches it.
+	unflushed []string
 }
 
 // NewDoorbell returns a ready-to-use doorbell.
@@ -130,6 +134,26 @@ func (d *Doorbell) Wakeups() uint64 { return d.rungs.Load() }
 // spinning consumer's one load per idle iteration: it polls its queues
 // again only once the count has moved since it last looked.
 func (d *Doorbell) Posts() uint64 { return d.posts.Load() }
+
+// Staged records that the consumer's edge holds requests staged after its
+// last flush, and Flushed that it no longer does; wiring.Edge calls them
+// from the consumer's own loop. Unflushed lists the edges staged and not
+// flushed since. After a poll that found nothing, an edge listed there
+// breaks the doorbell contract: no ring will ever announce its requests.
+func (d *Doorbell) Staged(edge string) { d.unflushed = append(d.unflushed, edge) }
+
+// Flushed removes one entry for edge from the unflushed list.
+func (d *Doorbell) Flushed(edge string) {
+	for i, e := range d.unflushed {
+		if e == edge {
+			d.unflushed = append(d.unflushed[:i], d.unflushed[i+1:]...)
+			return
+		}
+	}
+}
+
+// Unflushed lists the edges staged onto and not flushed since.
+func (d *Doorbell) Unflushed() []string { return d.unflushed }
 
 // Armed reports whether the consumer has armed the bell and not yet been
 // woken or disarmed: it is parked, or about to be.

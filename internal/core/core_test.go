@@ -33,7 +33,7 @@ func testLAN(t *testing.T, mod func(*Config)) *LAN {
 	if err := lan.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { checkDeadlines(t, lan) })
+	t.Cleanup(func() { checkDeadlines(t, lan); checkFlushes(t, lan) })
 	t.Cleanup(lan.Stop)
 	return lan
 }
@@ -47,6 +47,20 @@ func checkDeadlines(t *testing.T, lan *LAN) {
 		for name, p := range n.procs {
 			if k := p.PastDeadlines(); k != 0 {
 				t.Errorf("%s/%s: %d empty Polls left a deadline that was already due", n.Cfg.Name, name, k)
+			}
+		}
+	}
+}
+
+// checkFlushes fails the test if any member of either node was left, by an
+// empty Poll, with an edge holding requests pushed after its last Flush:
+// nothing rings the peer for them, so they wait for an unrelated ring.
+func checkFlushes(t *testing.T, lan *LAN) {
+	t.Helper()
+	for _, n := range []*Node{lan.A, lan.B} {
+		for name, p := range n.procs {
+			if k, edges := p.Unflushed(); k != 0 {
+				t.Errorf("%s/%s: %d empty Polls left pushes with no Flush after them, the last on edge %s", n.Cfg.Name, name, k, strings.Join(edges, ", "))
 			}
 		}
 	}
@@ -328,6 +342,7 @@ func TestPFPolicyPerInterface(t *testing.T) {
 	if err := lan.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { checkDeadlines(t, lan); checkFlushes(t, lan) })
 	t.Cleanup(lan.Stop)
 
 	// eth1 is the untrusted wire: inbound TCP to 7300 is blocked there

@@ -299,6 +299,13 @@ func (e *Endpoint) TryReceive() (Msg, error) {
 	return m, nil
 }
 
+// keptQueue is the largest backing array a drained queue keeps. A receiver
+// that keeps up holds a few messages at a time: a reply per call in flight
+// and the readiness events between its receives. A larger array is what a
+// backlog left behind, and keeping it would pin the backlog's peak, at
+// about 350 B a message, for the endpoint's life.
+const keptQueue = 64
+
 func (e *Endpoint) tryDequeue() (Msg, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -312,6 +319,9 @@ func (e *Endpoint) tryDequeue() (Msg, bool, error) {
 	e.head++
 	if e.head == len(e.queue) {
 		e.queue, e.head = e.queue[:0], 0
+		if cap(e.queue) > keptQueue {
+			e.queue = nil
+		}
 	}
 	if e.k.cfg.SingleCore {
 		spin(e.k.cfg.ContextSwitchCost)

@@ -140,8 +140,8 @@ func TestBacklogComesOutInOrder(t *testing.T) {
 	if _, err := b.TryReceive(); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("receive after the backlog drained: %v, want ErrWouldBlock", err)
 	}
-	if b.head != 0 || len(b.queue) != 0 || cap(b.queue) > 2*n {
-		t.Fatalf("drained queue has head %d, len %d, cap %d", b.head, len(b.queue), cap(b.queue))
+	if b.head != 0 || len(b.queue) != 0 || cap(b.queue) > keptQueue {
+		t.Fatalf("drained queue has head %d, len %d, cap %d; want 0, 0 and at most %d", b.head, len(b.queue), cap(b.queue), keptQueue)
 	}
 }
 

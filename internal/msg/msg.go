@@ -67,15 +67,12 @@ const (
 	OpPFRuleFlush
 	OpPFStats
 
-	// Storage server.
-	OpStorePut
-	OpStoreGet
-	OpStoreReply
-	OpStoreInvalidate
-
 	// Generic / liveness.
 	OpPing
 	OpPong
+
+	// NumOps is one past the last operation code.
+	NumOps
 )
 
 var opNames = map[Op]string{
@@ -93,8 +90,7 @@ var opNames = map[Op]string{
 	OpSockSetFlags: "sock-set-flags", OpSockEvent: "sock-event",
 	OpSockBufEnsure: "sock-buf-ensure",
 	OpPFRuleAdd:     "pf-rule-add", OpPFRuleFlush: "pf-rule-flush", OpPFStats: "pf-stats",
-	OpStorePut: "store-put", OpStoreGet: "store-get", OpStoreReply: "store-reply",
-	OpStoreInvalidate: "store-invalidate", OpPing: "ping", OpPong: "pong",
+	OpPing: "ping", OpPong: "pong",
 }
 
 func (o Op) String() string {

@@ -4,8 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 
+	"newtos/internal/channel"
+	"newtos/internal/kipc"
+	"newtos/internal/msg"
 	"newtos/internal/netpkt"
 	"newtos/internal/pfeng"
+	"newtos/internal/wiring"
 )
 
 func TestPackUnpackRule(t *testing.T) {
@@ -56,5 +60,29 @@ func TestQuickPackUnpack(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnservedOpIsAnsweredInval: every op of the vocabulary the config edge
+// does not serve, and one outside it, gets exactly one answer, with its ID
+// and StatusErrInval, so the control call never waits for a reply that
+// cannot come.
+func TestUnservedOpIsAnsweredInval(t *testing.T) {
+	served := map[msg.Op]bool{msg.OpPFRuleAdd: true, msg.OpPFRuleFlush: true, msg.OpPFStats: true}
+	unserved := []msg.Op{0xffff}
+	for op := range msg.NumOps {
+		if !served[op] {
+			unserved = append(unserved, op)
+		}
+	}
+	ports := wiring.NewPorts(wiring.NewHub(kipc.New(kipc.Config{})), "pf")
+	ports.Begin(channel.NewDoorbell())
+	s := &Server{ports: ports, eng: pfeng.New(0), scBox: wiring.NewEdge(ports.Attach("sc-pf"))}
+	for _, op := range unserved {
+		s.config(msg.Req{ID: 77, Op: op, Flow: 5})
+		got := s.scBox.TakeStaged()
+		if len(got) != 1 || got[0].ID != 77 || got[0].Op != msg.OpSockReply || got[0].Status != msg.StatusErrInval {
+			t.Errorf("%v: config edge got %+v, want one OpSockReply with ID 77 and StatusErrInval", op, got)
+		}
 	}
 }

@@ -152,6 +152,11 @@ type Proc struct {
 	// polls counts the service's Polls; pastDeadlines the empty ones after
 	// which its Deadline was not after the Poll's now.
 	polls, pastDeadlines atomic.Uint64
+	// unflushed (under mu) counts the empty Polls that left an edge holding
+	// pushes no Flush followed; unflushedEdges names the edges the last of
+	// them left.
+	unflushed      uint64
+	unflushedEdges []string
 }
 
 type incarnation struct {
@@ -216,6 +221,17 @@ func (p *Proc) Polls() uint64 { return p.polls.Load() }
 // contract (the Poll at a due instant consumes it): the runners poll such
 // a member over and over until the clock moves past its deadline.
 func (p *Proc) PastDeadlines() uint64 { return p.pastDeadlines.Load() }
+
+// Unflushed returns how many empty Polls left an edge holding requests
+// pushed since its last Flush, across incarnations, and the edges the last
+// of them left ("component:edge"). Each one breaks the doorbell contract
+// (one Flush per edge per iteration): the runners wait for a ring, and no
+// ring will ever announce those requests to the peer.
+func (p *Proc) Unflushed() (uint64, []string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.unflushed, p.unflushedEdges
+}
 
 // Incarnation returns the current incarnation number.
 func (p *Proc) Incarnation() int {

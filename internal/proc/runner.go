@@ -2,6 +2,7 @@ package proc
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,7 +306,8 @@ func (inc *incarnation) step(now time.Time) (out outcome) {
 	// queues: every input either rings the bell or is a deadline, so until
 	// the post count moves or the deadline falls due another Poll would
 	// find nothing.
-	posts := inc.rt.Bell.Posts()
+	bell := inc.rt.Bell
+	posts := bell.Posts()
 	if inc.idle && posts == inc.seen && (inc.due.IsZero() || now.Before(inc.due)) {
 		return gated
 	}
@@ -322,7 +324,19 @@ func (inc *incarnation) step(now time.Time) (out outcome) {
 		// passes it.
 		inc.p.pastDeadlines.Add(1)
 	}
+	if edges := bell.Unflushed(); len(edges) != 0 {
+		inc.p.noteUnflushed(edges)
+	}
 	return empty
+}
+
+// noteUnflushed counts an empty Poll that left edges holding pushes no
+// Flush followed.
+func (p *Proc) noteUnflushed(edges []string) {
+	p.mu.Lock()
+	p.unflushed++
+	p.unflushedEdges = slices.Clone(edges)
+	p.mu.Unlock()
 }
 
 // await blocks until inc has taken its last step. Every runner may step

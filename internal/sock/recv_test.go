@@ -3,7 +3,10 @@ package sock
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -351,5 +354,29 @@ func TestAbandonedAcceptClosesItsLateChild(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the door saw closes of %v, never of the late child %d", door.closed(), child)
 		}
+	}
+}
+
+// A call the stack never answers fails when CallTimeout runs out, with an
+// error that names the call (its ID, op and flow, and the wait) and is
+// still ErrTimeout and a net.Error timeout. A call cut short by the
+// caller's own deadline keeps the plain ErrTimeout.
+func TestCallTimeoutNamesTheCall(t *testing.T) {
+	s, door, _ := tcpSocketOverDoor(t)
+	door.holdAccepts()
+	s.c.CallTimeout = 30 * time.Millisecond
+	_, err := s.Accept()
+	if ne, ok := err.(net.Error); !ok || !ne.Timeout() || !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Accept with its reply held back: %v, want a net.Error timeout that is ErrTimeout", err)
+	}
+	if want := fmt.Sprintf("(%v, flow %d) unanswered after 30ms", msg.OpSockAccept, s.id); !strings.HasPrefix(err.Error(), "sock: call ") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Accept's error %q does not name the call: want %q in it", err, want)
+	}
+	s.c.CallTimeout = time.Minute
+	if err := s.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Accept(); err != ErrTimeout {
+		t.Fatalf("Accept past its own deadline: %v, want the plain ErrTimeout", err)
 	}
 }

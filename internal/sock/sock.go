@@ -40,6 +40,23 @@ func (timeoutError) Error() string   { return "sock: operation timed out" }
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
+// callTimeoutError is a call that waited out Client.CallTimeout with no
+// reply. It is ErrTimeout to errors.Is and a timeout to net.Error, and it
+// names the call, so a lost request or reply can be found at the door.
+type callTimeoutError struct {
+	timeoutError
+	id     uint64
+	op     msg.Op
+	flow   uint32
+	waited time.Duration
+}
+
+func (e callTimeoutError) Error() string {
+	return fmt.Sprintf("sock: call %d (%v, flow %d) unanswered after %v: operation timed out", e.id, e.op, e.flow, e.waited)
+}
+
+func (callTimeoutError) Is(target error) bool { return target == ErrTimeout }
+
 // Exported errors, mapped from reply statuses.
 var (
 	ErrTimeout      error = timeoutError{}
@@ -354,7 +371,7 @@ func (c *Client) call(p Proto, req msg.Req, deadline time.Time) (msg.Req, error)
 		cleanup()
 		return msg.Req{}, fmt.Errorf("sock: call: %w", err)
 	}
-	timeout := c.CallTimeout
+	timeout, byDeadline := c.CallTimeout, false
 	if !deadline.IsZero() {
 		d := time.Until(deadline)
 		if d <= 0 {
@@ -362,7 +379,7 @@ func (c *Client) call(p Proto, req msg.Req, deadline time.Time) (msg.Req, error)
 			return msg.Req{}, ErrTimeout
 		}
 		if timeout <= 0 || d < timeout {
-			timeout = d
+			timeout, byDeadline = d, true
 		}
 	}
 	var timer *time.Timer
@@ -377,7 +394,10 @@ func (c *Client) call(p Proto, req msg.Req, deadline time.Time) (msg.Req, error)
 		return rep, nil
 	case <-expiry:
 		c.abandon(p, req, ch)
-		return msg.Req{}, ErrTimeout
+		if byDeadline {
+			return msg.Req{}, ErrTimeout
+		}
+		return msg.Req{}, callTimeoutError{id: req.ID, op: req.Op, flow: req.Flow, waited: timeout}
 	case <-c.stop:
 		cleanup()
 		return msg.Req{}, ErrClosed

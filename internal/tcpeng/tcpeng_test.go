@@ -750,3 +750,32 @@ func (pi *pipe) connectPairBench(port uint16) (uint32, uint32) {
 func (pi *pipe) recvBytesBench(e *Engine, sock uint32, n int) []byte {
 	return pi.recvBytes(e, sock, n)
 }
+
+// TestUnservedOpIsAnsweredInval: every op of the vocabulary the front edge
+// does not serve, and one outside it, gets exactly one answer, with its ID
+// and StatusErrInval, so the caller never waits for a reply that cannot come.
+func TestUnservedOpIsAnsweredInval(t *testing.T) {
+	served := map[msg.Op]bool{
+		msg.OpSockCreate: true, msg.OpSockBind: true, msg.OpSockListen: true,
+		msg.OpSockAccept: true, msg.OpSockConnect: true, msg.OpSockSend: true,
+		msg.OpSockRecv: true, msg.OpSockRecvDone: true, msg.OpSockSetFlags: true,
+		msg.OpSockBufEnsure: true, msg.OpSockClose: true,
+	}
+	unserved := []msg.Op{0xffff}
+	for op := range msg.NumOps {
+		if !served[op] {
+			unserved = append(unserved, op)
+		}
+	}
+	e := freshEngine(t)
+	for _, op := range unserved {
+		e.FromFront(msg.Req{ID: 77, Op: op, Flow: 5}, time.Unix(1, 0))
+		got := e.DrainToFront()
+		if len(got) != 1 || got[0].ID != 77 || got[0].Op != msg.OpSockReply || got[0].Status != msg.StatusErrInval {
+			t.Errorf("%v: front got %+v, want one OpSockReply with ID 77 and StatusErrInval", op, got)
+		}
+		if out := e.DrainToIP(); len(out) != 0 {
+			t.Errorf("%v: %d requests towards IP", op, len(out))
+		}
+	}
+}

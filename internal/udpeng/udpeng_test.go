@@ -484,3 +484,31 @@ func TestFrontRestartReannouncesReadiness(t *testing.T) {
 		t.Fatalf("after the frontdoor restart: announced %#x, want readable|writable", bits)
 	}
 }
+
+// TestUnservedOpIsAnsweredInval: every op of the vocabulary the front edge
+// does not serve, and one outside it, gets exactly one answer, with its ID
+// and StatusErrInval, so the caller never waits for a reply that cannot come.
+func TestUnservedOpIsAnsweredInval(t *testing.T) {
+	served := map[msg.Op]bool{
+		msg.OpSockCreate: true, msg.OpSockBind: true, msg.OpSockConnect: true,
+		msg.OpSockSend: true, msg.OpSockRecv: true, msg.OpSockRecvDone: true,
+		msg.OpSockSetFlags: true, msg.OpSockClose: true,
+	}
+	unserved := []msg.Op{0xffff}
+	for op := range msg.NumOps {
+		if !served[op] {
+			unserved = append(unserved, op)
+		}
+	}
+	h := newHarness(t)
+	for _, op := range unserved {
+		h.e.FromFront(msg.Req{ID: 77, Op: op, Flow: 5})
+		got := h.e.DrainToFront()
+		if len(got) != 1 || got[0].ID != 77 || got[0].Op != msg.OpSockReply || got[0].Status != msg.StatusErrInval {
+			t.Errorf("%v: front got %+v, want one OpSockReply with ID 77 and StatusErrInval", op, got)
+		}
+		if out := h.e.DrainToIP(); len(out) != 0 {
+			t.Errorf("%v: %d requests towards IP", op, len(out))
+		}
+	}
+}

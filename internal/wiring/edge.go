@@ -36,6 +36,13 @@ type Edge struct {
 	gen int
 	q   []msg.Req
 
+	// unflushed is set by a Push and cleared by the next Flush; while it
+	// is set the edge is listed, under name, on bell, the owning
+	// incarnation's doorbell, which its runner checks after an empty Poll.
+	unflushed bool
+	bell      *channel.Doorbell
+	name      string
+
 	// dropped is atomic: the owning loop writes it, DropReporter consumers
 	// (recovery experiments) read it from other goroutines.
 	dropped atomic.Uint64
@@ -45,9 +52,11 @@ type Edge struct {
 // the duplex the port's previous owner last adopted: a crash successor sees
 // the rebind its own restart caused at the first Intake, and a live-handoff
 // successor (Ports.Resume) carries on mid-generation, so what it stages
-// before its first Intake is for the right incarnation.
+// before its first Intake is for the right incarnation. The owner's Begin
+// or Resume comes first: the edge keeps to that incarnation's doorbell.
 func NewEdge(port *Port) *Edge {
-	e := &Edge{port: port}
+	e := &Edge{port: port, name: port.owner.name + ":" + port.edge}
+	e.bell = port.owner.bell.Load()
 	e.cur, e.gen = port.held()
 	return e
 }
@@ -92,8 +101,23 @@ func (e *Edge) Intake(scratch []msg.Req, onRestart func(), handle func([]msg.Req
 	return worked
 }
 
-// Push stages requests for the incarnation this edge last adopted.
-func (e *Edge) Push(reqs ...msg.Req) { e.q = append(e.q, reqs...) }
+// Push stages requests for the incarnation this edge last adopted. The
+// Poll that pushes must Flush the edge before it returns.
+func (e *Edge) Push(reqs ...msg.Req) {
+	e.q = append(e.q, reqs...)
+	if !e.unflushed && len(reqs) > 0 {
+		e.unflushed = true
+		e.bell.Staged(e.name)
+	}
+}
+
+// flushed ends the pushes' wait for a Flush (or a Drop, or TakeStaged).
+func (e *Edge) flushed() {
+	if e.unflushed {
+		e.unflushed = false
+		e.bell.Flushed(e.name)
+	}
+}
 
 // Flush is the send half of an iteration: everything staged goes out in
 // one SendBatch, one doorbell ring. What the queue does not accept stays
@@ -101,6 +125,7 @@ func (e *Edge) Push(reqs ...msg.Req) { e.q = append(e.q, reqs...) }
 // it was staged is dropped, never delivered late. Reports whether anything
 // moved.
 func (e *Edge) Flush() bool {
+	e.flushed()
 	if len(e.q) == 0 {
 		return false
 	}
@@ -116,6 +141,7 @@ func (e *Edge) Flush() bool {
 // Drop discards the staged requests and counts them (the peer restarted;
 // the queue they were meant for is gone).
 func (e *Edge) Drop() {
+	e.flushed()
 	e.dropped.Add(uint64(len(e.q)))
 	e.q = e.q[:0]
 }
@@ -126,6 +152,7 @@ func (e *Edge) Drop() {
 // successor's edge instead of being lost — the peer never reincarnated, so
 // the batch is still meant for it.
 func (e *Edge) TakeStaged() []msg.Req {
+	e.flushed()
 	q := e.q
 	e.q = nil
 	return q

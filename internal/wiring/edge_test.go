@@ -1,10 +1,13 @@
 package wiring
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"newtos/internal/channel"
 	"newtos/internal/msg"
+	"newtos/internal/proc"
 )
 
 // Take is the tests' two-value view of take: it adopts a pending rebind and
@@ -233,5 +236,88 @@ func TestEdge(t *testing.T) {
 				tc.check(t, r)
 			}
 		})
+	}
+}
+
+// pushOnce is a server whose first Poll pushes one request onto its edge
+// and, when flush is set, flushes it; every later Poll finds nothing.
+type pushOnce struct {
+	ports  *Ports
+	edge   *Edge
+	flush  bool
+	pushed bool
+}
+
+func (s *pushOnce) Init(rt *proc.Runtime, restart bool) error {
+	s.ports.Begin(rt.Bell)
+	s.edge = NewEdge(s.ports.Attach("sc-pf"))
+	return nil
+}
+
+func (s *pushOnce) Poll(time.Time) bool {
+	if s.pushed {
+		return false
+	}
+	s.pushed = true
+	s.edge.Push(msg.Req{ID: 1})
+	if s.flush {
+		s.edge.Flush()
+	}
+	return true
+}
+
+func (s *pushOnce) Deadline(time.Time) time.Time { return time.Time{} }
+func (s *pushOnce) Stop()                        {}
+
+// TestUnflushedPushIsCounted: a Poll that pushes onto an edge and returns
+// without flushing it breaks the doorbell contract, and the runner counts
+// the empty Poll after it, naming the component and the edge. A Poll that
+// flushes what it pushes is not counted, wired peer or not.
+func TestUnflushedPushIsCounted(t *testing.T) {
+	for _, flush := range []bool{false, true} {
+		ports := NewPorts(newHub(), "pf")
+		p := proc.New("pf", func() proc.Service { return &pushOnce{ports: ports, flush: flush} }, nil)
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for end := time.Now().Add(5 * time.Second); p.Polls() < 2; {
+			if time.Now().After(end) {
+				t.Fatalf("flush=%v: %d Polls in 5 s, want the pushing one and an empty one", flush, p.Polls())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		p.Shutdown()
+		n, edges := p.Unflushed()
+		if flush && n != 0 {
+			t.Errorf("flushed push: Unflushed = %d %v, want 0", n, edges)
+		}
+		if !flush && (n == 0 || !slices.Equal(edges, []string{"pf:sc-pf"})) {
+			t.Errorf("unflushed push: Unflushed = %d %v, want at least 1 naming [pf:sc-pf]", n, edges)
+		}
+	}
+}
+
+// TestDroppedIsReadWhileTheLoopDrops: a DropReporter reads an edge's drop
+// count from another goroutine while the owning loop drops. Under -race a
+// count written with sync/atomic and read plainly (or the reverse) fails
+// here on every run, not only when a node's start-up happens to interleave
+// that way.
+func TestDroppedIsReadWhileTheLoopDrops(t *testing.T) {
+	r := newEdgeRig(t, 0)
+	const n = 1000
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for i := 0; i < n; i++ {
+			_ = r.edge.Dropped()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		r.push(1)
+		r.edge.Drop()
+	}
+	<-read
+	if got := r.edge.Dropped(); got != n {
+		t.Fatalf("Dropped = %d, want %d", got, n)
 	}
 }

@@ -60,6 +60,10 @@ func NewHub(kern *kipc.Kernel) *Hub {
 // Port is one server's end of one edge. Safe for a single owning loop plus
 // concurrent rebinds from registry callbacks.
 type Port struct {
+	// owner and edge name this end: the component holding it and the edge.
+	owner *Ports
+	edge  string
+
 	// gen advances every time a rebind installs a fresh duplex; the owner
 	// compares it with the generation it holds, so an iteration without a
 	// rebind reads it without the lock.
@@ -215,7 +219,7 @@ func (ps *Ports) port(edge string) *Port {
 	if p, ok := ps.ports[edge]; ok {
 		return p
 	}
-	p := &Port{}
+	p := &Port{owner: ps, edge: edge}
 	ps.ports[edge] = p
 	return p
 }
