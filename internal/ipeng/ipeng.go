@@ -163,6 +163,9 @@ type peer struct {
 	out []msg.Req
 	ifc *iface  // PeerDriver: the interface behind the driver
 	gro groSlot // PeerTCP: the run of mergeable segments
+	// spare is the array the last Drain handed out; the next Drain
+	// continues out on it.
+	spare []msg.Req
 }
 
 type iface struct {
@@ -367,7 +370,8 @@ func (e *Engine) From(p int, batch []msg.Req, now time.Time) {
 
 // Drain returns what the engine has pending for peer p. A TCP peer's GRO
 // run is closed first — coalescing never holds a segment past the loop
-// iteration that received it.
+// iteration that received it. The returned slice is valid until the next
+// Drain of the same peer.
 func (e *Engine) Drain(p int) []msg.Req {
 	to := e.peer(p)
 	if to == nil {
@@ -376,9 +380,7 @@ func (e *Engine) Drain(p int) []msg.Req {
 	if to.Kind == PeerTCP {
 		e.groFlush(to)
 	}
-	out := to.out
-	to.out = nil
-	return out
+	return msg.Drain(&to.out, &to.spare)
 }
 
 // Restart is IP's recovery role for the reincarnation of peer p: abort

@@ -2,6 +2,7 @@ package ipeng
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -339,11 +340,12 @@ func TestRestartTouchesOnlyThatPeer(t *testing.T) {
 // the flagship shape (bench/layers/ip.go: 32 full-size TCP segments per
 // batch, PF junction on): one batch out — transport, verdicts, driver,
 // completions — and one batch of in-order segments in — driver, verdicts,
-// GRO, transport, buffers released. The ceilings are what the peer table
-// reaches — per packet an outPkt and its payload chain going out, an inPkt
-// coming in, the rest is output queues growing from empty each iteration —
-// because tracking a request builds no scope string and no closure (the
-// design before measured 242 and 88). They are a guard, not a claim.
+// GRO, transport, buffers released. The ceilings are exactly what remains:
+// per packet an outPkt and its payload chain going out, an inPkt coming in.
+// Tracking a request builds no scope string and no closure (the design
+// before measured 242 and 88), and the output queues reuse their arrays
+// (82 and 40 while each Drain left its queue to grow from empty). They are
+// a guard, not a claim.
 func TestBatchAllocationCeiling(t *testing.T) {
 	const batch = 32
 	r := newHubRig(t, 1, Config{PFEnabled: true, Offload: true})
@@ -393,14 +395,43 @@ func TestBatchAllocationCeiling(t *testing.T) {
 		run     func()
 		ceiling float64
 	}{
-		{"tx", tx, 82},
-		{"rx", rx, 40},
+		{"tx", tx, 2 * batch},
+		{"rx", rx, batch},
 	} {
-		c.run() // reach steady state: queues and the request table grown
+		// Reach steady state: both arrays of every queue and the request
+		// table grown.
+		c.run()
+		c.run()
 		got := testing.AllocsPerRun(20, c.run)
 		t.Logf("%s: %.1f allocations per %d-segment batch", c.name, got, batch)
 		if got > c.ceiling {
 			t.Errorf("%s: %.1f allocations per %d-segment batch, ceiling %.0f", c.name, got, batch, c.ceiling)
+		}
+	}
+}
+
+// TestDrainedBatchOutlivesNewOutput: a drained batch stays as it was until
+// the next Drain of the same peer, whatever the engine queues for that peer
+// meanwhile; callers feed a drained batch back into the engine while still
+// reading it.
+func TestDrainedBatchOutlivesNewOutput(t *testing.T) {
+	r := newHubRig(t, 1, Config{Offload: true})
+	var id uint64
+	send := func() {
+		id++
+		r.e.From(r.tcp(), []msg.Req{r.ipSendReq(0, id)}, r.now)
+	}
+	for round := 0; round < 3; round++ { // past the first swap of the two arrays
+		send()
+		first := r.e.Drain(0)
+		want := slices.Clone(first)
+		send()
+		if len(first) == 0 || !slices.Equal(first, want) {
+			t.Fatalf("round %d: drained %+v became %+v when the engine queued more", round, want, first)
+		}
+		second := r.e.Drain(0)
+		if len(second) != len(want) || second[0].ID == want[0].ID {
+			t.Fatalf("round %d: second drain %+v, first %+v", round, second, want)
 		}
 	}
 }

@@ -174,11 +174,17 @@ func (r *Req) Chain() []shm.RichPtr { return r.Ptrs[:r.NPtr] }
 // SetChain copies ptrs into the request, panicking if too long (a
 // programming error: chains must be bounded by construction).
 func (r *Req) SetChain(ptrs []shm.RichPtr) {
-	if len(ptrs) > MaxPtrs {
-		panic(fmt.Sprintf("msg: chain of %d exceeds MaxPtrs", len(ptrs)))
+	r.NPtr = 0
+	r.AppendChain(ptrs...)
+}
+
+// AppendChain copies ptrs after the request's chain, panicking, as SetChain
+// does, if the chain would exceed MaxPtrs.
+func (r *Req) AppendChain(ptrs ...shm.RichPtr) {
+	if n := int(r.NPtr) + len(ptrs); n > MaxPtrs {
+		panic(fmt.Sprintf("msg: chain of %d exceeds MaxPtrs", n))
 	}
-	n := copy(r.Ptrs[:], ptrs)
-	r.NPtr = uint8(n)
+	r.NPtr += uint8(copy(r.Ptrs[r.NPtr:], ptrs))
 }
 
 // ChainLen returns the total byte length referenced by the chain.
@@ -188,6 +194,16 @@ func (r *Req) ChainLen() int {
 		n += int(p.Len)
 	}
 	return n
+}
+
+// Drain returns the requests queued in *q and leaves *q empty on *spare's
+// array, the returned one becoming the spare: an outbox drained once per
+// loop iteration reuses two arrays instead of growing a new one each time.
+// The returned slice is valid until the next Drain of the same queue.
+func Drain(q, spare *[]Req) []Req {
+	out := *q
+	*q, *spare = (*spare)[:0], out
+	return out
 }
 
 // Reply builds a reply to r with the given op and status, echoing ID and Flow.

@@ -378,8 +378,14 @@ func (d *Device) transmitDesc(tx *wireDir, desc TxDesc) bool {
 			return false
 		}
 		d.stats.tso.Add(uint64(len(frames) - 1))
+		flags := desc.Flags
+		if len(frames) > 1 {
+			// The split filled every frame's checksums; a payload that
+			// fit one MSS came back as it was and still wants them.
+			flags &^= TxCsumIP | TxCsumL4
+		}
 		for _, f := range frames {
-			if !d.putOnWire(tx, f, desc.Flags) {
+			if !d.putOnWire(tx, f, flags) {
 				return false
 			}
 		}

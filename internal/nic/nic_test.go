@@ -256,34 +256,49 @@ func TestTSOSmallPayloadPassesThrough(t *testing.T) {
 	}
 }
 
+// TestTSOEndToEnd posts TSO descriptors whose checksums are left for the
+// device. A split burst's frames carry the checksums the split computed; a
+// payload that fits one MSS is not split, and the device must still fill
+// its checksums.
 func TestTSOEndToEnd(t *testing.T) {
-	a, b, space, done := devicePair(t, WireConfig{})
-	defer done()
-	postBuffers(t, space, b, 32)
-	txPool, _ := space.NewPool("tx", 16384, 2)
-	payload := bytes.Repeat([]byte("z"), 5000)
-	frame := buildFrame(t, payload, false)
-	ptr, buf, _ := txPool.Alloc()
-	copy(buf, frame)
-	err := a.PostTx(TxDesc{
-		Ptrs:    []shm.RichPtr{ptr.Slice(0, uint32(len(frame)))},
-		Flags:   TxTSO | TxCsumIP | TxCsumL4,
-		SegSize: 1460, Cookie: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx := waitRx(t, b, 4) // 5000/1460 -> 4 segments
-	total := 0
-	for _, c := range rx {
-		if !c.CsumOK {
-			t.Fatal("TSO segment failed checksum")
-		}
-		total += c.Len
-	}
-	wantTotal := 4*(netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.TCPHeaderLen) + len(payload)
-	if total != wantTotal {
-		t.Fatalf("received %d bytes, want %d", total, wantTotal)
+	for _, tc := range []struct {
+		name    string
+		payload int
+		frames  int
+	}{
+		{"split", 5000, 4}, // 5000/1460 -> 4 segments
+		{"one MSS", 1460, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b, space, done := devicePair(t, WireConfig{})
+			defer done()
+			postBuffers(t, space, b, 32)
+			txPool, _ := space.NewPool("tx", 16384, 2)
+			payload := bytes.Repeat([]byte("z"), tc.payload)
+			frame := buildFrame(t, payload, false)
+			ptr, buf, _ := txPool.Alloc()
+			copy(buf, frame)
+			err := a.PostTx(TxDesc{
+				Ptrs:    []shm.RichPtr{ptr.Slice(0, uint32(len(frame)))},
+				Flags:   TxTSO | TxCsumIP | TxCsumL4,
+				SegSize: 1460, Cookie: 9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx := waitRx(t, b, tc.frames)
+			total := 0
+			for _, c := range rx {
+				if !c.CsumOK {
+					t.Fatal("TSO segment failed checksum")
+				}
+				total += c.Len
+			}
+			wantTotal := tc.frames*(netpkt.EthHeaderLen+netpkt.IPv4HeaderLen+netpkt.TCPHeaderLen) + len(payload)
+			if total != wantTotal {
+				t.Fatalf("received %d bytes, want %d", total, wantTotal)
+			}
+		})
 	}
 }
 

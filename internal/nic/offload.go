@@ -104,7 +104,8 @@ const tsoMaxHdr = netpkt.EthHeaderLen + 60 + 60
 // Working on the chain matters for the gather-DMA model: the 64 KB burst is
 // never copied into one flat staging buffer first — the header template is
 // read once and each output frame gathers only its own payload span, so
-// every payload byte is touched exactly once on the TX path.
+// every payload byte is touched exactly once on the TX path. A payload that
+// fits one MSS comes back as the one frame it is, its checksums not filled.
 func tsoSplitChain(pkt netpkt.Packet, mss int) ([][]byte, error) {
 	if mss <= 0 {
 		return nil, errors.New("nic: tso with zero mss")

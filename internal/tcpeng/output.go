@@ -188,7 +188,8 @@ func (e *Engine) emit(p *pcb, flags uint8, seq uint32, payload []shm.RichPtr, pl
 	}
 	e.trackFrame(id, hdr)
 	req := msg.Req{ID: id, Op: msg.OpIPSend, Flow: p.id}
-	req.SetChain(append([]shm.RichPtr{hdr}, payload...))
+	req.AppendChain(hdr)
+	req.AppendChain(payload...)
 	req.Arg[0] = uint64(netpkt.ProtoTCP) | uint64(segSize)<<16
 	req.Arg[1] = uint64(src.U32())
 	req.Arg[2] = uint64(p.remoteIP.U32())

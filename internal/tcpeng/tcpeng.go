@@ -274,6 +274,9 @@ type Engine struct {
 
 	toIP    []msg.Req
 	toFront []msg.Req
+	// The arrays the outboxes were last drained from: each Drain hands its
+	// outbox out and continues on the spare. Not part of the state image.
+	toIPSpare, toFrontSpare []msg.Req
 
 	stats Stats
 	now   time.Time // updated at every entry point
@@ -375,18 +378,16 @@ func (e *Engine) disarmAll(p *pcb) {
 	}
 }
 
-// DrainToIP returns and clears pending requests towards IP.
+// DrainToIP returns and clears the pending requests towards IP. The returned
+// slice is valid until the next DrainToIP.
 func (e *Engine) DrainToIP() []msg.Req {
-	out := e.toIP
-	e.toIP = nil
-	return out
+	return msg.Drain(&e.toIP, &e.toIPSpare)
 }
 
-// DrainToFront returns and clears pending replies towards the frontdoor.
+// DrainToFront returns and clears the pending replies towards the frontdoor.
+// The returned slice is valid until the next DrainToFront.
 func (e *Engine) DrainToFront() []msg.Req {
-	out := e.toFront
-	e.toFront = nil
-	return out
+	return msg.Drain(&e.toFront, &e.toFrontSpare)
 }
 
 // FromFront handles one application request.

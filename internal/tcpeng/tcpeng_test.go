@@ -3,6 +3,7 @@ package tcpeng
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -776,6 +777,49 @@ func TestUnservedOpIsAnsweredInval(t *testing.T) {
 		}
 		if out := e.DrainToIP(); len(out) != 0 {
 			t.Errorf("%v: %d requests towards IP", op, len(out))
+		}
+	}
+}
+
+// TestDrainedOutboxOutlivesNewOutput: a drained slice stays as it was until
+// the next drain of the same outbox, whatever the engine queues meanwhile;
+// callers feed drained requests back into the engine while still reading
+// them.
+func TestDrainedOutboxOutlivesNewOutput(t *testing.T) {
+	e := freshEngine(t)
+	now := time.Unix(1, 0)
+	var id uint64
+	create := func() {
+		id++
+		e.FromFront(msg.Req{ID: id, Op: msg.OpSockCreate}, now)
+	}
+	connect := func() { // a fresh socket's SYN
+		create()
+		sock := e.DrainToFront()[0].Flow
+		id++
+		r := msg.Req{ID: id, Op: msg.OpSockConnect, Flow: sock}
+		r.Arg[0], r.Arg[1] = uint64(netpkt.IPAddr{10, 0, 0, 2}.U32()), 80
+		e.FromFront(r, now)
+	}
+	for _, box := range []struct {
+		name  string
+		queue func()
+		drain func() []msg.Req
+	}{
+		{"toIP", connect, e.DrainToIP},
+		{"toFront", create, e.DrainToFront},
+	} {
+		for round := 0; round < 3; round++ { // past the first swap of the two arrays
+			box.queue()
+			first := box.drain()
+			want := slices.Clone(first)
+			box.queue()
+			if len(first) == 0 || !slices.Equal(first, want) {
+				t.Fatalf("%s, round %d: drained %+v became %+v when the engine queued more", box.name, round, want, first)
+			}
+			if second := box.drain(); len(second) != len(want) {
+				t.Fatalf("%s, round %d: second drain holds %d requests, want %d", box.name, round, len(second), len(want))
+			}
 		}
 	}
 }

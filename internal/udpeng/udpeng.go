@@ -63,6 +63,9 @@ type Engine struct {
 
 	toIP    []msg.Req
 	toFront []msg.Req
+	// The arrays the outboxes were last drained from: each Drain hands its
+	// outbox out and continues on the spare. Not part of the state image.
+	toIPSpare, toFrontSpare []msg.Req
 	// dirty marks a socket-table change that Tick has yet to save.
 	dirty bool
 
@@ -139,18 +142,16 @@ func (e *Engine) srcFor(dst netpkt.IPAddr) netpkt.IPAddr {
 // NumSockets returns the live socket count.
 func (e *Engine) NumSockets() int { return len(e.sockets) }
 
-// DrainToIP returns and clears the pending requests towards IP.
+// DrainToIP returns and clears the pending requests towards IP. The returned
+// slice is valid until the next DrainToIP.
 func (e *Engine) DrainToIP() []msg.Req {
-	out := e.toIP
-	e.toIP = nil
-	return out
+	return msg.Drain(&e.toIP, &e.toIPSpare)
 }
 
-// DrainToFront returns and clears pending replies towards the frontdoor.
+// DrainToFront returns and clears the pending replies towards the frontdoor.
+// The returned slice is valid until the next DrainToFront.
 func (e *Engine) DrainToFront() []msg.Req {
-	out := e.toFront
-	e.toFront = nil
-	return out
+	return msg.Drain(&e.toFront, &e.toFrontSpare)
 }
 
 // FromFront handles one application request (via SYSCALL server or direct).
@@ -380,8 +381,8 @@ func (e *Engine) send(r msg.Req) {
 	s.inflight++
 
 	req := msg.Req{ID: id, Op: msg.OpIPSend, Flow: s.id}
-	chain := append([]shm.RichPtr{ps.hdr}, payload...)
-	req.SetChain(chain)
+	req.AppendChain(ps.hdr)
+	req.AppendChain(payload...)
 	req.Arg[0] = uint64(netpkt.ProtoUDP)
 	req.Arg[1] = uint64(src.U32())
 	req.Arg[2] = uint64(dstIP.U32())
@@ -416,7 +417,8 @@ func (e *Engine) resubmitSend(ps pendingSend) {
 		e.resubmitSend(data.(pendingSend))
 	})
 	req := msg.Req{ID: id, Op: msg.OpIPSend, Flow: ps.sock}
-	req.SetChain(append([]shm.RichPtr{ps.hdr}, ps.payload...))
+	req.AppendChain(ps.hdr)
+	req.AppendChain(ps.payload...)
 	req.Arg[0] = uint64(netpkt.ProtoUDP)
 	req.Arg[1] = uint64(e.srcFor(ps.dstIP).U32())
 	req.Arg[2] = uint64(ps.dstIP.U32())
@@ -440,6 +442,13 @@ func (e *Engine) sendDone(r msg.Req) {
 	if s, ok := e.sockets[ps.sock]; ok {
 		s.inflight--
 		e.recycle(s, ps.payload)
+		if r.Status == msg.StatusErrNoBufs {
+			// IP dropped the datagram (a full device ring, say). The
+			// sender reads NoBufs as "restage on the writable edge"
+			// (sock.ErrNoBufs), and its chunks are back: announce it,
+			// as send's own refusal does.
+			e.event(s, msg.EvWritable)
+		}
 	} else if s, ok := e.closing[ps.sock]; ok {
 		if s.inflight--; s.inflight == 0 {
 			s.buf.Destroy(e.cfg.Space)

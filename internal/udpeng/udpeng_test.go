@@ -2,6 +2,7 @@ package udpeng
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -466,6 +467,33 @@ func TestNoBufsRefusalAnnouncesWritable(t *testing.T) {
 	}
 }
 
+// TestNoBufsCompletionAnnouncesWritable: a send IP completes with
+// StatusErrNoBufs (the device's TX ring was full and the datagram dropped)
+// reaches the sender as sock.ErrNoBufs, which it retries on the writable
+// edge. The engine owes that edge even though the sender's ring never ran
+// dry; without it the sender waits forever.
+func TestNoBufsCompletionAnnouncesWritable(t *testing.T) {
+	h := newHarness(t)
+	sock := h.socket()
+	h.nonblocking(sock)
+	if st := h.bind(sock, 5000); st != msg.StatusOK {
+		t.Fatalf("bind: %d", st)
+	}
+	h.send(sock, []byte("x"))
+	out := h.e.DrainToIP()
+	if len(out) != 1 || out[0].Op != msg.OpIPSend {
+		t.Fatalf("toIP = %+v", out)
+	}
+	h.e.FromIP(msg.Req{ID: out[0].ID, Op: msg.OpIPSendDone, Status: msg.StatusErrNoBufs})
+	reps := h.e.DrainToFront()
+	if len(reps) == 0 || reps[len(reps)-1].Status != msg.StatusErrNoBufs {
+		t.Fatalf("send dropped by IP: front got %+v, want the NoBufs reply", reps)
+	}
+	if eventBits(reps, sock)&msg.EvWritable == 0 {
+		t.Fatalf("send dropped by IP answered NoBufs without a writable edge: %+v", reps)
+	}
+}
+
 // TestFrontRestartReannouncesReadiness: a restarted frontdoor never sees the
 // edges staged towards its dead incarnation (the edge's restart rule drops
 // them), so the engine re-announces every nonblocking socket's current
@@ -510,5 +538,91 @@ func TestUnservedOpIsAnsweredInval(t *testing.T) {
 		if out := h.e.DrainToIP(); len(out) != 0 {
 			t.Errorf("%v: %d requests towards IP", op, len(out))
 		}
+	}
+}
+
+// send stages payload in sock's buffer and hands the engine the send.
+func (h *harness) send(sock uint32, payload []byte) {
+	h.t.Helper()
+	buf := h.bufs[sock]
+	chunk, ok := buf.Get()
+	if !ok {
+		h.t.Fatal("socket buffer exhausted")
+	}
+	ptr, err := buf.Write(chunk, payload)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.next++
+	r := msg.Req{ID: h.next, Op: msg.OpSockSend, Flow: sock}
+	r.SetChain([]shm.RichPtr{ptr})
+	r.Arg[0], r.Arg[1] = uint64(netpkt.IPAddr{10, 0, 0, 2}.U32()), 53
+	h.e.FromFront(r)
+}
+
+// TestDrainedOutboxOutlivesNewOutput: a drained slice stays as it was until
+// the next drain of the same outbox, whatever the engine queues meanwhile;
+// callers feed drained requests back into the engine while still reading
+// them.
+func TestDrainedOutboxOutlivesNewOutput(t *testing.T) {
+	h := newHarness(t)
+	sock := h.socket()
+	if st := h.bind(sock, 5000); st != msg.StatusOK {
+		t.Fatalf("bind: %d", st)
+	}
+	for _, box := range []struct {
+		name  string
+		queue func()
+		drain func() []msg.Req
+	}{
+		{"toIP", func() { h.send(sock, []byte("query")) }, h.e.DrainToIP},
+		{"toFront", func() { h.e.FromFront(msg.Req{ID: 99, Op: msg.OpSockCreate}) }, h.e.DrainToFront},
+	} {
+		for round := 0; round < 3; round++ { // past the first swap of the two arrays
+			box.queue()
+			first := box.drain()
+			want := slices.Clone(first)
+			box.queue()
+			if len(first) == 0 || !slices.Equal(first, want) {
+				t.Fatalf("%s, round %d: drained %+v became %+v when the engine queued more", box.name, round, want, first)
+			}
+			if second := box.drain(); len(second) != len(want) {
+				t.Fatalf("%s, round %d: second drain holds %d requests, want %d", box.name, round, len(second), len(want))
+			}
+		}
+	}
+}
+
+// TestSendCycleAllocations pins the allocations of one steady-state
+// datagram, in the benchmark's shape (checksum offload, 64 B): the send
+// request, DrainToIP, IP's OpIPSendDone and DrainToFront. Three remain: the
+// send's own copy of its payload chain, and the request-table entry's boxed
+// record and abort closure. The outboxes reuse their arrays and the IP
+// request's chain is written in place (6 before both). A guard, not a claim.
+func TestSendCycleAllocations(t *testing.T) {
+	h := newHarness(t)
+	h.e.cfg.Offload = true
+	sock := h.socket()
+	if st := h.bind(sock, 5000); st != msg.StatusOK {
+		t.Fatalf("bind: %d", st)
+	}
+	payload := make([]byte, 64)
+	cycle := func() {
+		h.send(sock, payload)
+		out := h.e.DrainToIP()
+		if len(out) != 1 || out[0].Op != msg.OpIPSend {
+			t.Fatalf("toIP = %+v", out)
+		}
+		h.e.FromIP(msg.Req{ID: out[0].ID, Op: msg.OpIPSendDone, Status: msg.StatusOK})
+		if reps := h.e.DrainToFront(); len(reps) != 1 || reps[0].Status != msg.StatusOK {
+			t.Fatalf("send replies = %+v", reps)
+		}
+	}
+	cycle()
+	cycle() // both arrays of each outbox grown
+	got := testing.AllocsPerRun(100, cycle)
+	t.Logf("%.1f allocations per datagram", got)
+	if got > 3 {
+		t.Errorf("%.1f allocations per datagram, want at most 3", got)
 	}
 }
