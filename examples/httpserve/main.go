@@ -91,7 +91,7 @@ func run() error {
 	// connection (ForceAttemptHTTP2 off, no idle reuse across the burst),
 	// hammer the same handler. The server side demultiplexes all of them
 	// through the stack's listener — the connection-scale story at example
-	// size (the 100k row lives in BenchmarkSec4_C100K).
+	// size (experiments.TestC100KSmoke holds 10k on one poller goroutine).
 	const clients, reqsPer = 64, 4
 	var wg sync.WaitGroup
 	var okCount atomic.Int64

@@ -4,10 +4,11 @@
 // is carried by the TCP protocol, this traffic remains completely
 // unaffected by the replacement."
 //
-// Unlike a crash-recovery restart (see examples/reincarnation), this demo
-// rides the drain-and-handoff path: Node.Upgrade quiesces the old engine
-// at a batch boundary, streams its live state to a fresh incarnation, and
-// re-points the wiring — no storage round-trip, no RTO stall. A TCP bulk
+// Unlike a crash-recovery restart (examples/pingflood crashes IP and shows
+// it reincarnated), this demo rides the drain-and-handoff path:
+// Node.Upgrade quiesces the old engine at a batch boundary, streams its
+// live state to a fresh incarnation, and re-points the wiring — no storage
+// round-trip, no RTO stall. A TCP bulk
 // transfer is mid-flight through the very TCP server being swapped, and the
 // demo asserts the echoed stream comes back byte-exact; the UDP socket
 // keeps answering without being reopened. Phase timings (drain, transfer,

@@ -7,7 +7,7 @@
 // core: each socket runs in stack-level nonblocking mode and the library
 // waits on edge-triggered readiness events instead of parking a call in a
 // server. The same machinery scales to one goroutine serving hundreds of
-// sockets (sock.Poller; see experiments.RunManyConns) and to unmodified
+// sockets (sock.Poller; see experiments.TestC100KSmoke) and to unmodified
 // stdlib code over sock.Dial / sock.Listen (see examples/httpserve).
 package main
 

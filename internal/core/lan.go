@@ -24,7 +24,7 @@ type LANOpts struct {
 	// peer's address on that wire. With plain subnet routes a dst is only
 	// reachable over its own wire; peer gateways give the route table a
 	// live fallback, so a link failure mid-transfer can fail over to a
-	// surviving NIC (experiments.RunLinkFailover).
+	// surviving NIC (experiments.TestLinkFailover).
 	PeerGateways bool
 }
 

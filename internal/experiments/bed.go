@@ -90,29 +90,6 @@ func (b *bed) run(f func()) {
 	}()
 }
 
-// fanOut runs f(0) … f(n-1) concurrently on the bed and, once all have
-// returned, reports the first error among them.
-func (b *bed) fanOut(n int, f func(i int) error) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		b.run(func() {
-			defer wg.Done()
-			if err := f(i); err != nil {
-				errs <- err
-			}
-		})
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
 // fail records the first failure of a traffic goroutine; errors that are
 // only the bed shutting down do not count.
 func (b *bed) fail(err error) {
@@ -209,11 +186,14 @@ func (b *bed) sink(l *sock.Socket, rcvd *trace.Meter) <-chan struct{} {
 	return done
 }
 
-// source writes chunk-byte sends to s, iperf-like, counting into sent, until
+// chunkBytes is the application write size of every bulk source.
+const chunkBytes = 64 * 1024
+
+// source writes chunkBytes sends to s, iperf-like, counting into sent, until
 // the bed quiesces; it then closes s so the peer's sink reads EOF.
-func (b *bed) source(s *sock.Socket, chunk int, sent *trace.Meter) {
+func (b *bed) source(s *sock.Socket, sent *trace.Meter) {
 	b.run(func() {
-		data := make([]byte, chunk)
+		data := make([]byte, chunkBytes)
 		for !b.quiescing() {
 			n, err := s.Send(data)
 			sent.Add(n)
@@ -230,7 +210,7 @@ func (b *bed) source(s *sock.Socket, chunk int, sent *trace.Meter) {
 // given link: a sink on B behind port, a source on A, each its own
 // application process. The returned channel closes when the sink has read
 // EOF (after quiesce) or failed.
-func (b *bed) bulkFlow(link int, port uint16, chunk int, sent, rcvd *trace.Meter) (<-chan struct{}, error) {
+func (b *bed) bulkFlow(link int, port uint16, sent, rcvd *trace.Meter) (<-chan struct{}, error) {
 	sinkCli, err := b.client(b.lan.B, fmt.Sprintf("sink%d", port))
 	if err != nil {
 		return nil, err
@@ -248,7 +228,7 @@ func (b *bed) bulkFlow(link int, port uint16, chunk int, sent, rcvd *trace.Meter
 	if err != nil {
 		return nil, err
 	}
-	b.source(s, chunk, sent)
+	b.source(s, sent)
 	return done, nil
 }
 
@@ -256,7 +236,6 @@ func (b *bed) bulkFlow(link int, port uint16, chunk int, sent, rcvd *trace.Meter
 type echoStats struct {
 	accepted atomic.Int64 // connections accepted so far
 	peak     atomic.Int64 // most connections open at once
-	echoed   atomic.Int64 // bytes written back
 }
 
 // opened counts one accepted connection; only the accepting goroutine
@@ -270,17 +249,14 @@ func (st *echoStats) opened(active int64) {
 
 // echoServer is the classic blocking server: an accept loop on l and one
 // goroutine per connection echoing until EOF or error.
-func (b *bed) echoServer(l *sock.Socket, st *echoStats) {
-	var active atomic.Int64
+func (b *bed) echoServer(l *sock.Socket) {
 	b.run(func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			st.opened(active.Add(1))
 			b.run(func() {
-				defer active.Add(-1)
 				defer conn.Close()
 				buf := make([]byte, 64*1024)
 				for {
@@ -291,7 +267,6 @@ func (b *bed) echoServer(l *sock.Socket, st *echoStats) {
 					if _, err := conn.Send(buf[:n]); err != nil {
 						return
 					}
-					st.echoed.Add(int64(n))
 				}
 			})
 		}
@@ -332,7 +307,6 @@ func (b *bed) pollEchoServer(cli *sock.Client, listeners []*sock.Socket, st *ech
 		write := func(s *sock.Socket, data []byte) bool {
 			for len(data) > 0 {
 				n, err := s.Send(data)
-				st.echoed.Add(int64(n))
 				data = data[n:]
 				if errors.Is(err, sock.ErrWouldBlock) || (err == nil && len(data) > 0 && n == 0) {
 					pending[s] = append(pending[s], data...)

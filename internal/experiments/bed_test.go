@@ -21,12 +21,37 @@ func processCPU(t *testing.T) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// TestDriversLeaveNothingRunning runs every driver at its smallest size and
-// requires that it hands the process back as it found it: the goroutine
-// count returns to its baseline and an idle half second afterwards uses
-// under a tenth of one core. A client pump nobody closed, or a responder
-// spinning on the errors of a stopped stack, fails here: either makes run N
-// of a campaign depend on runs 0..N-1 of the same process.
+// leaveNothingRunning makes t, once it and its deferred calls are done,
+// require that the process is back as t found it: the goroutine count
+// returns to its baseline and an idle half second uses under a tenth of one
+// core. A client pump nobody closed, or a responder spinning on the errors
+// of a stopped stack, fails here: either makes run N of a campaign depend on
+// runs 0..N-1 of the same process.
+func leaveNothingRunning(t *testing.T) {
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		// Exiting goroutines need a moment to be gone from the count.
+		deadline := time.Now().Add(3 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines before, %d after:\n%s", base, n, buf[:runtime.Stack(buf, true)])
+			return
+		}
+		cpu0 := processCPU(t)
+		time.Sleep(500 * time.Millisecond)
+		if used := processCPU(t) - cpu0; used > 50*time.Millisecond {
+			t.Errorf("idle process used %v of CPU in 500ms", used)
+		}
+	})
+}
+
+// TestDriversLeaveNothingRunning runs every driver, and the connection-scale
+// and link-failover runs of TestC100KSmoke and TestLinkFailover, at its
+// smallest size and requires that it leaves nothing running
+// (leaveNothingRunning). The two tests end with the same check at full size.
 func TestDriversLeaveNothingRunning(t *testing.T) {
 	small := Table2Opts{Duration: 100 * time.Millisecond, Wires: 1, ConnsPerWire: 1}
 	drivers := []struct {
@@ -35,11 +60,6 @@ func TestDriversLeaveNothingRunning(t *testing.T) {
 	}{
 		{"RunTable2Row", func() error { _, err := RunTable2Row(RowSplitSCTSO, small); return err }},
 		{"RunTable2Row/single-server", func() error { _, err := RunTable2Row(RowSingleTSO, small); return err }},
-		{"RunMultiNIC", func() error { _, err := RunMultiNIC(small); return err }},
-		{"RunLinkFailover", func() error {
-			_, err := RunLinkFailover(FailoverOpts{Warmup: 100 * time.Millisecond, Tail: 50 * time.Millisecond})
-			return err
-		}},
 		{"RunCrashTrace", func() error {
 			_, err := RunCrashTrace(TraceOpts{
 				Target: core.CompIP, Total: 600 * time.Millisecond,
@@ -49,49 +69,27 @@ func TestDriversLeaveNothingRunning(t *testing.T) {
 		}},
 		{"RunTable1", func() error { _, err := RunTable1(); return err }},
 		{"RunCampaign", func() error { _, err := RunCampaign(CampaignOpts{Runs: 6, Seed: 1}); return err }},
-		{"RunManyConns/poller", func() error {
-			_, err := RunManyConns(ManyConnsOpts{Conns: 8, Rounds: 1, Poller: true})
-			return err
-		}},
-		{"RunManyConns/goroutines", func() error {
-			_, err := RunManyConns(ManyConnsOpts{Conns: 8, Rounds: 1})
-			return err
-		}},
-		{"RunC100K", func() error {
-			_, err := RunC100K(C100KOpts{
-				Conns: 64, Ports: 2, ActiveSubset: 8, Rounds: 1,
-				Baseline: 16, TickProbe: 4, TickWindow: 20 * time.Millisecond,
-			})
-			return err
-		}},
 		{"RunLiveUpdate", func() error {
 			_, err := RunLiveUpdate(LiveUpdateOpts{Conns: 8, Bulk: 64 * 1024})
 			return err
 		}},
-		{"RunRxBurst", func() error { _, err := RunRxBurst(RxBurstOpts{Factor: 2, Elastic: true}); return err }},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			leaveNothingRunning(t)
 			if err := d.run(); err != nil {
 				t.Errorf("driver failed: %v", err)
 			}
-			// Exiting goroutines need a moment to be gone from the count.
-			deadline := time.Now().Add(3 * time.Second)
-			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > base {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines before, %d after:\n%s", base, n, buf[:runtime.Stack(buf, true)])
-			}
-			cpu0 := processCPU(t)
-			time.Sleep(500 * time.Millisecond)
-			if used := processCPU(t) - cpu0; used > 50*time.Millisecond {
-				t.Fatalf("idle process used %v of CPU in 500ms", used)
-			}
 		})
 	}
+	t.Run("RunC100K", func(t *testing.T) {
+		leaveNothingRunning(t)
+		connScale(t, 64)
+	})
+	t.Run("RunLinkFailover", func(t *testing.T) {
+		leaveNothingRunning(t)
+		linkFailover(t, 100*time.Millisecond, 50*time.Millisecond)
+	})
 }
 
 // TestUDPQueryToUnboundPortReturns: a query nobody answers comes back false

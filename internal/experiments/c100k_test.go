@@ -3,81 +3,244 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"newtos/internal/core"
 	"newtos/internal/nic"
 	"newtos/internal/sock"
+	"newtos/internal/tcpeng"
+	"newtos/internal/tcpsrv"
 )
 
-// TestC100KSmoke runs the connection-scale experiment small enough for the
-// default suite: a couple thousand mostly-idle connections plus an active
-// echo subset, exercising the timer heap, the connection maps, ephemeral
-// port reuse across listener ports, and lazy TX-buffer provisioning end
-// to end through the split stack.
+// TestC100KSmoke holds 10 000 TCP connections (512 under -short)
+// established through the full split stack, every one served by ONE
+// pollEchoServer goroutine, and measures what scale costs. Idle connections
+// arm no timer, so the TCP engine's per-Tick cost under an identical echo
+// probe barely moves between a tenth of the population and all of it;
+// connections sit in two Go maps with lazily provisioned TX buffers, so the
+// whole process's heap per connection stays small; and an active subset
+// still echoes with the idle mass in place. It also exercises ephemeral-port
+// reuse across listener ports. At full size it holds the budgets: tick cost
+// at most 2.5× the baseline, at most 2 ms per Tick, at most 64 KiB per
+// connection. The 100 000-connection row of EXPERIMENTS.md is conns set to
+// 100_000.
 func TestC100KSmoke(t *testing.T) {
-	conns := 2000
+	conns := 10_000
 	if testing.Short() {
 		conns = 512
 	}
-	rep, err := RunC100K(C100KOpts{
-		Conns: conns, Ports: 4, ActiveSubset: 64, Rounds: 2,
-		Baseline: 256, TickProbe: 32, TickWindow: 150 * time.Millisecond,
+	leaveNothingRunning(t)
+	ratio, fullNs, heapPerConn := connScale(t, conns)
+	if testing.Short() {
+		return // the budgets are claims about scale
+	}
+	// 2x is the acceptance bound at 100k vs 1k; allow measurement slop at
+	// this smaller scale.
+	if ratio > 2.5 {
+		t.Errorf("tick cost grew x%.2f from %d to %d conns, want <= 2.5x", ratio, conns/10, conns)
+	}
+	if fullNs > 2e6 {
+		t.Errorf("per-Tick cost %.0f ns at %d conns, want <= 2ms", fullNs, conns)
+	}
+	// Whole-process bound: heap pcb + map entries + lazy (absent) TX
+	// buffer on the stack side, plus BOTH app-side Socket/Poller entries.
+	if heapPerConn > 64*1024 {
+		t.Errorf("heap %.0f B/conn, want <= 64KiB (whole-process bound)", heapPerConn)
+	}
+}
+
+// connScale establishes conns connections from one client to ONE
+// pollEchoServer goroutine, echoes over an active subset with the whole
+// population in place, and fails t unless the server held every connection
+// at once and every echo came back intact. It returns how the TCP engine's
+// per-Tick cost grew from a tenth of the population to all of it, the
+// per-Tick cost at full population, and the process heap per connection.
+func connScale(t *testing.T, conns int) (ratio, fullNs, heapPerConn float64) {
+	t.Helper()
+	const (
+		// ports spreads accepts over listeners: the client has ~33k
+		// ephemeral ports per remote port, so 100k connections between
+		// one address pair need at least 4.
+		ports   = 8
+		backlog = 4096
+		rounds  = 4 // echo round trips per active connection
+		payload = 128
+		// workers pipeline the client's connects and echoes; the load
+		// generator is not under test.
+		workers = 128
+		// probe connections echo during each Tick sample to keep the
+		// engine's loop iterating, the same ones at baseline and at scale.
+		probe      = 64
+		tickWindow = 300 * time.Millisecond
+		basePort   = 7100
+	)
+	baseline := conns / 10    // connections when the reference Tick cost is sampled
+	active := min(512, conns) // connections that echo in the latency phase
+
+	cfg := core.SplitTSO()
+	// Scale runs keep every loop busy for long stretches; under -race or
+	// on loaded CI machines the default 250ms hang heartbeat would
+	// false-positive and restart servers mid-experiment.
+	cfg.HeartbeatMiss = 10 * time.Second
+	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.close()
+
+	srv, err := b.client(b.lan.B, "c100ksrv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listeners := make([]*sock.Socket, ports)
+	for i := range listeners {
+		if listeners[i], err = listen(srv, uint16(basePort+i), backlog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st echoStats
+	b.pollEchoServer(srv, listeners, &st)
+
+	cli, err := b.client(b.lan.A, "c100kcli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := b.lan.IPOf("b", 0)
+	eng := b.lan.B.Proc(core.CompTCP).Service().(*tcpsrv.Server).Engine()
+
+	heap0 := heapAlloc()
+	// sockets[i] is index-assigned by exactly one worker: no locking.
+	sockets := make([]*sock.Socket, conns)
+	var issued atomic.Int64
+	// Pacing: the accept side costs ~2 control RPCs per child through one
+	// poller goroutine, so an unthrottled connect storm overruns the
+	// aggregate accept backlog and SYNs start dropping until clients time
+	// out. Keep issued-but-unaccepted connections well under the backlog.
+	const maxOutstanding = ports * backlog / 4
+	connect := func(lo, hi int) {
+		t.Helper()
+		err := fanOut(b, workers, func(w int) error {
+			for i := lo + w; i < hi; i += workers {
+				stall := time.Now()
+				for issued.Add(1); issued.Load()-st.accepted.Load() > maxOutstanding; {
+					issued.Add(-1)
+					if time.Since(stall) > 60*time.Second {
+						return errors.New("accept side stalled")
+					}
+					time.Sleep(time.Millisecond)
+					issued.Add(1)
+				}
+				s, err := dial(cli, sock.TCP, dst, uint16(basePort+i%ports))
+				if err != nil {
+					return fmt.Errorf("conn %d: %w", i, err)
+				}
+				sockets[i] = s
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The baseline population, then the reference Tick sample; the rest of
+	// the population, then the same probe with the idle mass in place.
+	start := time.Now()
+	connect(0, baseline)
+	probeConns := sockets[:min(probe, baseline)]
+	baseNs := sampleTick(t, eng, probeConns, payload, tickWindow)
+	connect(baseline, conns)
+	connectTime := time.Since(start)
+	heapPerConn = float64(int64(heapAlloc())-int64(heap0)) / float64(conns)
+	fullNs = sampleTick(t, eng, probeConns, payload, tickWindow)
+
+	// Echo latency over the active subset.
+	rtts := make([]time.Duration, active*rounds)
+	err = fanOut(b, workers, func(w int) error {
+		data, buf := make([]byte, payload), make([]byte, payload)
+		for i := w; i < active; i += workers {
+			for r := 0; r < rounds; r++ {
+				t0 := time.Now()
+				if err := echoRound(sockets[i], data, buf); err != nil {
+					return fmt.Errorf("echo conn %d round %d: %w", i, r, err)
+				}
+				rtts[i*rounds+r] = time.Since(t0)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Established != conns {
-		t.Fatalf("established %d of %d connections", rep.Established, conns)
+	var sum, maxRTT time.Duration
+	for _, d := range rtts {
+		sum += d
+		maxRTT = max(maxRTT, d)
 	}
-	if rep.PeakActive < conns {
-		t.Fatalf("server peak %d, want %d concurrent connections", rep.PeakActive, conns)
+	if peak := int(st.peak.Load()); peak < conns {
+		t.Fatalf("server peak %d, want %d concurrent connections on one goroutine", peak, conns)
 	}
-	if rep.EchoAvgRTT <= 0 {
-		t.Fatal("no echo latency measured")
-	}
-	t.Logf("%d conns in %v (%.0f conns/sec), tick %.0f ns -> %.0f ns (x%.2f), %.0f B/conn, echo avg %v max %v",
-		rep.Established, rep.ConnectElapsed.Round(time.Millisecond), rep.ConnectRate,
-		rep.BaselineTickNs, rep.FullTickNs, rep.TickRatio, rep.HeapPerConn,
-		rep.EchoAvgRTT, rep.EchoMaxRTT)
+	ratio = fullNs / baseNs
+	t.Logf("%d conns in %v (%.0f conns/sec), tick %.0f ns at %d -> %.0f ns (x%.2f), %.0f B/conn, echo avg %v max %v",
+		conns, connectTime.Round(time.Millisecond), float64(conns)/connectTime.Seconds(),
+		baseNs, baseline, fullNs, ratio, heapPerConn, sum/time.Duration(len(rtts)), maxRTT)
+	return ratio, fullNs, heapPerConn
 }
 
-// TestC100KScaleSmoke is the gated scale run (C100K_SMOKE=1): ~10k
-// connections with budget assertions on per-Tick cost and per-connection
-// memory. The full 100k row lives in BenchmarkSec4_C100K / EXPERIMENTS.md.
-func TestC100KScaleSmoke(t *testing.T) {
-	if os.Getenv("C100K_SMOKE") == "" {
-		t.Skip("set C100K_SMOKE=1 to run the ~10k-connection scale smoke")
+// fanOut runs f(0) … f(n-1) concurrently on the bed and, once all have
+// returned, reports the first error among them.
+func fanOut(b *bed, n int, f func(i int) error) error {
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		b.run(func() {
+			defer wg.Done()
+			if err := f(i); err != nil {
+				errs <- err
+			}
+		})
 	}
-	rep, err := RunC100K(C100KOpts{Conns: 10_000})
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
 	}
-	if rep.Established != rep.Conns {
-		t.Fatalf("established %d of %d connections", rep.Established, rep.Conns)
+}
+
+// heapAlloc is the live heap after a collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// sampleTick measures average nanoseconds per TCP-engine Tick while the
+// probe connections echo (server loops park when idle; the probe keeps
+// Ticks flowing without itself scaling with the idle population).
+func sampleTick(t *testing.T, eng *tcpeng.Engine, probe []*sock.Socket, payload int, window time.Duration) float64 {
+	t.Helper()
+	data, buf := make([]byte, payload), make([]byte, payload)
+	c0, n0 := eng.TickStats()
+	for deadline := time.Now().Add(window); time.Now().Before(deadline); {
+		for _, s := range probe {
+			if err := echoRound(s, data, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Idle connections arm no timer: per-Tick cost is set by the active
-	// probe, not the idle population. 2x is the acceptance bound at 100k vs 1k;
-	// allow measurement slop at this smaller scale.
-	if rep.TickRatio > 2.5 {
-		t.Errorf("tick cost grew x%.2f from %d to %d conns (%.0f -> %.0f ns), want <= 2.5x",
-			rep.TickRatio, rep.BaselineConns, rep.Conns, rep.BaselineTickNs, rep.FullTickNs)
+	c1, n1 := eng.TickStats()
+	if c1 == c0 {
+		t.Fatal("no engine ticks observed in the sampling window")
 	}
-	if rep.FullTickNs > 2e6 {
-		t.Errorf("per-Tick cost %.0f ns at %d conns, want <= 2ms", rep.FullTickNs, rep.Conns)
-	}
-	// Whole-process bound: heap pcb + map entries + lazy (absent) TX
-	// buffer on the stack side, plus BOTH app-side Socket/Poller entries.
-	if rep.HeapPerConn > 64*1024 {
-		t.Errorf("heap %.0f B/conn, want <= 64KiB (whole-process bound)", rep.HeapPerConn)
-	}
-	t.Logf("%d conns in %v (%.0f conns/sec), tick %.0f ns -> %.0f ns (x%.2f), %.0f B/conn, echo avg %v max %v",
-		rep.Established, rep.ConnectElapsed.Round(time.Millisecond), rep.ConnectRate,
-		rep.BaselineTickNs, rep.FullTickNs, rep.TickRatio, rep.HeapPerConn,
-		rep.EchoAvgRTT, rep.EchoMaxRTT)
+	return float64(n1-n0) / float64(c1-c0)
 }
 
 // TestConnChurnRace is the -race stress for the connection tables: churn

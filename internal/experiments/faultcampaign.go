@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"newtos/internal/core"
@@ -19,29 +18,20 @@ type CampaignOpts struct {
 	Runs int
 	// Seed makes the campaign reproducible.
 	Seed int64
-	// Weights gives each component's share of injections, reproducing
-	// Table III's skew ("because of different fraction of active code,
-	// some components are more likely to crash than the others").
-	Weights map[string]int
-	// HangFraction is the share of faults that hang instead of crash.
-	HangFraction float64
 }
 
-func (o *CampaignOpts) fill() {
-	if o.Runs == 0 {
-		o.Runs = 100
-	}
-	if o.Weights == nil {
-		// Paper Table III: TCP 25, UDP 10, IP 24, PF 25, Driver 16.
-		o.Weights = map[string]int{
-			core.CompTCP: 25, core.CompUDP: 10, core.CompIP: 24,
-			core.CompPF: 25, "eth0": 16,
-		}
-	}
-	if o.HangFraction == 0 {
-		o.HangFraction = 0.15
-	}
-}
+// campaignWeights gives each component's share of injections, reproducing
+// Table III's skew ("because of different fraction of active code, some
+// components are more likely to crash than the others"): TCP 25, UDP 10,
+// IP 24, PF 25, Driver 16. The lottery is laid out in this order, sorted by
+// name, so a seed names the same campaign in every process.
+var campaignWeights = []struct {
+	comp   string
+	weight int
+}{{"eth0", 16}, {core.CompIP, 24}, {core.CompPF, 25}, {core.CompTCP, 25}, {core.CompUDP, 10}}
+
+// hangFraction is the share of faults that hang instead of crash.
+const hangFraction = 0.15
 
 // RunOutcome classifies one injection, mirroring Table IV's categories.
 type RunOutcome struct {
@@ -115,26 +105,22 @@ type injection struct {
 }
 
 // campaignPlan draws the campaign's injections. It is a pure function of
-// opts: the weighted lottery is laid out over the SORTED component names, so
-// a seed names the same campaign in every process.
+// opts.
 func campaignPlan(opts CampaignOpts) []injection {
-	opts.fill()
-	comps := make([]string, 0, len(opts.Weights))
-	for comp := range opts.Weights {
-		comps = append(comps, comp)
+	if opts.Runs == 0 {
+		opts.Runs = 100
 	}
-	sort.Strings(comps)
 	var lottery []string
-	for _, comp := range comps {
-		for i := 0; i < opts.Weights[comp]; i++ {
-			lottery = append(lottery, comp)
+	for _, w := range campaignWeights {
+		for i := 0; i < w.weight; i++ {
+			lottery = append(lottery, w.comp)
 		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	plan := make([]injection, opts.Runs)
 	for run := range plan {
 		plan[run] = injection{comp: lottery[rng.Intn(len(lottery))], kind: faults.Crash}
-		if rng.Float64() < opts.HangFraction {
+		if rng.Float64() < hangFraction {
 			plan[run].kind = faults.Hang
 		}
 	}
@@ -179,7 +165,7 @@ func oneRun(comp string, kind faults.Kind, run int) (RunOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	b.echoServer(l, new(echoStats))
+	b.echoServer(l)
 	named, err := b.client(lan.B, "named")
 	if err != nil {
 		return out, err

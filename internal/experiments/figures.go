@@ -27,9 +27,6 @@ type TraceOpts struct {
 	Total time.Duration
 	// CrashAt lists injection instants (Figure 4: {4s}; Figure 5: two).
 	CrashAt []time.Duration
-	// SampleEvery is the bitrate sampling interval (100ms, like the
-	// tcpdump-derived plots).
-	SampleEvery time.Duration
 	// PFRules loads the filter with this many rules (Figure 5: 1024).
 	PFRules int
 	// LinkUpDelay is the device retrain time after reset; the Figure 4
@@ -41,9 +38,6 @@ func (o *TraceOpts) fill() {
 	if o.Total == 0 {
 		o.Total = 10 * time.Second
 	}
-	if o.SampleEvery == 0 {
-		o.SampleEvery = 100 * time.Millisecond
-	}
 	if len(o.CrashAt) == 0 {
 		o.CrashAt = []time.Duration{4 * time.Second}
 	}
@@ -51,6 +45,10 @@ func (o *TraceOpts) fill() {
 		o.LinkUpDelay = 800 * time.Millisecond
 	}
 }
+
+// sampleEvery is the bitrate sampling interval of a crash trace, like the
+// paper's tcpdump-derived plots.
+const sampleEvery = 100 * time.Millisecond
 
 // RunCrashTrace runs a single bulk TCP connection over one gigabit link,
 // injects crashes into the target component of the RECEIVING node at the
@@ -89,10 +87,10 @@ func RunCrashTrace(opts TraceOpts) ([]trace.Sample, error) {
 	}
 
 	var sent, rcvd trace.Meter
-	if _, err := b.bulkFlow(0, 5001, 64*1024, &sent, &rcvd); err != nil {
+	if _, err := b.bulkFlow(0, 5001, &sent, &rcvd); err != nil {
 		return nil, err
 	}
-	sampler := trace.NewSampler(&rcvd, opts.SampleEvery)
+	sampler := trace.NewSampler(&rcvd, sampleEvery)
 	start := time.Now()
 	next := 0
 	for time.Since(start) < opts.Total {
@@ -170,7 +168,7 @@ func RunTable1() ([]RecoveryReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.echoServer(l, new(echoStats))
+	b.echoServer(l)
 	if _, err := bindUDP(srv, 53); err != nil {
 		return nil, err
 	}

@@ -18,11 +18,6 @@ type LiveUpdateOpts struct {
 	// Conns is the number of concurrent poller-served echo connections held
 	// open across the swap (default 512).
 	Conns int
-	// Rounds is the number of echo round trips per connection before the
-	// swap; one more runs after it (default 2).
-	Rounds int
-	// Payload is the echo message size in bytes (default 128).
-	Payload int
 	// Bulk is the size of the bulk transfer that straddles the swap
 	// (default 1 MiB).
 	Bulk int
@@ -32,16 +27,18 @@ func (o *LiveUpdateOpts) fill() {
 	if o.Conns == 0 {
 		o.Conns = 512
 	}
-	if o.Rounds == 0 {
-		o.Rounds = 2
-	}
-	if o.Payload == 0 {
-		o.Payload = 128
-	}
 	if o.Bulk == 0 {
 		o.Bulk = 1 << 20
 	}
 }
+
+const (
+	// liveRounds is the number of echo round trips per connection before
+	// the swap; one more runs after it.
+	liveRounds = 2
+	// livePayload is the echo message size in bytes.
+	livePayload = 128
+)
 
 // LiveUpdateReport is the outcome of one RunLiveUpdate run.
 type LiveUpdateReport struct {
@@ -65,11 +62,6 @@ type LiveUpdateReport struct {
 	Elapsed   time.Duration
 }
 
-// MaxPause returns the longer of the two servers' handoff pauses.
-func (r LiveUpdateReport) MaxPause() time.Duration {
-	return max(r.TCPPhases.Total(), r.UDPPhases.Total())
-}
-
 // RunLiveUpdate measures the paper's §V deliberate-update scenario on the
 // flagship split stack: the TCP server and the UDP server are live-swapped
 // for new incarnations while a bulk transfer is mid-flight, Conns
@@ -84,9 +76,9 @@ func RunLiveUpdate(opts LiveUpdateOpts) (LiveUpdateReport, error) {
 	rep := LiveUpdateReport{Conns: opts.Conns}
 
 	cfg := core.SplitTSO()
-	// Like RunManyConns: under the race detector the server loops are slow
-	// enough to miss the default heartbeat, and a false hang-restart
-	// mid-swap would turn the planned upgrade into crash recovery.
+	// Under the race detector the server loops are slow enough to miss the
+	// default heartbeat, and a false hang-restart mid-swap would turn the
+	// planned upgrade into crash recovery.
 	cfg.HeartbeatMiss = 5 * time.Second
 	b, err := newBed(cfg, 1, nic.Gigabit(), core.LANOpts{}, 60*time.Second)
 	if err != nil {
@@ -165,10 +157,10 @@ func RunLiveUpdate(opts LiveUpdateOpts) (LiveUpdateReport, error) {
 				b.fail(fmt.Errorf("conn %d: %w", i, err))
 				return
 			}
-			data, buf := make([]byte, opts.Payload), make([]byte, opts.Payload)
+			data, buf := make([]byte, livePayload), make([]byte, livePayload)
 			fillPattern(data, i)
-			for r := 0; r <= opts.Rounds; r++ {
-				if r == opts.Rounds { // the post-swap round
+			for r := 0; r <= liveRounds; r++ {
+				if r == liveRounds { // the post-swap round
 					parked.Do(ready.Done)
 					<-swapDone
 				}

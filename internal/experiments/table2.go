@@ -1,7 +1,9 @@
-// Package experiments contains the drivers that regenerate every table and
-// figure of the paper's evaluation (§VI). The cmd/ binaries and the root
-// benchmark suite are thin wrappers around these functions, so `go test
-// -bench` and the standalone tools report identical numbers.
+// Package experiments contains the drivers that regenerate the tables and
+// figures of the paper's evaluation (§VI): Table II (cmd/tcpperf, and the
+// single-server row of the benchmark module), Tables I, III and IV
+// (cmd/faultinject), Figures 4 and 5 (cmd/crashtrace), and the live update
+// of §V. Every driver stands its LAN up on the same bed (bed.go), and the
+// features a paper artifact does not exercise are tests of this package.
 package experiments
 
 import (
@@ -47,8 +49,6 @@ type Table2Opts struct {
 	// Wires is the number of links (default 5, as in the paper): gigabit,
 	// or 10G for the monolithic row.
 	Wires int
-	// ChunkBytes is the application write size (default 64 KB).
-	ChunkBytes int
 	// ConnsPerWire runs parallel connections per link (default 4) — the
 	// window-limited per-connection rate times the flow parallelism the
 	// asynchronous split stack is designed to exploit.
@@ -62,19 +62,18 @@ func (o *Table2Opts) fill() {
 	if o.Wires == 0 {
 		o.Wires = 5
 	}
-	if o.ChunkBytes == 0 {
-		o.ChunkBytes = 64 * 1024
-	}
 	if o.ConnsPerWire == 0 {
 		o.ConnsPerWire = 4
 	}
 }
 
 // RunTable2Row measures peak outgoing TCP for one configuration and
-// returns aggregate Mbps. Every row is the same stack, the same driver
-// (RunLANTransfer) and the same two mirrored nodes; a row only chooses
-// core.Config fields and the wire.
+// returns aggregate Mbps: Wires links, ConnsPerWire parallel bulk
+// connections per link, measured after warmup. Every row is the same stack
+// and the same two mirrored nodes; a row only chooses core.Config fields
+// and the wire.
 func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
+	opts.fill()
 	cfg := core.SplitTSO() // row 6: every feature on, every server its own process
 	wcfg := nic.Gigabit()
 	switch row {
@@ -107,15 +106,6 @@ func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
 	default:
 		return 0, fmt.Errorf("experiments: unknown row %q", row)
 	}
-	return RunLANTransfer(cfg, wcfg, opts)
-}
-
-// RunLANTransfer measures aggregate A→B TCP throughput over a two-node LAN
-// in the given stack configuration: Wires links, ConnsPerWire parallel
-// bulk connections per link, measured after warmup. It is the shared
-// driver behind every Table II row and the multi-NIC comparison.
-func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (float64, error) {
-	opts.fill()
 	b, err := newBed(cfg, opts.Wires, wcfg, core.LANOpts{}, 30*time.Second)
 	if err != nil {
 		return 0, err
@@ -125,7 +115,7 @@ func RunLANTransfer(cfg core.Config, wcfg nic.WireConfig, opts Table2Opts) (floa
 	// ConnsPerWire bulk connections per wire; aggregate received bytes on B.
 	var sent, rcvd trace.Meter
 	for ci := 0; ci < opts.Wires*opts.ConnsPerWire; ci++ {
-		if _, err := b.bulkFlow(ci%opts.Wires, uint16(9000+ci), opts.ChunkBytes, &sent, &rcvd); err != nil {
+		if _, err := b.bulkFlow(ci%opts.Wires, uint16(9000+ci), &sent, &rcvd); err != nil {
 			return 0, err
 		}
 	}

@@ -8,44 +8,25 @@ import (
 	"newtos/internal/nic"
 )
 
-// TestSplitStackBatchedRunCompletes drives a full Table II split-stack
-// transfer (every hop of the T junction: syscall → TCP → IP → PF → IP →
-// driver) over the batched fast path — RecvBatch drains, per-iteration
-// outbox flushes, and coalesced doorbells on every server loop — and
-// checks the run completes with actual goodput.
+// TestSplitStackBatchedRunCompletes drives full Table II split-stack
+// transfers (every hop of the T junction: syscall → TCP → IP → PF → IP →
+// driver) over the batched fast path, with the SYSCALL server (row 3) and
+// without it (row 2, the doors hosted by the transports), and checks each
+// completes with actual goodput.
 func TestSplitStackBatchedRunCompletes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full split-stack transfer")
+		t.Skip("full split-stack transfers")
 	}
-	mbps, err := RunTable2Row(RowSplitSC, Table2Opts{
-		Duration: 500 * time.Millisecond, Wires: 2, ConnsPerWire: 2,
-	})
-	if err != nil {
-		t.Fatalf("split-stack run failed: %v", err)
-	}
-	if mbps <= 0 {
-		t.Fatalf("split-stack run moved no data (%.1f Mbps)", mbps)
-	}
-	t.Logf("split+sc with batching: %.1f Mbps", mbps)
+	runRows(t, RowSplit, RowSplitSC)
 }
 
-// TestSplitStackBatchedWithPFAndTSO exercises the remaining split rows so
-// the batched path is covered with the packet filter verdict round-trip
-// under TSO as well.
+// TestSplitStackBatchedWithPFAndTSO covers the batched path with the packet
+// filter verdict round-trip under TSO (row 6).
 func TestSplitStackBatchedWithPFAndTSO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full split-stack transfer")
 	}
-	mbps, err := RunTable2Row(RowSplitSCTSO, Table2Opts{
-		Duration: 500 * time.Millisecond, Wires: 2, ConnsPerWire: 2,
-	})
-	if err != nil {
-		t.Fatalf("split+tso run failed: %v", err)
-	}
-	if mbps <= 0 {
-		t.Fatalf("split+tso run moved no data (%.1f Mbps)", mbps)
-	}
-	t.Logf("split+sc+tso with batching: %.1f Mbps", mbps)
+	runRows(t, RowSplitSCTSO)
 }
 
 // TestSingleServerRowsRun runs the four rows that host the stack in one
@@ -56,10 +37,22 @@ func TestSingleServerRowsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full-stack transfers")
 	}
+	mbps := runRows(t, RowMinix3, RowSingleSC, RowSingleTSO, RowLinux)
+	if mbps[RowMinix3] >= mbps[RowSingleSC]/2 {
+		t.Fatalf("row 1 (%.1f Mbps) is not below half of row 4 (%.1f Mbps)", mbps[RowMinix3], mbps[RowSingleSC])
+	}
+}
+
+// runRows runs each Table II row end to end, two bulk connections on each
+// of two wires into one IP server, fails t unless every row moves data, and
+// returns each row's goodput. The three row tests together run every row of
+// Table2Rows.
+func runRows(t *testing.T, rows ...Table2Row) map[Table2Row]float64 {
+	t.Helper()
 	mbps := map[Table2Row]float64{}
-	for _, row := range []Table2Row{RowMinix3, RowSingleSC, RowSingleTSO, RowLinux} {
+	for _, row := range rows {
 		got, err := RunTable2Row(row, Table2Opts{
-			Duration: 300 * time.Millisecond, Wires: 1, ConnsPerWire: 2,
+			Duration: 300 * time.Millisecond, Wires: 2, ConnsPerWire: 2,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", row, err)
@@ -70,9 +63,7 @@ func TestSingleServerRowsRun(t *testing.T) {
 		mbps[row] = got
 		t.Logf("%s: %.1f Mbps", row, got)
 	}
-	if mbps[RowMinix3] >= mbps[RowSingleSC]/2 {
-		t.Fatalf("row 1 (%.1f Mbps) is not below half of row 4 (%.1f Mbps)", mbps[RowMinix3], mbps[RowSingleSC])
-	}
+	return mbps
 }
 
 // TestCrashTraceRejectsUnknownTarget: a mistyped target used to run a

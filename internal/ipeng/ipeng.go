@@ -36,7 +36,6 @@ import (
 	"newtos/internal/netpkt"
 	"newtos/internal/shm"
 	"newtos/internal/staterec"
-	"newtos/internal/trace"
 )
 
 // Tunables.
@@ -56,19 +55,15 @@ const (
 	// arpQueueCap chunks per neighbor per interface (which would also keep
 	// elastic pools from ever shrinking the segments those chunks live in).
 	maxARPTries = 5
-	// hdrChunks / elasticHdrChunks size the header pool: static pools keep
-	// the historical worst-case complement, elastic pools start at a
-	// quarter of it and grow on demand.
-	hdrChunks        = 4096
-	elasticHdrChunks = 1024
+	// hdrChunks is the header pool's base segment. It grows on demand to
+	// hdrSegments segments: the historical worst-case complement of 4096.
+	hdrChunks   = 1024
+	hdrSegments = 4
+	// rxSegments caps the RX pool's growth at 8× its base complement; a
+	// grown segment of either pool retires once it has stayed free for
+	// shm's quiescence window.
+	rxSegments = 8
 )
-
-// DefaultElastic is the pool growth policy every node's IP server runs
-// with: up to 8 segments (8× the base complement); a grown segment retires
-// once it has stayed free for shm's quiescence window.
-func DefaultElastic() shm.Elastic {
-	return shm.Elastic{MaxSegments: 8}
-}
 
 // IfaceConfig is one interface's static configuration — the state the
 // paper calls "very limited (static) ... basically the routing
@@ -91,10 +86,6 @@ type Config struct {
 	// Offload requests device checksum offload (and enables TSO
 	// pass-through from the transports).
 	Offload bool
-	// Elastic is the growth policy for the RX and header pools. The zero
-	// value keeps both statically sized (the pre-elastic behavior); see
-	// DefaultElastic for the policy core turns on.
-	Elastic shm.Elastic
 	// SaveState persists interface configuration.
 	SaveState func(blob []byte)
 }
@@ -238,42 +229,25 @@ type Engine struct {
 	// a give-up), zero with none outstanding; poolDue is the pools' next
 	// segment retirement as of the last Tick.
 	arpDue, poolDue time.Time
-
-	// rxCounters/hdrCounters mirror the pools' elasticity into trace
-	// counters, kept current by the pools' grow and shrink events.
-	rxCounters  trace.PoolCounters
-	hdrCounters trace.PoolCounters
 }
 
-// New creates an IP engine with fresh pools in space. Each incarnation
-// creates new pools; old pools stay resolvable so transports holding
-// references into a dead incarnation's pool can still read (the paper's
-// "inherited address space"), they just can never be recycled.
+// New creates an IP engine with fresh, elastic pools in space. Each
+// incarnation creates new pools; old pools stay resolvable so transports
+// holding references into a dead incarnation's pool can still read (the
+// paper's "inherited address space"), they just can never be recycled.
 func New(cfg Config) (*Engine, error) {
 	rx, err := cfg.Space.NewPool("ip.rx", RxChunkSize, RxBufsPerDriver*8)
 	if err != nil {
 		return nil, fmt.Errorf("ipeng: rx pool: %w", err)
 	}
-	hc := hdrChunks
-	if cfg.Elastic.Enabled() {
-		hc = elasticHdrChunks
-	}
-	hdr, err := cfg.Space.NewPool("ip.hdr", HdrChunkSize, hc)
+	hdr, err := cfg.Space.NewPool("ip.hdr", HdrChunkSize, hdrChunks)
 	if err != nil {
 		return nil, fmt.Errorf("ipeng: hdr pool: %w", err)
 	}
 	e := &Engine{cfg: cfg, rxPool: rx, hdrPool: hdr, db: channel.NewReqDB()}
 	e.layout(cfg.Ifaces)
-	if cfg.Elastic.Enabled() {
-		rx.SetElastic(cfg.Elastic)
-		rx.SetObserver(&e.rxCounters)
-		// The header pool keeps the historical worst case as its hard
-		// cap: base complement × segments == the old static complement.
-		hdr.SetElastic(shm.Elastic{MaxSegments: hdrChunks / elasticHdrChunks})
-		hdr.SetObserver(&e.hdrCounters)
-	}
-	e.rxCounters.SetSegments(rx.Segments())
-	e.hdrCounters.SetSegments(hdr.Segments())
+	rx.SetElastic(shm.Elastic{MaxSegments: rxSegments})
+	hdr.SetElastic(shm.Elastic{MaxSegments: hdrSegments})
 	return e, nil
 }
 
@@ -453,9 +427,6 @@ func (e *Engine) SetMAC(name string, mac netpkt.MAC) {
 
 // Stats returns activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// RxPoolCounters exposes the RX pool's elasticity gauges/counters.
-func (e *Engine) RxPoolCounters() *trace.PoolCounters { return &e.rxCounters }
 
 // RxPressure returns how many RX-buffer allocations the named interface
 // lost to pool exhaustion.

@@ -376,12 +376,12 @@ type burstRig struct {
 	parked []msg.Req
 }
 
-func newBurstRig(t *testing.T, elastic shm.Elastic) *burstRig {
-	return &burstRig{hubRig: newHubRig(t, 1, Config{Elastic: elastic})}
+func newBurstRig(t *testing.T) *burstRig {
+	return &burstRig{hubRig: newHubRig(t, 1, Config{})}
 }
 
 // deliver injects one frame into the oldest posted buffer; false means the
-// device ring ran dry (the starvation the elastic pool is meant to avoid).
+// device ring ran dry (the starvation growth avoids until the pool's cap).
 func (r *burstRig) deliver() bool {
 	r.pump()
 	if len(r.posted[0]) == 0 {
@@ -402,17 +402,17 @@ func (r *burstRig) ackAll() {
 	r.parked = nil
 }
 
-// TestStaticRxPoolStarvationIsCounted reproduces the pre-elastic scaling
-// cliff: a static pool exhausted by parked deliveries stops supplying the
-// driver — and now counts every lost allocation instead of swallowing
-// ErrPoolFull, logging once per pressure episode.
-func TestStaticRxPoolStarvationIsCounted(t *testing.T) {
+// TestRxPoolStarvationIsCounted: a pool grown to its cap and exhausted by
+// parked deliveries stops supplying the driver, and counts every lost
+// allocation instead of swallowing ErrPoolFull, logging once per pressure
+// episode.
+func TestRxPoolStarvationIsCounted(t *testing.T) {
 	var logBuf bytes.Buffer
 	log.SetOutput(&logBuf)
 	defer log.SetOutput(os.Stderr)
 
-	r := newBurstRig(t, shm.Elastic{}) // static
-	total := RxBufsPerDriver * 8
+	r := newBurstRig(t)
+	total := RxBufsPerDriver * 8 * rxSegments
 	delivered := 0
 	for i := 0; i < total+64; i++ {
 		if !r.deliver() {
@@ -421,7 +421,10 @@ func TestStaticRxPoolStarvationIsCounted(t *testing.T) {
 		delivered++
 	}
 	if delivered >= total+64 {
-		t.Fatal("static pool never starved the driver")
+		t.Fatal("a pool at its cap never starved the driver")
+	}
+	if segs := r.e.rxPool.Segments(); segs != rxSegments {
+		t.Fatalf("starved at %d segments, want the cap of %d", segs, rxSegments)
 	}
 	st := r.e.Stats()
 	if st.RxPressure == 0 {
@@ -450,7 +453,7 @@ func TestStaticRxPoolStarvationIsCounted(t *testing.T) {
 // at their base segments, an engine has no timer pending, so its loop
 // sleeps until a peer rings.
 func TestIdleEngineHasNoDeadline(t *testing.T) {
-	r := newBurstRig(t, DefaultElastic())
+	r := newBurstRig(t)
 	for i := 0; i < 8; i++ {
 		if !r.deliver() {
 			t.Fatal("driver starved")
@@ -463,14 +466,14 @@ func TestIdleEngineHasNoDeadline(t *testing.T) {
 	}
 }
 
-// TestElasticRxPoolAbsorbsBurst drives the same burst against an elastic
-// pool: the pool grows instead of starving the driver, no pressure is
-// counted, and after the deliveries are released and light traffic washes
-// the high-segment buffers out of the ring, quiescence shrinks the pool
-// back to one segment.
+// TestElasticRxPoolAbsorbsBurst drives a burst of twice the base complement:
+// the pool grows instead of starving the driver, no pressure is counted,
+// and after the deliveries are released and light traffic washes the
+// high-segment buffers out of the ring, quiescence shrinks the pool back to
+// one segment.
 func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
-	r := newBurstRig(t, shm.Elastic{MaxSegments: 8})
-	total := RxBufsPerDriver * 8 * 2 // 2x the static complement
+	r := newBurstRig(t)
+	total := RxBufsPerDriver * 8 * 2 // 2x the base complement
 	for i := 0; i < total; i++ {
 		if !r.deliver() {
 			t.Fatalf("driver starved at frame %d despite elasticity", i)
@@ -479,11 +482,11 @@ func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
 	if st := r.e.Stats(); st.RxPressure != 0 {
 		t.Fatalf("RxPressure = %d under elastic growth", st.RxPressure)
 	}
-	peak := r.e.RxPoolCounters().Segments()
+	peak := r.e.rxPool.Segments()
 	if peak < 2 {
 		t.Fatalf("pool did not grow: %d segments", peak)
 	}
-	if r.e.RxPoolCounters().Grows() == 0 {
+	if grows, _, _ := r.e.rxPool.ElasticStats(); grows == 0 {
 		t.Fatal("grow events not counted")
 	}
 
@@ -498,10 +501,10 @@ func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
 		r.ackAll()
 	}
 	r.pump()
-	for i := 0; i < 16 && r.e.RxPoolCounters().Segments() > 1; i++ {
+	for i := 0; i < 16 && r.e.rxPool.Segments() > 1; i++ {
 		due := r.e.Deadline()
 		if due.IsZero() {
-			t.Fatalf("a grown pool (%d segments) names no retirement", r.e.RxPoolCounters().Segments())
+			t.Fatalf("a grown pool (%d segments) names no retirement", r.e.rxPool.Segments())
 		}
 		if !due.After(r.now) {
 			t.Fatalf("deadline %v is not after the last Tick's now %v", due, r.now)
@@ -509,10 +512,10 @@ func TestElasticRxPoolAbsorbsBurst(t *testing.T) {
 		r.now = due
 		r.pump()
 	}
-	if got := r.e.RxPoolCounters().Segments(); got != 1 {
+	if got := r.e.rxPool.Segments(); got != 1 {
 		t.Fatalf("pool did not shrink back: %d segments (peak %d)", got, peak)
 	}
-	if r.e.RxPoolCounters().Shrinks() == 0 {
+	if _, shrinks, _ := r.e.rxPool.ElasticStats(); shrinks == 0 {
 		t.Fatal("shrink events not counted")
 	}
 }

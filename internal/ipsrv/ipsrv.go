@@ -68,7 +68,6 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 		Ifaces:    s.cfg.Ifaces,
 		PFEnabled: s.cfg.PFEnabled,
 		Offload:   s.cfg.Offload,
-		Elastic:   ipeng.DefaultElastic(),
 		SaveState: func(blob []byte) { hub.Store.Put(StorageKey, blob) },
 	})
 	if err != nil {

@@ -8,8 +8,8 @@
 // hardware, this package charges explicit, configurable costs for each
 // kernel entry, each message copy, and (in single-core mode) each context
 // switch — calibrated to the paper's measurements: a void system call costs
-// ~150 cycles hot and ~3000 cycles cold, versus ~30 cycles for a channel
-// enqueue (§IV).
+// ~150 cycles with hot caches (~3000 cold), versus ~30 cycles for a channel
+// enqueue (§IV). Every trap here is charged at the hot cost.
 //
 // A message is MINIX's fixed-size one: the sender, which the kernel fills
 // in, and one msg.Req. A send queues the message and returns, like the
@@ -55,9 +55,6 @@ type Config struct {
 	// TrapCost is charged on every kernel call entry (hot caches).
 	// The paper measures ~150 cycles; at ~2 GHz that is 75ns.
 	TrapCost time.Duration
-	// ColdTrapCost is the cold-cache trap cost (~3000 cycles, 1.5µs);
-	// used by benchmarks via TrapCold.
-	ColdTrapCost time.Duration
 	// CopyCostPerKB is charged per KB copied between address spaces: one
 	// Msg in every Send, one packet in every PacketRendezvous.
 	CopyCostPerKB time.Duration
@@ -74,7 +71,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		TrapCost:          75 * time.Nanosecond,
-		ColdTrapCost:      1500 * time.Nanosecond,
 		CopyCostPerKB:     250 * time.Nanosecond, // ~4 GB/s cross-space copy
 		ContextSwitchCost: 1 * time.Microsecond,
 	}
@@ -166,12 +162,6 @@ func (k *Kernel) Interrupt(driver Waker) {
 	spin(k.cfg.TrapCost)
 	driver.Ring()
 }
-
-// TrapHot charges one hot-cache kernel entry (benchmarks/calibration).
-func (k *Kernel) TrapHot() { spin(k.cfg.TrapCost) }
-
-// TrapCold charges one cold-cache kernel entry (benchmarks/calibration).
-func (k *Kernel) TrapCold() { spin(k.cfg.ColdTrapCost) }
 
 // PacketRendezvous charges one synchronous stack<->driver hand-off of an
 // n-byte packet under the original MINIX 3 regime (Table II row 1): a

@@ -179,20 +179,6 @@ const (
 	quiescence = 500 * time.Millisecond
 )
 
-// PoolObserver receives elasticity events; trace.PoolCounters implements
-// it. Methods are called with the pool's owner lock held and must not call
-// back into the pool.
-type PoolObserver interface {
-	// PoolGrew reports a segment was appended; segments is the new count.
-	PoolGrew(segments int)
-	// PoolShrank reports trailing segments were retired; segments is the
-	// new count.
-	PoolShrank(segments int)
-	// PoolPressure reports an Alloc that failed hard (pool full and at the
-	// growth cap).
-	PoolPressure()
-}
-
 // segment is one fixed-size mapping of a pool: its own backing array, so
 // growth never copies or remaps in-flight chunks, plus owner-side
 // allocation metadata (local chunk indexes).
@@ -241,9 +227,8 @@ type Pool struct {
 	// segment is one load.
 	live atomic.Int32
 
-	mu       sync.Mutex
-	elastic  Elastic
-	observer PoolObserver
+	mu      sync.Mutex
+	elastic Elastic
 	// quietSince is when Tick first found the trailing segment eligible
 	// to retire, zero while it is not.
 	quietSince time.Time
@@ -282,14 +267,6 @@ func (p *Pool) SetElastic(e Elastic) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.elastic = e
-}
-
-// SetObserver installs the elasticity event sink (e.g. a
-// trace.PoolCounters).
-func (p *Pool) SetObserver(o PoolObserver) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.observer = o
 }
 
 // FreeChunks returns the number of currently free chunks.
@@ -350,9 +327,6 @@ func (p *Pool) Alloc() (RichPtr, []byte, error) {
 		}
 	}
 	p.pressure.Add(1)
-	if p.observer != nil {
-		p.observer.PoolPressure()
-	}
 	return RichPtr{}, nil, ErrPoolFull
 }
 
@@ -481,9 +455,6 @@ func (p *Pool) growLocked() *segment {
 	p.segs.Store(&ns)
 	p.live.Add(1)
 	p.grows.Add(1)
-	if p.observer != nil {
-		p.observer.PoolGrew(p.Segments())
-	}
 	return seg
 }
 
@@ -525,9 +496,6 @@ func (p *Pool) shrinkLocked(max int) int {
 	p.segs.Store(&ns)
 	p.live.Add(-int32(retired))
 	p.shrinks.Add(uint64(retired))
-	if p.observer != nil {
-		p.observer.PoolShrank(p.Segments())
-	}
 	return retired
 }
 

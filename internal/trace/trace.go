@@ -77,58 +77,6 @@ func (c *BatchCounter) String() string {
 		c.Msgs(), c.Batches(), c.Avg(), c.Max())
 }
 
-// PoolCounters surfaces one elastic shared-memory pool's activity: a gauge
-// for the current segment count, and counters for grow, shrink, and
-// pressure (hard allocation failure) events. It implements
-// shm.PoolObserver, so installing it with Pool.SetObserver keeps all of
-// them live; the owner sets the gauge's starting value with SetSegments.
-//
-// Padded to a cache line so per-pool counters allocated side by side do not
-// false-share.
-type PoolCounters struct {
-	segments atomic.Int64
-	grows    atomic.Uint64
-	shrinks  atomic.Uint64
-	pressure atomic.Uint64
-	_        [32]byte
-}
-
-// SetSegments sets the segment gauge, once, before the pool's events move
-// it.
-func (c *PoolCounters) SetSegments(segments int) { c.segments.Store(int64(segments)) }
-
-// PoolGrew records a segment append (shm.PoolObserver).
-func (c *PoolCounters) PoolGrew(segments int) {
-	c.segments.Store(int64(segments))
-	c.grows.Add(1)
-}
-
-// PoolShrank records trailing-segment retirement (shm.PoolObserver).
-func (c *PoolCounters) PoolShrank(segments int) {
-	c.segments.Store(int64(segments))
-	c.shrinks.Add(1)
-}
-
-// PoolPressure records a hard allocation failure (shm.PoolObserver).
-func (c *PoolCounters) PoolPressure() { c.pressure.Add(1) }
-
-// Segments returns the segment-count gauge.
-func (c *PoolCounters) Segments() int { return int(c.segments.Load()) }
-
-// Grows returns how many segments were appended.
-func (c *PoolCounters) Grows() uint64 { return c.grows.Load() }
-
-// Shrinks returns how many shrink events retired segments.
-func (c *PoolCounters) Shrinks() uint64 { return c.shrinks.Load() }
-
-// Pressure returns how many allocations failed hard (pool full at cap).
-func (c *PoolCounters) Pressure() uint64 { return c.pressure.Load() }
-
-func (c *PoolCounters) String() string {
-	return fmt.Sprintf("%d segs (+%d/-%d segs, %d pressure)",
-		c.Segments(), c.Grows(), c.Shrinks(), c.Pressure())
-}
-
 // Sample is one point of a bitrate time series.
 type Sample struct {
 	T    time.Duration // since sampling start

@@ -72,24 +72,3 @@ func TestMbpsFormat(t *testing.T) {
 		t.Fatalf("Mbps = %q", got)
 	}
 }
-
-func TestPoolCounters(t *testing.T) {
-	var c PoolCounters
-	c.SetSegments(1)
-	if c.Segments() != 1 {
-		t.Fatalf("segment gauge = %d", c.Segments())
-	}
-	c.PoolGrew(2)
-	c.PoolGrew(3)
-	c.PoolShrank(2)
-	c.PoolPressure()
-	if c.Segments() != 2 {
-		t.Fatalf("segment gauge = %d after events", c.Segments())
-	}
-	if c.Grows() != 2 || c.Shrinks() != 1 || c.Pressure() != 1 {
-		t.Fatalf("counters = %d/%d/%d", c.Grows(), c.Shrinks(), c.Pressure())
-	}
-	if s := c.String(); s == "" {
-		t.Fatal("empty String()")
-	}
-}
