@@ -23,19 +23,18 @@ type Out struct {
 }
 
 // fullMark turns a full ring into a doorbell post for its producer. A
-// SendBatch that leaves a remainder raises the mark before it looks a second
-// time, and a RecvBatch that frees slots takes it: either the second look
-// finds the freed slots or the consumer finds the mark and rings the
-// producer, so no interleaving strands a producer that stopped polling with
-// its batch still staged. It is the starved-flag handshake of
-// sockbuf.Buf's supply ring. Queues without a producer doorbell (NewQueue)
-// carry none.
+// Write that comes up short raises the mark before it looks a second time,
+// and a Done that frees slots takes it: either the second look finds the
+// freed slots or the consumer finds the mark and rings the producer, so no
+// interleaving strands a producer that stopped polling with its batch
+// still staged. It is the starved-flag handshake of sockbuf.Buf's supply
+// ring. Queues without a producer doorbell (NewQueue) carry none.
 type fullMark struct {
 	set      atomic.Bool
 	producer *Doorbell
 }
 
-// take rings the producer once if a SendBatch found the ring full since the
+// take rings the producer once if a Write found the ring full since the
 // last take; the consumer calls it after freeing slots.
 func (m *fullMark) take() {
 	if m != nil && m.set.Load() && m.set.Swap(false) {
@@ -58,25 +57,83 @@ func (o Out) Send(r msg.Req) bool {
 	return true
 }
 
-// SendBatch enqueues as many of reqs as the queue accepts and returns the
-// count moved. The consumer's doorbell is rung exactly once for the whole
-// batch — this is the doorbell-coalescing contract: one wakeup per batch
-// per hop, however many requests the batch carries. A batch the ring cuts
-// short marks the queue, so the consumer's next RecvBatch rings this
-// producer's doorbell and the remainder is retried.
-func (o Out) SendBatch(reqs []msg.Req) int {
-	if o.ring == nil || len(reqs) == 0 {
+// Write copies as many of reqs as fit into the queue's free slots after
+// the pending ones already written since the last Publish, and returns the
+// count written; the consumer sees none of them before Publish. Each
+// request is written once, by its used bytes: the header and the valid
+// chain Ptrs[:NPtr], and the slot's stale entries past that are cleared,
+// so a slot equals the request for every request whose Ptrs past NPtr are
+// zero (every one built by a literal and SetChain/AppendChain). A Write
+// the ring cuts short marks the queue, so the consumer's next Done rings
+// this producer's doorbell and the remainder is retried.
+func (o Out) Write(pending int, reqs []msg.Req) int {
+	if o.ring == nil {
 		return 0
 	}
-	n := o.ring.EnqueueBatch(reqs)
+	n := o.write(pending, reqs)
 	if n < len(reqs) && o.full != nil {
 		o.full.set.Store(true)
-		n += o.ring.EnqueueBatch(reqs[n:])
+		n += o.write(pending+n, reqs[n:])
 	}
-	if n > 0 {
-		o.stats.Observe(n)
-		o.bell.Ring()
+	return n
+}
+
+// write fills at most two Writable runs: up to the buffer's end, then from
+// its start.
+func (o Out) write(pending int, reqs []msg.Req) int {
+	n := 0
+	for k := 0; k < 2 && n < len(reqs); k++ {
+		run := o.ring.Writable(pending+n, len(reqs)-n)
+		for i := range run {
+			put(&run[i], &reqs[n+i])
+		}
+		n += len(run)
 	}
+	return n
+}
+
+// put writes r into slot s by its used bytes.
+func put(s, r *msg.Req) {
+	old, n := min(s.NPtr, msg.MaxPtrs), min(r.NPtr, msg.MaxPtrs)
+	s.ID, s.Op, s.NPtr, s.Status, s.Flow, s.Arg = r.ID, r.Op, r.NPtr, r.Status, r.Flow, r.Arg
+	copy(s.Ptrs[:n], r.Ptrs[:n])
+	if old > n {
+		clear(s.Ptrs[n:old])
+	}
+}
+
+// Publish makes the next n written requests visible to the consumer —
+// one tail store — and rings the consumer's doorbell exactly once for all
+// of them. This is the doorbell-coalescing contract: one wakeup per batch
+// per hop, however many requests the batch carries.
+func (o Out) Publish(n int) {
+	if n <= 0 {
+		return
+	}
+	o.ring.Publish(n)
+	o.stats.Observe(n)
+	o.bell.Ring()
+}
+
+// Unpublished appends copies of the pending requests written since the
+// last Publish to dst. The producer abandons those slots afterwards: the
+// next Write overwrites them.
+func (o Out) Unpublished(pending int, dst []msg.Req) []msg.Req {
+	for n := 0; n < pending; {
+		run := o.ring.Writable(n, pending-n)
+		dst = append(dst, run...)
+		n += len(run)
+	}
+	return dst
+}
+
+// SendBatch writes and publishes as many of reqs as the queue accepts and
+// returns the count moved, with one doorbell ring. It and RecvBatch remain
+// for the byte-frozen bench/layers, which times them; the stack's loops
+// use Write, Publish, View and Done through wiring.Edge.
+func (o Out) SendBatch(reqs []msg.Req) int {
+	n := o.Write(0, reqs)
+	o.Publish(n)
 	return n
 }
 
@@ -92,7 +149,7 @@ func (o Out) Len() int {
 }
 
 // Stats returns the send-side batch-size counter (nil on an unwired end).
-// Only the batched entry points (SendBatch/RecvBatch) observe, keeping the
+// Only the batched entry points (Publish/Done) observe, keeping the
 // cycle-counted per-slot path untouched; the data-path server loops move
 // everything through the batched calls, so the counters see all fast-path
 // traffic.
@@ -117,19 +174,35 @@ func (i In) Recv() (msg.Req, bool) {
 	return r, ok
 }
 
-// RecvBatch pops up to len(dst) requests, returning the count. This is the
-// server-loop drain primitive: one call moves a whole batch out of the ring
-// with a single head publication. Freeing slots in a ring a SendBatch found
-// full rings the producer.
-func (i In) RecvBatch(dst []msg.Req) int {
+// View returns up to limit queued requests where they lie in the ring:
+// the run from the head to the buffer's end, so a queue that wraps is
+// viewed twice. This is the server-loop drain primitive; the requests stay
+// the consumer's until Done, and nobody may keep the slice, or a pointer
+// into it, past Done.
+func (i In) View(limit int) []msg.Req {
 	if i.ring == nil {
-		return 0
+		return nil
 	}
-	n := i.ring.DequeueBatch(dst)
-	if n > 0 {
-		i.full.take()
+	return i.ring.Readable(limit)
+}
+
+// Done hands the n oldest viewed requests back to the producer with one
+// head store. Freeing slots in a ring a Write found full rings the
+// producer.
+func (i In) Done(n int) {
+	if i.ring == nil || n <= 0 {
+		return
 	}
+	i.ring.Release(n)
+	i.full.take()
 	i.stats.Observe(n)
+}
+
+// RecvBatch copies up to len(dst) requests out of one View and returns the
+// count.
+func (i In) RecvBatch(dst []msg.Req) int {
+	n := copy(dst, i.View(len(dst)))
+	i.Done(n)
 	return n
 }
 

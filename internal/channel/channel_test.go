@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"newtos/internal/msg"
+	"newtos/internal/shm"
 )
 
 func TestQueueSendRecv(t *testing.T) {
@@ -563,5 +564,39 @@ func TestBatchCountersObserveTraffic(t *testing.T) {
 	}
 	if got := in.Stats().Batches(); got != 1 {
 		t.Fatalf("recv Batches = %d, want 1", got)
+	}
+}
+
+// TestShortChainAfterLongThroughOneSlot: a slot is written by the used
+// bytes of a request, so a request with a short chain, written after a
+// longer one through the same slot, must still arrive with zero Ptrs past
+// its NPtr, equal to the request written.
+func TestShortChainAfterLongThroughOneSlot(t *testing.T) {
+	out, in, err := NewQueue(2, NewDoorbell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(id uint64, n int) msg.Req {
+		r := msg.Req{ID: id, Op: msg.OpTxSubmit, Flow: 9, Arg: [4]uint64{id, 2, 3, 4}}
+		for i := 0; i < n; i++ {
+			r.AppendChain(shm.RichPtr{Pool: 1, Gen: uint32(id), Off: uint32(i), Len: 100})
+		}
+		return r
+	}
+	// Three laps of the two slots: each slot is written with the longest
+	// chain, then a shorter one, then none.
+	id := uint64(0)
+	for _, n := range []int{msg.MaxPtrs, msg.MaxPtrs, 3, 1, 0, 0} {
+		id++
+		sent := chain(id, n)
+		if w := out.Write(0, []msg.Req{sent}); w != 1 {
+			t.Fatalf("request %d: Write = %d", id, w)
+		}
+		out.Publish(1)
+		got := in.View(4)
+		if len(got) != 1 || got[0] != sent {
+			t.Fatalf("request %d (chain %d) arrived as %+v", id, n, got)
+		}
+		in.Done(1)
 	}
 }

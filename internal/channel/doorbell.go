@@ -7,12 +7,14 @@
 // turning a device interrupt into a ring of its driver's doorbell; all
 // fast-path traffic moves through these structures without trapping.
 //
-// The data path is batched end to end (docs/ARCHITECTURE.md): Out.SendBatch
-// moves a whole batch into the ring and rings the consumer's doorbell
-// exactly once, In.RecvBatch drains into a caller-owned scratch slice, and
-// each direction keeps a trace.BatchCounter (Out.Stats/In.Stats) whose
-// msgs-per-batch ratio is the messages per doorbell ring. The per-slot
-// Send/Recv pair remains for control-plane and benchmark use.
+// The data path is batched end to end and moves each request once
+// (docs/ARCHITECTURE.md): Out.Write copies a request straight into a free
+// slot of the ring, Out.Publish makes everything written visible and rings
+// the consumer's doorbell exactly once, In.View hands the consumer the
+// queued requests where they lie and In.Done frees them. Each direction
+// keeps a trace.BatchCounter (Out.Stats/In.Stats) whose msgs-per-batch
+// ratio is the messages per doorbell ring. The per-slot Send/Recv pair
+// remains for control-plane and benchmark use.
 package channel
 
 import (

@@ -27,10 +27,9 @@ type Server struct {
 	ports *wiring.Ports
 	dev   *nic.Device
 
-	rt      *proc.Runtime
-	kern    *kipc.Kernel
-	outIP   *wiring.Edge
-	scratch []msg.Req
+	rt    *proc.Runtime
+	kern  *kipc.Kernel
+	outIP *wiring.Edge
 	// wired is set by the first rebind of the IP edge: until then there is
 	// no channel (and no pool) to move descriptors for, and that first
 	// rebind is wiring, not a reason to reset the device.
@@ -56,7 +55,6 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.rt = rt
 	s.ports.Begin(rt.Bell)
 	s.outIP = wiring.NewEdge(s.ports.Attach("ip-" + s.name))
-	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	s.kern = s.ports.Hub().Kern
 	s.dev.SetIRQ(func() { s.kern.Interrupt(rt.Bell) })
 	if restart {
@@ -89,9 +87,9 @@ func (s *Server) onRewire() {
 func (s *Server) Poll(now time.Time) bool {
 	// Requests from IP, drained in batches: descriptors for a whole batch
 	// are posted back-to-back before the device is kicked again.
-	worked := s.outIP.Intake(s.scratch, s.onRewire, func(b []msg.Req) {
-		for _, r := range b {
-			s.handleIPReq(r)
+	worked := s.outIP.Intake(s.onRewire, func(b []msg.Req) {
+		for i := range b {
+			s.handleIPReq(&b[i])
 		}
 	})
 	if !s.wired {
@@ -142,7 +140,7 @@ func (s *Server) Poll(now time.Time) bool {
 }
 
 // handleIPReq executes one request from IP (TX path).
-func (s *Server) handleIPReq(r msg.Req) {
+func (s *Server) handleIPReq(r *msg.Req) {
 	switch r.Op {
 	case msg.OpTxSubmit:
 		s.kern.PacketRendezvous(r.ChainLen()) // Table II row 1 only

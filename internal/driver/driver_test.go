@@ -32,7 +32,7 @@ type rig struct {
 // poll runs the IP side's intake: adopt a rebind, collect driver->IP
 // messages. Reports whether either happened.
 func (r *rig) poll() bool {
-	return r.ip.Intake(make([]msg.Req, wiring.ScratchLen), nil, func(b []msg.Req) {
+	return r.ip.Intake(nil, func(b []msg.Req) {
 		r.inbox = append(r.inbox, b...)
 	})
 }

@@ -42,29 +42,17 @@ var PaperMbps = map[Table2Row]float64{
 	RowSingleTSO: 5000, RowSplitSCTSO: 5000, RowLinux: 8400,
 }
 
-// Table2Opts tunes the experiment.
+// Table2Opts sizes the experiment; every field must be positive.
 type Table2Opts struct {
-	// Duration of the measured transfer (default 2s).
+	// Duration of the measured transfer.
 	Duration time.Duration
-	// Wires is the number of links (default 5, as in the paper): gigabit,
-	// or 10G for the monolithic row.
+	// Wires is the number of links (the paper used 5): gigabit, or 10G
+	// for the monolithic row.
 	Wires int
-	// ConnsPerWire runs parallel connections per link (default 4) — the
+	// ConnsPerWire runs parallel connections per link — the
 	// window-limited per-connection rate times the flow parallelism the
 	// asynchronous split stack is designed to exploit.
 	ConnsPerWire int
-}
-
-func (o *Table2Opts) fill() {
-	if o.Duration == 0 {
-		o.Duration = 2 * time.Second
-	}
-	if o.Wires == 0 {
-		o.Wires = 5
-	}
-	if o.ConnsPerWire == 0 {
-		o.ConnsPerWire = 4
-	}
 }
 
 // RunTable2Row measures peak outgoing TCP for one configuration and
@@ -73,7 +61,10 @@ func (o *Table2Opts) fill() {
 // and the same two mirrored nodes; a row only chooses core.Config fields
 // and the wire.
 func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
-	opts.fill()
+	if opts.Duration <= 0 || opts.Wires <= 0 || opts.ConnsPerWire <= 0 {
+		return 0, fmt.Errorf("experiments: %s: duration %v, %d wires, %d conns per wire: each must be positive",
+			row, opts.Duration, opts.Wires, opts.ConnsPerWire)
+	}
 	cfg := core.SplitTSO() // row 6: every feature on, every server its own process
 	wcfg := nic.Gigabit()
 	switch row {

@@ -66,6 +66,23 @@ func runRows(t *testing.T, rows ...Table2Row) map[Table2Row]float64 {
 	return mbps
 }
 
+// TestTable2RejectsUnsetOptions: a zero or negative option is an error
+// before any node starts, not a silent default.
+func TestTable2RejectsUnsetOptions(t *testing.T) {
+	ok := Table2Opts{Duration: time.Millisecond, Wires: 1, ConnsPerWire: 1}
+	for _, bad := range []func(o *Table2Opts){
+		func(o *Table2Opts) { o.Duration = 0 },
+		func(o *Table2Opts) { o.Wires = -1 },
+		func(o *Table2Opts) { o.ConnsPerWire = 0 },
+	} {
+		o := ok
+		bad(&o)
+		if _, err := RunTable2Row(RowSplitSCTSO, o); err == nil {
+			t.Errorf("RunTable2Row(%+v) ran", o)
+		}
+	}
+}
+
 // TestCrashTraceRejectsUnknownTarget: a mistyped target used to run a
 // crash-free trace; it must fail before the transfer starts. On a
 // single-server node the crashable component is the stack, not its shells.

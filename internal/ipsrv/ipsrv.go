@@ -40,13 +40,10 @@ type Server struct {
 	// reincarnation aborts only that peer's in-flight work.
 	edges []*wiring.Edge
 	// cur is the peer whose edge is in Intake, for its two hooks
-	// (restartCur, fromCur).
+	// (restartCur, fromCur); now is the current iteration's timestamp,
+	// for the hooks.
 	cur int
-	// scratch is the reusable drain buffer all edges share (the loop is
-	// single-threaded and each batch is fully processed before the next
-	// drain); now is the current iteration's timestamp, for the hooks.
-	scratch []msg.Req
-	now     time.Time
+	now time.Time
 }
 
 var _ proc.Service = (*Server)(nil)
@@ -87,7 +84,6 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	for _, p := range eng.Peers() {
 		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export("ip-"+p.Name, p.Name)))
 	}
-	s.scratch = make([]msg.Req, wiring.ScratchLen)
 
 	// Inject faults that corrupt routing state (fault-injection hook).
 	rt.Fault.SetCorruptHook(func() {
@@ -110,7 +106,7 @@ func (s *Server) Poll(now time.Time) bool {
 	worked := false
 	for i, e := range s.edges {
 		s.cur = i
-		if e.Intake(s.scratch, s.restartCur, s.fromCur) {
+		if e.Intake(s.restartCur, s.fromCur) {
 			worked = true
 		}
 	}

@@ -35,7 +35,7 @@ func (p *fakePeer) reincarnate() {
 }
 
 func (p *fakePeer) drain() {
-	p.end.Intake(make([]msg.Req, wiring.ScratchLen), nil, func(b []msg.Req) {
+	p.end.Intake(nil, func(b []msg.Req) {
 		p.got = append(p.got, b...)
 	})
 }

@@ -30,9 +30,13 @@ type Server struct {
 	ports *wiring.Ports
 	eng   *pfeng.Engine
 
-	ipBox   *wiring.Edge
-	scBox   *wiring.Edge
-	scratch []msg.Req
+	ipBox *wiring.Edge
+	scBox *wiring.Edge
+	// ifaceArg is the last packed interface name a query carried and
+	// iface its name, so a run of queries from one interface unpacks it
+	// once instead of building a string per packet.
+	ifaceArg uint64
+	iface    string
 }
 
 var _ proc.Service = (*Server)(nil)
@@ -72,7 +76,6 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.ports.Begin(rt.Bell)
 	s.ipBox = wiring.NewEdge(s.ports.Attach("ip-pf"))
 	s.scBox = wiring.NewEdge(s.ports.Attach("sc-pf"))
-	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	return nil
 }
 
@@ -84,8 +87,9 @@ func (s *Server) Poll(now time.Time) bool {
 	if s.ports.StoreWiped() {
 		s.persistRules()
 	}
-	worked := s.ipBox.Intake(s.scratch, nil, func(b []msg.Req) {
-		for _, r := range b {
+	worked := s.ipBox.Intake(nil, func(b []msg.Req) {
+		for i := range b {
+			r := &b[i]
 			if r.Op != msg.OpPFQuery {
 				continue
 			}
@@ -98,7 +102,7 @@ func (s *Server) Poll(now time.Time) bool {
 	}
 
 	// Configuration channel (from the SYSCALL server / control plane).
-	if s.scBox.Intake(s.scratch, nil, func(b []msg.Req) {
+	if s.scBox.Intake(nil, func(b []msg.Req) {
 		for _, r := range b {
 			s.config(r)
 		}
@@ -111,7 +115,7 @@ func (s *Server) Poll(now time.Time) bool {
 	return worked
 }
 
-func (s *Server) verdict(r msg.Req, now time.Time) int32 {
+func (s *Server) verdict(r *msg.Req, now time.Time) int32 {
 	view, err := s.ports.Hub().Space.View(r.Ptrs[0])
 	if err != nil {
 		return 1 // stale packet (owner restarted): block; IP will resubmit
@@ -120,8 +124,10 @@ func (s *Server) verdict(r msg.Req, now time.Time) int32 {
 	if r.Arg[0] == 1 {
 		dir = pfeng.Out
 	}
-	iface := msg.UnpackIfaceName(r.Arg[1])
-	if s.eng.VerdictPacket(dir, iface, view, now) == pfeng.Pass {
+	if r.Arg[1] != s.ifaceArg {
+		s.ifaceArg, s.iface = r.Arg[1], msg.UnpackIfaceName(r.Arg[1])
+	}
+	if s.eng.VerdictPacket(dir, s.iface, view, now) == pfeng.Pass {
 		return 0
 	}
 	return 1

@@ -90,6 +90,22 @@ type stateEntry struct {
 	iface string
 }
 
+// memoSize is how many flows' rule verdicts an engine remembers, direct
+// mapped: it covers the active flows of a benchmark node (a few to a few
+// dozen) with room for collisions, in 256 × 56 B = 14 KiB, so a memo hit
+// stays in cache beside the rule set it replaces a scan of.
+const memoSize = 256
+
+// memoEntry is the rule set's verdict on one flow crossing one interface
+// in one direction, valid while gen is the engine's rulesGen.
+type memoEntry struct {
+	gen   uint64
+	flow  Flow
+	dir   Dir
+	act   Action
+	iface string
+}
+
 // Engine is one packet filter instance. Not safe for concurrent use; it
 // lives inside a single-threaded server.
 type Engine struct {
@@ -98,6 +114,11 @@ type Engine struct {
 	stateTTL   time.Duration
 	defaultAct Action
 	stats      Stats
+	// memo spares a packet the rule scan its flow already paid for: the
+	// verdict depends only on the rules and on (dir, iface, flow), so an
+	// entry holds until the next rule change bumps rulesGen.
+	memo     [memoSize]memoEntry
+	rulesGen uint64
 }
 
 // New returns an engine with an empty (pass-all) rule set and stateful
@@ -110,14 +131,21 @@ func New(stateTTL time.Duration) *Engine {
 		state:      make(map[Flow]stateEntry),
 		stateTTL:   stateTTL,
 		defaultAct: Pass,
+		rulesGen:   1, // an empty memo entry (gen 0) never matches
 	}
 }
 
 // AddRule appends a rule.
-func (e *Engine) AddRule(r Rule) { e.rules = append(e.rules, r) }
+func (e *Engine) AddRule(r Rule) {
+	e.rules = append(e.rules, r)
+	e.rulesGen++
+}
 
 // Flush removes all rules (state is kept).
-func (e *Engine) Flush() { e.rules = nil }
+func (e *Engine) Flush() {
+	e.rules = nil
+	e.rulesGen++
+}
 
 // NumRules returns the rule count.
 func (e *Engine) NumRules() int { return len(e.rules) }
@@ -187,17 +215,7 @@ func (e *Engine) Verdict(dir Dir, iface string, flow Flow, tcpFlags uint8, now t
 		return Pass
 	}
 
-	act := e.defaultAct
-	for i := range e.rules {
-		r := &e.rules[i]
-		if !r.matches(dir, iface, flow) {
-			continue
-		}
-		act = r.Action
-		if r.Quick {
-			break
-		}
-	}
+	act := e.ruleVerdict(dir, iface, flow)
 	if act == Block {
 		e.stats.Blocked++
 		return Block
@@ -242,6 +260,41 @@ func (e *Engine) hasState(flow Flow, iface string, now time.Time) bool {
 		delete(e.state, rev)
 	}
 	return false
+}
+
+// ruleVerdict is the rule set's action on flow crossing iface in dir. The
+// rules are scanned once per flow and rule-set generation; later packets
+// of the flow read the memo, which is exact because Rule.matches reads
+// nothing else.
+func (e *Engine) ruleVerdict(dir Dir, iface string, flow Flow) Action {
+	m := &e.memo[memoSlot(flow)]
+	if m.gen == e.rulesGen && m.flow == flow && m.dir == dir && m.iface == iface {
+		return m.act
+	}
+	act := e.defaultAct
+	for i := range e.rules {
+		r := &e.rules[i]
+		if !r.matches(dir, iface, flow) {
+			continue
+		}
+		act = r.Action
+		if r.Quick {
+			break
+		}
+	}
+	*m = memoEntry{gen: e.rulesGen, flow: flow, dir: dir, act: act, iface: iface}
+	return act
+}
+
+// memoSlot hashes a flow to its memo entry (Fibonacci hashing: the
+// multiply spreads every input bit into the top byte). The direction is
+// left out: a host sees a flow's packets one way, its replies being the
+// reverse flow, so both directions share an entry only for a flow whose
+// source and destination are the same.
+func memoSlot(f Flow) int {
+	h := uint64(f.Src.U32())<<32 | uint64(f.Dst.U32())
+	h ^= uint64(f.SrcPort)<<40 ^ uint64(f.DstPort)<<16 ^ uint64(f.Proto)
+	return int(h * 0x9e3779b97f4a7c15 >> 56)
 }
 
 func (r *Rule) matches(dir Dir, iface string, f Flow) bool {
@@ -300,6 +353,7 @@ func (e *Engine) LoadRules(b []byte) error {
 		return fmt.Errorf("pfeng: decode rules: %w", err)
 	}
 	e.rules = rules
+	e.rulesGen++
 	return nil
 }
 

@@ -2,6 +2,7 @@ package pfeng
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -291,6 +292,112 @@ func TestQuickVerdictDeterministic(t *testing.T) {
 	}
 }
 
+// TestMemoMatchesFullScan: the memoised rule verdict equals a full scan,
+// over random rule sets and random packets with rule changes — AddRule,
+// Flush, LoadRules — interleaved. Most packets are a
+// few hot keys (flow, direction, interface), so the memo hits; some are a
+// hot flow in another direction or on another interface, which lands on
+// the entry a hot key holds; the rest come from more flows than the memo
+// has entries, so entries collide. The full scan is a twin engine's, fed
+// the same rule changes and packets, whose memo is emptied before every
+// lookup: verdicts, conntrack and Stats must not tell the two apart.
+func TestMemoMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := rng.Intn
+	addrs := []netpkt.IPAddr{hostA, hostB, evil, netpkt.MustIP("10.0.1.7")}
+	ports := []uint16{0, 22, 80, 443}
+	ifaces := []string{"", "eth0", "eth1"}
+	rule := func() Rule {
+		return Rule{
+			Action: Action(1 + pick(2)), Dir: Dir(pick(4)), Proto: []uint8{0, netpkt.ProtoTCP, netpkt.ProtoUDP}[pick(3)],
+			Src: addrs[pick(4)], SrcBits: []int{0, 24, 32}[pick(3)],
+			Dst: addrs[pick(4)], DstBits: []int{0, 24, 32}[pick(3)],
+			SrcPort: ports[pick(4)], DstPort: ports[pick(4)],
+			Quick: pick(4) == 0, Iface: ifaces[pick(3)],
+		}
+	}
+	flow := func() Flow {
+		return Flow{
+			Proto: []uint8{netpkt.ProtoTCP, netpkt.ProtoUDP, netpkt.ProtoICMP}[pick(3)],
+			Src:   addrs[pick(4)], Dst: addrs[pick(4)],
+			SrcPort: uint16(pick(1 << 16)), DstPort: ports[pick(4)],
+		}
+	}
+	const hot = 8
+	var flows []Flow
+	for len(flows) < hot+2*memoSize {
+		flows = append(flows, flow())
+	}
+	type key struct {
+		dir   Dir
+		iface string
+	}
+	var hotKeys [hot]key
+	for i := range hotKeys {
+		hotKeys[i] = key{Dir(1 + pick(2)), ifaces[pick(3)]}
+	}
+	memo, twin := New(0), New(0)
+	now := time.Now()
+	hits, collisions := 0, 0
+	for step := 0; step < 50000; step++ {
+		switch op := pick(200); {
+		case op < 2:
+			r := rule()
+			memo.AddRule(r)
+			twin.AddRule(r)
+		case op == 2:
+			memo.Flush()
+			twin.Flush()
+		case op == 3:
+			other := New(0)
+			for i := pick(8); i > 0; i-- {
+				other.AddRule(rule())
+			}
+			if err := memo.LoadRules(other.SaveRules()); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.LoadRules(other.SaveRules()); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			f, dir, iface := flows[pick(len(flows))], Dir(1+pick(2)), ifaces[pick(3)]
+			switch i := pick(hot); pick(10) {
+			case 0, 1, 2, 3, 4, 5:
+				f, dir, iface = flows[i], hotKeys[i].dir, hotKeys[i].iface
+			case 6, 7:
+				f = flows[i]
+			}
+			m := &memo.memo[memoSlot(f)]
+			if m.gen == memo.rulesGen {
+				if m.flow == f && m.dir == dir && m.iface == iface {
+					hits++
+				} else {
+					collisions++
+				}
+			}
+			twin.rulesGen++ // the twin scans every packet
+			if got, want := memo.ruleVerdict(dir, iface, f), twin.ruleVerdict(dir, iface, f); got != want {
+				t.Fatalf("step %d: memoised verdict %v, full scan %v for %+v %v %q", step, got, want, f, dir, iface)
+			}
+			twin.rulesGen++
+			now = now.Add(time.Duration(pick(3)) * time.Minute)
+			flags := []uint8{0, netpkt.TCPSyn, netpkt.TCPAck}[pick(3)]
+			if got, want := memo.Verdict(dir, iface, f, flags, now), twin.Verdict(dir, iface, f, flags, now); got != want {
+				t.Fatalf("step %d: Verdict %v, twin's %v for %+v %v %q", step, got, want, f, dir, iface)
+			}
+		}
+	}
+	if memo.Stats() != twin.Stats() || !reflect.DeepEqual(memo.state, twin.state) {
+		t.Fatalf("stats %+v, twin's %+v; %d states, twin's %d", memo.Stats(), twin.Stats(), len(memo.state), len(twin.state))
+	}
+	if hits < 1000 || collisions < 1000 {
+		t.Fatalf("%d memo hits and %d collisions: the packets do not exercise the memo", hits, collisions)
+	}
+	t.Logf("%d memo hits, %d collisions", hits, collisions)
+}
+
+// BenchmarkVerdict1024Rules repeats one flow, so after the first packet it
+// measures a memo hit, not the scan.
 func BenchmarkVerdict1024Rules(b *testing.B) {
 	// The Figure 5 configuration: PF recovering/evaluating 1024 rules.
 	e := New(0)

@@ -11,11 +11,15 @@
 // goroutine. All operations are non-blocking; the channel layer adds
 // doorbell-based sleeping on top.
 //
-// EnqueueBatch and DequeueBatch are the batched fast path: N slots move
-// with one tail (or head) publication, and both are partial-accept — a
-// full or emptying ring moves what fits and reports the count, so nobody
-// ever blocks (paper §IV-A). TryEnqueue/TryDequeue remain the single-slot
-// primitives underneath.
+// The batched fast path works on the slots in place, so an element is
+// copied once, into its slot, and read where it lies. The producer fills
+// Writable runs and makes everything it wrote visible with one Publish (one
+// tail store); the consumer reads a Readable run and hands it back with one
+// Release (one head store). Both sides are partial: a full or empty ring
+// yields a short or empty run, so nobody ever blocks (paper §IV-A).
+// Released slots are not cleared: the element types the stack queues,
+// msg.Req and shm.RichPtr, hold no Go pointers, so a stale slot keeps
+// nothing alive. TryEnqueue/TryDequeue remain the single-slot primitives.
 package spsc
 
 import (
@@ -101,28 +105,31 @@ func (r *Ring[T]) TryEnqueue(v T) bool {
 	return true
 }
 
-// EnqueueBatch appends as many elements of src as there is room for and
-// returns the number accepted (possibly zero on a full ring). The tail is
-// published once for the whole batch, so the consumer observes the batch
-// atomically-in-order. It must be called only by the producer goroutine.
-func (r *Ring[T]) EnqueueBatch(src []T) int {
-	t := r.tail.Load()
+// Writable returns free slots the producer may fill: the run that starts
+// pending slots past the tail (the slots written since the last Publish)
+// and holds at most want slots, cut at the buffer's end, so a write that
+// wraps asks twice. It is empty on a full ring. What is written there stays
+// invisible to the consumer until Publish. It must be called only by the
+// producer goroutine.
+func (r *Ring[T]) Writable(pending, want int) []T {
+	t := r.tail.Load() + uint64(pending)
 	free := uint64(len(r.buf)) - (t - r.cachedHead)
-	if free < uint64(len(src)) {
+	if free < uint64(want) {
 		r.cachedHead = r.head.Load()
 		free = uint64(len(r.buf)) - (t - r.cachedHead)
 	}
-	n := len(src)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(t+uint64(i))&r.mask] = src[i]
-	}
+	start := t & r.mask
+	n := min(uint64(want), free, uint64(len(r.buf))-start)
+	return r.buf[start : start+n]
+}
+
+// Publish makes the next n written slots visible to the consumer with one
+// tail store, so the consumer observes the batch atomically, in order. It
+// must be called only by the producer goroutine.
+func (r *Ring[T]) Publish(n int) {
 	if n > 0 {
-		r.tail.Store(t + uint64(n))
+		r.tail.Store(r.tail.Load() + uint64(n))
 	}
-	return n
 }
 
 // TryDequeue removes and returns the oldest element.
@@ -156,32 +163,29 @@ func (r *Ring[T]) Peek() (T, bool) {
 	return r.buf[h&r.mask], true
 }
 
-// DequeueBatch removes up to len(dst) elements into dst and returns the
-// number moved. It must be called only by the consumer goroutine.
-func (r *Ring[T]) DequeueBatch(dst []T) int {
+// Readable returns the queued slots from the head: at most limit of them,
+// cut at the buffer's end, so a queue that wraps is read in two runs. The
+// slots are the consumer's until Release hands them back; the empty poll
+// touches no slot. It must be called only by the consumer goroutine.
+func (r *Ring[T]) Readable(limit int) []T {
 	h := r.head.Load()
 	if h >= r.cachedTail {
 		r.cachedTail = r.tail.Load()
 		if h >= r.cachedTail {
-			return 0 // the empty poll touches no slot
+			return nil
 		}
 	}
-	n := min(int(r.cachedTail-h), len(dst))
-	if n == 0 {
-		return 0
+	start := h & r.mask
+	n := min(uint64(limit), r.cachedTail-h, uint64(len(r.buf))-start)
+	return r.buf[start : start+n]
+}
+
+// Release hands the n oldest slots back to the producer with one head
+// store. It must be called only by the consumer goroutine.
+func (r *Ring[T]) Release(n int) {
+	if n > 0 {
+		r.head.Store(r.head.Load() + uint64(n))
 	}
-	// The n slots are at most two runs of the buffer: up to its end, then
-	// from its start. Moved slots are cleared to release references for
-	// GC.
-	start := int(h & r.mask)
-	first := copy(dst[:n], r.buf[start:])
-	clear(r.buf[start : start+first])
-	if first < n {
-		copy(dst[first:n], r.buf[:n-first])
-		clear(r.buf[:n-first])
-	}
-	r.head.Store(h + uint64(n))
-	return n
 }
 
 // Empty reports whether the ring appears empty from the consumer side.

@@ -2,6 +2,7 @@ package spsc
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,7 @@ import (
 
 // TestHeaderLayout pins the ring header to three cache lines: a leading
 // pad, the consumer's line (head and its copy of tail) and the producer's
-// line (tail and its copy of head). An empty DequeueBatch then reads two
+// line (tail and its copy of head). An empty Readable then reads two
 // header lines.
 func TestHeaderLayout(t *testing.T) {
 	var r Ring[int]
@@ -124,7 +125,7 @@ func TestDequeueBatch(t *testing.T) {
 		r.TryEnqueue(i)
 	}
 	dst := make([]int, 4)
-	if n := r.DequeueBatch(dst); n != 4 {
+	if n := dequeueBatch(r, dst); n != 4 {
 		t.Fatalf("batch = %d, want 4", n)
 	}
 	for i, v := range dst {
@@ -133,48 +134,109 @@ func TestDequeueBatch(t *testing.T) {
 		}
 	}
 	big := make([]int, 32)
-	if n := r.DequeueBatch(big); n != 6 {
+	if n := dequeueBatch(r, big); n != 6 {
 		t.Fatalf("batch = %d, want 6", n)
 	}
 	if big[0] != 4 || big[5] != 9 {
 		t.Fatalf("batch contents wrong: %v", big[:6])
 	}
-	if n := r.DequeueBatch(big); n != 0 {
+	if n := dequeueBatch(r, big); n != 0 {
 		t.Fatalf("batch on empty = %d", n)
 	}
 }
 
-// TestDequeueBatchWrapsAndClears: a batch that runs past the end of the
-// buffer comes out in order, and every slot it moved is cleared, so the
-// ring keeps no reference to what it handed out.
-func TestDequeueBatchWrapsAndClears(t *testing.T) {
-	r := MustNew[*int](8)
-	vals := make([]int, 11)
-	for i := range vals {
-		vals[i] = i
-	}
+// TestReadableWrapsAtTheBufferEnd: a queue that runs past the end of the
+// buffer is read in two runs, in order, and each run is the ring's own
+// slots, not a copy: the consumer reads the element where the producer
+// wrote it.
+func TestReadableWrapsAtTheBufferEnd(t *testing.T) {
+	r := MustNew[int](8)
 	for i := 0; i < 6; i++ {
-		r.TryEnqueue(&vals[i])
+		r.TryEnqueue(i)
 	}
-	dst := make([]*int, 8)
-	if n := r.DequeueBatch(dst); n != 6 {
+	if n := dequeueBatch(r, make([]int, 8)); n != 6 {
 		t.Fatalf("batch = %d, want 6", n)
 	}
 	for i := 6; i < 11; i++ {
-		r.TryEnqueue(&vals[i])
+		r.TryEnqueue(i)
 	}
-	if n := r.DequeueBatch(dst); n != 5 {
-		t.Fatalf("wrapping batch = %d, want 5", n)
+	first := r.Readable(8)
+	if len(first) != 2 || first[0] != 6 || first[1] != 7 || &first[0] != &r.buf[6] {
+		t.Fatalf("first run = %v at slot %p, want [6 7] in place at %p", first, &first[0], &r.buf[6])
 	}
-	for i, p := range dst[:5] {
-		if *p != 6+i {
-			t.Fatalf("dst[%d] = %d, want %d", i, *p, 6+i)
-		}
+	r.Release(len(first))
+	second := r.Readable(8)
+	if len(second) != 3 || second[0] != 8 || second[2] != 10 || &second[0] != &r.buf[0] {
+		t.Fatalf("second run = %v, want [8 9 10] from slot 0", second)
 	}
-	for i, p := range r.buf {
-		if p != nil {
-			t.Fatalf("slot %d still holds %d", i, *p)
-		}
+	r.Release(len(second))
+	if run := r.Readable(8); len(run) != 0 {
+		t.Fatalf("drained ring still reads %v", run)
+	}
+}
+
+// TestWritablePublishReadableRelease drives the in-place primitives
+// through empty, full and wrapping rings: written slots stay invisible
+// until Publish, a full ring offers no slot until Release, a write
+// across the buffer's end takes two runs, and a Readable run holds its
+// slots until Release however much the producer writes meanwhile.
+func TestWritablePublishReadableRelease(t *testing.T) {
+	r := MustNew[int](4)
+	if run := r.Readable(4); len(run) != 0 {
+		t.Fatalf("empty ring reads %v", run)
+	}
+	w := r.Writable(0, 3)
+	if len(w) != 3 {
+		t.Fatalf("Writable(0, 3) on an empty ring = %d slots", len(w))
+	}
+	copy(w, []int{1, 2, 3})
+	if run := r.Readable(4); len(run) != 0 || r.Len() != 0 {
+		t.Fatalf("written, unpublished slots are readable: %v, Len %d", run, r.Len())
+	}
+	if w := r.Writable(3, 5); len(w) != 1 {
+		t.Fatalf("Writable(3, 5) = %d slots, want the 1 free after 3 pending", len(w))
+	} else {
+		w[0] = 4
+	}
+	r.Publish(4)
+	if w := r.Writable(0, 1); len(w) != 0 {
+		t.Fatalf("full ring offers %d slots", len(w))
+	}
+	run := r.Readable(2)
+	if len(run) != 2 || run[0] != 1 || run[1] != 2 {
+		t.Fatalf("Readable(2) = %v, want [1 2]", run)
+	}
+	if w := r.Writable(0, 4); len(w) != 0 {
+		t.Fatalf("slots held by the consumer are writable: %d", len(w))
+	}
+	r.Release(2)
+
+	// The tail is at 4, the head at 2: a write of three wraps. Its first
+	// run is the two freed slots, its second the third after pending ones.
+	w = r.Writable(0, 3)
+	if len(w) != 2 || &w[0] != &r.buf[0] {
+		t.Fatalf("Writable(0, 3) = %d slots from %p, want 2 from slot 0", len(w), &w[0])
+	}
+	copy(w, []int{5, 6})
+	if w := r.Writable(2, 1); len(w) != 0 {
+		t.Fatalf("Writable past a full ring = %d slots", len(w))
+	}
+	r.Publish(2)
+	var got []int
+	for run := r.Readable(8); len(run) > 0; run = r.Readable(8) {
+		got = append(got, run...)
+		r.Release(len(run))
+	}
+	if want := []int{3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("read %v, want %v", got, want)
+	}
+	if !r.Empty() || r.Len() != 0 {
+		t.Fatal("ring not empty after reading everything")
+	}
+	r.Publish(0)
+	r.Release(0)
+	if r.Len() != 0 {
+		t.Fatal("Publish(0)/Release(0) moved the ring")
 	}
 }
 
@@ -297,9 +359,36 @@ func BenchmarkCrossCoreEnqueue(b *testing.B) {
 	<-done
 }
 
+// enqueueBatch appends what fits of src through the in-place primitives:
+// it fills at most two Writable runs and publishes them with one tail
+// store, the way channel.Out.Write and Publish do.
+func enqueueBatch[T any](r *Ring[T], src []T) int {
+	n := 0
+	for k := 0; k < 2 && n < len(src); k++ {
+		n += copy(r.Writable(n, len(src)-n), src[n:])
+	}
+	r.Publish(n)
+	return n
+}
+
+// dequeueBatch moves up to len(dst) queued elements into dst, one Readable
+// run and one Release at a time.
+func dequeueBatch[T any](r *Ring[T], dst []T) int {
+	n := 0
+	for n < len(dst) {
+		run := r.Readable(len(dst) - n)
+		if len(run) == 0 {
+			break
+		}
+		n += copy(dst[n:], run)
+		r.Release(len(run))
+	}
+	return n
+}
+
 func TestEnqueueBatchFIFO(t *testing.T) {
 	r := MustNew[int](16)
-	if n := r.EnqueueBatch([]int{0, 1, 2, 3, 4}); n != 5 {
+	if n := enqueueBatch(r, []int{0, 1, 2, 3, 4}); n != 5 {
 		t.Fatalf("EnqueueBatch = %d, want 5", n)
 	}
 	for i := 0; i < 5; i++ {
@@ -308,7 +397,7 @@ func TestEnqueueBatchFIFO(t *testing.T) {
 			t.Fatalf("dequeue = (%d,%v), want (%d,true)", v, ok, i)
 		}
 	}
-	if n := r.EnqueueBatch(nil); n != 0 {
+	if n := enqueueBatch(r, nil); n != 0 {
 		t.Fatalf("EnqueueBatch(nil) = %d, want 0", n)
 	}
 }
@@ -328,11 +417,11 @@ func TestEnqueueBatchWraparound(t *testing.T) {
 	}
 	// Ring is empty with tail at 6: an 8-element batch spans the wrap.
 	src := []int{10, 11, 12, 13, 14, 15, 16, 17}
-	if n := r.EnqueueBatch(src); n != 8 {
+	if n := enqueueBatch(r, src); n != 8 {
 		t.Fatalf("EnqueueBatch = %d, want 8", n)
 	}
 	dst := make([]int, 8)
-	if n := r.DequeueBatch(dst); n != 8 {
+	if n := dequeueBatch(r, dst); n != 8 {
 		t.Fatalf("DequeueBatch = %d, want 8", n)
 	}
 	for i, v := range dst {
@@ -348,11 +437,11 @@ func TestEnqueueBatchPartialAcceptWhenNearlyFull(t *testing.T) {
 		r.TryEnqueue(i)
 	}
 	// Only 3 slots free: a batch of 6 is partially accepted.
-	if n := r.EnqueueBatch([]int{100, 101, 102, 103, 104, 105}); n != 3 {
+	if n := enqueueBatch(r, []int{100, 101, 102, 103, 104, 105}); n != 3 {
 		t.Fatalf("EnqueueBatch on nearly-full ring = %d, want 3", n)
 	}
 	// Full ring accepts nothing.
-	if n := r.EnqueueBatch([]int{9}); n != 0 {
+	if n := enqueueBatch(r, []int{9}); n != 0 {
 		t.Fatalf("EnqueueBatch on full ring = %d, want 0", n)
 	}
 	want := []int{0, 1, 2, 3, 4, 100, 101, 102}
@@ -363,7 +452,7 @@ func TestEnqueueBatchPartialAcceptWhenNearlyFull(t *testing.T) {
 		}
 	}
 	// Space reclaimed: the rejected tail can go in now.
-	if n := r.EnqueueBatch([]int{103, 104, 105}); n != 3 {
+	if n := enqueueBatch(r, []int{103, 104, 105}); n != 3 {
 		t.Fatalf("EnqueueBatch after drain = %d, want 3", n)
 	}
 }
@@ -382,7 +471,7 @@ func TestEnqueueBatchConcurrentWithDequeueBatch(t *testing.T) {
 			for i := 0; i < 16 && next+i < total; i++ {
 				src = append(src, next+i)
 			}
-			n := r.EnqueueBatch(src)
+			n := enqueueBatch(r, src)
 			next += n
 			if n < len(src) {
 				// Ring full: yield, then re-offer the rejected suffix.
@@ -393,7 +482,7 @@ func TestEnqueueBatchConcurrentWithDequeueBatch(t *testing.T) {
 	dst := make([]int, 32)
 	want := 0
 	for want < total {
-		n := r.DequeueBatch(dst)
+		n := dequeueBatch(r, dst)
 		for i := 0; i < n; i++ {
 			if dst[i] != want {
 				t.Fatalf("got %d, want %d (order broken across batches)", dst[i], want)

@@ -37,7 +37,6 @@ type door struct {
 	// that an iteration allocates no closures.
 	onRestart func()
 	relay     func([]msg.Req)
-	scratch   []msg.Req
 
 	nextID  uint64
 	pending map[uint64]pendingCall
@@ -51,10 +50,9 @@ type door struct {
 	now  time.Time
 }
 
-func (d *door) init(ports *wiring.Ports, rt *proc.Runtime, scratch []msg.Req, restart bool) error {
+func (d *door) init(ports *wiring.Ports, rt *proc.Runtime, restart bool) error {
 	d.pending = make(map[uint64]pendingCall)
 	d.subs = make(map[uint32]kipc.EndpointID)
-	d.scratch = scratch
 	d.edge = wiring.NewEdge(ports.Export(d.peer[0], d.peer[1]))
 	d.onRestart = d.recoverPeer
 	d.relay = d.relayReplies
@@ -73,7 +71,7 @@ func (d *door) init(ports *wiring.Ports, rt *proc.Runtime, scratch []msg.Req, re
 // batch flushed to the peer.
 func (d *door) Poll(now time.Time) bool {
 	d.now = now
-	worked := d.edge.Intake(d.scratch, d.onRestart, d.relay)
+	worked := d.edge.Intake(d.onRestart, d.relay)
 	for i := 0; i < 64; i++ {
 		m, err := d.ep.TryReceive()
 		if err != nil {
@@ -160,10 +158,11 @@ func (d *door) noteSubscription(from kipc.EndpointID, req msg.Req) {
 // Readiness events (OpSockEvent) are not replies: they carry no pending ID
 // and route through the subscription table instead.
 func (d *door) relayReplies(b []msg.Req) {
-	for _, r := range b {
+	for i := range b {
+		r := &b[i]
 		if r.Op == msg.OpSockEvent {
 			if app, ok := d.subs[r.Flow]; ok {
-				d.toApp(app, r)
+				d.toApp(app, *r)
 			}
 			continue
 		}
@@ -172,8 +171,8 @@ func (d *door) relayReplies(b []msg.Req) {
 			continue // fire-and-forget, or from a previous incarnation
 		}
 		delete(d.pending, r.ID)
-		r.ID = call.appID
-		d.toApp(call.app, r)
+		r.ID = call.appID // the slot is the door's until the batch returns
+		d.toApp(call.app, *r)
 	}
 }
 

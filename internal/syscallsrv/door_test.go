@@ -48,7 +48,7 @@ func (p *transport) reincarnate() {
 
 // drain collects what the server delivered to this incarnation.
 func (p *transport) drain() {
-	p.end.Intake(make([]msg.Req, wiring.ScratchLen), nil, func(b []msg.Req) {
+	p.end.Intake(nil, func(b []msg.Req) {
 		p.got = append(p.got, b...)
 	})
 }
@@ -527,7 +527,6 @@ func TestDoorRoundTripAllocatesNothing(t *testing.T) {
 	a := r.newApp("a")
 	tcp := r.peers["tcp"]
 	dst, _ := r.hub.Kern.Lookup(doorTCP)
-	scratch := make([]msg.Req, wiring.ScratchLen)
 	var fwd []msg.Req
 	take := func(b []msg.Req) { fwd = append(fwd[:0], b...) }
 	roundTrip := func() {
@@ -535,7 +534,7 @@ func TestDoorRoundTripAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.srv.Poll(r.now)
-		tcp.end.Intake(scratch, nil, take)
+		tcp.end.Intake(nil, take)
 		if len(fwd) != 1 {
 			t.Fatalf("the transport got %v", fwd)
 		}

@@ -97,9 +97,8 @@ func New(ports *wiring.Ports, doors ...Door) *Server {
 // server.
 func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	s.ports.Begin(rt.Bell)
-	scratch := make([]msg.Req, wiring.ScratchLen)
 	for _, d := range s.doors {
-		if err := d.init(s.ports, rt, scratch, restart); err != nil {
+		if err := d.init(s.ports, rt, restart); err != nil {
 			return fmt.Errorf("syscallsrv: %w", err)
 		}
 	}

@@ -24,7 +24,7 @@ func (m *Meter) Total() uint64 { return m.bytes.Load() }
 
 // BatchCounter aggregates the sizes of message batches moving through one
 // point — e.g. one direction of one channel. The channel layer observes
-// once per SendBatch (= one doorbell ring) and once per RecvBatch drain,
+// once per Publish (= one doorbell ring) and once per Done of a viewed run,
 // so Batches() approximates wakeup-relevant events while Msgs() counts
 // requests: their ratio is the achieved doorbell coalescing factor.
 // Per-slot Send/Recv do not observe, keeping the cycle-counted single-slot

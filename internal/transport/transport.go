@@ -126,9 +126,8 @@ type Server[E any] struct {
 	hdrPool *shm.Pool
 	// hdrDue is the header pool's next segment retirement, as of the last
 	// Poll.
-	hdrDue  time.Time
-	ip, sc  *wiring.Edge
-	scratch []msg.Req
+	hdrDue time.Time
+	ip, sc *wiring.Edge
 }
 
 // New creates a transport server incarnation.
@@ -175,7 +174,6 @@ func (s *Server[E]) Init(rt *proc.Runtime, restart bool) error {
 		},
 		SaveState: s.save,
 	}, s.hdrPool)
-	s.scratch = make([]msg.Req, wiring.ScratchLen)
 	if payload != nil {
 		return s.restoreHandoff(rt, payload)
 	}
@@ -250,14 +248,14 @@ func (s *Server[E]) Poll(now time.Time) bool {
 			s.save(blob)
 		}
 	}
-	worked := s.ip.Intake(s.scratch, s.drv.OnIPRestart, func(b []msg.Req) {
-		for _, r := range b {
-			s.drv.FromIP(r, now)
+	worked := s.ip.Intake(s.drv.OnIPRestart, func(b []msg.Req) {
+		for i := range b {
+			s.drv.FromIP(b[i], now)
 		}
 	})
-	if s.sc.Intake(s.scratch, s.drv.OnFrontRestart, func(b []msg.Req) {
-		for _, r := range b {
-			s.drv.FromFront(r, now)
+	if s.sc.Intake(s.drv.OnFrontRestart, func(b []msg.Req) {
+		for i := range b {
+			s.drv.FromFront(b[i], now)
 		}
 	}) {
 		worked = true

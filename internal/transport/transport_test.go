@@ -87,7 +87,7 @@ func (n *neighbour) reincarnate() {
 
 // drain collects what the server delivered to this incarnation.
 func (n *neighbour) drain() {
-	n.end.Intake(make([]msg.Req, wiring.ScratchLen), nil, func(b []msg.Req) {
+	n.end.Intake(nil, func(b []msg.Req) {
 		for _, r := range b {
 			n.got = append(n.got, r.ID)
 		}

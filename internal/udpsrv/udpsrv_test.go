@@ -67,9 +67,8 @@ func (r *rig) start(handoff any) *Server {
 func (r *rig) call(req msg.Req) msg.Req {
 	r.t.Helper()
 	var rep []msg.Req
-	scratch := make([]msg.Req, wiring.ScratchLen)
 	collect := func(b []msg.Req) { rep = append(rep, b...) }
-	r.front.Intake(scratch, nil, collect) // adopt the edge before staging onto it
+	r.front.Intake(nil, collect) // adopt the edge before staging onto it
 	r.calls++
 	req.ID = r.calls
 	r.front.Push(req)
@@ -77,7 +76,7 @@ func (r *rig) call(req msg.Req) msg.Req {
 	for i := 0; i < 3 && len(rep) == 0; i++ {
 		r.now = r.now.Add(time.Millisecond)
 		r.srv.Poll(r.now)
-		r.front.Intake(scratch, nil, collect)
+		r.front.Intake(nil, collect)
 	}
 	if len(rep) != 1 || rep[0].ID != req.ID || rep[0].Status != msg.StatusOK {
 		r.t.Fatalf("%v: replies %+v", req.Op, rep)

@@ -7,34 +7,37 @@ import (
 	"newtos/internal/msg"
 )
 
-// Intake tuning shared by every server loop: recvBudget caps how many
-// requests one edge may feed into an engine per poll, so one busy edge
-// cannot starve the others; ScratchLen is the batch moved per RecvBatch
-// call (the length loops give their scratch buffer).
-const (
-	recvBudget = 512
-	ScratchLen = 256
-)
+// recvBudget caps how many requests one edge may feed into an engine per
+// poll, so one busy edge cannot starve the others.
+const recvBudget = 512
 
 // Edge is one server loop's end of one edge: the Port it listens on and
-// the staging queue for what it sends. A loop iteration is the same
-// everywhere (paper §IV-A: servers never block on a full queue, and pay
-// one doorbell per batch, not per request):
+// what it sends. A loop iteration is the same everywhere (paper §IV-A:
+// servers never block on a full queue, and pay one doorbell per batch,
+// not per request):
 //
-//	for every edge: Intake — adopt a rebind, drain the inbox into the engine
+//	for every edge: Intake — adopt a rebind, hand the inbox to the engine
 //	run the engine, Push its output onto the edges
-//	for every edge: Flush — one SendBatch, one doorbell ring
+//	for every edge: Flush — one tail store, one doorbell ring
 //
-// Whatever the queue does not accept stays staged for the next iteration.
-// An Edge belongs to one incarnation of its loop; the Port underneath is
-// stable across incarnations.
+// A request crosses the edge in one copy. Push writes it straight into a
+// free slot of the peer's queue, unpublished; Flush publishes everything
+// written since the last Flush at once; the peer's Intake hands its
+// handler the queue's own slots and frees them when the handler returns.
+// Only what the queue has no room for (and whatever is pushed before the
+// edge is wired) is staged in a side queue, and leaves first at the next
+// Flush, so order stays FIFO. An Edge belongs to one incarnation of its
+// loop; the Port underneath is stable across incarnations.
 type Edge struct {
 	port *Port
 	// cur is the duplex this loop last adopted and gen its generation;
-	// everything staged in q was produced for that incarnation.
-	cur channel.Duplex
-	gen int
-	q   []msg.Req
+	// everything written to cur and staged in q was produced for that
+	// incarnation. written counts the slots of cur's queue written since
+	// the last Flush; q holds, in order, what comes after them.
+	cur     channel.Duplex
+	gen     int
+	written int
+	q       []msg.Req
 
 	// unflushed is set by a Push and cleared by the next Flush; while it
 	// is set the edge is listed, under name, on bell, the owning
@@ -62,21 +65,24 @@ func NewEdge(port *Port) *Edge {
 }
 
 // Intake is the receive half of an iteration. It adopts a pending rebind,
-// then drains up to recvBudget requests through scratch into handle, one
-// RecvBatch per scratch-full. Reports whether anything happened.
+// then hands up to recvBudget requests to handle where they lie in the
+// queue, one run at a time (a queue that wraps is two runs), and frees
+// each run when handle returns. handle must not keep the slice, or a
+// pointer into it, after it returns: the peer writes its next requests
+// there. Reports whether anything happened.
 //
 // The restart rule, for every loop in the tree: a rebind means the peer (or
-// this end) reincarnated, so the staged batch is dropped — it was produced
-// for a duplex whose queues are gone, and delivering it to the new one
-// would corrupt a protocol state that never saw the requests before it —
-// and then onRestart (may be nil) runs the owner's recovery: abort,
+// this end) reincarnated, so the unflushed batch is dropped — it was
+// produced for a duplex whose queues are gone, and delivering it to the new
+// one would corrupt a protocol state that never saw the requests before it
+// — and then onRestart (may be nil) runs the owner's recovery: abort,
 // resubmit, resupply, re-announce, which regenerates whatever still
-// matters. What onRestart pushes is staged for the new incarnation. The
-// rule needs no "is the channel valid" clause: a generation only advances
-// when a freshly created duplex is installed. The first Intake after
-// wiring is a rebind like any other; a loop that must tell "wired" from
-// "rewired" (the driver's device reset) does so in its hook.
-func (e *Edge) Intake(scratch []msg.Req, onRestart func(), handle func([]msg.Req)) bool {
+// matters. What onRestart pushes is for the new incarnation. The rule
+// needs no "is the channel valid" clause: a generation only advances when a
+// freshly created duplex is installed. The first Intake after wiring is a
+// rebind like any other; a loop that must tell "wired" from "rewired" (the
+// driver's device reset) does so in its hook.
+func (e *Edge) Intake(onRestart func(), handle func([]msg.Req)) bool {
 	dup, gen, changed := e.port.take(e.gen)
 	if changed {
 		e.cur, e.gen = dup, gen
@@ -86,26 +92,34 @@ func (e *Edge) Intake(scratch []msg.Req, onRestart func(), handle func([]msg.Req
 		}
 	}
 	worked := changed
-	if !e.cur.Valid() {
-		return worked // not wired yet
-	}
 	for budget := recvBudget; budget > 0; {
-		n := e.cur.In.RecvBatch(scratch[:min(budget, len(scratch))])
-		if n == 0 {
+		b := e.cur.In.View(budget) // empty before the edge is wired
+		if len(b) == 0 {
 			break
 		}
-		handle(scratch[:n])
+		handle(b)
+		e.cur.In.Done(len(b))
 		worked = true
-		budget -= n
+		budget -= len(b)
 	}
 	return worked
 }
 
-// Push stages requests for the incarnation this edge last adopted. The
-// Poll that pushes must Flush the edge before it returns.
+// Push writes requests for the incarnation this edge last adopted into the
+// free slots of its queue, after those written since the last Flush,
+// without publishing them; what does not fit is staged. The Poll that
+// pushes must Flush the edge before it returns.
 func (e *Edge) Push(reqs ...msg.Req) {
-	e.q = append(e.q, reqs...)
-	if !e.unflushed && len(reqs) > 0 {
+	if len(reqs) == 0 {
+		return
+	}
+	n := 0
+	if len(e.q) == 0 { // nothing staged may be overtaken
+		n = e.cur.Out.Write(e.written, reqs) // zero before the edge is wired
+		e.written += n
+	}
+	e.q = append(e.q, reqs[n:]...)
+	if !e.unflushed {
 		e.unflushed = true
 		e.bell.Staged(e.name)
 	}
@@ -119,52 +133,59 @@ func (e *Edge) flushed() {
 	}
 }
 
-// Flush is the send half of an iteration: everything staged goes out in
-// one SendBatch, one doorbell ring. What the queue does not accept stays
-// staged for the next iteration; a batch the peer reincarnated under since
-// it was staged is dropped, never delivered late. Reports whether anything
-// moved.
+// Flush is the send half of an iteration: what is staged is written after
+// the pushes already in the queue, and everything goes out with one tail
+// store and one doorbell ring. What the queue does not accept stays staged
+// for the next iteration; a batch the peer reincarnated under since it was
+// pushed is dropped, never delivered late. Reports whether anything moved.
 func (e *Edge) Flush() bool {
 	e.flushed()
-	if len(e.q) == 0 {
+	if e.written == 0 && len(e.q) == 0 {
 		return false
 	}
 	if e.gen != e.port.latest() {
 		e.Drop()
 		return false
 	}
-	n := e.cur.Out.SendBatch(e.q) // zero before the edge is wired
+	n := e.cur.Out.Write(e.written, e.q) // zero before the edge is wired
 	e.q = e.q[:copy(e.q, e.q[n:])]
+	n += e.written
+	e.written = 0
+	e.cur.Out.Publish(n)
 	return n > 0
 }
 
-// Drop discards the staged requests and counts them (the peer restarted;
-// the queue they were meant for is gone).
+// Drop discards the unflushed requests, written and staged, and counts
+// them (the peer restarted; the queue they were meant for is gone). The
+// written slots are never published: the next Push overwrites them.
 func (e *Edge) Drop() {
 	e.flushed()
-	e.dropped.Add(uint64(len(e.q)))
+	e.dropped.Add(uint64(e.written + len(e.q)))
+	e.written = 0
 	e.q = e.q[:0]
 }
 
-// TakeStaged removes and returns the staged batch without sending or
-// dropping it. The live-handoff path calls it after a final Flush so
-// requests the queue did not accept ride the state transfer to the
-// successor's edge instead of being lost — the peer never reincarnated, so
-// the batch is still meant for it.
+// TakeStaged removes and returns the unflushed batch, the written requests
+// copied out ahead of the staged ones, without sending or dropping it. The
+// live-handoff path calls it after a final Flush so requests the queue did
+// not accept ride the state transfer to the successor's edge instead of
+// being lost — the peer never reincarnated, so the batch is still meant
+// for it.
 func (e *Edge) TakeStaged() []msg.Req {
 	e.flushed()
-	q := e.q
-	e.q = nil
+	q := append(e.cur.Out.Unpublished(e.written, nil), e.q...)
+	e.written = 0
+	e.q = e.q[:0]
 	return q
 }
 
-// Dropped returns how many staged requests were discarded because their
+// Dropped returns how many pushed requests were discarded because their
 // target incarnation died before they could be flushed.
 func (e *Edge) Dropped() uint64 { return e.dropped.Load() }
 
 // DropReporter is implemented by server shells that surface the sum of
 // their edges' Dropped() counters, so recovery experiments can observe how
-// many staged requests each loop shed across peer reincarnations instead
+// many pushed requests each loop shed across peer reincarnations instead
 // of the counts dying with the incarnation unread.
 type DropReporter interface {
 	OutboxDropped() uint64

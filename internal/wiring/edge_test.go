@@ -1,13 +1,16 @@
 package wiring
 
 import (
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"newtos/internal/channel"
 	"newtos/internal/msg"
 	"newtos/internal/proc"
+	"newtos/internal/shm"
 )
 
 // Take is the tests' two-value view of take: it adopts a pending rebind and
@@ -28,10 +31,10 @@ type edgeRig struct {
 	edge     *Edge
 	tcpPorts *Ports
 	peer     channel.Duplex // the live tcp incarnation's end
-	scratch  []msg.Req
-	nextID   uint64 // last ID staged
-	lastRecv uint64 // last ID the peer received (FIFO check)
-	restarts int    // restart-hook calls
+	scratch  []msg.Req      // what recvd copies out of the peer's queue
+	nextID   uint64         // last ID staged
+	lastRecv uint64         // last ID the peer received (FIFO check)
+	restarts int            // restart-hook calls
 }
 
 func newEdgeRig(t *testing.T, depth int) *edgeRig {
@@ -44,7 +47,7 @@ func newEdgeRig(t *testing.T, depth int) *edgeRig {
 	ipPorts.Begin(channel.NewDoorbell())
 	r := &edgeRig{
 		t: t, ipSide: ipPorts.Export("ip-tcp", "tcp"), tcpPorts: NewPorts(hub, "tcp"),
-		scratch: make([]msg.Req, ScratchLen),
+		scratch: make([]msg.Req, burst),
 	}
 	r.reincarnatePeer()
 	r.edge = NewEdge(r.ipSide)
@@ -68,7 +71,7 @@ func (r *edgeRig) reincarnatePeer() {
 }
 
 func (r *edgeRig) intake() bool {
-	return r.edge.Intake(r.scratch, func() { r.restarts++ }, func([]msg.Req) {})
+	return r.edge.Intake(func() { r.restarts++ }, func([]msg.Req) {})
 }
 
 func (r *edgeRig) push(n int) {
@@ -108,6 +111,10 @@ type step struct {
 	flush     bool // the owner runs Flush
 	want      int  // requests the live peer incarnation holds after the step
 }
+
+// burst is a full batch: as many requests as a loop once drained per
+// RecvBatch into its scratch buffer.
+const burst = 256
 
 func repeat(s step, n int) []step {
 	out := make([]step, n)
@@ -191,7 +198,7 @@ func TestEdge(t *testing.T) {
 		},
 		{
 			name: "after a burst of full batches, a small batch leaves in the same iteration",
-			steps: append(repeat(step{push: ScratchLen, flush: true, want: ScratchLen}, 4),
+			steps: append(repeat(step{push: burst, flush: true, want: burst}, 4),
 				step{push: 3, flush: true, want: 3}),
 		},
 		{
@@ -228,9 +235,9 @@ func TestEdge(t *testing.T) {
 					t.Fatalf("step %d: peer received %d, want %d", i, got, s.want)
 				}
 			}
-			if len(r.edge.q) != tc.staged || r.edge.Dropped() != tc.dropped || r.restarts != tc.restarts {
+			if r.edge.written+len(r.edge.q) != tc.staged || r.edge.Dropped() != tc.dropped || r.restarts != tc.restarts {
 				t.Fatalf("staged=%d dropped=%d restarts=%d, want %d/%d/%d",
-					len(r.edge.q), r.edge.Dropped(), r.restarts, tc.staged, tc.dropped, tc.restarts)
+					r.edge.written+len(r.edge.q), r.edge.Dropped(), r.restarts, tc.staged, tc.dropped, tc.restarts)
 			}
 			if tc.check != nil {
 				tc.check(t, r)
@@ -319,5 +326,136 @@ func TestDroppedIsReadWhileTheLoopDrops(t *testing.T) {
 	<-read
 	if got := r.edge.Dropped(); got != n {
 		t.Fatalf("Dropped = %d, want %d", got, n)
+	}
+}
+
+// edgePair wires ip's and tcp's ends of one edge, each an Edge, and runs
+// the first Intake on both, so what either pushes next is written in place.
+func edgePair(t *testing.T, depth int) (ip, tcp *Edge) {
+	t.Helper()
+	hub := newHub()
+	ipPorts, tcpPorts := NewPorts(hub, "ip"), NewPorts(hub, "tcp")
+	if depth > 0 {
+		ipPorts.SetDepth(depth)
+	}
+	ipPorts.Begin(channel.NewDoorbell())
+	ipPort := ipPorts.Export("ip-tcp", "tcp")
+	tcpPorts.Begin(channel.NewDoorbell())
+	ip, tcp = NewEdge(ipPort), NewEdge(tcpPorts.Attach("ip-tcp"))
+	nop := func([]msg.Req) {}
+	if !ip.Intake(nil, nop) || !tcp.Intake(nil, nop) {
+		t.Fatal("edge not wired")
+	}
+	return ip, tcp
+}
+
+// stressReq is request id of TestEdgeInPlaceStress: every field set from
+// id, and a chain whose length cycles through 0..MaxPtrs, so each slot is
+// rewritten with longer and shorter chains.
+func stressReq(id uint64) msg.Req {
+	r := msg.Req{ID: id, Op: msg.Op(id % 7), Status: int32(id), Flow: uint32(3 * id),
+		Arg: [4]uint64{id, ^id, id << 7, id >> 3}}
+	for i := uint64(0); i < id%(msg.MaxPtrs+1); i++ {
+		r.AppendChain(shm.RichPtr{Pool: shm.PoolID(id), Gen: uint32(i), Off: uint32(id), Len: uint32(i + 1)})
+	}
+	return r
+}
+
+// TestEdgeInPlaceStress: a producer pushes and flushes through its Edge
+// while a consumer on another goroutine takes the batches in place through
+// its Intake, yielding inside handle so the producer writes the free slots
+// around the run it holds. Every request arrives once, in order, equal to
+// the request pushed. Run it under -race: the producer's writes and the
+// consumer's reads of one slot must be ordered by Publish and Done.
+func TestEdgeInPlaceStress(t *testing.T) {
+	total := uint64(20000)
+	if testing.Short() {
+		total = 2000
+	}
+	ip, tcp := edgePair(t, 64)
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for next := uint64(1); next <= total && !stop.Load(); {
+			for n := 1 + next%37; n > 0 && next <= total; n-- {
+				ip.Push(stressReq(next))
+				next++
+			}
+			ip.Flush()
+			runtime.Gosched()
+		}
+		for ip.written+len(ip.q) > 0 && !stop.Load() {
+			ip.Flush()
+			runtime.Gosched()
+		}
+	}()
+	defer func() { stop.Store(true); <-done }()
+	want := uint64(1)
+	handle := func(b []msg.Req) {
+		for i := range b {
+			if b[i] != stressReq(want) {
+				t.Fatalf("request %d arrived as %+v", want, b[i])
+			}
+			want++
+		}
+		runtime.Gosched()
+	}
+	for deadline := time.Now().Add(time.Minute); want <= total; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests arrived in a minute", want-1, total)
+		}
+		if !tcp.Intake(nil, handle) {
+			runtime.Gosched()
+		}
+	}
+	<-done
+	if tcp.Intake(nil, func(b []msg.Req) { t.Fatalf("%d requests past the last", len(b)) }) {
+		t.Fatal("Intake worked on a drained edge")
+	}
+}
+
+// TestEdgeCycleAllocatesNothing: a steady Push → Flush → Intake cycle
+// allocates nothing.
+func TestEdgeCycleAllocatesNothing(t *testing.T) {
+	ip, tcp := edgePair(t, 0)
+	batch := make([]msg.Req, 32)
+	got := 0
+	handle := func(b []msg.Req) { got += len(b) }
+	if n := testing.AllocsPerRun(100, func() {
+		ip.Push(batch...)
+		ip.Flush()
+		tcp.Intake(nil, handle)
+	}); n != 0 {
+		t.Fatalf("a Push → Flush → Intake cycle allocates %v", n)
+	}
+	if got != 101*len(batch) {
+		t.Fatalf("consumer took %d requests, want %d", got, 101*len(batch))
+	}
+}
+
+// TestTakeStagedCopiesOutWrittenSlots: what a Push wrote into the queue
+// and no Flush published comes back from TakeStaged, in order, ahead of
+// what the queue had no room for; the peer never sees it, and the next
+// Push writes the abandoned slots again.
+func TestTakeStagedCopiesOutWrittenSlots(t *testing.T) {
+	r := newEdgeRig(t, 4)
+	r.push(6) // 4 written in place, 2 staged
+	got := r.edge.TakeStaged()
+	if len(got) != 6 {
+		t.Fatalf("TakeStaged returned %d requests, want 6", len(got))
+	}
+	for i, m := range got {
+		if m.ID != uint64(i+1) {
+			t.Fatalf("TakeStaged[%d] = request %d, want %d", i, m.ID, i+1)
+		}
+	}
+	if r.edge.Flush() || r.recvd() != 0 {
+		t.Fatal("taken requests reached the peer")
+	}
+	r.lastRecv = 6
+	r.push(2)
+	if !r.edge.Flush() || r.recvd() != 2 || r.edge.Dropped() != 0 {
+		t.Fatalf("after TakeStaged: peer got up to %d, dropped %d", r.lastRecv, r.edge.Dropped())
 	}
 }

@@ -20,9 +20,10 @@
 //
 // The loops' shared data-path primitive lives here as well
 // (docs/ARCHITECTURE.md "The doorbell contract"): Edge owns one edge's Port
-// and staging queue, and spells the iteration every server loop
-// runs — Intake, engine, Push, Flush — including the one rule for what
-// happens to staged output when the peer reincarnates under it.
+// and what it has written and not yet flushed, and spells the iteration
+// every server loop runs — Intake, engine, Push, Flush — including the one
+// rule for what happens to unflushed output when the peer reincarnates
+// under it.
 package wiring
 
 import (
