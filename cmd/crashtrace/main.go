@@ -24,7 +24,7 @@ import (
 func main() {
 	target := flag.String("target", "ip", `component to crash: "ip" (Figure 4) or "pf" (Figure 5)`)
 	csv := flag.Bool("csv", false, "emit CSV instead of the ASCII plot")
-	total := flag.Duration("total", 0, "trace length (default: 10s for ip, 18s for pf)")
+	total := flag.Duration("total", 0, "trace length (default: 14s for ip, 18s for pf, 10s otherwise)")
 	flag.Parse()
 
 	if err := run(*target, *csv, *total); err != nil {
@@ -35,24 +35,13 @@ func main() {
 
 func run(target string, csv bool, total time.Duration) error {
 	opts := experiments.TraceOpts{Target: target, Total: total}
-	title := ""
+	title := fmt.Sprintf("bitrate across a %s crash", target)
 	switch target {
 	case core.CompIP:
-		if total == 0 {
-			opts.Total = 14 * time.Second
-		}
-		opts.CrashAt = []time.Duration{4 * time.Second}
 		title = "Figure 4 — IP server crash at t=4s (NIC reset causes the gap)"
 	case core.CompPF:
-		if total == 0 {
-			opts.Total = 18 * time.Second
-		}
-		opts.CrashAt = []time.Duration{6 * time.Second, 12 * time.Second}
 		opts.PFRules = 1024
 		title = "Figure 5 — packet filter crashes at t=6s and t=12s (1024 rules recovered)"
-	default:
-		opts.CrashAt = []time.Duration{opts.Total / 2}
-		title = fmt.Sprintf("bitrate across a %s crash", target)
 	}
 
 	samples, err := experiments.RunCrashTrace(opts)

@@ -19,13 +19,16 @@ import (
 	"newtos/internal/udpsrv"
 )
 
-// TraceOpts tunes the Figure 4 / Figure 5 crash-trace experiments.
+// TraceOpts tunes the Figure 4 / Figure 5 crash-trace experiments. A zero
+// field takes the target's default (fill).
 type TraceOpts struct {
 	// Target is the component to crash ("ip" for Figure 4, "pf" for 5).
 	Target string
-	// Total is the trace length (Figure 4: 10s; Figure 5: 18s).
+	// Total is the trace length (Figure 4: 14s; Figure 5: 18s; 10s for
+	// any other target).
 	Total time.Duration
-	// CrashAt lists injection instants (Figure 4: {4s}; Figure 5: two).
+	// CrashAt lists injection instants (Figure 4: {4s}; Figure 5: {6s,
+	// 12s}; the middle of the trace for any other target).
 	CrashAt []time.Duration
 	// PFRules loads the filter with this many rules (Figure 5: 1024).
 	PFRules int
@@ -34,12 +37,29 @@ type TraceOpts struct {
 	LinkUpDelay time.Duration
 }
 
+// fill sets each zero field to its default for o.Target. The crash
+// instant of a target other than ip or pf is the middle of the trace, so
+// it follows Total.
 func (o *TraceOpts) fill() {
 	if o.Total == 0 {
-		o.Total = 10 * time.Second
+		switch o.Target {
+		case core.CompIP:
+			o.Total = 14 * time.Second
+		case core.CompPF:
+			o.Total = 18 * time.Second
+		default:
+			o.Total = 10 * time.Second
+		}
 	}
 	if len(o.CrashAt) == 0 {
-		o.CrashAt = []time.Duration{4 * time.Second}
+		switch o.Target {
+		case core.CompIP:
+			o.CrashAt = []time.Duration{4 * time.Second}
+		case core.CompPF:
+			o.CrashAt = []time.Duration{6 * time.Second, 12 * time.Second}
+		default:
+			o.CrashAt = []time.Duration{o.Total / 2}
+		}
 	}
 	if o.LinkUpDelay == 0 && o.Target == core.CompIP {
 		o.LinkUpDelay = 800 * time.Millisecond

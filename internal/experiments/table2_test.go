@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,6 +80,30 @@ func TestTable2RejectsUnsetOptions(t *testing.T) {
 		bad(&o)
 		if _, err := RunTable2Row(RowSplitSCTSO, o); err == nil {
 			t.Errorf("RunTable2Row(%+v) ran", o)
+		}
+	}
+}
+
+// TestCrashTraceDefaults: a zero TraceOpts field takes its target's
+// default, and the crash of a target other than ip or pf lands in the
+// middle of the trace whatever its length.
+func TestCrashTraceDefaults(t *testing.T) {
+	s := time.Second
+	for _, c := range []struct {
+		in   TraceOpts
+		want TraceOpts
+	}{
+		{TraceOpts{Target: core.CompIP}, TraceOpts{Target: core.CompIP, Total: 14 * s, CrashAt: []time.Duration{4 * s}, LinkUpDelay: 800 * time.Millisecond}},
+		{TraceOpts{Target: core.CompPF}, TraceOpts{Target: core.CompPF, Total: 18 * s, CrashAt: []time.Duration{6 * s, 12 * s}}},
+		{TraceOpts{Target: core.CompTCP}, TraceOpts{Target: core.CompTCP, Total: 10 * s, CrashAt: []time.Duration{5 * s}}},
+		{TraceOpts{Target: core.CompTCP, Total: 6 * s}, TraceOpts{Target: core.CompTCP, Total: 6 * s, CrashAt: []time.Duration{3 * s}}},
+		{TraceOpts{Target: core.CompIP, Total: 8 * s, LinkUpDelay: s}, TraceOpts{Target: core.CompIP, Total: 8 * s, CrashAt: []time.Duration{4 * s}, LinkUpDelay: s}},
+		{TraceOpts{Target: core.CompPF, CrashAt: []time.Duration{s}}, TraceOpts{Target: core.CompPF, Total: 18 * s, CrashAt: []time.Duration{s}}},
+	} {
+		got := c.in
+		got.fill()
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("fill(%+v) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
 }

@@ -151,6 +151,9 @@ func TestNoRouteFailsSend(t *testing.T) {
 	if e.Stats().DropsNoRoute != 1 {
 		t.Fatal("no-route drop not counted")
 	}
+	if n := e.hdrPool.InUse(); n != 0 {
+		t.Fatalf("%d header chunks held after the refusal", n)
+	}
 }
 
 func TestPFJunctionBlockFailsSend(t *testing.T) {

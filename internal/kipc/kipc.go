@@ -348,7 +348,6 @@ func spin(d time.Duration) {
 		return
 	}
 	start := time.Now()
-	//lint:ignore busywait burning the core is the point: this models trap cost.
 	for time.Since(start) < d {
 	}
 }

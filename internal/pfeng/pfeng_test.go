@@ -425,3 +425,43 @@ func BenchmarkStateHit(b *testing.B) {
 		e.Verdict(In, "", f.reverse(), 0, now)
 	}
 }
+
+// TestVerdictAllocatesNothing pins a packet verdict at zero allocations,
+// through VerdictPacket on a rule set like the benchmark's (64 block rules
+// no packet matches, then a pass rule): a memo hit, and a full scan of the
+// 65 rules with the memo emptied first. A verdict runs once per packet
+// crossing PF; formatting a string on that path shows here.
+func TestVerdictAllocatesNothing(t *testing.T) {
+	e := New(0)
+	for i := 0; i < 64; i++ {
+		e.AddRule(Rule{Action: Block, Dir: AnyDir, Dst: netpkt.IPAddr{192, 0, 2, byte(i)}, DstBits: 32, DstPort: uint16(1 + i)})
+	}
+	e.AddRule(Rule{Action: Pass, Dir: AnyDir})
+	tcp := netpkt.TCPHeader{SrcPort: 40000, DstPort: 9000, Flags: netpkt.TCPAck}
+	pkt := make([]byte, netpkt.IPv4HeaderLen+tcp.MarshalLen())
+	ip := netpkt.IPv4Header{TotalLen: uint16(len(pkt)), TTL: 64, Proto: netpkt.ProtoTCP, Src: hostB, Dst: hostA}
+	ip.Marshal(pkt, true)
+	tcp.Marshal(pkt[netpkt.IPv4HeaderLen:])
+	now := time.Unix(1_000_000, 0)
+	for _, c := range []struct {
+		name string
+		prep func()
+	}{
+		{"memo hit", func() {}},
+		{"full scan", func() { e.rulesGen++ }},
+	} {
+		verdict := func() {
+			c.prep()
+			if e.VerdictPacket(In, "eth0", pkt, now) != Pass {
+				t.Fatal("packet blocked")
+			}
+		}
+		verdict()
+		if got := testing.AllocsPerRun(100, verdict); got != 0 {
+			t.Errorf("%s: %.1f allocations per verdict, want 0", c.name, got)
+		}
+	}
+	if st := e.Stats(); st.StateHits != 0 {
+		t.Fatalf("%d conntrack hits: the verdicts skipped the rules", st.StateHits)
+	}
+}

@@ -586,6 +586,16 @@ func TestConnectRefusedByRst(t *testing.T) {
 	if pi.b.Stats().RSTsSent == 0 {
 		t.Fatal("no RST emitted")
 	}
+	// An RST for no connection is not answered, and takes no header chunk.
+	sent, seg := pi.b.Stats().RSTsSent, make([]byte, netpkt.TCPHeaderLen)
+	(&netpkt.TCPHeader{SrcPort: 1, DstPort: 9999, Flags: netpkt.TCPRst}).Marshal(seg)
+	pi.deliver(pi.b, pi.aIP, [][]byte{seg})
+	for pi.step() {
+	}
+	if pi.b.Stats().RSTsSent != sent {
+		t.Fatal("an RST was answered with an RST")
+	}
+	pi.checkNothingLeaked()
 }
 
 func TestListenerBacklogLimit(t *testing.T) {

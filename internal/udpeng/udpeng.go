@@ -47,6 +47,11 @@ type Config struct {
 // datagram semantics allow.
 const recvQueueCap = 64
 
+// MaxPayload is the largest datagram payload UDP over IPv4 carries (65 507
+// B): the IP total length, a 16-bit field, less the IP and UDP headers. A
+// longer send is refused, not truncated by the header's length field.
+const MaxPayload = 0xffff - netpkt.IPv4HeaderLen - netpkt.UDPHeaderLen
+
 // Engine is one UDP instance. Single-threaded.
 type Engine struct {
 	cfg     Config
@@ -337,11 +342,16 @@ func (e *Engine) send(r msg.Req) {
 	if !s.bound {
 		e.autobind(s)
 	}
-	payload := append([]shm.RichPtr(nil), r.Chain()...)
 	plen := 0
-	for _, p := range payload {
+	for _, p := range r.Chain() {
 		plen += int(p.Len)
 	}
+	if plen > MaxPayload {
+		e.toFront = append(e.toFront, r.Reply(msg.OpSockReply, msg.StatusErrInval))
+		e.recycle(s, r.Chain())
+		return
+	}
+	payload := append([]shm.RichPtr(nil), r.Chain()...)
 
 	// Build the UDP header in our own pool (pools are immutable to
 	// consumers; each layer prepends its header in its own chunk).

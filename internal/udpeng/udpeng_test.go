@@ -626,3 +626,63 @@ func TestSendCycleAllocations(t *testing.T) {
 		t.Errorf("%.1f allocations per datagram, want at most 3", got)
 	}
 }
+
+// TestOversizedDatagramIsRefused: a send longer than MaxPayload, which a
+// socket buffer's 16 chunks of 4 KB can stage, is refused with EINVAL
+// before the engine takes a header: nothing goes to IP, the header pool is
+// back at its baseline and the chunks are back in the socket's ring. A
+// send of exactly MaxPayload goes out with its true UDP length.
+func TestOversizedDatagramIsRefused(t *testing.T) {
+	h := newHarness(t)
+	sock := h.socket()
+	buf := h.bufs[sock]
+	stage := func(n int) msg.Req {
+		var chain []shm.RichPtr
+		for n > 0 {
+			chunk, ok := buf.Get()
+			if !ok {
+				t.Fatal("socket buffer exhausted")
+			}
+			ptr, err := buf.Write(chunk, make([]byte, min(n, buf.ChunkSize())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain = append(chain, ptr)
+			n -= int(ptr.Len)
+		}
+		h.next++
+		r := msg.Req{ID: h.next, Op: msg.OpSockSend, Flow: sock}
+		r.SetChain(chain)
+		r.Arg[0], r.Arg[1] = uint64(netpkt.IPAddr{10, 0, 0, 2}.U32()), 53
+		return r
+	}
+
+	inUse := h.e.hdrPool.InUse()
+	r := stage(16 * buf.ChunkSize())
+	h.e.FromFront(r)
+	if reps := h.e.DrainToFront(); len(reps) != 1 || reps[0].ID != r.ID || reps[0].Status != msg.StatusErrInval {
+		t.Fatalf("send of %d B: replies %+v, want one EINVAL", 16*buf.ChunkSize(), reps)
+	}
+	if out := h.e.DrainToIP(); len(out) != 0 {
+		t.Fatalf("refused send reached IP: %+v", out)
+	}
+	if got := h.e.hdrPool.InUse(); got != inUse {
+		t.Fatalf("header pool holds %d chunks after the refusal, want %d", got, inUse)
+	}
+	if buf.Free() != 16 {
+		t.Fatalf("ring holds %d chunks after the refusal, want the 16 sent", buf.Free())
+	}
+
+	h.e.FromFront(stage(MaxPayload))
+	out := h.e.DrainToIP()
+	if len(out) != 1 {
+		t.Fatalf("send of MaxPayload: toIP = %+v", out)
+	}
+	hdr, err := h.space.View(out[0].Chain()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uh, err := netpkt.ParseUDP(hdr); err != nil || int(uh.Length) != netpkt.UDPHeaderLen+MaxPayload {
+		t.Fatalf("UDP header of a MaxPayload send: %+v, %v", uh, err)
+	}
+}

@@ -93,7 +93,7 @@ func (p *Port) take(held int) (dup channel.Duplex, gen int, changed bool) {
 	if p.latest() == held {
 		return channel.Duplex{}, held, false
 	}
-	//lint:ignore hotloop the rebind registry emulates the kernel remapping channels during restart; taken only while the supervisor reincarnates a peer.
+	// The lock is taken only after a rebind, while a peer reincarnates.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.seen, p.cur = int(p.gen.Load()), p.dup
