@@ -98,9 +98,12 @@ func run() error {
 	for i := 0; i < 5000; i++ {
 		ptr, buf, err := pool.Alloc()
 		if err != nil {
-			// Recycle the oldest by resetting the pool: attack traffic
-			// is fire-and-forget.
-			pool.Reset()
+			// Attack traffic is fire-and-forget: drop the spent pool and
+			// carry on with a fresh one.
+			space.Drop(pool.ID())
+			if pool, err = space.NewPool("attack", 2048, 64); err != nil {
+				return err
+			}
 			continue
 		}
 		n := buildMalformed(buf, i)

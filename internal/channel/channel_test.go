@@ -579,7 +579,7 @@ func TestShortChainAfterLongThroughOneSlot(t *testing.T) {
 	chain := func(id uint64, n int) msg.Req {
 		r := msg.Req{ID: id, Op: msg.OpTxSubmit, Flow: 9, Arg: [4]uint64{id, 2, 3, 4}}
 		for i := 0; i < n; i++ {
-			r.AppendChain(shm.RichPtr{Pool: 1, Gen: uint32(id), Off: uint32(i), Len: 100})
+			r.AppendChain(shm.RichPtr{Pool: shm.PoolID(id), Off: uint32(i), Len: 100})
 		}
 		return r
 	}

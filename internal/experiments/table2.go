@@ -72,12 +72,10 @@ func RunTable2Row(row Table2Row, opts Table2Opts) (float64, error) {
 		// The original MINIX 3: one stack server without the SYSCALL server
 		// or offloads, on a single time-shared CPU where every packet
 		// crosses to and from the driver by synchronous kernel IPC
-		// (kipc.Kernel.PacketRendezvous). The context switch is calibrated,
-		// not measured: ~80 µs per packet (two hand-offs of two traps, a
-		// copy and two switches each) lands near the paper's 120 Mbps.
+		// (kipc.Kernel.PacketRendezvous), each charged a calibrated
+		// context switch.
 		cfg.SingleServer, cfg.SyscallServer, cfg.Offload, cfg.TSO = true, false, false, false
 		cfg.Kernel.SingleCore = true
-		cfg.Kernel.ContextSwitchCost = 18 * time.Microsecond
 	case RowSplit:
 		cfg.SyscallServer, cfg.TSO = false, false
 	case RowSplitSC:

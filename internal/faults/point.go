@@ -4,9 +4,9 @@
 // The original work injected faults into component binaries with the tool
 // used for Rio, Nooks and MINIX 3 driver isolation; the observable outcome
 // classes are crashes, hangs, and silent misbehaviour. This package plants
-// an armable Point in every server's event loop that can produce exactly
-// those outcomes on demand, which is the substitution documented in
-// docs/ARCHITECTURE.md "Substitutions and non-goals".
+// an armable Point in every server's event loop that produces the first two
+// on demand; silent misbehaviour is not injected. That is the substitution
+// documented in docs/ARCHITECTURE.md "Substitutions and non-goals".
 package faults
 
 import (
@@ -28,9 +28,6 @@ const (
 	// Hang makes the component stop responding while its goroutine stays
 	// alive — detected only by missed heartbeats.
 	Hang
-	// Corrupt invokes the component's registered corruption hook, mutating
-	// internal state; the component keeps running but may misbehave.
-	Corrupt
 )
 
 func (k Kind) String() string {
@@ -41,8 +38,6 @@ func (k Kind) String() string {
 		return "crash"
 	case Hang:
 		return "hang"
-	case Corrupt:
-		return "corrupt"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -73,7 +68,6 @@ type Point struct {
 	mu        sync.Mutex
 	kind      Kind
 	fired     bool
-	corrupt   func()
 	abandoned chan struct{}
 }
 
@@ -81,13 +75,6 @@ type Point struct {
 // nil) is how Arm wakes the loop that calls Check.
 func NewPoint(component string, ring func()) *Point {
 	return &Point{component: component, ring: ring, abandoned: make(chan struct{})}
-}
-
-// SetCorruptHook registers the state-mutation used by Corrupt faults.
-func (p *Point) SetCorruptHook(fn func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.corrupt = fn
 }
 
 // Arm schedules a fault of the given kind to fire at the next Check, and
@@ -118,9 +105,8 @@ func (p *Point) Fired() bool {
 	return p.fired
 }
 
-// Check fires a due fault. Crash and Hang panic with an Injected value
-// (Hang first blocks until Release). Corrupt runs the corruption hook once
-// and lets execution continue.
+// Check fires a due fault: it panics with an Injected value, a Hang first
+// blocking until Release.
 func (p *Point) Check() {
 	if !p.armed.Load() {
 		return
@@ -133,24 +119,16 @@ func (p *Point) Check() {
 	kind := p.kind
 	p.fired = true
 	p.armed.Store(false)
-	hook := p.corrupt
 	abandoned := p.abandoned
 	p.mu.Unlock()
 
-	switch kind {
-	case Crash:
-		panic(Injected{Component: p.component, Kind: Crash})
-	case Hang:
+	if kind == Hang {
 		// Stop responding. The goroutine is parked until the supervisor
 		// gives up on this incarnation and Releases it, at which point it
 		// unwinds like a crash so the wrapper can clean up.
 		<-abandoned
-		panic(Injected{Component: p.component, Kind: Hang})
-	case Corrupt:
-		if hook != nil {
-			hook()
-		}
 	}
+	panic(Injected{Component: p.component, Kind: kind})
 }
 
 // Release abandons a hung incarnation, letting its parked goroutine unwind.

@@ -56,7 +56,7 @@ func TestCrashFiresOnce(t *testing.T) {
 func TestArmRingsTheLoop(t *testing.T) {
 	rings := 0
 	p := NewPoint("storage", func() { rings++ })
-	p.Arm(Corrupt)
+	p.Arm(Crash)
 	if rings != 1 {
 		t.Fatalf("Arm rang %d times, want once", rings)
 	}
@@ -92,31 +92,8 @@ func TestHangParksUntilReleased(t *testing.T) {
 	}
 }
 
-// Corrupt runs the registered hook once and lets the loop carry on; without
-// a hook it is a no-op that still counts as fired.
-func TestCorruptRunsTheHookAndContinues(t *testing.T) {
-	p := NewPoint("eth0", nil)
-	runs := 0
-	p.SetCorruptHook(func() { runs++ })
-	p.Arm(Corrupt)
-	for i := 0; i < 3; i++ {
-		if inj := check(p); inj != nil {
-			t.Fatalf("a corrupt fault panicked: %v", inj)
-		}
-	}
-	if runs != 1 || !p.Fired() {
-		t.Fatalf("hook ran %d times (fired=%v), want exactly once", runs, p.Fired())
-	}
-
-	bare := NewPoint("eth1", nil)
-	bare.Arm(Corrupt)
-	if inj := check(bare); inj != nil || !bare.Fired() {
-		t.Fatalf("hookless corrupt: panic %v, fired %v", inj, bare.Fired())
-	}
-}
-
 func TestKindAndInjectedRender(t *testing.T) {
-	for k, want := range map[Kind]string{None: "none", Crash: "crash", Hang: "hang", Corrupt: "corrupt", Kind(9): "kind(9)"} {
+	for k, want := range map[Kind]string{None: "none", Crash: "crash", Hang: "hang", Kind(9): "kind(9)"} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
 		}

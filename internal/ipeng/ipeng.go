@@ -52,16 +52,15 @@ const (
 	// maxARPTries bounds resolution attempts per neighbor: after this many
 	// unanswered requests the queued packets fail with StatusErrNoRoute and
 	// their chunks are freed, instead of retrying forever and pinning up to
-	// arpQueueCap chunks per neighbor per interface (which would also keep
-	// elastic pools from ever shrinking the segments those chunks live in).
+	// arpQueueCap chunks per neighbor per interface (which would also grow
+	// the pools towards their caps for traffic that can never leave).
 	maxARPTries = 5
 	// hdrChunks is the header pool's base segment. It grows on demand to
 	// hdrSegments segments: the historical worst-case complement of 4096.
 	hdrChunks   = 1024
 	hdrSegments = 4
-	// rxSegments caps the RX pool's growth at 8× its base complement; a
-	// grown segment of either pool retires once it has stayed free for
-	// shm's quiescence window.
+	// rxSegments caps the RX pool's growth at 8× its base complement;
+	// either pool keeps a grown segment for the rest of the incarnation.
 	rxSegments = 8
 )
 
@@ -226,9 +225,8 @@ type Engine struct {
 	stats Stats
 	now   time.Time
 	// arpDue is the earliest instant an ARP request times out (a retry or
-	// a give-up), zero with none outstanding; poolDue is the pools' next
-	// segment retirement as of the last Tick.
-	arpDue, poolDue time.Time
+	// a give-up), zero with none outstanding.
+	arpDue time.Time
 }
 
 // New creates an IP engine with fresh, elastic pools in space. Each
@@ -447,22 +445,18 @@ func (e *Engine) LocalIP() netpkt.IPAddr {
 }
 
 // Tick runs the engine's timers that are due at now: ARP retries and
-// give-ups for neighbors that never answer, and the pools' retirement of
-// grown segments. With nothing due it is a comparison and two atomic
-// loads, so the server loop calls it once per iteration: a pool starts its
-// quiescence window at the first Tick after it drained.
+// give-ups for neighbors that never answer. With nothing due it is one
+// comparison, so the server loop calls it once per iteration.
 func (e *Engine) Tick(now time.Time) {
 	e.now = now
 	if !e.arpDue.IsZero() && !now.Before(e.arpDue) {
 		e.arpSweep()
 	}
-	e.poolDue = earliest(e.rxPool.Tick(now), e.hdrPool.Tick(now))
 }
 
-// Deadline is when Tick next has work: the earliest ARP timeout or the
-// next pool segment retirement, zero when neither is pending. It is after
-// the now of the last Tick.
-func (e *Engine) Deadline() time.Time { return earliest(e.arpDue, e.poolDue) }
+// Deadline is when Tick next has work: the earliest ARP timeout, zero when
+// none is pending. It is after the now of the last Tick.
+func (e *Engine) Deadline() time.Time { return e.arpDue }
 
 // earliest returns the earlier of two instants, a zero one being none.
 func earliest(a, b time.Time) time.Time {
@@ -513,8 +507,7 @@ func (e *Engine) rxAlloc(ifc *iface) (shm.RichPtr, bool) {
 // so the freed chunk goes straight back to it: that is where the pressure
 // ends.
 func (e *Engine) freeRx(buf shm.RichPtr) {
-	full := shm.RichPtr{Pool: buf.Pool, Gen: buf.Gen,
-		Off: buf.Off - buf.Off%RxChunkSize, Len: RxChunkSize}
+	full := shm.RichPtr{Pool: buf.Pool, Off: buf.Off - buf.Off%RxChunkSize, Len: RxChunkSize}
 	_ = e.rxPool.Free(full)
 	for i := range e.drv {
 		if ifc := e.drv[i].ifc; ifc.rxOutstanding < RxBufsPerDriver {

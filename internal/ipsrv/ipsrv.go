@@ -84,11 +84,6 @@ func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	for _, p := range eng.Peers() {
 		s.edges = append(s.edges, wiring.NewEdge(s.ports.Export("ip-"+p.Name, p.Name)))
 	}
-
-	// Inject faults that corrupt routing state (fault-injection hook).
-	rt.Fault.SetCorruptHook(func() {
-		_ = s.eng.RestoreState([]byte{0xff}) // guaranteed decode error: engine keeps old config
-	})
 	return nil
 }
 
@@ -128,9 +123,8 @@ func (s *Server) Poll(now time.Time) bool {
 // reincarnations (wiring.DropReporter).
 func (s *Server) OutboxDropped() uint64 { return wiring.SumDropped(s.edges...) }
 
-// Deadline is the engine's: the earliest ARP retry or give-up, or the
-// next retirement of a grown pool segment; zero when neither is pending,
-// and the loop then sleeps until a peer rings.
+// Deadline is the engine's: the earliest ARP retry or give-up; zero when
+// none is pending, and the loop then sleeps until a peer rings.
 func (s *Server) Deadline(now time.Time) time.Time { return s.eng.Deadline() }
 
 // Stop is a no-op; pools die with the incarnation.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"newtos/internal/msg"
 	"newtos/internal/shm"
@@ -244,7 +245,7 @@ func TestTrapCostCharged(t *testing.T) {
 	if time.Since(start) < 150*time.Microsecond {
 		t.Fatal("trap cost not charged on send")
 	}
-	// The copy of one message: 344 bytes at 1 ms per KB.
+	// The copy of one message's request at 1 ms per KB.
 	k = New(Config{CopyCostPerKB: time.Millisecond})
 	a, _ = k.Register("a", nil)
 	b, _ = k.Register("b", nil)
@@ -252,7 +253,7 @@ func TestTrapCostCharged(t *testing.T) {
 	if err := a.Send(b.ID(), Msg{}); err != nil {
 		t.Fatal(err)
 	}
-	if took, want := time.Since(start), 344*time.Millisecond/1024; took < want {
+	if took, want := time.Since(start), time.Duration(unsafe.Sizeof(msg.Req{}))*time.Millisecond/1024; took < want {
 		t.Fatalf("send charged %v, want the copy of one message (%v)", took, want)
 	}
 }
@@ -260,16 +261,16 @@ func TestTrapCostCharged(t *testing.T) {
 // TestPacketRendezvousOnlyOnSingleCore: the per-packet synchronous hand-off
 // is Table II row 1's cost; every other configuration calls it for free.
 func TestPacketRendezvousOnlyOnSingleCore(t *testing.T) {
-	cfg := Config{TrapCost: 50 * time.Millisecond, ContextSwitchCost: 50 * time.Millisecond, CopyCostPerKB: 50 * time.Millisecond}
+	cfg := Config{TrapCost: 50 * time.Millisecond, CopyCostPerKB: 50 * time.Millisecond}
 	start := time.Now()
 	New(cfg).PacketRendezvous(1024)
 	if took := time.Since(start); took > 10*time.Millisecond {
 		t.Fatalf("multi-core kernel charged %v for a channel hand-off", took)
 	}
-	cfg = Config{TrapCost: time.Millisecond, ContextSwitchCost: 2 * time.Millisecond, CopyCostPerKB: time.Millisecond, SingleCore: true}
+	cfg = Config{TrapCost: time.Millisecond, CopyCostPerKB: time.Millisecond, SingleCore: true}
 	start = time.Now()
 	New(cfg).PacketRendezvous(2048)
-	if took, want := time.Since(start), 8*time.Millisecond; took < want {
+	if took, want := time.Since(start), 4*time.Millisecond+2*contextSwitch; took < want {
 		t.Fatalf("single-core rendezvous charged %v, want two traps + 2 KB copy + two switches = %v", took, want)
 	}
 }

@@ -33,7 +33,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	r.Arg = [4]uint64{1, 2, 3, 1 << 63}
 	ptrs := make([]shm.RichPtr, msg.MaxPtrs)
 	for i := range ptrs {
-		ptrs[i] = shm.RichPtr{Pool: shm.PoolID(i), Gen: uint32(i * 3), Off: uint32(i * 64), Len: uint32(i + 1)}
+		ptrs[i] = shm.RichPtr{Pool: shm.PoolID(i), Off: uint32(i * 64), Len: uint32(i + 1)}
 	}
 	r.SetChain(ptrs)
 	if got := roundTrip(t, r); got != r {
@@ -50,7 +50,7 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 		n := int(nptr) % (msg.MaxPtrs + 1)
 		ptrs := make([]shm.RichPtr, n)
 		for i := range ptrs {
-			ptrs[i] = shm.RichPtr{Pool: shm.PoolID(i), Gen: uint32(i * 3), Off: uint32(i * 64), Len: uint32(i + 1)}
+			ptrs[i] = shm.RichPtr{Pool: shm.PoolID(i), Off: uint32(i * 64), Len: uint32(i + 1)}
 		}
 		r.SetChain(ptrs)
 		return roundTrip(t, r) == r

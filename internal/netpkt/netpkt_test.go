@@ -369,12 +369,14 @@ func TestPacketChain(t *testing.T) {
 	}
 }
 
+// TestResolveStaleChain: a chain into a pool dropped from the space fails
+// to resolve instead of reading freed memory.
 func TestResolveStaleChain(t *testing.T) {
 	space := shm.NewSpace()
 	pool, _ := space.NewPool("t", 64, 1)
 	ptr, _, _ := pool.Alloc()
-	pool.Reset()
-	if _, err := Resolve(space, []shm.RichPtr{ptr}); !errors.Is(err, shm.ErrStale) {
+	space.Drop(pool.ID())
+	if _, err := Resolve(space, []shm.RichPtr{ptr}); !errors.Is(err, shm.ErrNoSuchPool) {
 		t.Fatalf("stale resolve: %v", err)
 	}
 }

@@ -746,8 +746,7 @@ func BenchmarkDeviceTxRx1500(b *testing.B) {
 		}
 		// Recycle RX buffers (reconstruct the full chunk pointer).
 		for _, c := range dst.CollectRx() {
-			full := shm.RichPtr{Pool: c.Ptr.Pool, Gen: c.Ptr.Gen,
-				Off: c.Ptr.Off - c.Ptr.Off%2048, Len: 2048}
+			full := shm.RichPtr{Pool: c.Ptr.Pool, Off: c.Ptr.Off - c.Ptr.Off%2048, Len: 2048}
 			_ = dst.PostRx(full)
 		}
 		a.CollectTx()

@@ -32,11 +32,10 @@ type Server struct {
 
 	ipBox *wiring.Edge
 	scBox *wiring.Edge
-	// ifaceArg is the last packed interface name a query carried and
-	// iface its name, so a run of queries from one interface unpacks it
-	// once instead of building a string per packet.
-	ifaceArg uint64
-	iface    string
+	// ifaces maps each packed interface name a query carried to its
+	// string, built once: a verdict builds no string, however the queries
+	// of a multi-NIC node interleave their interfaces.
+	ifaces map[uint64]string
 }
 
 var _ proc.Service = (*Server)(nil)
@@ -53,6 +52,7 @@ func (s *Server) Engine() *pfeng.Engine { return s.eng }
 func (s *Server) Init(rt *proc.Runtime, restart bool) error {
 	hub := s.ports.Hub()
 	s.eng = pfeng.New(0)
+	s.ifaces = make(map[uint64]string)
 	if restart {
 		if blob, ok := hub.Store.Get(RulesKey); ok {
 			_ = s.eng.LoadRules(blob)
@@ -118,16 +118,18 @@ func (s *Server) Poll(now time.Time) bool {
 func (s *Server) verdict(r *msg.Req, now time.Time) int32 {
 	view, err := s.ports.Hub().Space.View(r.Ptrs[0])
 	if err != nil {
-		return 1 // stale packet (owner restarted): block; IP will resubmit
+		return 1 // a packet whose pointer does not resolve is blocked
 	}
 	dir := pfeng.In
 	if r.Arg[0] == 1 {
 		dir = pfeng.Out
 	}
-	if r.Arg[1] != s.ifaceArg {
-		s.ifaceArg, s.iface = r.Arg[1], msg.UnpackIfaceName(r.Arg[1])
+	iface, ok := s.ifaces[r.Arg[1]]
+	if !ok {
+		iface = msg.UnpackIfaceName(r.Arg[1])
+		s.ifaces[r.Arg[1]] = iface
 	}
-	if s.eng.VerdictPacket(dir, s.iface, view, now) == pfeng.Pass {
+	if s.eng.VerdictPacket(dir, iface, view, now) == pfeng.Pass {
 		return 0
 	}
 	return 1

@@ -3,6 +3,7 @@ package pf
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"newtos/internal/channel"
 	"newtos/internal/kipc"
@@ -84,5 +85,57 @@ func TestUnservedOpIsAnsweredInval(t *testing.T) {
 		if len(got) != 1 || got[0].ID != 77 || got[0].Op != msg.OpSockReply || got[0].Status != msg.StatusErrInval {
 			t.Errorf("%v: config edge got %+v, want one OpSockReply with ID 77 and StatusErrInval", op, got)
 		}
+	}
+}
+
+// TestVerdictAllocatesNothing pins a verdict query at zero allocations
+// behind a rule set like the benchmark's (64 block rules no packet
+// matches, then a pass rule): a memo hit, a full scan (a new flow every
+// query) and queries that alternate between two interfaces. A verdict runs
+// once per packet crossing PF; formatting or building a string on that
+// path shows here.
+func TestVerdictAllocatesNothing(t *testing.T) {
+	ports := wiring.NewPorts(wiring.NewHub(kipc.New(kipc.Config{})), "pf")
+	s := &Server{ports: ports, eng: pfeng.New(0), ifaces: map[uint64]string{}}
+	for i := 0; i < 64; i++ {
+		s.eng.AddRule(pfeng.Rule{Action: pfeng.Block, Dir: pfeng.AnyDir, Dst: netpkt.IPAddr{192, 0, 2, byte(i)}, DstBits: 32, DstPort: uint16(1 + i)})
+	}
+	s.eng.AddRule(pfeng.Rule{Action: pfeng.Pass, Dir: pfeng.AnyDir})
+	pool, err := ports.Hub().Space.NewPool("test", 128, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptr, pkt, _ := pool.Alloc()
+	tcp := netpkt.TCPHeader{SrcPort: 40000, DstPort: 9000, Flags: netpkt.TCPAck}
+	n := netpkt.IPv4HeaderLen + tcp.MarshalLen()
+	ip := netpkt.IPv4Header{TotalLen: uint16(n), TTL: 64, Proto: netpkt.ProtoTCP,
+		Src: netpkt.MustIP("10.0.0.2"), Dst: netpkt.MustIP("10.0.0.1")}
+	ip.Marshal(pkt, true)
+	tcp.Marshal(pkt[netpkt.IPv4HeaderLen:])
+	query := msg.Req{Op: msg.OpPFQuery, NPtr: 1, Arg: [4]uint64{0, msg.PackIfaceName("eth0")}}
+	query.Ptrs[0] = ptr.Slice(0, uint32(n))
+	eth1 := query
+	eth1.Arg[1] = msg.PackIfaceName("eth1")
+	now := time.Unix(1_000_000, 0)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"memo hit", func() { s.verdict(&query, now) }},
+		{"full scan", func() {
+			pkt[netpkt.IPv4HeaderLen+1]++ // the next source port: a new flow
+			s.verdict(&query, now)
+		}},
+		{"changed interface", func() {
+			s.verdict(&eth1, now)
+			s.verdict(&query, now)
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, c.run); got != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", c.name, got)
+		}
+	}
+	if st := s.eng.Stats(); st.Passed == 0 || st.Blocked != 0 || st.StateHits != 0 {
+		t.Fatalf("stats %+v: want every query passed by the rules", st)
 	}
 }

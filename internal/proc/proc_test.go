@@ -227,30 +227,6 @@ func TestHangDetectableViaHeartbeatAndRestart(t *testing.T) {
 	}
 }
 
-func TestCorruptFaultRunsHookAndContinues(t *testing.T) {
-	var corrupted atomic.Bool
-	factory := func() Service {
-		return &echoService{}
-	}
-	p := New("corr", factory, nil)
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Shutdown()
-	p.Fault().SetCorruptHook(func() { corrupted.Store(true) })
-	p.Fault().Arm(faults.Corrupt)
-	deadline := time.Now().Add(time.Second)
-	for !corrupted.Load() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !corrupted.Load() {
-		t.Fatal("corrupt hook never ran")
-	}
-	if p.Status() != StatusRunning {
-		t.Fatalf("status = %v (corrupt must not kill)", p.Status())
-	}
-}
-
 func TestDoorbellWakesIdleLoop(t *testing.T) {
 	svc := &echoService{}
 	p := New("sleepy", func() Service { return svc }, nil)

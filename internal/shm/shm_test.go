@@ -64,33 +64,6 @@ func TestDoubleFree(t *testing.T) {
 	}
 }
 
-func TestStaleAfterReset(t *testing.T) {
-	_, p := newTestPool(t, 64, 2)
-	ptr, _, _ := p.Alloc()
-	p.Reset()
-	if _, err := p.View(ptr); !errors.Is(err, ErrStale) {
-		t.Fatalf("view of stale ptr: %v", err)
-	}
-	if err := p.Free(ptr); !errors.Is(err, ErrStale) {
-		t.Fatalf("free of stale ptr: %v", err)
-	}
-	// After reset the whole pool is free again.
-	if p.FreeChunks() != 2 {
-		t.Fatalf("FreeChunks after reset = %d", p.FreeChunks())
-	}
-	// New pointers carry the new generation and resolve fine.
-	ptr2, _, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ptr2.Gen == ptr.Gen {
-		t.Fatal("generation did not change")
-	}
-	if _, err := p.View(ptr2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSliceAndBounds(t *testing.T) {
 	s, p := newTestPool(t, 100, 1)
 	ptr, buf, _ := p.Alloc()
@@ -106,7 +79,7 @@ func TestSliceAndBounds(t *testing.T) {
 		t.Fatalf("sub view wrong: len=%d v0=%d", len(v), v[0])
 	}
 	// Out-of-range pointer rejected.
-	bad := RichPtr{Pool: ptr.Pool, Gen: ptr.Gen, Off: 50, Len: 200}
+	bad := RichPtr{Pool: ptr.Pool, Off: 50, Len: 200}
 	if _, err := s.View(bad); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("oob view: %v", err)
 	}

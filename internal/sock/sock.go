@@ -1,7 +1,7 @@
 // Package sock is the application-side socket library — the "C library"
 // of NewtOS (paper §V-B). Payload bytes never cross the kernel: they are
 // written into (and read out of) per-socket shared buffers, and only
-// 16-byte rich pointers travel in the control messages.
+// 12-byte rich pointers travel in the control messages.
 //
 // Since the event-driven redesign the library speaks ONE protocol to the
 // stack: every socket runs in stack-level nonblocking mode, where

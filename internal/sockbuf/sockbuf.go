@@ -161,7 +161,6 @@ func (b *Buf) Write(ptr shm.RichPtr, data []byte) (shm.RichPtr, error) {
 func (b *Buf) Recycle(ptr shm.RichPtr) {
 	full := shm.RichPtr{
 		Pool: ptr.Pool,
-		Gen:  ptr.Gen,
 		Off:  ptr.Off - ptr.Off%uint32(b.pool.ChunkSize()),
 		Len:  uint32(b.pool.ChunkSize()),
 	}

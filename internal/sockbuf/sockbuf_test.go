@@ -170,7 +170,7 @@ func TestElasticCapIsBackpressure(t *testing.T) {
 		t.Fatalf("got chunk %v beyond the 16-chunk cap", ptr)
 	}
 	// Pressure is observable on the backing pool.
-	if _, _, pr := b.Pool().ElasticStats(); pr == 0 {
+	if _, pr := b.Pool().ElasticStats(); pr == 0 {
 		t.Fatal("hard allocation failure not counted as pressure")
 	}
 }
@@ -199,7 +199,7 @@ func TestElasticKeepsGrownChunksInTheRing(t *testing.T) {
 			t.Fatalf("chunk %d missing", i)
 		}
 	}
-	if g, _, _ := b.Pool().ElasticStats(); g != 3 {
+	if g, _ := b.Pool().ElasticStats(); g != 3 {
 		t.Fatalf("grows = %d, want the first 3 only", g)
 	}
 }

@@ -148,13 +148,12 @@ func (c *Codec) String(s *string) {
 
 // Encoded sizes of the composite fields, for Count and List.
 const (
-	PtrSize    = 16
+	PtrSize    = 12
 	MinReqSize = 8 + 2 + 4 + 4 + 4*8 + 1
 )
 
 func (c *Codec) Ptr(p *shm.RichPtr) {
 	Num(c, &p.Pool)
-	Num(c, &p.Gen)
 	Num(c, &p.Off)
 	Num(c, &p.Len)
 }

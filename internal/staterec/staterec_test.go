@@ -53,11 +53,11 @@ func (s *sample) record(c *Codec) {
 
 func filled() sample {
 	req := msg.Req{ID: 77, Op: msg.OpIPSend, Status: msg.StatusErrAgain, Flow: 9, Arg: [4]uint64{1, 2, 3, 1 << 63}}
-	req.SetChain([]shm.RichPtr{{Pool: 3, Gen: 1, Off: 4096, Len: 1460}, {Pool: 4, Gen: 2, Off: 0, Len: 7}})
+	req.SetChain([]shm.RichPtr{{Pool: 3, Off: 4096, Len: 1460}, {Pool: 4, Off: 0, Len: 7}})
 	return sample{
 		u8: 200, u16: 65000, u32: 1 << 31, u64: 1 << 63, i: -5, i32: -11, dur: -time.Second,
 		flag: true, at: time.Unix(12, 345), addr: [4]byte{10, 0, 0, 1}, name: "eth0",
-		ptr:   shm.RichPtr{Pool: 1, Gen: 2, Off: 3, Len: 4},
+		ptr:   shm.RichPtr{Pool: 1, Off: 3, Len: 4},
 		chain: []shm.RichPtr{{Pool: 9, Len: 1}},
 		reqs:  []msg.Req{req, {Op: msg.OpSockReply}},
 	}

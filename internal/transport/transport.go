@@ -38,8 +38,7 @@ type Engine interface {
 	FromIP(r msg.Req, now time.Time)
 	FromFront(r msg.Req, now time.Time)
 	// Tick runs the timers due at now (TCP's connection timers, UDP's
-	// socket-table save), once per iteration. The header pool's
-	// retirements are the shell's: the engines tick no pool.
+	// socket-table save), once per iteration.
 	Tick(now time.Time)
 	DrainToIP() []msg.Req
 	DrainToFront() []msg.Req
@@ -124,10 +123,7 @@ type Server[E any] struct {
 	eng     E
 	drv     Engine
 	hdrPool *shm.Pool
-	// hdrDue is the header pool's next segment retirement, as of the last
-	// Poll.
-	hdrDue time.Time
-	ip, sc *wiring.Edge
+	ip, sc  *wiring.Edge
 }
 
 // New creates a transport server incarnation.
@@ -261,7 +257,6 @@ func (s *Server[E]) Poll(now time.Time) bool {
 		worked = true
 	}
 	s.drv.Tick(now)
-	s.hdrDue = s.hdrPool.Tick(now)
 	s.ip.Push(s.drv.DrainToIP()...)
 	s.sc.Push(s.drv.DrainToFront()...)
 	if s.ip.Flush() {
@@ -277,15 +272,8 @@ func (s *Server[E]) Poll(now time.Time) bool {
 // reincarnations (wiring.DropReporter).
 func (s *Server[E]) OutboxDropped() uint64 { return wiring.SumDropped(s.ip, s.sc) }
 
-// Deadline is the engine's earliest timer or the header pool's next
-// segment retirement, whichever comes first.
-func (s *Server[E]) Deadline(now time.Time) time.Time {
-	d := s.drv.Deadline(now)
-	if d.IsZero() || !s.hdrDue.IsZero() && s.hdrDue.Before(d) {
-		return s.hdrDue
-	}
-	return d
-}
+// Deadline is the engine's earliest timer.
+func (s *Server[E]) Deadline(now time.Time) time.Time { return s.drv.Deadline(now) }
 
 // Stop is a no-op: pools die with the incarnation or ride the handoff.
 func (s *Server[E]) Stop() {}

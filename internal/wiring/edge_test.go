@@ -356,7 +356,7 @@ func stressReq(id uint64) msg.Req {
 	r := msg.Req{ID: id, Op: msg.Op(id % 7), Status: int32(id), Flow: uint32(3 * id),
 		Arg: [4]uint64{id, ^id, id << 7, id >> 3}}
 	for i := uint64(0); i < id%(msg.MaxPtrs+1); i++ {
-		r.AppendChain(shm.RichPtr{Pool: shm.PoolID(id), Gen: uint32(i), Off: uint32(id), Len: uint32(i + 1)})
+		r.AppendChain(shm.RichPtr{Pool: shm.PoolID(id), Off: uint32(id + i), Len: uint32(i + 1)})
 	}
 	return r
 }
