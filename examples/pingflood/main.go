@@ -87,35 +87,42 @@ func run() error {
 
 	// The flood: malformed frames injected directly at A's device — short
 	// IP headers, bad checksums, oversized-claiming ICMP, truncated ARP.
-	fmt.Println("flooding node B with 5000 malformed packets ...")
+	// The device copies a frame out of pool memory when it is posted, so a
+	// spent pool is dropped and the next frame built in a fresh one. The
+	// descriptors carry cookie 0, which IP never issues: A's driver
+	// collects their completions with its own and IP ignores them.
+	const floodFrames = 5000
+	fmt.Printf("flooding node B with %d malformed packets ...\n", floodFrames)
 	space := lan.A.Hub.Space
 	pool, err := space.NewPool("attack", 2048, 64)
 	if err != nil {
 		return err
 	}
-	dev := deviceOfA(lan)
-	sent := 0
-	for i := 0; i < 5000; i++ {
+	dev := lan.DeviceOf("a", 0)
+	before := dev.Stats().TxFrames
+	for i := 0; i < floodFrames; i++ {
 		ptr, buf, err := pool.Alloc()
 		if err != nil {
-			// Attack traffic is fire-and-forget: drop the spent pool and
-			// carry on with a fresh one.
 			space.Drop(pool.ID())
 			if pool, err = space.NewPool("attack", 2048, 64); err != nil {
 				return err
 			}
-			continue
+			if ptr, buf, err = pool.Alloc(); err != nil {
+				return err
+			}
 		}
-		n := buildMalformed(buf, i)
-		if err := dev.PostTx(nic.TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, uint32(n))}, Cookie: uint64(i)}); err == nil {
-			sent++
-		}
-		if i%64 == 0 {
-			dev.CollectTx()
+		desc := nic.TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, uint32(buildMalformed(buf, i)))}}
+		// A full wire queue refuses the frame: wait for it to drain.
+		for dev.PostTx(desc) == nic.ErrRingFull {
+			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	dev.CollectTx()
-	fmt.Printf("injected %d hostile frames\n", sent)
+	// A frame the device could not send still completes; only the device's
+	// count says whether every one went out (A's own traffic may add a few).
+	if out := dev.Stats().TxFrames - before; out < floodFrames {
+		return fmt.Errorf("%d of %d hostile frames went out", out, floodFrames)
+	}
+	fmt.Printf("injected %d hostile frames\n", floodFrames)
 	time.Sleep(300 * time.Millisecond)
 
 	if !echo("post-flood") {
@@ -145,11 +152,6 @@ func run() error {
 	}
 	fmt.Println("IP reincarnated; the same TCP connection kept working")
 	return nil
-}
-
-// deviceOfA digs out node A's device for raw injection.
-func deviceOfA(lan *core.LAN) *nic.Device {
-	return lan.DeviceOf("a", 0)
 }
 
 // buildMalformed produces one of several classes of hostile frame.

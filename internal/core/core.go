@@ -26,7 +26,6 @@ import (
 	"newtos/internal/storage"
 	"newtos/internal/syscallsrv"
 	"newtos/internal/tcpsrv"
-	"newtos/internal/trace"
 	"newtos/internal/udpsrv"
 	"newtos/internal/wiring"
 
@@ -246,21 +245,12 @@ func (n *Node) Proc(name string) *proc.Proc { return n.procs[name] }
 
 // Upgrade live-swaps the named component for a new incarnation — the
 // zero-downtime update path (docs/ARCHITECTURE.md "Zero-downtime live
-// update"). TCP and UDP hand their full state to the successor
-// (zero event loss, no peer-visible change); components without handoff
-// support fall back to a planned graceful restart (Live=false in the
-// result). Either way the swap goes through the reincarnation server's
-// Upgrade verb, which records it as a Planned event outside the
-// MaxRestarts crash budget.
-func (n *Node) Upgrade(name string) (trace.HandoffPhases, error) {
-	rep, err := n.Monitor.Upgrade(name)
-	if err != nil {
-		return trace.HandoffPhases{}, err
-	}
-	return trace.HandoffPhases{
-		Component: name, Live: rep.Live,
-		Drain: rep.Drain, Transfer: rep.Transfer, Rewire: rep.Rewire, Resume: rep.Resume,
-	}, nil
+// update"). TCP and UDP hand their full state to the successor (zero event
+// loss, no peer-visible change); any other component is refused. The swap
+// goes through the reincarnation server's Upgrade verb, which records it
+// as a Planned event.
+func (n *Node) Upgrade(name string) (proc.HandoffReport, error) {
+	return n.Monitor.Upgrade(name)
 }
 
 // OutboxDropped totals, across every running server loop on this node, the

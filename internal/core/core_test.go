@@ -11,9 +11,12 @@ import (
 	"time"
 
 	"newtos/internal/faults"
+	"newtos/internal/ipeng"
 	"newtos/internal/msg"
+	"newtos/internal/netpkt"
 	"newtos/internal/nic"
 	"newtos/internal/pfeng"
+	"newtos/internal/shm"
 	"newtos/internal/sock"
 )
 
@@ -212,6 +215,71 @@ func tcpEcho(t *testing.T, lan *LAN) {
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
+}
+
+// A frame that fails the device's checksum check still hands its receive
+// buffer back to IP: after more such frames than IP keeps posted to the
+// driver, the node still receives and answers a TCP echo.
+func TestBadChecksumFramesKeepTheNodeReceiving(t *testing.T) {
+	lan := testLAN(t, nil)
+	ready := make(chan struct{})
+	go echoServer(t, lan, 7000, ready, make(chan error, 1))
+	<-ready
+	cli, err := sock.NewClient(lan.A.Hub, "cli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cli.Socket(sock.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_ = s.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := s.Connect(lan.IPOf("b", 0), 7000); err != nil {
+		t.Fatal(err)
+	}
+	echo := func(tag string) {
+		t.Helper()
+		got := make([]byte, 16)
+		if _, err := s.Send([]byte(tag)); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s.Recv(got); err != nil || string(got[:n]) != tag {
+			t.Fatalf("echo %q = %q, %v (B's device: %+v)", tag, got[:n], err, lan.DeviceOf("b", 0).Stats())
+		}
+	}
+	echo("before")
+
+	const frames = ipeng.RxBufsPerDriver + 64
+	pool, err := lan.A.Hub.Space.NewPool("bad", 2048, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptr, buf, _ := pool.Alloc()
+	eh := netpkt.EthHeader{Dst: lan.DeviceOf("b", 0).MAC(), Src: netpkt.MAC{0x66}, Type: netpkt.EtherTypeIPv4}
+	eh.Marshal(buf)
+	ih := netpkt.IPv4Header{TotalLen: netpkt.IPv4HeaderLen, TTL: 64, Proto: netpkt.ProtoICMP,
+		Src: netpkt.MustIP("6.6.6.6"), Dst: lan.IPOf("b", 0)}
+	ih.Marshal(buf[netpkt.EthHeaderLen:], true)
+	buf[netpkt.EthHeaderLen+10] ^= 0xff // the header checksum
+	desc := nic.TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, netpkt.EthHeaderLen+netpkt.IPv4HeaderLen)}}
+	tx, rx := lan.DeviceOf("a", 0), lan.DeviceOf("b", 0)
+	seen := func() uint64 { st := rx.Stats(); return st.RxFrames + st.RxDropsNoBuf }
+	want := seen() + frames
+	for i := 0; i < frames; i++ {
+		for tx.PostTx(desc) == nic.ErrRingFull {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for seen() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("B's device saw %d of %d frames", seen()+frames-want, frames)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_ = s.SetDeadline(time.Now().Add(5 * time.Second))
+	echo("after")
 }
 
 func TestUDPQueryOverFullStack(t *testing.T) { eachPlacement(t, udpQuery) }

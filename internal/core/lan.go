@@ -106,11 +106,6 @@ func (l *LAN) Stop() {
 	for _, w := range l.Wires {
 		w.Close()
 	}
-	for _, n := range []*Node{l.A, l.B} {
-		for _, d := range n.devices {
-			d.Close()
-		}
-	}
 }
 
 // IPOf returns node n's address on link i (n is "a" or "b").

@@ -85,8 +85,8 @@ func (s *Server) onRewire() {
 
 // Poll moves descriptors between the IP channel and the device.
 func (s *Server) Poll(now time.Time) bool {
-	// Requests from IP, drained in batches: descriptors for a whole batch
-	// are posted back-to-back before the device is kicked again.
+	// Requests from IP, drained in batches; PostTx transmits each TX
+	// descriptor as it is posted.
 	worked := s.outIP.Intake(s.onRewire, func(b []msg.Req) {
 		for i := range b {
 			s.handleIPReq(&b[i])
@@ -109,7 +109,8 @@ func (s *Server) Poll(now time.Time) bool {
 		worked = true
 	}
 
-	// Completions from the device; an interrupt only rang the bell.
+	// Completions from the device: PostTx completed every descriptor of
+	// this Poll before it returned, and a received frame rang the bell.
 	for _, c := range s.dev.CollectTx() {
 		st := msg.StatusOK
 		if !c.OK {
@@ -119,16 +120,17 @@ func (s *Server) Poll(now time.Time) bool {
 		worked = true
 	}
 	for _, c := range s.dev.CollectRx() {
-		if !c.CsumOK {
-			// Hardware-verified checksum failed: drop in the driver; the
-			// buffer goes back to IP as consumed.
-			continue
-		}
 		s.kern.PacketRendezvous(c.Len) // Table II row 1 only
 		r := msg.Req{Op: msg.OpRxPacket}
 		r.SetChain([]shm.RichPtr{c.Ptr})
 		r.Arg[0] = uint64(c.Len)
+		// A frame the device's checksum check failed still goes to IP,
+		// flagged: the buffer is IP's, and only IP can free and re-supply
+		// it.
 		r.Arg[1] = msg.FlagCsumOK
+		if !c.CsumOK {
+			r.Arg[1] = msg.FlagCsumBad
+		}
 		s.outIP.Push(r)
 		worked = true
 	}
@@ -144,8 +146,10 @@ func (s *Server) handleIPReq(r *msg.Req) {
 	switch r.Op {
 	case msg.OpTxSubmit:
 		s.kern.PacketRendezvous(r.ChainLen()) // Table II row 1 only
+		// PostTx is done with the chain when it returns, so the
+		// descriptor reads it in place.
 		desc := nic.TxDesc{
-			Ptrs:    append([]shm.RichPtr(nil), r.Chain()...),
+			Ptrs:    r.Chain(),
 			Cookie:  r.ID,
 			SegSize: uint16(r.Arg[1]),
 		}
@@ -159,9 +163,10 @@ func (s *Server) handleIPReq(r *msg.Req) {
 			desc.Flags |= nic.TxTSO
 		}
 		if err := s.dev.PostTx(desc); err != nil {
-			// Ring full or device down: complete with an error so IP
-			// can free and (for TCP) let the RTO recover — dropping
-			// a packet in the network stack is acceptable.
+			// The wire's queue cannot take the whole descriptor:
+			// complete with an error so IP can free and (for TCP) let
+			// the RTO recover — dropping a packet in the network stack
+			// is acceptable.
 			s.outIP.Push(msg.Req{ID: r.ID, Op: msg.OpTxDone, Status: msg.StatusErrNoBufs})
 		}
 	case msg.OpRxSupply:

@@ -88,8 +88,6 @@ func newRigWith(t *testing.T, linkUpDelay time.Duration) *rig {
 	t.Cleanup(func() {
 		p.Shutdown()
 		w.Close()
-		dev.Close()
-		peer.Close()
 	})
 	return r
 }

@@ -9,8 +9,8 @@ import (
 	"newtos/internal/core"
 	"newtos/internal/netpkt"
 	"newtos/internal/nic"
+	"newtos/internal/proc"
 	"newtos/internal/sock"
-	"newtos/internal/trace"
 )
 
 // LiveUpdateOpts tunes the zero-downtime live-update experiment.
@@ -55,10 +55,9 @@ type LiveUpdateReport struct {
 	// show 0 without competing load).
 	UDPLost int
 	// TCPPhases and UDPPhases hold the two servers' handoff phase
-	// timings. Both swaps must be Live (state handed to the successor, not
-	// a restart).
-	TCPPhases trace.HandoffPhases
-	UDPPhases trace.HandoffPhases
+	// timings.
+	TCPPhases proc.HandoffReport
+	UDPPhases proc.HandoffReport
 	Elapsed   time.Duration
 }
 

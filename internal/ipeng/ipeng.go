@@ -98,9 +98,12 @@ type Stats struct {
 	Blocked                 uint64
 	DropsNoRoute            uint64
 	DropsMalformed          uint64
-	DropsRingFull           uint64
-	TxResubmitted           uint64
-	PFResubmitted           uint64
+	// DropsRingFull counts frames the device did not put on the wire: a
+	// driver's OpTxDone whose status is not OK (a full wire queue, a link
+	// down).
+	DropsRingFull uint64
+	TxResubmitted uint64
+	PFResubmitted uint64
 	// LinkDowns/LinkUps count link transitions reported by the drivers.
 	LinkDowns, LinkUps uint64
 	// Rerouted counts packets moved to another live interface when their

@@ -135,6 +135,28 @@ func TestSendTriggersARPThenTransmits(t *testing.T) {
 	}
 }
 
+// A completion the driver fails (the device did not put the frame on the
+// wire) is counted in DropsRingFull and its status reaches the transport.
+func TestFailedTxDoneCountsRingFull(t *testing.T) {
+	e, space := newEngine(t, false)
+	deliverARPReply(t, e, space)
+	e.Drain(e.driver("eth0"))
+	for id, st := range []int32{msg.StatusOK, msg.StatusErrNoBufs} {
+		sendUDP(t, e, space, uint64(id+1))
+		out := e.Drain(e.driver("eth0"))
+		if len(out) != 1 || out[0].Op != msg.OpTxSubmit {
+			t.Fatalf("out = %+v", out)
+		}
+		from(e, e.driver("eth0"), msg.Req{ID: out[0].ID, Op: msg.OpTxDone, Status: st}, time.Now())
+		if reps := e.Drain(udpAt(e)); len(reps) != 1 || reps[0].Status != st {
+			t.Fatalf("transport reply = %+v, want status %d", reps, st)
+		}
+	}
+	if n := e.Stats().DropsRingFull; n != 1 {
+		t.Fatalf("DropsRingFull = %d after one failed and one good completion, want 1", n)
+	}
+}
+
 func TestNoRouteFailsSend(t *testing.T) {
 	e, space := newEngine(t, false)
 	pool, _ := space.NewPool("t.hdr", 64, 8)

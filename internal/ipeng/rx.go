@@ -76,6 +76,13 @@ func (e *Engine) fromDriver(ifc *iface, r *msg.Req) {
 func (e *Engine) rxPacket(ifc *iface, r *msg.Req) {
 	ifc.rxOutstanding--
 	buf := r.Ptrs[0]
+	if r.Arg[1]&msg.FlagCsumBad != 0 {
+		// The device's checksum check failed: nothing to parse, but the
+		// buffer is ours to free, and freeing it re-supplies the driver.
+		e.stats.DropsMalformed++
+		e.freeRx(buf)
+		return
+	}
 	view, err := e.cfg.Space.View(buf)
 	if err != nil {
 		e.supply(ifc, 1)

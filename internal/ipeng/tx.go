@@ -353,6 +353,9 @@ func (e *Engine) txAborted(_ uint64, data any) {
 
 // txDone finishes an outbound frame on the driver's completion.
 func (e *Engine) txDone(r *msg.Req) {
+	if r.Status != msg.StatusOK {
+		e.stats.DropsRingFull++
+	}
 	data, ok := e.db.Complete(r.ID)
 	if !ok {
 		return

@@ -28,7 +28,7 @@ const (
 	OpTxSubmit  // transmit frame; Ptrs = chunk chain, Arg0 = offload flags, Arg1 = TSO segment size
 	OpTxDone    // driver -> IP reply: frame hit the wire (or was dropped); Status
 	OpRxSupply  // IP -> driver: empty RX buffer the device may DMA into
-	OpRxPacket  // driver -> IP: received frame; Ptrs[0] = buffer, Arg0 = length, Arg1 = checksum-ok flag
+	OpRxPacket  // driver -> IP: received frame; Ptrs[0] = buffer, Arg0 = length, Arg1 = checksum flag (ok or bad)
 	OpDrvReset  // IP -> driver: reset the device (used during IP recovery)
 	OpDrvInfo   // driver -> IP: link/MAC announcement; Arg0..1 = MAC, Arg2 = link Mbps
 	OpLinkEvent // driver -> IP: link transition edge event; Arg0 = 1 up / 0 down
@@ -117,6 +117,7 @@ const (
 	FlagCsumOK     = 1 << 3 // RX: device verified checksums
 	FlagLinkDown   = 1 << 4
 	FlagMoreEvents = 1 << 5
+	FlagCsumBad    = 1 << 6 // RX: the device's checksum check failed
 )
 
 // Socket mode bits (OpSockSetFlags Arg0). A nonblocking socket's

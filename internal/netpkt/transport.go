@@ -203,8 +203,3 @@ func SeqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
 // SeqLEQ reports a <= b in sequence space.
 func SeqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
-
-// SeqBetween reports low <= x < high in sequence space.
-func SeqBetween(x, low, high uint32) bool {
-	return SeqLEQ(low, x) && SeqLT(x, high)
-}

@@ -137,16 +137,6 @@ func (p *Packet) Bytes() []byte {
 	return out
 }
 
-// Prepend adds a chunk at the front (each protocol prepends its header).
-func (p *Packet) Prepend(c Chunk) {
-	p.Chunks = append([]Chunk{c}, p.Chunks...)
-}
-
-// Append adds a chunk at the back.
-func (p *Packet) Append(c Chunk) {
-	p.Chunks = append(p.Chunks, c)
-}
-
 // Resolve builds a Packet from a rich-pointer chain by resolving each
 // pointer to its (read-only) view in space.
 func Resolve(space *shm.Space, ptrs []shm.RichPtr) (Packet, error) {

@@ -10,11 +10,9 @@ import (
 	"newtos/internal/shm"
 )
 
-// Ring geometry, e1000-like.
-const (
-	TxRingSize = 256
-	RxRingSize = 256
-)
+// RxRingSize is the receive ring's geometry, e1000-like. The transmit
+// side has no ring of its own: the room left in the wire's queue is it.
+const RxRingSize = 256
 
 // Exported errors.
 var (
@@ -77,17 +75,26 @@ type Stats struct {
 
 // Device simulates one network adapter. The driver side (PostTx, PostRx,
 // CollectTx, CollectRx, Reset) is what the NetDrv server calls; the wire
-// side is internal. IRQ delivery happens through the callback installed
-// with SetIRQ — in the full system that is kipc.Kernel.Interrupt, one
-// trap and a ring of the driver's doorbell.
+// side is internal. A received frame and a link transition raise an
+// interrupt through the callback installed with SetIRQ — in the full
+// system that is kipc.Kernel.Interrupt, one trap and a ring of the
+// driver's doorbell. A transmit raises none: PostTx completes the
+// descriptor before it returns.
 type Device struct {
 	cfg   DeviceConfig
 	space *shm.Space
 
+	// txMu serializes transmitters: the wire's serialization clock and
+	// loss draws are per direction, in transmit order, and a raw injector
+	// (examples/pingflood) may post beside the driver.
+	txMu sync.Mutex
+	// one holds the frame of a descriptor that is not split, so gathering
+	// it allocates no list; txMu guards it.
+	one [1][]byte
+
 	mu       sync.Mutex
 	tx       *wireDir // attached by Wire
 	peer     *Device  // other end of the wire (carrier propagation)
-	txQ      []TxDesc
 	txDone   []TxCompletion
 	rxFree   []shm.RichPtr
 	rxDone   []RxCompletion
@@ -97,15 +104,10 @@ type Device struct {
 	// point-to-point wire, taking one end down kills carrier on both.
 	adminDown   bool
 	carrierDown bool
-	gen         uint32 // bumped on Reset; stale completions are discarded
 	// txPending and rxPending count the completions in txDone and rxDone.
 	// They change under mu, and CollectTx/CollectRx read them without it,
 	// so a collect that finds nothing takes no lock.
 	txPending, rxPending atomic.Int32
-
-	txKick chan struct{}
-	stop   chan struct{}
-	wg     sync.WaitGroup
 
 	irq   atomic.Pointer[func()]
 	stats struct {
@@ -116,15 +118,7 @@ type Device struct {
 
 // NewDevice creates a device that resolves DMA pointers in space.
 func NewDevice(cfg DeviceConfig, space *shm.Space) *Device {
-	d := &Device{
-		cfg:    cfg,
-		space:  space,
-		txKick: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-	}
-	d.wg.Add(1)
-	go d.txEngine()
-	return d
+	return &Device{cfg: cfg, space: space}
 }
 
 // Name returns the configured device name.
@@ -207,26 +201,84 @@ func (d *Device) setPeer(peer *Device) {
 	d.mu.Unlock()
 }
 
-// PostTx places a descriptor on the TX ring ("filling descriptors and
-// updating tail pointers", the paper's description of driver work).
+// PostTx transmits one descriptor on the caller's goroutine — the
+// paper's "filling descriptors and updating tail pointers", with the DMA
+// engine behind the ring costing no goroutine of its own. It gathers the
+// frame out of pool memory, splits a TSO burst, fills the offloaded
+// checksums, puts the frames on the wire and queues the completion for
+// CollectTx. It never waits: a descriptor whose frames the wire's queue
+// cannot all take is refused whole with ErrRingFull, and none of them goes
+// out. A descriptor the device cannot send (link down, stale pointers, an
+// oversized frame without TSO) completes with OK false.
 func (d *Device) PostTx(desc TxDesc) error {
+	d.txMu.Lock()
+	defer d.txMu.Unlock()
 	d.mu.Lock()
-	if len(d.txQ) >= TxRingSize {
-		d.mu.Unlock()
-		return ErrRingFull
-	}
-	d.txQ = append(d.txQ, desc)
+	tx, up := d.tx, d.linkOKLocked(time.Now())
 	d.mu.Unlock()
-	select {
-	case d.txKick <- struct{}{}:
-	default:
+	ok := false
+	if up && tx != nil {
+		frames := d.gather(desc)
+		if frames != nil && !tx.transmit(frames...) {
+			return ErrRingFull
+		}
+		if ok = frames != nil; ok {
+			d.stats.tso.Add(uint64(len(frames) - 1))
+			d.stats.txFrames.Add(uint64(len(frames)))
+			for _, f := range frames {
+				d.stats.txBytes.Add(uint64(len(f)))
+			}
+		}
+	} else {
+		d.stats.txLinkDown.Add(1)
 	}
+	d.mu.Lock()
+	d.txDone = append(d.txDone, TxCompletion{Cookie: desc.Cookie, OK: ok})
+	d.txPending.Add(1)
+	d.mu.Unlock()
 	return nil
 }
 
-// CollectTx drains completed TX descriptors. A completion posted after the
-// pending count was read raises its interrupt after it is counted, so the
-// driver collects it on the poll that interrupt causes.
+// gather builds the frames of one descriptor, checksums filled, splitting
+// a TSO descriptor into MTU-sized frames; nil means the device cannot send
+// it.
+func (d *Device) gather(desc TxDesc) [][]byte {
+	pkt, err := netpkt.Resolve(d.space, desc.Ptrs)
+	if err != nil {
+		// Stale pointers after an owner crash: drop, as real DMA into an
+		// unmapped region would be squashed by the IOMMU.
+		return nil
+	}
+	flags := desc.Flags
+	var frames [][]byte
+	if flags&TxTSO != 0 && desc.SegSize > 0 {
+		// Segment straight off the scatter/gather chain: the oversized
+		// burst is never linearized; each MTU frame gathers its own span.
+		if frames, err = tsoSplitChain(pkt, int(desc.SegSize)); err != nil {
+			return nil
+		}
+		if len(frames) > 1 {
+			// The split filled every frame's checksums; a payload that
+			// fit one MSS came back as it was and still wants them.
+			flags &^= TxCsumIP | TxCsumL4
+		}
+	} else {
+		d.one[0] = pkt.Bytes() // gather DMA
+		if len(d.one[0]) > DefaultMTU+netpkt.EthHeaderLen {
+			return nil // no TSO to split it: the link cannot carry it
+		}
+		frames = d.one[:]
+	}
+	if flags&(TxCsumIP|TxCsumL4) != 0 {
+		for _, f := range frames {
+			fillChecksums(f, flags)
+		}
+	}
+	return frames
+}
+
+// CollectTx drains completed TX descriptors; it takes no lock when nothing
+// is pending.
 func (d *Device) CollectTx() []TxCompletion {
 	if d.txPending.Load() == 0 {
 		return nil
@@ -251,7 +303,9 @@ func (d *Device) PostRx(buf shm.RichPtr) error {
 }
 
 // CollectRx drains received frames; like CollectTx, it takes no lock when
-// nothing is pending.
+// nothing is pending. A frame completed after the pending count was read
+// raises its interrupt after it is counted, so the driver collects it on
+// the poll that interrupt causes.
 func (d *Device) CollectRx() []RxCompletion {
 	if d.rxPending.Load() == 0 {
 		return nil
@@ -271,8 +325,6 @@ func (d *Device) CollectRx() []RxCompletion {
 // the RX and TX descriptors."
 func (d *Device) Reset() {
 	d.mu.Lock()
-	d.gen++
-	d.txQ = nil
 	d.txDone = nil
 	d.rxFree = nil
 	d.rxDone = nil
@@ -292,17 +344,9 @@ func (d *Device) LinkUpAt() time.Time {
 	return d.linkUpAt
 }
 
-// Close stops the device's engines.
-func (d *Device) Close() {
-	d.mu.Lock()
-	select {
-	case <-d.stop:
-	default:
-		close(d.stop)
-	}
-	d.mu.Unlock()
-	d.wg.Wait()
-}
+// Close does nothing: the device runs no goroutine of its own. It stays
+// because the frozen benchmark module (bench/layers/nic.go) calls it.
+func (d *Device) Close() {}
 
 // Stats returns a snapshot of the counters.
 func (d *Device) Stats() Stats {
@@ -313,111 +357,6 @@ func (d *Device) Stats() Stats {
 		TxDropsLinkDown: d.stats.txLinkDown.Load(), Resets: d.stats.resets.Load(),
 		TSOFramesSynthesized: d.stats.tso.Load(),
 	}
-}
-
-// txEngine is the device's DMA/transmit engine: it pops descriptors,
-// gathers the frame out of pool memory, applies offloads, and puts the
-// frame(s) on the wire. Wire backpressure propagates naturally: a saturated
-// link blocks here, the TX ring fills, and the driver reports ring-full to
-// IP.
-func (d *Device) txEngine() {
-	defer d.wg.Done()
-	for {
-		d.mu.Lock()
-		var (
-			desc TxDesc
-			have bool
-			gen  uint32
-			tx   *wireDir
-			up   = d.linkOKLocked(time.Now())
-		)
-		if len(d.txQ) > 0 {
-			desc, have = d.txQ[0], true
-			d.txQ = d.txQ[1:]
-			gen = d.gen
-			tx = d.tx
-		}
-		d.mu.Unlock()
-
-		if !have {
-			// No timer: PostTx appends under d.mu and then posts to the
-			// 1-deep txKick, so a descriptor queued after the empty check
-			// above always leaves a token for this select to find.
-			select {
-			case <-d.stop:
-				return
-			case <-d.txKick:
-				continue
-			}
-		}
-
-		ok := false
-		if up && tx != nil {
-			ok = d.transmitDesc(tx, desc)
-		} else {
-			d.stats.txLinkDown.Add(1)
-		}
-		d.complete(gen, TxCompletion{Cookie: desc.Cookie, OK: ok})
-	}
-}
-
-// transmitDesc serializes one descriptor onto the wire, splitting TSO
-// descriptors into MTU-sized frames.
-func (d *Device) transmitDesc(tx *wireDir, desc TxDesc) bool {
-	pkt, err := netpkt.Resolve(d.space, desc.Ptrs)
-	if err != nil {
-		// Stale pointers after an owner crash: drop, as real DMA into an
-		// unmapped region would be squashed by the IOMMU.
-		return false
-	}
-	if desc.Flags&TxTSO != 0 && desc.SegSize > 0 {
-		// Segment straight off the scatter/gather chain: the oversized
-		// burst is never linearized; each MTU frame gathers its own span.
-		frames, err := tsoSplitChain(pkt, int(desc.SegSize))
-		if err != nil {
-			return false
-		}
-		d.stats.tso.Add(uint64(len(frames) - 1))
-		flags := desc.Flags
-		if len(frames) > 1 {
-			// The split filled every frame's checksums; a payload that
-			// fit one MSS came back as it was and still wants them.
-			flags &^= TxCsumIP | TxCsumL4
-		}
-		for _, f := range frames {
-			if !d.putOnWire(tx, f, flags) {
-				return false
-			}
-		}
-		return true
-	}
-	frame := pkt.Bytes() // gather DMA
-	if len(frame) > DefaultMTU+netpkt.EthHeaderLen {
-		return false // no TSO to split it: the link cannot carry it
-	}
-	return d.putOnWire(tx, frame, desc.Flags)
-}
-
-func (d *Device) putOnWire(tx *wireDir, frame []byte, flags uint32) bool {
-	if flags&(TxCsumIP|TxCsumL4) != 0 {
-		fillChecksums(frame, flags)
-	}
-	if !tx.transmit(frame) {
-		return false
-	}
-	d.stats.txFrames.Add(1)
-	d.stats.txBytes.Add(uint64(len(frame)))
-	return true
-}
-
-func (d *Device) complete(gen uint32, c TxCompletion) {
-	d.mu.Lock()
-	if gen == d.gen {
-		d.txDone = append(d.txDone, c)
-		d.txPending.Add(1)
-	}
-	d.mu.Unlock()
-	d.raiseIRQ()
 }
 
 // receiveFrame is called by the wire when a frame arrives: the device DMAs

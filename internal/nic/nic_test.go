@@ -48,11 +48,7 @@ func devicePair(t *testing.T, cfg WireConfig) (*Device, *Device, *shm.Space, fun
 	w := NewWire(cfg)
 	w.AttachA(a)
 	w.AttachB(b)
-	return a, b, space, func() {
-		w.Close()
-		a.Close()
-		b.Close()
-	}
+	return a, b, space, w.Close
 }
 
 // postBuffers gives dev n receive buffers from a fresh pool.
@@ -363,11 +359,9 @@ func TestResetDropsRingAndRetrains(t *testing.T) {
 func TestLinkDownDuringRetrain(t *testing.T) {
 	space := shm.NewSpace()
 	a := NewDevice(DeviceConfig{Name: "a", LinkUpDelay: 100 * time.Millisecond}, space)
-	defer a.Close()
 	w := NewWire(WireConfig{})
 	defer w.Close()
 	b := NewDevice(DeviceConfig{Name: "b"}, space)
-	defer b.Close()
 	w.AttachA(a)
 	w.AttachB(b)
 	a.Reset()
@@ -395,7 +389,6 @@ func TestLinkDownDuringRetrain(t *testing.T) {
 func TestLinkUpAtItsInstant(t *testing.T) {
 	space := shm.NewSpace()
 	a := NewDevice(DeviceConfig{Name: "a", LinkUpDelay: time.Hour}, space)
-	defer a.Close()
 	a.Reset()
 	at := a.LinkUpAt()
 	a.mu.Lock()
@@ -441,9 +434,7 @@ func TestSetLinkAdminDown(t *testing.T) {
 func TestSetLinkIRQAndRetrain(t *testing.T) {
 	space := shm.NewSpace()
 	a := NewDevice(DeviceConfig{Name: "a", LinkUpDelay: 60 * time.Millisecond}, space)
-	defer a.Close()
 	b := NewDevice(DeviceConfig{Name: "b", LinkUpDelay: 60 * time.Millisecond}, space)
-	defer b.Close()
 	w := NewWire(WireConfig{})
 	defer w.Close()
 	w.AttachA(a)
@@ -561,9 +552,7 @@ func TestWireProperties(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			space := shm.NewSpace()
 			tx := NewDevice(DeviceConfig{Name: "tx", CsumOffload: true}, space)
-			defer tx.Close()
 			rx := NewDevice(DeviceConfig{Name: "rx", CsumOffload: true}, space)
-			defer rx.Close()
 			w := NewWire(cfg)
 			defer w.Close()
 			if dir == 0 {
@@ -640,29 +629,26 @@ func TestWireProperties(t *testing.T) {
 	}
 }
 
-// TestWireCloseWithFramesInFlight closes a wire whose queue is full of
-// frames not yet due: Close returns without waiting for them and neither
-// the wire nor the devices leave a goroutine behind.
+// TestWireCloseWithFramesInFlight fills a wire's queue with frames not yet
+// due, until the device refuses the next descriptor: Close returns without
+// waiting for them and the wire leaves no goroutine behind.
 func TestWireCloseWithFramesInFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
 	a, b, space, done := devicePair(t, WireConfig{BitsPerSec: 1e6, Latency: time.Minute})
 	postBuffers(t, space, b, 4)
-	txPool, _ := space.NewPool("tx", 2048, 1)
-	frame := buildFrame(t, bytes.Repeat([]byte("q"), 1400), true)
-	ptr, buf, _ := txPool.Alloc()
-	copy(buf, frame)
-	desc := TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, uint32(len(frame)))}}
-	// Fill the queue, then post more so the TX engine blocks in transmit.
-	for i := 0; i < wireQueueFrames; i++ {
-		if err := a.PostTx(desc); err != nil {
+	desc := oneFrame(t, space, bytes.Repeat([]byte("q"), 1400))
+	// The queue holds wireQueueFrames; the delivery loop may hold one more
+	// while it waits for that frame's instant.
+	posted := 0
+	for ; posted <= wireQueueFrames+1; posted++ {
+		if err := a.PostTx(desc); err == ErrRingFull {
+			break
+		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitTx(t, a, wireQueueFrames)
-	for i := 0; i < 8; i++ {
-		if err := a.PostTx(desc); err != nil {
-			t.Fatal(err)
-		}
+	if posted < wireQueueFrames || posted > wireQueueFrames+1 {
+		t.Fatalf("the wire took %d frames before refusing one, want %d or one more", posted, wireQueueFrames)
 	}
 	closed := make(chan struct{})
 	go func() {
@@ -683,6 +669,76 @@ func TestWireCloseWithFramesInFlight(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines before, %d after Close", before, n)
+	}
+}
+
+// oneFrame copies a TCP frame with valid checksums and the given payload
+// into a fresh pool and returns its descriptor.
+func oneFrame(t *testing.T, space *shm.Space, payload []byte) TxDesc {
+	t.Helper()
+	frame := buildFrame(t, payload, true)
+	pool, err := space.NewPool("tx", 16384, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptr, buf, _ := pool.Alloc()
+	copy(buf, frame)
+	return TxDesc{Ptrs: []shm.RichPtr{ptr.Slice(0, uint32(len(frame)))}, Cookie: 7}
+}
+
+// PostTx transmits on its caller: when it returns, the frame is on the wire
+// and counted, and its completion waits in CollectTx.
+func TestPostTxCompletesBeforeReturning(t *testing.T) {
+	a, _, space, done := devicePair(t, WireConfig{Latency: time.Minute})
+	defer done()
+	if err := a.PostTx(oneFrame(t, space, []byte("now"))); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Stats().TxFrames; n != 1 {
+		t.Fatalf("TxFrames = %d right after PostTx, want 1", n)
+	}
+	if c := a.CollectTx(); len(c) != 1 || c[0].Cookie != 7 || !c[0].OK {
+		t.Fatalf("completions right after PostTx = %+v, want one OK with cookie 7", c)
+	}
+}
+
+// A TSO descriptor whose frames the wire's queue cannot all take is refused
+// whole: ErrRingFull, no frame sent, no completion.
+func TestTSORefusedWhole(t *testing.T) {
+	a, _, space, done := devicePair(t, WireConfig{Latency: time.Minute})
+	defer done()
+	small := oneFrame(t, space, []byte("filler"))
+	for i := 0; i < wireQueueFrames-2; i++ {
+		if err := a.PostTx(small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.CollectTx()
+	burst := oneFrame(t, space, bytes.Repeat([]byte("z"), 5000)) // 4 frames at MSS 1460
+	burst.Flags, burst.SegSize = TxTSO|TxCsumIP|TxCsumL4, 1460
+	before := a.Stats()
+	if err := a.PostTx(burst); err != ErrRingFull {
+		t.Fatalf("a 4-frame burst into room for 2: %v, want ErrRingFull", err)
+	}
+	if after := a.Stats(); after != before {
+		t.Fatalf("a refused burst changed the device's counters: %+v -> %+v", before, after)
+	}
+	if sent := a.tx.sent.Load(); sent != wireQueueFrames-2 {
+		t.Fatalf("wire sent %d frames, want %d", sent, wireQueueFrames-2)
+	}
+	if c := a.CollectTx(); len(c) != 0 {
+		t.Fatalf("a refused burst completed: %+v", c)
+	}
+}
+
+// The device runs no goroutine of its own.
+func TestDeviceStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d := NewDevice(DeviceConfig{Name: "d"}, shm.NewSpace())
+	running := runtime.NumGoroutine()
+	d.Close()
+	if after := runtime.NumGoroutine(); running != before || after != before {
+		t.Fatalf("goroutines before NewDevice / after it / after Close = %d / %d / %d", before, running, after)
 	}
 }
 
@@ -726,7 +782,7 @@ func BenchmarkDeviceTxRx1500(b *testing.B) {
 	w := NewWire(WireConfig{})
 	w.AttachA(a)
 	w.AttachB(dst)
-	defer func() { w.Close(); a.Close(); dst.Close() }()
+	defer w.Close()
 	rxPool, _ := space.NewPool("rx", 2048, RxRingSize)
 	for i := 0; i < RxRingSize; i++ {
 		ptr, _, _ := rxPool.Alloc()

@@ -24,9 +24,9 @@ import (
 // configurations.
 const DefaultMTU = 1500
 
-// wireQueueFrames bounds the frames in flight per direction. A transmit
-// into a full queue blocks, which is the backpressure that fills the device
-// TX ring and in turn the stack's channels.
+// wireQueueFrames bounds the frames in flight per direction. The room left
+// in the queue is the sending device's TX ring: a descriptor whose frames do
+// not all fit is refused (ErrRingFull), and the driver fails it back to IP.
 const wireQueueFrames = 256
 
 // WireConfig describes one emulated link.
@@ -71,7 +71,7 @@ type wireDir struct {
 
 	// busyUntil is the instant the link finishes serializing everything
 	// transmitted so far. It and rng are touched only by transmit, that is
-	// by the attached device's txEngine.
+	// by the attached device's PostTx under its txMu.
 	busyUntil time.Time
 	rng       *rand.Rand
 
@@ -149,29 +149,33 @@ func (w *Wire) Stats() (sentAB, lostAB, sentBA, lostBA uint64) {
 	return w.dirs[0].sent.Load(), w.dirs[0].lost.Load(), w.dirs[1].sent.Load(), w.dirs[1].lost.Load()
 }
 
-// transmit puts a frame on the link: it charges the frame's serialization
-// time to the link, draws its loss (one draw per frame, in transmit order,
-// so a seed fixes which frames are lost) and queues it for delivery at the
-// end of its serialization plus the propagation latency. It blocks while
-// the queue is full and reports false once the wire is closed.
-func (d *wireDir) transmit(frame []byte) bool {
-	if now := time.Now(); d.busyUntil.Before(now) {
-		d.busyUntil = now
-	}
-	if d.cfg.BitsPerSec > 0 {
-		d.busyUntil = d.busyUntil.Add(time.Duration(float64(len(frame)*8) / d.cfg.BitsPerSec * float64(time.Second)))
-	}
-	if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
-		d.lost.Add(1)
-		return true
-	}
-	d.sent.Add(1)
-	select {
-	case d.queue <- timedFrame{due: d.busyUntil.Add(d.cfg.Latency), f: frame}:
-		return true
-	case <-d.stop:
+// transmit puts a descriptor's frames on the link, all of them or none: it
+// never blocks, and reports false, sending nothing, when the queue has not
+// room for every frame. Each frame sent is charged its serialization time,
+// has its loss drawn (one draw per frame, in transmit order, so a seed
+// fixes which frames are lost) and is queued for delivery at the end of
+// its serialization plus the propagation latency. Its one caller at a time
+// is the attached device, so the room it finds stays free until it fills
+// it.
+func (d *wireDir) transmit(frames ...[]byte) bool {
+	if cap(d.queue)-len(d.queue) < len(frames) {
 		return false
 	}
+	for _, frame := range frames {
+		if now := time.Now(); d.busyUntil.Before(now) {
+			d.busyUntil = now
+		}
+		if d.cfg.BitsPerSec > 0 {
+			d.busyUntil = d.busyUntil.Add(time.Duration(float64(len(frame)*8) / d.cfg.BitsPerSec * float64(time.Second)))
+		}
+		if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
+			d.lost.Add(1)
+			continue
+		}
+		d.sent.Add(1)
+		d.queue <- timedFrame{due: d.busyUntil.Add(d.cfg.Latency), f: frame}
+	}
+	return true
 }
 
 // deliverLoop hands each frame to the destination device at its due

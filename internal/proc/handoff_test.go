@@ -72,8 +72,8 @@ func TestUpgradeHandsStateToSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Live {
-		t.Fatalf("expected live handoff, got %+v", rep)
+	if rep.Component != p.Name() {
+		t.Fatalf("report names %q, want %q", rep.Component, p.Name())
 	}
 	if handoffs.Load() != 1 {
 		t.Fatalf("handoff inits = %d", handoffs.Load())

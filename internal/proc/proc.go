@@ -112,17 +112,26 @@ type Handoffer interface {
 	HandoffState() (any, error)
 }
 
-// HandoffReport times the phases of one planned upgrade: drain (quiesce
-// the old loop at a batch boundary), transfer (serialize live state onto
-// the handoff channel), rewire (successor Init: re-point ports, restore
-// state, re-arm timers, re-announce readiness edges), resume (until the
-// runners have stepped the successor once). Live is false when the service
-// does not implement Handoffer and the upgrade fell back to a planned
-// graceful restart (stop, then a restart-mode launch recovering from
-// storage).
+// HandoffReport times the phases of one planned live update — the
+// measurable pause of the drain-and-handoff protocol (docs/ARCHITECTURE.md
+// "Zero-downtime live update"): drain (quiesce the old loop at a batch
+// boundary), transfer (serialize live state onto the handoff channel),
+// rewire (successor Init: re-point ports, restore state, re-arm timers,
+// re-announce readiness edges), resume (until the runners have stepped the
+// successor once).
 type HandoffReport struct {
-	Live                            bool
+	Component                       string
 	Drain, Transfer, Rewire, Resume time.Duration
+}
+
+// Total is the whole pause: the window in which the engine was not polling.
+func (h HandoffReport) Total() time.Duration {
+	return h.Drain + h.Transfer + h.Rewire + h.Resume
+}
+
+func (h HandoffReport) String() string {
+	return fmt.Sprintf("%s live-handoff: drain=%v transfer=%v rewire=%v resume=%v total=%v",
+		h.Component, h.Drain, h.Transfer, h.Rewire, h.Resume, h.Total())
 }
 
 // handoffDrainRounds bounds the quiesce: each round is one Poll, which
@@ -312,14 +321,12 @@ func (p *Proc) Restart() error {
 }
 
 // Upgrade swaps the running incarnation for a successor as a planned live
-// update. When the service implements Handoffer, the swap is a
-// drain-and-handoff: the old loop quiesces at a batch boundary, serializes
-// its live state, and exits; the successor inherits the doorbell and every
-// channel (peers never observe a generation change) and resumes from the
-// transferred state — zero lost events, no crash-recovery stall anywhere.
-// Otherwise the upgrade falls back to a planned graceful restart (stop,
-// then a restart-mode launch recovering from storage), which peers handle
-// with their usual reincarnation actions. Neither path counts toward
+// update, a drain-and-handoff: the old loop quiesces at a batch boundary,
+// serializes its live state, and exits; the successor inherits the
+// doorbell and every channel (peers never observe a generation change) and
+// resumes from the transferred state — zero lost events, no crash-recovery
+// stall anywhere. A service that does not implement Handoffer is refused
+// with an error and keeps running. An upgrade never counts toward
 // Crashes(): only an incarnation dying by panic does.
 //
 // If state serialization or the successor's Init fails, the component is
@@ -334,12 +341,7 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 		return HandoffReport{}, fmt.Errorf("proc %s: not running", p.name)
 	}
 	if _, ok := inc.svc.(Handoffer); !ok {
-		start := time.Now()
-		p.Shutdown()
-		if err := p.launch(true); err != nil {
-			return HandoffReport{}, err
-		}
-		return HandoffReport{Rewire: time.Since(start)}, nil
+		return HandoffReport{}, fmt.Errorf("proc %s: %T cannot hand off its state", p.name, inc.svc)
 	}
 
 	req := &handoffReq{done: make(chan handoffRes, 1)}
@@ -403,11 +405,11 @@ func (p *Proc) Upgrade() (HandoffReport, error) {
 	case <-bound.C:
 	}
 	return HandoffReport{
-		Live:     true,
-		Drain:    res.drain,
-		Transfer: res.transfer,
-		Rewire:   rewire,
-		Resume:   time.Since(mark),
+		Component: p.name,
+		Drain:     res.drain,
+		Transfer:  res.transfer,
+		Rewire:    rewire,
+		Resume:    time.Since(mark),
 	}, nil
 }
 

@@ -19,8 +19,7 @@ type Event struct {
 	Injected    bool
 	Hang        bool // busy in one step past HeartbeatMiss, not a crash signal
 	// Planned marks a deliberate live update (Upgrade), not crash
-	// recovery: the component was swapped on purpose, so the event never
-	// counts toward the MaxRestarts crash budget.
+	// recovery: the component was swapped on purpose.
 	Planned     bool
 	DetectedAt  time.Time
 	RecoveredAt time.Time
@@ -35,9 +34,6 @@ type Config struct {
 	// HeartbeatMiss is how long a child may stay busy in one step before
 	// it is declared hung and reset.
 	HeartbeatMiss time.Duration
-	// MaxRestarts caps restarts per component (0 = unlimited); beyond it
-	// the component is left down (the "reboot necessary" outcome).
-	MaxRestarts int
 }
 
 func (c *Config) fill() {
@@ -133,7 +129,8 @@ func (m *Monitor) Events() []Event {
 	return out
 }
 
-// Down reports components that exceeded MaxRestarts and were left down.
+// Down reports components left down because their restart failed (the
+// "reboot necessary" outcome).
 func (m *Monitor) Down() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -147,10 +144,8 @@ func (m *Monitor) Down() []string {
 // Upgrade performs a planned live update of the named child — the
 // deliberate-replacement path (paper §V: patching a component under live
 // traffic), distinct from crash recovery. The swap is proc.Upgrade's
-// drain-and-handoff when the service supports it, a planned graceful
-// restart otherwise. Either way the event is recorded as Planned and is
-// invisible to the MaxRestarts crash budget: Crashes() only advances when
-// an incarnation dies by panic, which no planned path does.
+// drain-and-handoff, recorded as a Planned event; a child that cannot hand
+// off its state is refused and keeps running.
 func (m *Monitor) Upgrade(name string) (proc.HandoffReport, error) {
 	m.mu.Lock()
 	p, ok := m.children[name]
@@ -168,9 +163,6 @@ func (m *Monitor) Upgrade(name string) (proc.HandoffReport, error) {
 	rep, err := p.Upgrade()
 	if err != nil {
 		return rep, err
-	}
-	if !rep.Live {
-		ev.Reason = "planned upgrade (graceful restart)"
 	}
 	ev.RecoveredAt = time.Now()
 	m.mu.Lock()
@@ -242,11 +234,6 @@ func (m *Monitor) recover(name, reason string, injected, hang bool) {
 	m.mu.Lock()
 	p, ok := m.children[name]
 	if !ok || m.disabled[name] {
-		m.mu.Unlock()
-		return
-	}
-	if m.cfg.MaxRestarts > 0 && p.Crashes() > m.cfg.MaxRestarts {
-		m.disabled[name] = true
 		m.mu.Unlock()
 		return
 	}

@@ -169,35 +169,6 @@ func TestRepeatedCrashesKeepRecovering(t *testing.T) {
 	}
 }
 
-func TestMaxRestartsDisables(t *testing.T) {
-	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond, MaxRestarts: 1})
-	m.Start()
-	defer m.Stop()
-	p, _ := startChild(t, m, "terminal")
-	// Crash twice; the second should leave it down.
-	for i := 0; i < 2; i++ {
-		deadline := time.Now().Add(2 * time.Second)
-		for p.Status() != proc.StatusRunning && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if p.Status() != proc.StatusRunning {
-			break
-		}
-		p.Fault().Arm(faults.Crash)
-		for p.Status() == proc.StatusRunning && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	deadline := time.Now().Add(time.Second)
-	for len(m.Down()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	down := m.Down()
-	if len(down) != 1 || down[0] != "terminal" {
-		t.Fatalf("down = %v", down)
-	}
-}
-
 func TestMonitorStopIdempotent(t *testing.T) {
 	m := NewMonitor(Config{})
 	m.Start()

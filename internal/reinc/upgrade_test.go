@@ -1,7 +1,6 @@
 package reinc
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,9 +26,9 @@ func (d *hoDummy) Init(rt *proc.Runtime, restart bool) error {
 func (d *hoDummy) HandoffState() (any, error) { return d.count, nil }
 
 // TestUpgradeIsPlannedEvent: planned upgrades are their own event kind and
-// never count toward the MaxRestarts crash budget.
+// never count as crashes.
 func TestUpgradeIsPlannedEvent(t *testing.T) {
-	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond, MaxRestarts: 1})
+	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond})
 	m.Start()
 	defer m.Stop()
 
@@ -42,14 +41,10 @@ func TestUpgradeIsPlannedEvent(t *testing.T) {
 	m.Adopt(p)
 	defer p.Shutdown()
 
-	// Several planned upgrades in a row: well past MaxRestarts=1, all fine.
+	// Several planned upgrades in a row.
 	for i := 0; i < 3; i++ {
-		rep, err := m.Upgrade("svc")
-		if err != nil {
+		if _, err := m.Upgrade("svc"); err != nil {
 			t.Fatalf("upgrade %d: %v", i, err)
-		}
-		if !rep.Live {
-			t.Fatalf("upgrade %d: expected live handoff, got %+v", i, rep)
 		}
 	}
 	if p.Crashes() != 0 {
@@ -68,8 +63,7 @@ func TestUpgradeIsPlannedEvent(t *testing.T) {
 		}
 	}
 
-	// A real crash afterwards must still be recovered: the budget was not
-	// consumed by the upgrades (1 crash <= MaxRestarts).
+	// A real crash afterwards must still be recovered.
 	p.Fault().Arm(faults.Crash)
 	deadline := time.Now().Add(2 * time.Second)
 	for restarts.Load() == 0 && time.Now().Before(deadline) {
@@ -79,34 +73,28 @@ func TestUpgradeIsPlannedEvent(t *testing.T) {
 		t.Fatal("crash after upgrades was not recovered")
 	}
 	if len(m.Down()) != 0 {
-		t.Fatalf("component disabled despite unspent crash budget: %v", m.Down())
+		t.Fatalf("component left down after a recovered crash: %v", m.Down())
 	}
 }
 
-// TestUpgradeFallbackIsGracefulRestart: a child without handoff support is
-// swapped via planned graceful restart, recorded as such and still Planned.
-func TestUpgradeFallbackIsGracefulRestart(t *testing.T) {
+// TestUpgradeWithoutHandoffIsRefused: a child without handoff support is
+// not upgraded: the call fails, the incarnation keeps running, and no event
+// is recorded.
+func TestUpgradeWithoutHandoffIsRefused(t *testing.T) {
 	m := NewMonitor(Config{HeartbeatInterval: 5 * time.Millisecond})
 	m.Start()
 	defer m.Stop()
 	p, restarts := startChild(t, m, "plain")
 	defer p.Shutdown()
 
-	rep, err := m.Upgrade("plain")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.Upgrade("plain"); err == nil {
+		t.Fatal("a child that cannot hand off its state was upgraded")
 	}
-	if rep.Live {
-		t.Fatalf("non-Handoffer reported live handoff: %+v", rep)
+	if p.Status() != proc.StatusRunning || p.Incarnation() != 1 || restarts.Load() != 0 {
+		t.Fatalf("after a refused upgrade: status %v, incarnation %d, restarts %d; want the first incarnation running",
+			p.Status(), p.Incarnation(), restarts.Load())
 	}
-	if restarts.Load() != 1 {
-		t.Fatalf("restart-mode inits = %d", restarts.Load())
-	}
-	if p.Crashes() != 0 {
-		t.Fatalf("graceful restart counted as crash: %d", p.Crashes())
-	}
-	evs := m.Events()
-	if len(evs) != 1 || !evs[0].Planned || !strings.Contains(evs[0].Reason, "graceful") {
+	if evs := m.Events(); len(evs) != 0 {
 		t.Fatalf("events = %+v", evs)
 	}
 }

@@ -78,9 +78,6 @@ func MustNew[T any](capacity int) *Ring[T] {
 	return r
 }
 
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Len returns a point-in-time estimate of the number of queued elements.
 // It is exact when called from either the producer or consumer goroutine
 // while the other side is quiescent, and approximate otherwise.
@@ -147,20 +144,6 @@ func (r *Ring[T]) TryDequeue() (T, bool) {
 	r.buf[h&r.mask] = zero // release references for GC
 	r.head.Store(h + 1)
 	return v, true
-}
-
-// Peek returns the oldest element without removing it.
-// It must be called only by the consumer goroutine.
-func (r *Ring[T]) Peek() (T, bool) {
-	var zero T
-	h := r.head.Load()
-	if h >= r.cachedTail {
-		r.cachedTail = r.tail.Load()
-		if h >= r.cachedTail {
-			return zero, false
-		}
-	}
-	return r.buf[h&r.mask], true
 }
 
 // Readable returns the queued slots from the head: at most limit of them,

@@ -63,13 +63,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return cp, true
 }
 
-// Delete removes key.
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, key)
-}
-
 // Keys returns all keys with the given prefix.
 func (s *Store) Keys(prefix string) []string {
 	s.mu.Lock()

@@ -10,7 +10,7 @@ import (
 	"newtos/internal/proc"
 )
 
-func TestPutGetDeleteIsolation(t *testing.T) {
+func TestPutGetIsolation(t *testing.T) {
 	s := NewStore()
 	val := []byte("routing table")
 	s.Put("ip/config", val)
@@ -23,10 +23,6 @@ func TestPutGetDeleteIsolation(t *testing.T) {
 	got2, _ := s.Get("ip/config")
 	if !bytes.Equal(got2, []byte("routing table")) {
 		t.Fatal("returned slice aliases the store")
-	}
-	s.Delete("ip/config")
-	if _, ok := s.Get("ip/config"); ok {
-		t.Fatal("deleted key present")
 	}
 }
 
